@@ -62,6 +62,7 @@ void
 BM_GpFitPredict(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
+    const auto queries = static_cast<std::size_t>(state.range(1));
     Rng rng(3);
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
@@ -70,19 +71,27 @@ BM_GpFitPredict(benchmark::State &state)
                       rng.uniform()});
         ys.push_back(rng.normal());
     }
+    std::vector<std::vector<double>> candidates;
+    for (std::size_t q = 0; q < queries; ++q)
+        candidates.push_back({rng.uniform(), rng.uniform(),
+                              rng.uniform(), rng.uniform()});
+    std::vector<GaussianProcess::Prediction> preds(queries);
     for (auto _ : state) {
         GaussianProcess gp;
         gp.fit(xs, ys);
-        double acc = 0.0;
-        for (int q = 0; q < 64; ++q) {
-            acc += gp.predict({rng.uniform(), rng.uniform(),
-                               rng.uniform(), rng.uniform()})
-                       .mean;
-        }
-        benchmark::DoNotOptimize(acc);
+        gp.predictBatch(candidates, preds);
+        benchmark::DoNotOptimize(preds.data());
+        benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_GpFitPredict)->Arg(64)->Arg(128)->Arg(192);
+// {training points, queries}; {192, 640} is one BayesOpt iteration's
+// fit + acquisition at the default subset-of-data cap and candidate
+// count.
+BENCHMARK(BM_GpFitPredict)
+    ->Args({64, 64})
+    ->Args({128, 64})
+    ->Args({192, 64})
+    ->Args({192, 640});
 
 void
 BM_SchedulerOneShot(benchmark::State &state)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/atomic_io.hh"
 #include "util/fault.hh"
@@ -298,11 +299,12 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             instrument ? metrics::monotonicNowNs() : 0;
         // Acquisition: random + local candidates, take the best EI.
         // Candidates are drawn serially (the rng stream must not
-        // depend on the worker count); their EI scores are
-        // independent GP predictions, so they fan out across the
-        // pool. The winner scan below replicates the serial
-        // first-strict-improvement rule, so the selected candidate
-        // is identical either way.
+        // depend on the worker count) and scored by the GP in batch.
+        // A candidate's prediction does not depend on which batch it
+        // lands in, so with a pool the scored range is cut into
+        // fixed tile-aligned chunks that fan out across workers. The
+        // winner scan keeps the first strict EI improvement, so the
+        // selected candidate is identical either way.
         const std::vector<double> incumbent = trace.bestPoint();
         std::vector<std::vector<double>> candidates;
         candidates.reserve(1 + options_.uniformCandidates +
@@ -324,24 +326,32 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             }
         }
 
-        std::vector<double> eis(candidates.size(), -1.0);
-        auto score = [&](std::size_t i) {
-            eis[i] = expectedImprovement(gp.predict(candidates[i]),
-                                         best_finite);
-        };
+        const std::span<const std::vector<double>> scored =
+            std::span(candidates).subspan(1);
+        std::vector<GaussianProcess::Prediction> preds(scored.size());
         if (pool) {
-            pool->parallelFor(candidates.size() - 1,
-                              [&](std::size_t i) { score(i + 1); });
+            constexpr std::size_t chunk = GaussianProcess::predictTile;
+            pool->parallelFor(
+                (scored.size() + chunk - 1) / chunk,
+                [&](std::size_t c) {
+                    const std::size_t first = c * chunk;
+                    const std::size_t count =
+                        std::min(chunk, scored.size() - first);
+                    gp.predictBatch(scored.subspan(first, count),
+                                    std::span(preds).subspan(first,
+                                                             count));
+                });
         } else {
-            for (std::size_t i = 1; i < candidates.size(); ++i)
-                score(i);
+            gp.predictBatch(scored, preds);
         }
 
         std::size_t best_idx = 0;
         double best_ei = -1.0;
         for (std::size_t i = 1; i < candidates.size(); ++i) {
-            if (eis[i] > best_ei) {
-                best_ei = eis[i];
+            const double ei =
+                expectedImprovement(preds[i - 1], best_finite);
+            if (ei > best_ei) {
+                best_ei = ei;
                 best_idx = i;
             }
         }

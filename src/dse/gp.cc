@@ -83,33 +83,90 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
               0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
 }
 
-GaussianProcess::Prediction
-GaussianProcess::predict(const std::vector<double> &x) const
+template <std::size_t W>
+void
+GaussianProcess::predictTileOf(const std::vector<double> *xs,
+                               Prediction *out, double *v) const
+{
+    // Row i of v holds k(x_j, xs_[i]) for the W candidates side by
+    // side and is overwritten in place by row i of L^-1 k*, so the
+    // inner loop of the forward substitution runs across independent
+    // candidates (a constant trip count the compiler vectorizes)
+    // instead of down one serial dependency chain. Per candidate the
+    // operation sequence is exactly the one-query textbook one.
+    const std::size_t n = xs_.size();
+    const double *lower = choleskyLower_.data();
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < W; ++j)
+            v[i * W + j] = kernelValue(xs[j], xs_[i]);
+
+    double mean_std[W];
+    double var_std[W];
+    for (std::size_t j = 0; j < W; ++j) {
+        mean_std[j] = 0.0;
+        var_std[j] = kernelValue(xs[j], xs[j]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *li = lower + i * n;
+        double *vi = v + i * W;
+        double acc[W];
+        for (std::size_t j = 0; j < W; ++j) {
+            mean_std[j] += vi[j] * alpha_[i];
+            acc[j] = vi[j];
+        }
+        for (std::size_t k = 0; k < i; ++k) {
+            const double lik = li[k];
+            const double *vk = v + k * W;
+            // Fully unrolled, the tile's accumulators live in
+            // registers; the baseline -O2 would keep them in memory.
+#pragma GCC unroll 32
+            for (std::size_t j = 0; j < W; ++j)
+                acc[j] -= lik * vk[j];
+        }
+        const double lii = li[i];
+        for (std::size_t j = 0; j < W; ++j) {
+            vi[j] = acc[j] / lii;
+            var_std[j] -= vi[j] * vi[j];
+        }
+    }
+
+    for (std::size_t j = 0; j < W; ++j) {
+        // Clamp BEFORE the caller takes sqrt: near-duplicate rows
+        // make the subtraction catastrophically cancel, which can
+        // leave a slightly negative or (through a degenerate solve)
+        // NaN residual variance. (var < 0.0) is false for NaN and
+        // would let it through, so test the NaN-safe complement.
+        const double var = var_std[j] > 0.0 ? var_std[j] : 0.0;
+        out[j] = {yMean_ + yStd_ * mean_std[j], yStd_ * yStd_ * var};
+    }
+}
+
+void
+GaussianProcess::predictBatch(std::span<const std::vector<double>> xs,
+                              std::span<Prediction> out) const
 {
     if (xs_.empty())
         panic("GaussianProcess::predict before fit");
-    const std::size_t n = xs_.size();
-    std::vector<double> k_star(n);
-    for (std::size_t i = 0; i < n; ++i)
-        k_star[i] = kernelValue(x, xs_[i]);
+    if (out.size() != xs.size())
+        panic("GaussianProcess::predictBatch: ", xs.size(),
+              " points but ", out.size(), " outputs");
+    // Full tiles, then any remainder one candidate at a time (a tile
+    // of one is the plain scalar solve, so predict() pays nothing
+    // for the batching).
+    const std::size_t full = xs.size() - xs.size() % predictTile;
+    std::vector<double> v(xs_.size() * (full ? predictTile : 1));
+    for (std::size_t j = 0; j < full; j += predictTile)
+        predictTileOf<predictTile>(&xs[j], &out[j], v.data());
+    for (std::size_t j = full; j < xs.size(); ++j)
+        predictTileOf<1>(&xs[j], &out[j], v.data());
+}
 
-    double mean_std = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        mean_std += k_star[i] * alpha_[i];
-
-    const std::vector<double> v = solveLower(choleskyLower_, k_star);
-    double var_std = kernelValue(x, x);
-    for (double vi : v)
-        var_std -= vi * vi;
-    // Clamp BEFORE the caller takes sqrt: near-duplicate rows make
-    // the subtraction catastrophically cancel, which can leave a
-    // slightly negative or (through a degenerate solve) NaN residual
-    // variance. (var_std < 0.0) is false for NaN and would let it
-    // through, so test the NaN-safe complement instead.
-    if (!(var_std > 0.0))
-        var_std = 0.0;
-
-    return {yMean_ + yStd_ * mean_std, yStd_ * yStd_ * var_std};
+GaussianProcess::Prediction
+GaussianProcess::predict(const std::vector<double> &x) const
+{
+    Prediction pred{};
+    predictBatch({&x, 1}, {&pred, 1});
+    return pred;
 }
 
 double

@@ -11,6 +11,7 @@
 #ifndef VAESA_DSE_GP_HH
 #define VAESA_DSE_GP_HH
 
+#include <span>
 #include <vector>
 
 #include "tensor/matrix.hh"
@@ -58,7 +59,27 @@ class GaussianProcess
         double var;
     };
 
-    /** Predict at one point. Requires a prior fit(). */
+    /**
+     * Candidates per forward-substitution tile in predictBatch().
+     * Callers that split a batch (e.g. across a pool) should cut it
+     * at multiples of this width so no tile is left partly filled.
+     */
+    static constexpr std::size_t predictTile = 32;
+
+    /**
+     * Predict at every point of a contiguous range: out[j] is the
+     * posterior at xs[j]. Candidates are solved a tile at a time
+     * with the tile's k* columns interleaved, but each one sees
+     * exactly the scalar sequence of operations (mean and variance
+     * reduced over training points in ascending order, forward
+     * substitution in ascending column order), so results are bit
+     * for bit independent of the batch size and of how a batch is
+     * split. Requires a prior fit() and out.size() == xs.size().
+     */
+    void predictBatch(std::span<const std::vector<double>> xs,
+                      std::span<Prediction> out) const;
+
+    /** Predict at one point: a batch of one. Requires a prior fit(). */
     Prediction predict(const std::vector<double> &x) const;
 
     /** Log marginal likelihood of the last fit (standardized y). */
@@ -83,6 +104,12 @@ class GaussianProcess
   private:
     double kernelValue(const std::vector<double> &a,
                        const std::vector<double> &b) const;
+
+    /** predictBatch() body for W consecutive candidates; v is an
+     *  n x W scratch tile. */
+    template <std::size_t W>
+    void predictTileOf(const std::vector<double> *xs, Prediction *out,
+                       double *v) const;
 
     Kernel kernel_;
     Hyper hyper_;

@@ -13,17 +13,22 @@ cholesky(const Matrix &a, Matrix &lower)
         panic("cholesky requires a square matrix");
     const std::size_t n = a.rows();
     lower = Matrix(n, n);
+    const double *src = a.data();
+    double *out = lower.data();
     for (std::size_t i = 0; i < n; ++i) {
+        const double *ai = src + i * n;
+        double *li = out + i * n;
         for (std::size_t j = 0; j <= i; ++j) {
-            double acc = a(i, j);
+            const double *lj = out + j * n;
+            double acc = ai[j];
             for (std::size_t k = 0; k < j; ++k)
-                acc -= lower(i, k) * lower(j, k);
+                acc -= li[k] * lj[k];
             if (i == j) {
                 if (acc <= 0.0 || !std::isfinite(acc))
                     return false;
-                lower(i, i) = std::sqrt(acc);
+                li[i] = std::sqrt(acc);
             } else {
-                lower(i, j) = acc / lower(j, j);
+                li[j] = acc / lj[j];
             }
         }
     }
@@ -34,14 +39,16 @@ std::vector<double>
 solveLower(const Matrix &lower, const std::vector<double> &b)
 {
     const std::size_t n = lower.rows();
-    if (b.size() != n)
+    if (lower.cols() != n || b.size() != n)
         panic("solveLower dimension mismatch");
+    const double *l = lower.data();
     std::vector<double> y(n);
     for (std::size_t i = 0; i < n; ++i) {
+        const double *li = l + i * n;
         double acc = b[i];
         for (std::size_t k = 0; k < i; ++k)
-            acc -= lower(i, k) * y[k];
-        y[i] = acc / lower(i, i);
+            acc -= li[k] * y[k];
+        y[i] = acc / li[i];
     }
     return y;
 }
@@ -50,15 +57,16 @@ std::vector<double>
 solveLowerTransposed(const Matrix &lower, const std::vector<double> &y)
 {
     const std::size_t n = lower.rows();
-    if (y.size() != n)
+    if (lower.cols() != n || y.size() != n)
         panic("solveLowerTransposed dimension mismatch");
+    const double *l = lower.data();
     std::vector<double> x(n);
     for (std::size_t ii = n; ii > 0; --ii) {
         const std::size_t i = ii - 1;
         double acc = y[i];
         for (std::size_t k = i + 1; k < n; ++k)
-            acc -= lower(k, i) * x[k];
-        x[i] = acc / lower(i, i);
+            acc -= l[k * n + i] * x[k];
+        x[i] = acc / l[i * n + i];
     }
     return x;
 }
@@ -85,27 +93,6 @@ choleskyJittered(const Matrix &a, Matrix &lower)
         jitter = (jitter == 0.0) ? 1e-10 * diag_mean : jitter * 10.0;
     }
     panic("choleskyJittered: matrix not SPD even with jitter ", jitter);
-}
-
-std::vector<double>
-solveSpd(const Matrix &a, const std::vector<double> &b, double *jitter_out)
-{
-    Matrix lower;
-    const double jitter = choleskyJittered(a, lower);
-    if (jitter_out)
-        *jitter_out = jitter;
-    return solveLowerTransposed(lower, solveLower(lower, b));
-}
-
-double
-dot(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        panic("dot dimension mismatch");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        acc += a[i] * b[i];
-    return acc;
 }
 
 double

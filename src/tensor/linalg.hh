@@ -1,8 +1,10 @@
 /**
  * @file
  * Dense linear-algebra kernels for the Gaussian-process layer: Cholesky
- * factorization of SPD matrices, triangular solves, and SPD system
- * solves with adaptive jitter.
+ * factorization of SPD matrices (with adaptive jitter) and triangular
+ * solves. Loops index the row-major storage directly after one shape
+ * check and keep a fixed, serial summation order, so results are
+ * reproducible bit for bit.
  */
 
 #ifndef VAESA_TENSOR_LINALG_HH
@@ -32,25 +34,10 @@ std::vector<double> solveLowerTransposed(const Matrix &lower,
                                          const std::vector<double> &y);
 
 /**
- * Solve A x = b for SPD A via Cholesky, adding diagonal jitter in
- * decade steps (starting at 1e-10 * mean diagonal) until the
- * factorization succeeds.
- *
- * @param a SPD matrix (copied internally; not modified).
- * @param b right-hand side.
- * @param jitter_out optional: receives the jitter that was required.
- */
-std::vector<double> solveSpd(const Matrix &a, const std::vector<double> &b,
-                             double *jitter_out = nullptr);
-
-/**
  * Cholesky with adaptive jitter; panics if even large jitter fails.
  * Returns the jitter used.
  */
 double choleskyJittered(const Matrix &a, Matrix &lower);
-
-/** Dot product of equal-length vectors. */
-double dot(const std::vector<double> &a, const std::vector<double> &b);
 
 /** Squared Euclidean distance between equal-length vectors. */
 double squaredDistance(const std::vector<double> &a,

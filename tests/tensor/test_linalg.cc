@@ -89,22 +89,6 @@ TEST(Linalg, TriangularSolvesInvertEachOther)
     }
 }
 
-TEST(Linalg, SolveSpdSolvesSystem)
-{
-    Rng rng(5);
-    const Matrix a = randomSpd(8, rng);
-    std::vector<double> b(8);
-    for (auto &v : b)
-        v = rng.normal();
-    const std::vector<double> x = solveSpd(a, b);
-    for (std::size_t i = 0; i < 8; ++i) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < 8; ++k)
-            acc += a(i, k) * x[k];
-        EXPECT_NEAR(acc, b[i], 1e-8);
-    }
-}
-
 TEST(Linalg, JitterRecoversNearSingular)
 {
     // Rank-deficient PSD matrix: ones(3,3).
@@ -119,13 +103,22 @@ TEST(Linalg, JitterRecoversNearSingular)
                         1e-8);
 }
 
-TEST(Linalg, DotAndSquaredDistance)
+TEST(Linalg, SquaredDistance)
 {
     const std::vector<double> a{1.0, 2.0, 3.0};
     const std::vector<double> b{4.0, -5.0, 6.0};
-    EXPECT_DOUBLE_EQ(dot(a, b), 12.0);
     EXPECT_DOUBLE_EQ(squaredDistance(a, b), 9.0 + 49.0 + 9.0);
-    EXPECT_DEATH(dot(a, {1.0}), "mismatch");
+    EXPECT_DEATH(squaredDistance(a, {1.0}), "mismatch");
+}
+
+TEST(Linalg, SolvesRejectShapeMismatch)
+{
+    const Matrix wide(2, 3, 1.0);
+    EXPECT_DEATH(solveLower(wide, {1.0, 2.0}), "mismatch");
+    EXPECT_DEATH(solveLowerTransposed(wide, {1.0, 2.0}), "mismatch");
+    const Matrix eye(2, 2, {1.0, 0.0, 0.0, 1.0});
+    EXPECT_DEATH(solveLower(eye, {1.0}), "mismatch");
+    EXPECT_DEATH(solveLowerTransposed(eye, {1.0}), "mismatch");
 }
 
 class SolveSweep : public ::testing::TestWithParam<int>
@@ -140,7 +133,10 @@ TEST_P(SolveSweep, ResidualSmallAcrossSizes)
     std::vector<double> b(n);
     for (auto &v : b)
         v = rng.uniform(-2.0, 2.0);
-    const std::vector<double> x = solveSpd(a, b);
+    Matrix lower;
+    choleskyJittered(a, lower);
+    const std::vector<double> x =
+        solveLowerTransposed(lower, solveLower(lower, b));
     double residual = 0.0;
     for (int i = 0; i < n; ++i) {
         double acc = -b[i];
