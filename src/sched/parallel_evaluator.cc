@@ -12,7 +12,7 @@ namespace vaesa {
 
 namespace {
 
-/** Serial-order roll-up shared by every workload-sum path: summing
+/** Serial-order roll-up of the layer-parallel workload sums: summing
  *  happens here, on one thread, in layer order, so parallel layer
  *  scoring cannot perturb floating-point association. */
 EvalResult
@@ -64,51 +64,92 @@ struct ConfigHash
 };
 
 /**
- * Evaluate configs [0, n) against one layer across the pool in
- * work-stealing chunks: workers claim [cursor, cursor+chunk) slices
- * off a shared atomic, each slice running through the SoA batch cost
- * model into its own disjoint span of `results` (the thread-local
- * view; no lock, no sharing). The "batch_chunk" fault site AND the
- * optional cancellation token fire at the claim point, BEFORE the
- * chunk computes, so an injected kill or an expired deadline
- * surfaces as an exception from parallelFor after in-flight chunks
- * finish — callers must not merge or account anything when this
- * throws (the all-or-nothing batch contract).
+ * Run body(begin, end) over [0, n) across the pool in work-stealing
+ * chunks: workers claim [cursor, cursor+chunk) slices off a shared
+ * atomic, each slice writing only its own disjoint outputs (the
+ * thread-local view; no lock, no sharing). The "batch_chunk" fault
+ * site AND the optional cancellation token fire at the claim point,
+ * BEFORE the chunk computes, so an injected kill or an expired
+ * deadline surfaces as an exception from parallelFor after in-flight
+ * chunks finish — callers must not merge or account anything when
+ * this throws (the all-or-nothing batch contract).
  */
+template <class Body>
 void
-stealingLayerBatch(const Evaluator &evaluator,
-                   const AcceleratorConfig *configs, std::size_t n,
-                   const LayerShape &layer, EvalResult *results,
-                   ThreadPool &pool, const CancelToken *cancel)
+forEachStolenChunk(std::size_t n, ThreadPool &pool,
+                   const CancelToken *cancel, const Body &body)
 {
     if (n == 0)
         return;
     const std::size_t workers =
         std::max<std::size_t>(1, pool.threadCount());
     const std::size_t chunk = chunkSizeFor(n, workers);
-    if (n <= chunk) {
-        // Too small to be worth a fan-out; the calling thread scores
-        // it directly (still one checkpoint per batch).
+    const auto claim = [&](std::size_t begin) {
         faultCheck("batch_chunk");
         if (cancel)
             cancel->check("batch_chunk");
-        evaluator.evaluateLayerBatch(configs, n, layer, results);
+        body(begin, std::min(n, begin + chunk));
+    };
+    if (n <= chunk) {
+        // Too small to be worth a fan-out; the calling thread scores
+        // it directly (still one checkpoint per batch).
+        claim(0);
         return;
     }
     std::atomic<std::size_t> cursor{0};
     pool.parallelFor(workers, [&](std::size_t) {
-        for (;;) {
-            const std::size_t begin = cursor.fetch_add(chunk);
-            if (begin >= n)
-                break;
-            faultCheck("batch_chunk");
-            if (cancel)
-                cancel->check("batch_chunk");
-            const std::size_t end = std::min(n, begin + chunk);
-            evaluator.evaluateLayerBatch(configs + begin, end - begin,
-                                         layer, results + begin);
-        }
+        for (std::size_t begin; (begin = cursor.fetch_add(chunk)) < n;)
+            claim(begin);
     });
+}
+
+/**
+ * Score configs [0, n) over the whole workload into totals[0, n):
+ * each layer is one SoA batch call over the configs still alive,
+ * whose results enter their totals in layer order with the serial
+ * loop's ops. A config leaves at its first invalid layer with zeroed
+ * totals, exactly like the serial early exit, so the sums and
+ * evaluationCount() both match the serial loop.
+ */
+void
+scoreConfigChunk(const Evaluator &evaluator,
+                 const AcceleratorConfig *configs, std::size_t n,
+                 const std::vector<LayerShape> &layers,
+                 const std::vector<std::int64_t> &counts,
+                 EvalResult *totals)
+{
+    std::vector<std::uint32_t> alive(n);
+    std::iota(alive.begin(), alive.end(), 0);
+    std::vector<AcceleratorConfig> live(configs, configs + n);
+    std::vector<EvalResult> layerResults(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        totals[i] = EvalResult{};
+        totals[i].valid = true;
+    }
+    for (std::size_t li = 0; li < layers.size() && !alive.empty();
+         ++li) {
+        const double weight =
+            counts.empty() ? 1.0 : static_cast<double>(counts[li]);
+        evaluator.evaluateLayerBatch(live.data(), alive.size(),
+                                     layers[li], layerResults.data());
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < alive.size(); ++j) {
+            const EvalResult &r = layerResults[j];
+            EvalResult &t = totals[alive[j]];
+            if (!r.valid) {
+                t = EvalResult{};
+                continue;
+            }
+            t.latencyCycles += weight * r.latencyCycles;
+            t.energyPj += weight * r.energyPj;
+            alive[kept] = alive[j];
+            live[kept] = live[j];
+            ++kept;
+        }
+        alive.resize(kept);
+    }
+    for (const std::uint32_t i : alive)
+        totals[i].edp = totals[i].latencyCycles * totals[i].energyPj;
 }
 
 /**
@@ -117,6 +158,10 @@ stealingLayerBatch(const Evaluator &evaluator,
  * un-counted overload bit for bit; otherwise layer li's
  * latency/energy enter each surviving config's totals scaled by
  * counts[li] (occurrence-weighted whole-network sums).
+ *
+ * Config-major: exact duplicates are folded once per batch, then the
+ * pool steals chunks of unique configs (one fork/join per batch) and
+ * each chunk walks every layer on its own.
  */
 std::vector<EvalResult>
 configBatchImpl(const Evaluator &evaluator,
@@ -125,70 +170,34 @@ configBatchImpl(const Evaluator &evaluator,
                 const std::vector<std::int64_t> &counts,
                 ThreadPool &pool)
 {
+    // Within-batch dedup on exact config value: evaluation is
+    // deterministic, so duplicates share one scored result.
     const std::size_t n = configs.size();
-    std::vector<EvalResult> totals(n);
-    for (EvalResult &t : totals)
-        t.valid = true;
-
-    // Alive mask: configs drop out at their first invalid layer, so
-    // each config's roll-up sees exactly the serial loop's layer
-    // prefix (same sums, same early-exit semantics).
-    std::vector<std::uint32_t> alive(n);
-    std::iota(alive.begin(), alive.end(), 0);
-
     std::vector<AcceleratorConfig> uniques;
-    std::vector<std::uint32_t> slotOf;
-    std::vector<EvalResult> uniqueResults;
-    for (std::size_t li = 0; li < layers.size(); ++li) {
-        if (alive.empty())
-            break;
-        const LayerShape &layer = layers[li];
-        const double weight =
-            counts.empty() ? 1.0 : static_cast<double>(counts[li]);
-
-        // Within-batch dedup on exact config value: evaluation is
-        // deterministic, so duplicates share one scored result.
-        uniques.clear();
-        slotOf.assign(alive.size(), 0);
-        std::unordered_map<AcceleratorConfig, std::uint32_t,
-                           ConfigHash>
-            uniqueOf;
-        uniqueOf.reserve(alive.size());
-        for (std::size_t j = 0; j < alive.size(); ++j) {
-            const auto [it, inserted] = uniqueOf.emplace(
-                configs[alive[j]],
-                static_cast<std::uint32_t>(uniques.size()));
-            if (inserted)
-                uniques.push_back(configs[alive[j]]);
-            slotOf[j] = it->second;
-        }
-
-        uniqueResults.assign(uniques.size(), EvalResult{});
-        stealingLayerBatch(evaluator, uniques.data(), uniques.size(),
-                           layer, uniqueResults.data(), pool,
-                           nullptr);
-
-        // Accumulate in input order on this thread.
-        std::vector<std::uint32_t> next;
-        next.reserve(alive.size());
-        for (std::size_t j = 0; j < alive.size(); ++j) {
-            const EvalResult &r = uniqueResults[slotOf[j]];
-            EvalResult &t = totals[alive[j]];
-            if (!r.valid) {
-                t = EvalResult{};
-                continue;
-            }
-            t.latencyCycles += weight * r.latencyCycles;
-            t.energyPj += weight * r.energyPj;
-            next.push_back(alive[j]);
-        }
-        alive.swap(next);
+    std::vector<std::uint32_t> slotOf(n);
+    std::unordered_map<AcceleratorConfig, std::uint32_t, ConfigHash>
+        uniqueOf;
+    uniqueOf.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto [it, inserted] = uniqueOf.emplace(
+            configs[i], static_cast<std::uint32_t>(uniques.size()));
+        if (inserted)
+            uniques.push_back(configs[i]);
+        slotOf[i] = it->second;
     }
 
-    for (EvalResult &t : totals) {
-        if (t.valid)
-            t.edp = t.latencyCycles * t.energyPj;
-    }
+    std::vector<EvalResult> uniqueTotals(uniques.size());
+    forEachStolenChunk(uniques.size(), pool, nullptr,
+                       [&](std::size_t begin, std::size_t end) {
+                           scoreConfigChunk(evaluator,
+                                            uniques.data() + begin,
+                                            end - begin, layers, counts,
+                                            uniqueTotals.data() + begin);
+                       });
+
+    std::vector<EvalResult> totals(n);
+    for (std::size_t i = 0; i < n; ++i)
+        totals[i] = uniqueTotals[slotOf[i]];
     return totals;
 }
 
@@ -301,9 +310,13 @@ ParallelEvaluator::scoreLayerSubset(const AcceleratorConfig *snapped,
         // here and skip the merge and accounting below —
         // all-or-nothing.
         std::vector<EvalResult> uniqueResults(u);
-        stealingLayerBatch(cache.inner(), uniqueConfigs.data(), u,
-                           layer, uniqueResults.data(), *pool_,
-                           cancel_);
+        forEachStolenChunk(u, *pool_, cancel_,
+                           [&](std::size_t begin, std::size_t end) {
+                               cache.inner().evaluateLayerBatch(
+                                   uniqueConfigs.data() + begin,
+                                   end - begin, layer,
+                                   uniqueResults.data() + begin);
+                           });
 
         // Merge the thread-local views once, at batch end.
         cache.insertBatch(uniqueKeys.data(), uniqueResults.data(), u);

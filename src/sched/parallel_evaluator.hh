@@ -5,12 +5,13 @@
  * concurrently, with results bit-identical to the serial Evaluator
  * loops. This is the scaling layer every search driver funnels its
  * bulk cost-model queries through (the ROADMAP's batching axis);
- * determinism is preserved because work is only *scheduled* in
- * parallel while all result ordering and summation stays in input
- * order on the calling thread.
+ * determinism is preserved because every sum keeps the serial
+ * loop's operand order: a config's totals are accumulated in layer
+ * order by one thread, and results come back in input order.
  *
- * BATCH PIPELINE (the DESIGN.md batch-evaluation contract): a layer
- * batch runs dedup -> probe -> evaluate -> merge -> account:
+ * CACHED BATCH PIPELINE (ParallelEvaluator; the DESIGN.md
+ * batch-evaluation contract): a layer batch runs dedup -> probe ->
+ * evaluate -> merge -> account:
  *   1. snap + key every config, then deduplicate keys (searches
  *      repeatedly decode to the same snapped config, so a batch of N
  *      often holds far fewer distinct keys);
@@ -84,13 +85,16 @@ EvalResult evaluateWorkloadParallel(
  * Score configs[i] on the whole workload into result i on a plain
  * (cache-free) Evaluator — the uncached driver fast path. Results
  * are bit-identical to calling evaluator.evaluateWorkload per
- * config: each layer is scored through the SoA batch cost model
- * with within-batch deduplication (evaluation is deterministic, so
- * sharing one result across duplicate configs is lossless), per-
- * config sums accumulate in layer order on the calling thread, and
- * an alive mask reproduces the serial early-exit (a config invalid
- * at layer L is not scored past L). Dedup means the evaluator's
- * evaluationCount() advances by distinct work, not input size.
+ * config. Exact duplicate configs are folded once per batch
+ * (evaluation is deterministic, so sharing one result is lossless);
+ * the pool then steals chunks of distinct configs — one fork/join
+ * per batch — and each chunk scores every layer through the SoA
+ * batch cost model, accumulating each config's sums in layer order
+ * with an alive mask that reproduces the serial early-exit (a
+ * config invalid at layer L is not scored past L). Dedup means the
+ * evaluator's evaluationCount() advances by distinct work, not
+ * input size. The "batch_chunk" fault site fires once per claimed
+ * chunk; a throw returns nothing.
  */
 std::vector<EvalResult> evaluateConfigBatch(
     const Evaluator &evaluator,

@@ -1,7 +1,9 @@
 #include "sched/scheduler.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <initializer_list>
 
 #include "util/logging.hh"
 #include "util/numeric.hh"
@@ -41,44 +43,73 @@ gbTileFits(const CostModel &model, const AcceleratorConfig &arch,
            static_cast<double>(arch.globalBufBytes);
 }
 
+/** Per-dimension tile counts (ceilDiv quotients) of one level. */
+using TileCounts = std::array<double, numDims>;
+
+/** Product of the tile counts, multiplied in dimension order. */
+double
+product(const TileCounts &n)
+{
+    double p = 1.0;
+    for (const double x : n)
+        p *= x;
+    return p;
+}
+
+/**
+ * Greedy tile growth shared by the per-PE and global-buffer levels:
+ * repeatedly take the feasible doubling of (m.*level)[d], d in
+ * @p order and capped at cap(d), that most reduces proxy(m, counts).
+ * Growth is monotone and bounded, so the loop terminates. The proxy
+ * sees the level's tile counts cached in `counts` (count(m, d) per
+ * dimension), so a candidate recomputes only the count of the
+ * dimension it grows, and the accepted step's score carries over.
+ */
+template <class Cap, class Fits, class Count, class Proxy>
+void
+growGreedy(Mapping &m, std::array<std::int64_t, numDims> Mapping::*level,
+           std::initializer_list<int> order, const Cap &cap,
+           const Fits &fits, const Count &count, const Proxy &proxy)
+{
+    TileCounts counts;
+    for (int d = 0; d < numDims; ++d)
+        counts[d] = count(m, d);
+    double score = proxy(m, counts);
+    while (true) {
+        double best_score = score;
+        int best_dim = -1;
+        std::int64_t best_value = 0;
+        double best_count = 0.0;
+        for (const int d : order) {
+            if ((m.*level)[d] >= cap(d))
+                continue;
+            Mapping grown = m;
+            (grown.*level)[d] = std::min(cap(d), (m.*level)[d] * 2);
+            if (!fits(grown))
+                continue;
+            TileCounts grown_counts = counts;
+            grown_counts[d] = count(grown, d);
+            const double grown_score = proxy(grown, grown_counts);
+            if (grown_score < best_score) {
+                best_score = grown_score;
+                best_dim = d;
+                best_value = (grown.*level)[d];
+                best_count = grown_counts[d];
+            }
+        }
+        if (best_dim < 0)
+            return;
+        (m.*level)[best_dim] = best_value;
+        counts[best_dim] = best_count;
+        score = best_score;
+    }
+}
+
 } // namespace
 
 Scheduler::Scheduler(const CostModel &model)
     : model_(model)
 {
-}
-
-double
-Scheduler::peTrafficProxy(const LayerShape &layer, const Mapping &m) const
-{
-    const auto dims = layerDims(layer);
-    // Weight re-fetches scale with the outer (P, Q) iteration count;
-    // input re-reads from the global buffer scale with the number of
-    // array-level K tiles (and the per-tile halo overhead).
-    const double n_pq =
-        static_cast<double>(ceilDiv(dims[DimP], m.tilePe[DimP])) *
-        static_cast<double>(ceilDiv(dims[DimQ], m.tilePe[DimQ]));
-    const double weight_traffic =
-        static_cast<double>(layer.weightWords()) * n_pq;
-
-    double n_tiles = 1.0;
-    for (int d = 0; d < numDims; ++d)
-        n_tiles *= static_cast<double>(
-            ceilDiv(dims[d], m.arrayTilePe(d)));
-    const double input_traffic = n_tiles * m.inputTileWords(layer);
-
-    return weight_traffic + input_traffic +
-           static_cast<double>(layer.outputWords());
-}
-
-double
-Scheduler::gbTrafficProxy(const LayerShape &layer, const Mapping &m) const
-{
-    const auto dims = layerDims(layer);
-    double n_gb = 1.0;
-    for (int d = 0; d < numDims; ++d)
-        n_gb *= static_cast<double>(ceilDiv(dims[d], m.tileGb[d]));
-    return n_gb * m.inputGbTileWords(layer);
 }
 
 std::optional<Mapping>
@@ -113,34 +144,28 @@ Scheduler::schedule(const AcceleratorConfig &arch,
     if (!peTileFits(model_, arch, layer, m))
         return std::nullopt;
 
-    // Greedy per-PE tile growth: take the feasible doubling that most
-    // reduces the DRAM-traffic proxy. Growth is monotone and bounded,
-    // so the loop terminates.
+    // Greedy per-PE tile growth, ranked by a DRAM-traffic proxy:
+    // weight re-fetches scale with the outer (P, Q) iteration count;
+    // input re-reads from the global buffer scale with the number of
+    // array-level tiles (and the per-tile halo overhead).
     const std::int64_t max_k_tile = ceilDiv(dims[DimK], m.spatialK);
-    while (true) {
-        double best_score = peTrafficProxy(layer, m);
-        int best_dim = -1;
-        std::int64_t best_value = 0;
-        for (int d : {DimR, DimS, DimP, DimQ, DimC, DimK}) {
-            const std::int64_t cap =
-                (d == DimK) ? max_k_tile : dims[d];
-            if (m.tilePe[d] >= cap)
-                continue;
-            Mapping grown = m;
-            grown.tilePe[d] = std::min(cap, m.tilePe[d] * 2);
-            if (!peTileFits(model_, arch, layer, grown))
-                continue;
-            const double score = peTrafficProxy(layer, grown);
-            if (score < best_score) {
-                best_score = score;
-                best_dim = d;
-                best_value = grown.tilePe[d];
-            }
-        }
-        if (best_dim < 0)
-            break;
-        m.tilePe[best_dim] = best_value;
-    }
+    const double weight_words = layer.weightWords();
+    const double output_words = layer.outputWords();
+    growGreedy(
+        m, &Mapping::tilePe, {DimR, DimS, DimP, DimQ, DimC, DimK},
+        [&](int d) { return d == DimK ? max_k_tile : dims[d]; },
+        [&](const Mapping &t) {
+            return peTileFits(model_, arch, layer, t);
+        },
+        [&](const Mapping &t, int d) {
+            return static_cast<double>(ceilDiv(dims[d], t.arrayTilePe(d)));
+        },
+        [&](const Mapping &t, const TileCounts &n) {
+            const double weight_traffic =
+                weight_words * (n[DimP] * n[DimQ]);
+            return weight_traffic +
+                   product(n) * t.inputTileWords(layer) + output_words;
+        });
 
     // Global-buffer tile starts at the concurrent array tile and grows
     // under the global-buffer capacity, minimizing DRAM input traffic.
@@ -185,28 +210,19 @@ Scheduler::schedule(const AcceleratorConfig &arch,
         if (!gbTileFits(model_, arch, layer, m))
             return std::nullopt;
     }
-    while (true) {
-        double best_score = gbTrafficProxy(layer, m);
-        int best_dim = -1;
-        std::int64_t best_value = 0;
-        for (int d : {DimP, DimQ, DimC, DimK}) {
-            if (m.tileGb[d] >= dims[d])
-                continue;
-            Mapping grown = m;
-            grown.tileGb[d] = std::min(dims[d], m.tileGb[d] * 2);
-            if (!gbTileFits(model_, arch, layer, grown))
-                continue;
-            const double score = gbTrafficProxy(layer, grown);
-            if (score < best_score) {
-                best_score = score;
-                best_dim = d;
-                best_value = grown.tileGb[d];
-            }
-        }
-        if (best_dim < 0)
-            break;
-        m.tileGb[best_dim] = best_value;
-    }
+    // Global-buffer growth, ranked by DRAM input traffic.
+    growGreedy(
+        m, &Mapping::tileGb, {DimP, DimQ, DimC, DimK},
+        [&](int d) { return dims[d]; },
+        [&](const Mapping &t) {
+            return gbTileFits(model_, arch, layer, t);
+        },
+        [&](const Mapping &t, int d) {
+            return static_cast<double>(ceilDiv(dims[d], t.tileGb[d]));
+        },
+        [&](const Mapping &t, const TileCounts &n) {
+            return product(n) * t.inputGbTileWords(layer);
+        });
 
     std::string reason;
     if (!model_.checkMapping(arch, layer, m, &reason)) {

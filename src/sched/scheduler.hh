@@ -42,12 +42,6 @@ class Scheduler
                                     const LayerShape &layer) const;
 
   private:
-    /** DRAM-traffic proxy for ranking per-PE tile growth steps. */
-    double peTrafficProxy(const LayerShape &layer, const Mapping &m) const;
-
-    /** DRAM-traffic proxy for ranking global-buffer tile growth. */
-    double gbTrafficProxy(const LayerShape &layer, const Mapping &m) const;
-
     CostModel model_;
 };
 

@@ -175,6 +175,12 @@ ThreadPool::defaultThreadCount()
         fatal("VAESA_THREADS=", requested, " must be >= 1");
     if (requested > 0)
         return static_cast<std::size_t>(requested);
+    return hardwareThreadCount();
+}
+
+std::size_t
+ThreadPool::hardwareThreadCount()
+{
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
 }

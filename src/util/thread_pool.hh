@@ -89,9 +89,13 @@ class ThreadPool
     /**
      * Worker count used when a pool is built with threads == 0: the
      * VAESA_THREADS env var when set (must be >= 1), otherwise
-     * std::thread::hardware_concurrency(), never less than 1.
+     * hardwareThreadCount().
      */
     static std::size_t defaultThreadCount();
+
+    /** The host's std::thread::hardware_concurrency(), never less
+     *  than 1 and never overridden by VAESA_THREADS. */
+    static std::size_t hardwareThreadCount();
 
   private:
     void workerLoop() VAESA_EXCLUDES(queueMutex_);

@@ -234,10 +234,16 @@ TEST(ParallelEquivalence, BatchPhaseFailureFallsBackPerPoint)
     const auto xs = randomPoints(32, obj.dim(), 29);
     const std::vector<double> want = obj.evaluateBatch(xs, nullptr);
 
-    FaultInjector::instance().arm("batch_chunk", 1);
-    const std::vector<double> got = obj.evaluateBatch(xs, &pool);
-    EXPECT_GE(FaultInjector::instance().hitCount("batch_chunk"), 1u);
-    EXPECT_EQ(got, want);
+    // batch_chunk fires once per claimed chunk of unique configs (32
+    // points on 4 workers are 4 chunks of 8): kill the first claim,
+    // and later ones while earlier chunks are already scored.
+    for (const std::uint64_t nth : {1u, 2u, 3u}) {
+        FaultInjector::instance().arm("batch_chunk", nth);
+        const std::vector<double> got = obj.evaluateBatch(xs, &pool);
+        EXPECT_GE(FaultInjector::instance().hitCount("batch_chunk"),
+                  nth);
+        EXPECT_EQ(got, want) << "fault at hit " << nth;
+    }
     FaultInjector::instance().reset();
 }
 

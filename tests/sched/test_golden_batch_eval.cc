@@ -32,52 +32,12 @@
 #include "util/thread_pool.hh"
 #include "workload/networks.hh"
 
+#include "../common/golden_configs.hh"
+
 namespace vaesa {
 namespace {
 
-/** Same frozen probe set as test_golden_eval.cc (tiny, mid,
- *  buffer-heavy, compute-heavy), snapped on-grid. */
-std::vector<AcceleratorConfig>
-goldenConfigs()
-{
-    std::vector<AcceleratorConfig> configs(4);
-    configs[0].numPes = 4;
-    configs[0].numMacs = 64;
-    configs[0].accumBufBytes = 4 * 1024;
-    configs[0].weightBufBytes = 32 * 1024;
-    configs[0].inputBufBytes = 8 * 1024;
-    configs[0].globalBufBytes = 32 * 1024;
-
-    configs[1].numPes = 16;
-    configs[1].numMacs = 1024;
-    configs[1].accumBufBytes = 48 * 1024;
-    configs[1].weightBufBytes = 1024 * 1024;
-    configs[1].inputBufBytes = 64 * 1024;
-    configs[1].globalBufBytes = 128 * 1024;
-
-    configs[2].numPes = 8;
-    configs[2].numMacs = 256;
-    configs[2].accumBufBytes = 128 * 1024;
-    configs[2].weightBufBytes = 4 * 1024 * 1024;
-    configs[2].inputBufBytes = 256 * 1024;
-    configs[2].globalBufBytes = 1024 * 1024;
-
-    configs[3].numPes = 32;
-    configs[3].numMacs = 4096;
-    configs[3].accumBufBytes = 16 * 1024;
-    configs[3].weightBufBytes = 256 * 1024;
-    configs[3].inputBufBytes = 32 * 1024;
-    configs[3].globalBufBytes = 512 * 1024;
-
-    const DesignSpace &ds = designSpace();
-    for (AcceleratorConfig &config : configs)
-        for (int p = 0; p < numHwParams; ++p) {
-            const auto param = static_cast<HwParam>(p);
-            config.setValue(param,
-                            ds.snapValue(param, config.value(param)));
-        }
-    return configs;
-}
+using testing::goldenConfigs;
 
 /** The frozen layer subset (small ResNet-50 slice). */
 std::vector<std::size_t>

@@ -14,6 +14,7 @@
 
 #include "sched/parallel_evaluator.hh"
 #include "util/deadline.hh"
+#include "util/fault.hh"
 #include "util/rng.hh"
 #include "workload/networks.hh"
 
@@ -266,6 +267,151 @@ TEST(ParallelEvaluator, ExpiredItemDroppedWithoutDisturbingMates)
         EXPECT_EQ(status[i], BatchItemStatus::Ok);
         expectBitIdentical(got[i], expected[i - 1]);
     }
+}
+
+/**
+ * Distinct configs for the config-major batch tests: on-grid samples
+ * valid at every layer, plus every fifth one with a 2-byte
+ * accumulation buffer, which cannot hold one psum and so is invalid
+ * from the first layer on.
+ */
+std::vector<AcceleratorConfig>
+distinctConfigs(std::size_t count, Rng &rng)
+{
+    std::vector<AcceleratorConfig> distinct;
+    while (distinct.size() < count) {
+        AcceleratorConfig c = designSpace().randomConfig(rng);
+        if (distinct.size() % 5 == 4)
+            c.accumBufBytes = 2;
+        if (std::find(distinct.begin(), distinct.end(), c) ==
+            distinct.end())
+            distinct.push_back(c);
+    }
+    return distinct;
+}
+
+/** A batch of @p n configs of which at least a quarter (n > 1) are
+ *  exact copies of other entries, in shuffled order. */
+std::vector<AcceleratorConfig>
+batchWithDuplicates(std::size_t n, std::uint64_t seed)
+{
+    if (n == 0)
+        return {};
+    Rng rng(seed);
+    const std::size_t dups = std::min(n - 1, (n + 3) / 4);
+    std::vector<AcceleratorConfig> batch =
+        distinctConfigs(n - dups, rng);
+    for (std::size_t i = 0; i < dups; ++i)
+        batch.push_back(batch[rng.index(batch.size())]);
+    std::vector<AcceleratorConfig> shuffled;
+    for (const std::size_t i : rng.permutation(batch.size()))
+        shuffled.push_back(batch[i]);
+    return shuffled;
+}
+
+/**
+ * A copy of @p w with a degenerate layer (K = 0) spliced into the
+ * middle. For sane layers a config's validity depends on its buffers
+ * alone (the mapper shrinks every tile to 1 word, whatever the
+ * layer), so a config that maps layer 0 maps them all; the
+ * degenerate layer is what makes valid configs drop out mid-walk.
+ */
+Workload
+withDeadMiddleLayer(Workload w)
+{
+    const std::size_t mid = w.layers.size() / 2;
+    LayerShape dead = w.layers[mid];
+    dead.k = 0;
+    w.layers.insert(w.layers.begin() + static_cast<long>(mid), dead);
+    if (!w.counts.empty())
+        w.counts.insert(w.counts.begin() + static_cast<long>(mid), 3);
+    return w;
+}
+
+/**
+ * Free evaluateConfigBatch against the scalar Evaluator over batch
+ * sizes {0, 1, 7, 8, 9, 64, 65, 300} at pool widths 1/2/4: bit for bit
+ * the same totals, and exactly the serial loop's evaluation count
+ * (each unique config's alive prefix).
+ */
+void
+expectConfigBatchMatchesScalar(const Workload &w, bool counted)
+{
+    const std::size_t sizes[] = {0, 1, 7, 8, 9, 64, 65, 300};
+    for (const std::size_t n : sizes) {
+        const std::vector<AcceleratorConfig> batch =
+            batchWithDuplicates(n, 1000 + n);
+        Evaluator scalar;
+        std::vector<EvalResult> want;
+        std::uint64_t alivePrefixSum = 0;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const std::uint64_t before = scalar.evaluationCount();
+            want.push_back(counted
+                               ? scalar.evaluateWorkload(batch[i], w)
+                               : scalar.evaluateWorkload(batch[i],
+                                                         w.layers));
+            const bool firstCopy =
+                std::find(batch.begin(), batch.begin() + i,
+                          batch[i]) == batch.begin() + i;
+            if (firstCopy)
+                alivePrefixSum += scalar.evaluationCount() - before;
+        }
+        for (const std::size_t width : {1, 2, 4}) {
+            ThreadPool pool(width);
+            Evaluator evaluator;
+            const std::vector<EvalResult> got =
+                counted ? evaluateConfigBatch(evaluator, batch, w, pool)
+                        : evaluateConfigBatch(evaluator, batch,
+                                              w.layers, pool);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                SCOPED_TRACE(::testing::Message()
+                             << w.name << " n=" << n
+                             << " width=" << width << " item=" << i);
+                expectBitIdentical(got[i], want[i]);
+            }
+            EXPECT_EQ(evaluator.evaluationCount(), alivePrefixSum)
+                << w.name << " n=" << n << " width=" << width;
+        }
+    }
+}
+
+TEST(ConfigMajorBatch, UncountedLayersBitIdenticalToScalar)
+{
+    Workload alexnet = workloadByName("alexnet");
+    alexnet.counts.clear();
+    expectConfigBatchMatchesScalar(alexnet, false);
+    expectConfigBatchMatchesScalar(withDeadMiddleLayer(alexnet), false);
+}
+
+TEST(ConfigMajorBatch, CountedWorkloadBitIdenticalToScalar)
+{
+    // MobileNetV2 repeats its inverted-residual shapes (counts up to
+    // 4), so a dropped or misplaced weight changes the totals.
+    const Workload mobilenet = workloadByName("mobilenet_v2");
+    ASSERT_GT(*std::max_element(mobilenet.counts.begin(),
+                                mobilenet.counts.end()),
+              1);
+    expectConfigBatchMatchesScalar(mobilenet, true);
+    expectConfigBatchMatchesScalar(withDeadMiddleLayer(mobilenet),
+                                   true);
+}
+
+TEST(ConfigMajorBatch, BatchChunkFiresOncePerConfigChunk)
+{
+    // The fault site and the work-stealing claim are per chunk of
+    // unique configs, not per (layer, chunk): 64 unique configs on 2
+    // workers are 8 chunks of 8, whatever the layer count.
+    const Workload alexnet = workloadByName("alexnet");
+    const std::vector<AcceleratorConfig> batch = randomBatch(64, 47);
+    ASSERT_EQ(chunkSizeFor(batch.size(), 2), 8u);
+    FaultInjector::instance().reset();
+    FaultInjector::instance().arm("batch_chunk", 1u << 30);
+    ThreadPool pool(2);
+    const Evaluator evaluator;
+    evaluateConfigBatch(evaluator, batch, alexnet.layers, pool);
+    EXPECT_EQ(FaultInjector::instance().hitCount("batch_chunk"), 8u);
+    FaultInjector::instance().reset();
 }
 
 } // namespace

@@ -29,6 +29,16 @@ TEST(ThreadPool, EnvOverrideControlsDefaultCount)
     ::unsetenv("VAESA_THREADS");
 }
 
+TEST(ThreadPool, HardwareCountIgnoresEnvOverride)
+{
+    const std::size_t hw = ThreadPool::hardwareThreadCount();
+    EXPECT_GE(hw, 1u);
+    ::setenv("VAESA_THREADS", "3", 1);
+    EXPECT_EQ(ThreadPool::hardwareThreadCount(), hw);
+    ::unsetenv("VAESA_THREADS");
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), hw);
+}
+
 TEST(ThreadPool, ExplicitCountWins)
 {
     ::setenv("VAESA_THREADS", "3", 1);
