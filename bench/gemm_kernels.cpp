@@ -1,8 +1,7 @@
 /**
  * @file
  * Kernel-layer speedup study: naive vs blocked GEMM (single thread)
- * and blocked + thread pool, over the layer shapes the Figure 11
- * training runs actually execute (batch 64, VAE hidden {128, 64},
+ * over the layer shapes the Figure 11 training runs actually execute (batch 64, VAE hidden {128, 64},
  * latent 4, predictor hidden {64, 64}), plus the full-dataset encode
  * batch.
  *
@@ -16,7 +15,8 @@
  * pays; the k = 6 input layers are latency-bound and reported but not
  * gated). The binary exits nonzero below the 3x target so CI catches
  * kernel regressions. Results land in bench_out/gemm_kernels.{csv,
- * json} and the checked-in BENCH_gemm_kernels.json.
+ * json} and the checked-in BENCH_gemm_kernels.json, which also
+ * records the host's hardware thread count (hw_threads).
  *
  * Knobs: VAESA_GEMM_REPS (timing repetitions, default 7),
  *        VAESA_GEMM_MS (target milliseconds per measurement, def 40).
@@ -94,7 +94,7 @@ int
 main()
 {
     bench::banner("GEMM kernels",
-                  "naive vs blocked vs pooled on training shapes");
+                  "naive vs blocked on training shapes");
 
     const auto reps =
         static_cast<std::size_t>(envInt("VAESA_GEMM_REPS", 7));
@@ -116,16 +116,16 @@ main()
     };
 
     Rng rng(71);
-    std::printf("%-22s %12s %12s %12s %9s\n", "shape (m x k x n)",
-                "naive ns", "blocked ns", "pooled ns", "speedup");
+    const std::size_t hw_threads = ThreadPool::hardwareThreadCount();
+    std::printf("host hw_threads %zu\n", hw_threads);
+    std::printf("%-22s %12s %12s %9s\n", "shape (m x k x n)",
+                "naive ns", "blocked ns", "speedup");
     bench::rule();
 
-    ThreadPool pool(4);
     double log_speedup_sum = 0.0;
     std::size_t gated_count = 0;
     std::vector<double> naive_ns(shapes.size());
     std::vector<double> blocked_ns(shapes.size());
-    std::vector<double> pooled_ns(shapes.size());
 
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         const Shape &s = shapes[i];
@@ -136,23 +136,18 @@ main()
         a.randomUniform(rng, -1.0, 1.0);
         b.randomUniform(rng, -1.0, 1.0);
 
-        kernels::setGemmPool(nullptr);
         kernels::setActiveKernel(kernels::KernelKind::Naive);
         naive_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
         kernels::setActiveKernel(kernels::KernelKind::Blocked);
         blocked_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
-
-        kernels::setGemmPool(&pool);
-        pooled_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
-        kernels::setGemmPool(nullptr);
 
         const double speedup = naive_ns[i] / blocked_ns[i];
         if (s.gated) {
             log_speedup_sum += std::log(speedup);
             ++gated_count;
         }
-        std::printf("%-22s %12.0f %12.0f %12.0f %8.2fx%s\n", s.label,
-                    naive_ns[i], blocked_ns[i], pooled_ns[i], speedup,
+        std::printf("%-22s %12.0f %12.0f %8.2fx%s\n", s.label,
+                    naive_ns[i], blocked_ns[i], speedup,
                     s.gated ? "" : "  (ungated)");
     }
 
@@ -167,7 +162,7 @@ main()
 
     CsvWriter csv(bench::csvPath("gemm_kernels.csv"));
     csv.header({"shape", "m", "k", "n", "orientation", "gated",
-                "naive_ns", "blocked_ns", "pooled_ns", "speedup"});
+                "naive_ns", "blocked_ns", "speedup"});
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         const Shape &s = shapes[i];
         csv.row({s.label, std::to_string(s.m),
@@ -175,12 +170,13 @@ main()
                  s.transA ? "transA" : "transB",
                  s.gated ? "1" : "0", CsvWriter::cell(naive_ns[i]),
                  CsvWriter::cell(blocked_ns[i]),
-                 CsvWriter::cell(pooled_ns[i]),
                  CsvWriter::cell(naive_ns[i] / blocked_ns[i])});
     }
 
     std::string body = "{\n  \"bench\": \"gemm_kernels\",\n"
-                       "  \"shapes\": [\n";
+                       "  \"hw_threads\": " +
+                       std::to_string(hw_threads) +
+                       ",\n  \"shapes\": [\n";
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         char row[512];
         const Shape &s = shapes[i];
@@ -188,11 +184,9 @@ main()
             row, sizeof(row),
             "    {\"label\": \"%s\", \"m\": %zu, \"k\": %zu, "
             "\"n\": %zu, \"gated\": %s, \"naive_ns\": %.0f, "
-            "\"blocked_ns\": %.0f, \"pooled_ns\": %.0f, "
-            "\"speedup\": %.3f}%s\n",
+            "\"blocked_ns\": %.0f, \"speedup\": %.3f}%s\n",
             s.label, s.m, s.k, s.n, s.gated ? "true" : "false",
-            naive_ns[i], blocked_ns[i], pooled_ns[i],
-            naive_ns[i] / blocked_ns[i],
+            naive_ns[i], blocked_ns[i], naive_ns[i] / blocked_ns[i],
             i + 1 < shapes.size() ? "," : "");
         body += row;
     }

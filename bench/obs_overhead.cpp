@@ -39,6 +39,7 @@
 #include "sched/caching_evaluator.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 #include "util/trace.hh"
 
 namespace {
@@ -213,6 +214,7 @@ main()
         body, sizeof(body),
         "{\n"
         "  \"bench\": \"obs_overhead\",\n"
+        "  \"hw_threads\": %zu,\n"
         "  \"counter_inc_ns\": %.3f,\n"
         "  \"gauge_add_ns\": %.3f,\n"
         "  \"histogram_observe_ns\": %.3f,\n"
@@ -227,7 +229,8 @@ main()
         "  \"budget_pct\": 2.0,\n"
         "  \"within_budget\": %s\n"
         "}\n",
-        counter_ns, gauge_ns, hist_ns, timer_off_ns, span_off_ns,
+        ThreadPool::hardwareThreadCount(), counter_ns, gauge_ns,
+        hist_ns, timer_off_ns, span_off_ns,
         batch.size(), off_sec, on_sec, lookups,
         overhead_disabled_pct, overhead_enabled_pct,
         within_budget ? "true" : "false");

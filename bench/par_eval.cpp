@@ -158,7 +158,7 @@ main()
         ThreadPool pool(threads);
         const auto t0 = std::chrono::steady_clock::now();
         const std::vector<EvalResult> got =
-            evaluateConfigBatch(plain, batch, resnet.layers, pool);
+            evaluateConfigBatch(plain, batch, resnet, pool);
         const auto t1 = std::chrono::steady_clock::now();
         const double sec = seconds(t0, t1);
         const double speedup = serialSec / sec;

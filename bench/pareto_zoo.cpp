@@ -129,6 +129,8 @@ main()
     std::ostringstream json;
     json << "{\n"
          << "  \"bench\": \"pareto_zoo\",\n"
+         << "  \"hw_threads\": " << ThreadPool::hardwareThreadCount()
+         << ",\n"
          << "  \"samples_per_search\": " << samples << ",\n"
          << "  \"workloads\": " << zoo.size() << ",\n"
          << "  \"geomean_ratio\": " << geomean << ",\n"

@@ -535,6 +535,8 @@ main()
     std::ostringstream json;
     json << "{\n"
          << "  \"bench\": \"serve_load\",\n"
+         << "  \"hw_threads\": " << ThreadPool::hardwareThreadCount()
+         << ",\n"
          << "  \"queries\": " << totalQueries << ",\n"
          << "  \"clients\": " << clients << ",\n"
          << "  \"wall_s\": " << wallSec << ",\n"

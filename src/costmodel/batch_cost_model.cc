@@ -69,8 +69,8 @@ BatchCostModel::evaluateLayer(const AcceleratorConfig *archs,
     // Gather pass. Every expression below mirrors the scalar prep in
     // CostModel::evaluate() operation for operation (same widening
     // points, same product order over dimensions), which is what
-    // makes the naive-kernel batch path bit-identical to the scalar
-    // path rather than merely close.
+    // makes the batch path bit-identical to the scalar path rather
+    // than merely close.
     const auto dims = layerDims(layer);
     for (std::size_t j = 0; j < m; ++j) {
         const AcceleratorConfig &arch = archs[live[j]];

@@ -5,20 +5,16 @@
  * single pass. The branchy per-item work (mapping validation,
  * ceil-divided tile counts, per-architecture SRAM energy lookups)
  * runs here as a gather pass; the dense floating-point tail runs in
- * the kernel layer (src/tensor/kernels/cost_kernels.*) under the
- * VAESA_KERNEL runtime switch, and a scatter pass re-applies the
- * scalar path's post-condition contracts per item.
+ * the kernel layer (src/tensor/kernels/cost_kernels.*), and a scatter
+ * pass re-applies the scalar path's post-condition contracts per
+ * item.
  *
  * Determinism/equivalence contract (enforced by
  * tests/costmodel/test_batch_properties.cc):
- *  - Under the naive kernel every headline field produced below is
- *    BIT-IDENTICAL to CostModel::evaluate() on the same item — the
- *    gather pass replicates the scalar operation order exactly, and
- *    the naive kernel TU is built at baseline flags.
- *  - Under the blocked kernel results remain bit-identical on
- *    current builds (its TU disables fp contraction, so SIMD lanes
- *    round like scalar ops); the tests additionally bound it by a
- *    1e-12 relative tolerance as contractual headroom.
+ *  - Every headline field produced below is BIT-IDENTICAL to
+ *    CostModel::evaluate() on the same item — the gather pass
+ *    replicates the scalar operation order exactly, and the cost
+ *    kernel TU is built at baseline flags.
  *  - Results are independent of batch size, item order, and the
  *    presence of duplicate items.
  *

@@ -66,29 +66,14 @@ roundUpPow2(std::size_t x)
     return p;
 }
 
-/**
- * Shard-count policy shared by construction (process-wide metrics)
- * and clear() (per-instance counters): start from a base width,
- * escalate while the observed contended-acquisition ratio is high,
- * and de-escalate only from a very quiet epoch. Ratios are per
- * lookup; below ~1k lookups there is no signal, keep the base.
- */
+/** 4 shards per default pool thread, at least 16, as a power of two:
+ *  the expected number of threads per shard lock stays well under
+ *  one even with a skewed key mix. */
 std::size_t
-adaptShardCount(std::size_t base, std::uint64_t lookups,
-                std::uint64_t contended)
+fixedShardCount()
 {
-    std::size_t want = base;
-    if (lookups >= 1024) {
-        if (contended * 64 > lookups)
-            want = base * 4;
-        else if (contended * 256 > lookups)
-            want = base * 2;
-        else if (contended * 4096 < lookups)
-            want = base / 2;
-    }
-    want = std::clamp(want, CachingEvaluator::minShardCount,
-                      CachingEvaluator::maxShardCount);
-    return roundUpPow2(want);
+    return roundUpPow2(std::max<std::size_t>(
+        16, 4 * ThreadPool::defaultThreadCount()));
 }
 
 } // namespace
@@ -103,39 +88,15 @@ CachingEvaluator::BatchKeyHash::operator()(const BatchKey &key) const
               (static_cast<std::uint64_t>(key.layer) << 59)));
 }
 
-std::size_t
-CachingEvaluator::contentionAwareShardCount()
-{
-    // Base width: 4 shards per pool thread keeps the expected number
-    // of threads per shard lock well under one even with a skewed
-    // key mix; past epochs' process-wide contention ratio escalates
-    // it further.
-    const std::size_t base = ThreadPool::defaultThreadCount() * 4;
-    GlobalCacheMetrics &g = globalCacheMetrics();
-    const std::uint64_t lookups = g.hits.value() + g.misses.value();
-    return adaptShardCount(std::max(base, minShardCount), lookups,
-                           g.contention.value());
-}
-
 CachingEvaluator::CachingEvaluator()
     : CachingEvaluator(Evaluator())
 {
 }
 
 CachingEvaluator::CachingEvaluator(const Evaluator &inner)
-    : CachingEvaluator(inner, contentionAwareShardCount())
+    : inner_(inner), shardCount_(fixedShardCount()),
+      shards_(new Shard[shardCount_])
 {
-}
-
-CachingEvaluator::CachingEvaluator(const Evaluator &inner,
-                                   std::size_t shardCount)
-    : inner_(inner)
-{
-    // Shard holds a Mutex (non-movable), so the array is built in
-    // place on the heap and only replaced at quiescent points.
-    shardCount_ = roundUpPow2(
-        std::clamp(shardCount, minShardCount, maxShardCount));
-    shards_.reset(new Shard[shardCount_]);
 }
 
 std::uint64_t
@@ -186,13 +147,6 @@ CachingEvaluator::snapConfig(const AcceleratorConfig &arch) const
                          ds.snapValue(param, arch.value(param)));
     }
     return snapped;
-}
-
-CachingEvaluator::BatchKey
-CachingEvaluator::batchKey(const AcceleratorConfig &snapped,
-                           std::uint32_t layerId) const
-{
-    return BatchKey{configKey(snapped), layerId};
 }
 
 EvalResult
@@ -381,10 +335,6 @@ void
 CachingEvaluator::clear()
 {
     const WriterLock lock(registryMutex_);
-    // Snapshot the adaptation inputs before the counters reset: the
-    // finished epoch's own ratio drives next epoch's shard count.
-    const std::uint64_t lookups = hits_.value() + misses_.value();
-    const std::uint64_t contended = contention();
     std::uint64_t dropped = 0;
     for (std::size_t s = 0; s < shardCount_; ++s) {
         Shard &shard = shards_[s];
@@ -399,14 +349,6 @@ CachingEvaluator::clear()
     }
     hits_.reset();
     misses_.reset();
-    // Contention-aware resize: clear() already requires quiescence,
-    // so swapping the shard array here (and nowhere else) is safe.
-    const std::size_t want =
-        adaptShardCount(shardCount_, lookups, contended);
-    if (want != shardCount_) {
-        shards_.reset(new Shard[want]);
-        shardCount_ = want;
-    }
 }
 
 } // namespace vaesa

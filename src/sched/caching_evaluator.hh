@@ -44,13 +44,11 @@ namespace vaesa {
  * must not run concurrently with evaluations (it resets the layer
  * registry that in-flight lookups have already consulted).
  *
- * SHARD SIZING: the shard count is fixed per epoch (construction to
- * clear()) and chosen by contentionAwareShardCount() — a multiple of
- * the pool width, escalated when the process-wide
- * `cache.shard_contention` metric shows past epochs queueing on
- * shard locks. clear() re-applies the policy from this instance's
- * own contention ratio, which is the one point where resizing is
- * safe (clear() already requires quiescence).
+ * SHARD SIZING: the shard count is fixed for the instance's
+ * lifetime: 4 shards per default pool thread, at least 16, rounded
+ * up to a power of two. Contended acquisitions are still counted
+ * (contention(), the `cache.shard_contention` metric) but only
+ * observed; they no longer size the table.
  *
  * BATCH PROTOCOL: the probeBatch()/insertBatch()/accountBatch()
  * primitives let a caller holding MANY keys amortize locking — each
@@ -63,12 +61,6 @@ namespace vaesa {
 class CachingEvaluator
 {
   public:
-    /** Fewest shards contentionAwareShardCount() will pick. */
-    static constexpr std::size_t minShardCount = 16;
-
-    /** Most shards contentionAwareShardCount() will pick. */
-    static constexpr std::size_t maxShardCount = 512;
-
     /** Collision-free (config grid indices, layer id) pair. */
     struct BatchKey
     {
@@ -93,20 +85,6 @@ class CachingEvaluator
     /** Wrap an evaluator with explicit cost-model parameters. */
     explicit CachingEvaluator(const Evaluator &inner);
 
-    /** Wrap @p inner with an explicit shard count (tests/benches);
-     *  clamped to [minShardCount, maxShardCount]. */
-    CachingEvaluator(const Evaluator &inner, std::size_t shardCount);
-
-    /**
-     * The contention-aware shard-count policy: a multiple of
-     * ThreadPool::defaultThreadCount(), escalated while the
-     * process-wide `cache.shard_contention` / (`cache.hit` +
-     * `cache.miss`) ratio from prior epochs stays high, clamped to
-     * [minShardCount, maxShardCount] and rounded up to a power of
-     * two (the shard selector is a mask-friendly modulo).
-     */
-    static std::size_t contentionAwareShardCount();
-
     /** Memoized variant of Evaluator::evaluateLayer. */
     EvalResult evaluateLayer(const AcceleratorConfig &arch,
                              const LayerShape &layer) const;
@@ -120,7 +98,7 @@ class CachingEvaluator
      *
      * The canonical sequence, per (layer, key-set) batch:
      *   1. snapConfig() each config, layerKey() the layer, build
-     *      BatchKeys with batchKey();
+     *      BatchKeys from snappedConfigKey() and the layer id;
      *   2. probeBatch() — one locked pass filling cached results;
      *   3. evaluate the missing keys OUTSIDE any lock (thread-local
      *      result views, e.g. via Evaluator::evaluateLayerBatch);
@@ -138,14 +116,9 @@ class CachingEvaluator
     std::uint32_t layerKey(const LayerShape &layer) const
         VAESA_EXCLUDES(registryMutex_);
 
-    /** Key for a SNAPPED config and a layerKey() id. */
-    BatchKey batchKey(const AcceleratorConfig &snapped,
-                      std::uint32_t layerId) const;
-
-    /** Config half of batchKey() for a SNAPPED config — hoist this
-     *  once per config when keying it against many layers (the key
-     *  is layer-independent; batchKey() just pairs it with the
-     *  layer id). */
+    /** Config half of a BatchKey for a SNAPPED config — hoist this
+     *  once per config when keying it against many layers (it is
+     *  layer-independent; the BatchKey pairs it with layerKey()). */
     std::uint64_t snappedConfigKey(
         const AcceleratorConfig &snapped) const
     {
@@ -199,14 +172,12 @@ class CachingEvaluator
      */
     std::uint64_t contention() const;
 
-    /** Number of independently locked memo-table shards this epoch. */
+    /** Number of independently locked memo-table shards. */
     std::size_t shardCount() const { return shardCount_; }
 
     /**
      * Drop all cached entries, the layer registry, and both
-     * counters, then re-apply the contention-aware shard policy to
-     * this instance's own observed ratio (the only safe resize
-     * point). NOT safe concurrently with evaluateLayer(); quiesce
+     * counters. NOT safe concurrently with evaluateLayer(); quiesce
      * the pool first.
      */
     void clear() VAESA_EXCLUDES(registryMutex_);
@@ -237,11 +208,10 @@ class CachingEvaluator
     mutable SharedMutex registryMutex_;
     mutable std::vector<LayerShape> layerRegistry_
         VAESA_GUARDED_BY(registryMutex_);
-    /** Shard array; the count is fixed between clear() epochs (Shard
-     *  holds a Mutex, so the array is heap-built in place and only
-     *  ever swapped at the quiescent clear() point). */
-    mutable std::unique_ptr<Shard[]> shards_;
-    std::size_t shardCount_;
+    /** Fixed-size shard array (Shard holds a Mutex, so the array is
+     *  heap-built in place). */
+    const std::size_t shardCount_;
+    const std::unique_ptr<Shard[]> shards_;
     // Sharded metrics counters (util/metrics.hh) instead of ad-hoc
     // atomics: same relaxed-increment semantics, but writers on
     // different cores stop bouncing one cache line, and the values

@@ -4,8 +4,39 @@
 #include <vector>
 
 #include "costmodel/batch_cost_model.hh"
+#include "util/contracts.hh"
 
 namespace vaesa {
+
+namespace {
+
+/** The one workload roll-up behind both evaluateWorkload overloads:
+ *  layer i's latency/energy enter the totals weighted by counts[i]
+ *  (exactly 1.0 when counts is empty, which leaves every product
+ *  unchanged), and the first unmappable layer zeroes the result. */
+EvalResult
+rollUp(const Evaluator &evaluator, const AcceleratorConfig &arch,
+       const std::vector<LayerShape> &layers,
+       const std::vector<std::int64_t> &counts)
+{
+    VAESA_EXPECT(counts.empty() || counts.size() == layers.size(),
+                 "Workload: counts/layers size mismatch");
+    EvalResult total;
+    total.valid = true;
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const EvalResult r = evaluator.evaluateLayer(arch, layers[i]);
+        if (!r.valid)
+            return EvalResult{};
+        const double n =
+            counts.empty() ? 1.0 : static_cast<double>(counts[i]);
+        total.latencyCycles += n * r.latencyCycles;
+        total.energyPj += n * r.energyPj;
+    }
+    total.edp = total.latencyCycles * total.energyPj;
+    return total;
+}
+
+} // namespace
 
 Evaluator::Evaluator()
     : model_(), scheduler_(model_)
@@ -104,45 +135,14 @@ EvalResult
 Evaluator::evaluateWorkload(const AcceleratorConfig &arch,
                             const std::vector<LayerShape> &layers) const
 {
-    EvalResult total;
-    total.valid = true;
-    for (const LayerShape &layer : layers) {
-        const EvalResult r = evaluateLayer(arch, layer);
-        if (!r.valid) {
-            total.valid = false;
-            total.latencyCycles = 0.0;
-            total.energyPj = 0.0;
-            total.edp = 0.0;
-            return total;
-        }
-        total.latencyCycles += r.latencyCycles;
-        total.energyPj += r.energyPj;
-    }
-    total.edp = total.latencyCycles * total.energyPj;
-    return total;
+    return rollUp(*this, arch, layers, {});
 }
 
 EvalResult
 Evaluator::evaluateWorkload(const AcceleratorConfig &arch,
                             const Workload &workload) const
 {
-    EvalResult total;
-    total.valid = true;
-    for (std::size_t i = 0; i < workload.layers.size(); ++i) {
-        const EvalResult r = evaluateLayer(arch, workload.layers[i]);
-        if (!r.valid) {
-            total.valid = false;
-            total.latencyCycles = 0.0;
-            total.energyPj = 0.0;
-            total.edp = 0.0;
-            return total;
-        }
-        const double n = static_cast<double>(workload.countOf(i));
-        total.latencyCycles += n * r.latencyCycles;
-        total.energyPj += n * r.energyPj;
-    }
-    total.edp = total.latencyCycles * total.energyPj;
-    return total;
+    return rollUp(*this, arch, workload.layers, workload.counts);
 }
 
 CostResult

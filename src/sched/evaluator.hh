@@ -66,9 +66,8 @@ class Evaluator
     /**
      * Schedule and score @p n architectures against ONE layer in a
      * single pass: results[i] is bit-identical to
-     * evaluateLayer(archs[i], layer) under the naive kernel (the
-     * scheduler runs per item; the cost math runs through
-     * BatchCostModel's SoA kernel). Counts n layer evaluations.
+     * evaluateLayer(archs[i], layer) (the scheduler runs per item;
+     * the cost math runs through BatchCostModel's SoA kernel). Counts n layer evaluations.
      * Thread-safe like evaluateLayer; callers may partition a large
      * batch into disjoint sub-ranges across pool workers.
      */
@@ -88,10 +87,10 @@ class Evaluator
     /**
      * Occurrence-counted workload evaluation: each unique layer is
      * scheduled and scored once, then its latency/energy enter the
-     * totals weighted by Workload::countOf. With empty counts every
-     * weight is exactly 1.0, so the result is bit-identical to the
-     * layer-vector overload — paper-mode callers can route through
-     * either.
+     * totals weighted by Workload::countOf. Both overloads share one
+     * body; with empty counts every weight is exactly 1.0, so the
+     * result is bit-identical to the layer-vector overload —
+     * paper-mode callers can route through either.
      */
     EvalResult evaluateWorkload(const AcceleratorConfig &arch,
                                 const Workload &workload) const;

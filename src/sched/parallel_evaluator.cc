@@ -12,29 +12,6 @@ namespace vaesa {
 
 namespace {
 
-/** Serial-order roll-up of the layer-parallel workload sums: summing
- *  happens here, on one thread, in layer order, so parallel layer
- *  scoring cannot perturb floating-point association. */
-EvalResult
-rollUp(const std::vector<EvalResult> &perLayer)
-{
-    EvalResult total;
-    total.valid = true;
-    for (const EvalResult &r : perLayer) {
-        if (!r.valid) {
-            total.valid = false;
-            total.latencyCycles = 0.0;
-            total.energyPj = 0.0;
-            total.edp = 0.0;
-            return total;
-        }
-        total.latencyCycles += r.latencyCycles;
-        total.energyPj += r.energyPj;
-    }
-    total.edp = total.latencyCycles * total.energyPj;
-    return total;
-}
-
 /** splitmix64 finalizer (value-hash for config dedup). */
 std::uint64_t
 mixConfigWord(std::uint64_t x)
@@ -106,17 +83,16 @@ forEachStolenChunk(std::size_t n, ThreadPool &pool,
 /**
  * Score configs [0, n) over the whole workload into totals[0, n):
  * each layer is one SoA batch call over the configs still alive,
- * whose results enter their totals in layer order with the serial
- * loop's ops. A config leaves at its first invalid layer with zeroed
- * totals, exactly like the serial early exit, so the sums and
- * evaluationCount() both match the serial loop.
+ * whose results enter their totals, weighted by the layer's count,
+ * in layer order with the serial loop's ops. A config leaves at its
+ * first invalid layer with zeroed totals, exactly like the serial
+ * early exit, so the sums and evaluationCount() both match the
+ * serial loop.
  */
 void
 scoreConfigChunk(const Evaluator &evaluator,
                  const AcceleratorConfig *configs, std::size_t n,
-                 const std::vector<LayerShape> &layers,
-                 const std::vector<std::int64_t> &counts,
-                 EvalResult *totals)
+                 const Workload &workload, EvalResult *totals)
 {
     std::vector<std::uint32_t> alive(n);
     std::iota(alive.begin(), alive.end(), 0);
@@ -126,12 +102,12 @@ scoreConfigChunk(const Evaluator &evaluator,
         totals[i] = EvalResult{};
         totals[i].valid = true;
     }
-    for (std::size_t li = 0; li < layers.size() && !alive.empty();
-         ++li) {
-        const double weight =
-            counts.empty() ? 1.0 : static_cast<double>(counts[li]);
+    for (std::size_t li = 0;
+         li < workload.layers.size() && !alive.empty(); ++li) {
+        const double weight = static_cast<double>(workload.countOf(li));
         evaluator.evaluateLayerBatch(live.data(), alive.size(),
-                                     layers[li], layerResults.data());
+                                     workload.layers[li],
+                                     layerResults.data());
         std::size_t kept = 0;
         for (std::size_t j = 0; j < alive.size(); ++j) {
             const EvalResult &r = layerResults[j];
@@ -152,26 +128,30 @@ scoreConfigChunk(const Evaluator &evaluator,
         totals[i].edp = totals[i].latencyCycles * totals[i].energyPj;
 }
 
-/**
- * Shared body of the two free evaluateConfigBatch overloads. When
- * @p counts is empty every layer weighs exactly 1.0, reproducing the
- * un-counted overload bit for bit; otherwise layer li's
- * latency/energy enter each surviving config's totals scaled by
- * counts[li] (occurrence-weighted whole-network sums).
- *
- * Config-major: exact duplicates are folded once per batch, then the
- * pool steals chunks of unique configs (one fork/join per batch) and
- * each chunk walks every layer on its own.
- */
-std::vector<EvalResult>
-configBatchImpl(const Evaluator &evaluator,
-                const std::vector<AcceleratorConfig> &configs,
-                const std::vector<LayerShape> &layers,
-                const std::vector<std::int64_t> &counts,
-                ThreadPool &pool)
+} // namespace
+
+std::size_t
+chunkSizeFor(std::size_t items, std::size_t threads)
 {
-    // Within-batch dedup on exact config value: evaluation is
-    // deterministic, so duplicates share one scored result.
+    // The floor of 8 must never hand out a chunk larger than the
+    // batch itself (a 3-item batch gets one 3-item chunk, not an
+    // 8-item one), and a 0-item batch yields chunk 1 so callers
+    // dividing by the chunk size never see zero.
+    const std::size_t floorChunk =
+        std::min<std::size_t>(8, std::max<std::size_t>(items, 1));
+    const std::size_t target =
+        items / (std::max<std::size_t>(1, threads) * 8);
+    return std::clamp<std::size_t>(target, floorChunk, 256);
+}
+
+std::vector<EvalResult>
+evaluateConfigBatch(const Evaluator &evaluator,
+                    const std::vector<AcceleratorConfig> &configs,
+                    const Workload &workload, ThreadPool &pool)
+{
+    // Config-major: exact duplicates are folded once per batch, then
+    // the pool steals chunks of unique configs (one fork/join per
+    // batch) and each chunk walks every layer on its own.
     const std::size_t n = configs.size();
     std::vector<AcceleratorConfig> uniques;
     std::vector<std::uint32_t> slotOf(n);
@@ -191,7 +171,7 @@ configBatchImpl(const Evaluator &evaluator,
                        [&](std::size_t begin, std::size_t end) {
                            scoreConfigChunk(evaluator,
                                             uniques.data() + begin,
-                                            end - begin, layers, counts,
+                                            end - begin, workload,
                                             uniqueTotals.data() + begin);
                        });
 
@@ -199,53 +179,6 @@ configBatchImpl(const Evaluator &evaluator,
     for (std::size_t i = 0; i < n; ++i)
         totals[i] = uniqueTotals[slotOf[i]];
     return totals;
-}
-
-} // namespace
-
-std::size_t
-chunkSizeFor(std::size_t items, std::size_t threads)
-{
-    // The floor of 8 must never hand out a chunk larger than the
-    // batch itself (a 3-item batch gets one 3-item chunk, not an
-    // 8-item one), and a 0-item batch yields chunk 1 so callers
-    // dividing by the chunk size never see zero.
-    const std::size_t floorChunk =
-        std::min<std::size_t>(8, std::max<std::size_t>(items, 1));
-    const std::size_t target =
-        items / (std::max<std::size_t>(1, threads) * 8);
-    return std::clamp<std::size_t>(target, floorChunk, 256);
-}
-
-EvalResult
-evaluateWorkloadParallel(const Evaluator &evaluator,
-                         const AcceleratorConfig &arch,
-                         const std::vector<LayerShape> &layers,
-                         ThreadPool &pool)
-{
-    std::vector<EvalResult> perLayer(layers.size());
-    pool.parallelFor(layers.size(), [&](std::size_t i) {
-        perLayer[i] = evaluator.evaluateLayer(arch, layers[i]);
-    });
-    return rollUp(perLayer);
-}
-
-std::vector<EvalResult>
-evaluateConfigBatch(const Evaluator &evaluator,
-                    const std::vector<AcceleratorConfig> &configs,
-                    const std::vector<LayerShape> &layers,
-                    ThreadPool &pool)
-{
-    return configBatchImpl(evaluator, configs, layers, {}, pool);
-}
-
-std::vector<EvalResult>
-evaluateConfigBatch(const Evaluator &evaluator,
-                    const std::vector<AcceleratorConfig> &configs,
-                    const Workload &workload, ThreadPool &pool)
-{
-    return configBatchImpl(evaluator, configs, workload.layers,
-                           workload.counts, pool);
 }
 
 ParallelEvaluator::ParallelEvaluator(const CachingEvaluator &cache,
@@ -423,40 +356,6 @@ ParallelEvaluator::evaluateConfigBatch(
             t.edp = t.latencyCycles * t.energyPj;
     }
     return totals;
-}
-
-std::vector<EvalResult>
-ParallelEvaluator::evaluateLayerBatch(
-    const std::vector<AcceleratorConfig> &configs,
-    const LayerShape &layer) const
-{
-    const std::size_t n = configs.size();
-    std::vector<EvalResult> results(n);
-    if (configs.empty())
-        return results;
-    std::vector<AcceleratorConfig> snapped(n);
-    std::vector<std::uint64_t> cfgKeys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        snapped[i] = cache_->snapConfig(configs[i]);
-        cfgKeys[i] = cache_->snappedConfigKey(snapped[i]);
-    }
-    std::vector<std::uint32_t> idx(n);
-    std::iota(idx.begin(), idx.end(), 0);
-    scoreLayerSubset(snapped.data(), cfgKeys.data(), idx.data(),
-                     idx.size(), layer, results.data());
-    return results;
-}
-
-EvalResult
-ParallelEvaluator::evaluateWorkload(
-    const AcceleratorConfig &arch,
-    const std::vector<LayerShape> &layers) const
-{
-    std::vector<EvalResult> perLayer(layers.size());
-    pool_->parallelFor(layers.size(), [&](std::size_t i) {
-        perLayer[i] = cache_->evaluateLayer(arch, layers[i]);
-    });
-    return rollUp(perLayer);
 }
 
 } // namespace vaesa

@@ -1,17 +1,17 @@
 /**
  * @file
  * Batch evaluation APIs on top of the thread pool: score many
- * (config, workload) pairs — or the layers of one workload —
- * concurrently, with results bit-identical to the serial Evaluator
- * loops. This is the scaling layer every search driver funnels its
- * bulk cost-model queries through (the ROADMAP's batching axis);
- * determinism is preserved because every sum keeps the serial
- * loop's operand order: a config's totals are accumulated in layer
- * order by one thread, and results come back in input order.
+ * (config, workload) pairs concurrently, with results bit-identical
+ * to the serial Evaluator loops. This is the scaling layer every
+ * search driver funnels its bulk cost-model queries through (the
+ * ROADMAP's batching axis); determinism is preserved because every
+ * sum keeps the serial loop's operand order: a config's totals are
+ * accumulated in layer order by one thread, and results come back in
+ * input order.
  *
  * CACHED BATCH PIPELINE (ParallelEvaluator; the DESIGN.md
- * batch-evaluation contract): a layer batch runs dedup -> probe ->
- * evaluate -> merge -> account:
+ * batch-evaluation contract): each layer of a batch runs dedup ->
+ * probe -> evaluate -> merge -> account:
  *   1. snap + key every config, then deduplicate keys (searches
  *      repeatedly decode to the same snapped config, so a batch of N
  *      often holds far fewer distinct keys);
@@ -70,44 +70,21 @@ enum class BatchItemStatus : std::uint8_t
 };
 
 /**
- * Roll a workload up layer-by-layer in parallel on a plain (cache-
- * free) Evaluator. Bit-identical to Evaluator::evaluateWorkload:
- * layer results are summed on the calling thread in layer order and
- * any unmappable layer zeroes the total. Unlike the serial loop,
- * layers after an invalid one are still evaluated (they were already
- * in flight), so the inner evaluationCount() can differ.
- */
-EvalResult evaluateWorkloadParallel(
-    const Evaluator &evaluator, const AcceleratorConfig &arch,
-    const std::vector<LayerShape> &layers, ThreadPool &pool);
-
-/**
  * Score configs[i] on the whole workload into result i on a plain
  * (cache-free) Evaluator — the uncached driver fast path. Results
- * are bit-identical to calling evaluator.evaluateWorkload per
- * config. Exact duplicate configs are folded once per batch
+ * are bit-identical to calling evaluator.evaluateWorkload(config,
+ * workload) per config: layer i's latency/energy enter each config's
+ * totals weighted by workload.countOf(i), multiplied before the
+ * in-order accumulation (an empty counts vector weighs every layer
+ * exactly 1.0). Exact duplicate configs are folded once per batch
  * (evaluation is deterministic, so sharing one result is lossless);
  * the pool then steals chunks of distinct configs — one fork/join
  * per batch — and each chunk scores every layer through the SoA
- * batch cost model, accumulating each config's sums in layer order
- * with an alive mask that reproduces the serial early-exit (a
- * config invalid at layer L is not scored past L). Dedup means the
- * evaluator's evaluationCount() advances by distinct work, not
- * input size. The "batch_chunk" fault site fires once per claimed
- * chunk; a throw returns nothing.
- */
-std::vector<EvalResult> evaluateConfigBatch(
-    const Evaluator &evaluator,
-    const std::vector<AcceleratorConfig> &configs,
-    const std::vector<LayerShape> &layers, ThreadPool &pool);
-
-/**
- * Occurrence-counted variant: layer i's latency/energy enter each
- * config's totals weighted by workload.countOf(i), matching
- * Evaluator::evaluateWorkload(arch, workload) per config bit for bit
- * (weights multiply before the in-order accumulation, and an empty
- * counts vector weighs every layer exactly 1.0, collapsing to the
- * overload above).
+ * batch cost model with an alive mask that reproduces the serial
+ * early-exit (a config invalid at layer L is not scored past L).
+ * Dedup means the evaluator's evaluationCount() advances by distinct
+ * work, not input size. The "batch_chunk" fault site fires once per
+ * claimed chunk; a throw returns nothing.
  */
 std::vector<EvalResult> evaluateConfigBatch(
     const Evaluator &evaluator,
@@ -166,27 +143,6 @@ class ParallelEvaluator
         const std::vector<LayerShape> &workload,
         const CancelToken *const *itemTokens,
         BatchItemStatus *statuses) const;
-
-    /** Score configs[i] on one layer into result i through the
-     *  chunked dedup/probe/merge pipeline (see file comment). */
-    std::vector<EvalResult> evaluateLayerBatch(
-        const std::vector<AcceleratorConfig> &configs,
-        const LayerShape &layer) const;
-
-    /**
-     * One config's workload sum with the *layers* fanned out across
-     * the pool; bit-identical to the serial roll-up (summed in layer
-     * order on the calling thread).
-     */
-    EvalResult evaluateWorkload(
-        const AcceleratorConfig &arch,
-        const std::vector<LayerShape> &layers) const;
-
-    /** The shared memo cache. */
-    const CachingEvaluator &cache() const { return *cache_; }
-
-    /** The pool work is scheduled on. */
-    ThreadPool &pool() const { return *pool_; }
 
     /**
      * Observe @p token (borrowed; may be nullptr to detach) at every

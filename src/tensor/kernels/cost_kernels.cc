@@ -1,72 +1,43 @@
 /**
  * @file
- * Dispatch and blocked (vectorized) body of the batch cost kernel.
- * This TU is compiled with tuned per-file flags (see
- * src/tensor/CMakeLists.txt): -O3 and AVX2 on x86-64 so the
- * straight-line loop below vectorizes across items, but — unlike the
- * GEMM TU — with fp contraction OFF. With no FMA fusion every
- * operation in the loop (mul, div, add, sqrt, max) is correctly
- * rounded per IEEE 754 and therefore produces the same bits whether
- * executed in a scalar or a SIMD lane, which keeps the blocked body
- * bit-identical to the naive reference. The blocked speedup comes
- * from SoA-contiguous loads, eliminated per-item call/branch
- * overhead, and 4-wide divide/sqrt throughput — not from reordering
- * arithmetic.
+ * The batch cost kernel. This TU is compiled at the project's
+ * BASELINE flags (no -mavx2, no -ffast-math, no contraction) so that
+ * each item goes through the same sequence of individually rounded
+ * IEEE 754 operations as the scalar CostModel::evaluate() path — the
+ * operation order below mirrors src/costmodel/cost_model.cc
+ * statement for statement, which is what makes batch-vs-scalar
+ * bit-exactness a structural property rather than a tuning accident.
+ * Keep the two in sync when either changes;
+ * tests/costmodel/test_batch_properties.cc enforces the equality.
  */
 
 #include "tensor/kernels/cost_kernels.hh"
 
 #include <cmath>
 
-#include "tensor/kernels/kernels.hh"
-
 namespace vaesa::kernels {
 
-namespace detail {
-
-void costBatchBlocked(std::size_t i0, std::size_t i1,
-                      const CostBatch &b, const CostBatchConsts &c)
+void
+costBatch(std::size_t n, const CostBatch &b, const CostBatchConsts &c)
 {
-    const double *__restrict__ nTotal = b.nTotal;
-    const double *__restrict__ cyclesPerTile = b.cyclesPerTile;
-    const double *__restrict__ nPqOuter = b.nPqOuter;
-    const double *__restrict__ nGbAll = b.nGbAll;
-    const double *__restrict__ inputGbWords = b.inputGbWords;
-    const double *__restrict__ inputTileWords = b.inputTileWords;
-    const double *__restrict__ spatialK = b.spatialK;
-    const double *__restrict__ spatialC = b.spatialC;
-    const double *__restrict__ pqTile = b.pqTile;
-    const double *__restrict__ inputBufPj = b.inputBufPj;
-    const double *__restrict__ weightBufPj = b.weightBufPj;
-    const double *__restrict__ accumBufPj = b.accumBufPj;
-    const double *__restrict__ globalBufPj = b.globalBufPj;
-    double *__restrict__ outCompute = b.computeCycles;
-    double *__restrict__ outDram = b.dramCycles;
-    double *__restrict__ outGb = b.globalBufCycles;
-    double *__restrict__ outWeightReads = b.dramWeightReads;
-    double *__restrict__ outInputReads = b.dramInputReads;
-    double *__restrict__ outLatency = b.latencyCycles;
-    double *__restrict__ outEnergy = b.energyPj;
-    double *__restrict__ outUtil = b.macUtilization;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double n_total = b.nTotal[i];
+        const double compute_cycles = n_total * b.cyclesPerTile[i];
 
-    for (std::size_t i = i0; i < i1; ++i) {
-        const double n_total = nTotal[i];
-        const double compute_cycles = n_total * cyclesPerTile[i];
-
-        const double dram_weight_reads = c.weightWords * nPqOuter[i];
-        const double dram_input_reads = nGbAll[i] * inputGbWords[i];
+        const double dram_weight_reads = c.weightWords * b.nPqOuter[i];
+        const double dram_input_reads = b.nGbAll[i] * b.inputGbWords[i];
         const double dram_output_writes = c.outputWords;
 
         const double gb_input_writes = dram_input_reads;
-        const double gb_input_reads = n_total * inputTileWords[i];
+        const double gb_input_reads = n_total * b.inputTileWords[i];
         const double gb_output_writes = dram_output_writes;
         const double gb_output_reads = dram_output_writes;
 
-        const double input_buf_writes = gb_input_reads * spatialK[i];
+        const double input_buf_writes = gb_input_reads * b.spatialK[i];
         const double input_buf_reads = c.macs;
         const double weight_buf_writes = dram_weight_reads;
-        const double weight_buf_reads = c.macs / pqTile[i];
-        const double accum_updates = c.macs / spatialC[i];
+        const double weight_buf_reads = c.macs / b.pqTile[i];
+        const double accum_updates = c.macs / b.spatialC[i];
         const double accum_accesses =
             2.0 * accum_updates + 2.0 * dram_output_writes;
 
@@ -78,20 +49,22 @@ void costBatchBlocked(std::size_t i0, std::size_t i1,
                                 gb_output_writes + gb_output_reads;
         const double gb_cycles = gb_words / c.globalBufWordsPerCycle;
 
-        double latency =
-            compute_cycles < dram_cycles ? dram_cycles : compute_cycles;
-        latency = latency < gb_cycles ? gb_cycles : latency;
+        double latency = compute_cycles;
+        if (latency < dram_cycles)
+            latency = dram_cycles;
+        if (latency < gb_cycles)
+            latency = gb_cycles;
 
         const double mac_energy = c.macs * c.macPj;
         const double reg_energy = 2.0 * c.macs * c.registerPj;
         const double input_buf_energy =
-            (input_buf_reads + input_buf_writes) * inputBufPj[i];
+            (input_buf_reads + input_buf_writes) * b.inputBufPj[i];
         const double weight_buf_energy =
-            (weight_buf_reads + weight_buf_writes) * weightBufPj[i];
-        const double accum_buf_energy = accum_accesses * accumBufPj[i];
-        const double global_buf_energy = gb_words * globalBufPj[i];
+            (weight_buf_reads + weight_buf_writes) * b.weightBufPj[i];
+        const double accum_buf_energy = accum_accesses * b.accumBufPj[i];
+        const double global_buf_energy = gb_words * b.globalBufPj[i];
         const double dram_energy = dram_words * c.dramPj;
-        const double mean_hops = std::sqrt(spatialK[i]);
+        const double mean_hops = std::sqrt(b.spatialK[i]);
         const double noc_energy =
             (gb_input_reads + dram_weight_reads + gb_output_writes) *
             mean_hops * c.nocPj;
@@ -101,33 +74,19 @@ void costBatchBlocked(std::size_t i0, std::size_t i1,
                               global_buf_energy + dram_energy + noc_energy;
 
         const double issue_slots =
-            compute_cycles * spatialK[i] * spatialC[i];
+            compute_cycles * b.spatialK[i] * b.spatialC[i];
         const double util =
             issue_slots > 0.0 ? c.macs / issue_slots : 0.0;
 
-        outCompute[i] = compute_cycles;
-        outDram[i] = dram_cycles;
-        outGb[i] = gb_cycles;
-        outWeightReads[i] = dram_weight_reads;
-        outInputReads[i] = dram_input_reads;
-        outLatency[i] = latency;
-        outEnergy[i] = energy;
-        outUtil[i] = util;
+        b.computeCycles[i] = compute_cycles;
+        b.dramCycles[i] = dram_cycles;
+        b.globalBufCycles[i] = gb_cycles;
+        b.dramWeightReads[i] = dram_weight_reads;
+        b.dramInputReads[i] = dram_input_reads;
+        b.latencyCycles[i] = latency;
+        b.energyPj[i] = energy;
+        b.macUtilization[i] = util;
     }
-}
-
-} // namespace detail
-
-void
-costBatch(std::size_t n, const CostBatch &batch,
-          const CostBatchConsts &consts)
-{
-    if (n == 0)
-        return;
-    if (activeKernel() == KernelKind::Naive)
-        detail::costBatchNaive(0, n, batch, consts);
-    else
-        detail::costBatchBlocked(0, n, batch, consts);
 }
 
 } // namespace vaesa::kernels

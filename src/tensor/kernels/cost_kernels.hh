@@ -7,30 +7,17 @@
  * stays in src/costmodel/batch_cost_model.cc; only the dense math
  * lives here, per the kernel-containment convention (tools/check).
  *
- * Two implementations are provided, selected by the SAME runtime
- * switch as the GEMM layer (VAESA_KERNEL=naive|blocked, see
- * kernels.hh):
+ * There is one implementation, built at the project's baseline
+ * flags: it replicates the exact operation order of the scalar
+ * CostModel::evaluate() FP sequence one item at a time, so its
+ * results are bit-for-bit equal to the scalar path by construction.
+ * It does not follow the VAESA_KERNEL switch, which selects the GEMM
+ * kernel only (kernels.hh).
  *
- *  - naive: one item at a time, replicating the exact operation
- *    order of the scalar CostModel::evaluate() FP sequence, built in
- *    its own TU at the project's baseline flags — bit-for-bit equal
- *    to the scalar path by construction.
- *  - blocked: the same operation sequence over restrict-qualified
- *    SoA arrays, compiled with tuned per-file flags (-O3, AVX2 on
- *    x86-64; see src/tensor/CMakeLists.txt) so the compiler
- *    vectorizes across items. Unlike the GEMM kernels, this TU is
- *    built with fp contraction DISABLED: every operation in the cost
- *    tail (mul, div, add, sqrt, max) is correctly rounded per IEEE
- *    754 whether executed in scalar or SIMD lanes, so blocked
- *    results are bit-identical to naive as long as no FMA is fused.
- *    The equivalence tests still carry a documented 1e-12 relative
- *    tolerance as contractual headroom (docs/PERFORMANCE.md) should
- *    contraction ever be re-enabled for speed.
- *
- * Determinism contract: for a FIXED kernel choice, fixed inputs give
- * bit-identical outputs, independent of batch size, item order, and
- * thread count (the kernel itself is single-threaded; callers
- * partition items into disjoint ranges).
+ * Determinism contract: fixed inputs give bit-identical outputs,
+ * independent of batch size, item order, and thread count (the
+ * kernel itself is single-threaded; callers partition items into
+ * disjoint ranges).
  *
  * No output array may alias an input. All arrays are dense doubles
  * of length n, one entry per batch item; per-layer quantities that
@@ -127,26 +114,11 @@ struct CostBatchConsts
 };
 
 /**
- * Score items [0, n) of the batch under the kernel selected by
- * activeKernel() (kernels.hh). Single-threaded; callers wanting
+ * Score items [0, n) of the batch. Single-threaded; callers wanting
  * parallelism hand disjoint sub-ranges to pool workers.
  */
 void costBatch(std::size_t n, const CostBatch &batch,
                const CostBatchConsts &consts);
-
-namespace detail {
-
-/** Items [i0, i1): reference body at baseline flags (bit-exact). */
-void costBatchNaive(std::size_t i0, std::size_t i1,
-                    const CostBatch &batch,
-                    const CostBatchConsts &consts);
-
-/** Items [i0, i1): vectorized body at tuned flags (contract off). */
-void costBatchBlocked(std::size_t i0, std::size_t i1,
-                      const CostBatch &batch,
-                      const CostBatchConsts &consts);
-
-} // namespace detail
 
 } // namespace vaesa::kernels
 

@@ -7,7 +7,6 @@
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/thread_pool.hh"
 
 // GCC/Clang no-alias qualifier; the public contract already forbids
 // output/input aliasing, this just lets the vectorizer believe it.
@@ -51,55 +50,10 @@ activeKernelSlot()
     return kind;
 }
 
-std::size_t &
-parallelMinRowsSlot()
-{
-    static std::size_t rows = [] {
-        const std::int64_t v = envInt("VAESA_GEMM_PAR_ROWS", 256);
-        if (v < 1)
-            fatal("VAESA_GEMM_PAR_ROWS must be >= 1, got ", v);
-        return static_cast<std::size_t>(v);
-    }();
-    return rows;
-}
-
-ThreadPool *&
-gemmPoolSlot()
-{
-    static ThreadPool *pool = nullptr;
-    return pool;
-}
-
 /** Register-tile extents of the blocked micro-kernels. */
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileCols = 8;
 constexpr std::size_t kDotTileCols = 4;
-
-/** Rows per parallel task; a multiple of kTileRows, and fixed so the
- *  partition (and thus every row's tile path) depends only on m. */
-constexpr std::size_t kParallelRowBlock = 64;
-
-/**
- * Split [0, m) into fixed-size row blocks across the attached pool,
- * or run the whole range inline when serial. body must be safe to
- * call concurrently on disjoint row ranges.
- */
-template <typename Body>
-void
-forRowBlocks(std::size_t m, const Body &body)
-{
-    ThreadPool *pool = gemmPoolSlot();
-    if (pool == nullptr || m < parallelMinRowsSlot()) {
-        body(0, m);
-        return;
-    }
-    const std::size_t blocks =
-        (m + kParallelRowBlock - 1) / kParallelRowBlock;
-    pool->parallelFor(blocks, [&](std::size_t idx) {
-        const std::size_t lo = idx * kParallelRowBlock;
-        body(lo, std::min(m, lo + kParallelRowBlock));
-    });
-}
 
 // ---------------------------------------------------------------- //
 // Blocked kernels. Fixed RI x RJ register tiles with the k loop
@@ -166,12 +120,12 @@ gemmTileEdge(std::size_t ri, std::size_t rj, std::size_t k,
 }
 
 void
-gemmBlocked(std::size_t i0, std::size_t i1, std::size_t n,
-            std::size_t k, const double *a, const double *b, double *c,
+gemmBlocked(std::size_t m, std::size_t n, std::size_t k,
+            const double *a, const double *b, double *c,
             bool accumulate)
 {
-    for (std::size_t i = i0; i < i1; i += kTileRows) {
-        const std::size_t ri = std::min(kTileRows, i1 - i);
+    for (std::size_t i = 0; i < m; i += kTileRows) {
+        const std::size_t ri = std::min(kTileRows, m - i);
         for (std::size_t j = 0; j < n; j += kTileCols) {
             const std::size_t rj = std::min(kTileCols, n - j);
             const double *a_tile = a + i * k;
@@ -242,12 +196,12 @@ gemmTransATileEdge(std::size_t ri, std::size_t rj, std::size_t k,
 }
 
 void
-gemmTransABlocked(std::size_t i0, std::size_t i1, std::size_t n,
-                  std::size_t k, std::size_t m, const double *a,
-                  const double *b, double *c, bool accumulate)
+gemmTransABlocked(std::size_t m, std::size_t n, std::size_t k,
+                  const double *a, const double *b, double *c,
+                  bool accumulate)
 {
-    for (std::size_t i = i0; i < i1; i += kTileRows) {
-        const std::size_t ri = std::min(kTileRows, i1 - i);
+    for (std::size_t i = 0; i < m; i += kTileRows) {
+        const std::size_t ri = std::min(kTileRows, m - i);
         for (std::size_t j = 0; j < n; j += kTileCols) {
             const std::size_t rj = std::min(kTileCols, n - j);
             const double *a_tile = a + i;
@@ -362,12 +316,12 @@ gemmTransBTileEdge(std::size_t ri, std::size_t rj, std::size_t k,
 }
 
 void
-gemmTransBBlocked(std::size_t i0, std::size_t i1, std::size_t n,
-                  std::size_t k, const double *a, const double *b,
-                  double *c, bool accumulate)
+gemmTransBBlocked(std::size_t m, std::size_t n, std::size_t k,
+                  const double *a, const double *b, double *c,
+                  bool accumulate)
 {
-    for (std::size_t i = i0; i < i1; i += kTileRows) {
-        const std::size_t ri = std::min(kTileRows, i1 - i);
+    for (std::size_t i = 0; i < m; i += kTileRows) {
+        const std::size_t ri = std::min(kTileRows, m - i);
         for (std::size_t j = 0; j < n; j += kDotTileCols) {
             const std::size_t rj = std::min(kDotTileCols, n - j);
             const double *a_tile = a + i * k;
@@ -417,44 +371,15 @@ kernelName(KernelKind kind)
 }
 
 void
-setGemmPool(ThreadPool *pool)
-{
-    gemmPoolSlot() = pool;
-}
-
-ThreadPool *
-gemmPool()
-{
-    return gemmPoolSlot();
-}
-
-std::size_t
-gemmParallelMinRows()
-{
-    return parallelMinRowsSlot();
-}
-
-void
-setGemmParallelMinRows(std::size_t rows)
-{
-    if (rows == 0)
-        panic("setGemmParallelMinRows: threshold must be >= 1");
-    parallelMinRowsSlot() = rows;
-}
-
-void
 gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,
      const double *b, double *c, bool accumulate)
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    const bool blocked = activeKernelSlot() == KernelKind::Blocked;
-    forRowBlocks(m, [&](std::size_t i0, std::size_t i1) {
-        if (blocked)
-            gemmBlocked(i0, i1, n, k, a, b, c, accumulate);
-        else
-            detail::gemmNaive(i0, i1, n, k, a, b, c, accumulate);
-    });
+    if (activeKernelSlot() == KernelKind::Blocked)
+        gemmBlocked(m, n, k, a, b, c, accumulate);
+    else
+        detail::gemmNaive(m, n, k, a, b, c, accumulate);
 }
 
 void
@@ -464,13 +389,10 @@ gemmTransA(std::size_t m, std::size_t n, std::size_t k,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    const bool blocked = activeKernelSlot() == KernelKind::Blocked;
-    forRowBlocks(m, [&](std::size_t i0, std::size_t i1) {
-        if (blocked)
-            gemmTransABlocked(i0, i1, n, k, m, a, b, c, accumulate);
-        else
-            detail::gemmTransANaive(i0, i1, n, k, m, a, b, c, accumulate);
-    });
+    if (activeKernelSlot() == KernelKind::Blocked)
+        gemmTransABlocked(m, n, k, a, b, c, accumulate);
+    else
+        detail::gemmTransANaive(m, n, k, a, b, c, accumulate);
 }
 
 void
@@ -480,13 +402,10 @@ gemmTransB(std::size_t m, std::size_t n, std::size_t k,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    const bool blocked = activeKernelSlot() == KernelKind::Blocked;
-    forRowBlocks(m, [&](std::size_t i0, std::size_t i1) {
-        if (blocked)
-            gemmTransBBlocked(i0, i1, n, k, a, b, c, accumulate);
-        else
-            detail::gemmTransBNaive(i0, i1, n, k, a, b, c, accumulate);
-    });
+    if (activeKernelSlot() == KernelKind::Blocked)
+        gemmTransBBlocked(m, n, k, a, b, c, accumulate);
+    else
+        detail::gemmTransBNaive(m, n, k, a, b, c, accumulate);
 }
 
 void
@@ -496,18 +415,15 @@ linearForward(std::size_t batch, std::size_t in, std::size_t out,
 {
     noteGemm(batch, out, in);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    const bool blocked = activeKernelSlot() == KernelKind::Blocked;
-    forRowBlocks(batch, [&](std::size_t i0, std::size_t i1) {
-        // The bias row seeds every output row, so the GEMM's
-        // accumulate path folds the broadcast into the one pass over
-        // y instead of a second read-modify-write sweep.
-        for (std::size_t i = i0; i < i1; ++i)
-            std::copy(b, b + out, y + i * out);
-        if (blocked)
-            gemmTransBBlocked(i0, i1, out, in, x, w, y, true);
-        else
-            detail::gemmTransBNaive(i0, i1, out, in, x, w, y, true);
-    });
+    // The bias row seeds every output row, so the GEMM's accumulate
+    // path folds the broadcast into the one pass over y instead of a
+    // second read-modify-write sweep.
+    for (std::size_t i = 0; i < batch; ++i)
+        std::copy(b, b + out, y + i * out);
+    if (activeKernelSlot() == KernelKind::Blocked)
+        gemmTransBBlocked(batch, out, in, x, w, y, true);
+    else
+        detail::gemmTransBNaive(batch, out, in, x, w, y, true);
 }
 
 void

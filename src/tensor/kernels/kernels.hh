@@ -22,10 +22,8 @@
  *    docs/PERFORMANCE.md); NaN/Inf propagation is identical.
  *
  * Determinism contract: for a FIXED kernel choice, fixed inputs give
- * bit-identical outputs, run to run and thread count to thread count.
- * The optional ThreadPool row split assigns every output row to
- * exactly one task and never reduces across tasks, so pooled results
- * equal serial results exactly.
+ * bit-identical outputs, run to run. Every GEMM runs on the calling
+ * thread.
  *
  * This directory is the only place in the tree where raw SIMD
  * intrinsics or OpenMP pragmas may appear (enforced by tools/check);
@@ -39,10 +37,6 @@
 #define VAESA_TENSOR_KERNELS_KERNELS_HH
 
 #include <cstddef>
-
-namespace vaesa {
-class ThreadPool;
-} // namespace vaesa
 
 namespace vaesa::kernels {
 
@@ -68,28 +62,6 @@ void setActiveKernel(KernelKind kind);
 
 /** "naive" or "blocked". */
 const char *kernelName(KernelKind kind);
-
-/**
- * Attach a pool for row-block parallel GEMM; nullptr restores serial
- * execution. Only GEMMs with at least gemmParallelMinRows() output
- * rows fan out, each task owning a contiguous row range, so results
- * are bit-identical to serial. The caller must not issue GEMMs from
- * inside a task of the same pool (ThreadPool::parallelFor would
- * deadlock); library code therefore leaves this unset by default.
- */
-void setGemmPool(ThreadPool *pool);
-
-/** Currently attached pool (nullptr when serial). */
-ThreadPool *gemmPool();
-
-/**
- * Minimum output rows before a GEMM uses the attached pool; the
- * VAESA_GEMM_PAR_ROWS env var (default 256) sets the initial value.
- */
-std::size_t gemmParallelMinRows();
-
-/** Override the parallel row threshold (tests, benches). */
-void setGemmParallelMinRows(std::size_t rows);
 
 /**
  * C (m x n) = A (m x k) * B (k x n).

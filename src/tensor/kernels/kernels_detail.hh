@@ -1,16 +1,16 @@
 /**
  * @file
- * Private splits of the GEMM layer: the per-row-range kernel bodies
- * shared between the public dispatch (kernels.cc) and the naive
- * reference translation unit (kernels_naive.cc).
+ * Private splits of the GEMM layer: the naive reference bodies,
+ * called by the public dispatch (kernels.cc) and defined in their own
+ * translation unit (kernels_naive.cc).
  *
  * The naive bodies live in their own TU built at the project's
  * baseline optimization level, so VAESA_KERNEL=naive reproduces the
  * pre-kernel-layer numerics exactly; the blocked bodies are compiled
  * with the tuned per-file flags (see src/tensor/CMakeLists.txt).
  *
- * All ranges are [i0, i1) over output rows; matrices are dense
- * row-major doubles and outputs never alias inputs.
+ * Matrices are dense row-major doubles and outputs never alias
+ * inputs.
  */
 
 #ifndef VAESA_TENSOR_KERNELS_KERNELS_DETAIL_HH
@@ -20,20 +20,20 @@
 
 namespace vaesa::kernels::detail {
 
-/** Rows [i0, i1) of C (m x n) = A (m x k) * B (k x n). */
-void gemmNaive(std::size_t i0, std::size_t i1, std::size_t n,
-               std::size_t k, const double *a, const double *b,
-               double *c, bool accumulate);
+/** C (m x n) = A (m x k) * B (k x n). */
+void gemmNaive(std::size_t m, std::size_t n, std::size_t k,
+               const double *a, const double *b, double *c,
+               bool accumulate);
 
-/** Rows [i0, i1) of C (m x n) = A^T * B, A stored (k x m). */
-void gemmTransANaive(std::size_t i0, std::size_t i1, std::size_t n,
-                     std::size_t k, std::size_t m, const double *a,
-                     const double *b, double *c, bool accumulate);
+/** C (m x n) = A^T * B, A stored (k x m). */
+void gemmTransANaive(std::size_t m, std::size_t n, std::size_t k,
+                     const double *a, const double *b, double *c,
+                     bool accumulate);
 
-/** Rows [i0, i1) of C (m x n) = A (m x k) * B^T, B stored (n x k). */
-void gemmTransBNaive(std::size_t i0, std::size_t i1, std::size_t n,
-                     std::size_t k, const double *a, const double *b,
-                     double *c, bool accumulate);
+/** C (m x n) = A (m x k) * B^T, B stored (n x k). */
+void gemmTransBNaive(std::size_t m, std::size_t n, std::size_t k,
+                     const double *a, const double *b, double *c,
+                     bool accumulate);
 
 } // namespace vaesa::kernels::detail
 

@@ -19,11 +19,11 @@
 namespace vaesa::kernels::detail {
 
 void
-gemmNaive(std::size_t i0, std::size_t i1, std::size_t n, std::size_t k,
-          const double *a, const double *b, double *c, bool accumulate)
+gemmNaive(std::size_t m, std::size_t n, std::size_t k, const double *a,
+          const double *b, double *c, bool accumulate)
 {
     // i-k-j order keeps the inner loop contiguous in b and c.
-    for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
         const double *a_row = a + i * k;
         double *c_row = c + i * n;
         if (!accumulate)
@@ -38,18 +38,16 @@ gemmNaive(std::size_t i0, std::size_t i1, std::size_t n, std::size_t k,
 }
 
 void
-gemmTransANaive(std::size_t i0, std::size_t i1, std::size_t n,
-                std::size_t k, std::size_t m, const double *a,
-                const double *b, double *c, bool accumulate)
+gemmTransANaive(std::size_t m, std::size_t n, std::size_t k,
+                const double *a, const double *b, double *c,
+                bool accumulate)
 {
-    if (!accumulate) {
-        for (std::size_t i = i0; i < i1; ++i)
-            std::fill(c + i * n, c + (i + 1) * n, 0.0);
-    }
+    if (!accumulate)
+        std::fill(c, c + m * n, 0.0);
     for (std::size_t kk = 0; kk < k; ++kk) {
         const double *a_row = a + kk * m;
         const double *b_row = b + kk * n;
-        for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t i = 0; i < m; ++i) {
             const double aki = a_row[i];
             double *c_row = c + i * n;
             for (std::size_t j = 0; j < n; ++j)
@@ -59,11 +57,11 @@ gemmTransANaive(std::size_t i0, std::size_t i1, std::size_t n,
 }
 
 void
-gemmTransBNaive(std::size_t i0, std::size_t i1, std::size_t n,
-                std::size_t k, const double *a, const double *b,
-                double *c, bool accumulate)
+gemmTransBNaive(std::size_t m, std::size_t n, std::size_t k,
+                const double *a, const double *b, double *c,
+                bool accumulate)
 {
-    for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
         const double *a_row = a + i * k;
         double *c_row = c + i * n;
         for (std::size_t j = 0; j < n; ++j) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sched/parallel_evaluator.hh"
 #include "util/logging.hh"
 #include "util/numeric.hh"
 
@@ -49,11 +48,8 @@ double
 LatentObjective::evaluate(const std::vector<double> &x)
 {
     const AcceleratorConfig config = framework_.decodeLatent(x);
-    const EvalResult result =
-        pool_ ? evaluateWorkloadParallel(evaluator_, config, layers_,
-                                         *pool_)
-              : evaluator_.evaluateWorkload(config, layers_);
-    return metricValue(result, metric_);
+    return metricValue(evaluator_.evaluateWorkload(config, layers_),
+                       metric_);
 }
 
 namespace {

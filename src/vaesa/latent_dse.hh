@@ -43,17 +43,6 @@ class LatentObjective : public Objective
     std::vector<double> upperBounds() const override;
     double evaluate(const std::vector<double> &x) override;
 
-    /**
-     * Fan the per-layer cost-model queries of each evaluate() out
-     * across the pool (the decode stays on the calling thread; the
-     * roll-up is bit-identical to the serial sum). Pass nullptr to
-     * go back to serial. Note this keeps threadSafeEvaluate() false:
-     * the VAE decode mutates framework buffers, so whole-objective
-     * fan-out stays forbidden — the parallelism lives one level
-     * down, inside the workload sum.
-     */
-    void setPool(ThreadPool *pool) { pool_ = pool; }
-
     /** Decode a latent point to its configuration. */
     AcceleratorConfig decode(const std::vector<double> &z);
 
@@ -66,7 +55,6 @@ class LatentObjective : public Objective
     std::vector<LayerShape> layers_;
     double radius_;
     Metric metric_;
-    ThreadPool *pool_ = nullptr;
 };
 
 /** Tunables of the vae_gd / gd flows (Section IV-D). */

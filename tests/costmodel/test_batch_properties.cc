@@ -1,23 +1,19 @@
 /**
  * @file
  * Property tests of the SoA batch cost model against the scalar
- * CostModel, following the two-kernel pattern of
- * tests/nn/test_gradcheck.cc: every property runs under BOTH
- * VAESA_KERNEL settings (saved and restored around each test).
+ * CostModel. The contract under test (batch_cost_model.hh): batch
+ * results are BIT-identical to the scalar path in every field the
+ * batch fills, permutation-invariant, and duplicate-stable.
  *
- * The contract under test (batch_cost_model.hh): under the naive
- * kernel batch results are BIT-identical to the scalar path; under
- * the blocked kernel they are bounded by a 1e-12 relative tolerance
- * (and on current builds — fp contraction disabled in the blocked
- * TU — are in fact still bit-identical, which the tolerance check
- * subsumes); and for a fixed kernel, results are permutation-
- * invariant and duplicate-stable.
+ * There is one cost kernel, and it does not follow VAESA_KERNEL.
+ * Every property still runs under both settings of that switch
+ * (saved and restored around each test), so a cost path that starts
+ * depending on the GEMM kernel choice fails here in one run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -112,11 +108,6 @@ class BatchCostProperties
 TEST_P(BatchCostProperties, MatchesScalarModel)
 {
     Rng rng(501);
-    // The documented equivalence bound: exact under naive, 1e-12
-    // relative under blocked (headroom; currently also exact).
-    const bool naive = GetParam() == kernels::KernelKind::Naive;
-    const double tol = naive ? 0.0 : 1e-12;
-
     int checked = 0;
     for (const Workload &w : trainingWorkloads()) {
         for (const LayerShape &layer : w.layers) {
@@ -129,18 +120,7 @@ TEST_P(BatchCostProperties, MatchesScalarModel)
                 if (!scalar.valid)
                     continue;
                 ++checked;
-                if (naive) {
-                    expectBitIdentical(results[i], scalar);
-                } else {
-                    EXPECT_NEAR(results[i].latencyCycles,
-                                scalar.latencyCycles,
-                                tol * scalar.latencyCycles);
-                    EXPECT_NEAR(results[i].energyPj, scalar.energyPj,
-                                tol * scalar.energyPj);
-                    EXPECT_NEAR(results[i].macUtilization,
-                                scalar.macUtilization,
-                                tol * scalar.macUtilization);
-                }
+                expectBitIdentical(results[i], scalar);
             }
         }
     }
@@ -239,21 +219,13 @@ TEST_P(BatchCostProperties, EvaluatorLayerBatchMatchesLoop)
     evaluator.evaluateLayerBatch(configs.data(), configs.size(),
                                  layer, batched.data());
 
-    const bool naive = GetParam() == kernels::KernelKind::Naive;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const EvalResult serial =
             evaluator.evaluateLayer(configs[i], layer);
         ASSERT_EQ(batched[i].valid, serial.valid);
-        if (!serial.valid)
-            continue;
-        if (naive) {
-            EXPECT_EQ(batched[i].latencyCycles, serial.latencyCycles);
-            EXPECT_EQ(batched[i].energyPj, serial.energyPj);
-            EXPECT_EQ(batched[i].edp, serial.edp);
-        } else {
-            EXPECT_NEAR(batched[i].edp, serial.edp,
-                        1e-12 * serial.edp);
-        }
+        EXPECT_EQ(batched[i].latencyCycles, serial.latencyCycles);
+        EXPECT_EQ(batched[i].energyPj, serial.energyPj);
+        EXPECT_EQ(batched[i].edp, serial.edp);
     }
     // The batch counted one evaluation per item, the loop another.
     EXPECT_EQ(evaluator.evaluationCount(), 2 * configs.size());
@@ -266,7 +238,6 @@ TEST_P(BatchCostProperties, EvaluatorLayerBatchMatchesLoop)
 TEST_P(BatchCostProperties, MatchesScalarOnDepthwiseAndSkinnyGemm)
 {
     Rng rng(507);
-    const bool naive = GetParam() == kernels::KernelKind::Naive;
 
     std::vector<LayerShape> shapes;
     for (const LayerShape &l : mobileNetV2Workload().layers)
@@ -288,15 +259,7 @@ TEST_P(BatchCostProperties, MatchesScalarOnDepthwiseAndSkinnyGemm)
             if (!scalar.valid)
                 continue;
             ++checked;
-            if (naive) {
-                expectBitIdentical(results[i], scalar);
-            } else {
-                EXPECT_NEAR(results[i].latencyCycles,
-                            scalar.latencyCycles,
-                            1e-12 * scalar.latencyCycles);
-                EXPECT_NEAR(results[i].energyPj, scalar.energyPj,
-                            1e-12 * scalar.energyPj);
-            }
+            expectBitIdentical(results[i], scalar);
         }
     }
     EXPECT_GT(checked, 40);

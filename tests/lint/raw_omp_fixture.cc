@@ -4,8 +4,7 @@
  * with OpenMP so the lint.raw_omp_fixture ctest can prove
  * vaesa_check flags '#pragma omp' everywhere outside
  * src/tensor/kernels/ — all parallelism must flow through
- * vaesa::ThreadPool (kernels::setGemmPool() on the GEMM path).
- * Mentions in this comment must NOT be reported.
+ * vaesa::ThreadPool. Mentions in this comment must NOT be reported.
  */
 
 namespace vaesa_lint_fixture {

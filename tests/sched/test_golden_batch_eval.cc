@@ -2,13 +2,13 @@
  * @file
  * Golden regression test for the BATCH evaluation pipeline: the same
  * frozen probe grid as golden_eval.csv, but scored through
- * ParallelEvaluator::evaluateLayerBatch (cache probe + SoA batch
- * cost model + work-stealing chunks) with the naive kernel forced,
- * and frozen into its own CSV compared at 0 ULP. A batch-path
- * refactor that drifts from the scalar landscape — even in the last
- * bit — fails here even if the scalar golden file still passes.
- * A companion test bounds the blocked kernel against the same frozen
- * values at the documented 1e-12 relative tolerance.
+ * ParallelEvaluator::evaluateBatch over one-layer workloads (cache
+ * probe + SoA batch cost model + work-stealing chunks), and frozen
+ * into its own CSV compared at 0 ULP. A batch-path refactor that
+ * drifts from the scalar landscape — even in the last bit — fails
+ * here even if the scalar golden file still passes. The cost path
+ * does not follow VAESA_KERNEL, so the file must match under both
+ * settings.
  *
  * To regenerate after an INTENDED cost-model change:
  *   VAESA_UPDATE_GOLDEN=1 ./build/tests/test_sched \
@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,7 +27,6 @@
 
 #include "sched/caching_evaluator.hh"
 #include "sched/parallel_evaluator.hh"
-#include "tensor/kernels/kernels.hh"
 #include "util/thread_pool.hh"
 #include "workload/networks.hh"
 
@@ -73,8 +71,9 @@ struct GoldenRow
 };
 
 /** Score the whole probe grid through the batch pipeline: all four
- *  configs as ONE batch per layer, on a 4-thread pool through a
- *  fresh cache (so chunking, cache merge, and dedup are all live). */
+ *  configs as ONE batch per one-layer workload, on a 4-thread pool
+ *  through a fresh cache (so chunking, cache merge, and dedup are
+ *  all live). */
 std::vector<GoldenRow>
 computeRows()
 {
@@ -88,7 +87,7 @@ computeRows()
     std::vector<GoldenRow> rows;
     for (std::size_t l : goldenLayerIndices()) {
         const std::vector<EvalResult> results =
-            parallel.evaluateLayerBatch(configs, layers[l]);
+            parallel.evaluateBatch(configs, {layers[l]});
         for (std::size_t c = 0; c < configs.size(); ++c) {
             const EvalResult &r = results[c];
             rows.push_back({c, l, r.valid ? 1 : 0, r.latencyCycles,
@@ -144,26 +143,8 @@ writeGolden(const std::vector<GoldenRow> &rows)
             << formatDouble(row.edp) << "\n";
 }
 
-/** Forces a kernel for the duration of one test. */
-class KernelGuard
-{
-  public:
-    explicit KernelGuard(kernels::KernelKind kind)
-        : saved_(kernels::activeKernel())
-    {
-        kernels::setActiveKernel(kind);
-    }
-    ~KernelGuard() { kernels::setActiveKernel(saved_); }
-
-  private:
-    kernels::KernelKind saved_;
-};
-
 TEST(GoldenBatchEval, BatchPipelineMatchesFrozenValuesExactly)
 {
-    // The frozen values are defined under the naive kernel — the
-    // bit-exactness reference.
-    const KernelGuard guard(kernels::KernelKind::Naive);
     const std::vector<GoldenRow> rows = computeRows();
 
     if (const char *update = std::getenv("VAESA_UPDATE_GOLDEN");
@@ -185,35 +166,11 @@ TEST(GoldenBatchEval, BatchPipelineMatchesFrozenValuesExactly)
     }
 }
 
-TEST(GoldenBatchEval, BlockedKernelStaysWithinDocumentedTolerance)
-{
-    if (std::getenv("VAESA_UPDATE_GOLDEN"))
-        GTEST_SKIP() << "regeneration run";
-    const KernelGuard guard(kernels::KernelKind::Blocked);
-    const std::vector<GoldenRow> rows = computeRows();
-    const std::vector<GoldenRow> want = readGolden();
-    ASSERT_EQ(want.size(), rows.size());
-    // 1e-12 relative: the contractual headroom for the vectorized
-    // kernel (batch_cost_model.hh); current builds are bit-exact.
-    constexpr double tol = 1e-12;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        ASSERT_EQ(rows[i].valid, want[i].valid) << "row " << i;
-        if (!want[i].valid)
-            continue;
-        EXPECT_NEAR(rows[i].latency, want[i].latency,
-                    tol * std::abs(want[i].latency)) << "row " << i;
-        EXPECT_NEAR(rows[i].energy, want[i].energy,
-                    tol * std::abs(want[i].energy)) << "row " << i;
-        EXPECT_NEAR(rows[i].edp, want[i].edp,
-                    tol * std::abs(want[i].edp)) << "row " << i;
-    }
-}
-
 TEST(GoldenBatchEval, MatchesScalarGoldenFileRowForRow)
 {
     // The batch golden file and the scalar golden file freeze the
-    // same probe grid; under the naive kernel they must agree bit
-    // for bit, or batch and scalar landscapes have split.
+    // same probe grid; they must agree bit for bit, or batch and
+    // scalar landscapes have split.
     if (std::getenv("VAESA_UPDATE_GOLDEN"))
         GTEST_SKIP() << "regeneration run";
     const std::vector<GoldenRow> batch = readGolden();

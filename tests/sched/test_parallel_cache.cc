@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -190,9 +191,8 @@ TEST(ParallelCache, ContentionMetricIsMonotoneAcrossBatches)
 {
     // cache.shard_contention (and the per-instance contention())
     // only ever accumulates: each batch round may add queueing
-    // events but can never reclaim them. The shard-count policy
-    // depends on this — a regression to a resettable counter would
-    // silently freeze adaptation.
+    // events but can never reclaim them. The counter is observed
+    // only (perfbench reads it); it no longer sizes the cache.
     const auto layers = alexNetLayers();
     const std::vector<AcceleratorConfig> batch =
         overlappingConfigs(512, 8, 41);
@@ -217,6 +217,26 @@ TEST(ParallelCache, ContentionMetricIsMonotoneAcrossBatches)
     EXPECT_GE(global.value(), cache.contention());
 }
 
+TEST(ParallelCache, ShardCountIsFixedForTheInstanceLifetime)
+{
+    // 4 shards per default pool thread, at least 16, rounded up to a
+    // power of two; contended batches and clear() never resize it.
+    const std::size_t want =
+        std::max<std::size_t>(16, 4 * ThreadPool::defaultThreadCount());
+    CachingEvaluator cache;
+    const std::size_t shards = cache.shardCount();
+    EXPECT_GE(shards, want);
+    EXPECT_LT(shards, 2 * want);
+    EXPECT_EQ(shards & (shards - 1), 0u);
+
+    ThreadPool pool(8);
+    const ParallelEvaluator parallel(cache, pool);
+    parallel.evaluateBatch(overlappingConfigs(512, 8, 43),
+                           alexNetLayers());
+    cache.clear();
+    EXPECT_EQ(cache.shardCount(), shards);
+}
+
 TEST(ParallelCache, KillMidBatchIsAllOrNothing)
 {
     // Small batch: n <= chunk runs on the calling thread with one
@@ -233,7 +253,7 @@ TEST(ParallelCache, KillMidBatchIsAllOrNothing)
     const ParallelEvaluator parallel(cache, pool);
 
     FaultInjector::instance().arm("batch_chunk", 1);
-    EXPECT_THROW(parallel.evaluateLayerBatch(batch, layers[0]),
+    EXPECT_THROW(parallel.evaluateBatch(batch, {layers[0]}),
                  InjectedFault);
     EXPECT_EQ(FaultInjector::instance().hitCount("batch_chunk"), 1u);
 
@@ -246,7 +266,7 @@ TEST(ParallelCache, KillMidBatchIsAllOrNothing)
     // the exact serial values, with misses proving the cache was
     // not pre-polluted by the killed batch.
     const std::vector<EvalResult> got =
-        parallel.evaluateLayerBatch(batch, layers[0]);
+        parallel.evaluateBatch(batch, {layers[0]});
     CachingEvaluator serialCache;
     std::uint64_t distinct = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -280,7 +300,7 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
     const ParallelEvaluator parallel(cache, pool);
 
     FaultInjector::instance().arm("batch_chunk", 2);
-    EXPECT_THROW(parallel.evaluateLayerBatch(batch, layers[1]),
+    EXPECT_THROW(parallel.evaluateBatch(batch, {layers[1]}),
                  InjectedFault);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
@@ -289,7 +309,7 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
     // distinct snapped keys — nothing from the killed batch was
     // inserted.
     const std::vector<EvalResult> got =
-        parallel.evaluateLayerBatch(batch, layers[1]);
+        parallel.evaluateBatch(batch, {layers[1]});
     CachingEvaluator serialCache;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =

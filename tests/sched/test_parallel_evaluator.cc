@@ -17,6 +17,7 @@
 #include "util/fault.hh"
 #include "util/rng.hh"
 #include "workload/networks.hh"
+#include "workload/zoo.hh"
 
 namespace vaesa {
 namespace {
@@ -44,25 +45,48 @@ expectBitIdentical(const EvalResult &a, const EvalResult &b)
 
 TEST(ParallelEvaluator, BatchBitIdenticalToSerialEvaluator)
 {
-    const Workload alexnet = workloadByName("alexnet");
-    const std::vector<AcceleratorConfig> batch = randomBatch(48, 7);
-
-    Evaluator plain;
-    std::vector<EvalResult> expected;
-    expected.reserve(batch.size());
-    for (const AcceleratorConfig &config : batch)
-        expected.push_back(
-            plain.evaluateWorkload(config, alexnet.layers));
-
-    CachingEvaluator cached;
+    // Every workload workloadByName() resolves, through a cold and
+    // then a warm cache, against the scalar loop and the uncached
+    // config-major batch. ParallelEvaluator sums layers uncounted, so
+    // the references drop the counts too.
+    std::vector<Workload> workloads = trainingWorkloads();
+    for (Workload &w : zooWorkloads())
+        workloads.push_back(std::move(w));
+    std::vector<AcceleratorConfig> batch = randomBatch(32, 7);
+    batch.insert(batch.end(), batch.begin(), batch.begin() + 8);
     ThreadPool pool(4);
-    const ParallelEvaluator parallel(cached, pool);
-    const std::vector<EvalResult> got =
-        parallel.evaluateBatch(batch, alexnet.layers);
 
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        expectBitIdentical(got[i], expected[i]);
+    for (Workload &w : workloads) {
+        w.counts.clear();
+        SCOPED_TRACE(w.name);
+
+        const Evaluator plain;
+        std::vector<EvalResult> expected;
+        expected.reserve(batch.size());
+        for (const AcceleratorConfig &config : batch)
+            expected.push_back(plain.evaluateWorkload(config, w.layers));
+        const std::vector<EvalResult> uncached =
+            evaluateConfigBatch(plain, batch, w, pool);
+
+        const CachingEvaluator cached;
+        const ParallelEvaluator parallel(cached, pool);
+        const std::vector<EvalResult> cold =
+            parallel.evaluateBatch(batch, w.layers);
+        const std::uint64_t coldMisses = cached.misses();
+        const std::vector<EvalResult> warm =
+            parallel.evaluateBatch(batch, w.layers);
+        EXPECT_EQ(cached.misses(), coldMisses) << "warm pass missed";
+
+        ASSERT_EQ(uncached.size(), expected.size());
+        ASSERT_EQ(cold.size(), expected.size());
+        ASSERT_EQ(warm.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            SCOPED_TRACE(::testing::Message() << "item " << i);
+            expectBitIdentical(uncached[i], expected[i]);
+            expectBitIdentical(cold[i], expected[i]);
+            expectBitIdentical(warm[i], expected[i]);
+        }
+    }
 }
 
 TEST(ParallelEvaluator, LayerBatchBitIdenticalToSerial)
@@ -75,33 +99,11 @@ TEST(ParallelEvaluator, LayerBatchBitIdenticalToSerial)
     ThreadPool pool(4);
     const ParallelEvaluator parallel(cached, pool);
     const std::vector<EvalResult> got =
-        parallel.evaluateLayerBatch(batch, layer);
+        parallel.evaluateBatch(batch, {layer});
 
     for (std::size_t i = 0; i < batch.size(); ++i)
         expectBitIdentical(got[i],
                            plain.evaluateLayer(batch[i], layer));
-}
-
-TEST(ParallelEvaluator, WorkloadRollUpBitIdenticalToSerial)
-{
-    const Workload resnet = workloadByName("resnet50");
-    const std::vector<AcceleratorConfig> batch = randomBatch(16, 29);
-
-    Evaluator plain;
-    CachingEvaluator cached;
-    ThreadPool pool(4);
-    const ParallelEvaluator parallel(cached, pool);
-
-    for (const AcceleratorConfig &config : batch) {
-        const EvalResult serial =
-            plain.evaluateWorkload(config, resnet.layers);
-        expectBitIdentical(
-            parallel.evaluateWorkload(config, resnet.layers),
-            serial);
-        expectBitIdentical(evaluateWorkloadParallel(
-                               plain, config, resnet.layers, pool),
-                           serial);
-    }
 }
 
 TEST(ParallelEvaluator, InvalidConfigZeroesTotalsLikeSerial)
@@ -114,6 +116,7 @@ TEST(ParallelEvaluator, InvalidConfigZeroesTotalsLikeSerial)
     bad.inputBufBytes = 64 * 1024;
     bad.globalBufBytes = 2; // unmappable
     const auto layers = alexNetLayers();
+    const Workload alexnet{"alexnet", layers, {}};
 
     Evaluator plain;
     CachingEvaluator cached;
@@ -122,10 +125,9 @@ TEST(ParallelEvaluator, InvalidConfigZeroesTotalsLikeSerial)
 
     const EvalResult serial = plain.evaluateWorkload(bad, layers);
     ASSERT_FALSE(serial.valid);
-    expectBitIdentical(parallel.evaluateWorkload(bad, layers),
-                       serial);
     expectBitIdentical(
-        evaluateWorkloadParallel(plain, bad, layers, pool), serial);
+        evaluateConfigBatch(plain, {bad}, alexnet, pool).front(),
+        serial);
     expectBitIdentical(
         parallel.evaluateBatch({bad}, layers).front(), serial);
 }
@@ -360,9 +362,7 @@ expectConfigBatchMatchesScalar(const Workload &w, bool counted)
             ThreadPool pool(width);
             Evaluator evaluator;
             const std::vector<EvalResult> got =
-                counted ? evaluateConfigBatch(evaluator, batch, w, pool)
-                        : evaluateConfigBatch(evaluator, batch,
-                                              w.layers, pool);
+                evaluateConfigBatch(evaluator, batch, w, pool);
             ASSERT_EQ(got.size(), want.size());
             for (std::size_t i = 0; i < got.size(); ++i) {
                 SCOPED_TRACE(::testing::Message()
@@ -409,7 +409,7 @@ TEST(ConfigMajorBatch, BatchChunkFiresOncePerConfigChunk)
     FaultInjector::instance().arm("batch_chunk", 1u << 30);
     ThreadPool pool(2);
     const Evaluator evaluator;
-    evaluateConfigBatch(evaluator, batch, alexnet.layers, pool);
+    evaluateConfigBatch(evaluator, batch, alexnet, pool);
     EXPECT_EQ(FaultInjector::instance().hitCount("batch_chunk"), 8u);
     FaultInjector::instance().reset();
 }

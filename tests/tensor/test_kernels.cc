@@ -1,9 +1,8 @@
 /** @file Kernel-layer tests: naive-vs-reference bit-equivalence,
  *  blocked-vs-naive equivalence within the documented FMA tolerance
  *  (including NaN/Inf operands -- the old zero-skip sparsity shortcut
- *  masked their propagation), fixed-kernel determinism,
- *  pooled-vs-serial bitwise equality, runtime kernel selection, and
- *  workspace arena growth stability. */
+ *  masked their propagation), fixed-kernel determinism, runtime
+ *  kernel selection, and workspace arena growth stability. */
 
 #include <gtest/gtest.h>
 
@@ -14,24 +13,16 @@
 #include "tensor/kernels/workspace.hh"
 #include "tensor/matrix.hh"
 #include "util/rng.hh"
-#include "util/thread_pool.hh"
 
 namespace vaesa {
 namespace {
 
-/** Restore the globally selected kernel/pool state on scope exit. */
+/** Restore the globally selected kernel on scope exit. */
 struct KernelStateGuard
 {
     kernels::KernelKind kind = kernels::activeKernel();
-    std::size_t minRows = kernels::gemmParallelMinRows();
-    ThreadPool *pool = kernels::gemmPool();
 
-    ~KernelStateGuard()
-    {
-        kernels::setActiveKernel(kind);
-        kernels::setGemmParallelMinRows(minRows);
-        kernels::setGemmPool(pool);
-    }
+    ~KernelStateGuard() { kernels::setActiveKernel(kind); }
 };
 
 Matrix
@@ -269,52 +260,6 @@ TEST(Kernels, NanAndInfPropagateAcrossZeros)
         const Matrix cbt = Matrix::multiplyTransB(a, b.transposed());
         expectSameValues(cbt, refMultiplyTransB(a, b.transposed()));
     }
-}
-
-TEST(Kernels, PooledGemmMatchesSerialBitForBit)
-{
-    const KernelStateGuard guard;
-    Rng rng(13);
-    // Tall batch so several 64-row blocks land on different workers.
-    const Matrix a = randomMatrix(300, 64, rng);
-    const Matrix b = randomMatrix(64, 48, rng);
-    const Matrix bt = randomMatrix(48, 64, rng);
-
-    for (const auto kind : {kernels::KernelKind::Naive,
-                            kernels::KernelKind::Blocked}) {
-        kernels::setActiveKernel(kind);
-        kernels::setGemmPool(nullptr);
-        const Matrix serial = Matrix::multiply(a, b);
-        const Matrix serial_tb = Matrix::multiplyTransB(a, bt);
-
-        ThreadPool pool(4);
-        kernels::setGemmPool(&pool);
-        kernels::setGemmParallelMinRows(1);
-        const Matrix pooled = Matrix::multiply(a, b);
-        const Matrix pooled_tb = Matrix::multiplyTransB(a, bt);
-        kernels::setGemmPool(nullptr);
-
-        // Each output row is produced entirely inside one row block,
-        // so the partition cannot change any result bit.
-        EXPECT_TRUE(serial == pooled);
-        EXPECT_TRUE(serial_tb == pooled_tb);
-    }
-}
-
-TEST(Kernels, ParallelThresholdKeepsSmallGemmsSerial)
-{
-    const KernelStateGuard guard;
-    Rng rng(14);
-    ThreadPool pool(2);
-    kernels::setGemmPool(&pool);
-    kernels::setGemmParallelMinRows(256);
-    // Below the threshold this must not touch the pool (and must
-    // still be correct); above, it must still be bit-identical.
-    const Matrix a = randomMatrix(8, 16, rng);
-    const Matrix b = randomMatrix(16, 8, rng);
-    const Matrix small = Matrix::multiply(a, b);
-    kernels::setGemmPool(nullptr);
-    EXPECT_TRUE(small == Matrix::multiply(a, b));
 }
 
 TEST(Workspace, GrowthStopsAfterWarmup)

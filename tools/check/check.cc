@@ -28,7 +28,11 @@
  *  - no generated measurement files (.csv/.json) committed inside a
  *    bench/ tree: bench outputs belong in bench_out/ (gitignored)
  *    with the one sanctioned snapshot per bench living at the repo
- *    root as BENCH_<name>.json.
+ *    root as BENCH_<name>.json;
+ *  - every string literal passed to metrics::counter()/gauge()/
+ *    histogram() in src/ must appear backticked in the
+ *    docs/OBSERVABILITY.md taxonomy, so the table lists every
+ *    registered metric.
  *
  * Matching runs on comment- and string-stripped text, so prose like
  * "random" or documentation mentioning abort() never trips it.
@@ -52,6 +56,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -674,10 +679,96 @@ checkKernelOnlyConstructs(const std::string &relPath,
             (i + 3 >= code.size() || !isIdentChar(code[i + 3]))) {
             report(relPath, lineOfOffset(code, pos),
                    "'#pragma omp' (OpenMP is confined to "
-                   "src/tensor/kernels/; use vaesa::ThreadPool via "
-                   "kernels::setGemmPool() instead)");
+                   "src/tensor/kernels/; use vaesa::ThreadPool "
+                   "instead)");
         }
         pos = i;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Metric taxonomy
+// ---------------------------------------------------------------------------
+
+/** Trees whose metric registrations must be documented. */
+const std::vector<std::string> metricTaxonomyDirs = {
+    "src/",
+    "tests/lint/",
+};
+
+/** Registry entry points whose first argument is a metric name. */
+const std::vector<std::string> metricFactoryNames = {
+    "counter", "gauge", "histogram"};
+
+/** Every backticked span of @p doc (the documented metric names). */
+std::set<std::string>
+backtickedSpans(const std::string &doc)
+{
+    std::set<std::string> spans;
+    std::size_t open = doc.find('`');
+    while (open != std::string::npos) {
+        const std::size_t close = doc.find('`', open + 1);
+        if (close == std::string::npos)
+            break;
+        spans.insert(doc.substr(open + 1, close - open - 1));
+        open = doc.find('`', close + 1);
+    }
+    return spans;
+}
+
+std::size_t
+skipSpaces(const std::string &code, std::size_t i)
+{
+    while (i < code.size() &&
+           std::isspace(static_cast<unsigned char>(code[i])))
+        ++i;
+    return i;
+}
+
+/**
+ * Flag `counter("name")`-style registrations whose literal name the
+ * taxonomy does not list. @p code is the stripped text, whose quotes
+ * sit at the same offsets as in @p text, so the literal is read back
+ * from the original.
+ */
+void
+checkMetricTaxonomy(const std::string &relPath, const std::string &text,
+                    const std::string &code,
+                    const std::set<std::string> &documented)
+{
+    if (!pathInDirs(relPath, metricTaxonomyDirs))
+        return;
+    std::size_t pos = 0;
+    while (pos < code.size()) {
+        if (!isIdentStart(code[pos])) {
+            ++pos;
+            continue;
+        }
+        std::size_t end = pos;
+        while (end < code.size() && isIdentChar(code[end]))
+            ++end;
+        const std::string word = code.substr(pos, end - pos);
+        pos = end;
+        if (std::find(metricFactoryNames.begin(),
+                      metricFactoryNames.end(),
+                      word) == metricFactoryNames.end())
+            continue;
+        std::size_t i = skipSpaces(code, end);
+        if (i >= code.size() || code[i] != '(')
+            continue;
+        i = skipSpaces(code, i + 1);
+        if (i >= code.size() || code[i] != '"')
+            continue;
+        const std::size_t close = code.find('"', i + 1);
+        if (close == std::string::npos)
+            break;
+        const std::string name = text.substr(i + 1, close - i - 1);
+        if (documented.count(name) == 0)
+            report(relPath, lineOfOffset(code, i),
+                   "metric '" + name + "' is not in the metric "
+                   "taxonomy (add a `" + name + "` row to "
+                   "docs/OBSERVABILITY.md)");
+        pos = close + 1;
     }
 }
 
@@ -1083,7 +1174,8 @@ shouldScan(const fs::path &path)
 
 int
 scanTree(const fs::path &root, const fs::path &subdir,
-         const LockTable &table)
+         const LockTable &table,
+         const std::set<std::string> &documentedMetrics)
 {
     const fs::path base = root / subdir;
     if (!fs::exists(base)) {
@@ -1116,13 +1208,14 @@ scanTree(const fs::path &root, const fs::path &subdir,
         buf << in.rdbuf();
         const std::string relPath =
             fs::relative(file, root).generic_string();
-        const std::string code =
-            stripCommentsAndStrings(buf.str());
+        const std::string text = buf.str();
+        const std::string code = stripCommentsAndStrings(text);
         const std::vector<Token> tokens = tokenize(code);
         const TreePolicy policy = policyFor(relPath);
         checkBannedIdentifiers(relPath, tokens, policy);
         checkKernelOnlyConstructs(relPath, code);
         checkLockOrder(relPath, tokens, table);
+        checkMetricTaxonomy(relPath, text, code, documentedMetrics);
         if (policy.checkGlobals)
             checkMutableGlobals(relPath, tokens);
         if (file.extension() == ".hh" || file.extension() == ".hpp")
@@ -1149,6 +1242,22 @@ loadLockTable(const fs::path &root)
     return parseLockTable("src/util/sync.hh", tokenize(code));
 }
 
+/** The names docs/OBSERVABILITY.md documents (backticked spans). */
+std::set<std::string>
+loadMetricTaxonomy(const fs::path &root)
+{
+    const fs::path docPath = root / "docs" / "OBSERVABILITY.md";
+    std::ifstream in(docPath, std::ios::binary);
+    if (!in) {
+        std::cerr << "vaesa_check: warning: cannot read " << docPath
+                  << "; every registered metric is undocumented\n";
+        return {};
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return backtickedSpans(buf.str());
+}
+
 } // namespace
 
 int
@@ -1169,9 +1278,11 @@ main(int argc, char **argv)
     }
 
     const LockTable table = loadLockTable(root);
+    const std::set<std::string> documentedMetrics =
+        loadMetricTaxonomy(root);
 
     for (const fs::path &subdir : subdirs) {
-        const int rc = scanTree(root, subdir, table);
+        const int rc = scanTree(root, subdir, table, documentedMetrics);
         if (rc == 2)
             return 2;
     }
