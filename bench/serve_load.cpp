@@ -7,28 +7,15 @@
  * overload burst proving admission control answers with structured
  * REJECTED_OVERLOAD instead of hanging or crashing.
  *
- * A second, batched-vs-unbatched A/B phase gates the ScoreBatcher:
- * an identical working-set ScoreConfig stream (shared config pool,
- * identical seeds in both modes) runs against a window-0 server and
- * a coalescing server, interleaved for VAESA_SERVE_AB_TRIALS rounds
- * so CPU frequency drift between the two measurements cancels
- * (best-of per mode). Both modes must answer every request
- * bit-identically, produce zero transport errors, and keep
- * single-client p99 within 10% (+50 us slack) of unbatched.
- *
- * The QPS ratio gate is hardware-aware. Coalescing converts N
- * per-request dispatches into one SoA dispatch; the amortized work
- * (evaluator setup, per-layer scratch, shard locking, and the
- * vectorized cost kernels underneath) only turns into wall-clock
- * QPS when the batch can actually fan out — on the >= 8-thread
- * class where BENCH_par_eval's 9.3x SoA number was established, the
- * full VAESA_SERVE_AB_RATIO (1.5x) gate applies. On smaller hosts
- * the kernel scheduler serializes the handlers either way (measured
- * here: concurrent duplicate misses never overlap, redundancy
- * factor k = 1.00 on one core), so the bench instead enforces that
- * batching never COSTS throughput (ratio >= VAESA_SERVE_AB_MIN_RATIO)
- * while still enforcing every functional gate. The applied bound is
- * recorded in the JSON as ab_ratio_bound / ab_gate.
+ * A second, working-set phase streams pure ScoreConfig traffic on
+ * resnet50 from kWsClients concurrent connections, all drawing from
+ * one shared pool of kWsPool distinct configs, for kWsTrials rounds
+ * (best-of QPS is reported), then once more from a single client.
+ * Every reply must be bit-identical to in-process scalar scoring
+ * (Evaluator::evaluateWorkload), no request may fail, and the
+ * single-client p99 may not exceed the loaded p99 of the same stream
+ * (10% relative, 50 us absolute slack): an idle server must never
+ * hold a request back.
  *
  * Gates sustained QPS and exact p99 latency, prints the table, and
  * writes bench_out/serve_load.{csv,json} and the checked-in
@@ -38,19 +25,8 @@
  *   VAESA_SERVE_QUERIES          mixed-phase queries (default 100000)
  *   VAESA_SERVE_CLIENTS          mixed-phase clients (default 4)
  *   VAESA_SERVE_QPS              sustained-QPS gate (default 2000)
- *   VAESA_SERVE_P99_MS           p99 latency gate in ms (default 50)
- *   VAESA_SERVE_BATCH_WINDOW_US  mixed-phase server window (default 50)
- *   VAESA_SERVE_AB               run the A/B phase (default 1)
- *   VAESA_SERVE_AB_CLIENTS       A/B high-concurrency clients (16)
- *   VAESA_SERVE_AB_QUERIES       A/B queries per trial (24000)
- *   VAESA_SERVE_AB_LOW_QUERIES   A/B single-client queries (2000)
- *   VAESA_SERVE_AB_WINDOW_US     A/B batched-mode window (200)
- *   VAESA_SERVE_AB_POOL          A/B working-set size (1024)
- *   VAESA_SERVE_AB_TRIALS        interleaved A/B rounds (default 2)
- *   VAESA_SERVE_AB_RATIO         full-gate QPS ratio (default 1.5,
- *                                applied when >= 8 hw threads)
- *   VAESA_SERVE_AB_MIN_RATIO     small-host no-regression bound
- *                                (default 0.9)
+ *   VAESA_SERVE_P99_MS           mixed-phase p99 gate in ms
+ *                                (default 50)
  */
 
 #include <algorithm>
@@ -78,6 +54,13 @@ using serve::MsgType;
 using serve::Request;
 using serve::Response;
 using serve::Status;
+
+/** Working-set phase shape. */
+constexpr std::size_t kWsClients = 16;
+constexpr std::size_t kWsQueries = 24000;   // per trial
+constexpr std::size_t kWsLowQueries = 2000; // single client
+constexpr std::size_t kWsPool = 1024;       // distinct configs
+constexpr std::size_t kWsTrials = 2;
 
 /** One synchronous request/response round trip. */
 Expected<Response>
@@ -120,50 +103,41 @@ percentile(std::vector<double> &values, double p)
     return values[k];
 }
 
-/** One A/B mode's outcome over an identical ScoreConfig stream. */
-struct AbResult
+/** One working-set stream's outcome. */
+struct StreamResult
 {
     double qps = 0.0;
     double p99Ms = 0.0;
     std::uint64_t errors = 0;
-    /** Per-request replies in stream order, for cross-mode
-     *  bit-identity (index = client * perClient + i). */
-    std::vector<double> edp;
-    std::vector<double> latencyCycles;
+    /** Ok replies that differ from in-process scoring. */
+    std::uint64_t mismatches = 0;
 };
 
 /**
- * Run a sustained pure-ScoreConfig stream against a fresh server
- * configured with @p windowUs. All clients draw from one shared
- * pool of @p poolSize distinct configs (pool and per-client pick
- * order both derive from @p seedBase, so two modes given the same
- * seed score the exact same request stream): first touches miss and
- * pay the full mapping search, steady state revisits the working
- * set — the regime a DSE service actually sustains (search traffic
- * re-scores candidates around promising regions; BENCH_par_eval's
- * cached scenario), and the one where per-request dispatch overhead,
- * which coalescing amortizes, dominates. The mapping search itself
- * is per-(config, layer) and irreducible by batching, so a stream
- * of never-repeating configs measures the search, not the dispatch.
+ * Run a sustained pure-ScoreConfig stream on resnet50 against a
+ * fresh server. All @p clients draw from the shared @p pool of
+ * distinct configs (pick order derives from @p seedBase): first
+ * touches miss and pay the full mapping search, steady state
+ * revisits the working set — the regime a DSE service actually
+ * sustains (search traffic re-scores candidates around promising
+ * regions; BENCH_par_eval's cached scenario). Every Ok reply is
+ * compared bit-for-bit against @p expected[pick].
  */
-AbResult
-runScoreStream(std::uint32_t windowUs, std::size_t clients,
-               std::size_t totalQueries, std::size_t poolSize,
+StreamResult
+runScoreStream(std::size_t clients, std::size_t totalQueries,
+               const std::vector<AcceleratorConfig> &pool,
+               const std::vector<EvalResult> &expected,
                std::uint64_t seedBase)
 {
-    AbResult result;
+    StreamResult result;
     serve::ServeOptions options;
     options.tcpPort = 0;
     options.serviceThreads = clients + 2;
     options.maxConnections = clients + 2;
     options.maxInflightSearch = 2;
-    options.batchWindowUs = windowUs;
-    // A full client wavefront closes the window early, so a steady
-    // closed loop rarely waits the whole window out.
-    options.maxBatch = std::max<std::size_t>(clients, 1);
     serve::Server server(options);
     if (auto err = server.start()) {
-        std::fprintf(stderr, "A/B server start failed: %s\n",
+        std::fprintf(stderr, "working-set server start failed: %s\n",
                      err->describe().c_str());
         result.errors = totalQueries;
         return result;
@@ -174,20 +148,9 @@ runScoreStream(std::uint32_t windowUs, std::size_t clients,
     const std::uint16_t port = server.port();
 
     const std::size_t perClient = totalQueries / clients;
-    result.edp.assign(perClient * clients, 0.0);
-    result.latencyCycles.assign(perClient * clients, 0.0);
     std::vector<std::vector<double>> latency(clients);
     std::vector<std::uint64_t> errors(clients, 0);
-
-    // The shared working set, identical across both A/B modes.
-    std::vector<AcceleratorConfig> pool;
-    {
-        Rng poolRng(seedBase);
-        pool.reserve(std::max<std::size_t>(poolSize, 1));
-        for (std::size_t i = 0;
-             i < std::max<std::size_t>(poolSize, 1); ++i)
-            pool.push_back(designSpace().randomConfig(poolRng));
-    }
+    std::vector<std::uint64_t> mismatches(clients, 0);
 
     ThreadPool clientPool(clients);
     const std::uint64_t t0 = metrics::monotonicNowNs();
@@ -200,11 +163,12 @@ runScoreStream(std::uint32_t windowUs, std::size_t clients,
         }
         latency[c].reserve(perClient);
         for (std::size_t i = 0; i < perClient; ++i) {
+            const std::size_t pick = rng.index(pool.size());
             Request request;
             request.id = c * 1000000 + i;
             request.type = MsgType::ScoreConfig;
             request.workload = "resnet50";
-            request.config = pool[rng.index(pool.size())];
+            request.config = pool[pick];
             const std::uint64_t r0 = metrics::monotonicNowNs();
             Expected<Response> resp =
                 roundTrip(conn.value(), request);
@@ -215,9 +179,12 @@ runScoreStream(std::uint32_t windowUs, std::size_t clients,
             }
             latency[c].push_back(
                 static_cast<double>(r1 - r0) / 1e6);
-            result.edp[c * perClient + i] = resp.value().edp;
-            result.latencyCycles[c * perClient + i] =
-                resp.value().latencyCycles;
+            const Response &reply = resp.value();
+            const EvalResult &want = expected[pick];
+            if (reply.valid != want.valid || reply.edp != want.edp ||
+                reply.latencyCycles != want.latencyCycles ||
+                reply.energyPj != want.energyPj)
+                ++mismatches[c];
         }
     });
     const double wallSec =
@@ -233,6 +200,7 @@ runScoreStream(std::uint32_t windowUs, std::size_t clients,
         all.insert(all.end(), latency[c].begin(),
                    latency[c].end());
         result.errors += errors[c];
+        result.mismatches += mismatches[c];
     }
     result.qps =
         static_cast<double>(all.size()) / std::max(wallSec, 1e-9);
@@ -252,42 +220,12 @@ main()
         static_cast<std::size_t>(envInt("VAESA_SERVE_CLIENTS", 4)));
     const double qpsTarget = envDouble("VAESA_SERVE_QPS", 2000.0);
     const double p99TargetMs = envDouble("VAESA_SERVE_P99_MS", 50.0);
-    const std::uint32_t mixedWindowUs = static_cast<std::uint32_t>(
-        envInt("VAESA_SERVE_BATCH_WINDOW_US", 50));
-    const bool runAb = envInt("VAESA_SERVE_AB", 1) != 0;
-    const std::size_t abClients = std::max<std::size_t>(
-        2, static_cast<std::size_t>(
-               envInt("VAESA_SERVE_AB_CLIENTS", 16)));
-    const std::size_t abQueries = static_cast<std::size_t>(
-        envInt("VAESA_SERVE_AB_QUERIES", 24000));
-    const std::size_t abLowQueries = static_cast<std::size_t>(
-        envInt("VAESA_SERVE_AB_LOW_QUERIES", 2000));
-    const std::uint32_t abWindowUs = static_cast<std::uint32_t>(
-        envInt("VAESA_SERVE_AB_WINDOW_US", 200));
-    const std::size_t abPool = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               envInt("VAESA_SERVE_AB_POOL", 1024)));
-    const std::size_t abTrials = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               envInt("VAESA_SERVE_AB_TRIALS", 2)));
-    const double abRatioTarget =
-        envDouble("VAESA_SERVE_AB_RATIO", 1.5);
-    const double abMinRatio =
-        envDouble("VAESA_SERVE_AB_MIN_RATIO", 0.9);
-    // The SoA fan-out needs hardware lanes to turn amortized work
-    // into wall-clock QPS (file comment); below the 8-thread class
-    // the gate degrades to the no-regression bound.
-    const std::size_t abHwThreads = ThreadPool::defaultThreadCount();
-    const bool abFullGate = abHwThreads >= 8;
-    const double abRatioBound =
-        abFullGate ? abRatioTarget : abMinRatio;
 
     serve::ServeOptions options;
     options.tcpPort = 0; // ephemeral
     options.serviceThreads = clients + 2;
     options.maxConnections = clients + 2;
     options.maxInflightSearch = 2;
-    options.batchWindowUs = mixedWindowUs;
     serve::Server server(options);
     if (auto err = server.start()) {
         std::fprintf(stderr, "server start failed: %s\n",
@@ -408,58 +346,42 @@ main()
     serverThread.shutdown();
     clientPool.shutdown();
 
-    // ----- Batched-vs-unbatched A/B ----------------------------------
-    // High concurrency: the coalesced SoA dispatch must beat N
-    // per-request dispatches on sustained QPS. Low concurrency: the
-    // idle fast path must keep the unbatched latency profile. Both
-    // modes score the identical config stream (same seeds), so the
-    // replies must also match bit-for-bit.
-    AbResult abUnbatched, abBatched, lowUnbatched, lowBatched;
-    bool abBitIdentical = true;
-    double abRatio = 0.0;
-    std::uint64_t abErrors = 0;
-    if (runAb) {
-        // Interleave the two modes (U,B,U,B,...) and take each
-        // mode's best trial: on a frequency-ramping host a serial
-        // U-then-B order hands whichever mode runs warmest a free
-        // win; interleaving plus best-of gives both modes a warm
-        // shot at the same silicon. Every trial must stay
-        // bit-identical to the first — identical seeds mean
-        // identical replies, mode and trial regardless.
-        for (std::size_t t = 0; t < abTrials; ++t) {
-            AbResult u = runScoreStream(0, abClients, abQueries,
-                                        abPool, 0xAB0ull);
-            AbResult b = runScoreStream(abWindowUs, abClients,
-                                        abQueries, abPool, 0xAB0ull);
-            abErrors += u.errors + b.errors;
-            abBitIdentical =
-                abBitIdentical && b.edp == u.edp &&
-                b.latencyCycles == u.latencyCycles;
-            if (t == 0 || u.qps > abUnbatched.qps)
-                abUnbatched = std::move(u);
-            if (t == 0 || b.qps > abBatched.qps)
-                abBatched = std::move(b);
-        }
-        lowUnbatched =
-            runScoreStream(0, 1, abLowQueries, abPool, 0xAB1ull);
-        lowBatched = runScoreStream(abWindowUs, 1, abLowQueries,
-                                    abPool, 0xAB1ull);
-        abRatio = abUnbatched.qps > 0.0
-                      ? abBatched.qps / abUnbatched.qps
-                      : 0.0;
-        abBitIdentical =
-            abBitIdentical && lowBatched.edp == lowUnbatched.edp &&
-            lowBatched.latencyCycles == lowUnbatched.latencyCycles;
-        abErrors += lowUnbatched.errors + lowBatched.errors;
+    // ----- Working-set phase -----------------------------------------
+    // High concurrency for sustained QPS, then one client for the
+    // uncontended p99. Every reply must match in-process scoring.
+    Rng poolRng(0xAB0ull);
+    const std::vector<LayerShape> resnet =
+        workloadByName("resnet50").layers;
+    const Evaluator evaluator;
+    std::vector<AcceleratorConfig> pool;
+    std::vector<EvalResult> expected;
+    for (std::size_t i = 0; i < kWsPool; ++i) {
+        pool.push_back(designSpace().randomConfig(poolRng));
+        expected.push_back(
+            evaluator.evaluateWorkload(pool.back(), resnet));
     }
+    // Best-of QPS over the trials: a frequency-ramping host hands
+    // later trials a warmer CPU.
+    StreamResult wsHigh;
+    std::uint64_t wsErrors = 0, wsMismatches = 0;
+    for (std::size_t t = 0; t < kWsTrials; ++t) {
+        StreamResult r = runScoreStream(kWsClients, kWsQueries, pool,
+                                        expected, 0xAB0ull);
+        wsErrors += r.errors;
+        wsMismatches += r.mismatches;
+        if (t == 0 || r.qps > wsHigh.qps)
+            wsHigh = r;
+    }
+    const StreamResult wsLow =
+        runScoreStream(1, kWsLowQueries, pool, expected, 0xAB1ull);
+    wsErrors += wsLow.errors;
+    wsMismatches += wsLow.mismatches;
     // 10% relative with 50 us absolute slack: at sub-ms p99 a few
-    // microseconds of scheduler noise should not flip the gate.
-    const double lowP99Bound =
-        std::max(lowUnbatched.p99Ms * 1.10,
-                 lowUnbatched.p99Ms + 0.05);
-    const bool abOk =
-        !runAb || (abRatio >= abRatioBound && abBitIdentical &&
-                   abErrors == 0 && lowBatched.p99Ms <= lowP99Bound);
+    // scheduler hiccups would otherwise decide the gate.
+    const double wsLowP99BoundMs =
+        std::max(wsHigh.p99Ms * 1.10, wsHigh.p99Ms + 0.05);
+    const bool wsOk = wsErrors == 0 && wsMismatches == 0 &&
+                      wsLow.p99Ms <= wsLowP99BoundMs;
 
     // ----- Tallies + gates -------------------------------------------
     std::vector<double> all;
@@ -479,13 +401,11 @@ main()
 
     const bool meetsTarget = qps >= qpsTarget &&
                              p99 <= p99TargetMs && errors == 0 &&
-                             burstRejections >= 1 && abOk;
+                             burstRejections >= 1 && wsOk;
 
     bench::rule();
-    std::printf("serve_load: %zu queries, %zu clients, %.1f s "
-                "(window %u us)\n",
-                totalQueries, clients, wallSec,
-                static_cast<unsigned>(mixedWindowUs));
+    std::printf("serve_load: %zu queries, %zu clients, %.1f s\n",
+                totalQueries, clients, wallSec);
     std::printf("  qps %.0f (target %.0f)  p50 %.3f ms  p99 %.3f ms "
                 "(target %.1f)\n",
                 qps, qpsTarget, p50, p99, p99TargetMs);
@@ -496,41 +416,27 @@ main()
                 static_cast<unsigned long long>(rejected),
                 static_cast<unsigned long long>(errors),
                 static_cast<unsigned long long>(burstRejections));
-    if (runAb) {
-        std::printf(
-            "  A/B @%zu clients: unbatched %.0f qps, batched %.0f "
-            "qps, ratio %.2fx (bound %.2fx, %s gate @%zu hw "
-            "threads, best of %zu)\n",
-            abClients, abUnbatched.qps, abBatched.qps, abRatio,
-            abRatioBound,
-            abFullGate ? "full" : "no-regression", abHwThreads,
-            abTrials);
-        std::printf(
-            "  A/B @1 client: p99 unbatched %.3f ms, batched %.3f "
-            "ms (bound %.3f)  bit_identical %s  ab_errors %llu\n",
-            lowUnbatched.p99Ms, lowBatched.p99Ms, lowP99Bound,
-            abBitIdentical ? "yes" : "NO",
-            static_cast<unsigned long long>(abErrors));
-    }
+    std::printf("  working set @%zu clients: %.0f qps (best of %zu), "
+                "p99 %.3f ms  @1 client: p99 %.3f ms (bound %.3f)\n",
+                kWsClients, wsHigh.qps, kWsTrials, wsHigh.p99Ms,
+                wsLow.p99Ms, wsLowP99BoundMs);
+    std::printf("  working set: mismatches %llu  errors %llu\n",
+                static_cast<unsigned long long>(wsMismatches),
+                static_cast<unsigned long long>(wsErrors));
 
     CsvWriter csv(bench::csvPath("serve_load.csv"));
     csv.header({"queries", "clients", "wall_s", "qps", "p50_ms",
                 "p99_ms", "ok", "deadline_exceeded", "rejected",
-                "errors", "burst_rejections", "qps_unbatched",
-                "qps_batched", "ab_ratio", "p99_low_unbatched_ms",
-                "p99_low_batched_ms", "ab_bit_identical"});
+                "errors", "burst_rejections", "ws_qps", "ws_low_p99_ms",
+                "ws_mismatches", "ws_errors"});
     csv.row({std::to_string(completed), std::to_string(clients),
              CsvWriter::cell(wallSec), CsvWriter::cell(qps),
              CsvWriter::cell(p50), CsvWriter::cell(p99),
              std::to_string(ok), std::to_string(deadline),
              std::to_string(rejected), std::to_string(errors),
              std::to_string(burstRejections),
-             CsvWriter::cell(abUnbatched.qps),
-             CsvWriter::cell(abBatched.qps),
-             CsvWriter::cell(abRatio),
-             CsvWriter::cell(lowUnbatched.p99Ms),
-             CsvWriter::cell(lowBatched.p99Ms),
-             abBitIdentical ? "1" : "0"});
+             CsvWriter::cell(wsHigh.qps), CsvWriter::cell(wsLow.p99Ms),
+             std::to_string(wsMismatches), std::to_string(wsErrors)});
 
     std::ostringstream json;
     json << "{\n"
@@ -550,28 +456,16 @@ main()
          << "  \"rejected_overload\": " << rejected << ",\n"
          << "  \"errors\": " << errors << ",\n"
          << "  \"burst_rejections\": " << burstRejections << ",\n"
-         << "  \"batch_window_us\": " << mixedWindowUs << ",\n"
-         << "  \"ab\": " << (runAb ? "true" : "false") << ",\n"
-         << "  \"ab_clients\": " << abClients << ",\n"
-         << "  \"ab_queries\": " << abQueries << ",\n"
-         << "  \"ab_window_us\": " << abWindowUs << ",\n"
-         << "  \"ab_pool\": " << abPool << ",\n"
-         << "  \"ab_trials\": " << abTrials << ",\n"
-         << "  \"ab_hw_threads\": " << abHwThreads << ",\n"
-         << "  \"qps_unbatched\": " << abUnbatched.qps << ",\n"
-         << "  \"qps_batched\": " << abBatched.qps << ",\n"
-         << "  \"ab_ratio\": " << abRatio << ",\n"
-         << "  \"ab_ratio_target\": " << abRatioTarget << ",\n"
-         << "  \"ab_ratio_bound\": " << abRatioBound << ",\n"
-         << "  \"ab_gate\": \""
-         << (abFullGate ? "full" : "no_regression") << "\",\n"
-         << "  \"p99_low_unbatched_ms\": " << lowUnbatched.p99Ms
-         << ",\n"
-         << "  \"p99_low_batched_ms\": " << lowBatched.p99Ms
-         << ",\n"
-         << "  \"ab_errors\": " << abErrors << ",\n"
-         << "  \"ab_bit_identical\": "
-         << (abBitIdentical ? "true" : "false") << ",\n"
+         << "  \"ws_clients\": " << kWsClients << ",\n"
+         << "  \"ws_queries\": " << kWsQueries << ",\n"
+         << "  \"ws_pool\": " << kWsPool << ",\n"
+         << "  \"ws_trials\": " << kWsTrials << ",\n"
+         << "  \"ws_qps\": " << wsHigh.qps << ",\n"
+         << "  \"ws_p99_ms\": " << wsHigh.p99Ms << ",\n"
+         << "  \"ws_low_p99_ms\": " << wsLow.p99Ms << ",\n"
+         << "  \"ws_low_p99_bound_ms\": " << wsLowP99BoundMs << ",\n"
+         << "  \"ws_errors\": " << wsErrors << ",\n"
+         << "  \"ws_mismatches\": " << wsMismatches << ",\n"
          << "  \"meets_target\": "
          << (meetsTarget ? "true" : "false") << "\n}\n";
     std::ofstream(bench::csvPath("serve_load.json")) << json.str();
@@ -579,7 +473,7 @@ main()
         << json.str();
 
     std::printf("%s (baseline written to BENCH_serve_load.json)\n",
-                meetsTarget ? "meets qps/p99/ab targets"
-                            : "MISSES qps/p99/ab targets");
+                meetsTarget ? "meets qps/p99/working-set targets"
+                            : "MISSES qps/p99/working-set targets");
     return meetsTarget ? 0 : 1;
 }

@@ -153,58 +153,63 @@ EvalResult
 CachingEvaluator::evaluateLayer(const AcceleratorConfig &arch,
                                 const LayerShape &layer) const
 {
-    // Snap to the grid first: the cache key is the grid index, and
-    // evaluation of off-grid values would alias the snapped point.
-    const AcceleratorConfig snapped = snapConfig(arch);
-
-    // The (59-bit perfect config packing, registry id) pair is
-    // collision-free; the hash only spreads it over buckets/shards.
-    const BatchKey key{configKey(snapped), layerKey(layer)};
-    Shard &shard = shards_[BatchKeyHash{}(key) % shardCount_];
-
-    {
-        lockShard(shard);
-        const MutexLock lock(shard.shardMutex, adoptLock);
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            hits_.inc();
-            globalCacheMetrics().hits.inc();
-            return it->second;
-        }
-    }
-    // Evaluate OUTSIDE the shard lock so a slow inner evaluation
-    // never serializes unrelated lookups; a concurrent miss of the
-    // same key just recomputes the identical deterministic result.
-    misses_.inc();
-    globalCacheMetrics().misses.inc();
-    const EvalResult result = inner_.evaluateLayer(snapped, layer);
-    {
-        lockShard(shard);
-        const MutexLock lock(shard.shardMutex, adoptLock);
-        shard.entries.emplace(key, result); // no-op if raced
-    }
-    return result;
+    // A one-layer workload: 0.0 + x == x and the edp is the layer's
+    // own latency * energy, so its total is the layer's result.
+    return evaluateWorkload(arch, {layer});
 }
 
 EvalResult
-CachingEvaluator::evaluateWorkload(
-    const AcceleratorConfig &arch,
-    const std::vector<LayerShape> &layers) const
+CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
+                                   const std::vector<LayerShape> &layers,
+                                   const CancelToken *cancel) const
 {
+    // Snap to the grid first (the cache key is the grid index, and
+    // off-grid values would alias the snapped point), and key the
+    // config once: the keys differ only by layer.
+    const AcceleratorConfig snapped = snapConfig(arch);
+    const std::uint64_t config = configKey(snapped);
+    const std::size_t n = layers.size();
+    std::vector<BatchKey> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+        keys[i] = BatchKey{config, layerKey(layers[i])};
+    std::vector<EvalResult> results(n);
+    std::vector<unsigned char> found(n);
+    probeBatch(keys.data(), n, results.data(), found.data());
+
+    // Walk the layers in order, exactly like an evaluateLayer() loop:
+    // the same sums, the same early exit, the same hit/miss totals.
     EvalResult total;
     total.valid = true;
-    for (const LayerShape &layer : layers) {
-        const EvalResult r = evaluateLayer(arch, layer);
+    std::uint64_t computed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!found[i]) {
+            if (cancel != nullptr && cancel->expired()) {
+                accountBatch(i, computed);
+                throw DeadlineExceeded("cache_miss");
+            }
+            // Computed outside any shard lock: a concurrent miss of
+            // the same key recomputes the identical deterministic
+            // result, and the second insert is dropped.
+            results[i] = inner_.evaluateLayer(snapped, layers[i]);
+            insertBatch(&keys[i], &results[i], 1);
+            ++computed;
+            // Later repeats of this shape hit what was just computed.
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (keys[j].layer == keys[i].layer) {
+                    results[j] = results[i];
+                    found[j] = 1;
+                }
+            }
+        }
+        const EvalResult &r = results[i];
         if (!r.valid) {
-            total.valid = false;
-            total.latencyCycles = 0.0;
-            total.energyPj = 0.0;
-            total.edp = 0.0;
-            return total;
+            accountBatch(i + 1, computed);
+            return EvalResult{};
         }
         total.latencyCycles += r.latencyCycles;
         total.energyPj += r.energyPj;
     }
+    accountBatch(n, computed);
     total.edp = total.latencyCycles * total.energyPj;
     return total;
 }

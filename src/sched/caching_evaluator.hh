@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sched/evaluator.hh"
+#include "util/deadline.hh"
 #include "util/metrics.hh"
 #include "util/sync.hh"
 
@@ -85,14 +86,30 @@ class CachingEvaluator
     /** Wrap an evaluator with explicit cost-model parameters. */
     explicit CachingEvaluator(const Evaluator &inner);
 
-    /** Memoized variant of Evaluator::evaluateLayer. */
+    /** Memoized variant of Evaluator::evaluateLayer: a one-layer
+     *  evaluateWorkload(). */
     EvalResult evaluateLayer(const AcceleratorConfig &arch,
                              const LayerShape &layer) const;
 
-    /** Memoized per-layer sum, like Evaluator::evaluateWorkload. */
+    /**
+     * Memoized per-layer sum, like Evaluator::evaluateWorkload, with
+     * ONE cache probe: the config is snapped and keyed once, every
+     * layer's key goes into a single probeBatch(), and only the
+     * layers the probe missed are computed (and inserted as they
+     * are). A shape repeated within @p layers is computed once; its
+     * later repeats count as hits. Results, the early exit at the
+     * first invalid layer, and the hit/miss totals are exactly those
+     * of an evaluateLayer() loop over @p layers.
+     *
+     * @p cancel (may be null) is checked before each missed layer is
+     * computed. On expiry the layers walked so far are accounted,
+     * the ones already computed stay cached, and DeadlineExceeded is
+     * thrown.
+     */
     EvalResult evaluateWorkload(const AcceleratorConfig &arch,
-                                const std::vector<LayerShape>
-                                    &layers) const;
+                                const std::vector<LayerShape> &layers,
+                                const CancelToken *cancel =
+                                    nullptr) const;
 
     /** @name Batch protocol (see class comment)
      *

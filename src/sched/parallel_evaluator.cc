@@ -269,22 +269,10 @@ ParallelEvaluator::evaluateBatch(
     const std::vector<AcceleratorConfig> &configs,
     const std::vector<LayerShape> &workload) const
 {
-    return evaluateConfigBatch(configs, workload, nullptr, nullptr);
-}
-
-std::vector<EvalResult>
-ParallelEvaluator::evaluateConfigBatch(
-    const std::vector<AcceleratorConfig> &configs,
-    const std::vector<LayerShape> &workload,
-    const CancelToken *const *itemTokens,
-    BatchItemStatus *statuses) const
-{
     const std::size_t n = configs.size();
     std::vector<EvalResult> totals(n);
     for (EvalResult &t : totals)
         t.valid = true;
-    if (statuses != nullptr)
-        std::fill_n(statuses, n, BatchItemStatus::Ok);
 
     // Alive mask: a config invalid at layer L stops looking up
     // layers past L, exactly like the serial per-config early exit —
@@ -292,29 +280,6 @@ ParallelEvaluator::evaluateConfigBatch(
     // serial path, not just the sums.
     std::vector<std::uint32_t> alive(n);
     std::iota(alive.begin(), alive.end(), 0);
-
-    // Per-item deadlines drop expired items at each layer boundary
-    // (including before the first): only the item leaves the batch —
-    // its mates keep scoring, and the layers already merged stay in
-    // the cache, exactly as a solo request cancelled between layers
-    // would leave them.
-    const auto dropExpired = [&] {
-        if (itemTokens == nullptr)
-            return;
-        std::vector<std::uint32_t> keep;
-        keep.reserve(alive.size());
-        for (const std::uint32_t i : alive) {
-            const CancelToken *token = itemTokens[i];
-            if (token != nullptr && token->expired()) {
-                totals[i] = EvalResult{};
-                if (statuses != nullptr)
-                    statuses[i] = BatchItemStatus::DeadlineExpired;
-            } else {
-                keep.push_back(i);
-            }
-        }
-        alive.swap(keep);
-    };
 
     // Hoist the layer-independent per-config work: snap each config
     // to its grid point and pack its 59-bit key half ONCE, instead
@@ -328,7 +293,6 @@ ParallelEvaluator::evaluateConfigBatch(
 
     std::vector<EvalResult> layerResults(n);
     for (const LayerShape &layer : workload) {
-        dropExpired();
         if (alive.empty())
             break;
         scoreLayerSubset(snapped.data(), cfgKeys.data(),

@@ -54,22 +54,6 @@ namespace vaesa {
 std::size_t chunkSizeFor(std::size_t items, std::size_t threads);
 
 /**
- * Per-item outcome of a ParallelEvaluator batch evaluated with
- * per-item cancel tokens: items whose own token expires are DROPPED
- * at the next layer boundary without disturbing their batch-mates.
- */
-enum class BatchItemStatus : std::uint8_t
-{
-    /** Scored completely; the result slot is authoritative. */
-    Ok = 0,
-
-    /** The item's own token expired; its result slot is the invalid
-     *  zero EvalResult and layers past the boundary were never
-     *  looked up for it. */
-    DeadlineExpired = 1,
-};
-
-/**
  * Score configs[i] on the whole workload into result i on a plain
  * (cache-free) Evaluator — the uncached driver fast path. Results
  * are bit-identical to calling evaluator.evaluateWorkload(config,
@@ -115,34 +99,6 @@ class ParallelEvaluator
     std::vector<EvalResult> evaluateBatch(
         const std::vector<AcceleratorConfig> &configs,
         const std::vector<LayerShape> &workload) const;
-
-    /**
-     * evaluateBatch with PER-ITEM deadlines: the serve-side
-     * coalescing entry point (serve/batcher.cc funnels concurrent
-     * ScoreConfig requests here as one SoA batch).
-     *
-     * @p itemTokens, when non-null, holds configs.size() borrowed
-     * token pointers (individual entries may be null = no deadline).
-     * Expiry of item i's own token is observed at layer boundaries —
-     * including before the first layer — and drops ONLY item i from
-     * the rest of the batch: statuses[i] (when @p statuses is
-     * non-null) becomes DeadlineExpired, its result slot is the
-     * invalid zero result, and its batch-mates score on untouched.
-     * Completed layers stay merged into the cache, exactly as a
-     * solo request cancelled between layers would leave it.
-     *
-     * The evaluator-wide token installed via setCancelToken() keeps
-     * its PR 7 semantics on top: it fires at chunk claims and throws
-     * DeadlineExceeded for the WHOLE batch through the all-or-
-     * nothing exit (per-item tokens never throw). With null
-     * @p itemTokens this is exactly evaluateBatch(), which now
-     * delegates here.
-     */
-    std::vector<EvalResult> evaluateConfigBatch(
-        const std::vector<AcceleratorConfig> &configs,
-        const std::vector<LayerShape> &workload,
-        const CancelToken *const *itemTokens,
-        BatchItemStatus *statuses) const;
 
     /**
      * Observe @p token (borrowed; may be nullptr to detach) at every

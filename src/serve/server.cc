@@ -218,11 +218,7 @@ class SlotGuard
 
 Server::Server(const ServeOptions &options)
     : options_(options), evalPool_(options.evalThreads),
-      servicePool_(std::max<std::size_t>(1, options.serviceThreads)),
-      batcher_(cache_, evalPool_,
-               BatcherOptions{options.batchWindowUs, options.maxBatch},
-               &drainToken_,
-               [this] { return activeConns_.load(); })
+      servicePool_(std::max<std::size_t>(1, options.serviceThreads))
 {
     for (Workload &w : trainingWorkloads())
         workloads_[w.name] = std::move(w.layers);
@@ -448,8 +444,8 @@ Server::handleConnection(Socket sock)
         }
     } catch (const InjectedFault &) {
         // Kill-mid-request: the connection dies where the fault
-        // fired; shared state saw either a complete request or none
-        // of it (the batch pipeline's all-or-nothing exit).
+        // fired; the shared cache only ever holds complete,
+        // deterministic per-layer entries, so it stays bit-identical.
         sm.killedConnections.inc();
     } catch (const std::exception &e) {
         warn("connection handler died: ", e.what());
@@ -539,13 +535,11 @@ Server::handleScore(const Request &request, CancelToken &token,
     if (!layers)
         return;
     token.check("score_admit");
-    // All ScoreConfig scoring funnels through the coalescing
-    // batcher (lint-enforced: the SoA batch entry point is called
-    // only from serve/batcher.cc), so concurrent requests share one
-    // dispatch while a lone request passes straight through.
+    // Scored on this service thread with one cache probe; only the
+    // layers the probe misses are computed (lint-enforced: no serve
+    // file calls the SoA batch entry point).
     const EvalResult result =
-        batcher_.score(request.workload, *layers, request.config,
-                       &token);
+        cache_.evaluateWorkload(request.config, *layers, &token);
     resp->valid = result.valid;
     resp->latencyCycles = result.latencyCycles;
     resp->energyPj = result.energyPj;
@@ -583,11 +577,8 @@ Server::handleDecode(const Request &request, CancelToken &token,
             findWorkload(request.workload, resp);
         if (!layers)
             return;
-        // Decoded-config scoring rides the same coalescing queue as
-        // ScoreConfig: a DecodeLatent burst batches with the score
-        // traffic of the same workload.
-        const EvalResult result = batcher_.score(
-            request.workload, *layers, resp->config, &token);
+        const EvalResult result =
+            cache_.evaluateWorkload(resp->config, *layers, &token);
         resp->valid = result.valid;
         resp->latencyCycles = result.latencyCycles;
         resp->energyPj = result.energyPj;

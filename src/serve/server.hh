@@ -6,11 +6,14 @@
  * ARCHITECTURE. One accept loop (the thread calling serve()) admits
  * connections and hands each to a handler task on the SERVICE pool;
  * handlers parse framed requests and run them against the shared
- * sharded CachingEvaluator, fanning bulk cost-model work onto a
- * separate EVAL pool through per-request ParallelEvaluator views.
- * Two pools because ParallelEvaluator must not run inside its own
- * pool's tasks (ThreadPool::parallelFor is non-reentrant): service
- * workers block on eval-pool batches, never on their own queue.
+ * sharded CachingEvaluator. ScoreConfig and DecodeLatent scoring run
+ * on the handler's own thread with one cache probe per request
+ * (CachingEvaluator::evaluateWorkload); SearchK fans its bulk
+ * cost-model work onto a separate EVAL pool through per-request
+ * ParallelEvaluator views. Two pools because ParallelEvaluator must
+ * not run inside its own pool's tasks (ThreadPool::parallelFor is
+ * non-reentrant): service workers block on eval-pool batches, never
+ * on their own queue.
  *
  * ADMISSION CONTROL. Connections beyond maxConnections receive an
  * unsolicited REJECTED_OVERLOAD response and are closed before any
@@ -20,10 +23,12 @@
  * client cannot wedge every worker behind long searches.
  *
  * DEADLINES + DRAIN. Every request gets a CancelToken chained to the
- * server's drain token; expiry is observed at batch chunk claims and
- * search iteration boundaries, producing partial best-so-far results
- * with DEADLINE_EXCEEDED and leaving the cache exactly as a
- * never-started request (the batch pipeline's all-or-nothing exit).
+ * server's drain token; expiry is observed before each missed layer
+ * of a scored config (layers already computed stay cached), at batch
+ * chunk claims, and at search iteration boundaries, producing
+ * DEADLINE_EXCEEDED (with the partial best-so-far for searches; a
+ * search batch takes the pipeline's all-or-nothing exit and leaves
+ * the cache exactly as a never-started request).
  * requestShutdown() (SIGTERM/SIGINT) stops admission, cancels
  * in-flight work through the same token, drains both pools, flushes
  * the metrics manifest, and serve() returns 0.
@@ -46,7 +51,6 @@
 #include <vector>
 
 #include "sched/caching_evaluator.hh"
-#include "serve/batcher.hh"
 #include "serve/model_bundle.hh"
 #include "serve/net.hh"
 #include "serve/protocol.hh"
@@ -98,16 +102,6 @@ struct ServeOptions
 
     /** Half-width of the latent search box for LatentRandom. */
     double latentRadius = 2.5;
-
-    /** ScoreConfig coalesce window in microseconds (see
-     *  serve/batcher.hh): how long the first request of a wavefront
-     *  holds the batch open for late arrivals. 0 disables
-     *  coalescing waits; an otherwise-idle server always skips the
-     *  window regardless. */
-    std::uint32_t batchWindowUs = 50;
-
-    /** Most requests one coalesced ScoreConfig batch may carry. */
-    std::size_t maxBatch = 64;
 };
 
 /** The daemon. Construct, start(), then serve() on some thread. */
@@ -186,10 +180,6 @@ class Server
     std::atomic<bool> reloadRequested_{false};
     std::atomic<std::size_t> activeConns_{0};
     std::atomic<std::size_t> searchInflight_{0};
-    /** Coalesces concurrent ScoreConfig traffic into SoA batches;
-     *  declared after cache_/evalPool_/drainToken_/activeConns_
-     *  (it borrows all four at construction). */
-    ScoreBatcher batcher_;
 };
 
 } // namespace serve

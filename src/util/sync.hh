@@ -257,12 +257,6 @@ VAESA_LOCK_ORDER_ENTRY(bundleMutex_, 4);
 // followed by (never nested under) cache evaluation, but ranking it
 // below the cache locks keeps that nesting legal if it ever forms.
 VAESA_LOCK_ORDER_ENTRY(modelMutex, 6);
-// Serve ScoreBatcher coalescing queue; held only around queue state
-// (enqueue / leader take / publish) — a leader drains its batch with
-// the lock RELEASED, so this never nests over the cache or pool
-// locks today; ranking it above the serve bundle locks and below the
-// cache keeps any future nesting service-thread-ordered.
-VAESA_LOCK_ORDER_ENTRY(coalesceMutex_, 8);
 // CachingEvaluator layer registry; held across shard locks in clear().
 VAESA_LOCK_ORDER_ENTRY(registryMutex_, 10);
 // CachingEvaluator per-shard entry maps; innermost cache lock.

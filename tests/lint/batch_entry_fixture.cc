@@ -1,11 +1,11 @@
 /**
  * @file
- * Negative lint fixture: direct evaluateConfigBatch() calls in the
- * serve tree (anywhere but src/serve/batcher.cc) must be flagged --
- * serve handlers route ScoreConfig scoring through the coalescing
- * ScoreBatcher, never through their own per-request evaluator
- * dispatch. Unlike the socket ban, MEMBER calls are exactly the
- * violation here, so the fixture uses one.
+ * Negative lint fixture: any direct evaluateConfigBatch() call in
+ * the serve tree must be flagged -- serve handlers score through
+ * CachingEvaluator::evaluateWorkload (one cache probe per request),
+ * never through their own per-request evaluator dispatch. Unlike the
+ * socket ban, MEMBER calls are exactly the violation here, so the
+ * fixture uses one.
  *
  * Never compiled; only scanned by lint.batch_entry_fixture.
  */
@@ -22,7 +22,8 @@ uncoalescedHandler()
     const int configs[2] = {0, 1};
 
     // BAD: a serve-tree caller dispatching the batch entry point
-    // itself instead of going through serve::ScoreBatcher.
+    // itself instead of going through
+    // CachingEvaluator::evaluateWorkload.
     const int direct = evaluator.evaluateConfigBatch(configs, 2);
 
     // fine: naming the entry point without calling it (docs, member

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <future>
+#include <vector>
+
 #include "sched/caching_evaluator.hh"
+#include "util/deadline.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 #include "workload/networks.hh"
+#include "workload/zoo.hh"
 
 namespace vaesa {
 namespace {
@@ -172,6 +179,269 @@ TEST(CachingEvaluator, ConfigKeyIsPerfectPacking)
             EXPECT_DOUBLE_EQ(a.edp, b.edp);
         }
     }
+}
+
+
+// ---------------------------------------------------------------------
+// Contract of the one-probe evaluateWorkload: results and hit/miss
+// totals bit-identical to an evaluateLayer() loop run on a second,
+// identically warmed cache.
+// ---------------------------------------------------------------------
+
+/** The per-layer loop evaluateWorkload() must reproduce exactly. */
+EvalResult
+perLayerLoop(const CachingEvaluator &cache, const AcceleratorConfig &config,
+             const std::vector<LayerShape> &layers)
+{
+    EvalResult total;
+    total.valid = true;
+    for (const LayerShape &layer : layers) {
+        const EvalResult r = cache.evaluateLayer(config, layer);
+        if (!r.valid)
+            return EvalResult{};
+        total.latencyCycles += r.latencyCycles;
+        total.energyPj += r.energyPj;
+    }
+    total.edp = total.latencyCycles * total.energyPj;
+    return total;
+}
+
+void
+expectBitIdentical(const EvalResult &a, const EvalResult &b)
+{
+    EXPECT_EQ(a.valid, b.valid);
+    // EXPECT_EQ on double is exact comparison: 0 ULP tolerance.
+    EXPECT_EQ(a.latencyCycles, b.latencyCycles);
+    EXPECT_EQ(a.energyPj, b.energyPj);
+    EXPECT_EQ(a.edp, b.edp);
+}
+
+/** Both caches hold the same counters and the same inner work. */
+void
+expectSameCounters(const CachingEvaluator &probe,
+                   const CachingEvaluator &loop)
+{
+    EXPECT_EQ(probe.hits(), loop.hits());
+    EXPECT_EQ(probe.misses(), loop.misses());
+    EXPECT_EQ(probe.inner().evaluationCount(),
+              loop.inner().evaluationCount());
+}
+
+/** Score @p config on @p layers through both paths and compare. */
+void
+expectOneProbeMatchesLoop(const CachingEvaluator &probe,
+                          const CachingEvaluator &loop,
+                          const AcceleratorConfig &config,
+                          const std::vector<LayerShape> &layers)
+{
+    expectBitIdentical(probe.evaluateWorkload(config, layers),
+                       perLayerLoop(loop, config, layers));
+    expectSameCounters(probe, loop);
+}
+
+TEST(CachingEvaluatorOneProbe, ColdWarmAndPartlyWarmMatchLayerLoop)
+{
+    const std::vector<LayerShape> layers = resNet50Layers();
+    CachingEvaluator probe;
+    CachingEvaluator loop;
+    Rng rng(21);
+    for (int trial = 0; trial < 12; ++trial) {
+        const AcceleratorConfig config = designSpace().randomConfig(rng);
+        // Partly warm every other config: the same scattered layers
+        // on both caches, before either path sees the workload.
+        if (trial % 2 == 1) {
+            for (std::size_t i = 0; i < layers.size(); i += 3) {
+                probe.evaluateLayer(config, layers[i]);
+                loop.evaluateLayer(config, layers[i]);
+            }
+        }
+        expectOneProbeMatchesLoop(probe, loop, config, layers); // cold
+        expectOneProbeMatchesLoop(probe, loop, config, layers); // warm
+    }
+    EXPECT_GT(probe.hits(), 0u);
+    EXPECT_GT(probe.misses(), 0u);
+}
+
+TEST(CachingEvaluatorOneProbe, InvalidMiddleLayerStopsTheWalk)
+{
+    // A config that maps every resnet50 layer but not the middle
+    // layer of this workload: a zero-channel shape has no mapping.
+    const std::vector<LayerShape> resnet = resNet50Layers();
+    LayerShape unmappable = resnet[2];
+    unmappable.k = 0;
+    const std::vector<LayerShape> layers = {resnet[0], resnet[1], unmappable,
+                                            resnet[3], resnet[4]};
+    const AcceleratorConfig config = midConfig();
+    ASSERT_TRUE(Evaluator().evaluateWorkload(config, resnet).valid);
+
+    CachingEvaluator probe;
+    CachingEvaluator loop;
+    const EvalResult result = probe.evaluateWorkload(config, layers);
+    EXPECT_FALSE(result.valid);
+    expectBitIdentical(result, perLayerLoop(loop, config, layers));
+    expectSameCounters(probe, loop);
+    // Only the three layers up to the invalid one were looked up.
+    EXPECT_EQ(probe.hits() + probe.misses(), 3u);
+
+    // The layers past the invalid one were never cached.
+    const std::uint64_t missesBefore = probe.misses();
+    probe.evaluateLayer(config, layers[3]);
+    probe.evaluateLayer(config, layers[4]);
+    EXPECT_EQ(probe.misses(), missesBefore + 2);
+}
+
+TEST(CachingEvaluatorOneProbe, RepeatedZooShapesComputeOnce)
+{
+    for (const Workload &w : zooWorkloads()) {
+        // Expanded by occurrence count, as the serve daemon does.
+        std::vector<LayerShape> layers;
+        for (std::size_t i = 0; i < w.layers.size(); ++i)
+            layers.insert(layers.end(),
+                          static_cast<std::size_t>(w.countOf(i)),
+                          w.layers[i]);
+        ASSERT_GT(static_cast<std::int64_t>(layers.size()),
+                  static_cast<std::int64_t>(w.layers.size()))
+            << w.name;
+
+        CachingEvaluator probe;
+        CachingEvaluator loop;
+        Rng rng(5);
+        for (int trial = 0; trial < 3; ++trial) {
+            const AcceleratorConfig config =
+                designSpace().randomConfig(rng);
+            SCOPED_TRACE(w.name);
+            expectOneProbeMatchesLoop(probe, loop, config, layers);
+        }
+        // Each repeat after the first counted as a hit.
+        EXPECT_LE(probe.inner().evaluationCount(), 3 * w.layers.size());
+    }
+}
+
+/** Index of the first layer whose shape is not in @p cached. */
+std::size_t
+firstUncached(const std::vector<LayerShape> &layers,
+              const std::vector<LayerShape> &cached)
+{
+    std::size_t i = 0;
+    for (; i < layers.size(); ++i) {
+        bool hit = false;
+        for (const LayerShape &shape : cached)
+            hit = hit || shape.sameShape(layers[i]);
+        if (!hit)
+            break;
+    }
+    return i;
+}
+
+/** The first @p count distinct shapes of @p layers in walk order:
+ *  the layers a cold call computes first. */
+std::vector<LayerShape>
+firstDistinct(const std::vector<LayerShape> &layers, std::size_t count)
+{
+    std::vector<LayerShape> out;
+    for (const LayerShape &layer : layers)
+        if (out.size() < count && firstUncached({layer}, out) == 0)
+            out.push_back(layer);
+    return out;
+}
+
+TEST(CachingEvaluatorOneProbe, ExpiredTokenKeepsOnlyComputedLayers)
+{
+    const std::vector<LayerShape> layers = resNet50Layers();
+    Rng rng(33);
+
+    // Deterministic k = 1: the token expired before the call, so the
+    // walk counts the warm prefix as hits and throws at the first
+    // layer it would have to compute, computing nothing.
+    {
+        const AcceleratorConfig config = designSpace().randomConfig(rng);
+        const std::vector<LayerShape> warm(layers.begin(),
+                                           layers.begin() + 4);
+        CachingEvaluator probe;
+        CachingEvaluator loop;
+        for (const LayerShape &layer : warm) {
+            probe.evaluateLayer(config, layer);
+            loop.evaluateLayer(config, layer);
+        }
+        CancelToken expired;
+        expired.cancel();
+        EXPECT_THROW(probe.evaluateWorkload(config, layers, &expired),
+                     DeadlineExceeded);
+        for (std::size_t i = 0; i < firstUncached(layers, warm); ++i)
+            loop.evaluateLayer(config, layers[i]);
+        expectSameCounters(probe, loop);
+        expectOneProbeMatchesLoop(probe, loop, config, layers);
+    }
+
+    // Deadlines that land mid-walk: whichever computed layer k the
+    // deadline stops before, the cache keeps exactly the k - 1 layers
+    // computed before it and the counters account every layer walked.
+    for (const std::uint64_t deadlineUs : {0u, 20u, 100u, 400u, 2000u}) {
+        const AcceleratorConfig config = designSpace().randomConfig(rng);
+        CachingEvaluator probe;
+        CachingEvaluator loop;
+        CancelToken token;
+        token.setDeadlineNs(metrics::monotonicNowNs() +
+                            deadlineUs * 1000ull);
+        try {
+            const EvalResult result =
+                probe.evaluateWorkload(config, layers, &token);
+            expectBitIdentical(result, perLayerLoop(loop, config, layers));
+        } catch (const DeadlineExceeded &) {
+            // A cold walk hits only repeats of shapes it computed, so
+            // it stopped at the first layer of the next new shape.
+            const std::size_t walked = firstUncached(
+                layers, firstDistinct(layers, probe.misses()));
+            for (std::size_t i = 0; i < walked; ++i)
+                loop.evaluateLayer(config, layers[i]);
+        }
+        EXPECT_EQ(probe.misses(), probe.inner().evaluationCount());
+        expectSameCounters(probe, loop);
+        // Finishing the workload on both caches agrees bit-for-bit:
+        // the throw left exactly the computed layers behind.
+        expectOneProbeMatchesLoop(probe, loop, config, layers);
+    }
+}
+
+TEST(CachingEvaluatorOneProbe, ExpiredCallerDoesNotHarmConcurrentCaller)
+{
+    // Callers sharing one cache on their own threads, as serve
+    // connections do: the one whose token has expired throws, and its
+    // mates' results are bit-identical to a plain evaluator's.
+    const std::vector<LayerShape> layers = resNet50Layers();
+    Rng rng(44);
+    std::vector<AcceleratorConfig> configs;
+    for (int i = 0; i < 4; ++i)
+        configs.push_back(designSpace().randomConfig(rng));
+
+    const CachingEvaluator cache;
+    CancelToken expired;
+    expired.cancel();
+    std::vector<EvalResult> got(configs.size());
+    bool doomedThrew = false;
+    ThreadPool pool(configs.size());
+    std::vector<std::future<void>> done;
+    done.push_back(pool.submit([&] {
+        try {
+            cache.evaluateWorkload(configs[0], layers, &expired);
+        } catch (const DeadlineExceeded &) {
+            doomedThrew = true;
+        }
+    }));
+    for (std::size_t i = 1; i < configs.size(); ++i)
+        done.push_back(pool.submit([&, i] {
+            got[i] = cache.evaluateWorkload(configs[i], layers);
+        }));
+    for (auto &future : done)
+        future.get();
+    pool.shutdown();
+
+    EXPECT_TRUE(doomedThrew);
+    const Evaluator plain;
+    for (std::size_t i = 1; i < configs.size(); ++i)
+        expectBitIdentical(got[i],
+                           plain.evaluateWorkload(configs[i], layers));
+    EXPECT_EQ(cache.misses(), cache.inner().evaluationCount());
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sched/parallel_evaluator.hh"
-#include "util/deadline.hh"
 #include "util/fault.hh"
 #include "util/rng.hh"
 #include "workload/networks.hh"
@@ -203,72 +202,6 @@ TEST(ParallelEvaluator, ChunkSizeForNeverEmptyNeverOvercounts)
     // Tiny batches get one exact-fit chunk, not a padded floor-8.
     for (std::size_t items = 1; items < 8; ++items)
         EXPECT_EQ(chunkSizeFor(items, 4), items);
-}
-
-TEST(ParallelEvaluator, NullItemTokensMatchPlainBatch)
-{
-    const Workload alexnet = workloadByName("alexnet");
-    const std::vector<AcceleratorConfig> batch = randomBatch(12, 41);
-
-    CachingEvaluator plainCache;
-    ThreadPool pool(2);
-    const ParallelEvaluator plainEval(plainCache, pool);
-    const std::vector<EvalResult> expected =
-        plainEval.evaluateBatch(batch, alexnet.layers);
-
-    CachingEvaluator tokenCache;
-    const ParallelEvaluator tokenEval(tokenCache, pool);
-    std::vector<const CancelToken *> tokens(batch.size(), nullptr);
-    std::vector<BatchItemStatus> status(batch.size(),
-                                        BatchItemStatus::Ok);
-    const std::vector<EvalResult> got =
-        tokenEval.evaluateConfigBatch(batch, alexnet.layers,
-                                      tokens.data(), status.data());
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(status[i], BatchItemStatus::Ok);
-        expectBitIdentical(got[i], expected[i]);
-    }
-}
-
-TEST(ParallelEvaluator, ExpiredItemDroppedWithoutDisturbingMates)
-{
-    const Workload alexnet = workloadByName("alexnet");
-    const std::vector<AcceleratorConfig> batch = randomBatch(8, 43);
-
-    // Reference: the surviving items scored WITHOUT the doomed one.
-    CachingEvaluator referenceCache;
-    ThreadPool pool(2);
-    const ParallelEvaluator reference(referenceCache, pool);
-    std::vector<AcceleratorConfig> survivors(batch.begin() + 1,
-                                             batch.end());
-    const std::vector<EvalResult> expected =
-        reference.evaluateBatch(survivors, alexnet.layers);
-
-    CancelToken doomed;
-    doomed.setDeadlineAfterMs(0); // expires before the first layer
-    std::vector<const CancelToken *> tokens(batch.size(), nullptr);
-    tokens[0] = &doomed;
-    std::vector<BatchItemStatus> status(batch.size(),
-                                        BatchItemStatus::Ok);
-
-    CachingEvaluator cache;
-    const ParallelEvaluator parallel(cache, pool);
-    const std::vector<EvalResult> got =
-        parallel.evaluateConfigBatch(batch, alexnet.layers,
-                                     tokens.data(), status.data());
-
-    // The doomed item is reported expired with an invalid result;
-    // its batch-mates are bit-identical to a batch it never joined.
-    ASSERT_EQ(got.size(), batch.size());
-    EXPECT_EQ(status[0], BatchItemStatus::DeadlineExpired);
-    EXPECT_FALSE(got[0].valid);
-    EXPECT_EQ(got[0].edp, 0.0);
-    for (std::size_t i = 1; i < batch.size(); ++i) {
-        EXPECT_EQ(status[i], BatchItemStatus::Ok);
-        expectBitIdentical(got[i], expected[i - 1]);
-    }
 }
 
 /**

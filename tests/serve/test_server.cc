@@ -231,7 +231,7 @@ TEST_F(ServeServer, ZooWorkloadNamesAreServable)
     ASSERT_TRUE(conn.ok());
 
     // Zoo entries register count-expanded, so a depthwise-heavy net
-    // and a transformer both score through the same batcher path as
+    // and a transformer both score through the same cached path as
     // the Table III convs.
     unsigned id = 40;
     for (const char *name : {"mobilenet_v2", "bert_base", "dlrm"}) {
@@ -520,35 +520,42 @@ randomConfigs(std::size_t count, std::uint64_t seed)
     return configs;
 }
 
-/**
- * Run the same ScoreConfig stream against a fresh server configured
- * with @p windowUs: @p clients concurrent connections, each sending
- * its interleaved slice of @p configs in order (so the global
- * arrival order is shuffled but identical across modes), with a
- * harmless large deadline on every third request.
- */
-std::vector<Response>
-scoreStream(std::uint32_t windowUs, std::size_t clients,
-            const std::vector<AcceleratorConfig> &configs)
+TEST_F(ServeServer, ConcurrentScoreRepliesBitIdenticalToSerial)
 {
+    // Four concurrent connections, each sending its interleaved
+    // slice of the stream in order, share one memo cache: every
+    // reply must equal serial scalar scoring bit-for-bit, however
+    // the connections' cache probes and inserts interleave. Half the
+    // stream repeats the other half, so warm hits are covered too,
+    // and every third request carries a harmless large deadline.
+    constexpr std::size_t kClients = 4;
+    std::vector<AcceleratorConfig> configs =
+        randomConfigs(16, 0xAB5EED);
+    configs.insert(configs.end(), configs.begin(), configs.end());
+
+    const Workload alexnet = workloadByName("alexnet");
+    Evaluator plain;
+    std::vector<EvalResult> expected;
+    for (const AcceleratorConfig &config : configs)
+        expected.push_back(
+            plain.evaluateWorkload(config, alexnet.layers));
+
     ServeOptions options = baseOptions();
-    options.serviceThreads = clients;
-    options.maxConnections = clients + 1;
-    options.batchWindowUs = windowUs;
-    options.maxBatch = 16;
+    options.serviceThreads = kClients;
+    options.maxConnections = kClients + 1;
     ServerHarness harness(options);
 
     std::vector<Response> replies(configs.size());
-    ThreadPool pool(clients);
+    ThreadPool pool(kClients);
     std::vector<std::future<void>> done;
-    for (std::size_t c = 0; c < clients; ++c)
+    for (std::size_t c = 0; c < kClients; ++c)
         done.push_back(pool.submit([&, c] {
             Expected<Socket> conn = harness.connect();
             EXPECT_TRUE(conn.ok());
             if (!conn.ok())
                 return;
             for (std::size_t i = c; i < configs.size();
-                 i += clients) {
+                 i += kClients) {
                 Request score;
                 score.id = static_cast<std::uint64_t>(i);
                 score.type = MsgType::ScoreConfig;
@@ -565,128 +572,15 @@ scoreStream(std::uint32_t windowUs, std::size_t clients,
     for (auto &future : done)
         future.get();
     pool.shutdown();
-    return replies;
-}
 
-TEST_F(ServeServer, BatchedRepliesBitIdenticalToUnbatched)
-{
-    constexpr std::size_t kClients = 4;
-    const std::vector<AcceleratorConfig> configs =
-        randomConfigs(24, 0xAB5EED);
-
-    // Same mix, same shuffled arrival order, same deadlines; the
-    // only difference is the coalescing window (0 = unbatched
-    // per-request dispatch, 2 ms = coalesced SoA batches).
-    const std::vector<Response> unbatched =
-        scoreStream(0, kClients, configs);
-    const std::vector<Response> batched =
-        scoreStream(2000, kClients, configs);
-
-    ASSERT_EQ(unbatched.size(), batched.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(batched[i].status, unbatched[i].status) << i;
-        EXPECT_EQ(batched[i].valid, unbatched[i].valid) << i;
-        // Exact double comparison: coalescing must be bit-neutral.
-        EXPECT_EQ(batched[i].edp, unbatched[i].edp) << i;
-        EXPECT_EQ(batched[i].latencyCycles,
-                  unbatched[i].latencyCycles)
+        EXPECT_EQ(replies[i].status, Status::Ok) << i;
+        EXPECT_EQ(replies[i].valid, expected[i].valid) << i;
+        // Exact double comparison: 0 ULP tolerance.
+        EXPECT_EQ(replies[i].edp, expected[i].edp) << i;
+        EXPECT_EQ(replies[i].latencyCycles, expected[i].latencyCycles)
             << i;
-        EXPECT_EQ(batched[i].energyPj, unbatched[i].energyPj) << i;
-    }
-}
-
-TEST_F(ServeServer, KilledLeaderMidCoalescedBatchSparesMates)
-{
-    ServeOptions options = baseOptions();
-    options.batchWindowUs = 20000; // 20 ms: the two requests coalesce
-    options.maxBatch = 8;
-    ServerHarness harness(options);
-
-    const Workload alexnet = workloadByName("alexnet");
-    const std::vector<AcceleratorConfig> configs =
-        randomConfigs(2, 0xFA17);
-    Evaluator plain;
-    std::vector<EvalResult> expected;
-    for (const AcceleratorConfig &config : configs)
-        expected.push_back(
-            plain.evaluateWorkload(config, alexnet.layers));
-
-    metrics::Counter &killed =
-        metrics::counter("serve.killed_connections");
-    const std::uint64_t killedBefore = killed.value();
-
-    // Both connections up before the fault arms, so neither request
-    // trips an unrelated site.
-    Expected<Socket> connA = harness.connect();
-    Expected<Socket> connB = harness.connect();
-    ASSERT_TRUE(connA.ok());
-    ASSERT_TRUE(connB.ok());
-    Socket conns[2] = {std::move(connA.value()),
-                       std::move(connB.value())};
-
-    // The first coalesced dispatch dies at serve_batch: the LEADER's
-    // connection is killed; its batch-mate re-batches and answers.
-    FaultInjector::instance().arm("serve_batch", 1);
-    std::atomic<int> okCount{0};
-    std::atomic<int> deadConns{0};
-    bool gotReply[2] = {false, false};
-    Response okReplies[2];
-    ThreadPool clients(2);
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < 2; ++i)
-        done.push_back(clients.submit([&, i] {
-            Request score;
-            score.id = static_cast<std::uint64_t>(100 + i);
-            score.type = MsgType::ScoreConfig;
-            score.workload = "alexnet";
-            score.config = configs[static_cast<std::size_t>(i)];
-            Expected<Response> reply =
-                roundTrip(conns[i], score, 10000);
-            if (reply.ok() &&
-                reply.value().status == Status::Ok) {
-                okReplies[i] = reply.value();
-                gotReply[i] = true;
-                ++okCount;
-            } else {
-                ++deadConns;
-            }
-        }));
-    for (auto &future : done)
-        future.get();
-    clients.shutdown();
-    ASSERT_TRUE(
-        eventually([&] { return killed.value() > killedBefore; }));
-    FaultInjector::instance().reset();
-
-    // Exactly one caller died with its connection; the survivor got
-    // its normal, bit-identical answer.
-    EXPECT_EQ(okCount.load(), 1);
-    EXPECT_EQ(deadConns.load(), 1);
-    EXPECT_EQ(killed.value(), killedBefore + 1);
-    for (int i = 0; i < 2; ++i)
-        if (gotReply[i]) {
-            EXPECT_EQ(okReplies[i].edp,
-                      expected[static_cast<std::size_t>(i)].edp);
-            EXPECT_EQ(
-                okReplies[i].latencyCycles,
-                expected[static_cast<std::size_t>(i)].latencyCycles);
-        }
-
-    // The aborted batch never merged: replaying both requests on a
-    // fresh connection reproduces the serial reference exactly.
-    Expected<Socket> again = harness.connect();
-    ASSERT_TRUE(again.ok());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        Request score;
-        score.type = MsgType::ScoreConfig;
-        score.workload = "alexnet";
-        score.config = configs[i];
-        Expected<Response> reply = roundTrip(again.value(), score);
-        ASSERT_TRUE(reply.ok());
-        EXPECT_EQ(reply.value().status, Status::Ok);
-        EXPECT_EQ(reply.value().edp, expected[i].edp);
-        EXPECT_EQ(reply.value().latencyCycles,
-                  expected[i].latencyCycles);
+        EXPECT_EQ(replies[i].energyPj, expected[i].energyPj) << i;
     }
 }
 

@@ -361,18 +361,16 @@ const std::vector<BannedCall> bannedSocketCalls = {
 };
 
 /**
- * The coalescing entry point is confined to the ScoreBatcher: a
- * serve handler dispatching its own evaluateConfigBatch() call
- * reintroduces exactly the per-request evaluator traffic the batcher
- * exists to coalesce (and silently skips its deadline/fault
- * semantics). Member calls count here — the call is the problem, not
- * the qualifier — so this is a separate check from the socket ban.
+ * No serve-tree file may call the SoA batch entry point: the daemon
+ * scores ScoreConfig/DecodeLatent requests on the service thread
+ * through CachingEvaluator::evaluateWorkload (one cache probe per
+ * request), and a handler dispatching its own evaluateConfigBatch()
+ * reintroduces per-request evaluator fan-out that skips the cache
+ * and its per-layer deadline checks. Member calls count here — the
+ * call is the problem, not the qualifier — so this is a separate
+ * check from the socket ban.
  */
 const std::string batchEntryName = "evaluateConfigBatch";
-
-const std::vector<std::string> batchEntryFiles = {
-    "src/serve/batcher.cc",
-};
 
 const std::vector<std::string> batchConfinedDirs = {
     "src/serve/",
@@ -551,7 +549,6 @@ checkBannedIdentifiers(const std::string &relPath,
         }
         if (t.text == batchEntryName &&
             pathInDirs(relPath, batchConfinedDirs) &&
-            !pathAllowed(relPath, batchEntryFiles) &&
             i + 1 < tokens.size() &&
             tokens[i + 1].kind == Token::Kind::Punct &&
             tokens[i + 1].text == "(" &&
@@ -561,10 +558,9 @@ checkBannedIdentifiers(const std::string &relPath,
               tokens[i - 1].text != "return"))
             report(relPath, t.line,
                    "direct '" + batchEntryName +
-                       "' call in the serve tree (route ScoreConfig "
-                       "scoring through serve::ScoreBatcher; the "
-                       "coalescing entry point lives only in "
-                       "src/serve/batcher.cc)");
+                       "' call in the serve tree (serve scoring "
+                       "goes through "
+                       "CachingEvaluator::evaluateWorkload)");
         if (!policy.allowStreams)
             for (const BannedToken &ban : bannedStreams)
                 if (t.text == ban.name)

@@ -45,16 +45,14 @@ printUsage(std::FILE *out, const char *prog)
         "       [--max-connections N] [--max-inflight-search N]\n"
         "       [--idle-timeout-ms N] [--max-deadline-ms N]\n"
         "       [--max-samples N] [--latent-radius X]\n"
-        "       [--batch-window-us N] [--max-batch N]\n"
         "       [--manifest-out FILE]\n"
         "\n"
         "Serves ScoreConfig/DecodeLatent/SearchK over the framed\n"
         "binary protocol (docs/SERVING.md). --port 0 picks an\n"
         "ephemeral loopback port and prints it. SIGTERM/SIGINT\n"
         "drain gracefully; SIGHUP hot-reloads --model.\n"
-        "Concurrent ScoreConfig requests coalesce into one batch\n"
-        "held open --batch-window-us (0 disables) up to --max-batch\n"
-        "items; an idle server always skips the window.\n",
+        "ScoreConfig/DecodeLatent scoring runs on the connection's\n"
+        "service thread with one memo-cache probe per request.\n",
         prog);
 }
 
@@ -140,17 +138,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.latentRadius = radius;
-        } else if (flag == "--batch-window-us" &&
-                   nextValue(&value) && parseSize(value, &size)) {
-            options.batchWindowUs =
-                static_cast<std::uint32_t>(size);
-        } else if (flag == "--max-batch" && nextValue(&value) &&
-                   parseSize(value, &size)) {
-            if (size == 0) {
-                std::fprintf(stderr, "bad --max-batch value\n");
-                return 2;
-            }
-            options.maxBatch = size;
         } else if (flag == "--manifest-out" && nextValue(&value)) {
             options.manifestPath = value;
         } else {
