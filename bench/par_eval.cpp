@@ -7,7 +7,7 @@
  * 1/2/4/8 threads (dedup + SoA cost kernels + work-stealing
  * chunks) — and FAILS (nonzero exit) when the 8-thread batch path
  * does not clear the target speedup or any width diverges from the
- * serial values bit-for-bit. The cached ParallelEvaluator path is
+ * serial values bit-for-bit. The cached path (evaluateCachedBatch) is
  * measured and reported alongside for context, not gated: its
  * serial baseline already amortizes repeats through the cache.
  *
@@ -171,15 +171,14 @@ main()
                     threads, sec, speedup, identical ? "yes" : "NO");
     }
 
-    // Context: the cached ParallelEvaluator path (search loops that
-    // revisit configs). Speedup is against the CACHED serial loop.
+    // Context: the cached batch path (search loops that revisit
+    // configs). Speedup is against the CACHED serial loop.
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         CachingEvaluator cache;
         ThreadPool pool(threads);
-        const ParallelEvaluator parallel(cache, pool);
         const auto t0 = std::chrono::steady_clock::now();
         const std::vector<EvalResult> got =
-            parallel.evaluateBatch(batch, resnet.layers);
+            evaluateCachedBatch(cache, batch, resnet, pool);
         const auto t1 = std::chrono::steady_clock::now();
         const double sec = seconds(t0, t1);
         const double speedup = cachedSec / sec;

@@ -100,10 +100,10 @@ CachingEvaluator::CachingEvaluator(const Evaluator &inner)
 }
 
 std::uint64_t
-CachingEvaluator::configKey(const AcceleratorConfig &arch) const
+CachingEvaluator::snappedConfigKey(const AcceleratorConfig &snapped) const
 {
     // Pack the six grid indices into 59 bits (3+6+7+15+11+17).
-    const auto idx = designSpace().toIndices(arch);
+    const auto idx = designSpace().toIndices(snapped);
     std::uint64_t key = 0;
     for (int p = 0; p < numHwParams; ++p) {
         VAESA_EXPECT(idx[p] >= 0 &&
@@ -167,7 +167,7 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
     // off-grid values would alias the snapped point), and key the
     // config once: the keys differ only by layer.
     const AcceleratorConfig snapped = snapConfig(arch);
-    const std::uint64_t config = configKey(snapped);
+    const std::uint64_t config = snappedConfigKey(snapped);
     const std::size_t n = layers.size();
     std::vector<BatchKey> keys(n);
     for (std::size_t i = 0; i < n; ++i)

@@ -54,10 +54,10 @@ namespace vaesa {
  * BATCH PROTOCOL: the probeBatch()/insertBatch()/accountBatch()
  * primitives let a caller holding MANY keys amortize locking — each
  * shard is locked once per batch instead of once per key, and the
- * caller merges results computed outside any lock (the thread-local
- * views of sched/parallel_evaluator.cc). Counter semantics are
- * preserved exactly: accountBatch(lookups, misses) produces the same
- * hit/miss totals the per-key path would have.
+ * caller merges results computed outside any lock (evaluateWorkload
+ * below; evaluateCachedBatch in sched/parallel_evaluator.hh). The
+ * counters stay exact: accountBatch(lookups, misses) produces the
+ * same hit/miss totals the per-key path would have.
  */
 class CachingEvaluator
 {
@@ -113,9 +113,9 @@ class CachingEvaluator
 
     /** @name Batch protocol (see class comment)
      *
-     * The canonical sequence, per (layer, key-set) batch:
-     *   1. snapConfig() each config, layerKey() the layer, build
-     *      BatchKeys from snappedConfigKey() and the layer id;
+     * The canonical sequence, per key-set batch:
+     *   1. snapConfig() each config, layerKey() each layer, build
+     *      BatchKeys from snappedConfigKey() and the layer ids;
      *   2. probeBatch() — one locked pass filling cached results;
      *   3. evaluate the missing keys OUTSIDE any lock (thread-local
      *      result views, e.g. via Evaluator::evaluateLayerBatch);
@@ -137,10 +137,7 @@ class CachingEvaluator
      *  once per config when keying it against many layers (it is
      *  layer-independent; the BatchKey pairs it with layerKey()). */
     std::uint64_t snappedConfigKey(
-        const AcceleratorConfig &snapped) const
-    {
-        return configKey(snapped);
-    }
+        const AcceleratorConfig &snapped) const;
 
     /**
      * Locked-once-per-shard lookup of keys [0, n): found[i] is
@@ -216,8 +213,6 @@ class CachingEvaluator
     /** Lock shard.shardMutex, counting contended acquisitions. */
     static void lockShard(const Shard &shard)
         VAESA_ACQUIRE(shard.shardMutex);
-
-    std::uint64_t configKey(const AcceleratorConfig &arch) const;
 
     Evaluator inner_;
     /** Append-only shape registry; shared lock to scan, unique to

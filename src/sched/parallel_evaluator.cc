@@ -42,14 +42,10 @@ struct ConfigHash
 
 /**
  * Run body(begin, end) over [0, n) across the pool in work-stealing
- * chunks: workers claim [cursor, cursor+chunk) slices off a shared
- * atomic, each slice writing only its own disjoint outputs (the
- * thread-local view; no lock, no sharing). The "batch_chunk" fault
- * site AND the optional cancellation token fire at the claim point,
- * BEFORE the chunk computes, so an injected kill or an expired
- * deadline surfaces as an exception from parallelFor after in-flight
- * chunks finish — callers must not merge or account anything when
- * this throws (the all-or-nothing batch contract).
+ * chunks claimed off a shared atomic cursor; each chunk writes only
+ * its own outputs. The "batch_chunk" fault site and @p cancel fire
+ * at the claim, before the chunk computes, and throw from here after
+ * in-flight chunks finish.
  */
 template <class Body>
 void
@@ -80,34 +76,82 @@ forEachStolenChunk(std::size_t n, ThreadPool &pool,
     });
 }
 
+/** Probe state of one (distinct config, layer) cell of a cached
+ *  batch; probeBatch() writes the first two. */
+enum ProbeState : unsigned char { probeMiss, probeFound, probeComputed };
+
+/** The cache side of a cached batch, one row of layer cells per
+ *  distinct config: the probed or computed result, its ProbeState,
+ *  and firstOf[l], the first layer with layer l's shape. */
+struct ProbedRows
+{
+    EvalResult *results;
+    unsigned char *state;
+    const std::uint32_t *firstOf;
+};
+
 /**
- * Score configs [0, n) over the whole workload into totals[0, n):
- * each layer is one SoA batch call over the configs still alive,
- * whose results enter their totals, weighted by the layer's count,
- * in layer order with the serial loop's ops. A config leaves at its
- * first invalid layer with zeroed totals, exactly like the serial
- * early exit, so the sums and evaluationCount() both match the
- * serial loop.
+ * Score configs [begin, end) over the whole workload into the same
+ * slots of totals: each layer is one SoA batch call over the configs
+ * still alive, whose results enter their totals, weighted by the
+ * layer's count, in layer order with the serial loop's ops. A config
+ * leaves at its first invalid layer with zeroed totals, exactly like
+ * the serial early exit, so the sums and evaluationCount() both
+ * match the serial loop. With @p rows, only the cells the probe
+ * missed are computed and marked probeComputed; a repeated shape
+ * copies its first layer's cell and is marked probeFound (a hit).
  */
 void
 scoreConfigChunk(const Evaluator &evaluator,
-                 const AcceleratorConfig *configs, std::size_t n,
-                 const Workload &workload, EvalResult *totals)
+                 const AcceleratorConfig *configs, std::size_t begin,
+                 std::size_t end, const Workload &workload,
+                 const ProbedRows *rows, EvalResult *totals)
 {
-    std::vector<std::uint32_t> alive(n);
-    std::iota(alive.begin(), alive.end(), 0);
-    std::vector<AcceleratorConfig> live(configs, configs + n);
-    std::vector<EvalResult> layerResults(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t layers = workload.layers.size();
+    std::vector<std::uint32_t> alive(end - begin);
+    std::iota(alive.begin(), alive.end(),
+              static_cast<std::uint32_t>(begin));
+    std::vector<AcceleratorConfig> live(configs + begin, configs + end);
+    std::vector<EvalResult> layerResults(alive.size());
+    std::vector<std::size_t> missCells;
+    std::vector<AcceleratorConfig> missing;
+    for (const std::uint32_t i : alive) {
         totals[i] = EvalResult{};
         totals[i].valid = true;
     }
-    for (std::size_t li = 0;
-         li < workload.layers.size() && !alive.empty(); ++li) {
+    for (std::size_t li = 0; li < layers && !alive.empty(); ++li) {
+        const LayerShape &layer = workload.layers[li];
+        if (rows == nullptr) {
+            evaluator.evaluateLayerBatch(live.data(), alive.size(),
+                                         layer, layerResults.data());
+        } else {
+            // Compute only the missed cells, then read every alive
+            // config's result back out of its row.
+            missCells.clear();
+            missing.clear();
+            for (const std::uint32_t i : alive) {
+                const std::size_t cell = i * layers + li;
+                if (rows->state[cell] != probeMiss)
+                    continue;
+                if (rows->firstOf[li] != li) {
+                    rows->results[cell] =
+                        rows->results[cell - li + rows->firstOf[li]];
+                    rows->state[cell] = probeFound;
+                } else {
+                    missCells.push_back(cell);
+                    missing.push_back(configs[i]);
+                }
+            }
+            evaluator.evaluateLayerBatch(missing.data(), missing.size(),
+                                         layer, layerResults.data());
+            for (std::size_t k = 0; k < missCells.size(); ++k) {
+                rows->results[missCells[k]] = layerResults[k];
+                rows->state[missCells[k]] = probeComputed;
+            }
+            for (std::size_t j = 0; j < alive.size(); ++j)
+                layerResults[j] = rows->results[alive[j] * layers + li];
+        }
         const double weight = static_cast<double>(workload.countOf(li));
-        evaluator.evaluateLayerBatch(live.data(), alive.size(),
-                                     workload.layers[li],
-                                     layerResults.data());
         std::size_t kept = 0;
         for (std::size_t j = 0; j < alive.size(); ++j) {
             const EvalResult &r = layerResults[j];
@@ -126,6 +170,59 @@ scoreConfigChunk(const Evaluator &evaluator,
     }
     for (const std::uint32_t i : alive)
         totals[i].edp = totals[i].latencyCycles * totals[i].energyPj;
+}
+
+/** A batch with its exact duplicates folded:
+ *  configs[i] == uniques[slotOf[i]]. */
+struct FoldedBatch
+{
+    std::vector<AcceleratorConfig> uniques;
+    std::vector<std::uint32_t> slotOf;
+};
+
+FoldedBatch
+foldDuplicates(const std::vector<AcceleratorConfig> &configs)
+{
+    FoldedBatch batch;
+    batch.slotOf.resize(configs.size());
+    std::unordered_map<AcceleratorConfig, std::uint32_t, ConfigHash>
+        uniqueOf;
+    uniqueOf.reserve(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto [it, inserted] = uniqueOf.emplace(
+            configs[i],
+            static_cast<std::uint32_t>(batch.uniques.size()));
+        if (inserted)
+            batch.uniques.push_back(configs[i]);
+        batch.slotOf[i] = it->second;
+    }
+    return batch;
+}
+
+/**
+ * The one batch engine: score the distinct configs of @p batch in
+ * stolen chunks (one fork/join per batch) and scatter the totals
+ * back to input order. @p rows is null when uncached. Throws, with
+ * nothing returned, when a chunk claim hits the fault site or an
+ * expired @p cancel.
+ */
+std::vector<EvalResult>
+scoreBatch(const Evaluator &evaluator, const FoldedBatch &batch,
+           const Workload &workload, ThreadPool &pool,
+           const CancelToken *cancel, const ProbedRows *rows)
+{
+    std::vector<EvalResult> uniqueTotals(batch.uniques.size());
+    forEachStolenChunk(batch.uniques.size(), pool, cancel,
+                       [&](std::size_t begin, std::size_t end) {
+                           scoreConfigChunk(evaluator,
+                                            batch.uniques.data(), begin,
+                                            end, workload, rows,
+                                            uniqueTotals.data());
+                       });
+    std::vector<EvalResult> totals(batch.slotOf.size());
+    for (std::size_t i = 0; i < totals.size(); ++i)
+        totals[i] = uniqueTotals[batch.slotOf[i]];
+    return totals;
 }
 
 } // namespace
@@ -149,176 +246,75 @@ evaluateConfigBatch(const Evaluator &evaluator,
                     const std::vector<AcceleratorConfig> &configs,
                     const Workload &workload, ThreadPool &pool)
 {
-    // Config-major: exact duplicates are folded once per batch, then
-    // the pool steals chunks of unique configs (one fork/join per
-    // batch) and each chunk walks every layer on its own.
-    const std::size_t n = configs.size();
-    std::vector<AcceleratorConfig> uniques;
-    std::vector<std::uint32_t> slotOf(n);
-    std::unordered_map<AcceleratorConfig, std::uint32_t, ConfigHash>
-        uniqueOf;
-    uniqueOf.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto [it, inserted] = uniqueOf.emplace(
-            configs[i], static_cast<std::uint32_t>(uniques.size()));
-        if (inserted)
-            uniques.push_back(configs[i]);
-        slotOf[i] = it->second;
-    }
-
-    std::vector<EvalResult> uniqueTotals(uniques.size());
-    forEachStolenChunk(uniques.size(), pool, nullptr,
-                       [&](std::size_t begin, std::size_t end) {
-                           scoreConfigChunk(evaluator,
-                                            uniques.data() + begin,
-                                            end - begin, workload,
-                                            uniqueTotals.data() + begin);
-                       });
-
-    std::vector<EvalResult> totals(n);
-    for (std::size_t i = 0; i < n; ++i)
-        totals[i] = uniqueTotals[slotOf[i]];
-    return totals;
-}
-
-ParallelEvaluator::ParallelEvaluator(const CachingEvaluator &cache,
-                                     ThreadPool &pool)
-    : cache_(&cache), pool_(&pool)
-{
-}
-
-void
-ParallelEvaluator::scoreLayerSubset(const AcceleratorConfig *snapped,
-                                    const std::uint64_t *configKeys,
-                                    const std::uint32_t *idx,
-                                    std::size_t m,
-                                    const LayerShape &layer,
-                                    EvalResult *results) const
-{
-    if (m == 0)
-        return;
-    const CachingEvaluator &cache = *cache_;
-    const std::uint32_t layerId = cache.layerKey(layer);
-
-    // Pair the hoisted per-config key halves with this layer's id;
-    // the snap/pack work itself happened once, at batch entry.
-    std::vector<CachingEvaluator::BatchKey> keys(m);
-    for (std::size_t j = 0; j < m; ++j)
-        keys[j] = CachingEvaluator::BatchKey{configKeys[idx[j]],
-                                             layerId};
-
-    // Probe: each shard locked once for the whole batch.
-    std::vector<EvalResult> local(m);
-    std::vector<unsigned char> found(m, 0);
-    cache.probeBatch(keys.data(), m, local.data(), found.data());
-
-    // Dedup the misses (duplicate keys share one evaluation; the
-    // serial path would have hit the cache for the repeats, so the
-    // hit/miss accounting below still matches it exactly).
-    std::unordered_map<CachingEvaluator::BatchKey, std::uint32_t,
-                       CachingEvaluator::BatchKeyHash>
-        uniqueOf;
-    std::vector<std::uint32_t> uniqueRep;
-    std::vector<std::uint32_t> missSlot(m, 0);
-    for (std::size_t j = 0; j < m; ++j) {
-        if (found[j])
-            continue;
-        const auto [it, inserted] = uniqueOf.emplace(
-            keys[j], static_cast<std::uint32_t>(uniqueRep.size()));
-        if (inserted)
-            uniqueRep.push_back(static_cast<std::uint32_t>(j));
-        missSlot[j] = it->second;
-    }
-
-    const std::size_t u = uniqueRep.size();
-    if (u > 0) {
-        std::vector<AcceleratorConfig> uniqueConfigs(u);
-        std::vector<CachingEvaluator::BatchKey> uniqueKeys(u);
-        for (std::size_t k = 0; k < u; ++k) {
-            uniqueConfigs[k] = snapped[idx[uniqueRep[k]]];
-            uniqueKeys[k] = keys[uniqueRep[k]];
-        }
-        // Evaluate outside any lock; throws (an injected batch_chunk
-        // fault or an expired cancellation token) propagate from
-        // here and skip the merge and accounting below —
-        // all-or-nothing.
-        std::vector<EvalResult> uniqueResults(u);
-        forEachStolenChunk(u, *pool_, cancel_,
-                           [&](std::size_t begin, std::size_t end) {
-                               cache.inner().evaluateLayerBatch(
-                                   uniqueConfigs.data() + begin,
-                                   end - begin, layer,
-                                   uniqueResults.data() + begin);
-                           });
-
-        // Merge the thread-local views once, at batch end.
-        cache.insertBatch(uniqueKeys.data(), uniqueResults.data(), u);
-        for (std::size_t j = 0; j < m; ++j) {
-            if (!found[j])
-                local[j] = uniqueResults[missSlot[j]];
-        }
-    }
-    cache.accountBatch(m, u);
-
-    for (std::size_t j = 0; j < m; ++j)
-        results[idx[j]] = local[j];
+    return scoreBatch(evaluator, foldDuplicates(configs), workload,
+                      pool, nullptr, nullptr);
 }
 
 std::vector<EvalResult>
-ParallelEvaluator::evaluateBatch(
-    const std::vector<AcceleratorConfig> &configs,
-    const std::vector<LayerShape> &workload) const
+evaluateCachedBatch(const CachingEvaluator &cache,
+                    const std::vector<AcceleratorConfig> &configs,
+                    const Workload &workload, ThreadPool &pool,
+                    const CancelToken *cancel)
 {
-    const std::size_t n = configs.size();
-    std::vector<EvalResult> totals(n);
-    for (EvalResult &t : totals)
-        t.valid = true;
+    // Fold by snapped point: the cache key is the grid index, so
+    // configs that snap together share every entry.
+    std::vector<AcceleratorConfig> snapped;
+    snapped.reserve(configs.size());
+    for (const AcceleratorConfig &config : configs)
+        snapped.push_back(cache.snapConfig(config));
+    const FoldedBatch batch = foldDuplicates(snapped);
 
-    // Alive mask: a config invalid at layer L stops looking up
-    // layers past L, exactly like the serial per-config early exit —
-    // this is what keeps cache hit/miss totals identical to the
-    // serial path, not just the sums.
-    std::vector<std::uint32_t> alive(n);
-    std::iota(alive.begin(), alive.end(), 0);
-
-    // Hoist the layer-independent per-config work: snap each config
-    // to its grid point and pack its 59-bit key half ONCE, instead
-    // of re-deriving both inside every one of the L layer passes.
-    std::vector<AcceleratorConfig> snapped(n);
-    std::vector<std::uint64_t> cfgKeys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        snapped[i] = cache_->snapConfig(configs[i]);
-        cfgKeys[i] = cache_->snappedConfigKey(snapped[i]);
+    const std::size_t layers = workload.layers.size();
+    std::vector<std::uint32_t> layerIds(layers);
+    std::vector<std::uint32_t> firstOf(layers);
+    for (std::size_t li = 0; li < layers; ++li) {
+        layerIds[li] = cache.layerKey(workload.layers[li]);
+        firstOf[li] = static_cast<std::uint32_t>(
+            std::find(layerIds.begin(), layerIds.begin() + li + 1,
+                      layerIds[li]) -
+            layerIds.begin());
     }
+    const std::size_t cells = batch.uniques.size() * layers;
+    std::vector<CachingEvaluator::BatchKey> keys(cells);
+    for (std::size_t c = 0; c < batch.uniques.size(); ++c) {
+        const std::uint64_t config =
+            cache.snappedConfigKey(batch.uniques[c]);
+        for (std::size_t li = 0; li < layers; ++li)
+            keys[c * layers + li] = {config, layerIds[li]};
+    }
+    std::vector<EvalResult> results(cells);
+    std::vector<unsigned char> state(cells);
+    cache.probeBatch(keys.data(), cells, results.data(), state.data());
 
-    std::vector<EvalResult> layerResults(n);
-    for (const LayerShape &layer : workload) {
-        if (alive.empty())
-            break;
-        scoreLayerSubset(snapped.data(), cfgKeys.data(),
-                         alive.data(), alive.size(), layer,
-                         layerResults.data());
+    const ProbedRows rows{results.data(), state.data(), firstOf.data()};
+    std::vector<EvalResult> totals = scoreBatch(
+        cache.inner(), batch, workload, pool, cancel, &rows);
 
-        std::vector<std::uint32_t> next;
-        next.reserve(alive.size());
-        for (const std::uint32_t i : alive) {
-            const EvalResult &r = layerResults[i];
-            EvalResult &t = totals[i];
-            if (!r.valid) {
-                t = EvalResult{};
-                continue;
+    // Merge on the calling thread, after the join. Each distinct
+    // config walked its layers up to its first invalid one; every
+    // input copy of it counts that walk as lookups, exactly like a
+    // serial evaluateWorkload() loop.
+    std::vector<CachingEvaluator::BatchKey> computedKeys;
+    std::vector<EvalResult> computed;
+    std::vector<std::uint64_t> walked(batch.uniques.size(), 0);
+    for (std::size_t c = 0; c < batch.uniques.size(); ++c) {
+        for (std::size_t cell = c * layers; cell < (c + 1) * layers;
+             ++cell) {
+            ++walked[c];
+            if (state[cell] == probeComputed) {
+                computedKeys.push_back(keys[cell]);
+                computed.push_back(results[cell]);
             }
-            t.latencyCycles += r.latencyCycles;
-            t.energyPj += r.energyPj;
-            next.push_back(i);
+            if (!results[cell].valid)
+                break;
         }
-        alive.swap(next);
     }
-
-    for (EvalResult &t : totals) {
-        if (t.valid)
-            t.edp = t.latencyCycles * t.energyPj;
-    }
+    cache.insertBatch(computedKeys.data(), computed.data(),
+                      computed.size());
+    std::uint64_t lookups = 0;
+    for (const std::uint32_t slot : batch.slotOf)
+        lookups += walked[slot];
+    cache.accountBatch(lookups, computed.size());
     return totals;
 }
 

@@ -1,32 +1,26 @@
 /**
  * @file
- * Batch evaluation APIs on top of the thread pool: score many
- * (config, workload) pairs concurrently, with results bit-identical
- * to the serial Evaluator loops. This is the scaling layer every
- * search driver funnels its bulk cost-model queries through (the
- * ROADMAP's batching axis); determinism is preserved because every
- * sum keeps the serial loop's operand order: a config's totals are
- * accumulated in layer order by one thread, and results come back in
- * input order.
+ * Batch evaluation on the thread pool: score many configs on one
+ * workload, bit-identical to the serial Evaluator loops, because a
+ * config's totals are summed in layer order by one thread and
+ * results come back in input order.
  *
- * CACHED BATCH PIPELINE (ParallelEvaluator; the DESIGN.md
- * batch-evaluation contract): each layer of a batch runs dedup ->
- * probe -> evaluate -> merge -> account:
- *   1. snap + key every config, then deduplicate keys (searches
- *      repeatedly decode to the same snapped config, so a batch of N
- *      often holds far fewer distinct keys);
- *   2. one locked-per-shard probeBatch() against the memo cache;
- *   3. the missing distinct keys are evaluated through the SoA batch
- *      cost model in work-stealing CHUNKS (chunkSizeFor()) claimed
- *      off a shared atomic cursor — each chunk's results land in a
- *      thread-local slice, no lock held while evaluating;
- *   4. the slices are merged into the cache once, at batch end
- *      (insertBatch), and the counters folded with accountBatch(),
- *      reproducing the serial path's hit/miss totals exactly;
- *   5. results scatter back to input order on the calling thread.
- * A fault or exception inside step 3 propagates after in-flight
- * chunks finish and SKIPS steps 4-5, so a killed batch is
- * all-or-nothing: no partial merge, no counter drift.
+ * ONE ENGINE, CONFIG-MAJOR (the DESIGN.md batch contract), behind
+ * an uncached and a cached entry point:
+ *   1. fold duplicate configs once per batch;
+ *   2. cached: key every (distinct config, layer) pair and make one
+ *      locked-per-shard probeBatch();
+ *   3. the pool steals chunks (chunkSizeFor()) of distinct configs —
+ *      one fork/join per batch — and each chunk walks every layer
+ *      through the SoA cost model, computing only what the probe
+ *      missed into its own rows, no lock held;
+ *   4. cached: after the join, the calling thread inserts the
+ *      computed entries (insertBatch) and folds the counters
+ *      (accountBatch) to a serial loop's exact hit/miss totals;
+ *   5. results scatter back to input order.
+ * A fault or expired token at a chunk claim throws after in-flight
+ * chunks finish and skips steps 4-5: a killed batch is
+ * all-or-nothing, with no partial merge and no counter drift.
  */
 
 #ifndef VAESA_SCHED_PARALLEL_EVALUATOR_HH
@@ -37,6 +31,7 @@
 #include "sched/caching_evaluator.hh"
 #include "util/deadline.hh"
 #include "util/thread_pool.hh"
+#include "workload/networks.hh"
 
 namespace vaesa {
 
@@ -55,20 +50,14 @@ std::size_t chunkSizeFor(std::size_t items, std::size_t threads);
 
 /**
  * Score configs[i] on the whole workload into result i on a plain
- * (cache-free) Evaluator — the uncached driver fast path. Results
- * are bit-identical to calling evaluator.evaluateWorkload(config,
- * workload) per config: layer i's latency/energy enter each config's
- * totals weighted by workload.countOf(i), multiplied before the
- * in-order accumulation (an empty counts vector weighs every layer
- * exactly 1.0). Exact duplicate configs are folded once per batch
- * (evaluation is deterministic, so sharing one result is lossless);
- * the pool then steals chunks of distinct configs — one fork/join
- * per batch — and each chunk scores every layer through the SoA
- * batch cost model with an alive mask that reproduces the serial
- * early-exit (a config invalid at layer L is not scored past L).
- * Dedup means the evaluator's evaluationCount() advances by distinct
- * work, not input size. The "batch_chunk" fault site fires once per
- * claimed chunk; a throw returns nothing.
+ * (cache-free) Evaluator, bit-identical to
+ * evaluator.evaluateWorkload(config, workload) per config: each
+ * layer's latency/energy is weighted by workload.countOf(layer)
+ * before the in-order accumulation, and a config invalid at layer L
+ * is not scored past L. Exact duplicates are folded once per batch,
+ * so evaluationCount() advances by distinct work, not input size.
+ * The "batch_chunk" fault site fires once per claimed chunk; a throw
+ * returns nothing.
  */
 std::vector<EvalResult> evaluateConfigBatch(
     const Evaluator &evaluator,
@@ -76,62 +65,26 @@ std::vector<EvalResult> evaluateConfigBatch(
     const Workload &workload, ThreadPool &pool);
 
 /**
- * Batch front-end over a shared CachingEvaluator and a ThreadPool.
- * Borrows both (they must outlive this). All methods are safe to
- * call from one thread while the pool's workers fan the batch out;
- * do not call them from inside a pool task (see
- * ThreadPool::parallelFor).
+ * The same batch through the shared memo cache @p cache: configs are
+ * snapped to the grid (the cache key) and folded by snapped point,
+ * every (config, layer) key is probed once, and only the misses are
+ * computed on cache.inner(). A layer whose shape repeats an earlier
+ * one reuses that layer's result and counts as a hit. Results equal
+ * cache.inner().evaluateWorkload(snapped config, workload) bit for
+ * bit (occurrence counts included), and the hit/miss totals equal a
+ * cache.evaluateWorkload() loop over the inputs, duplicates included.
+ *
+ * @p cancel (borrowed, may be null) is checked at every chunk claim,
+ * like the "batch_chunk" fault site. Either one firing throws after
+ * in-flight chunks finish and leaves the cache exactly as it was: no
+ * entry inserted, no hit or miss counted. Do not call from inside a
+ * task of @p pool (see ThreadPool::parallelFor).
  */
-class ParallelEvaluator
-{
-  public:
-    ParallelEvaluator(const CachingEvaluator &cache, ThreadPool &pool);
-
-    /**
-     * Score configs[i] on the whole workload into result i. Runs
-     * layer-by-layer over the batch through the chunked pipeline
-     * above, with an alive mask reproducing the serial early-exit:
-     * a config invalid at layer L does not look up layers beyond L,
-     * so both the results AND the cache hit/miss totals are
-     * identical to calling cache.evaluateWorkload per config. Sums
-     * accumulate in layer order on the calling thread.
-     */
-    std::vector<EvalResult> evaluateBatch(
-        const std::vector<AcceleratorConfig> &configs,
-        const std::vector<LayerShape> &workload) const;
-
-    /**
-     * Observe @p token (borrowed; may be nullptr to detach) at every
-     * chunk-claim checkpoint. Expiry throws DeadlineExceeded from
-     * the batch call after in-flight chunks finish, taking the SAME
-     * all-or-nothing exit as an injected fault: no partial merge, no
-     * counter drift — so a request killed by its deadline leaves the
-     * shared cache exactly as a never-started one. Set it before
-     * sharing the evaluator with workers; one evaluator instance
-     * serves one request at a time (instances are cheap views over
-     * the shared cache + pool, so concurrent requests each build
-     * their own).
-     */
-    void setCancelToken(const CancelToken *token) { cancel_ = token; }
-
-  private:
-    /** One layer of the pipeline over the items snapped[idx[j]],
-     *  j in [0, m); writes results[idx[j]]. @p snapped and
-     *  @p configKeys are the HOISTED per-config snap/key arrays
-     *  (snapConfig() result and its snappedConfigKey()), computed
-     *  once per batch call and reused for every layer — re-deriving
-     *  them per layer was pure redundant work (the snap and the
-     *  59-bit packing are layer-independent). */
-    void scoreLayerSubset(const AcceleratorConfig *snapped,
-                          const std::uint64_t *configKeys,
-                          const std::uint32_t *idx, std::size_t m,
-                          const LayerShape &layer,
-                          EvalResult *results) const;
-
-    const CachingEvaluator *cache_;
-    ThreadPool *pool_;
-    const CancelToken *cancel_ = nullptr;
-};
+std::vector<EvalResult> evaluateCachedBatch(
+    const CachingEvaluator &cache,
+    const std::vector<AcceleratorConfig> &configs,
+    const Workload &workload, ThreadPool &pool,
+    const CancelToken *cancel = nullptr);
 
 } // namespace vaesa
 

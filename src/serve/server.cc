@@ -55,9 +55,9 @@ serveMetrics()
 /**
  * Input-space objective of one serve request: decodes [0,1]^6 box
  * points exactly like the paper's `random`/`bo` baselines but scores
- * through the SHARED memo cache with a per-request ParallelEvaluator
- * view, so every request warms the cache for the next one and a
- * deadline firing mid-batch takes the pipeline's all-or-nothing exit
+ * through the SHARED memo cache with evaluateCachedBatch, so every
+ * request warms the cache for the next one and a deadline firing
+ * mid-batch takes the batch engine's all-or-nothing exit
  * (no partial merge, no counter drift). A batch killed by its
  * deadline scores invalidScore so the driver reaches its own
  * boundary check and returns the partial best-so-far trace instead
@@ -69,10 +69,9 @@ class ServeObjective : public Objective
     ServeObjective(const CachingEvaluator &cache, ThreadPool &pool,
                    const std::vector<LayerShape> &layers,
                    const CancelToken *cancel)
-        : decoder_(cache.inner(), layers), cache_(cache),
-          layers_(layers), batch_(cache, pool)
+        : decoder_(cache.inner(), layers), cache_(cache), pool_(pool),
+          cancel_(cancel), workload_{"", layers, {}}
     {
-        batch_.setCancelToken(cancel);
     }
 
     std::size_t dim() const override { return decoder_.dim(); }
@@ -93,7 +92,8 @@ class ServeObjective : public Objective
     evaluate(const std::vector<double> &x) override
     {
         return metricValue(
-            cache_.evaluateWorkload(decoder_.decode(x), layers_),
+            cache_.evaluateWorkload(decoder_.decode(x),
+                                    workload_.layers),
             Metric::Edp);
     }
 
@@ -110,7 +110,8 @@ class ServeObjective : public Objective
         std::vector<double> out(xs.size(), invalidScore);
         try {
             const std::vector<EvalResult> results =
-                batch_.evaluateBatch(configs, layers_);
+                evaluateCachedBatch(cache_, configs, workload_, pool_,
+                                    cancel_);
             for (std::size_t i = 0; i < xs.size(); ++i)
                 out[i] = metricValue(results[i], Metric::Edp);
         } catch (const DeadlineExceeded &) {
@@ -131,8 +132,9 @@ class ServeObjective : public Objective
   private:
     InputSpaceObjective decoder_;
     const CachingEvaluator &cache_;
-    const std::vector<LayerShape> &layers_;
-    ParallelEvaluator batch_;
+    ThreadPool &pool_;
+    const CancelToken *cancel_;
+    const Workload workload_;
 };
 
 /**

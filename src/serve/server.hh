@@ -9,11 +9,11 @@
  * sharded CachingEvaluator. ScoreConfig and DecodeLatent scoring run
  * on the handler's own thread with one cache probe per request
  * (CachingEvaluator::evaluateWorkload); SearchK fans its bulk
- * cost-model work onto a separate EVAL pool through per-request
- * ParallelEvaluator views. Two pools because ParallelEvaluator must
- * not run inside its own pool's tasks (ThreadPool::parallelFor is
- * non-reentrant): service workers block on eval-pool batches, never
- * on their own queue.
+ * cost-model work onto a separate EVAL pool through
+ * evaluateCachedBatch. Two pools because a batch must not run inside
+ * its own pool's tasks (ThreadPool::parallelFor is non-reentrant):
+ * service workers block on eval-pool batches, never on their own
+ * queue.
  *
  * ADMISSION CONTROL. Connections beyond maxConnections receive an
  * unsolicited REJECTED_OVERLOAD response and are closed before any

@@ -238,10 +238,10 @@ std::vector<Workload>
 trainingWorkloads()
 {
     return {
-        {"alexnet", alexNetLayers()},
-        {"resnet50", resNet50Layers()},
-        {"resnext50", resNext50Layers()},
-        {"deepbench", deepBenchLayers()},
+        {"alexnet", alexNetLayers(), {}},
+        {"resnet50", resNet50Layers(), {}},
+        {"resnext50", resNext50Layers(), {}},
+        {"deepbench", deepBenchLayers(), {}},
     };
 }
 

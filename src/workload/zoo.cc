@@ -82,7 +82,7 @@ transformerWorkload(std::string name, const TransformerConfig &config)
     const double H = static_cast<double>(config.hidden);
     const double F = static_cast<double>(config.ffn);
     const double L = static_cast<double>(config.blocks);
-    const double expected =
+    [[maybe_unused]] const double expected =
         L * (4.0 * S * H * H + 2.0 * S * H * F + 2.0 * S * S * H);
     VAESA_ENSURE(w.totalMacs() == expected,
                  "transformerWorkload: MAC total disagrees with the "

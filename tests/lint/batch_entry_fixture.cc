@@ -2,10 +2,10 @@
  * @file
  * Negative lint fixture: any direct evaluateConfigBatch() call in
  * the serve tree must be flagged -- serve handlers score through
- * CachingEvaluator::evaluateWorkload (one cache probe per request),
- * never through their own per-request evaluator dispatch. Unlike the
- * socket ban, MEMBER calls are exactly the violation here, so the
- * fixture uses one.
+ * CachingEvaluator::evaluateWorkload (one cache probe per request)
+ * and batch through evaluateCachedBatch (the cached engine), never
+ * through the uncached entry point. Unlike the socket ban, MEMBER
+ * calls are exactly the violation here, so the fixture uses one.
  *
  * Never compiled; only scanned by lint.batch_entry_fixture.
  */

@@ -2,8 +2,8 @@
  * @file
  * Golden regression test for the BATCH evaluation pipeline: the same
  * frozen probe grid as golden_eval.csv, but scored through
- * ParallelEvaluator::evaluateBatch over one-layer workloads (cache
- * probe + SoA batch cost model + work-stealing chunks), and frozen
+ * evaluateCachedBatch over one-layer workloads (cache probe + SoA
+ * batch cost model + work-stealing chunks), and frozen
  * into its own CSV compared at 0 ULP. A batch-path refactor that
  * drifts from the scalar landscape — even in the last bit — fails
  * here even if the scalar golden file still passes. The cost path
@@ -80,14 +80,13 @@ computeRows()
     const Evaluator evaluator;
     const CachingEvaluator cache(evaluator);
     ThreadPool pool(4);
-    const ParallelEvaluator parallel(cache, pool);
 
     const auto configs = goldenConfigs();
     const auto layers = resNet50Layers();
     std::vector<GoldenRow> rows;
     for (std::size_t l : goldenLayerIndices()) {
-        const std::vector<EvalResult> results =
-            parallel.evaluateBatch(configs, {layers[l]});
+        const std::vector<EvalResult> results = evaluateCachedBatch(
+            cache, configs, {"", {layers[l]}, {}}, pool);
         for (std::size_t c = 0; c < configs.size(); ++c) {
             const EvalResult &r = results[c];
             rows.push_back({c, l, r.valid ? 1 : 0, r.latencyCycles,

@@ -159,9 +159,8 @@ TEST(ParallelCache, ChunkedBatchStressMatchesSerialCounters)
     // 8 workers, chunked work stealing through a fresh cache.
     CachingEvaluator cache;
     ThreadPool pool(8);
-    const ParallelEvaluator parallel(cache, pool);
     const std::vector<EvalResult> got =
-        parallel.evaluateBatch(batch, layers);
+        evaluateCachedBatch(cache, batch, {"", layers, {}}, pool);
 
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -181,7 +180,7 @@ TEST(ParallelCache, ChunkedBatchStressMatchesSerialCounters)
     // A second pass over the same batch is pure hits.
     const std::uint64_t warmMisses = cache.misses();
     const std::vector<EvalResult> again =
-        parallel.evaluateBatch(batch, layers);
+        evaluateCachedBatch(cache, batch, {"", layers, {}}, pool);
     EXPECT_EQ(cache.misses(), warmMisses);
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(again[i].edp, got[i].edp);
@@ -199,14 +198,13 @@ TEST(ParallelCache, ContentionMetricIsMonotoneAcrossBatches)
 
     CachingEvaluator cache;
     ThreadPool pool(8);
-    const ParallelEvaluator parallel(cache, pool);
 
     metrics::Counter &global =
         metrics::counter("cache.shard_contention");
     std::uint64_t prevGlobal = global.value();
     std::uint64_t prevLocal = cache.contention();
     for (int round = 0; round < 4; ++round) {
-        parallel.evaluateBatch(batch, layers);
+        evaluateCachedBatch(cache, batch, {"", layers, {}}, pool);
         EXPECT_GE(global.value(), prevGlobal) << "round " << round;
         EXPECT_GE(cache.contention(), prevLocal) << "round " << round;
         prevGlobal = global.value();
@@ -230,9 +228,8 @@ TEST(ParallelCache, ShardCountIsFixedForTheInstanceLifetime)
     EXPECT_EQ(shards & (shards - 1), 0u);
 
     ThreadPool pool(8);
-    const ParallelEvaluator parallel(cache, pool);
-    parallel.evaluateBatch(overlappingConfigs(512, 8, 43),
-                           alexNetLayers());
+    evaluateCachedBatch(cache, overlappingConfigs(512, 8, 43),
+                        {"", alexNetLayers(), {}}, pool);
     cache.clear();
     EXPECT_EQ(cache.shardCount(), shards);
 }
@@ -250,11 +247,11 @@ TEST(ParallelCache, KillMidBatchIsAllOrNothing)
 
     CachingEvaluator cache;
     ThreadPool pool(4);
-    const ParallelEvaluator parallel(cache, pool);
 
     FaultInjector::instance().arm("batch_chunk", 1);
-    EXPECT_THROW(parallel.evaluateBatch(batch, {layers[0]}),
-                 InjectedFault);
+    EXPECT_THROW(
+        evaluateCachedBatch(cache, batch, {"", {layers[0]}, {}}, pool),
+        InjectedFault);
     EXPECT_EQ(FaultInjector::instance().hitCount("batch_chunk"), 1u);
 
     // All-or-nothing: the failed batch left no trace at all.
@@ -266,7 +263,7 @@ TEST(ParallelCache, KillMidBatchIsAllOrNothing)
     // the exact serial values, with misses proving the cache was
     // not pre-polluted by the killed batch.
     const std::vector<EvalResult> got =
-        parallel.evaluateBatch(batch, {layers[0]});
+        evaluateCachedBatch(cache, batch, {"", {layers[0]}, {}}, pool);
     CachingEvaluator serialCache;
     std::uint64_t distinct = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -297,11 +294,11 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
 
     CachingEvaluator cache;
     ThreadPool pool(8);
-    const ParallelEvaluator parallel(cache, pool);
 
     FaultInjector::instance().arm("batch_chunk", 2);
-    EXPECT_THROW(parallel.evaluateBatch(batch, {layers[1]}),
-                 InjectedFault);
+    EXPECT_THROW(
+        evaluateCachedBatch(cache, batch, {"", {layers[1]}, {}}, pool),
+        InjectedFault);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
 
@@ -309,7 +306,7 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
     // distinct snapped keys — nothing from the killed batch was
     // inserted.
     const std::vector<EvalResult> got =
-        parallel.evaluateBatch(batch, {layers[1]});
+        evaluateCachedBatch(cache, batch, {"", {layers[1]}, {}}, pool);
     CachingEvaluator serialCache;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =
@@ -323,6 +320,44 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
     EXPECT_EQ(cache.hits() + cache.misses(),
               serialCache.hits() + serialCache.misses());
     FaultInjector::instance().reset();
+}
+
+TEST(ParallelCache, CancelledBatchIsAllOrNothing)
+{
+    // An expired deadline takes the same exit as an injected fault:
+    // the token is checked at every chunk claim, the batch throws
+    // DeadlineExceeded, and the cache keeps no entry and no lookup
+    // from it. The retry then books exactly the serial loop's hits
+    // and misses, which it could not if anything had leaked in.
+    const auto allLayers = resNet50Layers();
+    const std::vector<LayerShape> layers(allLayers.begin(),
+                                         allLayers.begin() + 6);
+    const std::vector<AcceleratorConfig> batch =
+        overlappingConfigs(512, 48, 71);
+
+    CachingEvaluator cache;
+    ThreadPool pool(8);
+    CancelToken expired;
+    expired.cancel();
+    EXPECT_THROW(evaluateCachedBatch(cache, batch, {"", layers, {}},
+                                     pool, &expired),
+                 DeadlineExceeded);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+
+    const std::vector<EvalResult> got =
+        evaluateCachedBatch(cache, batch, {"", layers, {}}, pool);
+    CachingEvaluator serialCache;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const EvalResult expected =
+            serialCache.evaluateWorkload(batch[i], layers);
+        EXPECT_EQ(got[i].valid, expected.valid);
+        EXPECT_EQ(got[i].latencyCycles, expected.latencyCycles);
+        EXPECT_EQ(got[i].energyPj, expected.energyPj);
+        EXPECT_EQ(got[i].edp, expected.edp);
+    }
+    EXPECT_EQ(cache.hits(), serialCache.hits());
+    EXPECT_EQ(cache.misses(), serialCache.misses());
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Serial-vs-parallel equivalence tests for the batch evaluation
- * layer: every ParallelEvaluator result must be bit-identical to the
- * serial Evaluator/CachingEvaluator loops it replaces, and cache
- * hit-rates must agree once warmed.
+ * layer: every evaluateConfigBatch/evaluateCachedBatch result must be
+ * bit-identical to the serial Evaluator/CachingEvaluator loops it
+ * replaces, and cache hit/miss totals must agree with them.
  */
 
 #include <gtest/gtest.h>
@@ -44,10 +44,9 @@ expectBitIdentical(const EvalResult &a, const EvalResult &b)
 
 TEST(ParallelEvaluator, BatchBitIdenticalToSerialEvaluator)
 {
-    // Every workload workloadByName() resolves, through a cold and
-    // then a warm cache, against the scalar loop and the uncached
-    // config-major batch. ParallelEvaluator sums layers uncounted, so
-    // the references drop the counts too.
+    // Every workload workloadByName() resolves, counts included,
+    // through a cold and then a warm cache, against the scalar loop
+    // and the uncached config-major batch.
     std::vector<Workload> workloads = trainingWorkloads();
     for (Workload &w : zooWorkloads())
         workloads.push_back(std::move(w));
@@ -55,26 +54,25 @@ TEST(ParallelEvaluator, BatchBitIdenticalToSerialEvaluator)
     batch.insert(batch.end(), batch.begin(), batch.begin() + 8);
     ThreadPool pool(4);
 
-    for (Workload &w : workloads) {
-        w.counts.clear();
+    for (const Workload &w : workloads) {
         SCOPED_TRACE(w.name);
 
         const Evaluator plain;
         std::vector<EvalResult> expected;
         expected.reserve(batch.size());
         for (const AcceleratorConfig &config : batch)
-            expected.push_back(plain.evaluateWorkload(config, w.layers));
+            expected.push_back(plain.evaluateWorkload(config, w));
         const std::vector<EvalResult> uncached =
             evaluateConfigBatch(plain, batch, w, pool);
 
         const CachingEvaluator cached;
-        const ParallelEvaluator parallel(cached, pool);
         const std::vector<EvalResult> cold =
-            parallel.evaluateBatch(batch, w.layers);
+            evaluateCachedBatch(cached, batch, w, pool);
         const std::uint64_t coldMisses = cached.misses();
         const std::vector<EvalResult> warm =
-            parallel.evaluateBatch(batch, w.layers);
+            evaluateCachedBatch(cached, batch, w, pool);
         EXPECT_EQ(cached.misses(), coldMisses) << "warm pass missed";
+        EXPECT_EQ(cached.inner().evaluationCount(), cached.misses());
 
         ASSERT_EQ(uncached.size(), expected.size());
         ASSERT_EQ(cold.size(), expected.size());
@@ -96,9 +94,8 @@ TEST(ParallelEvaluator, LayerBatchBitIdenticalToSerial)
     Evaluator plain;
     CachingEvaluator cached;
     ThreadPool pool(4);
-    const ParallelEvaluator parallel(cached, pool);
     const std::vector<EvalResult> got =
-        parallel.evaluateBatch(batch, {layer});
+        evaluateCachedBatch(cached, batch, {"", {layer}, {}}, pool);
 
     for (std::size_t i = 0; i < batch.size(); ++i)
         expectBitIdentical(got[i],
@@ -120,7 +117,6 @@ TEST(ParallelEvaluator, InvalidConfigZeroesTotalsLikeSerial)
     Evaluator plain;
     CachingEvaluator cached;
     ThreadPool pool(4);
-    const ParallelEvaluator parallel(cached, pool);
 
     const EvalResult serial = plain.evaluateWorkload(bad, layers);
     ASSERT_FALSE(serial.valid);
@@ -128,7 +124,7 @@ TEST(ParallelEvaluator, InvalidConfigZeroesTotalsLikeSerial)
         evaluateConfigBatch(plain, {bad}, alexnet, pool).front(),
         serial);
     expectBitIdentical(
-        parallel.evaluateBatch({bad}, layers).front(), serial);
+        evaluateCachedBatch(cached, {bad}, alexnet, pool).front(), serial);
 }
 
 TEST(ParallelEvaluator, WarmedCacheHitRateMatchesSerial)
@@ -151,10 +147,9 @@ TEST(ParallelEvaluator, WarmedCacheHitRateMatchesSerial)
 
     CachingEvaluator parallelCache;
     ThreadPool pool(4);
-    const ParallelEvaluator parallel(parallelCache, pool);
-    parallel.evaluateBatch(batch, alexnet.layers);
+    evaluateCachedBatch(parallelCache, batch, alexnet, pool);
     const std::uint64_t parallelWarm = parallelCache.hits();
-    parallel.evaluateBatch(batch, alexnet.layers);
+    evaluateCachedBatch(parallelCache, batch, alexnet, pool);
     const std::uint64_t parallelRepeatHits =
         parallelCache.hits() - parallelWarm;
 
@@ -328,6 +323,57 @@ TEST(ConfigMajorBatch, CountedWorkloadBitIdenticalToScalar)
     expectConfigBatchMatchesScalar(mobilenet, true);
     expectConfigBatchMatchesScalar(withDeadMiddleLayer(mobilenet),
                                    true);
+}
+
+TEST(ParallelEvaluator, CachedBatchRepeatedShapeMatchesSerialHitMiss)
+{
+    // AlexNet with layer 1's shape repeated at index 3, alone and
+    // with a dead layer after the repeat (so every config walks the
+    // repeat and then drops out). A serial evaluateWorkload loop hits
+    // on the repeat and on every duplicate config; the batch must
+    // return its results and book exactly its hit/miss totals, from a
+    // cold cache and from one warmed by a few of the configs.
+    Workload repeated = workloadByName("alexnet");
+    repeated.counts.clear();
+    repeated.layers.insert(repeated.layers.begin() + 3,
+                           repeated.layers[1]);
+    ASSERT_TRUE(repeated.layers[3].sameShape(repeated.layers[1]));
+    const std::vector<AcceleratorConfig> batch =
+        batchWithDuplicates(96, 71);
+
+    for (const Workload &w : {repeated, withDeadMiddleLayer(repeated)}) {
+        for (const std::size_t width : {1, 4}) {
+            for (const std::size_t warmed : {0, 10}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "layers=" << w.layers.size()
+                             << " width=" << width
+                             << " warmed=" << warmed);
+                CachingEvaluator serialCache;
+                CachingEvaluator batchCache;
+                for (std::size_t i = 0; i < warmed; ++i) {
+                    serialCache.evaluateWorkload(batch[i], w.layers);
+                    batchCache.evaluateWorkload(batch[i], w.layers);
+                }
+                std::vector<EvalResult> want;
+                for (const AcceleratorConfig &config : batch)
+                    want.push_back(
+                        serialCache.evaluateWorkload(config, w.layers));
+
+                ThreadPool pool(width);
+                const std::vector<EvalResult> got =
+                    evaluateCachedBatch(batchCache, batch, w, pool);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    SCOPED_TRACE(::testing::Message() << "item " << i);
+                    expectBitIdentical(got[i], want[i]);
+                }
+                EXPECT_EQ(batchCache.hits(), serialCache.hits());
+                EXPECT_EQ(batchCache.misses(), serialCache.misses());
+                EXPECT_EQ(batchCache.inner().evaluationCount(),
+                          batchCache.misses());
+            }
+        }
+    }
 }
 
 TEST(ConfigMajorBatch, BatchChunkFiresOncePerConfigChunk)

@@ -361,13 +361,14 @@ const std::vector<BannedCall> bannedSocketCalls = {
 };
 
 /**
- * No serve-tree file may call the SoA batch entry point: the daemon
- * scores ScoreConfig/DecodeLatent requests on the service thread
- * through CachingEvaluator::evaluateWorkload (one cache probe per
- * request), and a handler dispatching its own evaluateConfigBatch()
- * reintroduces per-request evaluator fan-out that skips the cache
- * and its per-layer deadline checks. Member calls count here — the
- * call is the problem, not the qualifier — so this is a separate
+ * No serve-tree file may call the UNCACHED batch entry point: the
+ * daemon scores ScoreConfig/DecodeLatent requests on the service
+ * thread through CachingEvaluator::evaluateWorkload (one cache probe
+ * per request), and SearchK batches through evaluateCachedBatch (the
+ * same engine over the shared cache, with its deadline checked at
+ * every chunk claim). A handler dispatching evaluateConfigBatch()
+ * would skip the cache and the deadline. Member calls count here —
+ * the call is the problem, not the qualifier — so this is a separate
  * check from the socket ban.
  */
 const std::string batchEntryName = "evaluateConfigBatch";
@@ -560,7 +561,8 @@ checkBannedIdentifiers(const std::string &relPath,
                    "direct '" + batchEntryName +
                        "' call in the serve tree (serve scoring "
                        "goes through "
-                       "CachingEvaluator::evaluateWorkload)");
+                       "CachingEvaluator::evaluateWorkload, serve "
+                       "batches through evaluateCachedBatch)");
         if (!policy.allowStreams)
             for (const BannedToken &ban : bannedStreams)
                 if (t.text == ban.name)
