@@ -58,6 +58,19 @@ BM_Cholesky(benchmark::State &state)
 }
 BENCHMARK(BM_Cholesky)->Arg(64)->Arg(128)->Arg(256);
 
+/** n random 4-D training points with normal labels. */
+void
+gpTrainingSet(std::size_t n, Rng &rng,
+              std::vector<std::vector<double>> &xs,
+              std::vector<double> &ys)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        xs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
+                      rng.uniform()});
+        ys.push_back(rng.normal());
+    }
+}
+
 void
 BM_GpFitPredict(benchmark::State &state)
 {
@@ -66,16 +79,13 @@ BM_GpFitPredict(benchmark::State &state)
     Rng rng(3);
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
-    for (std::size_t i = 0; i < n; ++i) {
-        xs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
-                      rng.uniform()});
-        ys.push_back(rng.normal());
-    }
+    gpTrainingSet(n, rng, xs, ys);
     std::vector<std::vector<double>> candidates;
     for (std::size_t q = 0; q < queries; ++q)
         candidates.push_back({rng.uniform(), rng.uniform(),
                               rng.uniform(), rng.uniform()});
     std::vector<GaussianProcess::Prediction> preds(queries);
+    // A fresh GP per iteration: every fit is a full factorization.
     for (auto _ : state) {
         GaussianProcess gp;
         gp.fit(xs, ys);
@@ -92,6 +102,48 @@ BENCHMARK(BM_GpFitPredict)
     ->Args({128, 64})
     ->Args({192, 64})
     ->Args({192, 640});
+
+void
+BM_GpHyperSearch(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    Rng rng(3);
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    gpTrainingSet(n, rng, xs, ys);
+    for (auto _ : state) {
+        GaussianProcess gp;
+        gp.fitWithHyperSearch(xs, ys);
+        benchmark::DoNotOptimize(gp.logMarginalLikelihood());
+    }
+}
+// The 6 x 3 grid BayesOpt runs every hyperRefitInterval iterations;
+// 192 is the default subset-of-data cap.
+BENCHMARK(BM_GpHyperSearch)->Arg(64)->Arg(128)->Arg(192);
+
+void
+BM_GpAppendFit(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    Rng rng(3);
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    gpTrainingSet(n + 1, rng, xs, ys);
+    const std::vector<std::vector<double>> head(xs.begin(),
+                                                xs.end() - 1);
+    const std::vector<double> head_ys(ys.begin(), ys.end() - 1);
+    GaussianProcess gp;
+    // Fit n points, then the same n plus one, on one GP: past the
+    // first iteration the n-point fit keeps n factor rows and the
+    // (n+1)-point fit computes one, as a BayesOpt iteration between
+    // hyperparameter refits does.
+    for (auto _ : state) {
+        gp.fit(head, head_ys);
+        gp.fit(xs, ys);
+        benchmark::DoNotOptimize(gp.logMarginalLikelihood());
+    }
+}
+BENCHMARK(BM_GpAppendFit)->Arg(64)->Arg(128)->Arg(192);
 
 void
 BM_SchedulerOneShot(benchmark::State &state)

@@ -35,8 +35,11 @@ boMetrics()
 }
 
 /** BO snapshot payload: surrogate hyper-state at an iteration
- *  boundary (the GP itself is refit from the trace every iteration,
- *  so only the slow-moving hyperparameters need saving). */
+ *  boundary. The GP is fit to the trace every iteration, so only the
+ *  slow-moving hyperparameters need saving: a resumed GP starts with
+ *  no Cholesky factor and refactors in full at its first fit, and
+ *  since an extended factor is bit-identical to a full one the
+ *  resumed trace matches the uninterrupted run. */
 struct BoResumeState
 {
     bool hasHyper = false;
@@ -67,6 +70,24 @@ decodeBoState(const std::string &payload, BoResumeState &state)
         return false;
     state.hasHyper = flag == 1;
     return true;
+}
+
+/**
+ * Finite stand-in for invalid observations, strictly worse than every
+ * finite value (for factor > 1). A positive worst value is scaled by
+ * the factor. At or below zero scaling would not move it up, so it is
+ * raised by (factor - 1) times the larger of |worst| and the spread of
+ * the finite values (1 when both are 0).
+ */
+double
+invalidPenalty(double worst, double best, double factor)
+{
+    if (worst > 0.0)
+        return worst * factor;
+    double scale = std::max(-worst, worst - best);
+    if (!(scale > 0.0))
+        scale = 1.0;
+    return worst + (factor - 1.0) * scale;
 }
 
 } // namespace
@@ -227,7 +248,8 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
         }
         const bool any_finite = worst_finite > -1e300;
         const double penalty = any_finite
-            ? worst_finite * options_.invalidPenaltyFactor
+            ? invalidPenalty(worst_finite, best_finite,
+                             options_.invalidPenaltyFactor)
             : 1.0;
 
         if (!any_finite) {

@@ -44,8 +44,11 @@ struct BoOptions
     /** Kernel family of the surrogate. */
     GaussianProcess::Kernel kernel = GaussianProcess::Kernel::Matern52;
 
-    /** Penalty multiplier mapping invalid points to a finite value
-     *  (worst finite observation times this factor). */
+    /** Penalty factor mapping invalid points to a finite value
+     *  strictly worse than every finite observation; must exceed 1.
+     *  A positive worst finite value w maps to w times this factor;
+     *  w <= 0 maps to w + (factor - 1) * max(|w|, w - best), or
+     *  w + factor - 1 when that scale is 0. */
     double invalidPenaltyFactor = 2.0;
 };
 

@@ -1,12 +1,93 @@
 #include "dse/gp.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/linalg.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
 namespace vaesa {
+
+namespace {
+
+using Kernel = GaussianProcess::Kernel;
+
+/**
+ * The kernel at squared distance d2, split as poly * exp(arg) so a
+ * tile can compute everything but the exp across its candidates.
+ * Both kernelValue() and the k* fill go through this one formula.
+ */
+template <Kernel K>
+inline void
+kernelTerms(double d2, double ls, double &poly, double &arg)
+{
+    if constexpr (K == Kernel::Rbf) {
+        poly = 1.0;
+        arg = -0.5 * d2 / (ls * ls);
+    } else {
+        const double r = std::sqrt(d2) / ls;
+        const double sq5r = std::sqrt(5.0) * r;
+        poly = 1.0 + sq5r + 5.0 * r * r / 3.0;
+        arg = -sq5r;
+    }
+}
+
+template <Kernel K>
+double
+kernelAt(double d2, double ls)
+{
+    double poly, arg;
+    kernelTerms<K>(d2, ls, poly, arg);
+    return poly * std::exp(arg);
+}
+
+/**
+ * k* for a tile: v[i * W + j] = k(cand_j, x_i) for the n training
+ * rows xs (n x dim) and the W candidates cand (dim x W). The squared
+ * distances and the kernel terms are computed across the tile, then
+ * one scalar std::exp per element (a vector exp would not be
+ * bit-identical). Per element the operations are those of
+ * kernelAt(squaredDistance(cand_j, x_i)).
+ */
+template <std::size_t W, Kernel K>
+void
+fillKStar(const double *xs, std::size_t n, std::size_t dim,
+          const double *cand, double ls, double *v)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *xi = xs + i * dim;
+        double d2[W];
+        for (std::size_t j = 0; j < W; ++j)
+            d2[j] = 0.0;
+        for (std::size_t d = 0; d < dim; ++d) {
+            const double x = xi[d];
+            const double *c = cand + d * W;
+            for (std::size_t j = 0; j < W; ++j) {
+                const double diff = c[j] - x;
+                d2[j] += diff * diff;
+            }
+        }
+        double *vi = v + i * W;
+        double arg[W];
+        for (std::size_t j = 0; j < W; ++j)
+            kernelTerms<K>(d2[j], ls, vi[j], arg[j]);
+        for (std::size_t j = 0; j < W; ++j)
+            vi[j] *= std::exp(arg[j]);
+    }
+}
+
+/** Bitwise equality, so -0.0 and NaN inputs never share a row. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+} // namespace
 
 GaussianProcess::GaussianProcess(Kernel kernel)
     : kernel_(kernel)
@@ -19,32 +100,54 @@ GaussianProcess::GaussianProcess(Kernel kernel, const Hyper &hyper)
 }
 
 double
-GaussianProcess::kernelValue(const std::vector<double> &a,
-                             const std::vector<double> &b) const
+GaussianProcess::kernelValue(const double *a, const double *b) const
 {
-    const double d2 = squaredDistance(a, b);
-    const double ls = hyper_.lengthscale;
+    const double d2 = squaredDistance(a, b, dim_);
     switch (kernel_) {
       case Kernel::Rbf:
-        return std::exp(-0.5 * d2 / (ls * ls));
-      case Kernel::Matern52: {
-        const double r = std::sqrt(d2) / ls;
-        const double sq5r = std::sqrt(5.0) * r;
-        return (1.0 + sq5r + 5.0 * r * r / 3.0) * std::exp(-sq5r);
-      }
+        return kernelAt<Kernel::Rbf>(d2, hyper_.lengthscale);
+      case Kernel::Matern52:
+        return kernelAt<Kernel::Matern52>(d2, hyper_.lengthscale);
     }
     panic("GaussianProcess: bad kernel");
 }
 
-void
-GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
-                     const std::vector<double> &ys)
+std::size_t
+GaussianProcess::storeInputs(const std::vector<std::vector<double>> &xs,
+                             const std::vector<double> &ys)
 {
     if (xs.empty() || xs.size() != ys.size())
         panic("GaussianProcess::fit: bad observation set (",
               xs.size(), " xs, ", ys.size(), " ys)");
-    xs_ = xs;
+    const std::size_t n = xs.size();
+    const std::size_t dim = xs.front().size();
+    for (const std::vector<double> &x : xs)
+        if (x.size() != dim)
+            panic("GaussianProcess::fit: inputs of dimension ", dim,
+                  " and ", x.size());
 
+    // The kernel is fixed for the object's life; the hyperparameters
+    // and the inputs must match bit for bit for a row to be reused.
+    std::size_t p = 0;
+    if (factorExact_ && dim == dim_ &&
+        sameBits(hyper_.lengthscale, factorHyper_.lengthscale) &&
+        sameBits(hyper_.noiseVar, factorHyper_.noiseVar)) {
+        const std::size_t common = std::min(n, sampleCount());
+        while (p < common && std::equal(xs[p].begin(), xs[p].end(),
+                                        xs_.begin() + p * dim, sameBits))
+            ++p;
+    }
+
+    dim_ = dim;
+    xs_.resize(n * dim);
+    for (std::size_t i = p; i < n; ++i)
+        std::copy(xs[i].begin(), xs[i].end(), xs_.begin() + i * dim);
+    return p;
+}
+
+std::vector<double>
+GaussianProcess::standardize(const std::vector<double> &ys)
+{
     yMean_ = mean(ys);
     yStd_ = stddev(ys);
     // stddev() is NaN for fewer than two observations and ~0 for
@@ -56,26 +159,31 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
     std::vector<double> y_std(ys.size());
     for (std::size_t i = 0; i < ys.size(); ++i)
         y_std[i] = (ys[i] - yMean_) / yStd_;
+    return y_std;
+}
 
-    const std::size_t n = xs_.size();
-    Matrix k(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            const double v = kernelValue(xs_[i], xs_[j]);
-            k(i, j) = v;
-            k(j, i) = v;
-        }
-        k(i, i) += hyper_.noiseVar;
-    }
+void
+GaussianProcess::gram(Matrix &k, std::size_t from, std::size_t to) const
+{
+    const std::size_t n = k.rows();
+    double *kd = k.data();
+    for (std::size_t i = from; i < to; ++i)
+        for (std::size_t j = 0; j <= i; ++j)
+            kd[i * n + j] =
+                kernelValue(xs_.data() + i * dim_, xs_.data() + j * dim_);
+}
 
-    choleskyJittered(k, choleskyLower_);
+void
+GaussianProcess::solvePosterior(const std::vector<double> &y)
+{
+    const std::size_t n = y.size();
     alpha_ = solveLowerTransposed(choleskyLower_,
-                                  solveLower(choleskyLower_, y_std));
+                                  solveLower(choleskyLower_, y));
 
     // log p(y) = -0.5 y^T alpha - sum log L_ii - n/2 log(2 pi).
     double quad = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-        quad += y_std[i] * alpha_[i];
+        quad += y[i] * alpha_[i];
     double log_det_half = 0.0;
     for (std::size_t i = 0; i < n; ++i)
         log_det_half += std::log(choleskyLower_(i, i));
@@ -83,10 +191,46 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
               0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
 }
 
+void
+GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
+                     const std::vector<double> &ys)
+{
+    const std::size_t p = storeInputs(xs, ys);
+    const std::vector<double> y = standardize(ys);
+    const std::size_t n = xs.size();
+
+    // Rows [0, p) of the factor carry over; only the new rows of K
+    // are evaluated.
+    Matrix lower;
+    if (p > 0) {
+        lower = Matrix(n, n);
+        const std::size_t old_n = choleskyLower_.rows();
+        for (std::size_t i = 0; i < p; ++i)
+            std::copy_n(choleskyLower_.data() + i * old_n, i + 1,
+                        lower.data() + i * n);
+    }
+    Matrix k(n, n);
+    const auto noisy_gram = [&](std::size_t from, std::size_t to) {
+        gram(k, from, to);
+        for (std::size_t i = from; i < to; ++i)
+            k(i, i) += hyper_.noiseVar;
+    };
+    noisy_gram(p, n);
+    factorExact_ = cholesky(k, lower, p);
+    if (!factorExact_) {
+        noisy_gram(0, p);
+        choleskyJittered(k, lower);
+    }
+    choleskyLower_ = std::move(lower);
+    factorHyper_ = hyper_;
+    solvePosterior(y);
+}
+
 template <std::size_t W>
 void
 GaussianProcess::predictTileOf(const std::vector<double> *xs,
-                               Prediction *out, double *v) const
+                               Prediction *out, double *v,
+                               double *cand) const
 {
     // Row i of v holds k(x_j, xs_[i]) for the W candidates side by
     // side and is overwritten in place by row i of L^-1 k*, so the
@@ -94,17 +238,31 @@ GaussianProcess::predictTileOf(const std::vector<double> *xs,
     // candidates (a constant trip count the compiler vectorizes)
     // instead of down one serial dependency chain. Per candidate the
     // operation sequence is exactly the one-query textbook one.
-    const std::size_t n = xs_.size();
-    const double *lower = choleskyLower_.data();
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < W; ++j)
-            v[i * W + j] = kernelValue(xs[j], xs_[i]);
+    const std::size_t n = sampleCount();
+    for (std::size_t j = 0; j < W; ++j) {
+        if (xs[j].size() != dim_)
+            panic("GaussianProcess::predict: point of dimension ",
+                  xs[j].size(), ", fitted ", dim_);
+        for (std::size_t d = 0; d < dim_; ++d)
+            cand[d * W + j] = xs[j][d];
+    }
+    switch (kernel_) {
+      case Kernel::Rbf:
+        fillKStar<W, Kernel::Rbf>(xs_.data(), n, dim_, cand,
+                                  hyper_.lengthscale, v);
+        break;
+      case Kernel::Matern52:
+        fillKStar<W, Kernel::Matern52>(xs_.data(), n, dim_, cand,
+                                       hyper_.lengthscale, v);
+        break;
+    }
 
+    const double *lower = choleskyLower_.data();
     double mean_std[W];
     double var_std[W];
     for (std::size_t j = 0; j < W; ++j) {
         mean_std[j] = 0.0;
-        var_std[j] = kernelValue(xs[j], xs[j]);
+        var_std[j] = kernelValue(xs[j].data(), xs[j].data());
     }
     for (std::size_t i = 0; i < n; ++i) {
         const double *li = lower + i * n;
@@ -145,7 +303,7 @@ void
 GaussianProcess::predictBatch(std::span<const std::vector<double>> xs,
                               std::span<Prediction> out) const
 {
-    if (xs_.empty())
+    if (sampleCount() == 0)
         panic("GaussianProcess::predict before fit");
     if (out.size() != xs.size())
         panic("GaussianProcess::predictBatch: ", xs.size(),
@@ -154,11 +312,14 @@ GaussianProcess::predictBatch(std::span<const std::vector<double>> xs,
     // of one is the plain scalar solve, so predict() pays nothing
     // for the batching).
     const std::size_t full = xs.size() - xs.size() % predictTile;
-    std::vector<double> v(xs_.size() * (full ? predictTile : 1));
+    const std::size_t width = full ? predictTile : 1;
+    std::vector<double> scratch((sampleCount() + dim_) * width);
+    double *v = scratch.data();
+    double *cand = v + sampleCount() * width;
     for (std::size_t j = 0; j < full; j += predictTile)
-        predictTileOf<predictTile>(&xs[j], &out[j], v.data());
+        predictTileOf<predictTile>(&xs[j], &out[j], v, cand);
     for (std::size_t j = full; j < xs.size(); ++j)
-        predictTileOf<1>(&xs[j], &out[j], v.data());
+        predictTileOf<1>(&xs[j], &out[j], v, cand);
 }
 
 GaussianProcess::Prediction
@@ -172,7 +333,7 @@ GaussianProcess::predict(const std::vector<double> &x) const
 double
 GaussianProcess::logMarginalLikelihood() const
 {
-    if (xs_.empty())
+    if (sampleCount() == 0)
         panic("logMarginalLikelihood before fit");
     return logLik_;
 }
@@ -186,21 +347,57 @@ GaussianProcess::fitWithHyperSearch(
                                           1.6};
     static const double noises[] = {1e-6, 1e-4, 1e-2};
 
+    storeInputs(xs, ys);
+    const std::vector<double> y = standardize(ys);
+    const std::size_t n = xs.size();
+
+    // The best grid fit so far, swapped out of the members; with no
+    // winner the hyperparameters we came in with stay.
     Hyper best = hyper_;
     double best_lik = -1e300;
+    bool best_exact = false;
+    Matrix best_lower;
+    std::vector<double> best_alpha;
+
+    Matrix k(n, n);
+    std::vector<double> diag(n);
     for (double ls : lengthscales) {
+        hyper_.lengthscale = ls;
+        gram(k, 0, n);
+        for (std::size_t i = 0; i < n; ++i)
+            diag[i] = k(i, i);
         for (double nv : noises) {
-            hyper_.lengthscale = ls;
             hyper_.noiseVar = nv;
-            fit(xs, ys);
+            for (std::size_t i = 0; i < n; ++i)
+                k(i, i) = diag[i] + nv;
+            factorExact_ = cholesky(k, choleskyLower_);
+            if (!factorExact_)
+                choleskyJittered(k, choleskyLower_);
+            solvePosterior(y);
             if (logLik_ > best_lik) {
                 best_lik = logLik_;
                 best = hyper_;
+                best_exact = factorExact_;
+                std::swap(best_lower, choleskyLower_);
+                std::swap(best_alpha, alpha_);
             }
         }
     }
+
+    if (best_lower.rows() == 0) {
+        // No grid point beat the floor (e.g. a NaN likelihood
+        // everywhere): fit with the hyperparameters we came in with.
+        factorExact_ = false;
+        hyper_ = best;
+        fit(xs, ys);
+        return;
+    }
     hyper_ = best;
-    fit(xs, ys);
+    factorHyper_ = best;
+    factorExact_ = best_exact;
+    choleskyLower_ = std::move(best_lower);
+    alpha_ = std::move(best_alpha);
+    logLik_ = best_lik;
 }
 
 double

@@ -44,7 +44,16 @@ class GaussianProcess
 
     /**
      * Fit to observations. Inputs are copied; y is standardized
-     * internally. Requires at least one observation.
+     * internally. Requires at least one observation, all of one
+     * dimension.
+     *
+     * The Cholesky factor is extended rather than rebuilt: if the
+     * previous factor used the same hyperparameters and needed no
+     * jitter, its rows for the longest bitwise-equal prefix of the
+     * old and new inputs are kept and only the remaining rows are
+     * computed. A kept row is the row a fresh fit computes, so the
+     * predictions and the likelihood are bit-identical to a fresh
+     * GaussianProcess fitted to the same data.
      */
     void fit(const std::vector<std::vector<double>> &xs,
              const std::vector<double> &ys);
@@ -87,7 +96,12 @@ class GaussianProcess
 
     /**
      * Pick hyperparameters by grid-searching lengthscale x noise for
-     * the maximum log marginal likelihood, then refit with the winner.
+     * the maximum log marginal likelihood (the first maximum wins)
+     * and keep the winning fit. The noise-free Gram matrix is built
+     * once per lengthscale; each noise level only changes its
+     * diagonal. The result is bit-identical to a fresh
+     * GaussianProcess with the winning hyperparameters fitted to the
+     * same data.
      */
     void fitWithHyperSearch(const std::vector<std::vector<double>> &xs,
                             const std::vector<double> &ys);
@@ -99,23 +113,50 @@ class GaussianProcess
     void setHyper(const Hyper &hyper) { hyper_ = hyper; }
 
     /** Number of fitted observations (0 before fit). */
-    std::size_t sampleCount() const { return xs_.size(); }
+    std::size_t sampleCount() const { return choleskyLower_.rows(); }
 
   private:
-    double kernelValue(const std::vector<double> &a,
-                       const std::vector<double> &b) const;
+    /** Kernel value between two dim_-length points. */
+    double kernelValue(const double *a, const double *b) const;
+
+    /**
+     * Check the observation set and copy the inputs into xs_.
+     * Returns how many leading rows of choleskyLower_ stay valid:
+     * the length of the bitwise-equal prefix of the old and new
+     * inputs when the factor can be extended, else 0.
+     */
+    std::size_t storeInputs(const std::vector<std::vector<double>> &xs,
+                            const std::vector<double> &ys);
+
+    /** Set yMean_/yStd_ from ys and return the standardized labels. */
+    std::vector<double> standardize(const std::vector<double> &ys);
+
+    /** Noise-free kernel values of rows [from, to) of the Gram
+     *  matrix, lower triangle only. */
+    void gram(Matrix &k, std::size_t from, std::size_t to) const;
+
+    /** alpha_ and logLik_ from choleskyLower_ and standardized y. */
+    void solvePosterior(const std::vector<double> &y);
 
     /** predictBatch() body for W consecutive candidates; v is an
-     *  n x W scratch tile. */
+     *  n x W scratch tile and cand a dim x W one. */
     template <std::size_t W>
     void predictTileOf(const std::vector<double> *xs, Prediction *out,
-                       double *v) const;
+                       double *v, double *cand) const;
 
     Kernel kernel_;
     Hyper hyper_;
-    std::vector<std::vector<double>> xs_;
+    /** Input dimension of the fitted observations. */
+    std::size_t dim_ = 0;
+    /** Fitted inputs, n x dim_ row-major. */
+    std::vector<double> xs_;
     std::vector<double> alpha_;
     Matrix choleskyLower_;
+    /** Hyperparameters choleskyLower_ was computed with. */
+    Hyper factorHyper_;
+    /** Whether choleskyLower_ needed no jitter, so its rows are
+     *  those of the plain factor and fit() may extend it. */
+    bool factorExact_ = false;
     double yMean_ = 0.0;
     double yStd_ = 1.0;
     double logLik_ = 0.0;

@@ -6,20 +6,44 @@
 
 namespace vaesa {
 
+namespace {
+
+/**
+ * Rows [i0, i0 + R) of the Cholesky factor. Columns left of the
+ * block read only finished rows, so the R rows' `acc -= l * lj`
+ * chains run side by side over the shared row lj; each element still
+ * subtracts in ascending k. The triangle inside the block depends on
+ * its own rows and is finished row by row, as in the one-row loop.
+ */
+template <std::size_t R>
 bool
-cholesky(const Matrix &a, Matrix &lower)
+choleskyRows(const double *a, double *l, std::size_t n, std::size_t i0)
 {
-    if (a.rows() != a.cols())
-        panic("cholesky requires a square matrix");
-    const std::size_t n = a.rows();
-    lower = Matrix(n, n);
-    const double *src = a.data();
-    double *out = lower.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *ai = src + i * n;
-        double *li = out + i * n;
-        for (std::size_t j = 0; j <= i; ++j) {
-            const double *lj = out + j * n;
+    double *lr[R];
+    for (std::size_t r = 0; r < R; ++r)
+        lr[r] = l + (i0 + r) * n;
+    for (std::size_t j = 0; j < i0; ++j) {
+        const double *lj = l + j * n;
+        // Fully unrolled, the R accumulators live in registers.
+        double acc[R];
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r)
+            acc[r] = a[(i0 + r) * n + j];
+        for (std::size_t k = 0; k < j; ++k) {
+            const double ljk = lj[k];
+#pragma GCC unroll 4
+            for (std::size_t r = 0; r < R; ++r)
+                acc[r] -= lr[r][k] * ljk;
+        }
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r)
+            lr[r][j] = acc[r] / lj[j];
+    }
+    for (std::size_t i = i0; i < i0 + R; ++i) {
+        const double *ai = a + i * n;
+        double *li = l + i * n;
+        for (std::size_t j = i0; j <= i; ++j) {
+            const double *lj = l + j * n;
             double acc = ai[j];
             for (std::size_t k = 0; k < j; ++k)
                 acc -= li[k] * lj[k];
@@ -32,6 +56,31 @@ cholesky(const Matrix &a, Matrix &lower)
             }
         }
     }
+    return true;
+}
+
+} // namespace
+
+bool
+cholesky(const Matrix &a, Matrix &lower, std::size_t startRow)
+{
+    if (a.rows() != a.cols())
+        panic("cholesky requires a square matrix");
+    const std::size_t n = a.rows();
+    if (startRow == 0)
+        lower = Matrix(n, n);
+    else if (lower.rows() != n || lower.cols() != n || startRow > n)
+        panic("cholesky: start row ", startRow, " needs an ", n, "x", n,
+              " factor");
+    const double *src = a.data();
+    double *out = lower.data();
+    std::size_t i = startRow;
+    for (; i + 4 <= n; i += 4)
+        if (!choleskyRows<4>(src, out, n, i))
+            return false;
+    for (; i < n; ++i)
+        if (!choleskyRows<1>(src, out, n, i))
+            return false;
     return true;
 }
 
@@ -100,8 +149,14 @@ squaredDistance(const std::vector<double> &a, const std::vector<double> &b)
 {
     if (a.size() != b.size())
         panic("squaredDistance dimension mismatch");
+    return squaredDistance(a.data(), b.data(), a.size());
+}
+
+double
+squaredDistance(const double *a, const double *b, std::size_t n)
+{
     double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const double d = a[i] - b[i];
         acc += d * d;
     }

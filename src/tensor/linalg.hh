@@ -17,13 +17,22 @@
 namespace vaesa {
 
 /**
- * Cholesky factor of a symmetric positive-definite matrix.
+ * Cholesky factor of a symmetric positive-definite matrix. Row i of
+ * L reads only row i of a's lower triangle and rows < i of L, so a
+ * factor can be extended: with startRow = p, rows [0, p) of lower
+ * are kept as given and only rows [p, n) are computed (and only those
+ * rows of a are read). Every element is computed with the same
+ * operation sequence whatever startRow is, so an extended factor is
+ * bit-identical to a full one.
  *
- * @param a square SPD matrix.
- * @param lower output: lower-triangular L with a = L L^T.
+ * @param a square SPD matrix; only the lower triangle is read.
+ * @param lower output: lower-triangular L with a = L L^T. With
+ *        startRow > 0 it must already be n x n and hold the factor
+ *        of a's leading p x p block in its first p rows.
+ * @param startRow first row to compute.
  * @return true on success, false if a is not (numerically) SPD.
  */
-bool cholesky(const Matrix &a, Matrix &lower);
+bool cholesky(const Matrix &a, Matrix &lower, std::size_t startRow = 0);
 
 /** Solve L y = b for lower-triangular L (forward substitution). */
 std::vector<double> solveLower(const Matrix &lower,
@@ -42,6 +51,10 @@ double choleskyJittered(const Matrix &a, Matrix &lower);
 /** Squared Euclidean distance between equal-length vectors. */
 double squaredDistance(const std::vector<double> &a,
                        const std::vector<double> &b);
+
+/** Squared Euclidean distance between two length-n arrays, summed
+ *  in ascending index order. */
+double squaredDistance(const double *a, const double *b, std::size_t n);
 
 } // namespace vaesa
 

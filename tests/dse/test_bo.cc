@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "dse/bo.hh"
 #include "dse/random_search.hh"
@@ -122,6 +123,55 @@ TEST(BayesOpt, SurvivesInvalidRegions)
     const SearchTrace trace = BayesOpt().run(obj, 40, rng);
     EXPECT_EQ(trace.points.size(), 40u);
     EXPECT_LT(trace.best(), 0.05);
+}
+
+/** Shifted bowl plus a constant offset, invalid for x0 > 0. */
+class OffsetHalfPlaneObjective : public BowlObjective
+{
+  public:
+    explicit OffsetHalfPlaneObjective(double offset) : offset_(offset) {}
+
+    double
+    evaluate(const std::vector<double> &x) override
+    {
+        if (x[0] > 0.0)
+            return invalidScore;
+        const double dx = x[0] + 0.5;
+        return dx * dx + x[1] * x[1] + offset_;
+    }
+
+  private:
+    double offset_;
+};
+
+TEST(BayesOpt, InvalidPenaltyIsWorstForNegativeObjectives)
+{
+    // Regression: the invalid-point penalty was worst * factor, which
+    // for an all-negative objective lies *below* every observation,
+    // so the GP learned the infeasible half-plane as the best region
+    // and every post-warm-up sample landed there. The offset only
+    // moves the objective; the search should avoid the half-plane
+    // alike for either sign, and when the worst value is near 0.
+    const BoOptions options;
+    for (const double offset : {-10.0, -1.25, 10.0}) {
+        std::size_t infeasible = 0;
+        std::size_t searched = 0;
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+            OffsetHalfPlaneObjective obj(offset);
+            Rng rng(seed);
+            const SearchTrace trace = BayesOpt(options).run(obj, 80, rng);
+            for (std::size_t i = options.initSamples;
+                 i < trace.points.size(); ++i) {
+                ++searched;
+                if (!std::isfinite(trace.points[i].value))
+                    ++infeasible;
+            }
+        }
+        EXPECT_EQ(searched, 350u);
+        EXPECT_LT(infeasible, searched / 10)
+            << "offset " << offset << ": " << infeasible << " of "
+            << searched << " searched samples infeasible";
+    }
 }
 
 TEST(BayesOpt, SamplesStayInBox)

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "dse/bo.hh"
 #include "dse/gp.hh"
@@ -163,6 +167,208 @@ TEST(GaussianProcess, RejectsBadInputs)
     EXPECT_DEATH(gp.fit({{0.0}}, {1.0, 2.0}), "bad observation");
     EXPECT_DEATH(gp.predict({0.0}), "before fit");
 }
+
+// ---------------------------------------------------------------
+// Extended (incremental) fits: every fit must be bit-identical to a
+// fresh GaussianProcess fitted to the same data, whatever the
+// previous fit on the same object was.
+
+using Points = std::vector<std::vector<double>>;
+
+Points
+randomInputs(std::size_t count, Rng &rng)
+{
+    Points xs(count);
+    for (auto &x : xs)
+        x = {rng.uniform(), rng.uniform(), rng.uniform()};
+    return xs;
+}
+
+/** Labels that shift with every call, as BayesOpt's do. */
+std::vector<double>
+labelsFor(const Points &xs, double shift)
+{
+    std::vector<double> ys;
+    for (const auto &x : xs)
+        ys.push_back(std::sin(4.0 * x[0]) + x[1] * x[2] + shift);
+    return ys;
+}
+
+Points
+firstN(const Points &xs, std::size_t n)
+{
+    return Points(xs.begin(), xs.begin() + n);
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Predictions at `queries` and the likelihood, bit for bit. */
+void
+expectSameFit(const GaussianProcess &got, const GaussianProcess &want,
+              const Points &queries, const std::string &where)
+{
+    ASSERT_EQ(got.sampleCount(), want.sampleCount()) << where;
+    EXPECT_EQ(bitsOf(got.logMarginalLikelihood()),
+              bitsOf(want.logMarginalLikelihood()))
+        << where << ": log likelihood " << got.logMarginalLikelihood()
+        << " vs " << want.logMarginalLikelihood();
+    std::vector<GaussianProcess::Prediction> a(queries.size());
+    std::vector<GaussianProcess::Prediction> b(queries.size());
+    got.predictBatch(queries, a);
+    want.predictBatch(queries, b);
+    for (std::size_t j = 0; j < queries.size(); ++j) {
+        EXPECT_EQ(bitsOf(a[j].mean), bitsOf(b[j].mean))
+            << where << ": mean at query " << j;
+        EXPECT_EQ(bitsOf(a[j].var), bitsOf(b[j].var))
+            << where << ": var at query " << j;
+    }
+}
+
+/** Fit `gp` and a fresh GP with gp's hyperparameters to the same
+ *  data, and require the two to agree bit for bit. */
+void
+fitAndCompare(GaussianProcess &gp, GaussianProcess::Kernel kernel,
+              const Points &xs, const std::vector<double> &ys,
+              const Points &queries, const std::string &where)
+{
+    gp.fit(xs, ys);
+    GaussianProcess fresh(kernel, gp.hyper());
+    fresh.fit(xs, ys);
+    expectSameFit(gp, fresh, queries, where);
+}
+
+class IncrementalFit
+    : public ::testing::TestWithParam<GaussianProcess::Kernel>
+{
+  protected:
+    Rng rng{31};
+    Points pool = randomInputs(40, rng);
+    Points queries = randomInputs(70, rng); // two tiles + a tail
+};
+
+TEST_P(IncrementalFit, AppendsMatchFreshFit)
+{
+    const auto kernel = GetParam();
+    GaussianProcess gp(kernel, {0.3, 1e-4});
+    // One point at a time across the 4-row block edges, then several.
+    std::size_t step = 0;
+    for (const std::size_t n : {1, 2, 3, 4, 5, 8, 9, 10, 17, 29, 40}) {
+        const Points xs = firstN(pool, n);
+        fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.1 * step++),
+                      queries, "n=" + std::to_string(n));
+    }
+}
+
+TEST_P(IncrementalFit, SetHyperBetweenFitsRefactors)
+{
+    // Each change follows an unjittered fit, so reusing the old rows
+    // would be possible (and wrong) were the hyperparameters not
+    // compared: a larger noise keeps the stale factor extensible.
+    const auto kernel = GetParam();
+    GaussianProcess gp(kernel, {0.3, 1e-4});
+    const auto step = [&](std::size_t n, const std::string &where) {
+        const Points xs = firstN(pool, n);
+        fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+                      where);
+    };
+    step(20, "base");
+    gp.setHyper({0.3, 1e-2});
+    step(21, "new noise");
+    gp.setHyper({0.31, 1e-2});
+    step(22, "new lengthscale");
+    gp.setHyper({0.31, 1e-2}); // same bits: the factor may be kept
+    step(23, "same hyper");
+}
+
+TEST_P(IncrementalFit, ReorderedAndSubsetInputsMatchFreshFit)
+{
+    const auto kernel = GetParam();
+    GaussianProcess gp(kernel, {0.4, 1e-4});
+    const Points base = firstN(pool, 30);
+    fitAndCompare(gp, kernel, base, labelsFor(base, 0.0), queries,
+                  "base");
+
+    Points reversed(base.rbegin(), base.rend());
+    fitAndCompare(gp, kernel, reversed, labelsFor(reversed, 0.0),
+                  queries, "reversed");
+
+    Points swapped = base;
+    std::swap(swapped[12], swapped[13]);
+    fitAndCompare(gp, kernel, base, labelsFor(base, 0.0), queries,
+                  "back to base");
+    fitAndCompare(gp, kernel, swapped, labelsFor(swapped, 0.0),
+                  queries, "two swapped");
+
+    Points dropped = base;
+    dropped.erase(dropped.begin() + 7);
+    fitAndCompare(gp, kernel, dropped, labelsFor(dropped, 0.0),
+                  queries, "one dropped");
+
+    const Points head = firstN(base, 11);
+    fitAndCompare(gp, kernel, head, labelsFor(head, 0.0), queries,
+                  "shorter prefix");
+
+    // A changed coordinate in the middle of the prefix.
+    Points nudged = base;
+    nudged[5][1] = std::nextafter(nudged[5][1], 2.0);
+    fitAndCompare(gp, kernel, nudged, labelsFor(nudged, 0.0), queries,
+                  "nudged point");
+}
+
+TEST_P(IncrementalFit, JitteredFactorIsNeverExtended)
+{
+    // With noiseVar = 0 a duplicate of the first point makes its row
+    // of K equal to row 0: the appended row's diagonal is exactly 0,
+    // so the extension fails and the fit falls back to a jittered
+    // full factorization. The next append must not build on that
+    // jittered factor.
+    const auto kernel = GetParam();
+    GaussianProcess gp(kernel, {0.3, 0.0});
+    Points xs = firstN(pool, 9);
+    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries, "clean");
+    xs.push_back(xs.front());
+    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+                  "duplicate appended");
+    xs.push_back(pool[20]);
+    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+                  "append after jitter");
+    xs.push_back(pool[21]);
+    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+                  "second append after jitter");
+}
+
+TEST_P(IncrementalFit, HyperSearchMatchesFreshFitWithWinner)
+{
+    const auto kernel = GetParam();
+    for (const std::size_t n : {1, 6, 25, 40}) {
+        const Points xs = firstN(pool, n);
+        const std::vector<double> ys = labelsFor(xs, 0.0);
+        GaussianProcess gp(kernel);
+        gp.fitWithHyperSearch(xs, ys);
+        GaussianProcess fresh(kernel, gp.hyper());
+        fresh.fit(xs, ys);
+        expectSameFit(gp, fresh, queries, "n=" + std::to_string(n));
+        if (n < pool.size()) {
+            // The kept winner's factor is extended by the next fit.
+            const Points more = firstN(pool, n + 1);
+            fitAndCompare(gp, kernel, more, labelsFor(more, 0.5),
+                          queries, "append after search");
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, IncrementalFit,
+    ::testing::Values(GaussianProcess::Kernel::Rbf,
+                      GaussianProcess::Kernel::Matern52),
+    [](const auto &info) {
+        return info.param == GaussianProcess::Kernel::Rbf ? "Rbf"
+                                                           : "Matern52";
+    });
 
 class KernelSweep
     : public ::testing::TestWithParam<GaussianProcess::Kernel>

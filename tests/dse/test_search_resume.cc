@@ -180,6 +180,40 @@ TEST_F(SearchResumeTest, BayesOptKilledRunResumesIdentically)
     EXPECT_LT(resumed_obj.evals, 22);
 }
 
+TEST_F(SearchResumeTest, BayesOptResumeAcrossRefitAndCapIsExact)
+{
+    // Killed at sample ~120: past several hyperparameter refits
+    // (every 16 iterations), before the 192-point subset cap, and in
+    // the middle of a run of extended Cholesky factors. The resumed
+    // GP starts with no factor and refactors in full, then runs
+    // through more refits and past the cap; the trace must still
+    // match the uninterrupted run bit for bit, so the extended
+    // factor carries no state a snapshot would need.
+    constexpr std::size_t samples = 220;
+    BowlObjective baseline_obj;
+    Rng baseline_rng(21);
+    const SearchTrace baseline =
+        BayesOpt().run(baseline_obj, samples, baseline_rng);
+
+    const SearchCheckpointConfig cfg = config(/*every=*/1);
+    BowlObjective killed_obj;
+    Rng killed_rng(21);
+    // The warm-up is 10 samples, one per iteration after it.
+    FaultInjector::instance().arm("bo_iteration", 111);
+    EXPECT_THROW(BayesOpt().run(killed_obj, samples, killed_rng,
+                                nullptr, &cfg),
+                 InjectedFault);
+    FaultInjector::instance().reset();
+    EXPECT_EQ(killed_obj.evals, 120);
+
+    BowlObjective resumed_obj;
+    Rng resumed_rng(21);
+    const SearchTrace resumed = BayesOpt().run(
+        resumed_obj, samples, resumed_rng, nullptr, &cfg);
+    expectSameTrace(baseline, resumed);
+    EXPECT_EQ(resumed_obj.evals, static_cast<int>(samples) - 120);
+}
+
 TEST_F(SearchResumeTest, SnapshotFromOtherDriverIsRejected)
 {
     const SearchCheckpointConfig cfg = config();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "tensor/linalg.hh"
 #include "util/rng.hh"
@@ -87,6 +91,130 @@ TEST(Linalg, TriangularSolvesInvertEachOther)
             acc += a(i, k) * x[k];
         EXPECT_NEAR(acc, b[i], 1e-9);
     }
+}
+
+/** Textbook one-row-at-a-time Cholesky, written independently of
+ *  the row-blocked library loop. */
+bool
+referenceCholesky(const Matrix &a, Matrix &lower)
+{
+    const std::size_t n = a.rows();
+    lower = Matrix(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+            double acc = a(i, j);
+            for (std::size_t k = 0; k < j; ++k)
+                acc -= lower(i, k) * lower(j, k);
+            if (i == j) {
+                if (acc <= 0.0 || !std::isfinite(acc))
+                    return false;
+                lower(i, i) = std::sqrt(acc);
+            } else {
+                lower(i, j) = acc / lower(j, j);
+            }
+        }
+    }
+    return true;
+}
+
+void
+expectSameBits(const Matrix &got, const Matrix &want,
+               const std::string &where)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << where;
+    ASSERT_EQ(got.cols(), want.cols()) << where;
+    for (std::size_t i = 0; i < got.rows(); ++i)
+        for (std::size_t j = 0; j < got.cols(); ++j)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                      std::bit_cast<std::uint64_t>(want(i, j)))
+                << where << ": L(" << i << ", " << j << ") "
+                << got(i, j) << " vs " << want(i, j);
+}
+
+class CholeskyBlockEdges : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CholeskyBlockEdges, RowBlocksMatchOneRowLoopBitForBit)
+{
+    const auto n = static_cast<std::size_t>(GetParam());
+    Rng rng(100 + n);
+    const Matrix a = randomSpd(n, rng);
+    Matrix want;
+    ASSERT_TRUE(referenceCholesky(a, want));
+    Matrix got;
+    ASSERT_TRUE(cholesky(a, got));
+    expectSameBits(got, want, "full");
+}
+
+TEST_P(CholeskyBlockEdges, ExtendedFactorMatchesFullFactorBitForBit)
+{
+    const auto n = static_cast<std::size_t>(GetParam());
+    Rng rng(200 + n);
+    const Matrix a = randomSpd(n, rng);
+    Matrix full;
+    ASSERT_TRUE(cholesky(a, full));
+    for (std::size_t p = 1; p <= n; ++p) {
+        // Factor the leading p x p block on its own, then extend it.
+        Matrix head(p, p);
+        for (std::size_t i = 0; i < p; ++i)
+            for (std::size_t j = 0; j < p; ++j)
+                head(i, j) = a(i, j);
+        Matrix head_lower;
+        ASSERT_TRUE(cholesky(head, head_lower));
+        Matrix lower(n, n);
+        for (std::size_t i = 0; i < p; ++i)
+            for (std::size_t j = 0; j <= i; ++j)
+                lower(i, j) = head_lower(i, j);
+        // Rows above the start row of a are never read.
+        Matrix poisoned = a;
+        for (std::size_t i = 0; i < p; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                poisoned(i, j) = std::numeric_limits<double>::quiet_NaN();
+        ASSERT_TRUE(cholesky(poisoned, lower, p)) << "p=" << p;
+        expectSameBits(lower, full, "p=" + std::to_string(p));
+    }
+}
+
+TEST_P(CholeskyBlockEdges, ExtensionReportsIndefiniteRow)
+{
+    // A negative last diagonal makes only the last row fail: every
+    // start row must report it, as the full factorization does.
+    const auto n = static_cast<std::size_t>(GetParam());
+    Rng rng(300 + n);
+    Matrix a = randomSpd(n, rng);
+    a(n - 1, n - 1) = -1.0;
+    Matrix ref;
+    ASSERT_FALSE(referenceCholesky(a, ref));
+    Matrix full;
+    ASSERT_FALSE(cholesky(a, full));
+    // The factor of rows [0, n - 1) is valid; start anywhere in it.
+    Matrix head(n - 1, n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i)
+        for (std::size_t j = 0; j + 1 < n; ++j)
+            head(i, j) = a(i, j);
+    Matrix head_lower;
+    ASSERT_TRUE(cholesky(head, head_lower));
+    for (std::size_t p = 1; p < n; ++p) {
+        Matrix lower(n, n);
+        for (std::size_t i = 0; i < p; ++i)
+            for (std::size_t j = 0; j <= i; ++j)
+                lower(i, j) = head_lower(i, j);
+        EXPECT_FALSE(cholesky(a, lower, p)) << "p=" << p;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyBlockEdges,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 31,
+                                           32, 33));
+
+TEST(Linalg, CholeskyStartRowNeedsAFactorOfTheRightShape)
+{
+    const Matrix a(3, 3, {4.0, 2.0, 0.0, 2.0, 5.0, 0.0, 0.0, 0.0, 1.0});
+    Matrix lower(2, 2);
+    EXPECT_DEATH(cholesky(a, lower, 1), "start row");
+    Matrix square(3, 3);
+    EXPECT_DEATH(cholesky(a, square, 4), "start row");
 }
 
 TEST(Linalg, JitterRecoversNearSingular)
