@@ -1,9 +1,11 @@
 /**
  * @file
- * Kernel-layer speedup study: naive vs blocked GEMM (single thread)
- * over the layer shapes the Figure 11 training runs actually execute (batch 64, VAE hidden {128, 64},
- * latent 4, predictor hidden {64, 64}), plus the full-dataset encode
- * batch.
+ * Kernel-layer speedup study: the reference triple loops
+ * (tests/common/reference_gemm.hh, "naive") against the tuned GEMM
+ * behind Matrix::multiply*Into ("blocked"), single thread, over the
+ * layer shapes the Figure 11 training runs actually execute (batch
+ * 64, VAE hidden {128, 64}, latent 4, predictor hidden {64, 64}),
+ * plus the full-dataset encode batch.
  *
  * Shapes are (m, k, n) of the linearForward orientation
  * C(m x n) = A(m x k) * B(n x k)^T, i.e. batch x fan_in x fan_out.
@@ -31,7 +33,7 @@
 #include <vector>
 
 #include "common.hh"
-#include "tensor/kernels/kernels.hh"
+#include "common/reference_gemm.hh"
 #include "tensor/matrix.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -48,11 +50,18 @@ struct Shape
     bool gated;   // counts toward the speedup target
 };
 
-/** One multiply of the shape under the currently selected kernel. */
+/** One multiply of the shape, by the reference or the tuned GEMM. */
 double
-runOnce(const Shape &s, const Matrix &a, const Matrix &b, Matrix &c)
+runOnce(const Shape &s, const Matrix &a, const Matrix &b, Matrix &c,
+        bool reference)
 {
-    if (s.transA)
+    if (reference && s.transA)
+        reference::gemmTransA(c.rows(), c.cols(), a.rows(), a.data(),
+                              b.data(), c.data());
+    else if (reference)
+        reference::gemmTransB(c.rows(), c.cols(), a.cols(), a.data(),
+                              b.data(), c.data());
+    else if (s.transA)
         Matrix::multiplyTransAInto(a, b, c);
     else
         Matrix::multiplyTransBInto(a, b, c);
@@ -62,11 +71,12 @@ runOnce(const Shape &s, const Matrix &a, const Matrix &b, Matrix &c)
 /** Best-of-reps ns per multiply, auto-scaling the inner iterations. */
 double
 nsPerMultiply(const Shape &s, const Matrix &a, const Matrix &b,
-              Matrix &c, std::size_t reps, double target_ms)
+              Matrix &c, bool reference, std::size_t reps,
+              double target_ms)
 {
     // Calibrate the inner loop to roughly target_ms per measurement.
     const auto t0 = std::chrono::steady_clock::now();
-    double sink = runOnce(s, a, b, c);
+    double sink = runOnce(s, a, b, c, reference);
     const auto t1 = std::chrono::steady_clock::now();
     const double once_s =
         std::chrono::duration<double>(t1 - t0).count();
@@ -77,7 +87,7 @@ nsPerMultiply(const Shape &s, const Matrix &a, const Matrix &b,
     for (std::size_t r = 0; r < reps; ++r) {
         const auto r0 = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < iters; ++i)
-            sink += runOnce(s, a, b, c);
+            sink += runOnce(s, a, b, c, reference);
         const auto r1 = std::chrono::steady_clock::now();
         best_s = std::min(
             best_s, std::chrono::duration<double>(r1 - r0).count() /
@@ -136,10 +146,9 @@ main()
         a.randomUniform(rng, -1.0, 1.0);
         b.randomUniform(rng, -1.0, 1.0);
 
-        kernels::setActiveKernel(kernels::KernelKind::Naive);
-        naive_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
-        kernels::setActiveKernel(kernels::KernelKind::Blocked);
-        blocked_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
+        naive_ns[i] = nsPerMultiply(s, a, b, c, true, reps, target_ms);
+        blocked_ns[i] =
+            nsPerMultiply(s, a, b, c, false, reps, target_ms);
 
         const double speedup = naive_ns[i] / blocked_ns[i];
         if (s.gated) {

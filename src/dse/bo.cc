@@ -190,7 +190,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
         for (std::size_t i = 0; i < warmup; ++i)
             xs[i] = sample_uniform();
         const std::vector<double> values =
-            evaluatePoints(objective, xs, pool);
+            objective.evaluateBatch(xs, pool);
         for (std::size_t i = 0; i < warmup; ++i)
             trace.add(xs[i], values[i]);
     }

@@ -137,7 +137,7 @@ GeneticSearch::run(Objective &objective, std::size_t samples, Rng &rng,
     // identical stream — traces match serial runs seed-for-seed.
     auto scoreInto = [&](std::vector<std::vector<double>> genes) {
         const std::vector<double> values =
-            evaluatePoints(objective, genes, pool);
+            objective.evaluateBatch(genes, pool);
         for (std::size_t i = 0; i < genes.size(); ++i) {
             trace.add(genes[i], values[i]);
             population.push_back(

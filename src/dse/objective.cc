@@ -38,23 +38,25 @@ evalMetrics()
     return m;
 }
 
-} // namespace
-
+/**
+ * The recovery protocol shared by evaluateRecovered() and
+ * recoverRawObjective(): count and time one evaluation, then make two
+ * attempts at compute(). Injected faults fire once, so the retry
+ * separates transient failures (which succeed on attempt two) from
+ * persistent ones (which score invalid).
+ */
+template <typename Compute>
 double
-evaluateRecovered(Objective &objective, const std::vector<double> &x)
+recoverWithRetry(Compute &&compute)
 {
     EvalMetrics &em = evalMetrics();
     em.evals.inc();
     const metrics::ScopedTimer timer(em.evalNs);
-    // Two attempts: injected faults fire once, so the retry separates
-    // transient failures (which succeed on attempt two) from
-    // persistent ones (which score invalid).
     constexpr int maxAttempts = 2;
     for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
         try {
             faultCheck("eval_throw");
-            const double value =
-                faultMaybeNan("eval_nan", objective.evaluate(x));
+            const double value = faultMaybeNan("eval_nan", compute());
             if (std::isnan(value)) {
                 warn("evaluation produced NaN (attempt ", attempt,
                      "/", maxAttempts, ")");
@@ -72,6 +74,14 @@ evaluateRecovered(Objective &objective, const std::vector<double> &x)
     return invalidScore;
 }
 
+} // namespace
+
+double
+evaluateRecovered(Objective &objective, const std::vector<double> &x)
+{
+    return recoverWithRetry([&] { return objective.evaluate(x); });
+}
+
 /**
  * Valid to reuse the raw batch value because batch evaluation is
  * deterministic: the per-point path's retry would recompute the
@@ -81,29 +91,7 @@ evaluateRecovered(Objective &objective, const std::vector<double> &x)
 double
 recoverRawObjective(double raw)
 {
-    EvalMetrics &em = evalMetrics();
-    em.evals.inc();
-    const metrics::ScopedTimer timer(em.evalNs);
-    constexpr int maxAttempts = 2;
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        try {
-            faultCheck("eval_throw");
-            const double value = faultMaybeNan("eval_nan", raw);
-            if (std::isnan(value)) {
-                warn("evaluation produced NaN (attempt ", attempt,
-                     "/", maxAttempts, ")");
-                continue;
-            }
-            return value;
-        } catch (const std::exception &e) {
-            warn("evaluation failed: ", e.what(), " (attempt ",
-                 attempt, "/", maxAttempts, ")");
-        }
-    }
-    warn("marking candidate invalid after ", maxAttempts,
-         " failed evaluations");
-    em.invalid.inc();
-    return invalidScore;
+    return recoverWithRetry([raw] { return raw; });
 }
 
 std::vector<double>
@@ -120,14 +108,6 @@ Objective::evaluateBatch(const std::vector<std::vector<double>> &xs,
             values[i] = evaluateRecovered(*this, xs[i]);
     }
     return values;
-}
-
-std::vector<double>
-evaluatePoints(Objective &objective,
-               const std::vector<std::vector<double>> &xs,
-               ThreadPool *pool)
-{
-    return objective.evaluateBatch(xs, pool);
 }
 
 void

@@ -71,9 +71,8 @@ class Objective
 
     /**
      * Score xs[i] into out[i] as one batch. The base implementation
-     * reproduces the historical evaluatePoints() behavior exactly:
-     * per-point evaluateRecovered() calls, fanned across the pool
-     * when one is given and threadSafeEvaluate() holds, serial
+     * makes per-point evaluateRecovered() calls, fanned across the
+     * pool when one is given and threadSafeEvaluate() holds, serial
      * otherwise. Objectives backed by the batch evaluation pipeline
      * (InputSpaceObjective) override this to score the whole batch
      * through Evaluator::evaluateLayerBatch and then re-apply the
@@ -119,18 +118,6 @@ AcceleratorConfig decodeBoxPoint(const std::vector<double> &x);
 
 /** Inverse of decodeBoxPoint onto grid indices, normalized [0,1]. */
 std::vector<double> encodeBoxPoint(const AcceleratorConfig &config);
-
-/**
- * Score xs[i] into out[i], fanning across the pool when one is given
- * and the objective declares threadSafeEvaluate(); the serial loop
- * otherwise. Results are bit-identical either way (results land in
- * input order and thread-safe objectives are deterministic), which
- * is what keeps pool-enabled search traces seed-for-seed equal to
- * serial ones. Every evaluation goes through evaluateRecovered().
- */
-std::vector<double> evaluatePoints(
-    Objective &objective, const std::vector<std::vector<double>> &xs,
-    ThreadPool *pool);
 
 /** One evaluated point of a search run. */
 struct TracePoint

@@ -58,7 +58,7 @@ RandomSearch::run(Objective &objective, std::size_t samples, Rng &rng,
                 xs[i][d] = rng.uniform(lo[d], hi[d]);
         }
         const std::vector<double> values =
-            evaluatePoints(objective, xs, pool);
+            objective.evaluateBatch(xs, pool);
         for (std::size_t i = 0; i < count; ++i)
             trace.add(xs[i], values[i]);
 

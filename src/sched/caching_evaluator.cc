@@ -57,6 +57,39 @@ globalCacheMetrics()
     return m;
 }
 
+/**
+ * Bucket n keys by shard with a counting sort, so probeBatch() and
+ * insertBatch() lock each shard exactly once per batch regardless of
+ * n: the keys of shard s are keys[order[o]] for o in
+ * [start[s], start[s + 1]), in input order.
+ */
+struct ShardBuckets
+{
+    std::vector<std::uint32_t> start;
+    std::vector<std::uint32_t> order;
+};
+
+ShardBuckets
+bucketByShard(const CachingEvaluator::BatchKey *keys, std::size_t n,
+              std::size_t shardCount)
+{
+    std::vector<std::uint32_t> shardOf(n);
+    ShardBuckets b{std::vector<std::uint32_t>(shardCount + 1, 0),
+                   std::vector<std::uint32_t>(n)};
+    for (std::size_t i = 0; i < n; ++i) {
+        shardOf[i] = static_cast<std::uint32_t>(
+            CachingEvaluator::BatchKeyHash{}(keys[i]) % shardCount);
+        ++b.start[shardOf[i] + 1];
+    }
+    for (std::size_t s = 0; s < shardCount; ++s)
+        b.start[s + 1] += b.start[s];
+    std::vector<std::uint32_t> cursor(b.start.begin(),
+                                      b.start.end() - 1);
+    for (std::size_t i = 0; i < n; ++i)
+        b.order[cursor[shardOf[i]]++] = static_cast<std::uint32_t>(i);
+    return b;
+}
+
 std::size_t
 roundUpPow2(std::size_t x)
 {
@@ -221,25 +254,7 @@ CachingEvaluator::probeBatch(const BatchKey *keys, std::size_t n,
 {
     if (n == 0)
         return;
-    // Bucket keys by shard (counting sort) so each shard is locked
-    // exactly once per batch regardless of n.
-    std::vector<std::uint32_t> shardOf(n);
-    std::vector<std::uint32_t> start(shardCount_ + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        shardOf[i] = static_cast<std::uint32_t>(
-            BatchKeyHash{}(keys[i]) % shardCount_);
-        ++start[shardOf[i] + 1];
-    }
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        start[s + 1] += start[s];
-    std::vector<std::uint32_t> order(n);
-    {
-        std::vector<std::uint32_t> cursor(start.begin(),
-                                          start.end() - 1);
-        for (std::size_t i = 0; i < n; ++i)
-            order[cursor[shardOf[i]]++] =
-                static_cast<std::uint32_t>(i);
-    }
+    const auto [start, order] = bucketByShard(keys, n, shardCount_);
     for (std::size_t s = 0; s < shardCount_; ++s) {
         if (start[s] == start[s + 1])
             continue;
@@ -266,23 +281,7 @@ CachingEvaluator::insertBatch(const BatchKey *keys,
 {
     if (n == 0)
         return;
-    std::vector<std::uint32_t> shardOf(n);
-    std::vector<std::uint32_t> start(shardCount_ + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        shardOf[i] = static_cast<std::uint32_t>(
-            BatchKeyHash{}(keys[i]) % shardCount_);
-        ++start[shardOf[i] + 1];
-    }
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        start[s + 1] += start[s];
-    std::vector<std::uint32_t> order(n);
-    {
-        std::vector<std::uint32_t> cursor(start.begin(),
-                                          start.end() - 1);
-        for (std::size_t i = 0; i < n; ++i)
-            order[cursor[shardOf[i]]++] =
-                static_cast<std::uint32_t>(i);
-    }
+    const auto [start, order] = bucketByShard(keys, n, shardCount_);
     for (std::size_t s = 0; s < shardCount_; ++s) {
         if (start[s] == start[s + 1])
             continue;

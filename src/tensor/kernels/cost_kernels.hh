@@ -11,8 +11,6 @@
  * flags: it replicates the exact operation order of the scalar
  * CostModel::evaluate() FP sequence one item at a time, so its
  * results are bit-for-bit equal to the scalar path by construction.
- * It does not follow the VAESA_KERNEL switch, which selects the GEMM
- * kernel only (kernels.hh).
  *
  * Determinism contract: fixed inputs give bit-identical outputs,
  * independent of batch size, item order, and thread count (the

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/kernels/kernels_detail.hh"
-#include "util/env.hh"
-#include "util/logging.hh"
 #include "util/metrics.hh"
 
 // GCC/Clang no-alias qualifier; the public contract already forbids
@@ -31,25 +28,6 @@ gemmMetrics()
     return m;
 }
 
-KernelKind
-parseKernelEnv()
-{
-    const std::string name = envString("VAESA_KERNEL", "blocked");
-    if (name == "naive")
-        return KernelKind::Naive;
-    if (name == "blocked")
-        return KernelKind::Blocked;
-    fatal("VAESA_KERNEL must be 'naive' or 'blocked', got '", name,
-          "'");
-}
-
-KernelKind &
-activeKernelSlot()
-{
-    static KernelKind kind = parseKernelEnv();
-    return kind;
-}
-
 /** Register-tile extents of the blocked micro-kernels. */
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileCols = 8;
@@ -58,12 +36,12 @@ constexpr std::size_t kDotTileCols = 4;
 // ---------------------------------------------------------------- //
 // Blocked kernels. Fixed RI x RJ register tiles with the k loop
 // innermost; each output element is accumulated in increasing k
-// order, so for a fixed kernel choice results are fully
-// deterministic. This TU is built with the tuned per-file flags
-// (-O3, unrolling, AVX2+FMA on x86-64 -- see the tensor
-// CMakeLists), so fused multiply-adds may shift low-order bits
-// relative to the naive reference TU; the equivalence tests bound
-// that drift with an explicit tolerance.
+// order, so results are fully deterministic. This TU is built with
+// the tuned per-file flags (-O3, unrolling, AVX2+FMA on x86-64 --
+// see the tensor CMakeLists), so fused multiply-adds may shift
+// low-order bits relative to the plain triple loops the tests use
+// as a reference; the equivalence tests bound that drift with an
+// explicit tolerance.
 // ---------------------------------------------------------------- //
 
 /** C tile (RI x RJ) at (c, stride n) += A rows (stride lda) * B. */
@@ -224,8 +202,9 @@ gemmTransABlocked(std::size_t m, std::size_t n, std::size_t k,
  * be vectorized without reassociating it, which the compiler rightly
  * refuses to do on its own). The lane split and the pairwise lane
  * reduction below are a fixed, code-defined order, so results stay
- * bit-identical run to run; they differ from the naive dot in
- * low-order bits, which the documented equivalence tolerance covers.
+ * bit-identical run to run; they differ from a plain sequential dot
+ * in low-order bits, which the documented equivalence tolerance
+ * covers.
  */
 template <std::size_t RI, std::size_t RJ>
 inline void
@@ -352,34 +331,13 @@ noteGemm(std::size_t m, std::size_t n, std::size_t k)
 
 } // namespace
 
-KernelKind
-activeKernel()
-{
-    return activeKernelSlot();
-}
-
-void
-setActiveKernel(KernelKind kind)
-{
-    activeKernelSlot() = kind;
-}
-
-const char *
-kernelName(KernelKind kind)
-{
-    return kind == KernelKind::Naive ? "naive" : "blocked";
-}
-
 void
 gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,
      const double *b, double *c, bool accumulate)
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    if (activeKernelSlot() == KernelKind::Blocked)
-        gemmBlocked(m, n, k, a, b, c, accumulate);
-    else
-        detail::gemmNaive(m, n, k, a, b, c, accumulate);
+    gemmBlocked(m, n, k, a, b, c, accumulate);
 }
 
 void
@@ -389,10 +347,7 @@ gemmTransA(std::size_t m, std::size_t n, std::size_t k,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    if (activeKernelSlot() == KernelKind::Blocked)
-        gemmTransABlocked(m, n, k, a, b, c, accumulate);
-    else
-        detail::gemmTransANaive(m, n, k, a, b, c, accumulate);
+    gemmTransABlocked(m, n, k, a, b, c, accumulate);
 }
 
 void
@@ -402,10 +357,7 @@ gemmTransB(std::size_t m, std::size_t n, std::size_t k,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    if (activeKernelSlot() == KernelKind::Blocked)
-        gemmTransBBlocked(m, n, k, a, b, c, accumulate);
-    else
-        detail::gemmTransBNaive(m, n, k, a, b, c, accumulate);
+    gemmTransBBlocked(m, n, k, a, b, c, accumulate);
 }
 
 void
@@ -420,10 +372,7 @@ linearForward(std::size_t batch, std::size_t in, std::size_t out,
     // second read-modify-write sweep.
     for (std::size_t i = 0; i < batch; ++i)
         std::copy(b, b + out, y + i * out);
-    if (activeKernelSlot() == KernelKind::Blocked)
-        gemmTransBBlocked(batch, out, in, x, w, y, true);
-    else
-        detail::gemmTransBNaive(batch, out, in, x, w, y, true);
+    gemmTransBBlocked(batch, out, in, x, w, y, true);
 }
 
 void

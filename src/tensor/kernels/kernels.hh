@@ -4,26 +4,19 @@
  * the three orientations the MLPs need, a fused linear-layer forward,
  * column sums, and in-place activation forward/backward loops.
  *
- * Two GEMM implementations are provided and selected at runtime via
- * VAESA_KERNEL=naive|blocked (default blocked):
+ * There is one GEMM implementation: register-tiled micro-kernels
+ * with restrict-qualified pointers and contiguous inner loops,
+ * compiled with tuned per-file flags (-O3, unrolling, AVX2+FMA on
+ * x86-64; see src/tensor/CMakeLists.txt). Each output element is
+ * accumulated in strictly increasing k order, but fused multiply-adds
+ * round once per a*b+c instead of twice, so results may differ in
+ * low-order bits from the plain triple loops the tests keep as a
+ * reference (tests/common/reference_gemm.hh). The equivalence tests
+ * bound that drift with an explicit relative tolerance (see
+ * docs/PERFORMANCE.md); NaN/Inf propagation is identical.
  *
- *  - naive: the reference triple loops, built in their own TU at the
- *    project's baseline flags so they reproduce the seed numerics bit
- *    for bit -- the ground truth for equivalence tests and A/B
- *    benchmarking.
- *  - blocked: register-tiled micro-kernels with restrict-qualified
- *    pointers and contiguous inner loops, compiled with tuned
- *    per-file flags (-O3, unrolling, AVX2+FMA on x86-64; see
- *    src/tensor/CMakeLists.txt). Each output element is accumulated
- *    in strictly increasing k order, but fused multiply-adds round
- *    once per a*b+c instead of twice, so blocked results may differ
- *    from naive in low-order bits. The equivalence tests bound that
- *    drift with an explicit relative tolerance (see
- *    docs/PERFORMANCE.md); NaN/Inf propagation is identical.
- *
- * Determinism contract: for a FIXED kernel choice, fixed inputs give
- * bit-identical outputs, run to run. Every GEMM runs on the calling
- * thread.
+ * Determinism contract: fixed inputs give bit-identical outputs, run
+ * to run. Every GEMM runs on the calling thread.
  *
  * This directory is the only place in the tree where raw SIMD
  * intrinsics or OpenMP pragmas may appear (enforced by tools/check);
@@ -39,29 +32,6 @@
 #include <cstddef>
 
 namespace vaesa::kernels {
-
-/** Selectable GEMM implementation. */
-enum class KernelKind
-{
-    /** Reference scalar triple loops. */
-    Naive,
-
-    /** Register-tiled loops (same k order as Naive, but FMA may
-     *  shift low-order bits; deterministic for a fixed choice). */
-    Blocked,
-};
-
-/**
- * The kernel selected by VAESA_KERNEL (read once, at first use) or by
- * the last setActiveKernel() call.
- */
-KernelKind activeKernel();
-
-/** Override the kernel choice at runtime (tests, benches). */
-void setActiveKernel(KernelKind kind);
-
-/** "naive" or "blocked". */
-const char *kernelName(KernelKind kind);
 
 /**
  * C (m x n) = A (m x k) * B (k x n).

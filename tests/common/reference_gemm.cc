@@ -1,26 +1,12 @@
-/**
- * @file
- * The naive reference GEMM bodies, in their own translation unit so
- * they keep the project's baseline optimization flags: with
- * VAESA_KERNEL=naive the math layer reproduces the pre-kernel-layer
- * numerics exactly, which is what makes naive a trustworthy ground
- * truth for the equivalence tests and A/B benchmarks.
- *
- * These are the seed implementations minus the old
- * `if (aik == 0.0) continue` sparsity skips: skipping a zero
- * multiplier silently swallowed NaN/Inf in the other operand
- * (0 * NaN must be NaN), so every product is now always formed.
- */
-
-#include "tensor/kernels/kernels_detail.hh"
+#include "reference_gemm.hh"
 
 #include <algorithm>
 
-namespace vaesa::kernels::detail {
+namespace vaesa::reference {
 
 void
-gemmNaive(std::size_t m, std::size_t n, std::size_t k, const double *a,
-          const double *b, double *c, bool accumulate)
+gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,
+     const double *b, double *c, bool accumulate)
 {
     // i-k-j order keeps the inner loop contiguous in b and c.
     for (std::size_t i = 0; i < m; ++i) {
@@ -38,9 +24,9 @@ gemmNaive(std::size_t m, std::size_t n, std::size_t k, const double *a,
 }
 
 void
-gemmTransANaive(std::size_t m, std::size_t n, std::size_t k,
-                const double *a, const double *b, double *c,
-                bool accumulate)
+gemmTransA(std::size_t m, std::size_t n, std::size_t k,
+           const double *a, const double *b, double *c,
+           bool accumulate)
 {
     if (!accumulate)
         std::fill(c, c + m * n, 0.0);
@@ -57,9 +43,9 @@ gemmTransANaive(std::size_t m, std::size_t n, std::size_t k,
 }
 
 void
-gemmTransBNaive(std::size_t m, std::size_t n, std::size_t k,
-                const double *a, const double *b, double *c,
-                bool accumulate)
+gemmTransB(std::size_t m, std::size_t n, std::size_t k,
+           const double *a, const double *b, double *c,
+           bool accumulate)
 {
     for (std::size_t i = 0; i < m; ++i) {
         const double *a_row = a + i * k;
@@ -74,4 +60,4 @@ gemmTransBNaive(std::size_t m, std::size_t n, std::size_t k,
     }
 }
 
-} // namespace vaesa::kernels::detail
+} // namespace vaesa::reference

@@ -4,11 +4,6 @@
  * CostModel. The contract under test (batch_cost_model.hh): batch
  * results are BIT-identical to the scalar path in every field the
  * batch fills, permutation-invariant, and duplicate-stable.
- *
- * There is one cost kernel, and it does not follow VAESA_KERNEL.
- * Every property still runs under both settings of that switch
- * (saved and restored around each test), so a cost path that starts
- * depending on the GEMM kernel choice fails here in one run.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "../common/batching.hh"
 #include "costmodel/batch_cost_model.hh"
 #include "sched/evaluator.hh"
 #include "sched/random_mapper.hh"
-#include "tensor/kernels/kernels.hh"
 #include "workload/networks.hh"
 #include "workload/zoo.hh"
 
@@ -49,9 +44,13 @@ drawItems(const LayerShape &layer, std::size_t want, Rng &rng)
     return items;
 }
 
+using testing::Batching;
+
+/** Score @p items one call per item (naive) or in one call (blocked). */
 std::vector<CostResult>
 scoreBatch(const BatchCostModel &batch,
-           const std::vector<BatchItem> &items, const LayerShape &layer)
+           const std::vector<BatchItem> &items, const LayerShape &layer,
+           Batching how)
 {
     std::vector<AcceleratorConfig> archs;
     std::vector<Mapping> mappings;
@@ -60,8 +59,14 @@ scoreBatch(const BatchCostModel &batch,
         mappings.push_back(it.mapping);
     }
     std::vector<CostResult> results(items.size());
-    batch.evaluateLayer(archs.data(), mappings.data(), items.size(),
-                        layer, results.data());
+    if (how == Batching::Blocked) {
+        batch.evaluateLayer(archs.data(), mappings.data(), items.size(),
+                            layer, results.data());
+    } else {
+        for (std::size_t i = 0; i < items.size(); ++i)
+            batch.evaluateLayer(&archs[i], &mappings[i], 1, layer,
+                                &results[i]);
+    }
     return results;
 }
 
@@ -86,23 +91,17 @@ expectBitIdentical(const CostResult &a, const CostResult &b)
     EXPECT_EQ(a.edp(), b.edp());
 }
 
-class BatchCostProperties
-    : public ::testing::TestWithParam<kernels::KernelKind>
+class BatchCostProperties : public ::testing::TestWithParam<Batching>
 {
   protected:
-    void SetUp() override
+    std::vector<CostResult> score(const std::vector<BatchItem> &items,
+                                  const LayerShape &layer) const
     {
-        saved_ = kernels::activeKernel();
-        kernels::setActiveKernel(GetParam());
+        return scoreBatch(batch, items, layer, GetParam());
     }
-
-    void TearDown() override { kernels::setActiveKernel(saved_); }
 
     CostModel model;
     BatchCostModel batch{model};
-
-  private:
-    kernels::KernelKind saved_ = kernels::KernelKind::Blocked;
 };
 
 TEST_P(BatchCostProperties, MatchesScalarModel)
@@ -112,7 +111,7 @@ TEST_P(BatchCostProperties, MatchesScalarModel)
     for (const Workload &w : trainingWorkloads()) {
         for (const LayerShape &layer : w.layers) {
             const auto items = drawItems(layer, 24, rng);
-            const auto results = scoreBatch(batch, items, layer);
+            const auto results = score(items, layer);
             for (std::size_t i = 0; i < items.size(); ++i) {
                 const CostResult scalar = model.evaluate(
                     items[i].arch, layer, items[i].mapping);
@@ -134,7 +133,7 @@ TEST_P(BatchCostProperties, PermutationInvariant)
     auto items = drawItems(layer, 32, rng);
     ASSERT_GE(items.size(), 8u);
 
-    const auto before = scoreBatch(batch, items, layer);
+    const auto before = score(items, layer);
 
     // Deterministic shuffle, then map each result back.
     std::vector<std::size_t> perm(items.size());
@@ -146,7 +145,7 @@ TEST_P(BatchCostProperties, PermutationInvariant)
     for (const std::size_t p : perm)
         shuffled.push_back(items[p]);
 
-    const auto after = scoreBatch(batch, shuffled, layer);
+    const auto after = score(shuffled, layer);
     for (std::size_t i = 0; i < perm.size(); ++i)
         expectBitIdentical(after[i], before[perm[i]]);
 }
@@ -164,8 +163,8 @@ TEST_P(BatchCostProperties, DuplicateStable)
         for (const BatchItem &it : base)
             dup.push_back(it);
 
-    const auto single = scoreBatch(batch, base, layer);
-    const auto repeated = scoreBatch(batch, dup, layer);
+    const auto single = score(base, layer);
+    const auto repeated = score(dup, layer);
     for (std::size_t i = 0; i < dup.size(); ++i)
         expectBitIdentical(repeated[i], single[i % base.size()]);
 }
@@ -184,7 +183,7 @@ TEST_P(BatchCostProperties, InvalidItemsCarryScalarReasons)
     items[1].mapping.tileGb[DimP] = 0;
     items[2].mapping.spatialK = -1;
 
-    const auto results = scoreBatch(batch, items, layer);
+    const auto results = score(items, layer);
     for (std::size_t i = 0; i < items.size(); ++i) {
         std::string reason;
         const bool ok = model.checkMapping(items[i].arch, layer,
@@ -216,8 +215,14 @@ TEST_P(BatchCostProperties, EvaluatorLayerBatchMatchesLoop)
         configs.push_back(designSpace().randomConfig(rng));
 
     std::vector<EvalResult> batched(configs.size());
-    evaluator.evaluateLayerBatch(configs.data(), configs.size(),
-                                 layer, batched.data());
+    if (GetParam() == Batching::Blocked) {
+        evaluator.evaluateLayerBatch(configs.data(), configs.size(),
+                                     layer, batched.data());
+    } else {
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            evaluator.evaluateLayerBatch(&configs[i], 1, layer,
+                                         &batched[i]);
+    }
 
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const EvalResult serial =
@@ -250,7 +255,7 @@ TEST_P(BatchCostProperties, MatchesScalarOnDepthwiseAndSkinnyGemm)
     int checked = 0;
     for (const LayerShape &layer : shapes) {
         const auto items = drawItems(layer, 16, rng);
-        const auto results = scoreBatch(batch, items, layer);
+        const auto results = score(items, layer);
         for (std::size_t i = 0; i < items.size(); ++i) {
             const CostResult scalar = model.evaluate(
                 items[i].arch, layer, items[i].mapping);
@@ -265,13 +270,10 @@ TEST_P(BatchCostProperties, MatchesScalarOnDepthwiseAndSkinnyGemm)
     EXPECT_GT(checked, 40);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, BatchCostProperties,
-    ::testing::Values(kernels::KernelKind::Naive,
-                      kernels::KernelKind::Blocked),
-    [](const ::testing::TestParamInfo<kernels::KernelKind> &info) {
-        return std::string(kernels::kernelName(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Kernels, BatchCostProperties,
+                         ::testing::Values(Batching::Naive,
+                                           Batching::Blocked),
+                         testing::batchingName);
 
 } // namespace
 } // namespace vaesa

@@ -122,7 +122,7 @@ struct GoldenCase
 {
     const char *name;
     GaussianProcess::Kernel kernel;
-    const char *kernelName;
+    const char *fileStem; // golden_bo_trace_<fileStem>.txt
     bool pooled;
 };
 
@@ -137,7 +137,7 @@ std::string
 goldenPath(const GoldenCase &c)
 {
     return std::string(VAESA_TEST_DATA_DIR) + "/dse/golden_bo_trace_" +
-           c.kernelName + ".txt";
+           c.fileStem + ".txt";
 }
 
 class BoGoldenTrace : public ::testing::TestWithParam<GoldenCase>

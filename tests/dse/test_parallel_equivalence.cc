@@ -15,7 +15,6 @@
 #include "dse/bo.hh"
 #include "dse/genetic.hh"
 #include "dse/random_search.hh"
-#include "tensor/kernels/kernels.hh"
 #include "util/fault.hh"
 #include "util/thread_pool.hh"
 #include "workload/networks.hh"
@@ -189,37 +188,64 @@ TEST(ParallelEquivalence, BatchScoringMatchesPerPointScoring)
     ASSERT_EQ(batched.size(), xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i)
         EXPECT_EQ(batched[i], obj.evaluate(xs[i])) << "point " << i;
-
-    // And the free-function entry point the drivers use routes to
-    // the same override.
-    const std::vector<double> routed =
-        evaluatePoints(obj, xs, &pool);
-    EXPECT_EQ(routed, batched);
 }
 
-TEST(ParallelEquivalence, BatchRoutedSearchIsIdenticalUnderNaiveKernel)
+TEST(ParallelEquivalence, BatchRecoveryMatchesPerPointUnderFaults)
 {
-    // The existing seed-for-seed tests run under the session default
-    // kernel; this one pins the bit-exactness acceptance criterion
-    // under the forced naive reference kernel explicitly.
-    const kernels::KernelKind saved = kernels::activeKernel();
-    kernels::setActiveKernel(kernels::KernelKind::Naive);
-
+    // With a pool, InputSpaceObjective::evaluateBatch scores through
+    // the SoA pipeline and then replays the recovery protocol over
+    // each raw value; without one it runs evaluateRecovered() per
+    // point. The same armed hits must give both paths the same values
+    // and the same fault-site hit counts.
     Evaluator evaluator;
     ThreadPool pool(4);
-    InputSpaceObjective serialObj(evaluator, smallWorkload());
-    Rng serialRng(23);
-    const SearchTrace serial =
-        RandomSearch().run(serialObj, 40, serialRng);
+    InputSpaceObjective obj(evaluator, smallWorkload());
+    const auto xs = randomPoints(24, obj.dim(), 29);
+    FaultInjector::instance().reset();
+    const std::vector<double> clean = obj.evaluateBatch(xs, nullptr);
 
-    InputSpaceObjective poolObj(evaluator, smallWorkload());
-    Rng poolRng(23);
-    const SearchTrace parallel =
-        RandomSearch().run(poolObj, 40, poolRng, &pool);
+    struct Case
+    {
+        const char *name;
+        std::uint64_t throwNth; // 0 leaves the site disarmed
+        std::uint64_t nanNth;
+        std::size_t invalidAt;  // xs.size() when every point recovers
+    };
+    const Case cases[] = {
+        {"transient throw", 7, 0, xs.size()},
+        {"transient nan", 0, 4, xs.size()},
+        // Point 5's first attempt throws and its retry is the fifth
+        // eval_nan hit (points 1-4 made the first four).
+        {"throw then nan", 5, 5, 4},
+    };
+    for (const Case &c : cases) {
+        FaultInjector &faults = FaultInjector::instance();
+        const auto runArmed = [&](ThreadPool *p) {
+            faults.reset();
+            if (c.throwNth)
+                faults.arm("eval_throw", c.throwNth);
+            if (c.nanNth)
+                faults.arm("eval_nan", c.nanNth);
+            return obj.evaluateBatch(xs, p);
+        };
+        const std::vector<double> perPoint = runArmed(nullptr);
+        const std::uint64_t throwHits = faults.hitCount("eval_throw");
+        const std::uint64_t nanHits = faults.hitCount("eval_nan");
+        const std::vector<double> batched = runArmed(&pool);
+        EXPECT_EQ(faults.hitCount("eval_throw"), throwHits) << c.name;
+        EXPECT_EQ(faults.hitCount("eval_nan"), nanHits) << c.name;
+        faults.reset();
 
-    expectIdenticalTraces(serial, parallel);
-    EXPECT_EQ(serialRng.next(), poolRng.next());
-    kernels::setActiveKernel(saved);
+        EXPECT_GT(throwHits + nanHits, 0u) << c.name;
+        EXPECT_EQ(batched, perPoint) << c.name;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            if (i == c.invalidAt)
+                EXPECT_EQ(perPoint[i], invalidScore) << c.name;
+            else
+                EXPECT_EQ(perPoint[i], clean[i])
+                    << c.name << ", point " << i;
+        }
+    }
 }
 
 TEST(ParallelEquivalence, BatchPhaseFailureFallsBackPerPoint)

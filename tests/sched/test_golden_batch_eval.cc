@@ -6,9 +6,7 @@
  * batch cost model + work-stealing chunks), and frozen
  * into its own CSV compared at 0 ULP. A batch-path refactor that
  * drifts from the scalar landscape — even in the last bit — fails
- * here even if the scalar golden file still passes. The cost path
- * does not follow VAESA_KERNEL, so the file must match under both
- * settings.
+ * here even if the scalar golden file still passes.
  *
  * To regenerate after an INTENDED cost-model change:
  *   VAESA_UPDATE_GOLDEN=1 ./build/tests/test_sched \

@@ -1,14 +1,15 @@
-/** @file Kernel-layer tests: naive-vs-reference bit-equivalence,
- *  blocked-vs-naive equivalence within the documented FMA tolerance
- *  (including NaN/Inf operands -- the old zero-skip sparsity shortcut
- *  masked their propagation), fixed-kernel determinism, runtime
- *  kernel selection, and workspace arena growth stability. */
+/** @file Kernel-layer tests: GEMM-vs-reference equivalence within
+ *  the documented FMA tolerance (including NaN/Inf operands -- the
+ *  old zero-skip sparsity shortcut masked their propagation), exact
+ *  agreement of the reference orientations, run-to-run determinism,
+ *  and workspace arena growth stability. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
+#include "../common/reference_gemm.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/kernels/workspace.hh"
 #include "tensor/matrix.hh"
@@ -16,14 +17,6 @@
 
 namespace vaesa {
 namespace {
-
-/** Restore the globally selected kernel on scope exit. */
-struct KernelStateGuard
-{
-    kernels::KernelKind kind = kernels::activeKernel();
-
-    ~KernelStateGuard() { kernels::setActiveKernel(kind); }
-};
 
 Matrix
 randomMatrix(std::size_t rows, std::size_t cols, Rng &rng)
@@ -33,15 +26,13 @@ randomMatrix(std::size_t rows, std::size_t cols, Rng &rng)
     return m;
 }
 
-/** Reference C = A * B: plain triple loop, no shortcuts. */
+/** Reference C = A * B (tests/common/reference_gemm.hh). */
 Matrix
 refMultiply(const Matrix &a, const Matrix &b)
 {
     Matrix c(a.rows(), b.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t k = 0; k < a.cols(); ++k)
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                c(i, j) += a(i, k) * b(k, j);
+    reference::gemm(a.rows(), b.cols(), a.cols(), a.data(), b.data(),
+                    c.data());
     return c;
 }
 
@@ -50,10 +41,8 @@ Matrix
 refMultiplyTransA(const Matrix &a, const Matrix &b)
 {
     Matrix c(a.cols(), b.cols());
-    for (std::size_t k = 0; k < a.rows(); ++k)
-        for (std::size_t i = 0; i < a.cols(); ++i)
-            for (std::size_t j = 0; j < b.cols(); ++j)
-                c(i, j) += a(k, i) * b(k, j);
+    reference::gemmTransA(a.cols(), b.cols(), a.rows(), a.data(),
+                          b.data(), c.data());
     return c;
 }
 
@@ -62,13 +51,8 @@ Matrix
 refMultiplyTransB(const Matrix &a, const Matrix &b)
 {
     Matrix c(a.rows(), b.rows());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < b.rows(); ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < a.cols(); ++k)
-                acc += a(i, k) * b(j, k);
-            c(i, j) = acc;
-        }
+    reference::gemmTransB(a.rows(), b.rows(), a.cols(), a.data(),
+                          b.data(), c.data());
     return c;
 }
 
@@ -91,21 +75,8 @@ expectSameValues(const Matrix &got, const Matrix &want)
     }
 }
 
-TEST(Kernels, KernelSelectionRoundTrip)
-{
-    const KernelStateGuard guard;
-    kernels::setActiveKernel(kernels::KernelKind::Naive);
-    EXPECT_EQ(kernels::activeKernel(), kernels::KernelKind::Naive);
-    kernels::setActiveKernel(kernels::KernelKind::Blocked);
-    EXPECT_EQ(kernels::activeKernel(), kernels::KernelKind::Blocked);
-    EXPECT_STREQ(kernels::kernelName(kernels::KernelKind::Naive),
-                 "naive");
-    EXPECT_STREQ(kernels::kernelName(kernels::KernelKind::Blocked),
-                 "blocked");
-}
-
 /**
- * Tolerance for blocked-vs-naive drift. The blocked TU is compiled
+ * Tolerance for GEMM-vs-reference drift. The kernel TU is compiled
  * with FMA and fp contraction (and the transB dot is lane-split), so
  * each of the k accumulation steps can shift by one rounding of the
  * ~|a||b| partial products: |err| <= ~k * eps * sum_k |a||b|. With
@@ -129,7 +100,6 @@ expectWithinTolerance(const Matrix &got, const Matrix &want,
 
 TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
 {
-    const KernelStateGuard guard;
     Rng rng(11);
     // Shapes straddling the 4x8 / 4x4 register tiles: full tiles,
     // ragged edges, single rows/cols, and the paper's layer widths.
@@ -143,73 +113,63 @@ TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
         const Matrix bt = randomMatrix(s[1], s[2], rng);
         const Matrix at = randomMatrix(s[2], s[0], rng);
 
-        kernels::setActiveKernel(kernels::KernelKind::Naive);
-        const Matrix c_naive = Matrix::multiply(a, b);
-        const Matrix cb_naive = Matrix::multiplyTransB(a, bt);
-        const Matrix ca_naive = Matrix::multiplyTransA(at, b);
+        const Matrix c_ref = refMultiply(a, b);
+        const Matrix cb_ref = refMultiplyTransB(a, bt);
+        const Matrix ca_ref = refMultiplyTransA(at, b);
 
-        kernels::setActiveKernel(kernels::KernelKind::Blocked);
-        const Matrix c_blocked = Matrix::multiply(a, b);
-        const Matrix cb_blocked = Matrix::multiplyTransB(a, bt);
-        const Matrix ca_blocked = Matrix::multiplyTransA(at, b);
+        // The reference keeps the baseline flags and one summation
+        // order, so its three orientations agree bit for bit -- that
+        // is what makes it the ground truth.
+        expectSameValues(refMultiplyTransA(a.transposed(), b), c_ref);
+        expectSameValues(refMultiplyTransB(a, b.transposed()), c_ref);
 
-        // The naive TU keeps the baseline flags, so it matches the
-        // reference triple loops bit for bit in every orientation --
-        // that is what makes it the ground truth.
-        expectSameValues(c_naive, refMultiply(a, b));
-        expectSameValues(ca_naive, refMultiplyTransA(at, b));
-        expectSameValues(cb_naive, refMultiplyTransB(a, bt));
+        const Matrix c = Matrix::multiply(a, b);
+        const Matrix cb = Matrix::multiplyTransB(a, bt);
+        const Matrix ca = Matrix::multiplyTransA(at, b);
 
-        // Blocked accumulates in the same increasing-k order but with
-        // fused multiply-adds (and a lane-split transB dot), so it is
-        // only required to sit inside the documented tolerance.
-        expectWithinTolerance(c_blocked, c_naive, kBlockedTol);
-        expectWithinTolerance(cb_blocked, cb_naive, kBlockedTol);
-        expectWithinTolerance(ca_blocked, ca_naive, kBlockedTol);
+        // The kernels accumulate in the same increasing-k order but
+        // with fused multiply-adds (and a lane-split transB dot), so
+        // they are only required to sit inside the documented
+        // tolerance.
+        expectWithinTolerance(c, c_ref, kBlockedTol);
+        expectWithinTolerance(cb, cb_ref, kBlockedTol);
+        expectWithinTolerance(ca, ca_ref, kBlockedTol);
 
-        // For a FIXED kernel choice the results are bit-identical
-        // run to run.
-        EXPECT_TRUE(c_blocked == Matrix::multiply(a, b));
-        EXPECT_TRUE(cb_blocked == Matrix::multiplyTransB(a, bt));
-        EXPECT_TRUE(ca_blocked == Matrix::multiplyTransA(at, b));
+        // The results are bit-identical run to run.
+        EXPECT_TRUE(c == Matrix::multiply(a, b));
+        EXPECT_TRUE(cb == Matrix::multiplyTransB(a, bt));
+        EXPECT_TRUE(ca == Matrix::multiplyTransA(at, b));
     }
 }
 
 TEST(Kernels, LinearForwardFusesBiasCorrectly)
 {
-    const KernelStateGuard guard;
     Rng rng(12);
     for (const std::size_t batch : {1u, 5u, 64u}) {
         const Matrix x = randomMatrix(batch, 6, rng);
         const Matrix w = randomMatrix(32, 6, rng);
         const Matrix b = randomMatrix(1, 32, rng);
 
-        for (const auto kind : {kernels::KernelKind::Naive,
-                                kernels::KernelKind::Blocked}) {
-            kernels::setActiveKernel(kind);
-            Matrix y(batch, 32);
-            kernels::linearForward(batch, 6, 32, x.data(), w.data(),
-                                   b.data(), y.data());
-            // Reference: accumulators seeded with the bias, then the
-            // increasing-k dot products. The naive kernel follows
-            // exactly this order; blocked only has to land inside the
-            // documented FMA tolerance.
-            for (std::size_t r = 0; r < batch; ++r) {
-                for (std::size_t j = 0; j < 32; ++j) {
-                    double acc = b(0, j);
-                    for (std::size_t k = 0; k < 6; ++k)
-                        acc += x(r, k) * w(j, k);
-                    if (kind == kernels::KernelKind::Naive)
-                        EXPECT_EQ(y(r, j), acc)
-                            << "batch " << batch << " at (" << r
-                            << ", " << j << ")";
-                    else
-                        EXPECT_NEAR(y(r, j), acc, kBlockedTol)
-                            << "batch " << batch << " at (" << r
-                            << ", " << j << ")";
-                }
-            }
-        }
+        Matrix y(batch, 32);
+        kernels::linearForward(batch, 6, 32, x.data(), w.data(),
+                               b.data(), y.data());
+
+        // Accumulators seeded with the bias, then the increasing-k
+        // dot products: the fused forward is exactly the accumulating
+        // transB GEMM over bias rows, and within the documented FMA
+        // tolerance of the reference doing the same.
+        Matrix seeded(batch, 32);
+        for (std::size_t r = 0; r < batch; ++r)
+            for (std::size_t j = 0; j < 32; ++j)
+                seeded(r, j) = b(0, j);
+        Matrix y_gemm = seeded;
+        kernels::gemmTransB(batch, 32, 6, x.data(), w.data(),
+                            y_gemm.data(), true);
+        Matrix y_ref = seeded;
+        reference::gemmTransB(batch, 32, 6, x.data(), w.data(),
+                              y_ref.data(), true);
+        expectSameValues(y, y_gemm);
+        expectWithinTolerance(y, y_ref, kBlockedTol);
     }
 }
 
@@ -221,7 +181,6 @@ TEST(Kernels, LinearForwardFusesBiasCorrectly)
  */
 TEST(Kernels, NanAndInfPropagateAcrossZeros)
 {
-    const KernelStateGuard guard;
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
 
@@ -235,31 +194,25 @@ TEST(Kernels, NanAndInfPropagateAcrossZeros)
     b(1, 0) = nan; b(1, 1) = inf;
     b(2, 0) = 1.0; b(2, 1) = 1.0;
 
-    for (const auto kind : {kernels::KernelKind::Naive,
-                            kernels::KernelKind::Blocked}) {
-        kernels::setActiveKernel(kind);
+    const Matrix c = Matrix::multiply(a, b);
+    expectSameValues(c, refMultiply(a, b));
+    // 0 * NaN = NaN and 0 * Inf = NaN: every output touches k=1.
+    for (std::size_t r = 0; r < c.rows(); ++r)
+        for (std::size_t col = 0; col < c.cols(); ++col)
+            EXPECT_TRUE(std::isnan(c(r, col)))
+                << "at (" << r << ", " << col << ")";
 
-        const Matrix c = Matrix::multiply(a, b);
-        expectSameValues(c, refMultiply(a, b));
-        // 0 * NaN = NaN and 0 * Inf = NaN: every output touches k=1.
-        for (std::size_t r = 0; r < c.rows(); ++r)
-            for (std::size_t col = 0; col < c.cols(); ++col)
-                EXPECT_TRUE(std::isnan(c(r, col)))
-                    << kernels::kernelName(kind) << " at (" << r
-                    << ", " << col << ")";
+    // Same through the transposed-A path (the other site that
+    // carried the zero-skip): A^T has the zero column as a row.
+    const Matrix ct = Matrix::multiplyTransA(a.transposed(), b);
+    expectSameValues(ct, refMultiplyTransA(a.transposed(), b));
+    for (std::size_t r = 0; r < ct.rows(); ++r)
+        for (std::size_t col = 0; col < ct.cols(); ++col)
+            EXPECT_TRUE(std::isnan(ct(r, col)));
 
-        // Same through the transposed-A path (the other site that
-        // carried the zero-skip): A^T has the zero column as a row.
-        const Matrix ct = Matrix::multiplyTransA(a.transposed(), b);
-        expectSameValues(ct, refMultiplyTransA(a.transposed(), b));
-        for (std::size_t r = 0; r < ct.rows(); ++r)
-            for (std::size_t col = 0; col < ct.cols(); ++col)
-                EXPECT_TRUE(std::isnan(ct(r, col)));
-
-        // And A * B^T.
-        const Matrix cbt = Matrix::multiplyTransB(a, b.transposed());
-        expectSameValues(cbt, refMultiplyTransB(a, b.transposed()));
-    }
+    // And A * B^T.
+    const Matrix cbt = Matrix::multiplyTransB(a, b.transposed());
+    expectSameValues(cbt, refMultiplyTransB(a, b.transposed()));
 }
 
 TEST(Workspace, GrowthStopsAfterWarmup)
