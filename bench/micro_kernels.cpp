@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the framework's kernels:
- * dense GEMM, Cholesky/GP fits, the one-shot scheduler, the
+ * dense GEMM, Cholesky/GP fits and acquisition, the one-shot
+ * scheduler, the
  * analytical cost model, and VAE forward/backward training steps.
  * These quantify the substrate costs behind every experiment (e.g.
  * how many design points per second the evaluator can score).
@@ -9,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "dse/bo.hh"
 #include "dse/gp.hh"
 #include "nn/loss.hh"
 #include "nn/optim.hh"
@@ -101,6 +105,47 @@ BENCHMARK(BM_GpFitPredict)
     ->Args({64, 64})
     ->Args({128, 64})
     ->Args({192, 64})
+    ->Args({192, 640});
+
+void
+BM_GpAcquisition(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto queries = static_cast<std::size_t>(state.range(1));
+    Rng rng(3);
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    gpTrainingSet(n, rng, xs, ys);
+    GaussianProcess gp;
+    gp.fitWithHyperSearch(xs, ys);
+    // As in a BayesOpt iteration: an unscored fallback, then uniform
+    // candidates and, for the last fifth, perturbations of the best
+    // training point.
+    const std::size_t incumbent = static_cast<std::size_t>(
+        std::min_element(ys.begin(), ys.end()) - ys.begin());
+    std::vector<std::vector<double>> candidates(queries + 1);
+    for (std::size_t q = 0; q <= queries; ++q) {
+        candidates[q] = xs[incumbent];
+        for (double &v : candidates[q])
+            v = q < queries * 4 / 5 ? rng.uniform()
+                                    : v + rng.normal(0.0, 0.08);
+    }
+    std::size_t solved = 0;
+    for (auto _ : state) {
+        const Acquisition pick =
+            selectCandidate(gp, candidates, ys[incumbent]);
+        solved += pick.solved;
+        benchmark::DoNotOptimize(pick.index);
+    }
+    state.counters["solved_share"] =
+        static_cast<double>(solved) /
+        static_cast<double>(queries * state.iterations());
+}
+// {training points, candidates}: the selector alone on a fitted GP;
+// BM_GpFitPredict {192, 640} is the full-scan predictBatch it avoids.
+BENCHMARK(BM_GpAcquisition)
+    ->Args({64, 640})
+    ->Args({128, 640})
     ->Args({192, 640});
 
 void

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "util/atomic_io.hh"
@@ -25,6 +26,9 @@ struct BoMetrics
         metrics::histogram("search.bo.fit_ns");
     metrics::Histogram &acqNs =
         metrics::histogram("search.bo.acq_ns");
+    metrics::Counter &candidates =
+        metrics::counter("search.bo.candidates");
+    metrics::Counter &solved = metrics::counter("search.bo.solved");
 };
 
 BoMetrics &
@@ -90,7 +94,138 @@ invalidPenalty(double worst, double best, double factor)
     return worst + (factor - 1.0) * scale;
 }
 
+/** Relative slack of the EI upper bound. expectedImprovement() is
+ *  rounded both at the bounds and at the prediction; while EI is a
+ *  normal number (z above about -38) the worst case, large negative
+ *  z, loses ~z^2 to cancellation on top of ~z^2 ulps of exp/erfc
+ *  rounding, under 1e-9 relative. */
+constexpr double kEiRelSlack = 1e-6;
+
+/** Absolute slack of the EI upper bound, for subnormal EI values,
+ *  whose rounding is absolute (a few 2^-1074). */
+constexpr double kEiAbsSlack = 1e-300;
+
+/** Upper bound on the EI expectedImprovement() computes for any
+ *  prediction within the bound: EI falls as the mean rises and grows
+ *  with the variance. A NaN anywhere promises nothing: +inf. */
+double
+eiUpperBound(const GaussianProcess::Bound &bound, double best)
+{
+    if (std::isnan(bound.meanLower) || std::isnan(bound.varUpper))
+        return std::numeric_limits<double>::infinity();
+    const double ei =
+        expectedImprovement({bound.meanLower, bound.varUpper}, best);
+    const double upper = ei + std::abs(ei) * kEiRelSlack + kEiAbsSlack;
+    return std::isnan(upper) ? std::numeric_limits<double>::infinity()
+                             : upper;
+}
+
+/** body(from, len) over [0, n) in predictTile-aligned chunks,
+ *  across the pool when there is one. */
+template <typename Body>
+void
+forEachTileChunk(std::size_t n, ThreadPool *pool, const Body &body)
+{
+    constexpr std::size_t tile = GaussianProcess::predictTile;
+    if (!pool) {
+        body(std::size_t{0}, n);
+        return;
+    }
+    pool->parallelFor((n + tile - 1) / tile, [&](std::size_t c) {
+        body(c * tile, std::min(tile, n - c * tile));
+    });
+}
+
 } // namespace
+
+Acquisition
+selectCandidate(const GaussianProcess &gp,
+                std::span<const std::vector<double>> candidates,
+                double best, ThreadPool *pool)
+{
+    if (candidates.empty())
+        panic("selectCandidate: no candidates");
+    const std::span<const std::vector<double>> scored =
+        candidates.subspan(1);
+    const std::size_t m = scored.size();
+    Acquisition pick;
+    if (m == 0)
+        return pick;
+
+    std::vector<GaussianProcess::Bound> bounds(m);
+    forEachTileChunk(m, pool, [&](std::size_t from, std::size_t len) {
+        gp.boundBatch(scored.subspan(from, len),
+                      std::span(bounds).subspan(from, len));
+    });
+    struct Ranked
+    {
+        double upper;
+        std::size_t index;
+    };
+    std::vector<Ranked> order(m);
+    for (std::size_t i = 0; i < m; ++i)
+        order[i] = {eiUpperBound(bounds[i], best), i};
+    // Descending EI bound; the index breaks ties so the order is
+    // deterministic.
+    const auto higher = [](const Ranked &a, const Ranked &b) {
+        return a.upper > b.upper ||
+               (a.upper == b.upper && a.index < b.index);
+    };
+
+    // Solve in rounds of one tile per worker, in descending bound
+    // order. A candidate whose bound is below the best EI so far
+    // cannot win, nor can any after it. Only the first round is
+    // ordered up front; after it the candidates that can no longer
+    // win are dropped before the rest is sorted. The pick is the
+    // largest EI, the lowest index among equals: the first strict
+    // maximum of a scan in index order.
+    const std::size_t round =
+        GaussianProcess::predictTile *
+        (pool ? std::max<std::size_t>(1, pool->threadCount()) : 1);
+    const std::size_t first = std::min(round, m);
+    std::partial_sort(order.begin(), order.begin() + first, order.end(),
+                      higher);
+    std::vector<std::vector<double>> batch(first);
+    std::vector<GaussianProcess::Prediction> preds(first);
+    std::size_t next = 0;
+    while (next < order.size()) {
+        if (next == first) {
+            order.erase(std::remove_if(order.begin() + first, order.end(),
+                                       [&](const Ranked &r) {
+                                           return r.upper < pick.ei;
+                                       }),
+                        order.end());
+            std::sort(order.begin() + first, order.end(), higher);
+        }
+        std::size_t count = 0;
+        while (count < first && next + count < order.size() &&
+               !(order[next + count].upper < pick.ei)) {
+            batch[count] = scored[order[next + count].index];
+            ++count;
+        }
+        if (count == 0)
+            break;
+        const std::span<const std::vector<double>> solving =
+            std::span(batch).first(count);
+        forEachTileChunk(count, pool,
+                         [&](std::size_t from, std::size_t len) {
+                             gp.predictBatch(
+                                 solving.subspan(from, len),
+                                 std::span(preds).subspan(from, len));
+                         });
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::size_t index = order[next + k].index + 1;
+            const double ei = expectedImprovement(preds[k], best);
+            if (ei > pick.ei || (ei == pick.ei && index < pick.index)) {
+                pick.ei = ei;
+                pick.index = index;
+            }
+        }
+        next += count;
+        pick.solved += count;
+    }
+    return pick;
+}
 
 BayesOpt::BayesOpt(const BoOptions &options)
     : options_(options)
@@ -321,12 +456,9 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             instrument ? metrics::monotonicNowNs() : 0;
         // Acquisition: random + local candidates, take the best EI.
         // Candidates are drawn serially (the rng stream must not
-        // depend on the worker count) and scored by the GP in batch.
-        // A candidate's prediction does not depend on which batch it
-        // lands in, so with a pool the scored range is cut into
-        // fixed tile-aligned chunks that fan out across workers. The
-        // winner scan keeps the first strict EI improvement, so the
-        // selected candidate is identical either way.
+        // depend on the worker count); selectCandidate() solves only
+        // those whose EI bound can still win, and its pick equals a
+        // full scan's with or without the pool.
         const std::vector<double> incumbent = trace.bestPoint();
         std::vector<std::vector<double>> candidates;
         candidates.reserve(1 + options_.uniformCandidates +
@@ -348,36 +480,11 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             }
         }
 
-        const std::span<const std::vector<double>> scored =
-            std::span(candidates).subspan(1);
-        std::vector<GaussianProcess::Prediction> preds(scored.size());
-        if (pool) {
-            constexpr std::size_t chunk = GaussianProcess::predictTile;
-            pool->parallelFor(
-                (scored.size() + chunk - 1) / chunk,
-                [&](std::size_t c) {
-                    const std::size_t first = c * chunk;
-                    const std::size_t count =
-                        std::min(chunk, scored.size() - first);
-                    gp.predictBatch(scored.subspan(first, count),
-                                    std::span(preds).subspan(first,
-                                                             count));
-                });
-        } else {
-            gp.predictBatch(scored, preds);
-        }
-
-        std::size_t best_idx = 0;
-        double best_ei = -1.0;
-        for (std::size_t i = 1; i < candidates.size(); ++i) {
-            const double ei =
-                expectedImprovement(preds[i - 1], best_finite);
-            if (ei > best_ei) {
-                best_ei = ei;
-                best_idx = i;
-            }
-        }
-        const std::vector<double> &best_x = candidates[best_idx];
+        const Acquisition pick =
+            selectCandidate(gp, candidates, best_finite, pool);
+        bm.candidates.inc(candidates.size() - 1);
+        bm.solved.inc(pick.solved);
+        const std::vector<double> &best_x = candidates[pick.index];
         if (instrument)
             bm.acqNs.observe(metrics::monotonicNowNs() - acq_t0);
 

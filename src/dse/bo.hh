@@ -10,6 +10,8 @@
 #define VAESA_DSE_BO_HH
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "dse/gp.hh"
 #include "dse/objective.hh"
@@ -118,6 +120,38 @@ class BayesOpt
  */
 double expectedImprovement(const GaussianProcess::Prediction &pred,
                            double best);
+
+/** The candidate an acquisition picked. */
+struct Acquisition
+{
+    /** Index into the candidates; 0 when none was scored (or every
+     *  scored EI was NaN), the unscored fallback. */
+    std::size_t index = 0;
+
+    /** Expected improvement of the pick; -1 for the fallback. */
+    double ei = -1.0;
+
+    /** Candidates that went through the GP's forward substitution. */
+    std::size_t solved = 0;
+};
+
+/**
+ * Pick the candidate of largest expected improvement: the first
+ * strict maximum by index over candidates[1..], with candidates[0]
+ * the unscored fallback. Every scored candidate is first bounded by
+ * GaussianProcess::boundBatch(), whose bounds give an upper bound on
+ * its EI; candidates are then solved in descending bound order, a
+ * tile at a time, until no remaining bound can reach the best EI
+ * found. A pruned candidate cannot be the maximum, and a solved
+ * one's prediction is bit-identical to a full-batch predictBatch(),
+ * so the pick and its EI bits equal a full scan's. The pool, when
+ * given, fans both passes out in tile-aligned chunks; the pick does
+ * not depend on its worker count. Requires a fitted gp and a
+ * non-empty candidates.
+ */
+Acquisition selectCandidate(const GaussianProcess &gp,
+                            std::span<const std::vector<double>> candidates,
+                            double best, ThreadPool *pool = nullptr);
 
 } // namespace vaesa
 

@@ -88,6 +88,35 @@ class GaussianProcess
     void predictBatch(std::span<const std::vector<double>> xs,
                       std::span<Prediction> out) const;
 
+    /** Guaranteed bounds on one candidate's predictBatch() result. */
+    struct Bound
+    {
+        /** At most the posterior mean predictBatch() computes. */
+        double meanLower;
+
+        /** At least the posterior variance predictBatch() computes. */
+        double varUpper;
+    };
+
+    /**
+     * Bound the posterior at every point of a contiguous range
+     * without solving for it: out[j] brackets the doubles
+     * predictBatch() computes for xs[j] (meanLower <= mean,
+     * varUpper >= var, after rounding). Costs O(n * dim) per point
+     * with no exp call and no forward substitution: each kernel value
+     * is bracketed on a precomputed kernel grid, the mean bound takes
+     * the low or high end by the sign of alpha, and the variance
+     * bound applies Cauchy-Schwarz to the best single training point
+     * of the stored factor. Explicit margins cover the rounding of
+     * both computations (see gp.cc). A point with a non-finite
+     * coordinate, a fit with a non-finite alpha or factor, or a
+     * lengthscale that is not positive and finite gets NaN bounds,
+     * which promise nothing. Requires a prior fit() and
+     * out.size() == xs.size().
+     */
+    void boundBatch(std::span<const std::vector<double>> xs,
+                    std::span<Bound> out) const;
+
     /** Predict at one point: a batch of one. Requires a prior fit(). */
     Prediction predict(const std::vector<double> &x) const;
 
@@ -144,6 +173,15 @@ class GaussianProcess
     void predictTileOf(const std::vector<double> *xs, Prediction *out,
                        double *v, double *cand) const;
 
+    /** boundBatch() body for W consecutive candidates; cand is a
+     *  dim x W scratch tile. */
+    template <std::size_t W>
+    void boundTileOf(const std::vector<double> *xs, Bound *out,
+                     double *cand) const;
+
+    /** rowWeight_ and boundable_ from choleskyLower_ and alpha_. */
+    void prepareBounds();
+
     Kernel kernel_;
     Hyper hyper_;
     /** Input dimension of the fitted observations. */
@@ -160,6 +198,12 @@ class GaussianProcess
     double yMean_ = 0.0;
     double yStd_ = 1.0;
     double logLik_ = 0.0;
+    /** Per training point, a lower bound on 1 / (L L^T)_ii for the
+     *  stored factor, with the substitution's rounding folded in. */
+    std::vector<double> rowWeight_;
+    /** Whether alpha_, the factor's row norms and y's scaling are
+     *  finite, so boundBatch() can bound the computed predictions. */
+    bool boundable_ = false;
 };
 
 /** Standard normal probability density. */

@@ -1,0 +1,434 @@
+/**
+ * @file
+ * Exactness tests for the pruned acquisition. AcquisitionBound checks
+ * GaussianProcess::boundBatch() against the doubles predictBatch()
+ * computes, on ordinary and adversarial fits. PrunedAcquisition checks
+ * selectCandidate() against a test-local full scan (predictBatch on
+ * every candidate, then the first strict EI maximum by index): the
+ * pick and its EI must match bit for bit, serially and on a pool.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "dse/bo.hh"
+#include "dse/gp.hh"
+#include "util/metrics.hh"
+#include "util/rng.hh"
+#include "util/thread_pool.hh"
+
+namespace vaesa {
+namespace {
+
+using Kernel = GaussianProcess::Kernel;
+using Points = std::vector<std::vector<double>>;
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+Points
+uniformPoints(std::size_t count, std::size_t dim, Rng &rng)
+{
+    Points xs(count, std::vector<double>(dim));
+    for (auto &x : xs)
+        for (double &v : x)
+            v = rng.uniform(-1.0, 1.0);
+    return xs;
+}
+
+std::vector<double>
+smoothLabels(const Points &xs)
+{
+    std::vector<double> ys;
+    for (const auto &x : xs)
+        ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[x.size() - 1]);
+    return ys;
+}
+
+/** Candidates as an acquisition sees them: uniform points, the
+ *  training points themselves, and small perturbations of them. */
+Points
+probePoints(const Points &train, std::size_t uniform, Rng &rng)
+{
+    Points out = uniformPoints(uniform, train.front().size(), rng);
+    for (const auto &x : train) {
+        out.push_back(x);
+        std::vector<double> near = x;
+        for (double &v : near)
+            v += rng.normal(0.0, 1e-3);
+        out.push_back(near);
+    }
+    return out;
+}
+
+/** Every bound is finite and holds on the computed prediction. */
+void
+expectBoundsHold(const GaussianProcess &gp, const Points &xs,
+                 const std::string &where)
+{
+    std::vector<GaussianProcess::Prediction> preds(xs.size());
+    std::vector<GaussianProcess::Bound> bounds(xs.size());
+    gp.predictBatch(xs, preds);
+    gp.boundBatch(xs, bounds);
+    std::size_t broken = 0;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+        ASSERT_TRUE(std::isfinite(bounds[j].meanLower) &&
+                    std::isfinite(bounds[j].varUpper))
+            << where << " j=" << j;
+        if (bounds[j].meanLower <= preds[j].mean &&
+            bounds[j].varUpper >= preds[j].var)
+            continue;
+        if (++broken <= 3)
+            ADD_FAILURE() << where << " j=" << j << ": mean "
+                          << preds[j].mean << " lower "
+                          << bounds[j].meanLower << ", var "
+                          << preds[j].var << " upper "
+                          << bounds[j].varUpper;
+    }
+    EXPECT_EQ(broken, 0u) << where;
+}
+
+class AcquisitionBound : public ::testing::TestWithParam<Kernel>
+{
+};
+
+TEST_P(AcquisitionBound, HoldsOnRandomFits)
+{
+    Rng rng(41);
+    for (std::size_t n : {1, 31, 32, 33, 192}) {
+        const Points xs = uniformPoints(n, 4, rng);
+        const std::vector<double> ys = smoothLabels(xs);
+        const Points probes = probePoints(xs, 640, rng);
+        for (const double noise : {1e-6, 1e-4, 1e-2}) {
+            for (const double ls : {0.05, 0.3, 1.6}) {
+                GaussianProcess gp(GetParam(), {ls, noise});
+                gp.fit(xs, ys);
+                expectBoundsHold(gp, probes,
+                                 "n=" + std::to_string(n) + " noise=" +
+                                     std::to_string(noise) +
+                                     " ls=" + std::to_string(ls));
+            }
+        }
+        GaussianProcess searched(GetParam());
+        searched.fitWithHyperSearch(xs, ys);
+        expectBoundsHold(searched, probes,
+                         "hyper search n=" + std::to_string(n));
+    }
+}
+
+TEST_P(AcquisitionBound, HoldsOnNearDuplicates)
+{
+    // Clusters of nearly identical points with almost no noise: the
+    // factor is ill-conditioned and the variance cancels at and
+    // around them.
+    Points xs;
+    for (int c = 0; c < 16; ++c) {
+        const std::vector<double> base{0.1 * c - 0.8, 0.3 - 0.04 * c};
+        for (int r = 0; r < 4; ++r)
+            xs.push_back({base[0] + 1e-9 * r, base[1] - 1e-9 * r});
+    }
+    const std::vector<double> ys = smoothLabels(xs);
+    Rng rng(43);
+    const Points probes = probePoints(xs, 320, rng);
+    for (const double noise : {1e-6, 1e-10}) {
+        GaussianProcess gp(GetParam(), {0.4, noise});
+        gp.fit(xs, ys);
+        expectBoundsHold(gp, probes, "noise=" + std::to_string(noise));
+    }
+}
+
+TEST_P(AcquisitionBound, HoldsOnJitteredFactor)
+{
+    // An exact duplicate makes K singular, so K - 1e-4 I has a
+    // negative eigenvalue and no plain Cholesky factor: the fit must
+    // take the choleskyJittered path, whose factor carries a diagonal
+    // well above 1 + noiseVar.
+    Rng rng(47);
+    Points xs = uniformPoints(40, 3, rng);
+    xs.push_back(xs[7]);
+    xs.push_back(xs[19]);
+    const std::vector<double> ys = smoothLabels(xs);
+    const Points probes = probePoints(xs, 320, rng);
+    for (const double ls : {0.3, 1.0}) {
+        GaussianProcess gp(GetParam(), {ls, -1e-4});
+        gp.fit(xs, ys);
+        expectBoundsHold(gp, probes, "ls=" + std::to_string(ls));
+    }
+}
+
+TEST_P(AcquisitionBound, NonFiniteInputsPromiseNothing)
+{
+    Rng rng(53);
+    const Points xs = uniformPoints(12, 2, rng);
+    std::vector<double> ys = smoothLabels(xs);
+    const Points probes{{0.1, std::nan("")},
+                        {std::numeric_limits<double>::infinity(), 0.0}};
+    std::vector<GaussianProcess::Bound> bounds(probes.size());
+
+    GaussianProcess gp(GetParam());
+    gp.fit(xs, ys);
+    gp.boundBatch(probes, bounds);
+    for (const auto &b : bounds) {
+        EXPECT_TRUE(std::isnan(b.meanLower));
+        EXPECT_TRUE(std::isnan(b.varUpper));
+    }
+
+    ys[3] = std::nan("");
+    gp.fit(xs, ys);
+    const Points finite{{0.1, 0.2}};
+    gp.boundBatch(finite, std::span(bounds).first(1));
+    EXPECT_TRUE(std::isnan(bounds[0].meanLower));
+    EXPECT_TRUE(std::isnan(bounds[0].varUpper));
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, AcquisitionBound,
+                         ::testing::Values(Kernel::Rbf, Kernel::Matern52),
+                         [](const ::testing::TestParamInfo<Kernel> &info) {
+                             return info.param == Kernel::Rbf
+                                        ? std::string("Rbf")
+                                        : std::string("Matern52");
+                         });
+
+/** The full scan selectCandidate() replaces: every scored candidate
+ *  through predictBatch, then the first strict EI maximum. */
+Acquisition
+fullScan(const GaussianProcess &gp, const Points &candidates, double best,
+         std::size_t &ties)
+{
+    const std::span<const std::vector<double>> scored =
+        std::span(candidates).subspan(1);
+    std::vector<GaussianProcess::Prediction> preds(scored.size());
+    if (!scored.empty())
+        gp.predictBatch(scored, preds);
+    Acquisition pick;
+    for (std::size_t i = 1; i < candidates.size(); ++i) {
+        const double ei = expectedImprovement(preds[i - 1], best);
+        if (ei > pick.ei) {
+            pick.ei = ei;
+            pick.index = i;
+        }
+    }
+    ties = 0;
+    for (std::size_t i = 1; i < candidates.size(); ++i)
+        ties += expectedImprovement(preds[i - 1], best) == pick.ei;
+    return pick;
+}
+
+/** One random acquisition problem. */
+struct Problem
+{
+    GaussianProcess gp;
+    Points candidates;
+    double best = 0.0;
+    std::string label;
+};
+
+/** What, besides the random fit, an equivalence problem stresses. */
+enum class Scenario
+{
+    Plain,
+    NanLabels,       // every prediction, and EI, is NaN
+    InfiniteTarget,  // best = +inf: every EI, and every bound, is inf
+    AllZeroEi,       // every EI underflows to an exact 0: one big tie
+    NanCandidate,    // one candidate has a NaN coordinate
+    Count
+};
+
+const char *
+scenarioName(Scenario s)
+{
+    switch (s) {
+      case Scenario::Plain: return "plain";
+      case Scenario::NanLabels: return "nan labels";
+      case Scenario::InfiniteTarget: return "infinite target";
+      case Scenario::AllZeroEi: return "all-zero EI";
+      case Scenario::NanCandidate: return "nan candidate";
+      case Scenario::Count: break;
+    }
+    return "?";
+}
+
+/**
+ * Iteration `it` of the equivalence sweep: a random fit of either
+ * kernel (sometimes by hyperparameter search) and a candidate set of
+ * 0, 1, 33 or 640 scored points, a fifth of them near training
+ * points and a tenth exact duplicates of earlier candidates (exact EI
+ * ties). Each scenario meets each candidate count.
+ */
+Problem
+makeProblem(std::size_t it, Rng &rng)
+{
+    static constexpr std::size_t counts[] = {0, 1, 33, 640};
+    static constexpr double noises[] = {1e-6, 1e-4, 1e-2};
+    static constexpr double lengthscales[] = {0.1, 0.3, 0.8};
+    const std::size_t count = counts[it % 4];
+    const auto scenario = static_cast<Scenario>(
+        it / 4 % static_cast<std::size_t>(Scenario::Count));
+    const Kernel kernel =
+        it / 20 % 2 ? Kernel::Rbf : Kernel::Matern52;
+    const std::size_t dim = 2 + it / 7 % 3;
+    const std::size_t n = 1 + rng.index(48);
+    const Points xs = uniformPoints(n, dim, rng);
+    std::vector<double> ys = smoothLabels(xs);
+    if (scenario == Scenario::NanLabels)
+        ys[rng.index(n)] = std::nan("");
+
+    Problem p{GaussianProcess(kernel, {lengthscales[it % 3],
+                                       noises[it / 3 % 3]}),
+              {},
+              0.0,
+              {}};
+    if (it % 5 == 0)
+        p.gp.fitWithHyperSearch(xs, ys);
+    else
+        p.gp.fit(xs, ys);
+
+    p.candidates = uniformPoints(1 + count, dim, rng);
+    for (std::size_t i = 1; i <= count; ++i) {
+        const double r = rng.uniform();
+        if (r < 0.2) // a perturbed training point
+            for (std::size_t d = 0; d < dim; ++d)
+                p.candidates[i][d] =
+                    xs[rng.index(n)][d] + rng.normal(0.0, 0.05);
+        else if (r < 0.3) // an exact duplicate of an earlier candidate
+            p.candidates[i] = p.candidates[1 + rng.index(i)];
+    }
+    if (scenario == Scenario::NanCandidate && count > 0)
+        p.candidates[1 + rng.index(count)][0] = std::nan("");
+
+    p.best = ys[0];
+    for (double y : ys)
+        p.best = std::min(p.best, y);
+    if (scenario == Scenario::InfiniteTarget)
+        p.best = std::numeric_limits<double>::infinity();
+    if (scenario == Scenario::AllZeroEi && count > 0) {
+        // Far enough below every mean that each EI is exactly 0.
+        std::vector<GaussianProcess::Prediction> preds(count);
+        p.gp.predictBatch(std::span(p.candidates).subspan(1), preds);
+        for (const auto &pred : preds)
+            p.best = std::min(p.best,
+                              pred.mean - 40.0 * std::sqrt(pred.var) -
+                                  1e-300);
+    }
+    p.label = "iteration " + std::to_string(it) + " (" +
+              scenarioName(scenario) + ", n=" + std::to_string(n) +
+              ", candidates=" + std::to_string(count) + ")";
+    return p;
+}
+
+class PrunedAcquisition : public ::testing::TestWithParam<bool>
+{
+  protected:
+    std::unique_ptr<ThreadPool> pool =
+        GetParam() ? std::make_unique<ThreadPool>(3) : nullptr;
+};
+
+TEST_P(PrunedAcquisition, MatchesFullScan)
+{
+    Rng rng(59);
+    std::size_t pruned = 0;
+    for (std::size_t it = 0; it < 1000; ++it) {
+        const Problem p = makeProblem(it, rng);
+        std::size_t ties = 0;
+        const Acquisition want = fullScan(p.gp, p.candidates, p.best, ties);
+        const Acquisition got =
+            selectCandidate(p.gp, p.candidates, p.best, pool.get());
+        const std::size_t count = p.candidates.size() - 1;
+        ASSERT_EQ(got.index, want.index) << p.label;
+        ASSERT_EQ(bitsOf(got.ei), bitsOf(want.ei))
+            << p.label << ": EI " << got.ei << " vs " << want.ei;
+        ASSERT_LE(got.solved, count) << p.label;
+        if (count > 0) {
+            ASSERT_GE(got.solved, 1u) << p.label;
+        }
+        // Every candidate that ties the winning EI can still win, so
+        // none of them may be pruned.
+        if (want.index > 0) {
+            ASSERT_GE(got.solved, ties) << p.label;
+        }
+        pruned += count - got.solved;
+    }
+    // The sweep is only a test of pruning if something was pruned.
+    EXPECT_GT(pruned, 0u);
+}
+
+TEST_P(PrunedAcquisition, EmptyScoredSetKeepsTheFallback)
+{
+    GaussianProcess gp;
+    gp.fit({{0.2}, {0.7}}, {1.0, 2.0});
+    const Points only_fallback{{0.5}};
+    const Acquisition pick =
+        selectCandidate(gp, only_fallback, 1.0, pool.get());
+    EXPECT_EQ(pick.index, 0u);
+    EXPECT_EQ(pick.ei, -1.0);
+    EXPECT_EQ(pick.solved, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, PrunedAcquisition, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? std::string("Pool")
+                                               : std::string("Serial");
+                         });
+
+/** Shifted bowl on [-1, 1]^2. */
+class BowlObjective : public Objective
+{
+  public:
+    std::size_t dim() const override { return 2; }
+    std::vector<double> lowerBounds() const override
+    {
+        return {-1.0, -1.0};
+    }
+    std::vector<double> upperBounds() const override
+    {
+        return {1.0, 1.0};
+    }
+    double
+    evaluate(const std::vector<double> &x) override
+    {
+        const double dx = x[0] - 0.3;
+        const double dy = x[1] + 0.2;
+        return dx * dx + dy * dy;
+    }
+};
+
+TEST(PrunedAcquisitionCounters, CountScoredAndSolvedCandidates)
+{
+    metrics::Counter &candidates =
+        metrics::counter("search.bo.candidates");
+    metrics::Counter &solved = metrics::counter("search.bo.solved");
+    metrics::Counter &iterations =
+        metrics::counter("search.bo.iterations");
+    const std::uint64_t c0 = candidates.value();
+    const std::uint64_t s0 = solved.value();
+    const std::uint64_t i0 = iterations.value();
+
+    BowlObjective obj;
+    Rng rng(61);
+    BoOptions options;
+    options.initSamples = 5;
+    BayesOpt(options).run(obj, 25, rng);
+
+    // Every iteration after the warm-up fits the GP and scores
+    // 512 uniform + 128 local candidates; each solves at least one.
+    const std::uint64_t its = iterations.value() - i0;
+    ASSERT_EQ(its, 20u);
+    EXPECT_EQ(candidates.value() - c0, its * 640);
+    EXPECT_LE(solved.value() - s0, candidates.value() - c0);
+    EXPECT_GE(solved.value() - s0, its);
+}
+
+} // namespace
+} // namespace vaesa
