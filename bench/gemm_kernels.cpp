@@ -1,8 +1,8 @@
 /**
  * @file
  * Kernel-layer speedup study: the reference triple loops
- * (tests/common/reference_gemm.hh, "naive") against the tuned GEMM
- * behind Matrix::multiply*Into ("blocked"), single thread, over the
+ * (tests/common/reference_gemm.hh, "naive") against the tuned
+ * kernels::gemmTransA/gemmTransB ("blocked"), single thread, over the
  * layer shapes the Figure 11 training runs actually execute (batch
  * 64, VAE hidden {128, 64}, latent 4, predictor hidden {64, 64}),
  * plus the full-dataset encode batch.
@@ -34,6 +34,7 @@
 
 #include "common.hh"
 #include "common/reference_gemm.hh"
+#include "tensor/kernels/kernels.hh"
 #include "tensor/matrix.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -62,9 +63,11 @@ runOnce(const Shape &s, const Matrix &a, const Matrix &b, Matrix &c,
         reference::gemmTransB(c.rows(), c.cols(), a.cols(), a.data(),
                               b.data(), c.data());
     else if (s.transA)
-        Matrix::multiplyTransAInto(a, b, c);
+        kernels::gemmTransA(c.rows(), c.cols(), a.rows(), a.data(),
+                            b.data(), c.data());
     else
-        Matrix::multiplyTransBInto(a, b, c);
+        kernels::gemmTransB(c.rows(), c.cols(), a.cols(), a.data(),
+                            b.data(), c.data());
     return c(0, 0);
 }
 

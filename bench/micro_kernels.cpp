@@ -18,6 +18,7 @@
 #include "nn/optim.hh"
 #include "nn/sequential.hh"
 #include "sched/evaluator.hh"
+#include "tensor/kernels/kernels.hh"
 #include "tensor/linalg.hh"
 #include "util/rng.hh"
 #include "vaesa/vae.hh"
@@ -37,7 +38,8 @@ BM_MatrixMultiply(benchmark::State &state)
     a.randomNormal(rng, 0.0, 1.0);
     b.randomNormal(rng, 0.0, 1.0);
     for (auto _ : state) {
-        Matrix c = Matrix::multiply(a, b);
+        Matrix c(n, n);
+        kernels::gemm(n, n, n, a.data(), b.data(), c.data());
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -51,7 +53,8 @@ BM_Cholesky(benchmark::State &state)
     Rng rng(2);
     Matrix b(n, n);
     b.randomNormal(rng, 0.0, 1.0);
-    Matrix a = Matrix::multiplyTransB(b, b);
+    Matrix a(n, n);
+    kernels::gemmTransB(n, n, n, b.data(), b.data(), a.data());
     for (std::size_t i = 0; i < n; ++i)
         a(i, i) += static_cast<double>(n);
     for (auto _ : state) {

@@ -166,7 +166,6 @@ main()
     // Count instrumentation events by running once fully enabled.
     metrics::counter("cache.hit").reset();
     metrics::counter("cache.miss").reset();
-    metrics::counter("cache.evict").reset();
     metrics::counter("cache.shard_contention").reset();
     metrics::setMetricsEnabled(true);
     trace::setTraceEnabled(true);

@@ -478,13 +478,13 @@ GaussianProcess::predictBatch(std::span<const std::vector<double>> xs,
                               std::span<Prediction> out) const
 {
     if (sampleCount() == 0)
-        panic("GaussianProcess::predict before fit");
+        panic("GaussianProcess::predictBatch before fit");
     if (out.size() != xs.size())
         panic("GaussianProcess::predictBatch: ", xs.size(),
               " points but ", out.size(), " outputs");
     // Full tiles, then any remainder one candidate at a time (a tile
-    // of one is the plain scalar solve, so predict() pays nothing
-    // for the batching).
+    // of one is the plain scalar solve, so a batch of one pays
+    // nothing for the batching).
     const std::size_t full = xs.size() - xs.size() % predictTile;
     const std::size_t width = full ? predictTile : 1;
     std::vector<double> scratch((sampleCount() + dim_) * width);
@@ -578,14 +578,6 @@ GaussianProcess::boundBatch(std::span<const std::vector<double>> xs,
         boundTileOf<predictTile>(&xs[j], &out[j], cand.data());
     for (std::size_t j = full; j < xs.size(); ++j)
         boundTileOf<1>(&xs[j], &out[j], cand.data());
-}
-
-GaussianProcess::Prediction
-GaussianProcess::predict(const std::vector<double> &x) const
-{
-    Prediction pred{};
-    predictBatch({&x, 1}, {&pred, 1});
-    return pred;
 }
 
 double

@@ -117,9 +117,6 @@ class GaussianProcess
     void boundBatch(std::span<const std::vector<double>> xs,
                     std::span<Bound> out) const;
 
-    /** Predict at one point: a batch of one. Requires a prior fit(). */
-    Prediction predict(const std::vector<double> &x) const;
-
     /** Log marginal likelihood of the last fit (standardized y). */
     double logMarginalLikelihood() const;
 

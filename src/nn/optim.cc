@@ -10,7 +10,7 @@ namespace vaesa::nn {
 
 namespace {
 
-/** Shared ShapeMismatch builder for optimizer-state loaders. */
+/** ShapeMismatch builder for the Adam-state loader. */
 LoadError
 stateError(const std::string &message)
 {
@@ -20,85 +20,27 @@ stateError(const std::string &message)
 
 } // namespace
 
-Optimizer::Optimizer(std::vector<Parameter *> params)
-    : params_(std::move(params))
+Adam::Adam(std::vector<Parameter *> params, double lr, double beta1,
+           double beta2, double eps)
+    : params_(std::move(params)), lr_(lr), beta1_(beta1),
+      beta2_(beta2), eps_(eps)
 {
     for (Parameter *p : params_)
         if (!p)
-            panic("Optimizer received a null parameter");
-}
-
-void
-Optimizer::zeroGrad()
-{
-    for (Parameter *p : params_)
-        p->zeroGrad();
-}
-
-void
-Optimizer::serializeState(ByteBuffer &) const
-{}
-
-std::optional<LoadError>
-Optimizer::deserializeState(ByteReader &)
-{
-    return std::nullopt;
-}
-
-Sgd::Sgd(std::vector<Parameter *> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    velocity_.reserve(params_.size());
-    for (Parameter *p : params_)
-        velocity_.emplace_back(p->value.rows(), p->value.cols());
-}
-
-void
-Sgd::step()
-{
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        Parameter *p = params_[i];
-        if (momentum_ != 0.0) {
-            velocity_[i].scale(momentum_);
-            velocity_[i].addScaled(p->grad, 1.0);
-            p->value.addScaled(velocity_[i], -lr_);
-        } else {
-            p->value.addScaled(p->grad, -lr_);
-        }
-    }
-}
-
-void
-Sgd::serializeState(ByteBuffer &out) const
-{
-    out.putU64(velocity_.size());
-    for (const Matrix &v : velocity_)
-        putMatrix(out, v);
-}
-
-std::optional<LoadError>
-Sgd::deserializeState(ByteReader &in)
-{
-    const std::uint64_t count = in.getU64();
-    if (in.failed() || count != velocity_.size())
-        return stateError("SGD velocity count mismatch");
-    for (Matrix &v : velocity_)
-        if (!readMatrixInto(in, v))
-            return stateError("SGD velocity shape mismatch");
-    return std::nullopt;
-}
-
-Adam::Adam(std::vector<Parameter *> params, double lr, double beta1,
-           double beta2, double eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1),
-      beta2_(beta2), eps_(eps)
-{
+            panic("Adam received a null parameter");
     firstMoment_.reserve(params_.size());
     secondMoment_.reserve(params_.size());
     for (Parameter *p : params_) {
         firstMoment_.emplace_back(p->value.rows(), p->value.cols());
         secondMoment_.emplace_back(p->value.rows(), p->value.cols());
     }
+}
+
+void
+Adam::zeroGrad()
+{
+    for (Parameter *p : params_)
+        p->zeroGrad();
 }
 
 void

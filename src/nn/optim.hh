@@ -1,7 +1,7 @@
 /**
  * @file
- * First-order optimizers over Parameter lists: SGD with momentum and
- * Adam (the trainer's default).
+ * The Adam optimizer (the trainer's only optimizer) over a Parameter
+ * list.
  */
 
 #ifndef VAESA_NN_OPTIM_HH
@@ -15,16 +15,26 @@
 
 namespace vaesa::nn {
 
-/** Common optimizer interface over an externally-owned parameter set. */
-class Optimizer
+/**
+ * Adam optimizer (Kingma & Ba) with bias correction, over an
+ * externally-owned parameter set.
+ */
+class Adam
 {
   public:
-    /** @param params parameters to update; must outlive the optimizer. */
-    explicit Optimizer(std::vector<Parameter *> params);
-    virtual ~Optimizer() = default;
+    /**
+     * @param params parameters to update; must outlive the optimizer.
+     * @param lr learning rate.
+     * @param beta1 first-moment decay.
+     * @param beta2 second-moment decay.
+     * @param eps denominator stabilizer.
+     */
+    explicit Adam(std::vector<Parameter *> params, double lr = 1e-3,
+                  double beta1 = 0.9, double beta2 = 0.999,
+                  double eps = 1e-8);
 
     /** Apply one update from the accumulated gradients. */
-    virtual void step() = 0;
+    void step();
 
     /** Zero every parameter gradient. */
     void zeroGrad();
@@ -32,78 +42,27 @@ class Optimizer
     /** The managed parameters. */
     const std::vector<Parameter *> &params() const { return params_; }
 
+    /** Current learning rate. */
+    double learningRate() const { return lr_; }
+
+    /** Change the learning rate (for schedules). */
+    void setLearningRate(double lr) { lr_ = lr; }
+
     /**
-     * Append internal state (moment estimates, step counters) to a
-     * checkpoint payload, so a resumed run continues the exact update
-     * sequence of an uninterrupted one.
+     * Append the step counter and moment estimates to a checkpoint
+     * payload, so a resumed run continues the exact update sequence
+     * of an uninterrupted one.
      */
-    virtual void serializeState(ByteBuffer &out) const;
+    void serializeState(ByteBuffer &out) const;
 
     /**
      * Restore state written by serializeState() for the same model.
-     * @return nullopt on success, ShapeMismatch/Malformed otherwise.
+     * @return nullopt on success, ShapeMismatch otherwise.
      */
-    virtual std::optional<LoadError> deserializeState(ByteReader &in);
+    std::optional<LoadError> deserializeState(ByteReader &in);
 
-  protected:
+  private:
     std::vector<Parameter *> params_;
-};
-
-/** Stochastic gradient descent with classical momentum. */
-class Sgd : public Optimizer
-{
-  public:
-    /**
-     * @param params parameters to update.
-     * @param lr learning rate.
-     * @param momentum momentum coefficient (0 disables).
-     */
-    Sgd(std::vector<Parameter *> params, double lr,
-        double momentum = 0.0);
-
-    void step() override;
-
-    /** Current learning rate. */
-    double learningRate() const { return lr_; }
-
-    /** Change the learning rate (for schedules). */
-    void setLearningRate(double lr) { lr_ = lr; }
-
-    void serializeState(ByteBuffer &out) const override;
-    std::optional<LoadError> deserializeState(ByteReader &in) override;
-
-  private:
-    double lr_;
-    double momentum_;
-    std::vector<Matrix> velocity_;
-};
-
-/** Adam optimizer (Kingma & Ba) with bias correction. */
-class Adam : public Optimizer
-{
-  public:
-    /**
-     * @param params parameters to update.
-     * @param lr learning rate.
-     * @param beta1 first-moment decay.
-     * @param beta2 second-moment decay.
-     * @param eps denominator stabilizer.
-     */
-    Adam(std::vector<Parameter *> params, double lr = 1e-3,
-         double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
-
-    void step() override;
-
-    /** Current learning rate. */
-    double learningRate() const { return lr_; }
-
-    /** Change the learning rate (for schedules). */
-    void setLearningRate(double lr) { lr_ = lr; }
-
-    void serializeState(ByteBuffer &out) const override;
-    std::optional<LoadError> deserializeState(ByteReader &in) override;
-
-  private:
     double lr_;
     double beta1_;
     double beta2_;

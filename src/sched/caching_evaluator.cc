@@ -45,7 +45,6 @@ struct GlobalCacheMetrics
 {
     metrics::Counter &hits = metrics::counter("cache.hit");
     metrics::Counter &misses = metrics::counter("cache.miss");
-    metrics::Counter &evictions = metrics::counter("cache.evict");
     metrics::Counter &contention =
         metrics::counter("cache.shard_contention");
 };
@@ -183,15 +182,6 @@ CachingEvaluator::snapConfig(const AcceleratorConfig &arch) const
 }
 
 EvalResult
-CachingEvaluator::evaluateLayer(const AcceleratorConfig &arch,
-                                const LayerShape &layer) const
-{
-    // A one-layer workload: 0.0 + x == x and the edp is the layer's
-    // own latency * energy, so its total is the layer's result.
-    return evaluateWorkload(arch, {layer});
-}
-
-EvalResult
 CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
                                    const std::vector<LayerShape> &layers,
                                    const CancelToken *cancel) const
@@ -209,8 +199,8 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
     std::vector<unsigned char> found(n);
     probeBatch(keys.data(), n, results.data(), found.data());
 
-    // Walk the layers in order, exactly like an evaluateLayer() loop:
-    // the same sums, the same early exit, the same hit/miss totals.
+    // Walk the layers in order: sum the per-layer results, stop at
+    // the first invalid one, and account every layer walked.
     EvalResult total;
     total.valid = true;
     std::uint64_t computed = 0;
@@ -321,38 +311,8 @@ CachingEvaluator::lockShard(const Shard &shard)
     // relaxed sharded add, cheap enough for the lookup path.
     if (shard.shardMutex.try_lock())
         return;
-    shard.contention.inc();
     globalCacheMetrics().contention.inc();
     shard.shardMutex.lock();
-}
-
-std::uint64_t
-CachingEvaluator::contention() const
-{
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        total += shards_[s].contention.value();
-    return total;
-}
-
-void
-CachingEvaluator::clear()
-{
-    const WriterLock lock(registryMutex_);
-    std::uint64_t dropped = 0;
-    for (std::size_t s = 0; s < shardCount_; ++s) {
-        Shard &shard = shards_[s];
-        const MutexLock shardLock(shard.shardMutex);
-        dropped += shard.entries.size();
-        shard.entries.clear();
-    }
-    layerRegistry_.clear();
-    if (dropped > 0) {
-        evictions_.inc(dropped);
-        globalCacheMetrics().evictions.inc(dropped);
-    }
-    hits_.reset();
-    misses_.reset();
 }
 
 } // namespace vaesa

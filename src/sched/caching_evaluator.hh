@@ -29,27 +29,25 @@ namespace vaesa {
  * internal registry, so any layer object with the same shape hits
  * the same entry.
  *
- * THREAD SAFETY: evaluateLayer()/evaluateWorkload() and the counter
- * accessors are safe to call concurrently on one instance. The memo
- * table is split into shardCount() shards, each guarded by its own
- * mutex and keyed by the mixed (config, layer) hash, so concurrent
- * lookups of different keys rarely contend; the layer registry is
- * append-only under a shared_mutex (read-mostly); hit/miss counters
- * are sharded relaxed atomics (util/metrics.hh). Shard locks are
- * only held for the table lookup/insert,
- * never across the inner evaluation — two threads missing the same
- * key concurrently both evaluate (the results are deterministic and
+ * THREAD SAFETY: evaluateWorkload(), the batch protocol and the
+ * counter accessors are safe to call concurrently on one instance.
+ * The memo table is split into shardCount() shards, each guarded by
+ * its own mutex and keyed by the mixed (config, layer) hash, so
+ * concurrent lookups of different keys rarely contend; the layer
+ * registry is append-only under a shared_mutex (read-mostly);
+ * hit/miss counters are sharded relaxed atomics (util/metrics.hh).
+ * Shard locks are only held for the table lookup/insert, never
+ * across the inner evaluation — two threads missing the same key
+ * concurrently both evaluate (the results are deterministic and
  * identical) and the second insert is dropped, so misses() counts
  * inner evaluations performed, which can exceed the number of
- * distinct keys under contention. clear() is the one exception: it
- * must not run concurrently with evaluations (it resets the layer
- * registry that in-flight lookups have already consulted).
+ * distinct keys under contention.
  *
  * SHARD SIZING: the shard count is fixed for the instance's
  * lifetime: 4 shards per default pool thread, at least 16, rounded
  * up to a power of two. Contended acquisitions are still counted
- * (contention(), the `cache.shard_contention` metric) but only
- * observed; they no longer size the table.
+ * (the process-wide `cache.shard_contention` metric) but only
+ * observed; they do not size the table.
  *
  * BATCH PROTOCOL: the probeBatch()/insertBatch()/accountBatch()
  * primitives let a caller holding MANY keys amortize locking — each
@@ -86,20 +84,17 @@ class CachingEvaluator
     /** Wrap an evaluator with explicit cost-model parameters. */
     explicit CachingEvaluator(const Evaluator &inner);
 
-    /** Memoized variant of Evaluator::evaluateLayer: a one-layer
-     *  evaluateWorkload(). */
-    EvalResult evaluateLayer(const AcceleratorConfig &arch,
-                             const LayerShape &layer) const;
-
     /**
      * Memoized per-layer sum, like Evaluator::evaluateWorkload, with
      * ONE cache probe: the config is snapped and keyed once, every
      * layer's key goes into a single probeBatch(), and only the
      * layers the probe missed are computed (and inserted as they
      * are). A shape repeated within @p layers is computed once; its
-     * later repeats count as hits. Results, the early exit at the
-     * first invalid layer, and the hit/miss totals are exactly those
-     * of an evaluateLayer() loop over @p layers.
+     * later repeats count as hits. The result is the sum over the
+     * layers of Evaluator::evaluateLayer(), in order, on the snapped
+     * config (an invalid result at the first invalid layer, which
+     * ends the walk), and every layer walked counts as one lookup:
+     * a miss when it was computed here, a hit otherwise.
      *
      * @p cancel (may be null) is checked before each missed layer is
      * computed. On expiry the layers walked so far are accounted,
@@ -128,8 +123,8 @@ class CachingEvaluator
      *  (the cache key is the grid index). */
     AcceleratorConfig snapConfig(const AcceleratorConfig &arch) const;
 
-    /** Registry id of @p layer (registering it if new). Stable until
-     *  clear(). */
+    /** Registry id of @p layer (registering it if new). Stable for
+     *  the instance's lifetime. */
     std::uint32_t layerKey(const LayerShape &layer) const
         VAESA_EXCLUDES(registryMutex_);
 
@@ -175,48 +170,30 @@ class CachingEvaluator
     /** Number of cache misses (real inner evaluations) so far. */
     std::uint64_t misses() const { return misses_.value(); }
 
-    /** Entries dropped by clear() over this instance's lifetime. */
-    std::uint64_t evictions() const { return evictions_.value(); }
-
-    /**
-     * Shard-lock acquisitions that found the lock already held
-     * (summed over shards). A rising ratio of contention() to
-     * hits()+misses() means the shard count no longer matches the
-     * thread count.
-     */
-    std::uint64_t contention() const;
-
     /** Number of independently locked memo-table shards. */
     std::size_t shardCount() const { return shardCount_; }
-
-    /**
-     * Drop all cached entries, the layer registry, and both
-     * counters. NOT safe concurrently with evaluateLayer(); quiesce
-     * the pool first.
-     */
-    void clear() VAESA_EXCLUDES(registryMutex_);
 
     /** The wrapped evaluator. */
     const Evaluator &inner() const { return inner_; }
 
   private:
-    /** One independently locked slice of the memo table. */
-    struct Shard
+    /** One independently locked slice of the memo table, on its own
+     *  cache lines so neighbouring shard locks do not false-share. */
+    struct alignas(64) Shard
     {
         mutable Mutex shardMutex;
         std::unordered_map<BatchKey, EvalResult, BatchKeyHash> entries
             VAESA_GUARDED_BY(shardMutex);
-        /** Lock acquisitions that had to wait (try_lock failed). */
-        mutable metrics::Counter contention;
     };
 
-    /** Lock shard.shardMutex, counting contended acquisitions. */
+    /** Lock shard.shardMutex, counting contended acquisitions in the
+     *  global `cache.shard_contention` metric. */
     static void lockShard(const Shard &shard)
         VAESA_ACQUIRE(shard.shardMutex);
 
     Evaluator inner_;
     /** Append-only shape registry; shared lock to scan, unique to
-     *  append. Registered ids are stable until clear(). */
+     *  append. Registered ids are stable. */
     mutable SharedMutex registryMutex_;
     mutable std::vector<LayerShape> layerRegistry_
         VAESA_GUARDED_BY(registryMutex_);
@@ -231,7 +208,6 @@ class CachingEvaluator
     // the run manifest.
     mutable metrics::Counter hits_;
     mutable metrics::Counter misses_;
-    mutable metrics::Counter evictions_;
 };
 
 } // namespace vaesa

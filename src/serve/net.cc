@@ -174,26 +174,6 @@ boundPort(const Socket &listener)
 }
 
 Expected<Socket>
-connectUnix(const std::string &path)
-{
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (path.size() + 1 > sizeof(addr.sun_path))
-        return netFailure(LoadError::Kind::OpenFailed,
-                          "unix socket path too long: " + path);
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    Socket sock(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!sock.valid())
-        return netError(LoadError::Kind::OpenFailed, "socket");
-    if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-        return netError(LoadError::Kind::OpenFailed,
-                        "connect " + path);
-    return sock;
-}
-
-Expected<Socket>
 connectTcp(std::uint16_t port)
 {
     Socket sock(::socket(AF_INET, SOCK_STREAM, 0));

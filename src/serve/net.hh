@@ -83,9 +83,6 @@ Expected<Socket> listenTcp(std::uint16_t port);
 /** The local port a TCP listener actually bound. */
 Expected<std::uint16_t> boundPort(const Socket &listener);
 
-/** Connect to a Unix-domain listener. */
-Expected<Socket> connectUnix(const std::string &path);
-
 /** Connect to a loopback TCP listener. */
 Expected<Socket> connectTcp(std::uint16_t port);
 

@@ -34,28 +34,6 @@ getConfig(ByteReader &in)
 
 } // namespace
 
-const char *
-statusName(Status status)
-{
-    switch (status) {
-    case Status::Ok:
-        return "OK";
-    case Status::RejectedOverload:
-        return "REJECTED_OVERLOAD";
-    case Status::DeadlineExceeded:
-        return "DEADLINE_EXCEEDED";
-    case Status::InvalidRequest:
-        return "INVALID_REQUEST";
-    case Status::InternalError:
-        return "INTERNAL_ERROR";
-    case Status::ShuttingDown:
-        return "SHUTTING_DOWN";
-    case Status::ReloadFailed:
-        return "RELOAD_FAILED";
-    }
-    return "UNKNOWN";
-}
-
 // Request payload layout (all fields little-endian):
 //   u64 id; u32 type; u32 deadlineMs;
 // then per type:

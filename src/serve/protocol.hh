@@ -121,9 +121,6 @@ enum class Status : std::uint32_t {
     ReloadFailed = 6,
 };
 
-/** Human-readable status name (stable, for logs and manifests). */
-const char *statusName(Status status);
-
 /** One decoded request. Fields are zero/empty unless the type uses
  *  them (see the per-type layout in protocol.cc). */
 struct Request

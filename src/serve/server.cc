@@ -386,12 +386,6 @@ Server::requestReload()
     reloadRequested_.store(true, std::memory_order_relaxed);
 }
 
-std::uint64_t
-Server::rejectedCount() const
-{
-    return serveMetrics().rejectedOverload.value();
-}
-
 void
 Server::handleConnection(Socket sock)
 {

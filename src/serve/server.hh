@@ -145,9 +145,6 @@ class Server
     /** The model registry (test introspection). */
     ModelRegistry &models() { return models_; }
 
-    /** Connections rejected by admission control so far. */
-    std::uint64_t rejectedCount() const;
-
   private:
     void handleConnection(Socket sock);
 

@@ -27,13 +27,4 @@ Workspace::buffer(std::size_t slot, std::size_t rows, std::size_t cols)
     return m;
 }
 
-std::size_t
-Workspace::capacityElements() const
-{
-    std::size_t total = 0;
-    for (const Matrix &m : slots_)
-        total += m.capacityElements();
-    return total;
-}
-
 } // namespace vaesa::kernels

@@ -56,9 +56,6 @@ class Workspace
     /** Times any slot's backing store had to grow. */
     std::uint64_t growthEvents() const { return growths_; }
 
-    /** Total elements of backing capacity across all slots. */
-    std::size_t capacityElements() const;
-
   private:
     std::deque<Matrix> slots_;
     std::uint64_t growths_ = 0;

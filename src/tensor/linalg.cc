@@ -145,14 +145,6 @@ choleskyJittered(const Matrix &a, Matrix &lower)
 }
 
 double
-squaredDistance(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        panic("squaredDistance dimension mismatch");
-    return squaredDistance(a.data(), b.data(), a.size());
-}
-
-double
 squaredDistance(const double *a, const double *b, std::size_t n)
 {
     double acc = 0.0;

@@ -48,10 +48,6 @@ std::vector<double> solveLowerTransposed(const Matrix &lower,
  */
 double choleskyJittered(const Matrix &a, Matrix &lower);
 
-/** Squared Euclidean distance between equal-length vectors. */
-double squaredDistance(const std::vector<double> &a,
-                       const std::vector<double> &b);
-
 /** Squared Euclidean distance between two length-n arrays, summed
  *  in ascending index order. */
 double squaredDistance(const double *a, const double *b, std::size_t n);

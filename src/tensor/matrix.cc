@@ -1,9 +1,7 @@
 #include "tensor/matrix.hh"
 
 #include <algorithm>
-#include <cmath>
 
-#include "tensor/kernels/kernels.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -97,13 +95,6 @@ Matrix::fill(double value)
 }
 
 void
-Matrix::apply(const std::function<double(double)> &f)
-{
-    for (double &x : data_)
-        x = f(x);
-}
-
-void
 Matrix::add(const Matrix &other)
 {
     if (rows_ != other.rows_ || cols_ != other.cols_)
@@ -113,146 +104,10 @@ Matrix::add(const Matrix &other)
 }
 
 void
-Matrix::sub(const Matrix &other)
-{
-    if (rows_ != other.rows_ || cols_ != other.cols_)
-        panic("Matrix sub shape mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] -= other.data_[i];
-}
-
-void
 Matrix::scale(double factor)
 {
     for (double &x : data_)
         x *= factor;
-}
-
-void
-Matrix::addScaled(const Matrix &other, double factor)
-{
-    if (rows_ != other.rows_ || cols_ != other.cols_)
-        panic("Matrix addScaled shape mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] += factor * other.data_[i];
-}
-
-void
-Matrix::hadamard(const Matrix &other)
-{
-    if (rows_ != other.rows_ || cols_ != other.cols_)
-        panic("Matrix hadamard shape mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] *= other.data_[i];
-}
-
-void
-Matrix::addRowVector(const std::vector<double> &bias)
-{
-    if (bias.size() != cols_)
-        panic("Matrix addRowVector length ", bias.size(), " != ", cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double *row_ptr = data_.data() + r * cols_;
-        for (std::size_t c = 0; c < cols_; ++c)
-            row_ptr[c] += bias[c];
-    }
-}
-
-std::vector<double>
-Matrix::colSums() const
-{
-    std::vector<double> sums(cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double *row_ptr = data_.data() + r * cols_;
-        for (std::size_t c = 0; c < cols_; ++c)
-            sums[c] += row_ptr[c];
-    }
-    return sums;
-}
-
-double
-Matrix::maxAbs() const
-{
-    double best = 0.0;
-    for (double x : data_)
-        best = std::max(best, std::fabs(x));
-    return best;
-}
-
-double
-Matrix::sum() const
-{
-    double acc = 0.0;
-    for (double x : data_)
-        acc += x;
-    return acc;
-}
-
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out.data_[c * rows_ + r] = data_[r * cols_ + c];
-    return out;
-}
-
-Matrix
-Matrix::multiply(const Matrix &a, const Matrix &b)
-{
-    Matrix c;
-    multiplyInto(a, b, c);
-    return c;
-}
-
-Matrix
-Matrix::multiplyTransB(const Matrix &a, const Matrix &b)
-{
-    Matrix c;
-    multiplyTransBInto(a, b, c);
-    return c;
-}
-
-Matrix
-Matrix::multiplyTransA(const Matrix &a, const Matrix &b)
-{
-    Matrix c;
-    multiplyTransAInto(a, b, c);
-    return c;
-}
-
-void
-Matrix::multiplyInto(const Matrix &a, const Matrix &b, Matrix &c)
-{
-    if (a.cols_ != b.rows_)
-        panic("Matrix multiply shape mismatch: ", a.rows_, "x", a.cols_,
-              " * ", b.rows_, "x", b.cols_);
-    c.resizeBuffer(a.rows_, b.cols_);
-    kernels::gemm(a.rows_, b.cols_, a.cols_, a.data_.data(),
-                  b.data_.data(), c.data_.data());
-}
-
-void
-Matrix::multiplyTransBInto(const Matrix &a, const Matrix &b, Matrix &c)
-{
-    if (a.cols_ != b.cols_)
-        panic("Matrix multiplyTransB shape mismatch: ", a.rows_, "x",
-              a.cols_, " * (", b.rows_, "x", b.cols_, ")^T");
-    c.resizeBuffer(a.rows_, b.rows_);
-    kernels::gemmTransB(a.rows_, b.rows_, a.cols_, a.data_.data(),
-                        b.data_.data(), c.data_.data());
-}
-
-void
-Matrix::multiplyTransAInto(const Matrix &a, const Matrix &b, Matrix &c)
-{
-    if (a.rows_ != b.rows_)
-        panic("Matrix multiplyTransA shape mismatch: (", a.rows_, "x",
-              a.cols_, ")^T * ", b.rows_, "x", b.cols_);
-    c.resizeBuffer(a.cols_, b.cols_);
-    kernels::gemmTransA(a.cols_, b.cols_, a.rows_, a.data_.data(),
-                        b.data_.data(), c.data_.data());
 }
 
 void

@@ -12,7 +12,6 @@
 #define VAESA_TENSOR_MATRIX_HH
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace vaesa {
@@ -91,63 +90,11 @@ class Matrix
     /** Set every element to a constant. */
     void fill(double value);
 
-    /** Apply f element-wise in place. */
-    void apply(const std::function<double(double)> &f);
-
     /** this += other (same shape). */
     void add(const Matrix &other);
 
-    /** this -= other (same shape). */
-    void sub(const Matrix &other);
-
     /** this *= scalar. */
     void scale(double factor);
-
-    /** this += scalar * other (axpy, same shape). */
-    void addScaled(const Matrix &other, double factor);
-
-    /** Element-wise product in place: this[i] *= other[i]. */
-    void hadamard(const Matrix &other);
-
-    /** Add a length-cols() bias vector to every row. */
-    void addRowVector(const std::vector<double> &bias);
-
-    /** Sum over rows, yielding a length-cols() vector. */
-    std::vector<double> colSums() const;
-
-    /** Largest absolute element (0 for empty). */
-    double maxAbs() const;
-
-    /** Sum of all elements. */
-    double sum() const;
-
-    /** Transposed copy. */
-    Matrix transposed() const;
-
-    /**
-     * C = A * B. Dispatches to the runtime-selected GEMM kernel
-     * (tensor/kernels); every product term is always formed, so
-     * NaN/Inf in either operand propagates even across zeros.
-     */
-    static Matrix multiply(const Matrix &a, const Matrix &b);
-
-    /** C = A * B^T (B given untransposed). */
-    static Matrix multiplyTransB(const Matrix &a, const Matrix &b);
-
-    /** C = A^T * B (A given untransposed). */
-    static Matrix multiplyTransA(const Matrix &a, const Matrix &b);
-
-    /** C = A * B without allocating when C has capacity. */
-    static void multiplyInto(const Matrix &a, const Matrix &b,
-                             Matrix &c);
-
-    /** C = A * B^T without allocating when C has capacity. */
-    static void multiplyTransBInto(const Matrix &a, const Matrix &b,
-                                   Matrix &c);
-
-    /** C = A^T * B without allocating when C has capacity. */
-    static void multiplyTransAInto(const Matrix &a, const Matrix &b,
-                                   Matrix &c);
 
     /** Fill with i.i.d. N(mean, stddev) draws. */
     void randomNormal(Rng &rng, double mean, double stddev);

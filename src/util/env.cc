@@ -32,11 +32,4 @@ envDouble(const std::string &name, double fallback)
     return parsed;
 }
 
-std::string
-envString(const std::string &name, const std::string &fallback)
-{
-    const char *value = std::getenv(name.c_str());
-    return (value && *value) ? value : fallback;
-}
-
 } // namespace vaesa

@@ -21,9 +21,6 @@ std::int64_t envInt(const std::string &name, std::int64_t fallback);
 /** Double env var with default; fatal() if set but unparseable. */
 double envDouble(const std::string &name, double fallback);
 
-/** String env var with default. */
-std::string envString(const std::string &name, const std::string &fallback);
-
 } // namespace vaesa
 
 #endif // VAESA_UTIL_ENV_HH

@@ -23,7 +23,7 @@ initialLevel()
     return LogLevel::Warn;
 }
 
-LogLevel globalLevel = initialLevel();
+const LogLevel globalLevel = initialLevel();
 
 } // namespace
 
@@ -31,12 +31,6 @@ LogLevel
 logLevel()
 {
     return globalLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
 }
 
 namespace detail {

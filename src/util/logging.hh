@@ -23,9 +23,6 @@ enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
 /** Get the process-wide log level (settable via VAESA_LOG env var). */
 LogLevel logLevel();
 
-/** Override the process-wide log level. */
-void setLogLevel(LogLevel level);
-
 namespace detail {
 
 /** Concatenate a parameter pack into one string via a stringstream. */

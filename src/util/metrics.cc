@@ -25,9 +25,9 @@ std::atomic<bool> enabled{false};
 /**
  * Registry backing store. node-based maps keep instrument addresses
  * stable forever; instruments are never erased, so references stay
- * valid across resetAll(). Leaked on purpose: instrument sites cache
- * references in function-local statics whose destruction order
- * against this singleton would otherwise be undefined.
+ * valid for the life of the process. Leaked on purpose: instrument
+ * sites cache references in function-local statics whose destruction
+ * order against this singleton would otherwise be undefined.
  */
 struct Registry
 {
@@ -219,17 +219,6 @@ Histogram::quantile(double q) const
     return max();
 }
 
-void
-Histogram::reset()
-{
-    for (auto &bucket : buckets_)
-        bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-}
-
 Counter &
 counter(const std::string &name)
 {
@@ -278,19 +267,6 @@ snapshot()
     for (const auto &[name, h] : r.histograms)
         out.push_back({name, "histogram", 0, 0.0, h.get()});
     return out;
-}
-
-void
-resetAll()
-{
-    Registry &r = registry();
-    const MutexLock lock(r.metricsMutex);
-    for (auto &[name, c] : r.counters)
-        c->reset();
-    for (auto &[name, g] : r.gauges)
-        g->reset();
-    for (auto &[name, h] : r.histograms)
-        h->reset();
 }
 
 const char *

@@ -11,7 +11,7 @@
  *  - instruments are valid for the life of the process: the registry
  *    never removes or reallocates an instrument, so references handed
  *    out by counter()/gauge()/histogram() stay stable across
- *    resetAll() and concurrent registration;
+ *    concurrent registration;
  *  - wall-clock reads are the expensive part of timing, so every
  *    timing helper is gated on metricsEnabled() and collapses to a
  *    relaxed bool load when observability is off.
@@ -74,7 +74,7 @@ class Counter
         return sum;
     }
 
-    /** Zero every shard (tests and per-instance clear() only). */
+    /** Zero every shard (tests and benches only). */
     void reset()
     {
         for (Slot &slot : slots_)
@@ -163,9 +163,6 @@ class Histogram
      */
     std::uint64_t quantile(double q) const;
 
-    /** Zero all buckets and moments (tests only). */
-    void reset();
-
   private:
     std::atomic<std::uint64_t> buckets_[numBuckets]{};
     std::atomic<std::uint64_t> count_{0};
@@ -206,9 +203,6 @@ struct MetricSample
 
 /** Name-sorted snapshot of every registered instrument. */
 std::vector<MetricSample> snapshot();
-
-/** Reset every registered instrument to zero (tests only). */
-void resetAll();
 
 /**
  * RAII wall-time recorder: observes the elapsed nanoseconds into the

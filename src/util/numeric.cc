@@ -7,59 +7,6 @@
 
 namespace vaesa {
 
-std::vector<std::int64_t>
-primeFactors(std::int64_t n)
-{
-    if (n < 1)
-        panic("primeFactors requires n >= 1, got ", n);
-    std::vector<std::int64_t> factors;
-    for (std::int64_t p = 2; p * p <= n; ++p) {
-        while (n % p == 0) {
-            factors.push_back(p);
-            n /= p;
-        }
-    }
-    if (n > 1)
-        factors.push_back(n);
-    return factors;
-}
-
-std::vector<std::int64_t>
-divisors(std::int64_t n)
-{
-    if (n < 1)
-        panic("divisors requires n >= 1, got ", n);
-    std::vector<std::int64_t> divs;
-    for (std::int64_t d = 1; d * d <= n; ++d) {
-        if (n % d == 0) {
-            divs.push_back(d);
-            if (d != n / d)
-                divs.push_back(n / d);
-        }
-    }
-    std::sort(divs.begin(), divs.end());
-    return divs;
-}
-
-std::int64_t
-largestDivisorAtMost(std::int64_t n, std::int64_t cap)
-{
-    if (n < 1)
-        panic("largestDivisorAtMost requires n >= 1, got ", n);
-    if (cap < 1)
-        return 1;
-    std::int64_t best = 1;
-    for (std::int64_t d = 1; d * d <= n; ++d) {
-        if (n % d == 0) {
-            if (d <= cap)
-                best = std::max(best, d);
-            if (n / d <= cap)
-                best = std::max(best, n / d);
-        }
-    }
-    return best;
-}
-
 double
 log2d(double x)
 {

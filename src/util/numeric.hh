@@ -1,15 +1,13 @@
 /**
  * @file
- * Small integer/number-theory helpers shared by the scheduler and the
- * design-space code: prime factorization, divisor enumeration, rounding
- * to discrete grids, and ceiling division.
+ * Small numeric helpers shared by the scheduler and the design-space
+ * code: ceiling division, power-of-two tests, log2 and clamping.
  */
 
 #ifndef VAESA_UTIL_NUMERIC_HH
 #define VAESA_UTIL_NUMERIC_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace vaesa {
 
@@ -26,18 +24,6 @@ isPowerOfTwo(std::int64_t x)
 {
     return x > 0 && (x & (x - 1)) == 0;
 }
-
-/** Prime factorization of n >= 1, as a sorted multiset of factors. */
-std::vector<std::int64_t> primeFactors(std::int64_t n);
-
-/** All divisors of n >= 1, in ascending order. */
-std::vector<std::int64_t> divisors(std::int64_t n);
-
-/**
- * Largest divisor of n that is <= cap (always >= 1).
- * Used to pick the biggest tile of a loop dimension that fits a bound.
- */
-std::int64_t largestDivisorAtMost(std::int64_t n, std::int64_t cap);
 
 /** log2 of a double, defined for x > 0. */
 double log2d(double x);

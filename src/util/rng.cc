@@ -73,15 +73,6 @@ Rng::index(std::uint64_t n)
     return next() % n;
 }
 
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    if (hi < lo)
-        panic("Rng::range called with hi < lo");
-    return lo + static_cast<std::int64_t>(
-        index(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 double
 Rng::normal()
 {
@@ -126,12 +117,6 @@ Rng::permutationInto(std::size_t n, std::vector<std::size_t> &out)
         const std::size_t j = index(i);
         std::swap(out[i - 1], out[j]);
     }
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xA5A5A5A55A5A5A5Aull);
 }
 
 RngState

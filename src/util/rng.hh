@@ -63,9 +63,6 @@ class Rng
     /** Uniform integer in [0, n). Requires n > 0. */
     std::uint64_t index(std::uint64_t n);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t range(std::int64_t lo, std::int64_t hi);
-
     /** Standard normal sample, N(0, 1). */
     double normal();
 
@@ -77,9 +74,6 @@ class Rng
 
     /** permutation() into a caller-owned vector (capacity reused). */
     void permutationInto(std::size_t n, std::vector<std::size_t> &out);
-
-    /** Spawn an independent child generator (for parallel streams). */
-    Rng split();
 
     /** Snapshot the full generator state (for checkpoints). */
     RngState state() const;

@@ -97,19 +97,6 @@ percentile(std::vector<double> xs, double q)
     return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
-std::vector<double>
-runningMin(const std::vector<double> &xs)
-{
-    std::vector<double> out;
-    out.reserve(xs.size());
-    double best = std::numeric_limits<double>::infinity();
-    for (double x : xs) {
-        best = std::min(best, x);
-        out.push_back(best);
-    }
-    return out;
-}
-
 double
 correlation(const std::vector<double> &xs, const std::vector<double> &ys)
 {

@@ -69,12 +69,6 @@ double geomean(const std::vector<double> &xs);
 double percentile(std::vector<double> xs, double q);
 
 /**
- * Running minimum of a series: out[i] = min(xs[0..i]). Used to turn raw
- * search traces into best-so-far convergence curves (Figure 11).
- */
-std::vector<double> runningMin(const std::vector<double> &xs);
-
-/**
  * Pearson correlation coefficient of two equal-length samples.
  * Returns 0 when either sample is constant.
  */

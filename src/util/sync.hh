@@ -257,7 +257,7 @@ VAESA_LOCK_ORDER_ENTRY(bundleMutex_, 4);
 // followed by (never nested under) cache evaluation, but ranking it
 // below the cache locks keeps that nesting legal if it ever forms.
 VAESA_LOCK_ORDER_ENTRY(modelMutex, 6);
-// CachingEvaluator layer registry; held across shard locks in clear().
+// CachingEvaluator layer registry; never held across a shard lock.
 VAESA_LOCK_ORDER_ENTRY(registryMutex_, 10);
 // CachingEvaluator per-shard entry maps; innermost cache lock.
 VAESA_LOCK_ORDER_ENTRY(shardMutex, 20);

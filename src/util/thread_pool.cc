@@ -185,11 +185,4 @@ ThreadPool::hardwareThreadCount()
     return hw == 0 ? 1 : hw;
 }
 
-ThreadPool &
-globalThreadPool()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
 } // namespace vaesa

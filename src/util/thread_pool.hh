@@ -113,13 +113,6 @@ class ThreadPool
     std::condition_variable_any wake_;
 };
 
-/**
- * Process-wide shared pool (lazily started with defaultThreadCount()
- * workers). Benches and examples use this; library code takes an
- * explicit ThreadPool* so tests control the worker count.
- */
-ThreadPool &globalThreadPool();
-
 } // namespace vaesa
 
 #endif // VAESA_UTIL_THREAD_POOL_HH

@@ -40,7 +40,7 @@ getEpochStats(ByteReader &in)
 
 Expected<TrainCheckpoint>
 loadTrainCheckpointFile(const std::string &path,
-                        nn::Optimizer &optimizer)
+                        nn::Adam &optimizer)
 {
     Expected<std::string> bytes = readFileBytes(path);
     if (!bytes)
@@ -104,7 +104,7 @@ loadTrainCheckpointFile(const std::string &path,
 std::optional<LoadError>
 saveTrainCheckpoint(const std::string &path,
                     const TrainCheckpoint &checkpoint,
-                    const nn::Optimizer &optimizer)
+                    const nn::Adam &optimizer)
 {
     RecordWriter out(checkpointMagic, checkpointVersion);
 
@@ -127,7 +127,7 @@ saveTrainCheckpoint(const std::string &path,
 }
 
 Expected<TrainCheckpoint>
-loadTrainCheckpoint(const std::string &path, nn::Optimizer &optimizer)
+loadTrainCheckpoint(const std::string &path, nn::Adam &optimizer)
 {
     // A corrupt file can fail mid-parse after overwriting some
     // parameters or moments; snapshot everything first so a failed

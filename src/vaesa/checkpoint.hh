@@ -45,7 +45,7 @@ struct TrainCheckpoint
 std::optional<LoadError>
 saveTrainCheckpoint(const std::string &path,
                     const TrainCheckpoint &checkpoint,
-                    const nn::Optimizer &optimizer);
+                    const nn::Adam &optimizer);
 
 /**
  * Load a checkpoint written by saveTrainCheckpoint(), with fallback
@@ -54,7 +54,7 @@ saveTrainCheckpoint(const std::string &path,
  * @return the non-tensor state, or the primary file's error.
  */
 Expected<TrainCheckpoint>
-loadTrainCheckpoint(const std::string &path, nn::Optimizer &optimizer);
+loadTrainCheckpoint(const std::string &path, nn::Adam &optimizer);
 
 } // namespace vaesa
 

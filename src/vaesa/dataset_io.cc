@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/atomic_io.hh"
-#include "util/csv.hh"
 
 namespace vaesa {
 
@@ -65,35 +64,6 @@ rowError(const std::string &path, std::size_t line,
 }
 
 } // namespace
-
-std::optional<LoadError>
-saveDatasetCsv(const std::string &path, const Dataset &data)
-{
-    std::string out;
-    out += CsvWriter::formatRow({"kind", "name_or_index", "f0", "f1",
-                                 "f2", "f3", "f4", "f5", "f6", "f7"});
-    for (const LayerShape &layer : data.layerPool()) {
-        out += CsvWriter::formatRow(
-            {"layer", layer.name, std::to_string(layer.r),
-             std::to_string(layer.s), std::to_string(layer.p),
-             std::to_string(layer.q), std::to_string(layer.c),
-             std::to_string(layer.k), std::to_string(layer.strideW),
-             std::to_string(layer.strideH)});
-    }
-    for (const DataSample &s : data.samples()) {
-        out += CsvWriter::formatRow(
-            {"sample", std::to_string(s.layerIndex),
-             std::to_string(s.config.numPes),
-             std::to_string(s.config.numMacs),
-             std::to_string(s.config.accumBufBytes),
-             std::to_string(s.config.weightBufBytes),
-             std::to_string(s.config.inputBufBytes),
-             std::to_string(s.config.globalBufBytes),
-             CsvWriter::cell(s.logLatency),
-             CsvWriter::cell(s.logEnergy)});
-    }
-    return atomicWriteFile(path, out);
-}
 
 Expected<Dataset>
 loadDatasetCsv(const std::string &path)
@@ -184,26 +154,6 @@ loadDatasetCsv(const std::string &path)
         s.layerFeatures = pool[s.layerIndex].toFeatures();
     }
     return Dataset(std::move(samples), std::move(pool));
-}
-
-Expected<Dataset>
-mergeDatasets(const Dataset &a, const Dataset &b)
-{
-    if (a.layerPool().size() != b.layerPool().size())
-        return makeLoadError(LoadError::Kind::ShapeMismatch, "", 0,
-                             "mergeDatasets: layer pools differ in "
-                             "size");
-    for (std::size_t i = 0; i < a.layerPool().size(); ++i) {
-        if (!a.layerPool()[i].sameShape(b.layerPool()[i]))
-            return makeLoadError(
-                LoadError::Kind::ShapeMismatch, "", 0,
-                "mergeDatasets: layer pools differ at index " +
-                    std::to_string(i));
-    }
-    std::vector<DataSample> merged = a.samples();
-    merged.insert(merged.end(), b.samples().begin(),
-                  b.samples().end());
-    return Dataset(std::move(merged), a.layerPool());
 }
 
 } // namespace vaesa

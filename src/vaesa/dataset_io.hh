@@ -1,10 +1,9 @@
 /**
  * @file
- * Dataset persistence. The paper's flow grows the training set as
- * DSE explores more designs and retrains or fine-tunes the VAE
- * (Section III-B3); saving/loading datasets makes that workflow
- * possible across processes, and the CSV form doubles as an export
- * for external analysis.
+ * Dataset import. The paper's flow grows the training set as DSE
+ * explores more designs and retrains or fine-tunes the VAE (Section
+ * III-B3); loading a dataset from CSV lets samples scored elsewhere
+ * feed that workflow.
  */
 
 #ifndef VAESA_VAESA_DATASET_IO_HH
@@ -18,29 +17,15 @@
 namespace vaesa {
 
 /**
- * Write a dataset to CSV, atomically: one row per sample with the
- * configuration (6 raw parameter values), the layer-pool index, and
- * the log2 latency/energy labels. The layer pool itself is written
- * as a sibling header block (rows starting with "layer").
- * @return nullopt on success, the write error otherwise.
- */
-std::optional<LoadError> saveDatasetCsv(const std::string &path,
-                                        const Dataset &data);
-
-/**
- * Read a dataset written by saveDatasetCsv(). Normalizers are
- * re-fitted from the loaded samples exactly as the builder would.
+ * Read a dataset from CSV: after a header row, "layer" rows carry a
+ * layer-pool entry (name, then R, S, P, Q, C, K, strideW, strideH)
+ * and "sample" rows a sample (layer-pool index, the 6 raw parameter
+ * values, then the log2 latency and energy labels). Normalizers are
+ * fitted from the loaded samples exactly as the builder would.
  * @return the dataset, or a LoadError carrying the file name and the
  *         1-based line number of the offending row.
  */
 Expected<Dataset> loadDatasetCsv(const std::string &path);
-
-/**
- * Merge two datasets over the same layer pool (the grow-and-retrain
- * flow). Normalizers are re-fitted over the union.
- * @return the merged dataset, or ShapeMismatch when the pools differ.
- */
-Expected<Dataset> mergeDatasets(const Dataset &a, const Dataset &b);
 
 } // namespace vaesa
 

@@ -6,6 +6,7 @@
 #ifndef VAESA_TESTS_NN_GRADCHECK_HH
 #define VAESA_TESTS_NN_GRADCHECK_HH
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -23,6 +24,25 @@ sumOfSquares(const Matrix &m)
         for (std::size_t c = 0; c < m.cols(); ++c)
             acc += m(r, c) * m(r, c);
     return acc;
+}
+
+/** Largest absolute element (0 for an empty matrix). */
+inline double
+maxAbs(const Matrix &m)
+{
+    double best = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i)
+        best = std::max(best, std::fabs(m.data()[i]));
+    return best;
+}
+
+/** Move entries within 0.05 of 0 away from LeakyReLU's kink. */
+inline void
+nudgeOffKink(Matrix &x)
+{
+    for (std::size_t i = 0; i < x.size(); ++i)
+        if (std::fabs(x.data()[i]) < 0.05)
+            x.data()[i] += 0.1;
 }
 
 /** dL/dm for the sum-of-squares loss. */

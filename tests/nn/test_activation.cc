@@ -39,9 +39,7 @@ TEST(LeakyReLU, GradientsMatchFiniteDifferences)
     Matrix x(6, 4);
     // Keep probes away from the kink at 0.
     x.randomNormal(rng, 0.0, 1.0);
-    x.apply([](double v) {
-        return std::fabs(v) < 0.05 ? v + 0.1 : v;
-    });
+    testing::nudgeOffKink(x);
     EXPECT_LT(testing::checkModuleGradients(act, x), 1e-5);
 }
 

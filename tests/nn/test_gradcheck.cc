@@ -150,9 +150,7 @@ TEST_P(KernelGradcheck, ActivationsPassFiniteDifferences)
     Matrix x(5, 4);
     x.randomNormal(rng, 0.0, 1.0);
     // Keep LeakyReLU probes away from the kink at 0.
-    x.apply([](double v) {
-        return std::fabs(v) < 0.05 ? v + 0.1 : v;
-    });
+    testing::nudgeOffKink(x);
 
     LeakyReLU leaky(4, 0.01);
     EXPECT_LT(checkGradients(leaky, x), 1e-5);

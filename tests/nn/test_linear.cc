@@ -81,10 +81,10 @@ TEST(Linear, ZeroGradClears)
     Matrix x(1, 2, {1.0, 2.0});
     layer.forward(x);
     layer.backward(Matrix(1, 2, {1.0, 1.0}));
-    EXPECT_GT(layer.weight().grad.maxAbs(), 0.0);
+    EXPECT_GT(testing::maxAbs(layer.weight().grad), 0.0);
     layer.zeroGrad();
-    EXPECT_DOUBLE_EQ(layer.weight().grad.maxAbs(), 0.0);
-    EXPECT_DOUBLE_EQ(layer.bias().grad.maxAbs(), 0.0);
+    EXPECT_DOUBLE_EQ(testing::maxAbs(layer.weight().grad), 0.0);
+    EXPECT_DOUBLE_EQ(testing::maxAbs(layer.bias().grad), 0.0);
 }
 
 TEST(Linear, InitializationIsBoundedAndSeedDependent)
@@ -100,8 +100,8 @@ TEST(Linear, InitializationIsBoundedAndSeedDependent)
     EXPECT_FALSE(a.weight().value == c.weight().value);
 
     const double bound = std::sqrt(6.0 / 64.0);
-    EXPECT_LE(a.weight().value.maxAbs(), bound);
-    EXPECT_DOUBLE_EQ(a.bias().value.maxAbs(), 0.0);
+    EXPECT_LE(testing::maxAbs(a.weight().value), bound);
+    EXPECT_DOUBLE_EQ(testing::maxAbs(a.bias().value), 0.0);
 }
 
 TEST(Linear, LeakyReluGainMatchesKaimingFormula)
@@ -129,7 +129,7 @@ TEST(Linear, InitGainScalesTheUniformBoundExactly)
 
     const double ratio = gain / Linear::kDefaultInitGain;
     const double bound = gain * std::sqrt(3.0 / 64.0);
-    EXPECT_LE(b.weight().value.maxAbs(), bound);
+    EXPECT_LE(testing::maxAbs(b.weight().value), bound);
     for (std::size_t r = 0; r < 32; ++r) {
         for (std::size_t c = 0; c < 64; ++c) {
             EXPECT_NEAR(b.weight().value(r, c),

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "gradcheck.hh"
 #include "nn/loss.hh"
 #include "util/rng.hh"
 
@@ -25,7 +26,7 @@ TEST(MseLoss, ZeroWhenEqual)
     Matrix m(2, 2, {1, 2, 3, 4});
     const LossResult r = mseLoss(m, m);
     EXPECT_DOUBLE_EQ(r.value, 0.0);
-    EXPECT_DOUBLE_EQ(r.grad.maxAbs(), 0.0);
+    EXPECT_DOUBLE_EQ(testing::maxAbs(r.grad), 0.0);
 }
 
 TEST(MseLoss, ShapeMismatchPanics)
@@ -63,8 +64,8 @@ TEST(GaussianKld, ZeroAtStandardNormal)
     Matrix logvar(2, 3);
     const KldResult r = gaussianKld(mu, logvar);
     EXPECT_NEAR(r.value, 0.0, 1e-14);
-    EXPECT_NEAR(r.gradMu.maxAbs(), 0.0, 1e-14);
-    EXPECT_NEAR(r.gradLogvar.maxAbs(), 0.0, 1e-14);
+    EXPECT_NEAR(testing::maxAbs(r.gradMu), 0.0, 1e-14);
+    EXPECT_NEAR(testing::maxAbs(r.gradLogvar), 0.0, 1e-14);
 }
 
 TEST(GaussianKld, KnownValue)

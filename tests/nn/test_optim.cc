@@ -1,4 +1,4 @@
-/** @file Unit tests for SGD and Adam optimizers. */
+/** @file Unit tests for the Adam optimizer. */
 
 #include <gtest/gtest.h>
 
@@ -16,48 +16,6 @@ setQuadraticGrad(Parameter &p, double target)
     for (std::size_t r = 0; r < p.value.rows(); ++r)
         for (std::size_t c = 0; c < p.value.cols(); ++c)
             p.grad(r, c) = 2.0 * (p.value(r, c) - target);
-}
-
-TEST(Sgd, SingleStepMovesAgainstGradient)
-{
-    Parameter p(1, 1, "w");
-    p.value(0, 0) = 1.0;
-    p.grad(0, 0) = 2.0;
-    Sgd opt({&p}, 0.1);
-    opt.step();
-    EXPECT_DOUBLE_EQ(p.value(0, 0), 0.8);
-}
-
-TEST(Sgd, ConvergesOnQuadratic)
-{
-    Parameter p(2, 2, "w");
-    p.value.fill(5.0);
-    Sgd opt({&p}, 0.1);
-    for (int i = 0; i < 200; ++i) {
-        setQuadraticGrad(p, 3.0);
-        opt.step();
-    }
-    for (std::size_t r = 0; r < 2; ++r)
-        for (std::size_t c = 0; c < 2; ++c)
-            EXPECT_NEAR(p.value(r, c), 3.0, 1e-6);
-}
-
-TEST(Sgd, MomentumAcceleratesDescent)
-{
-    Parameter plain(1, 1, "a");
-    Parameter fast(1, 1, "b");
-    plain.value(0, 0) = 10.0;
-    fast.value(0, 0) = 10.0;
-    Sgd slow({&plain}, 0.01, 0.0);
-    Sgd quick({&fast}, 0.01, 0.9);
-    for (int i = 0; i < 30; ++i) {
-        setQuadraticGrad(plain, 0.0);
-        setQuadraticGrad(fast, 0.0);
-        slow.step();
-        quick.step();
-    }
-    EXPECT_LT(std::fabs(fast.value(0, 0)),
-              std::fabs(plain.value(0, 0)));
 }
 
 TEST(Adam, ConvergesOnQuadratic)
@@ -111,7 +69,7 @@ TEST(Optimizer, ZeroGradClearsAll)
     Parameter p2(1, 1, "b");
     p1.grad(0, 0) = 1.0;
     p2.grad(0, 0) = 2.0;
-    Sgd opt({&p1, &p2}, 0.1);
+    Adam opt({&p1, &p2}, 0.1);
     opt.zeroGrad();
     EXPECT_DOUBLE_EQ(p1.grad(0, 0), 0.0);
     EXPECT_DOUBLE_EQ(p2.grad(0, 0), 0.0);
@@ -119,7 +77,7 @@ TEST(Optimizer, ZeroGradClearsAll)
 
 TEST(Optimizer, NullParameterPanics)
 {
-    EXPECT_DEATH(Sgd({nullptr}, 0.1), "null");
+    EXPECT_DEATH(Adam({nullptr}, 0.1), "null");
 }
 
 TEST(Optimizer, LearningRateIsAdjustable)

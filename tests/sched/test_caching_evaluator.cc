@@ -39,7 +39,7 @@ TEST(CachingEvaluator, MatchesPlainEvaluator)
             designSpace().randomConfig(rng);
         const LayerShape layer =
             resNet50Layers()[rng.index(24)];
-        const EvalResult a = cached.evaluateLayer(config, layer);
+        const EvalResult a = cached.evaluateWorkload(config, {layer});
         const EvalResult b = plain.evaluateLayer(config, layer);
         EXPECT_EQ(a.valid, b.valid);
         if (a.valid) {
@@ -53,11 +53,11 @@ TEST(CachingEvaluator, RepeatHitsTheCache)
 {
     CachingEvaluator cached;
     const LayerShape layer = resNet50Layers()[2];
-    cached.evaluateLayer(midConfig(), layer);
+    cached.evaluateWorkload(midConfig(), {layer});
     EXPECT_EQ(cached.misses(), 1u);
     EXPECT_EQ(cached.hits(), 0u);
     for (int i = 0; i < 5; ++i)
-        cached.evaluateLayer(midConfig(), layer);
+        cached.evaluateWorkload(midConfig(), {layer});
     EXPECT_EQ(cached.misses(), 1u);
     EXPECT_EQ(cached.hits(), 5u);
     // The inner evaluator only ran once.
@@ -67,8 +67,8 @@ TEST(CachingEvaluator, RepeatHitsTheCache)
 TEST(CachingEvaluator, DistinguishesLayersWithSameConfig)
 {
     CachingEvaluator cached;
-    cached.evaluateLayer(midConfig(), resNet50Layers()[2]);
-    cached.evaluateLayer(midConfig(), resNet50Layers()[3]);
+    cached.evaluateWorkload(midConfig(), {resNet50Layers()[2]});
+    cached.evaluateWorkload(midConfig(), {resNet50Layers()[3]});
     EXPECT_EQ(cached.misses(), 2u);
     EXPECT_EQ(cached.hits(), 0u);
 }
@@ -79,8 +79,8 @@ TEST(CachingEvaluator, SameShapeDifferentNameShareEntries)
     LayerShape a = resNet50Layers()[2];
     LayerShape b = a;
     b.name = "renamed";
-    cached.evaluateLayer(midConfig(), a);
-    cached.evaluateLayer(midConfig(), b);
+    cached.evaluateWorkload(midConfig(), {a});
+    cached.evaluateWorkload(midConfig(), {b});
     EXPECT_EQ(cached.misses(), 1u);
     EXPECT_EQ(cached.hits(), 1u);
 }
@@ -91,8 +91,8 @@ TEST(CachingEvaluator, OffGridConfigsAliasTheirSnap)
     const LayerShape layer = alexNetLayers()[1];
     AcceleratorConfig off = midConfig();
     off.numMacs += 3; // off-grid; snaps back to 1024
-    cached.evaluateLayer(midConfig(), layer);
-    cached.evaluateLayer(off, layer);
+    cached.evaluateWorkload(midConfig(), {layer});
+    cached.evaluateWorkload(off, {layer});
     EXPECT_EQ(cached.misses(), 1u);
     EXPECT_EQ(cached.hits(), 1u);
 }
@@ -120,42 +120,8 @@ TEST(CachingEvaluator, InvalidResultsAreCachedToo)
     AcceleratorConfig bad = midConfig();
     bad.globalBufBytes = 2;
     const LayerShape layer = alexNetLayers()[0];
-    EXPECT_FALSE(cached.evaluateLayer(bad, layer).valid);
-    EXPECT_FALSE(cached.evaluateLayer(bad, layer).valid);
-    EXPECT_EQ(cached.misses(), 1u);
-    EXPECT_EQ(cached.hits(), 1u);
-}
-
-TEST(CachingEvaluator, ClearResetsEverything)
-{
-    CachingEvaluator cached;
-    cached.evaluateLayer(midConfig(), alexNetLayers()[0]);
-    cached.clear();
-    EXPECT_EQ(cached.hits(), 0u);
-    EXPECT_EQ(cached.misses(), 0u);
-    cached.evaluateLayer(midConfig(), alexNetLayers()[0]);
-    EXPECT_EQ(cached.misses(), 1u);
-}
-
-TEST(CachingEvaluator, ClearResetsNonZeroCounters)
-{
-    // Guards the documented clear() contract: both counters must be
-    // zeroed even when they were non-zero, so hit-rate measurements
-    // can be restarted mid-run.
-    CachingEvaluator cached;
-    const LayerShape layer = alexNetLayers()[0];
-    cached.evaluateLayer(midConfig(), layer);
-    cached.evaluateLayer(midConfig(), layer);
-    cached.evaluateLayer(midConfig(), layer);
-    EXPECT_EQ(cached.misses(), 1u);
-    EXPECT_EQ(cached.hits(), 2u);
-    cached.clear();
-    EXPECT_EQ(cached.hits(), 0u);
-    EXPECT_EQ(cached.misses(), 0u);
-    // The memo table and the layer registry were dropped too: the
-    // same (config, layer) pair is a fresh miss, then fresh hits.
-    cached.evaluateLayer(midConfig(), layer);
-    cached.evaluateLayer(midConfig(), layer);
+    EXPECT_FALSE(cached.evaluateWorkload(bad, {layer}).valid);
+    EXPECT_FALSE(cached.evaluateWorkload(bad, {layer}).valid);
     EXPECT_EQ(cached.misses(), 1u);
     EXPECT_EQ(cached.hits(), 1u);
 }
@@ -172,7 +138,7 @@ TEST(CachingEvaluator, ConfigKeyIsPerfectPacking)
     for (int i = 0; i < 40; ++i) {
         const AcceleratorConfig config =
             designSpace().randomConfig(rng);
-        const EvalResult a = cached.evaluateLayer(config, layer);
+        const EvalResult a = cached.evaluateWorkload(config, {layer});
         const EvalResult b = plain.evaluateLayer(config, layer);
         EXPECT_EQ(a.valid, b.valid);
         if (a.valid) {
@@ -184,8 +150,8 @@ TEST(CachingEvaluator, ConfigKeyIsPerfectPacking)
 
 // ---------------------------------------------------------------------
 // Contract of the one-probe evaluateWorkload: results and hit/miss
-// totals bit-identical to an evaluateLayer() loop run on a second,
-// identically warmed cache.
+// totals bit-identical to a loop of one-layer evaluateWorkload()
+// calls run on a second, identically warmed cache.
 // ---------------------------------------------------------------------
 
 /** The per-layer loop evaluateWorkload() must reproduce exactly. */
@@ -196,7 +162,7 @@ perLayerLoop(const CachingEvaluator &cache, const AcceleratorConfig &config,
     EvalResult total;
     total.valid = true;
     for (const LayerShape &layer : layers) {
-        const EvalResult r = cache.evaluateLayer(config, layer);
+        const EvalResult r = cache.evaluateWorkload(config, {layer});
         if (!r.valid)
             return EvalResult{};
         total.latencyCycles += r.latencyCycles;
@@ -251,8 +217,8 @@ TEST(CachingEvaluatorOneProbe, ColdWarmAndPartlyWarmMatchLayerLoop)
         // on both caches, before either path sees the workload.
         if (trial % 2 == 1) {
             for (std::size_t i = 0; i < layers.size(); i += 3) {
-                probe.evaluateLayer(config, layers[i]);
-                loop.evaluateLayer(config, layers[i]);
+                probe.evaluateWorkload(config, {layers[i]});
+                loop.evaluateWorkload(config, {layers[i]});
             }
         }
         expectOneProbeMatchesLoop(probe, loop, config, layers); // cold
@@ -285,8 +251,8 @@ TEST(CachingEvaluatorOneProbe, InvalidMiddleLayerStopsTheWalk)
 
     // The layers past the invalid one were never cached.
     const std::uint64_t missesBefore = probe.misses();
-    probe.evaluateLayer(config, layers[3]);
-    probe.evaluateLayer(config, layers[4]);
+    probe.evaluateWorkload(config, {layers[3]});
+    probe.evaluateWorkload(config, {layers[4]});
     EXPECT_EQ(probe.misses(), missesBefore + 2);
 }
 
@@ -360,15 +326,15 @@ TEST(CachingEvaluatorOneProbe, ExpiredTokenKeepsOnlyComputedLayers)
         CachingEvaluator probe;
         CachingEvaluator loop;
         for (const LayerShape &layer : warm) {
-            probe.evaluateLayer(config, layer);
-            loop.evaluateLayer(config, layer);
+            probe.evaluateWorkload(config, {layer});
+            loop.evaluateWorkload(config, {layer});
         }
         CancelToken expired;
         expired.cancel();
         EXPECT_THROW(probe.evaluateWorkload(config, layers, &expired),
                      DeadlineExceeded);
         for (std::size_t i = 0; i < firstUncached(layers, warm); ++i)
-            loop.evaluateLayer(config, layers[i]);
+            loop.evaluateWorkload(config, {layers[i]});
         expectSameCounters(probe, loop);
         expectOneProbeMatchesLoop(probe, loop, config, layers);
     }
@@ -393,7 +359,7 @@ TEST(CachingEvaluatorOneProbe, ExpiredTokenKeepsOnlyComputedLayers)
             const std::size_t walked = firstUncached(
                 layers, firstDistinct(layers, probe.misses()));
             for (std::size_t i = 0; i < walked; ++i)
-                loop.evaluateLayer(config, layers[i]);
+                loop.evaluateWorkload(config, {layers[i]});
         }
         EXPECT_EQ(probe.misses(), probe.inner().evaluationCount());
         expectSameCounters(probe, loop);

@@ -83,15 +83,17 @@ probeConfigs()
     Rng rng(sampleSeed);
     for (std::size_t i = 0; i < onGridConfigs; ++i)
         configs.push_back(designSpace().randomConfig(rng));
+    // Uniform integer in [lo, hi].
+    const auto range = [&rng](std::int64_t lo, std::int64_t hi) {
+        return lo + static_cast<std::int64_t>(rng.index(hi - lo + 1));
+    };
     // Buffers log-uniform over 1 B .. 4 MiB, so a fair share of
     // these cannot hold even a minimal tile of the larger layers.
-    const auto bytes = [&rng] {
-        return rng.range(1, 64) << rng.range(0, 16);
-    };
+    const auto bytes = [&range] { return range(1, 64) << range(0, 16); };
     for (std::size_t i = 0; i < offGridConfigs; ++i) {
         AcceleratorConfig c;
-        c.numPes = rng.range(1, 64);
-        c.numMacs = c.numPes * rng.range(1, 128);
+        c.numPes = range(1, 64);
+        c.numMacs = c.numPes * range(1, 128);
         c.accumBufBytes = bytes();
         c.weightBufBytes = bytes();
         c.inputBufBytes = bytes();

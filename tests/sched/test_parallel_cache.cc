@@ -64,7 +64,7 @@ TEST(ParallelCache, StressOverlappingKeysMatchesSerial)
     pool.parallelFor(batch.size(), [&](std::size_t i) {
         for (std::size_t l = 0; l < layersUsed; ++l)
             got[i].push_back(
-                cached.evaluateLayer(batch[i], layers[l]));
+                cached.evaluateWorkload(batch[i], {layers[l]}));
     });
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -101,13 +101,13 @@ TEST(ParallelCache, ConcurrentLayerRegistrationIsConsistent)
     const AcceleratorConfig config = designSpace().randomConfig(rng);
 
     pool.parallelFor(8 * layers.size(), [&](std::size_t i) {
-        cached.evaluateLayer(config, layers[i % layers.size()]);
+        cached.evaluateWorkload(config, {layers[i % layers.size()]});
     });
     EXPECT_EQ(cached.hits() + cached.misses(), 8 * layers.size());
 
     const std::uint64_t missesAfterWarm = cached.misses();
     pool.parallelFor(8 * layers.size(), [&](std::size_t i) {
-        cached.evaluateLayer(config, layers[i % layers.size()]);
+        cached.evaluateWorkload(config, {layers[i % layers.size()]});
     });
     // Second sweep: zero new misses — every shape resolved to the
     // id registered in the first sweep.
@@ -123,12 +123,12 @@ TEST(ParallelCache, ConcurrentHitsAndMissesInterleave)
         overlappingConfigs(64, 16, 21);
     CachingEvaluator cached;
     for (std::size_t i = 0; i < batch.size(); i += 2)
-        cached.evaluateLayer(batch[i], layers[0]);
+        cached.evaluateWorkload(batch[i], {layers[0]});
     const std::uint64_t warmLookups = cached.hits() + cached.misses();
 
     ThreadPool pool(8);
     pool.parallelFor(batch.size(), [&](std::size_t i) {
-        cached.evaluateLayer(batch[i], layers[0]);
+        cached.evaluateWorkload(batch[i], {layers[0]});
     });
     EXPECT_EQ(cached.hits() + cached.misses(),
               warmLookups + batch.size());
@@ -188,10 +188,10 @@ TEST(ParallelCache, ChunkedBatchStressMatchesSerialCounters)
 
 TEST(ParallelCache, ContentionMetricIsMonotoneAcrossBatches)
 {
-    // cache.shard_contention (and the per-instance contention())
-    // only ever accumulates: each batch round may add queueing
-    // events but can never reclaim them. The counter is observed
-    // only (perfbench reads it); it no longer sizes the cache.
+    // cache.shard_contention only ever accumulates while 8 threads
+    // hammer one cache: each batch round may add queueing events but
+    // can never reclaim them. The counter is observed only (perfbench
+    // reads it); it does not size the cache.
     const auto layers = alexNetLayers();
     const std::vector<AcceleratorConfig> batch =
         overlappingConfigs(512, 8, 41);
@@ -202,23 +202,17 @@ TEST(ParallelCache, ContentionMetricIsMonotoneAcrossBatches)
     metrics::Counter &global =
         metrics::counter("cache.shard_contention");
     std::uint64_t prevGlobal = global.value();
-    std::uint64_t prevLocal = cache.contention();
     for (int round = 0; round < 4; ++round) {
         evaluateCachedBatch(cache, batch, {"", layers, {}}, pool);
         EXPECT_GE(global.value(), prevGlobal) << "round " << round;
-        EXPECT_GE(cache.contention(), prevLocal) << "round " << round;
         prevGlobal = global.value();
-        prevLocal = cache.contention();
     }
-    // The instance mirrors every queueing event into the global
-    // metric, so the instance can never run ahead of it.
-    EXPECT_GE(global.value(), cache.contention());
 }
 
 TEST(ParallelCache, ShardCountIsFixedForTheInstanceLifetime)
 {
     // 4 shards per default pool thread, at least 16, rounded up to a
-    // power of two; contended batches and clear() never resize it.
+    // power of two; contended batches never resize it.
     const std::size_t want =
         std::max<std::size_t>(16, 4 * ThreadPool::defaultThreadCount());
     CachingEvaluator cache;
@@ -230,7 +224,6 @@ TEST(ParallelCache, ShardCountIsFixedForTheInstanceLifetime)
     ThreadPool pool(8);
     evaluateCachedBatch(cache, overlappingConfigs(512, 8, 43),
                         {"", alexNetLayers(), {}}, pool);
-    cache.clear();
     EXPECT_EQ(cache.shardCount(), shards);
 }
 
@@ -268,7 +261,7 @@ TEST(ParallelCache, KillMidBatchIsAllOrNothing)
     std::uint64_t distinct = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =
-            serialCache.evaluateLayer(batch[i], layers[0]);
+            serialCache.evaluateWorkload(batch[i], {layers[0]});
         EXPECT_EQ(got[i].valid, expected.valid);
         EXPECT_EQ(got[i].latencyCycles, expected.latencyCycles);
         EXPECT_EQ(got[i].energyPj, expected.energyPj);
@@ -310,7 +303,7 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
     CachingEvaluator serialCache;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =
-            serialCache.evaluateLayer(batch[i], layers[1]);
+            serialCache.evaluateWorkload(batch[i], {layers[1]});
         EXPECT_EQ(got[i].valid, expected.valid);
         EXPECT_EQ(got[i].latencyCycles, expected.latencyCycles);
         EXPECT_EQ(got[i].energyPj, expected.energyPj);

@@ -246,15 +246,6 @@ TEST(ServeProtocol, EmptyPayloadIsRejected)
     EXPECT_FALSE(parseResponse("").ok());
 }
 
-TEST(ServeProtocol, StatusNamesAreStable)
-{
-    EXPECT_STREQ(statusName(Status::Ok), "OK");
-    EXPECT_STREQ(statusName(Status::RejectedOverload),
-                 "REJECTED_OVERLOAD");
-    EXPECT_STREQ(statusName(Status::DeadlineExceeded),
-                 "DEADLINE_EXCEEDED");
-}
-
 } // namespace
 } // namespace serve
 } // namespace vaesa

@@ -26,34 +26,52 @@ randomMatrix(std::size_t rows, std::size_t cols, Rng &rng)
     return m;
 }
 
-/** Reference C = A * B (tests/common/reference_gemm.hh). */
+/** The signature kernels::gemm* and reference::gemm* share. */
+using Gemm = void (*)(std::size_t, std::size_t, std::size_t,
+                      const double *, const double *, double *, bool);
+
+/** C = A * B by the tuned kernel, or by the reference when @p ref. */
 Matrix
-refMultiply(const Matrix &a, const Matrix &b)
+multiply(const Matrix &a, const Matrix &b, bool ref = false)
 {
     Matrix c(a.rows(), b.cols());
-    reference::gemm(a.rows(), b.cols(), a.cols(), a.data(), b.data(),
-                    c.data());
+    const Gemm gemm = ref ? reference::gemm : kernels::gemm;
+    gemm(a.rows(), b.cols(), a.cols(), a.data(), b.data(), c.data(),
+         false);
     return c;
 }
 
-/** Reference C = A^T * B. */
+/** C = A^T * B. */
 Matrix
-refMultiplyTransA(const Matrix &a, const Matrix &b)
+multiplyTransA(const Matrix &a, const Matrix &b, bool ref = false)
 {
     Matrix c(a.cols(), b.cols());
-    reference::gemmTransA(a.cols(), b.cols(), a.rows(), a.data(),
-                          b.data(), c.data());
+    const Gemm gemm = ref ? reference::gemmTransA : kernels::gemmTransA;
+    gemm(a.cols(), b.cols(), a.rows(), a.data(), b.data(), c.data(),
+         false);
     return c;
 }
 
-/** Reference C = A * B^T. */
+/** C = A * B^T. */
 Matrix
-refMultiplyTransB(const Matrix &a, const Matrix &b)
+multiplyTransB(const Matrix &a, const Matrix &b, bool ref = false)
 {
     Matrix c(a.rows(), b.rows());
-    reference::gemmTransB(a.rows(), b.rows(), a.cols(), a.data(),
-                          b.data(), c.data());
+    const Gemm gemm = ref ? reference::gemmTransB : kernels::gemmTransB;
+    gemm(a.rows(), b.rows(), a.cols(), a.data(), b.data(), c.data(),
+         false);
     return c;
+}
+
+/** Transposed copy. */
+Matrix
+transposed(const Matrix &m)
+{
+    Matrix t(m.cols(), m.rows());
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            t(c, r) = m(r, c);
+    return t;
 }
 
 /** Exact equality, treating any-NaN-equals-any-NaN. */
@@ -113,19 +131,19 @@ TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
         const Matrix bt = randomMatrix(s[1], s[2], rng);
         const Matrix at = randomMatrix(s[2], s[0], rng);
 
-        const Matrix c_ref = refMultiply(a, b);
-        const Matrix cb_ref = refMultiplyTransB(a, bt);
-        const Matrix ca_ref = refMultiplyTransA(at, b);
+        const Matrix c_ref = multiply(a, b, true);
+        const Matrix cb_ref = multiplyTransB(a, bt, true);
+        const Matrix ca_ref = multiplyTransA(at, b, true);
 
         // The reference keeps the baseline flags and one summation
         // order, so its three orientations agree bit for bit -- that
         // is what makes it the ground truth.
-        expectSameValues(refMultiplyTransA(a.transposed(), b), c_ref);
-        expectSameValues(refMultiplyTransB(a, b.transposed()), c_ref);
+        expectSameValues(multiplyTransA(transposed(a), b, true), c_ref);
+        expectSameValues(multiplyTransB(a, transposed(b), true), c_ref);
 
-        const Matrix c = Matrix::multiply(a, b);
-        const Matrix cb = Matrix::multiplyTransB(a, bt);
-        const Matrix ca = Matrix::multiplyTransA(at, b);
+        const Matrix c = multiply(a, b);
+        const Matrix cb = multiplyTransB(a, bt);
+        const Matrix ca = multiplyTransA(at, b);
 
         // The kernels accumulate in the same increasing-k order but
         // with fused multiply-adds (and a lane-split transB dot), so
@@ -136,9 +154,9 @@ TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
         expectWithinTolerance(ca, ca_ref, kBlockedTol);
 
         // The results are bit-identical run to run.
-        EXPECT_TRUE(c == Matrix::multiply(a, b));
-        EXPECT_TRUE(cb == Matrix::multiplyTransB(a, bt));
-        EXPECT_TRUE(ca == Matrix::multiplyTransA(at, b));
+        EXPECT_TRUE(c == multiply(a, b));
+        EXPECT_TRUE(cb == multiplyTransB(a, bt));
+        EXPECT_TRUE(ca == multiplyTransA(at, b));
     }
 }
 
@@ -194,8 +212,8 @@ TEST(Kernels, NanAndInfPropagateAcrossZeros)
     b(1, 0) = nan; b(1, 1) = inf;
     b(2, 0) = 1.0; b(2, 1) = 1.0;
 
-    const Matrix c = Matrix::multiply(a, b);
-    expectSameValues(c, refMultiply(a, b));
+    const Matrix c = multiply(a, b);
+    expectSameValues(c, multiply(a, b, true));
     // 0 * NaN = NaN and 0 * Inf = NaN: every output touches k=1.
     for (std::size_t r = 0; r < c.rows(); ++r)
         for (std::size_t col = 0; col < c.cols(); ++col)
@@ -204,15 +222,15 @@ TEST(Kernels, NanAndInfPropagateAcrossZeros)
 
     // Same through the transposed-A path (the other site that
     // carried the zero-skip): A^T has the zero column as a row.
-    const Matrix ct = Matrix::multiplyTransA(a.transposed(), b);
-    expectSameValues(ct, refMultiplyTransA(a.transposed(), b));
+    const Matrix ct = multiplyTransA(transposed(a), b);
+    expectSameValues(ct, multiplyTransA(transposed(a), b, true));
     for (std::size_t r = 0; r < ct.rows(); ++r)
         for (std::size_t col = 0; col < ct.cols(); ++col)
             EXPECT_TRUE(std::isnan(ct(r, col)));
 
     // And A * B^T.
-    const Matrix cbt = Matrix::multiplyTransB(a, b.transposed());
-    expectSameValues(cbt, refMultiplyTransB(a, b.transposed()));
+    const Matrix cbt = multiplyTransB(a, transposed(b));
+    expectSameValues(cbt, multiplyTransB(a, transposed(b), true));
 }
 
 TEST(Workspace, GrowthStopsAfterWarmup)

@@ -56,14 +56,5 @@ TEST(Env, DoubleRejectsGarbage)
     unsetenv("VAESA_TEST_DBL");
 }
 
-TEST(Env, StringFallsBackAndReads)
-{
-    unsetenv("VAESA_TEST_STR");
-    EXPECT_EQ(envString("VAESA_TEST_STR", "dflt"), "dflt");
-    setenv("VAESA_TEST_STR", "hello", 1);
-    EXPECT_EQ(envString("VAESA_TEST_STR", "dflt"), "hello");
-    unsetenv("VAESA_TEST_STR");
-}
-
 } // namespace
 } // namespace vaesa

@@ -1,8 +1,6 @@
-/** @file Unit tests for integer/number-theory helpers. */
+/** @file Unit tests for the numeric helpers. */
 
 #include <gtest/gtest.h>
-
-#include <numeric>
 
 #include "util/numeric.hh"
 
@@ -26,39 +24,6 @@ TEST(Numeric, IsPowerOfTwo)
     EXPECT_FALSE(isPowerOfTwo(48));
 }
 
-TEST(Numeric, PrimeFactorsOfComposite)
-{
-    const std::vector<std::int64_t> expect{2, 2, 3, 5};
-    EXPECT_EQ(primeFactors(60), expect);
-}
-
-TEST(Numeric, PrimeFactorsOfPrimeAndOne)
-{
-    EXPECT_EQ(primeFactors(97), std::vector<std::int64_t>{97});
-    EXPECT_TRUE(primeFactors(1).empty());
-}
-
-TEST(Numeric, DivisorsOfTwelve)
-{
-    const std::vector<std::int64_t> expect{1, 2, 3, 4, 6, 12};
-    EXPECT_EQ(divisors(12), expect);
-}
-
-TEST(Numeric, DivisorsOfSquare)
-{
-    const std::vector<std::int64_t> expect{1, 3, 9};
-    EXPECT_EQ(divisors(9), expect);
-}
-
-TEST(Numeric, LargestDivisorAtMost)
-{
-    EXPECT_EQ(largestDivisorAtMost(12, 5), 4);
-    EXPECT_EQ(largestDivisorAtMost(12, 12), 12);
-    EXPECT_EQ(largestDivisorAtMost(12, 1), 1);
-    EXPECT_EQ(largestDivisorAtMost(7, 6), 1);
-    EXPECT_EQ(largestDivisorAtMost(12, 0), 1);
-}
-
 TEST(Numeric, Log2d)
 {
     EXPECT_DOUBLE_EQ(log2d(8.0), 3.0);
@@ -72,32 +37,6 @@ TEST(Numeric, Clampd)
     EXPECT_DOUBLE_EQ(clampd(-5.0, 0.0, 1.0), 0.0);
     EXPECT_DOUBLE_EQ(clampd(0.5, 0.0, 1.0), 0.5);
 }
-
-class FactorizationSweep
-    : public ::testing::TestWithParam<std::int64_t>
-{
-};
-
-TEST_P(FactorizationSweep, FactorsMultiplyBack)
-{
-    const std::int64_t n = GetParam();
-    const auto factors = primeFactors(n);
-    std::int64_t product = 1;
-    for (std::int64_t f : factors)
-        product *= f;
-    EXPECT_EQ(product, n);
-}
-
-TEST_P(FactorizationSweep, EveryDivisorDivides)
-{
-    const std::int64_t n = GetParam();
-    for (std::int64_t d : divisors(n))
-        EXPECT_EQ(n % d, 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(SmallNumbers, FactorizationSweep,
-                         ::testing::Values(1, 2, 6, 12, 97, 128, 210,
-                                           1000, 1024, 4096, 65536));
 
 } // namespace
 } // namespace vaesa

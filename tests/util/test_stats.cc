@@ -98,13 +98,6 @@ TEST(Stats, PercentileInterpolates)
     EXPECT_DOUBLE_EQ(percentile(xs, 0.25), 2.5);
 }
 
-TEST(Stats, RunningMinIsMonotone)
-{
-    const std::vector<double> xs{5.0, 7.0, 3.0, 4.0, 1.0};
-    const std::vector<double> expect{5.0, 5.0, 3.0, 3.0, 1.0};
-    EXPECT_EQ(runningMin(xs), expect);
-}
-
 TEST(Stats, CorrelationOfLinearData)
 {
     const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};

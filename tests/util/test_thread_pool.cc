@@ -156,11 +156,5 @@ TEST(ThreadPool, UsableAfterException)
     EXPECT_EQ(sum.load(), 4950);
 }
 
-TEST(ThreadPool, GlobalPoolIsASingleton)
-{
-    EXPECT_EQ(&globalThreadPool(), &globalThreadPool());
-    EXPECT_GE(globalThreadPool().threadCount(), 1u);
-}
-
 } // namespace
 } // namespace vaesa

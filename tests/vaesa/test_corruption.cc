@@ -179,5 +179,32 @@ TEST_F(CorruptionTest, CorruptCheckpointNeverPoisonsTheModel)
     EXPECT_TRUE(before == fw->parameters()[0]->value);
 }
 
+TEST_F(CorruptionTest, CheckpointRestoresAdamMomentsAndStep)
+{
+    // A fresh optimizer that loads the checkpoint of one that took
+    // three steps must take the same fourth step bit for bit: the
+    // parameters, both moments and the step counter (which drives
+    // the bias correction) all come back.
+    auto trained = tinyFramework();
+    auto resumed = tinyFramework();
+    nn::Adam run(trained->parameters(), 1e-2);
+    nn::Adam restored(resumed->parameters(), 1e-2);
+    const auto step = [](nn::Adam &optimizer, double grad) {
+        for (nn::Parameter *p : optimizer.params())
+            p->grad.fill(grad);
+        optimizer.step();
+    };
+    for (const double grad : {0.5, -1.0, 2.0})
+        step(run, grad);
+    ASSERT_FALSE(saveTrainCheckpoint(tempPath(), TrainCheckpoint{}, run));
+    ASSERT_TRUE(loadTrainCheckpoint(tempPath(), restored).ok());
+
+    step(run, 0.25);
+    step(restored, 0.25);
+    for (std::size_t i = 0; i < run.params().size(); ++i)
+        EXPECT_TRUE(run.params()[i]->value ==
+                    restored.params()[i]->value) << "parameter " << i;
+}
+
 } // namespace
 } // namespace vaesa

@@ -1,4 +1,4 @@
-/** @file Unit tests for dataset persistence and merging. */
+/** @file Unit tests for dataset loading and fine-tuning. */
 
 #include <gtest/gtest.h>
 
@@ -24,36 +24,33 @@ class DatasetIoTest : public ::testing::Test
     void TearDown() override { std::remove(tempPath().c_str()); }
 };
 
-TEST_F(DatasetIoTest, RoundTripsSamplesAndPool)
+TEST_F(DatasetIoTest, LoadsSamplesAndPool)
 {
-    Evaluator &ev = testing::sharedEvaluator();
-    Rng rng(77);
-    const Dataset original =
-        DatasetBuilder(ev, alexNetLayers()).build(120, rng);
-    ASSERT_FALSE(saveDatasetCsv(tempPath(), original));
-
+    {
+        std::ofstream out(tempPath());
+        out << "kind,name_or_index,f0,f1,f2,f3,f4,f5,f6,f7\n";
+        out << "layer,conv1,3,3,16,16,3,64,1,1\n";
+        out << "layer,fc,1,1,1,1,512,10,1,1\n";
+        out << "sample,0,64,32,4096,8192,8192,131072,10.5,12.25\n";
+        out << "sample,1,16,16,1024,2048,4096,65536,7.75,9.5\n";
+    }
     auto loaded = loadDatasetCsv(tempPath());
     ASSERT_TRUE(loaded.ok());
-    const Dataset &restored = loaded.value();
-    ASSERT_EQ(restored.size(), original.size());
-    ASSERT_EQ(restored.layerPool().size(),
-              original.layerPool().size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ(restored.samples()[i].config,
-                  original.samples()[i].config);
-        EXPECT_EQ(restored.samples()[i].layerIndex,
-                  original.samples()[i].layerIndex);
-        EXPECT_NEAR(restored.samples()[i].logLatency,
-                    original.samples()[i].logLatency, 1e-6);
-        EXPECT_NEAR(restored.samples()[i].logEnergy,
-                    original.samples()[i].logEnergy, 1e-6);
-    }
-    // Normalized matrices match too (same normalizer fit).
-    for (std::size_t i = 0; i < original.size(); i += 17) {
-        for (int p = 0; p < numHwParams; ++p)
-            EXPECT_NEAR(restored.hwFeatures()(i, p),
-                        original.hwFeatures()(i, p), 1e-9);
-    }
+    const Dataset &data = loaded.value();
+    ASSERT_EQ(data.size(), 2u);
+    ASSERT_EQ(data.layerPool().size(), 2u);
+    EXPECT_EQ(data.layerPool()[1].name, "fc");
+    EXPECT_EQ(data.layerPool()[1].c, 512);
+
+    const DataSample &s = data.samples()[1];
+    EXPECT_EQ(s.layerIndex, 1u);
+    EXPECT_EQ(s.config.numPes, 16);
+    EXPECT_EQ(s.config.globalBufBytes, 65536);
+    EXPECT_DOUBLE_EQ(s.logLatency, 7.75);
+    EXPECT_DOUBLE_EQ(s.logEnergy, 9.5);
+    // Features are recomputed from the loaded config and layer.
+    EXPECT_EQ(s.hwFeatures, designSpace().toFeatures(s.config));
+    EXPECT_EQ(s.layerFeatures, data.layerPool()[1].toFeatures());
 }
 
 TEST_F(DatasetIoTest, MissingFileReportsOpenFailed)
@@ -92,39 +89,6 @@ TEST_F(DatasetIoTest, UnknownKindIsStructuredError)
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().kind, LoadError::Kind::Malformed);
     EXPECT_NE(loaded.error().message.find("unknown row kind"),
-              std::string::npos);
-}
-
-TEST(DatasetMerge, CombinesSamplesOverSamePool)
-{
-    Evaluator &ev = testing::sharedEvaluator();
-    Rng rng_a(1);
-    Rng rng_b(2);
-    const Dataset a =
-        DatasetBuilder(ev, alexNetLayers()).build(60, rng_a);
-    const Dataset b =
-        DatasetBuilder(ev, alexNetLayers()).build(40, rng_b);
-    auto merged = mergeDatasets(a, b);
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().size(), 100u);
-    EXPECT_EQ(merged.value().samples()[0].config,
-              a.samples()[0].config);
-    EXPECT_EQ(merged.value().samples()[60].config,
-              b.samples()[0].config);
-}
-
-TEST(DatasetMerge, RejectsMismatchedPools)
-{
-    Evaluator &ev = testing::sharedEvaluator();
-    Rng rng(3);
-    const Dataset a =
-        DatasetBuilder(ev, alexNetLayers()).build(20, rng);
-    const Dataset b =
-        DatasetBuilder(ev, deepBenchLayers()).build(20, rng);
-    auto merged = mergeDatasets(a, b);
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.error().kind, LoadError::Kind::ShapeMismatch);
-    EXPECT_NE(merged.error().message.find("layer pools differ"),
               std::string::npos);
 }
 

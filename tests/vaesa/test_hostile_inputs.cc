@@ -132,7 +132,7 @@ TEST_F(HostileInputTest, CheckpointRejectsHistoryBeyondPayload)
     meta.putU64(std::uint64_t{1} << 24);
     out.writeRecord(meta);
     write(out);
-    nn::Sgd optimizer({}, /*lr=*/0.1);
+    nn::Adam optimizer({});
     const auto loaded = loadTrainCheckpoint(path(), optimizer);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().kind, LoadError::Kind::Malformed);

@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "vaesa/predictor.hh"
 
 namespace vaesa {
 namespace {
+
+double
+sum(const Matrix &m)
+{
+    return std::accumulate(m.data(), m.data() + m.size(), 0.0);
+}
 
 PredictorOptions
 smallOptions()
@@ -78,8 +85,8 @@ TEST(Predictor, DesignGradientMatchesFiniteDifferences)
             zp(r, c) += eps;
             Matrix zm = z;
             zm(r, c) -= eps;
-            const double plus = pred.forward(zp, feats).sum();
-            const double minus = pred.forward(zm, feats).sum();
+            const double plus = sum(pred.forward(zp, feats));
+            const double minus = sum(pred.forward(zm, feats));
             const double numeric = (plus - minus) / (2.0 * eps);
             EXPECT_NEAR(grad_z(r, c), numeric, 1e-5)
                 << "at (" << r << "," << c << ")";

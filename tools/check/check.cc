@@ -350,8 +350,7 @@ const std::vector<BannedCall> bannedSocketCalls = {
     {"listen", "serve::listenUnix()/listenTcp()", socketCallFiles},
     {"accept", "serve::acceptConnection()", socketCallFiles},
     {"accept4", "serve::acceptConnection()", socketCallFiles},
-    {"connect", "serve::connectUnix()/connectTcp()",
-     socketCallFiles},
+    {"connect", "serve::connectTcp()", socketCallFiles},
     {"recv", "serve::recvFrame()", socketCallFiles},
     {"send", "serve::sendFrame()", socketCallFiles},
     {"recvfrom", "serve::recvFrame()", socketCallFiles},

@@ -17,13 +17,12 @@
 
 namespace {
 
-vaesa::nn::Sgd &
+vaesa::nn::Adam &
 fuzzOptimizer()
 {
     static vaesa::Rng rng(11);
     static vaesa::nn::Linear layer(3, 2, rng, "fuzz");
-    static vaesa::nn::Sgd optimizer(layer.parameters(),
-                                    /*lr=*/0.1);
+    static vaesa::nn::Adam optimizer(layer.parameters());
     return optimizer;
 }
 

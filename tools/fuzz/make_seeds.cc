@@ -177,7 +177,7 @@ seedTrainCheckpoint(const fs::path &dir)
 
     Rng rng(11);
     nn::Linear layer(3, 2, rng, "fuzz");
-    nn::Sgd optimizer(layer.parameters(), /*lr=*/0.1);
+    nn::Adam optimizer(layer.parameters());
     TrainCheckpoint checkpoint;
     checkpoint.epochsDone = 2;
     checkpoint.history.resize(2);
