@@ -196,19 +196,23 @@ BENCHMARK(BM_GpAppendFit)->Arg(64)->Arg(128)->Arg(192);
 void
 BM_SchedulerOneShot(benchmark::State &state)
 {
+    // The configs are drawn before timing, so an iteration times only
+    // schedule() over every resnet50 layer for one config.
     Scheduler sched;
     Rng rng(4);
     const auto layers = resNet50Layers();
-    std::size_t mapped = 0;
+    std::vector<AcceleratorConfig> configs(256);
+    for (AcceleratorConfig &config : configs)
+        config = designSpace().randomConfig(rng);
+    std::size_t next = 0;
     for (auto _ : state) {
-        const AcceleratorConfig config =
-            designSpace().randomConfig(rng);
-        const auto mapping =
-            sched.schedule(config, layers[mapped % layers.size()]);
-        benchmark::DoNotOptimize(mapping);
-        ++mapped;
+        const AcceleratorConfig &config = configs[next++ % configs.size()];
+        for (const LayerShape &layer : layers) {
+            const auto mapping = sched.schedule(config, layer);
+            benchmark::DoNotOptimize(mapping);
+        }
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() * layers.size());
 }
 BENCHMARK(BM_SchedulerOneShot);
 

@@ -41,11 +41,7 @@ Mapping::weightTileWords() const
 double
 Mapping::inputTileWords(const LayerShape &layer) const
 {
-    const double in_w =
-        d(tilePe[DimP] - 1) * d(layer.strideW) + d(tilePe[DimR]);
-    const double in_h =
-        d(tilePe[DimQ] - 1) * d(layer.strideH) + d(tilePe[DimS]);
-    return in_w * in_h * d(tilePe[DimC]);
+    return haloInputWords(tilePe, layer);
 }
 
 double
@@ -57,11 +53,7 @@ Mapping::psumTileWords() const
 double
 Mapping::inputGbTileWords(const LayerShape &layer) const
 {
-    const double in_w =
-        d(tileGb[DimP] - 1) * d(layer.strideW) + d(tileGb[DimR]);
-    const double in_h =
-        d(tileGb[DimQ] - 1) * d(layer.strideH) + d(tileGb[DimS]);
-    return in_w * in_h * d(tileGb[DimC]);
+    return haloInputWords(tileGb, layer);
 }
 
 double

@@ -50,6 +50,18 @@ constexpr int numDims = 6;
 /** Per-dimension extents of one layer as an array. */
 std::array<std::int64_t, numDims> layerDims(const LayerShape &layer);
 
+/** Input words a tile with extents t reads, halo included. Each
+ *  factor is widened to double before multiplying (see Mapping). */
+inline double
+haloInputWords(const std::array<std::int64_t, numDims> &t,
+               const LayerShape &layer)
+{
+    const auto d = [](std::int64_t v) { return static_cast<double>(v); };
+    const double in_w = d(t[DimP] - 1) * d(layer.strideW) + d(t[DimR]);
+    const double in_h = d(t[DimQ] - 1) * d(layer.strideH) + d(t[DimS]);
+    return in_w * in_h * d(t[DimC]);
+}
+
 /**
  * A complete mapping: spatial split plus per-level temporal tiles.
  * Invariants (checked by CostModel::evaluate):

@@ -96,7 +96,6 @@ Evaluator::evaluateLayerBatch(const AcceleratorConfig *archs,
     // Scheduling stays per item (branchy search over tile factors);
     // unmapped items are finalized invalid here, mapped items go
     // through the SoA cost kernel in one pass.
-    std::vector<std::optional<Mapping>> mappings(n);
     std::vector<AcceleratorConfig> liveArchs;
     std::vector<Mapping> liveMappings;
     std::vector<std::size_t> liveIdx;
@@ -105,10 +104,9 @@ Evaluator::evaluateLayerBatch(const AcceleratorConfig *archs,
     liveIdx.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         results[i] = EvalResult{};
-        mappings[i] = scheduler_.schedule(archs[i], layer);
-        if (mappings[i]) {
+        if (const auto mapping = scheduler_.schedule(archs[i], layer)) {
             liveArchs.push_back(archs[i]);
-            liveMappings.push_back(*mappings[i]);
+            liveMappings.push_back(*mapping);
             liveIdx.push_back(i);
         }
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <initializer_list>
 
 #include "util/logging.hh"
@@ -12,24 +11,63 @@ namespace vaesa {
 
 namespace {
 
+/** Tile extents of one level, as a Mapping stores them. */
+using Extents = std::array<std::int64_t, numDims>;
+
+/** Per-dimension tile counts (ceilDiv quotients) of one level. */
+using TileCounts = std::array<double, numDims>;
+
+/** Widen-before-multiply, as in Mapping, so corner-of-space tiles
+ *  can't overflow into "fits". */
+inline double
+w(std::int64_t v)
+{
+    return static_cast<double>(v);
+}
+
+/** The dimensions each PE buffer's word count grows with, as bits. */
+constexpr unsigned weightDims =
+    1u << DimR | 1u << DimS | 1u << DimC | 1u << DimK;
+constexpr unsigned inputDims =
+    1u << DimR | 1u << DimS | 1u << DimP | 1u << DimQ | 1u << DimC;
+constexpr unsigned psumDims = 1u << DimP | 1u << DimQ | 1u << DimK;
+
+/** True when per-PE tile t, with in_words input words, fits the PE
+ *  buffers whose word count grows with a dimension in @p changed. */
+inline bool
+peFits(const CostModel &model, const AcceleratorConfig &arch,
+       unsigned changed, const Extents &t, double in_words)
+{
+    const double bpw = model.params().bytesPerWord;
+    if ((changed & weightDims) &&
+        w(t[DimR]) * w(t[DimS]) * w(t[DimC]) * w(t[DimK]) * bpw >
+            w(arch.weightBufBytes))
+        return false;
+    if ((changed & inputDims) && in_words * bpw > w(arch.inputBufBytes))
+        return false;
+    if ((changed & psumDims) &&
+        w(t[DimP]) * w(t[DimQ]) * w(t[DimK]) * model.params().bytesPerPsum >
+            w(arch.accumBufBytes))
+        return false;
+    return true;
+}
+
+/** True when the global-buffer tile t, whose input tile holds
+ *  in_words words, fits the global buffer with its output tile. */
+inline bool
+gbFits(const CostModel &model, const AcceleratorConfig &arch,
+       const Extents &t, double in_words)
+{
+    const double words = in_words + w(t[DimP]) * w(t[DimQ]) * w(t[DimK]);
+    return words * model.params().bytesPerWord <= w(arch.globalBufBytes);
+}
+
 /** True when the per-PE tile of m fits every PE buffer. */
 bool
 peTileFits(const CostModel &model, const AcceleratorConfig &arch,
            const LayerShape &layer, const Mapping &m)
 {
-    // Word counts are already double (widened before multiplying in
-    // Mapping, so corner-of-space tiles can't overflow into "fits").
-    const double bpw = model.params().bytesPerWord;
-    if (m.weightTileWords() * bpw >
-        static_cast<double>(arch.weightBufBytes))
-        return false;
-    if (m.inputTileWords(layer) * bpw >
-        static_cast<double>(arch.inputBufBytes))
-        return false;
-    if (m.psumTileWords() * model.params().bytesPerPsum >
-        static_cast<double>(arch.accumBufBytes))
-        return false;
-    return true;
+    return peFits(model, arch, ~0u, m.tilePe, haloInputWords(m.tilePe, layer));
 }
 
 /** True when the global-buffer tile of m fits the global buffer. */
@@ -37,14 +75,8 @@ bool
 gbTileFits(const CostModel &model, const AcceleratorConfig &arch,
            const LayerShape &layer, const Mapping &m)
 {
-    const double words =
-        m.inputGbTileWords(layer) + m.outputGbTileWords();
-    return words * model.params().bytesPerWord <=
-           static_cast<double>(arch.globalBufBytes);
+    return gbFits(model, arch, m.tileGb, haloInputWords(m.tileGb, layer));
 }
-
-/** Per-dimension tile counts (ceilDiv quotients) of one level. */
-using TileCounts = std::array<double, numDims>;
 
 /** Product of the tile counts, multiplied in dimension order. */
 double
@@ -58,49 +90,66 @@ product(const TileCounts &n)
 
 /**
  * Greedy tile growth shared by the per-PE and global-buffer levels:
- * repeatedly take the feasible doubling of (m.*level)[d], d in
- * @p order and capped at cap(d), that most reduces proxy(m, counts).
- * Growth is monotone and bounded, so the loop terminates. The proxy
- * sees the level's tile counts cached in `counts` (count(m, d) per
- * dimension), so a candidate recomputes only the count of the
- * dimension it grows, and the accepted step's score carries over.
+ * repeatedly take the doubling of tile[d], d in @p order and capped at
+ * cap[d], that fits and most reduces the level's traffic proxy.
+ * count(d, v) is the tile count in d at extent v. tryGrow(changed, t,
+ * n, &score) checks the buffers whose word count grows with a
+ * dimension in `changed`; if tile t (counts n) fits them it sets its
+ * proxy score and returns true. The tile fits at the start and after
+ * every accepted step, so a candidate checks only its own dimension's
+ * buffers. Tiles only grow and no word count falls as an extent grows,
+ * so a dimension at its cap or whose doubling does not fit is dropped
+ * for good, keeping @p order (ties go to the first dimension).
  */
-template <class Cap, class Fits, class Count, class Proxy>
+template <class Count, class TryGrow>
 void
-growGreedy(Mapping &m, std::array<std::int64_t, numDims> Mapping::*level,
-           std::initializer_list<int> order, const Cap &cap,
-           const Fits &fits, const Count &count, const Proxy &proxy)
+growGreedy(Extents &tile, const Extents &cap,
+           std::initializer_list<int> order, const Count &count,
+           const TryGrow &tryGrow)
 {
-    TileCounts counts;
+    TileCounts n{};
     for (int d = 0; d < numDims; ++d)
-        counts[d] = count(m, d);
-    double score = proxy(m, counts);
+        n[d] = count(d, tile[d]);
+    double score = 0.0;
+    tryGrow(0u, tile, n, &score);
+    std::array<int, numDims> live{};
+    std::copy(order.begin(), order.end(), live.begin());
+    std::size_t num_live = order.size();
     while (true) {
         double best_score = score;
         int best_dim = -1;
         std::int64_t best_value = 0;
         double best_count = 0.0;
-        for (const int d : order) {
-            if ((m.*level)[d] >= cap(d))
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < num_live; ++i) {
+            const int d = live[i];
+            if (tile[d] >= cap[d])
                 continue;
-            Mapping grown = m;
-            (grown.*level)[d] = std::min(cap(d), (m.*level)[d] * 2);
-            if (!fits(grown))
+            // Score the doubling in place, then restore tile and n.
+            const std::int64_t extent = tile[d];
+            const double extent_count = n[d];
+            const std::int64_t value = std::min(cap[d], extent * 2);
+            tile[d] = value;
+            const double grown_count = n[d] = count(d, value);
+            double grown_score = 0.0;
+            const bool fits = tryGrow(1u << d, tile, n, &grown_score);
+            tile[d] = extent;
+            n[d] = extent_count;
+            if (!fits)
                 continue;
-            TileCounts grown_counts = counts;
-            grown_counts[d] = count(grown, d);
-            const double grown_score = proxy(grown, grown_counts);
+            live[kept++] = d;
             if (grown_score < best_score) {
                 best_score = grown_score;
                 best_dim = d;
-                best_value = (grown.*level)[d];
-                best_count = grown_counts[d];
+                best_value = value;
+                best_count = grown_count;
             }
         }
+        num_live = kept;
         if (best_dim < 0)
             return;
-        (m.*level)[best_dim] = best_value;
-        counts[best_dim] = best_count;
+        tile[best_dim] = best_value;
+        n[best_dim] = best_count;
         score = best_score;
     }
 }
@@ -148,23 +197,25 @@ Scheduler::schedule(const AcceleratorConfig &arch,
     // weight re-fetches scale with the outer (P, Q) iteration count;
     // input re-reads from the global buffer scale with the number of
     // array-level tiles (and the per-tile halo overhead).
-    const std::int64_t max_k_tile = ceilDiv(dims[DimK], m.spatialK);
+    Extents pe_cap = dims;
+    pe_cap[DimK] = ceilDiv(dims[DimK], m.spatialK);
     const double weight_words = layer.weightWords();
     const double output_words = layer.outputWords();
     growGreedy(
-        m, &Mapping::tilePe, {DimR, DimS, DimP, DimQ, DimC, DimK},
-        [&](int d) { return d == DimK ? max_k_tile : dims[d]; },
-        [&](const Mapping &t) {
-            return peTileFits(model_, arch, layer, t);
+        m.tilePe, pe_cap, {DimR, DimS, DimP, DimQ, DimC, DimK},
+        [&](int d, std::int64_t v) {
+            const std::int64_t array_tile =
+                d == DimK ? m.spatialK * v : v;
+            return static_cast<double>(ceilDiv(dims[d], array_tile));
         },
-        [&](const Mapping &t, int d) {
-            return static_cast<double>(ceilDiv(dims[d], t.arrayTilePe(d)));
-        },
-        [&](const Mapping &t, const TileCounts &n) {
-            const double weight_traffic =
-                weight_words * (n[DimP] * n[DimQ]);
-            return weight_traffic +
-                   product(n) * t.inputTileWords(layer) + output_words;
+        [&](unsigned changed, const Extents &t, const TileCounts &n,
+            double *score) {
+            const double in_words = haloInputWords(t, layer);
+            if (!peFits(model_, arch, changed, t, in_words))
+                return false;
+            *score = weight_words * (n[DimP] * n[DimQ]) +
+                     product(n) * in_words + output_words;
+            return true;
         });
 
     // Global-buffer tile starts at the concurrent array tile and grows
@@ -212,16 +263,17 @@ Scheduler::schedule(const AcceleratorConfig &arch,
     }
     // Global-buffer growth, ranked by DRAM input traffic.
     growGreedy(
-        m, &Mapping::tileGb, {DimP, DimQ, DimC, DimK},
-        [&](int d) { return dims[d]; },
-        [&](const Mapping &t) {
-            return gbTileFits(model_, arch, layer, t);
+        m.tileGb, dims, {DimP, DimQ, DimC, DimK},
+        [&](int d, std::int64_t v) {
+            return static_cast<double>(ceilDiv(dims[d], v));
         },
-        [&](const Mapping &t, int d) {
-            return static_cast<double>(ceilDiv(dims[d], t.tileGb[d]));
-        },
-        [&](const Mapping &t, const TileCounts &n) {
-            return product(n) * t.inputGbTileWords(layer);
+        [&](unsigned changed, const Extents &t, const TileCounts &n,
+            double *score) {
+            const double in_words = haloInputWords(t, layer);
+            if (changed && !gbFits(model_, arch, t, in_words))
+                return false;
+            *score = product(n) * in_words;
+            return true;
         });
 
     std::string reason;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "costmodel/mapping.hh"
+#include "util/rng.hh"
 
 namespace vaesa {
 namespace {
@@ -106,6 +108,45 @@ TEST(Mapping, HugeTileWordCountsDoNotOverflow)
     l.strideH = 2;
     EXPECT_GT(m.inputTileWords(l), std::pow(2.0, 60.0));
     EXPECT_GT(m.inputGbTileWords(l), std::pow(2.0, 60.0));
+}
+
+TEST(Mapping, WordCountsNonDecreasingInEveryTile)
+{
+    // The scheduler's greedy drops a dimension for good once its
+    // doubling does not fit. That is exact only if no word count ever
+    // falls when any tile extent grows, rounding included.
+    Rng rng(13);
+    const auto range = [&rng](std::int64_t lo, std::int64_t hi) {
+        return lo + static_cast<std::int64_t>(rng.index(hi - lo + 1));
+    };
+    const auto counts = [](const Mapping &m, const LayerShape &l) {
+        return std::array<double, 5>{
+            m.weightTileWords(), m.inputTileWords(l), m.psumTileWords(),
+            m.inputGbTileWords(l), m.outputGbTileWords()};
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+        LayerShape l = smallLayer();
+        l.strideW = range(1, 4);
+        l.strideH = range(1, 4);
+        Mapping m;
+        for (int d = 0; d < numDims; ++d) {
+            // Up to 2^20: large enough that products round.
+            m.tilePe[d] = range(1, 64) << range(0, 14);
+            m.tileGb[d] = range(1, 64) << range(0, 14);
+        }
+        const auto before = counts(m, l);
+        for (auto level : {&Mapping::tilePe, &Mapping::tileGb}) {
+            for (int d = 0; d < numDims; ++d) {
+                Mapping grown = m;
+                (grown.*level)[d] *= 2;
+                const auto after = counts(grown, l);
+                for (std::size_t i = 0; i < after.size(); ++i)
+                    ASSERT_GE(after[i], before[i])
+                        << "count " << i << " fell doubling "
+                        << dimName(d) << " of " << m.describe();
+            }
+        }
+    }
 }
 
 TEST(Mapping, DescribeMentionsTiles)
