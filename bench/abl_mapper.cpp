@@ -11,7 +11,6 @@
 #include "common.hh"
 
 #include <chrono>
-#include <cmath>
 
 #include "sched/random_mapper.hh"
 #include "sched/scheduler.hh"
@@ -45,7 +44,7 @@ main()
     csv.header({"config", "layer", "one_shot_edp", "searched_edp",
                 "ratio"});
 
-    std::vector<double> log_ratios;
+    std::vector<double> ratios;
     double one_shot_seconds = 0.0;
     double search_seconds = 0.0;
     std::size_t mapped = 0;
@@ -76,7 +75,7 @@ main()
                 const double edp_search =
                     model.evaluate(arch, layer, *searched).edp();
                 const double ratio = edp_one / edp_search;
-                log_ratios.push_back(std::log(ratio));
+                ratios.push_back(ratio);
                 csv.row({std::to_string(ci), layer.name,
                          CsvWriter::cell(edp_one),
                          CsvWriter::cell(edp_search),
@@ -86,15 +85,14 @@ main()
         }
     }
 
-    const double geomean = std::exp(mean(log_ratios));
+    const double geo = geomean(ratios);
     double wins = 0;
-    for (double lr : log_ratios)
-        wins += lr <= 0.0;
+    for (double r : ratios)
+        wins += r <= 1.0;
 
     std::printf("%zu (arch, layer) pairs mapped by both\n\n",
                 mapped);
-    std::printf("geomean EDP ratio one-shot/searched: %.3f\n",
-                geomean);
+    std::printf("geomean EDP ratio one-shot/searched: %.3f\n", geo);
     std::printf("one-shot at least as good on %.0f%% of pairs\n",
                 100.0 * wins / static_cast<double>(mapped));
     std::printf("time per mapping: one-shot %.1f us, %zu-sample "

@@ -48,7 +48,7 @@ main()
                 "EDP@0", "EDP@100", "EDP@200", "impr@100",
                 "impr@200");
 
-    std::vector<double> log_impr_100, log_impr_200;
+    std::vector<double> impr_100, impr_200;
     Rng rng(99);
     for (const LayerShape &layer : gdTestLayers()) {
         const auto means = vaeGdStepStudy(
@@ -70,12 +70,12 @@ main()
                      CsvWriter::cell(means[m]),
                      CsvWriter::cell(means[0] / means[m])});
         }
-        log_impr_100.push_back(std::log(impr100));
-        log_impr_200.push_back(std::log(impr200));
+        impr_100.push_back(impr100);
+        impr_200.push_back(impr200);
     }
 
-    const double geo100 = std::exp(mean(log_impr_100));
-    const double geo200 = std::exp(mean(log_impr_200));
+    const double geo100 = geomean(impr_100);
+    const double geo200 = geomean(impr_200);
     rule();
     std::printf("paper: 306x improvement after 100 steps, 390x "
                 "after 200 (relative to random starts)\n");

@@ -4,16 +4,16 @@
  * large overlapping config batch on resnet50 through the SAME path
  * the search drivers use — serially per config on a plain Evaluator
  * (the pre-batch driver loop) versus evaluateConfigBatch() at
- * 1/2/4/8 threads (dedup + SoA cost kernels + work-stealing
- * chunks) — and FAILS (nonzero exit) when the 8-thread batch path
- * does not clear the target speedup or any width diverges from the
- * serial values bit-for-bit. The cached path (evaluateCachedBatch) is
- * measured and reported alongside for context, not gated: its
- * serial baseline already amortizes repeats through the cache.
+ * 1/2/4/8 threads (dedup + work-stealing chunks) — and FAILS
+ * (nonzero exit) when the 8-thread batch path does not clear the
+ * target speedup or any width diverges from the serial values
+ * bit-for-bit. The cached path (evaluateCachedBatch) is measured and
+ * reported alongside for context, not gated: its serial baseline
+ * already amortizes repeats through the cache.
  *
  * speedup_at_8 is the batch path at 8 pool workers against the serial
- * loop, NOT thread scaling: most of it is within-batch dedup and the
- * SoA kernels, which pay off on one core too. The host's hardware
+ * loop, NOT thread scaling: most of it is within-batch dedup, which
+ * pays off on one core too. The host's hardware
  * thread count (hw_threads) is recorded next to it; on a host with
  * fewer than 8 of them the 8-worker row is oversubscribed.
  *
@@ -223,7 +223,7 @@ main()
          << "  \"serial_cached_hit_rate\": " << cachedHitRate << ",\n"
          << "  \"target_speedup_at_8\": " << target << ",\n"
          << "  \"speedup_at_8\": " << speedupAt8 << ",\n"
-         << "  \"speedup_at_8_is\": \"batch path (dedup + SoA + "
+         << "  \"speedup_at_8_is\": \"batch path (dedup + "
             "work-stealing chunks) at 8 pool workers vs the serial "
             "uncached loop; not thread scaling\",\n"
          << "  \"meets_target\": "

@@ -13,15 +13,6 @@
 
 namespace vaesa {
 
-double
-TrafficMix::totalWeight() const
-{
-    double total = 0.0;
-    for (const TrafficEntry &e : entries)
-        total += e.weight;
-    return total;
-}
-
 Expected<TrafficMix>
 makeTrafficMix(
     const std::vector<std::pair<std::string, double>> &namedWeights)

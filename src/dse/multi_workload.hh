@@ -46,9 +46,6 @@ struct TrafficMix
 {
     /** The workloads and their weights, in file/insertion order. */
     std::vector<TrafficEntry> entries;
-
-    /** Sum of entry weights. */
-    double totalWeight() const;
 };
 
 /**

@@ -211,22 +211,6 @@ decodeBoxPoint(const std::vector<double> &x)
     return ds.fromIndices(idx);
 }
 
-std::vector<double>
-encodeBoxPoint(const AcceleratorConfig &config)
-{
-    const DesignSpace &ds = designSpace();
-    const auto idx = ds.toIndices(config);
-    std::vector<double> x(numHwParams);
-    for (int p = 0; p < numHwParams; ++p) {
-        const auto param = static_cast<HwParam>(p);
-        const auto count = static_cast<double>(ds.count(param));
-        x[p] = count > 1.0
-                   ? static_cast<double>(idx[p]) / (count - 1.0)
-                   : 0.0;
-    }
-    return x;
-}
-
 InputSpaceObjective::InputSpaceObjective(const Evaluator &evaluator,
                                          std::vector<LayerShape> layers,
                                          Metric metric)
@@ -272,12 +256,6 @@ InputSpaceObjective::decode(const std::vector<double> &x) const
     return decodeBoxPoint(x);
 }
 
-std::vector<double>
-InputSpaceObjective::encode(const AcceleratorConfig &config) const
-{
-    return encodeBoxPoint(config);
-}
-
 double
 InputSpaceObjective::evaluate(const std::vector<double> &x)
 {
@@ -293,8 +271,8 @@ InputSpaceObjective::evaluateBatch(
     if (!pool || xs.empty())
         return Objective::evaluateBatch(xs, pool);
 
-    // Batch phase: decode + score every point through the SoA
-    // pipeline. Any failure here (bad point, pool fault) degrades to
+    // Batch phase: decode + score every point through the batch
+    // engine. Any failure here (bad point, pool fault) degrades to
     // the per-point path, whose per-point recovery then isolates the
     // offender instead of losing the whole batch.
     std::vector<double> raw;

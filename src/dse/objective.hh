@@ -75,7 +75,7 @@ class Objective
      * pool when one is given and threadSafeEvaluate() holds, serial
      * otherwise. Objectives backed by the batch evaluation pipeline
      * (InputSpaceObjective) override this to score the whole batch
-     * through Evaluator::evaluateLayerBatch and then re-apply the
+     * through evaluateConfigBatch and then re-apply the
      * per-point recovery semantics in input order, so values, search
      * metrics, and fault-site hit counts stay identical to the
      * per-point path while the cost-model work runs batched. All
@@ -115,9 +115,6 @@ double recoverRawObjective(double raw);
  * objective.
  */
 AcceleratorConfig decodeBoxPoint(const std::vector<double> &x);
-
-/** Inverse of decodeBoxPoint onto grid indices, normalized [0,1]. */
-std::vector<double> encodeBoxPoint(const AcceleratorConfig &config);
 
 /** One evaluated point of a search run. */
 struct TracePoint
@@ -200,14 +197,14 @@ class InputSpaceObjective : public Objective
     bool threadSafeEvaluate() const override { return true; }
 
     /**
-     * Batch scoring through the SoA cost-model pipeline
-     * (evaluateConfigBatch): decode every point, score all configs
-     * layer-by-layer with within-batch dedup and work-stealing
-     * chunks, then apply the per-point recovery/metric semantics in
-     * input order. Bit-identical values and counter totals to the
-     * per-point path; falls back to the base implementation if the
-     * batch phase itself fails (so one bad batch degrades gracefully
-     * instead of killing a run), or when no pool is given.
+     * Batch scoring through the config-major batch engine
+     * (evaluateConfigBatch): decode every point, score the distinct
+     * configs in work-stealing chunks, then apply the per-point
+     * recovery/metric semantics in input order. Bit-identical values
+     * and counter totals to the per-point path; falls back to the
+     * base implementation if the batch phase itself fails (so one bad
+     * batch degrades gracefully instead of killing a run), or when no
+     * pool is given.
      */
     std::vector<double> evaluateBatch(
         const std::vector<std::vector<double>> &xs,
@@ -215,9 +212,6 @@ class InputSpaceObjective : public Objective
 
     /** Decode a box point to the discrete configuration it scores. */
     AcceleratorConfig decode(const std::vector<double> &x) const;
-
-    /** Normalize a configuration into the [0,1]^6 box. */
-    std::vector<double> encode(const AcceleratorConfig &config) const;
 
     /** The metric being minimized. */
     Metric metric() const { return metric_; }

@@ -4,6 +4,7 @@
 
 #include "util/contracts.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 namespace vaesa {
@@ -29,16 +30,6 @@ static_assert(totalKeyBits() <= 64,
               "cache key no longer fits in 64 bits");
 static_assert(numHwParams == 6,
               "keyBits must list one width per hardware parameter");
-
-/** splitmix64 finalizer: full-avalanche 64-bit mix. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
 
 /** Process-wide mirrors of the per-instance cache counters. */
 struct GlobalCacheMetrics

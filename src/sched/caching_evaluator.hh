@@ -113,7 +113,7 @@ class CachingEvaluator
      *      BatchKeys from snappedConfigKey() and the layer ids;
      *   2. probeBatch() — one locked pass filling cached results;
      *   3. evaluate the missing keys OUTSIDE any lock (thread-local
-     *      result views, e.g. via Evaluator::evaluateLayerBatch);
+     *      result views, one Evaluator::evaluateLayer per key);
      *   4. insertBatch() the freshly computed entries;
      *   5. accountBatch(lookups, misses) once per batch.
      */

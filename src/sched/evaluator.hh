@@ -10,7 +10,6 @@
 #define VAESA_SCHED_EVALUATOR_HH
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -64,18 +63,6 @@ class Evaluator
                              const LayerShape &layer) const;
 
     /**
-     * Schedule and score @p n architectures against ONE layer in a
-     * single pass: results[i] is bit-identical to
-     * evaluateLayer(archs[i], layer) (the scheduler runs per item;
-     * the cost math runs through BatchCostModel's SoA kernel). Counts n layer evaluations.
-     * Thread-safe like evaluateLayer; callers may partition a large
-     * batch into disjoint sub-ranges across pool workers.
-     */
-    void evaluateLayerBatch(const AcceleratorConfig *archs,
-                            std::size_t n, const LayerShape &layer,
-                            EvalResult *results) const;
-
-    /**
      * Schedule and score every layer and sum latency/energy; EDP is
      * total-latency x total-energy (the paper's workload objective).
      * Invalid if any layer fails to map.
@@ -110,6 +97,21 @@ class Evaluator
     const CostModel &model() const { return model_; }
 
   private:
+    /** evaluateLayer without counting. */
+    EvalResult scoreLayer(const AcceleratorConfig &arch,
+                          const LayerShape &layer) const;
+
+    /** The one workload roll-up behind both evaluateWorkload
+     *  overloads: layer i's latency/energy enter the totals weighted
+     *  by counts[i] (exactly 1.0 when counts is empty, which leaves
+     *  every product unchanged), and the first unmappable layer
+     *  zeroes the result. The layers walked are counted in one add:
+     *  the counter is shared by every pool worker, and a per-layer
+     *  increment costs a cache-line transfer each time. */
+    EvalResult rollUp(const AcceleratorConfig &arch,
+                      const std::vector<LayerShape> &layers,
+                      const std::vector<std::int64_t> &counts) const;
+
     CostModel model_;
     Scheduler scheduler_;
     mutable std::atomic<std::uint64_t> evalCount_{0};

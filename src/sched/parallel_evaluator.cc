@@ -2,25 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <unordered_map>
 #include <vector>
 
 #include "util/fault.hh"
+#include "util/rng.hh"
 
 namespace vaesa {
 
 namespace {
-
-/** splitmix64 finalizer (value-hash for config dedup). */
-std::uint64_t
-mixConfigWord(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
 
 /** Value hash over the six hardware parameters, for deduplicating
  *  EXACT config duplicates (no snapping: two off-grid configs that
@@ -32,9 +22,8 @@ struct ConfigHash
     {
         std::uint64_t h = 0;
         for (int p = 0; p < numHwParams; ++p) {
-            h = mixConfigWord(
-                h ^ static_cast<std::uint64_t>(
-                        config.value(static_cast<HwParam>(p))));
+            h = mix64(h ^ static_cast<std::uint64_t>(
+                              config.value(static_cast<HwParam>(p))));
         }
         return static_cast<std::size_t>(h);
     }
@@ -91,15 +80,51 @@ struct ProbedRows
 };
 
 /**
+ * Score config @p c's row of @p rows: walk its layers in order, sum
+ * each layer's result weighted by the layer's count, and stop at the
+ * first invalid layer with zeroed totals, as
+ * Evaluator::evaluateWorkload does. A cell the probe missed is
+ * computed and marked probeComputed, unless its shape repeats an
+ * earlier layer: then it copies that layer's cell and is marked
+ * probeFound (a hit).
+ */
+EvalResult
+scoreProbedRow(const Evaluator &evaluator, const AcceleratorConfig &config,
+               std::size_t c, const Workload &workload,
+               const ProbedRows &rows)
+{
+    const std::size_t layers = workload.layers.size();
+    EvalResult total;
+    total.valid = true;
+    for (std::size_t li = 0; li < layers; ++li) {
+        const std::size_t cell = c * layers + li;
+        if (rows.state[cell] == probeMiss) {
+            if (rows.firstOf[li] != li) {
+                rows.results[cell] =
+                    rows.results[c * layers + rows.firstOf[li]];
+                rows.state[cell] = probeFound;
+            } else {
+                rows.results[cell] =
+                    evaluator.evaluateLayer(config, workload.layers[li]);
+                rows.state[cell] = probeComputed;
+            }
+        }
+        const EvalResult &r = rows.results[cell];
+        if (!r.valid)
+            return EvalResult{};
+        const double weight = static_cast<double>(workload.countOf(li));
+        total.latencyCycles += weight * r.latencyCycles;
+        total.energyPj += weight * r.energyPj;
+    }
+    total.edp = total.latencyCycles * total.energyPj;
+    return total;
+}
+
+/**
  * Score configs [begin, end) over the whole workload into the same
- * slots of totals: each layer is one SoA batch call over the configs
- * still alive, whose results enter their totals, weighted by the
- * layer's count, in layer order with the serial loop's ops. A config
- * leaves at its first invalid layer with zeroed totals, exactly like
- * the serial early exit, so the sums and evaluationCount() both
- * match the serial loop. With @p rows, only the cells the probe
- * missed are computed and marked probeComputed; a repeated shape
- * copies its first layer's cell and is marked probeFound (a hit).
+ * slots of totals, one config at a time: uncached (@p rows null)
+ * through Evaluator::evaluateWorkload, cached through the config's
+ * probed row.
  */
 void
 scoreConfigChunk(const Evaluator &evaluator,
@@ -107,69 +132,12 @@ scoreConfigChunk(const Evaluator &evaluator,
                  std::size_t end, const Workload &workload,
                  const ProbedRows *rows, EvalResult *totals)
 {
-    const std::size_t layers = workload.layers.size();
-    std::vector<std::uint32_t> alive(end - begin);
-    std::iota(alive.begin(), alive.end(),
-              static_cast<std::uint32_t>(begin));
-    std::vector<AcceleratorConfig> live(configs + begin, configs + end);
-    std::vector<EvalResult> layerResults(alive.size());
-    std::vector<std::size_t> missCells;
-    std::vector<AcceleratorConfig> missing;
-    for (const std::uint32_t i : alive) {
-        totals[i] = EvalResult{};
-        totals[i].valid = true;
+    for (std::size_t i = begin; i < end; ++i) {
+        totals[i] = rows == nullptr
+                        ? evaluator.evaluateWorkload(configs[i], workload)
+                        : scoreProbedRow(evaluator, configs[i], i,
+                                         workload, *rows);
     }
-    for (std::size_t li = 0; li < layers && !alive.empty(); ++li) {
-        const LayerShape &layer = workload.layers[li];
-        if (rows == nullptr) {
-            evaluator.evaluateLayerBatch(live.data(), alive.size(),
-                                         layer, layerResults.data());
-        } else {
-            // Compute only the missed cells, then read every alive
-            // config's result back out of its row.
-            missCells.clear();
-            missing.clear();
-            for (const std::uint32_t i : alive) {
-                const std::size_t cell = i * layers + li;
-                if (rows->state[cell] != probeMiss)
-                    continue;
-                if (rows->firstOf[li] != li) {
-                    rows->results[cell] =
-                        rows->results[cell - li + rows->firstOf[li]];
-                    rows->state[cell] = probeFound;
-                } else {
-                    missCells.push_back(cell);
-                    missing.push_back(configs[i]);
-                }
-            }
-            evaluator.evaluateLayerBatch(missing.data(), missing.size(),
-                                         layer, layerResults.data());
-            for (std::size_t k = 0; k < missCells.size(); ++k) {
-                rows->results[missCells[k]] = layerResults[k];
-                rows->state[missCells[k]] = probeComputed;
-            }
-            for (std::size_t j = 0; j < alive.size(); ++j)
-                layerResults[j] = rows->results[alive[j] * layers + li];
-        }
-        const double weight = static_cast<double>(workload.countOf(li));
-        std::size_t kept = 0;
-        for (std::size_t j = 0; j < alive.size(); ++j) {
-            const EvalResult &r = layerResults[j];
-            EvalResult &t = totals[alive[j]];
-            if (!r.valid) {
-                t = EvalResult{};
-                continue;
-            }
-            t.latencyCycles += weight * r.latencyCycles;
-            t.energyPj += weight * r.energyPj;
-            alive[kept] = alive[j];
-            live[kept] = live[j];
-            ++kept;
-        }
-        alive.resize(kept);
-    }
-    for (const std::uint32_t i : alive)
-        totals[i].edp = totals[i].latencyCycles * totals[i].energyPj;
 }
 
 /** A batch with its exact duplicates folded:

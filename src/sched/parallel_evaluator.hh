@@ -11,9 +11,9 @@
  *   2. cached: key every (distinct config, layer) pair and make one
  *      locked-per-shard probeBatch();
  *   3. the pool steals chunks (chunkSizeFor()) of distinct configs —
- *      one fork/join per batch — and each chunk walks every layer
- *      through the SoA cost model, computing only what the probe
- *      missed into its own rows, no lock held;
+ *      one fork/join per batch — and each chunk scores its configs
+ *      one at a time through Evaluator::evaluateLayer, computing
+ *      only what the probe missed into its own rows, no lock held;
  *   4. cached: after the join, the calling thread inserts the
  *      computed entries (insertBatch) and folds the counters
  *      (accountBatch) to a serial loop's exact hit/miss totals;

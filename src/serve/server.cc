@@ -533,7 +533,7 @@ Server::handleScore(const Request &request, CancelToken &token,
     token.check("score_admit");
     // Scored on this service thread with one cache probe; only the
     // layers the probe misses are computed (lint-enforced: no serve
-    // file calls the SoA batch entry point).
+    // file calls the uncached batch entry point).
     const EvalResult result =
         cache_.evaluateWorkload(request.config, *layers, &token);
     resp->valid = result.valid;

@@ -12,11 +12,9 @@ namespace {
 std::uint64_t
 splitmix64(std::uint64_t &x)
 {
+    const std::uint64_t z = mix64(x);
     x += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
+    return z;
 }
 
 std::uint64_t

@@ -17,6 +17,20 @@
 namespace vaesa {
 
 /**
+ * The splitmix64 output function: add the golden-ratio increment to
+ * @p x and avalanche the sum. Rng seeding steps its state through it,
+ * and the config-dedup and cache-key hashes use it as a 64-bit mix.
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
+/**
  * Complete serializable state of an Rng. Restoring it resumes the
  * stream bit-for-bit (including the Box-Muller cached normal), which
  * is what makes killed-and-resumed runs identical to uninterrupted

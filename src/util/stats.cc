@@ -8,40 +8,6 @@
 
 namespace vaesa {
 
-void
-Summary::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-Summary::variance() const
-{
-    // The unbiased estimator divides by n-1, so it is undefined for
-    // n < 2. Returning 0 here dressed up "no spread information" as
-    // "zero spread" and let single-seed benches print +/- 0.0 as if
-    // it were a measured band; NaN forces callers to say "n/a".
-    if (count_ < 2)
-        return std::numeric_limits<double>::quiet_NaN();
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 double
 mean(const std::vector<double> &xs)
 {
@@ -56,8 +22,9 @@ mean(const std::vector<double> &xs)
 double
 stddev(const std::vector<double> &xs)
 {
-    // Undefined for fewer than two samples; NaN, not 0 (see
-    // Summary::variance). NaN-aware consumers: gp.cc guards its
+    // The unbiased estimator divides by n-1, so it is undefined for
+    // n < 2: NaN, not 0, which would dress up "no spread information"
+    // as "zero spread". NaN-aware consumers: gp.cc guards its
     // standardization scale with !(x > eps); benches print "n/a".
     if (xs.size() < 2)
         return std::numeric_limits<double>::quiet_NaN();

@@ -63,13 +63,6 @@ ThreadPool::shutdown()
     threads_ = 0;
 }
 
-bool
-ThreadPool::stopping() const
-{
-    const MutexLock lock(queueMutex_);
-    return stopping_;
-}
-
 void
 ThreadPool::workerLoop()
 {

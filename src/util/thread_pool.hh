@@ -66,9 +66,6 @@ class ThreadPool
      */
     void shutdown() VAESA_EXCLUDES(queueMutex_);
 
-    /** True once shutdown() (or destruction) has begun. */
-    bool stopping() const VAESA_EXCLUDES(queueMutex_);
-
     /**
      * Enqueue one task; the future rethrows anything it throws.
      * Throws std::runtime_error if the pool is stopping (see

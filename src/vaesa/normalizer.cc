@@ -77,34 +77,6 @@ Normalizer::inverseInto(const std::vector<double> &row,
         out[c] = row[c] * span_[c] + lo_[c];
 }
 
-Matrix
-Normalizer::inverse(const Matrix &data) const
-{
-    if (data.cols() != lo_.size())
-        panic("Normalizer::inverse: width mismatch");
-    Matrix out = data;
-    for (std::size_t r = 0; r < out.rows(); ++r)
-        for (std::size_t c = 0; c < out.cols(); ++c)
-            out(r, c) = out(r, c) * span_[c] + lo_[c];
-    return out;
-}
-
-double
-Normalizer::lower(std::size_t col) const
-{
-    if (col >= lo_.size())
-        panic("Normalizer::lower: column out of range");
-    return lo_[col];
-}
-
-double
-Normalizer::upper(std::size_t col) const
-{
-    if (col >= lo_.size())
-        panic("Normalizer::upper: column out of range");
-    return lo_[col] + span_[col];
-}
-
 void
 Normalizer::setBounds(const std::vector<double> &lo,
                       const std::vector<double> &hi)

@@ -42,15 +42,6 @@ class Normalizer
     void inverseInto(const std::vector<double> &row,
                      std::vector<double> &out) const;
 
-    /** Invert the scaling of a whole matrix. */
-    Matrix inverse(const Matrix &data) const;
-
-    /** Column minimum seen at fit time. */
-    double lower(std::size_t col) const;
-
-    /** Column maximum seen at fit time. */
-    double upper(std::size_t col) const;
-
     /**
      * Use explicit bounds instead of fitting (e.g.\ the design-space
      * grid bounds, so decoding is dataset-independent).

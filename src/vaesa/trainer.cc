@@ -304,14 +304,6 @@ Trainer::train(const Matrix &hw_features, const Matrix &layer_features,
     return history;
 }
 
-EpochStats
-Trainer::evaluate(const Dataset &data, Rng &rng)
-{
-    return runEpoch(data.hwFeatures(), data.layerFeatures(),
-                    data.latencyLabels(), data.energyLabels(), rng,
-                    false);
-}
-
 PredictorTrainer::PredictorTrainer(Predictor &predictor,
                                    const TrainOptions &options)
     : predictor_(predictor), options_(options)

@@ -120,12 +120,10 @@ class Trainer
                                   const Matrix &energy_labels,
                                   Rng &rng);
 
-    /** Run one evaluation pass (no sampling, no updates). */
-    EpochStats evaluate(const Dataset &data, Rng &rng);
-
     /**
      * One pass over already-shuffled matrices; updates parameters
-     * when update is true. Public so tests can assert that the
+     * when update is true (false is an evaluation pass: no sampling,
+     * no updates). Public so tests can assert that the
      * steady-state step loop is allocation-free: every per-batch
      * temporary lives in a member buffer reused across batches and
      * epochs.

@@ -70,12 +70,6 @@ countedWorkload(std::string name,
 }
 
 std::vector<LayerShape>
-uniqueLayers(const std::vector<LayerShape> &in)
-{
-    return uniqueLayersCounted(in, nullptr);
-}
-
-std::vector<LayerShape>
 uniqueLayersCounted(const std::vector<LayerShape> &in,
                     std::vector<std::int64_t> *counts_out)
 {

@@ -55,7 +55,7 @@ struct Workload
 
 /**
  * Build a Workload from a network's FULL layer sequence: shapes are
- * deduplicated in first-occurrence order (like uniqueLayers) and the
+ * deduplicated in first-occurrence order (uniqueLayersCounted) and the
  * dropped duplicates become occurrence counts instead of vanishing.
  */
 Workload countedWorkload(std::string name,
@@ -89,15 +89,12 @@ Workload workloadByName(const std::string &name);
  */
 std::optional<Workload> tryWorkloadByName(const std::string &name);
 
-/** Remove duplicate shapes, keeping first occurrences (order stable). */
-std::vector<LayerShape> uniqueLayers(const std::vector<LayerShape> &in);
-
 /**
- * uniqueLayers plus multiplicity: counts_out[i] (when non-null) is
- * how many input shapes collapsed into output layer i, so
- * occurrence-weighted sums over the result equal plain sums over the
- * full input sequence. uniqueLayers() itself silently dropped this —
- * the multiplicity-loss bug behind wrong whole-network EDP totals.
+ * Remove duplicate shapes, keeping first occurrences (order stable).
+ * counts_out[i] (when non-null) is how many input shapes collapsed
+ * into output layer i, so occurrence-weighted sums over the result
+ * equal plain sums over the full input sequence; dropping that
+ * multiplicity was the bug behind wrong whole-network EDP totals.
  */
 std::vector<LayerShape>
 uniqueLayersCounted(const std::vector<LayerShape> &in,

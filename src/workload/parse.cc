@@ -110,16 +110,6 @@ parseLayerLine(const std::string &line, const std::string &default_name,
     return layer;
 }
 
-std::string
-formatLayerLine(const LayerShape &layer)
-{
-    std::ostringstream oss;
-    oss << layer.name << " " << layer.r << " " << layer.s << " "
-        << layer.p << " " << layer.q << " " << layer.c << " "
-        << layer.k << " " << layer.strideW << " " << layer.strideH;
-    return oss.str();
-}
-
 Expected<std::vector<LayerShape>>
 parseLayerFile(const std::string &path)
 {

@@ -37,14 +37,6 @@ std::optional<LayerShape> parseLayerLine(const std::string &line,
                                          std::string *error = nullptr);
 
 /**
- * Format a layer back into the 8-column line format above (name
- * first). parseLayerLine(formatLayerLine(l)) reproduces l exactly
- * for any in-bounds layer, which is what the zoo round-trip tests
- * pin down.
- */
-std::string formatLayerLine(const LayerShape &layer);
-
-/**
  * Parse a whole file of layer lines.
  * @return the layers, or a LoadError carrying the file name and the
  *         1-based line number of the offending line (OpenFailed when

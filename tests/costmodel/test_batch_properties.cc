@@ -1,9 +1,9 @@
 /**
  * @file
- * Property tests of the SoA batch cost model against the scalar
- * CostModel. The contract under test (batch_cost_model.hh): batch
- * results are BIT-identical to the scalar path in every field the
- * batch fills, permutation-invariant, and duplicate-stable.
+ * Property tests of BatchCostModel, the loop over CostModel::evaluate
+ * that the repository benchmark's mapper replay times: its results
+ * are BIT-identical to the scalar model in every headline field,
+ * permutation-invariant, and duplicate-stable.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "../common/batching.hh"
 #include "costmodel/batch_cost_model.hh"
-#include "sched/evaluator.hh"
 #include "sched/random_mapper.hh"
 #include "workload/networks.hh"
 #include "workload/zoo.hh"
@@ -70,7 +69,7 @@ scoreBatch(const BatchCostModel &batch,
     return results;
 }
 
-/** Fields the batch path fills (batch_cost_model.hh scope note). */
+/** The headline fields the search and evaluation stack consume. */
 void
 expectBitIdentical(const CostResult &a, const CostResult &b)
 {
@@ -205,40 +204,9 @@ TEST_P(BatchCostProperties, InvalidItemsCarryScalarReasons)
     EXPECT_FALSE(results[2].valid);
 }
 
-TEST_P(BatchCostProperties, EvaluatorLayerBatchMatchesLoop)
-{
-    Rng rng(505);
-    const Evaluator evaluator;
-    const LayerShape layer = trainingWorkloads()[1].layers[0];
-    std::vector<AcceleratorConfig> configs;
-    for (int i = 0; i < 40; ++i)
-        configs.push_back(designSpace().randomConfig(rng));
-
-    std::vector<EvalResult> batched(configs.size());
-    if (GetParam() == Batching::Blocked) {
-        evaluator.evaluateLayerBatch(configs.data(), configs.size(),
-                                     layer, batched.data());
-    } else {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            evaluator.evaluateLayerBatch(&configs[i], 1, layer,
-                                         &batched[i]);
-    }
-
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const EvalResult serial =
-            evaluator.evaluateLayer(configs[i], layer);
-        ASSERT_EQ(batched[i].valid, serial.valid);
-        EXPECT_EQ(batched[i].latencyCycles, serial.latencyCycles);
-        EXPECT_EQ(batched[i].energyPj, serial.energyPj);
-        EXPECT_EQ(batched[i].edp, serial.edp);
-    }
-    // The batch counted one evaluation per item, the loop another.
-    EXPECT_EQ(evaluator.evaluationCount(), 2 * configs.size());
-}
-
 // The zoo's shape extremes — depthwise convs (c=1, wide k) and long
 // skinny GEMMs (huge p, tiny c/k) — stress different corners of the
-// SoA kernels than the Table III convs, so the scalar-parity
+// cost model than the Table III convs, so the scalar-parity
 // contract is pinned on them explicitly.
 TEST_P(BatchCostProperties, MatchesScalarOnDepthwiseAndSkinnyGemm)
 {

@@ -125,7 +125,6 @@ TEST(TrafficMix, MakeResolvesBuiltInAndZooNames)
     EXPECT_EQ(mix.value().entries[0].weight, 2.0);
     EXPECT_EQ(mix.value().entries[1].workload.name, "bert_base");
     EXPECT_TRUE(mix.value().entries[1].workload.hasCounts());
-    EXPECT_EQ(mix.value().totalWeight(), 3.0);
 }
 
 class MixFileTest : public ::testing::Test

@@ -178,7 +178,7 @@ TEST(ParallelEquivalence, BatchScoringMatchesPerPointScoring)
 {
     // The Objective::evaluateBatch contract: the batch-routed
     // override must return exactly what per-point evaluate() would,
-    // in input order — the SoA pipeline may only change wall-clock.
+    // in input order — the batch engine may only change wall-clock.
     Evaluator evaluator;
     ThreadPool pool(4);
     InputSpaceObjective obj(evaluator, smallWorkload());
@@ -193,7 +193,7 @@ TEST(ParallelEquivalence, BatchScoringMatchesPerPointScoring)
 TEST(ParallelEquivalence, BatchRecoveryMatchesPerPointUnderFaults)
 {
     // With a pool, InputSpaceObjective::evaluateBatch scores through
-    // the SoA pipeline and then replays the recovery protocol over
+    // the batch engine and then replays the recovery protocol over
     // each raw value; without one it runs evaluateRecovered() per
     // point. The same armed hits must give both paths the same values
     // and the same fault-site hit counts.

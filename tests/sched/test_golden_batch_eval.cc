@@ -2,8 +2,8 @@
  * @file
  * Golden regression test for the BATCH evaluation pipeline: the same
  * frozen probe grid as golden_eval.csv, but scored through
- * evaluateCachedBatch over one-layer workloads (cache probe + SoA
- * batch cost model + work-stealing chunks), and frozen
+ * evaluateCachedBatch over one-layer workloads (cache probe +
+ * work-stealing chunks + the chunk's row walk), and frozen
  * into its own CSV compared at 0 ULP. A batch-path refactor that
  * drifts from the scalar landscape — even in the last bit — fails
  * here even if the scalar golden file still passes.

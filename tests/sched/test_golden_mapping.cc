@@ -117,7 +117,8 @@ computeDigests()
         WorkloadDigest row;
         row.name = w.name;
         Fnv1a fnv;
-        for (const LayerShape &layer : uniqueLayers(w.layers)) {
+        for (const LayerShape &layer :
+             uniqueLayersCounted(w.layers, nullptr)) {
             for (const AcceleratorConfig &config : configs) {
                 const auto mapping = scheduler.schedule(config, layer);
                 const Mapping m = mapping.value_or(Mapping{});

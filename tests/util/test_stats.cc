@@ -9,52 +9,6 @@
 namespace vaesa {
 namespace {
 
-TEST(Summary, EmptyIsZeroCount)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    // Spread is undefined without observations: NaN, never 0.0.
-    EXPECT_TRUE(std::isnan(s.variance()));
-    EXPECT_TRUE(std::isnan(s.stddev()));
-}
-
-TEST(Summary, SingleValue)
-{
-    Summary s;
-    s.add(3.5);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-    // One sample pins the mean but says nothing about spread; the
-    // unbiased estimator (n-1 divisor) must report NaN, not a fake
-    // "+/- 0.0" band.
-    EXPECT_TRUE(std::isnan(s.variance()));
-    EXPECT_TRUE(std::isnan(s.stddev()));
-    EXPECT_DOUBLE_EQ(s.min(), 3.5);
-    EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
-
-TEST(Summary, TwoSamplesHaveFiniteVariance)
-{
-    Summary s;
-    s.add(1.0);
-    s.add(3.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 2.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), std::sqrt(2.0));
-}
-
-TEST(Summary, KnownMoments)
-{
-    Summary s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    // Sample variance with n-1 = 7: sum sq dev = 32.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(Stats, MeanAndStddev)
 {
     const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};

@@ -24,7 +24,6 @@ TEST(ThreadPoolShutdown, SubmitAfterShutdownThrows)
 {
     ThreadPool pool(2);
     pool.shutdown();
-    EXPECT_TRUE(pool.stopping());
     EXPECT_EQ(pool.threadCount(), 0u);
     EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
 }
@@ -55,7 +54,7 @@ TEST(ThreadPoolShutdown, DoubleShutdownIsIdempotent)
     ThreadPool pool(2);
     pool.shutdown();
     pool.shutdown(); // second call must be a no-op, not a crash
-    EXPECT_TRUE(pool.stopping());
+    EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
 }
 
 TEST(ThreadPoolShutdown, ConcurrentShutdownsRaceSafely)
@@ -64,8 +63,8 @@ TEST(ThreadPoolShutdown, ConcurrentShutdownsRaceSafely)
     ThreadPool closers(4);
     closers.parallelFor(4,
                         [&pool](std::size_t) { pool.shutdown(); });
-    EXPECT_TRUE(pool.stopping());
     EXPECT_EQ(pool.threadCount(), 0u);
+    EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
 }
 
 TEST(ThreadPoolShutdown, SubmitDuringDrainThrowsOrRuns)

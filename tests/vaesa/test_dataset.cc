@@ -105,8 +105,10 @@ TEST(Dataset, HwNormalizerUsesGridBounds)
 {
     const Dataset &data = testing::sharedDataset();
     const auto lo = designSpace().featureLowerBounds();
+    const auto origin = data.hwNormalizer().inverse(
+        std::vector<double>(numHwParams, 0.0));
     for (int p = 0; p < numHwParams; ++p)
-        EXPECT_DOUBLE_EQ(data.hwNormalizer().lower(p), lo[p]);
+        EXPECT_DOUBLE_EQ(origin[p], lo[p]);
 }
 
 TEST(Dataset, WeightedDrawsBiasTowardHeavyLayers)

@@ -59,7 +59,9 @@ TEST(Trainer, EvaluateDoesNotChangeParameters)
     std::vector<Matrix> before;
     for (nn::Parameter *p : vae.parameters())
         before.push_back(p->value);
-    const EpochStats stats = trainer.evaluate(data, rng);
+    const EpochStats stats = trainer.runEpoch(
+        data.hwFeatures(), data.layerFeatures(), data.latencyLabels(),
+        data.energyLabels(), rng, false);
     EXPECT_GT(stats.totalLoss, 0.0);
     std::size_t i = 0;
     for (nn::Parameter *p : vae.parameters())

@@ -20,7 +20,8 @@ TEST(Networks, UniqueLayerCountsMatchTableIII)
 TEST(Networks, BuiltInLayersAreAlreadyUnique)
 {
     for (const Workload &w : trainingWorkloads()) {
-        EXPECT_EQ(uniqueLayers(w.layers).size(), w.layers.size())
+        EXPECT_EQ(uniqueLayersCounted(w.layers, nullptr).size(),
+                  w.layers.size())
             << w.name;
     }
 }
@@ -39,7 +40,7 @@ TEST(Networks, BuiltInWorkloadsStayInPaperMode)
     }
 }
 
-// Regression: uniqueLayers() silently dropped multiplicity — a
+// Regression: deduplication silently dropped multiplicity — a
 // network running one shape 3x scored it 1x in any whole-network
 // roll-up. uniqueLayersCounted preserves the dropped duplicates as
 // occurrence counts.
@@ -62,8 +63,9 @@ TEST(Networks, UniqueLayersCountedPreservesMultiplicity)
     for (std::size_t i = 1; i + 1 < unique; ++i)
         EXPECT_EQ(counts[i], 1);
 
-    // First-occurrence order and shapes are exactly uniqueLayers'.
-    const std::vector<LayerShape> plain = uniqueLayers(seq);
+    // Counting does not change the layers: first-occurrence order and
+    // shapes are exactly those of the uncounted call.
+    const std::vector<LayerShape> plain = uniqueLayersCounted(seq, nullptr);
     ASSERT_EQ(plain.size(), out.size());
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_TRUE(out[i].sameShape(plain[i])) << i;
@@ -182,7 +184,7 @@ TEST(Networks, UniqueLayersKeepsFirstOccurrence)
     std::vector<LayerShape> layers = alexNetLayers();
     layers.push_back(layers[0]);
     layers[layers.size() - 1].name = "duplicate";
-    const auto unique = uniqueLayers(layers);
+    const auto unique = uniqueLayersCounted(layers, nullptr);
     EXPECT_EQ(unique.size(), 8u);
     EXPECT_EQ(unique[0].name, "alexnet.conv1");
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "../common/layer_line.hh"
 #include "../common/temp_path.hh"
 #include "workload/parse.hh"
 
@@ -147,7 +148,7 @@ TEST(FormatLayerLine, RoundTripsExactly)
     l.k = 64;
     l.strideW = 2;
     l.strideH = 2;
-    const std::string line = formatLayerLine(l);
+    const std::string line = testing::formatLayerLine(l);
     const auto back = parseLayerLine(line, "dflt");
     ASSERT_TRUE(back.has_value()) << line;
     EXPECT_EQ(back->name, "rt.conv");

@@ -12,6 +12,7 @@
 
 #include <cmath>
 
+#include "../common/layer_line.hh"
 #include "workload/parse.hh"
 #include "workload/zoo.hh"
 
@@ -178,7 +179,7 @@ TEST(Zoo, LayersRoundTripThroughParseFormat)
 {
     for (const Workload &w : zooWorkloads()) {
         for (const LayerShape &l : w.layers) {
-            const std::string line = formatLayerLine(l);
+            const std::string line = testing::formatLayerLine(l);
             std::string error;
             const auto back = parseLayerLine(line, "dflt", &error);
             ASSERT_TRUE(back.has_value())
