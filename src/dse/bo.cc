@@ -29,6 +29,7 @@ struct BoMetrics
     metrics::Counter &candidates =
         metrics::counter("search.bo.candidates");
     metrics::Counter &solved = metrics::counter("search.bo.solved");
+    metrics::Counter &refined = metrics::counter("search.bo.refined");
 };
 
 BoMetrics &
@@ -175,31 +176,54 @@ selectCandidate(const GaussianProcess &gp,
     // Solve in rounds of one tile per worker, in descending bound
     // order. A candidate whose bound is below the best EI so far
     // cannot win, nor can any after it. Only the first round is
-    // ordered up front; after it the candidates that can no longer
-    // win are dropped before the rest is sorted. The pick is the
-    // largest EI, the lowest index among equals: the first strict
-    // maximum of a scan in index order.
+    // ordered up front. After it, the candidates that can no longer
+    // win are dropped, the rest get the tighter subset variance bound
+    // (refineBatch) and are dropped again by it, and what is left is
+    // sorted. The pick is the largest EI, the lowest index among
+    // equals: the first strict maximum of a scan in index order.
     const std::size_t round =
         GaussianProcess::predictTile *
         (pool ? std::max<std::size_t>(1, pool->threadCount()) : 1);
     const std::size_t first = std::min(round, m);
     std::partial_sort(order.begin(), order.begin() + first, order.end(),
                       higher);
+    const auto cannot_win = [&](const Ranked &r) {
+        return r.upper < pick.ei;
+    };
     std::vector<std::vector<double>> batch(first);
     std::vector<GaussianProcess::Prediction> preds(first);
     std::size_t next = 0;
     while (next < order.size()) {
         if (next == first) {
             order.erase(std::remove_if(order.begin() + first, order.end(),
-                                       [&](const Ranked &r) {
-                                           return r.upper < pick.ei;
-                                       }),
+                                       cannot_win),
+                        order.end());
+            const std::size_t rest = order.size() - first;
+            batch.resize(std::max(first, rest));
+            std::vector<GaussianProcess::Bound> refined(rest);
+            for (std::size_t k = 0; k < rest; ++k) {
+                batch[k] = scored[order[first + k].index];
+                refined[k] = bounds[order[first + k].index];
+            }
+            const std::span<const std::vector<double>> refining =
+                std::span(batch).first(rest);
+            forEachTileChunk(rest, pool,
+                             [&](std::size_t from, std::size_t len) {
+                                 gp.refineBatch(
+                                     refining.subspan(from, len),
+                                     std::span(refined).subspan(from, len));
+                             });
+            for (std::size_t k = 0; k < rest; ++k)
+                order[first + k].upper = eiUpperBound(refined[k], best);
+            pick.refined = rest;
+            order.erase(std::remove_if(order.begin() + first, order.end(),
+                                       cannot_win),
                         order.end());
             std::sort(order.begin() + first, order.end(), higher);
         }
         std::size_t count = 0;
         while (count < first && next + count < order.size() &&
-               !(order[next + count].upper < pick.ei)) {
+               !cannot_win(order[next + count])) {
             batch[count] = scored[order[next + count].index];
             ++count;
         }
@@ -484,6 +508,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             selectCandidate(gp, candidates, best_finite, pool);
         bm.candidates.inc(candidates.size() - 1);
         bm.solved.inc(pick.solved);
+        bm.refined.inc(pick.refined);
         const std::vector<double> &best_x = candidates[pick.index];
         if (instrument)
             bm.acqNs.observe(metrics::monotonicNowNs() - acq_t0);

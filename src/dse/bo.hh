@@ -133,6 +133,10 @@ struct Acquisition
 
     /** Candidates that went through the GP's forward substitution. */
     std::size_t solved = 0;
+
+    /** Candidates that got GaussianProcess::refineBatch()'s subset
+     *  bound: those still able to win after the first solve round. */
+    std::size_t refined = 0;
 };
 
 /**
@@ -142,7 +146,9 @@ struct Acquisition
  * GaussianProcess::boundBatch(), whose bounds give an upper bound on
  * its EI; candidates are then solved in descending bound order, a
  * tile at a time, until no remaining bound can reach the best EI
- * found. A pruned candidate cannot be the maximum, and a solved
+ * found. After the first tile, the candidates that can still win get
+ * GaussianProcess::refineBatch()'s tighter variance bound before any
+ * further solve. A pruned candidate cannot be the maximum, and a solved
  * one's prediction is bit-identical to a full-batch predictBatch(),
  * so the pick and its EI bits equal a full scan's. The pool, when
  * given, fans both passes out in tile-aligned chunks; the pick does

@@ -103,19 +103,31 @@ class GaussianProcess
      * without solving for it: out[j] brackets the doubles
      * predictBatch() computes for xs[j] (meanLower <= mean,
      * varUpper >= var, after rounding). Costs O(n * dim) per point
-     * with no exp call and no forward substitution: each kernel value
-     * is bracketed on a precomputed kernel grid, the mean bound takes
-     * the low or high end by the sign of alpha, and the variance
-     * bound applies Cauchy-Schwarz to the best single training point
-     * of the stored factor. Explicit margins cover the rounding of
-     * both computations (see gp.cc). A point with a non-finite
-     * coordinate, a fit with a non-finite alpha or factor, or a
-     * lengthscale that is not positive and finite gets NaN bounds,
-     * which promise nothing. Requires a prior fit() and
-     * out.size() == xs.size().
+     * with no libm exp and no forward substitution: each kernel value
+     * is recomputed with a polynomial exp and bracketed by a relative
+     * slack, the mean bound takes the low or high end by the sign of
+     * alpha, and the variance bound applies Cauchy-Schwarz to the
+     * best single training point of the stored factor. Explicit
+     * margins cover the rounding of both computations (see
+     * gp_bound.cc). A point with a non-finite coordinate, a fit with
+     * a non-finite alpha or factor, or a lengthscale that is not
+     * positive and finite gets NaN bounds, which promise nothing.
+     * Requires a prior fit() and out.size() == xs.size().
      */
     void boundBatch(std::span<const std::vector<double>> xs,
                     std::span<Bound> out) const;
+
+    /**
+     * Tighten boundBatch()'s variance bounds in place: bounds[j]
+     * must be xs[j]'s, and keeps bracketing predictBatch()'s result.
+     * The variance bound is redone over the point's four nearest
+     * training points, at O(n * dim) plus a few dot products of
+     * factor rows per point, and the smaller of the two is kept. A
+     * NaN bound stays NaN. Requires a prior fit() and
+     * bounds.size() == xs.size().
+     */
+    void refineBatch(std::span<const std::vector<double>> xs,
+                     std::span<Bound> bounds) const;
 
     /** Log marginal likelihood of the last fit (standardized y). */
     double logMarginalLikelihood() const;
@@ -176,7 +188,7 @@ class GaussianProcess
     void boundTileOf(const std::vector<double> *xs, Bound *out,
                      double *cand) const;
 
-    /** rowWeight_ and boundable_ from choleskyLower_ and alpha_. */
+    /** rowNorm2_ and boundable_ from choleskyLower_ and alpha_. */
     void prepareBounds();
 
     Kernel kernel_;
@@ -195,9 +207,9 @@ class GaussianProcess
     double yMean_ = 0.0;
     double yStd_ = 1.0;
     double logLik_ = 0.0;
-    /** Per training point, a lower bound on 1 / (L L^T)_ii for the
-     *  stored factor, with the substitution's rounding folded in. */
-    std::vector<double> rowWeight_;
+    /** Per training point, the computed squared norm of its row of
+     *  the stored factor, (L L^T)_ii. */
+    std::vector<double> rowNorm2_;
     /** Whether alpha_, the factor's row norms and y's scaling are
      *  finite, so boundBatch() can bound the computed predictions. */
     bool boundable_ = false;

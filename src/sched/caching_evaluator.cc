@@ -191,20 +191,25 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
     probeBatch(keys.data(), n, results.data(), found.data());
 
     // Walk the layers in order: sum the per-layer results, stop at
-    // the first invalid one, and account every layer walked.
+    // the first invalid one, and account every layer walked (the
+    // computed ones also in one add to the evaluator's count).
     EvalResult total;
     total.valid = true;
     std::uint64_t computed = 0;
+    const auto account = [&](std::uint64_t walked) {
+        inner_.countEvaluations(computed);
+        accountBatch(walked, computed);
+    };
     for (std::size_t i = 0; i < n; ++i) {
         if (!found[i]) {
             if (cancel != nullptr && cancel->expired()) {
-                accountBatch(i, computed);
+                account(i);
                 throw DeadlineExceeded("cache_miss");
             }
             // Computed outside any shard lock: a concurrent miss of
             // the same key recomputes the identical deterministic
             // result, and the second insert is dropped.
-            results[i] = inner_.evaluateLayer(snapped, layers[i]);
+            results[i] = inner_.scoreLayer(snapped, layers[i]);
             insertBatch(&keys[i], &results[i], 1);
             ++computed;
             // Later repeats of this shape hit what was just computed.
@@ -217,13 +222,13 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
         }
         const EvalResult &r = results[i];
         if (!r.valid) {
-            accountBatch(i + 1, computed);
+            account(i + 1);
             return EvalResult{};
         }
         total.latencyCycles += r.latencyCycles;
         total.energyPj += r.energyPj;
     }
-    accountBatch(n, computed);
+    account(n);
     total.edp = total.latencyCycles * total.energyPj;
     return total;
 }

@@ -87,6 +87,21 @@ class Evaluator
                              const LayerShape &layer,
                              Mapping *mapping_out = nullptr) const;
 
+    /**
+     * evaluateLayer() without counting it, for a caller that walks
+     * several layers and counts them with one countEvaluations():
+     * the counter is shared by every pool worker, and a per-layer
+     * increment costs a cache-line transfer each time.
+     */
+    EvalResult scoreLayer(const AcceleratorConfig &arch,
+                          const LayerShape &layer) const;
+
+    /** Add @p layers scoreLayer() calls to evaluationCount(). */
+    void countEvaluations(std::uint64_t layers) const
+    {
+        evalCount_ += layers;
+    }
+
     /** Number of layer evaluations performed so far. */
     std::uint64_t evaluationCount() const { return evalCount_; }
 
@@ -97,17 +112,13 @@ class Evaluator
     const CostModel &model() const { return model_; }
 
   private:
-    /** evaluateLayer without counting. */
-    EvalResult scoreLayer(const AcceleratorConfig &arch,
-                          const LayerShape &layer) const;
 
     /** The one workload roll-up behind both evaluateWorkload
      *  overloads: layer i's latency/energy enter the totals weighted
      *  by counts[i] (exactly 1.0 when counts is empty, which leaves
      *  every product unchanged), and the first unmappable layer
-     *  zeroes the result. The layers walked are counted in one add:
-     *  the counter is shared by every pool worker, and a per-layer
-     *  increment costs a cache-line transfer each time. */
+     *  zeroes the result. The layers walked are counted in one add
+     *  (see scoreLayer()). */
     EvalResult rollUp(const AcceleratorConfig &arch,
                       const std::vector<LayerShape> &layers,
                       const std::vector<std::int64_t> &counts) const;

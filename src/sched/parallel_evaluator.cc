@@ -86,7 +86,7 @@ struct ProbedRows
  * Evaluator::evaluateWorkload does. A cell the probe missed is
  * computed and marked probeComputed, unless its shape repeats an
  * earlier layer: then it copies that layer's cell and is marked
- * probeFound (a hit).
+ * probeFound (a hit). The computed cells are counted in one add.
  */
 EvalResult
 scoreProbedRow(const Evaluator &evaluator, const AcceleratorConfig &config,
@@ -96,6 +96,7 @@ scoreProbedRow(const Evaluator &evaluator, const AcceleratorConfig &config,
     const std::size_t layers = workload.layers.size();
     EvalResult total;
     total.valid = true;
+    std::uint64_t computed = 0;
     for (std::size_t li = 0; li < layers; ++li) {
         const std::size_t cell = c * layers + li;
         if (rows.state[cell] == probeMiss) {
@@ -105,17 +106,21 @@ scoreProbedRow(const Evaluator &evaluator, const AcceleratorConfig &config,
                 rows.state[cell] = probeFound;
             } else {
                 rows.results[cell] =
-                    evaluator.evaluateLayer(config, workload.layers[li]);
+                    evaluator.scoreLayer(config, workload.layers[li]);
                 rows.state[cell] = probeComputed;
+                ++computed;
             }
         }
         const EvalResult &r = rows.results[cell];
-        if (!r.valid)
-            return EvalResult{};
+        if (!r.valid) {
+            total = EvalResult{};
+            break;
+        }
         const double weight = static_cast<double>(workload.countOf(li));
         total.latencyCycles += weight * r.latencyCycles;
         total.energyPj += weight * r.energyPj;
     }
+    evaluator.countEvaluations(computed);
     total.edp = total.latencyCycles * total.energyPj;
     return total;
 }

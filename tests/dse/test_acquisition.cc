@@ -73,7 +73,8 @@ probePoints(const Points &train, std::size_t uniform, Rng &rng)
     return out;
 }
 
-/** Every bound is finite and holds on the computed prediction. */
+/** Every bound is finite and holds on the computed prediction, both
+ *  boundBatch()'s and, refined, refineBatch()'s, which is never looser. */
 void
 expectBoundsHold(const GaussianProcess &gp, const Points &xs,
                  const std::string &where)
@@ -82,22 +83,33 @@ expectBoundsHold(const GaussianProcess &gp, const Points &xs,
     std::vector<GaussianProcess::Bound> bounds(xs.size());
     gp.predictBatch(xs, preds);
     gp.boundBatch(xs, bounds);
-    std::size_t broken = 0;
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-        ASSERT_TRUE(std::isfinite(bounds[j].meanLower) &&
-                    std::isfinite(bounds[j].varUpper))
-            << where << " j=" << j;
-        if (bounds[j].meanLower <= preds[j].mean &&
-            bounds[j].varUpper >= preds[j].var)
-            continue;
-        if (++broken <= 3)
-            ADD_FAILURE() << where << " j=" << j << ": mean "
-                          << preds[j].mean << " lower "
-                          << bounds[j].meanLower << ", var "
-                          << preds[j].var << " upper "
-                          << bounds[j].varUpper;
+    std::vector<GaussianProcess::Bound> refined = bounds;
+    gp.refineBatch(xs, refined);
+    for (const bool subset : {false, true}) {
+        const std::vector<GaussianProcess::Bound> &b =
+            subset ? refined : bounds;
+        const std::string label = where + (subset ? " subset" : "");
+        std::size_t broken = 0;
+        for (std::size_t j = 0; j < xs.size(); ++j) {
+            ASSERT_TRUE(std::isfinite(b[j].meanLower) &&
+                        std::isfinite(b[j].varUpper))
+                << label << " j=" << j;
+            if (b[j].meanLower <= preds[j].mean &&
+                b[j].varUpper >= preds[j].var)
+                continue;
+            if (++broken <= 3)
+                ADD_FAILURE() << label << " j=" << j << ": mean "
+                              << preds[j].mean << " lower "
+                              << b[j].meanLower << ", var "
+                              << preds[j].var << " upper "
+                              << b[j].varUpper;
+        }
+        EXPECT_EQ(broken, 0u) << label;
     }
-    EXPECT_EQ(broken, 0u) << where;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+        EXPECT_EQ(bitsOf(refined[j].meanLower), bitsOf(bounds[j].meanLower));
+        EXPECT_LE(refined[j].varUpper, bounds[j].varUpper) << where;
+    }
 }
 
 class AcquisitionBound : public ::testing::TestWithParam<Kernel>
@@ -191,6 +203,103 @@ TEST_P(AcquisitionBound, NonFiniteInputsPromiseNothing)
     gp.boundBatch(finite, std::span(bounds).first(1));
     EXPECT_TRUE(std::isnan(bounds[0].meanLower));
     EXPECT_TRUE(std::isnan(bounds[0].varUpper));
+}
+
+TEST_P(AcquisitionBound, SubsetBoundHoldsWhereItIsExact)
+{
+    // With at most four training points the subset is all of them and
+    // the subset bound is the exact variance up to its margins: it
+    // holds only if they cover the rounding, including on
+    // ill-conditioned fits (near-duplicates, almost no noise).
+    Rng rng(73);
+    for (std::size_t trial = 0; trial < 120; ++trial) {
+        const std::size_t n = 2 + trial % 3;
+        Points xs = uniformPoints(n, 2, rng);
+        for (std::size_t i = 1; i < n; ++i)
+            if (rng.uniform() < 0.5)
+                for (std::size_t d = 0; d < 2; ++d)
+                    xs[i][d] = xs[0][d] + rng.normal(0.0, 1e-4);
+        const std::vector<double> ys = smoothLabels(xs);
+        Points probes = probePoints(xs, 8, rng);
+        for (const auto &x : xs) {
+            std::vector<double> near = x;
+            for (double &v : near)
+                v += rng.normal(0.0, 1e-6);
+            probes.push_back(near);
+        }
+        static constexpr double noises[] = {1e-10, 1e-8, 1e-6, 1e-3};
+        GaussianProcess gp(GetParam(),
+                           {trial % 2 ? 0.3 : 1.0, noises[trial / 3 % 4]});
+        gp.fit(xs, ys);
+        expectBoundsHold(gp, probes, "trial " + std::to_string(trial));
+    }
+}
+
+TEST_P(AcquisitionBound, SubsetBoundIsTighterNearClusters)
+{
+    // Clusters of four nearby training points: a short way from one,
+    // the posterior variance is what all four explain, which the
+    // one-point bound overstates and the subset bound nearly matches.
+    Rng rng(67);
+    Points xs;
+    for (int c = 0; c < 12; ++c) {
+        const Points centre = uniformPoints(1, 3, rng);
+        for (int r = 0; r < 4; ++r) {
+            std::vector<double> x = centre[0];
+            for (double &v : x)
+                v += rng.normal(0.0, 0.02);
+            xs.push_back(x);
+        }
+    }
+    const std::vector<double> ys = smoothLabels(xs);
+    Points probes;
+    for (const auto &x : xs) {
+        std::vector<double> near = x;
+        for (double &v : near)
+            v += rng.normal(0.0, 0.03);
+        probes.push_back(near);
+    }
+    for (const double noise : {1e-6, 1e-4}) {
+        GaussianProcess gp(GetParam(), {0.5, noise});
+        gp.fit(xs, ys);
+        const std::string where = "noise=" + std::to_string(noise);
+        expectBoundsHold(gp, probes, where);
+
+        std::vector<GaussianProcess::Bound> bounds(probes.size());
+        gp.boundBatch(probes, bounds);
+        std::vector<GaussianProcess::Bound> refined = bounds;
+        gp.refineBatch(probes, refined);
+        std::size_t tighter = 0;
+        for (std::size_t j = 0; j < probes.size(); ++j)
+            tighter += refined[j].varUpper < 0.5 * bounds[j].varUpper;
+        EXPECT_GT(tighter, probes.size() / 2) << where;
+    }
+}
+
+TEST_P(AcquisitionBound, SubsetBoundKeepsNanAndSkipsTinyFits)
+{
+    Rng rng(71);
+    const Points xs = uniformPoints(12, 2, rng);
+    const Points probes{{0.1, std::nan("")}, {0.2, 0.3}};
+    GaussianProcess gp(GetParam());
+    gp.fit(xs, smoothLabels(xs));
+    std::vector<GaussianProcess::Bound> bounds(probes.size());
+    gp.boundBatch(probes, bounds);
+    gp.refineBatch(probes, bounds);
+    EXPECT_TRUE(std::isnan(bounds[0].meanLower));
+    EXPECT_TRUE(std::isnan(bounds[0].varUpper));
+    EXPECT_TRUE(std::isfinite(bounds[1].varUpper));
+
+    // One training point: the subset is the one-point bound already
+    // taken, so nothing changes.
+    GaussianProcess single(GetParam());
+    single.fit({{0.4, 0.4}}, {1.0});
+    const Points near{{0.45, 0.4}};
+    std::vector<GaussianProcess::Bound> b(1);
+    single.boundBatch(near, b);
+    const GaussianProcess::Bound before = b[0];
+    single.refineBatch(near, b);
+    EXPECT_EQ(bitsOf(b[0].varUpper), bitsOf(before.varUpper));
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, AcquisitionBound,
@@ -339,6 +448,7 @@ TEST_P(PrunedAcquisition, MatchesFullScan)
 {
     Rng rng(59);
     std::size_t pruned = 0;
+    std::size_t refined = 0;
     for (std::size_t it = 0; it < 1000; ++it) {
         const Problem p = makeProblem(it, rng);
         std::size_t ties = 0;
@@ -350,6 +460,13 @@ TEST_P(PrunedAcquisition, MatchesFullScan)
         ASSERT_EQ(bitsOf(got.ei), bitsOf(want.ei))
             << p.label << ": EI " << got.ei << " vs " << want.ei;
         ASSERT_LE(got.solved, count) << p.label;
+        // Past the first tile, only a refined candidate is solved.
+        ASSERT_LE(got.refined, count) << p.label;
+        ASSERT_LE(got.solved,
+                  std::min(count, GaussianProcess::predictTile *
+                                      (pool ? pool->threadCount() : 1)) +
+                      got.refined)
+            << p.label;
         if (count > 0) {
             ASSERT_GE(got.solved, 1u) << p.label;
         }
@@ -359,9 +476,12 @@ TEST_P(PrunedAcquisition, MatchesFullScan)
             ASSERT_GE(got.solved, ties) << p.label;
         }
         pruned += count - got.solved;
+        refined += got.refined;
     }
-    // The sweep is only a test of pruning if something was pruned.
+    // The sweep is only a test of pruning if something was pruned,
+    // and of the subset bound if some candidates reached it.
     EXPECT_GT(pruned, 0u);
+    EXPECT_GT(refined, 0u);
 }
 
 TEST_P(PrunedAcquisition, EmptyScoredSetKeepsTheFallback)
@@ -409,10 +529,12 @@ TEST(PrunedAcquisitionCounters, CountScoredAndSolvedCandidates)
     metrics::Counter &candidates =
         metrics::counter("search.bo.candidates");
     metrics::Counter &solved = metrics::counter("search.bo.solved");
+    metrics::Counter &refined = metrics::counter("search.bo.refined");
     metrics::Counter &iterations =
         metrics::counter("search.bo.iterations");
     const std::uint64_t c0 = candidates.value();
     const std::uint64_t s0 = solved.value();
+    const std::uint64_t r0 = refined.value();
     const std::uint64_t i0 = iterations.value();
 
     BowlObjective obj;
@@ -422,12 +544,16 @@ TEST(PrunedAcquisitionCounters, CountScoredAndSolvedCandidates)
     BayesOpt(options).run(obj, 25, rng);
 
     // Every iteration after the warm-up fits the GP and scores
-    // 512 uniform + 128 local candidates; each solves at least one.
+    // 512 uniform + 128 local candidates; each solves its first tile
+    // of 32, and after it only candidates that reached the subset
+    // bound, which are never the first tile's.
     const std::uint64_t its = iterations.value() - i0;
     ASSERT_EQ(its, 20u);
+    const std::uint64_t tile = GaussianProcess::predictTile;
     EXPECT_EQ(candidates.value() - c0, its * 640);
-    EXPECT_LE(solved.value() - s0, candidates.value() - c0);
-    EXPECT_GE(solved.value() - s0, its);
+    EXPECT_GE(solved.value() - s0, its * tile);
+    EXPECT_LE(solved.value() - s0, its * tile + (refined.value() - r0));
+    EXPECT_LE(refined.value() - r0, its * (640 - tile));
 }
 
 } // namespace

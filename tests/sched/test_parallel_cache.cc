@@ -41,6 +41,124 @@ overlappingConfigs(std::size_t count, std::size_t distinct,
     return batch;
 }
 
+/**
+ * resnet50 with layer @p k made unmappable (zero output channels), a
+ * config that maps every real layer, and what a walk that stops at
+ * layer k sees: the layers it looks up (k + 1) and the distinct
+ * shapes among them, which it computes. No grid config stops mid-way
+ * through the real network (every config maps all 24 layers or none),
+ * so the dead layer stands in for one.
+ */
+struct StopsMidResnet
+{
+    std::vector<LayerShape> layers;
+    AcceleratorConfig config;
+    std::size_t walked = 0;
+    std::size_t distinct = 0;
+};
+
+/** Distinct shapes among layers [0, end). */
+std::size_t
+distinctShapes(const std::vector<LayerShape> &layers, std::size_t end)
+{
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < end; ++i) {
+        std::size_t first = 0;
+        while (!layers[first].sameShape(layers[i]))
+            ++first;
+        distinct += first == i;
+    }
+    return distinct;
+}
+
+StopsMidResnet
+resnetStoppingAt(std::size_t k)
+{
+    StopsMidResnet s;
+    s.layers = resNet50Layers();
+    s.layers[k].k = 0;
+    s.config.numPes = 16;
+    s.config.numMacs = 1024;
+    s.config.accumBufBytes = 48 * 1024;
+    s.config.weightBufBytes = 1024 * 1024;
+    s.config.inputBufBytes = 64 * 1024;
+    s.config.globalBufBytes = 128 * 1024;
+    s.walked = k + 1;
+    s.distinct = distinctShapes(s.layers, k + 1);
+    return s;
+}
+
+void
+expectInvalid(const EvalResult &r)
+{
+    EXPECT_FALSE(r.valid);
+    EXPECT_EQ(r.latencyCycles, 0.0);
+    EXPECT_EQ(r.energyPj, 0.0);
+    EXPECT_EQ(r.edp, 0.0);
+}
+
+TEST(ParallelCache, ServeWalkStopsAtFirstInvalidLayer)
+{
+    // CachingEvaluator::evaluateWorkload looks up layers [0, k] only,
+    // computes each distinct shape among them once, and counts those
+    // as its evaluations; a warm repeat is all hits.
+    const StopsMidResnet s = resnetStoppingAt(12);
+    const std::vector<LayerShape> real = resNet50Layers();
+    ASSERT_TRUE(Evaluator().evaluateWorkload(s.config, real).valid);
+    CachingEvaluator cached;
+    expectInvalid(cached.evaluateWorkload(s.config, s.layers));
+    EXPECT_EQ(cached.misses(), s.distinct);
+    EXPECT_EQ(cached.hits(), s.walked - s.distinct);
+    EXPECT_EQ(cached.inner().evaluationCount(), s.distinct);
+
+    expectInvalid(cached.evaluateWorkload(s.config, s.layers));
+    EXPECT_EQ(cached.misses(), s.distinct);
+    EXPECT_EQ(cached.hits(), 2 * s.walked - s.distinct);
+    EXPECT_EQ(cached.inner().evaluationCount(), s.distinct);
+
+    // The layers past the dead one were never cached.
+    const std::vector<LayerShape> after(real.begin() + 13, real.end());
+    EXPECT_TRUE(cached.evaluateWorkload(s.config, after).valid);
+    EXPECT_EQ(cached.misses(),
+              s.distinct + distinctShapes(after, after.size()));
+}
+
+TEST(ParallelCache, BatchWalkStopsAtFirstInvalidLayer)
+{
+    // evaluateCachedBatch's row walk stops at the same layer: the
+    // stopping config, twice, beside one that the plain evaluator
+    // walks to the same stop. Each input copy books its walk; only
+    // distinct (config, shape) cells are computed, once each.
+    const StopsMidResnet s = resnetStoppingAt(12);
+    AcceleratorConfig other = s.config;
+    other.numPes = 32;
+    other.numMacs = 2048;
+    const Workload workload{"resnet50", s.layers, {}};
+    ASSERT_FALSE(Evaluator().evaluateWorkload(other, s.layers).valid);
+
+    for (const std::size_t width : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << "width=" << width);
+        CachingEvaluator cached;
+        ThreadPool pool(width);
+        const std::vector<EvalResult> got = evaluateCachedBatch(
+            cached, {s.config, other, s.config}, workload, pool);
+        ASSERT_EQ(got.size(), 3u);
+        for (const EvalResult &r : got)
+            expectInvalid(r);
+        EXPECT_EQ(cached.misses(), 2 * s.distinct);
+        EXPECT_EQ(cached.hits() + cached.misses(), 3 * s.walked);
+        EXPECT_EQ(cached.inner().evaluationCount(), 2 * s.distinct);
+
+        // A warm repeat computes nothing.
+        for (const EvalResult &r : evaluateCachedBatch(
+                 cached, {other, s.config}, workload, pool))
+            expectInvalid(r);
+        EXPECT_EQ(cached.misses(), 2 * s.distinct);
+        EXPECT_EQ(cached.hits() + cached.misses(), 5 * s.walked);
+        EXPECT_EQ(cached.inner().evaluationCount(), 2 * s.distinct);
+    }
+}
+
 TEST(ParallelCache, StressOverlappingKeysMatchesSerial)
 {
     const auto layers = resNet50Layers();
