@@ -39,9 +39,10 @@ Linear::forward(const Matrix &input)
               " != ", in_);
     cachedInput_ = training() ? &input : nullptr;
     Matrix &out = scratch(0, input.rows(), out_);
+    Matrix &wt = scratch(2, in_, out_);
     kernels::linearForward(input.rows(), in_, out_, input.data(),
                            weight_.value.data(), bias_.value.data(),
-                           out.data());
+                           wt.data(), out.data());
     return out;
 }
 

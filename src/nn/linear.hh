@@ -67,7 +67,8 @@ class Linear : public Module
     Parameter &bias() { return bias_; }
 
   protected:
-    std::size_t workspaceSlots() const override { return 2; }
+    /** Forward output, input gradient, and W^T for the forward. */
+    std::size_t workspaceSlots() const override { return 3; }
 
   private:
     std::size_t in_;

@@ -1,13 +1,16 @@
 #include "tensor/kernels/kernels.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
+
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
 
 #include "util/metrics.hh"
-
-// GCC/Clang no-alias qualifier; the public contract already forbids
-// output/input aliasing, this just lets the vectorizer believe it.
-#define VAESA_RESTRICT __restrict__
 
 namespace vaesa::kernels {
 
@@ -28,295 +31,211 @@ gemmMetrics()
     return m;
 }
 
-/** Register-tile extents of the blocked micro-kernels. */
+/** Register-tile extents of the micro-kernel. */
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileCols = 8;
-constexpr std::size_t kDotTileCols = 4;
 
 // ---------------------------------------------------------------- //
-// Blocked kernels. Fixed RI x RJ register tiles with the k loop
-// innermost; each output element is accumulated in increasing k
-// order, so results are fully deterministic. This TU is built with
-// the tuned per-file flags (-O3, unrolling, AVX2+FMA on x86-64 --
-// see the tensor CMakeLists), so fused multiply-adds may shift
-// low-order bits relative to the plain triple loops the tests use
-// as a reference; the equivalence tests bound that drift with an
-// explicit tolerance.
+// The one GEMM micro-kernel. A tile of up to 4 x 8 outputs lives in
+// registers; for each k in increasing order it broadcasts A(i, k)
+// against the contiguous row B(k, j..j+w) and updates every output
+// with one fused multiply-add. Every element is therefore exactly
+//   fma(a[k-1], b[k-1], ... fma(a[0], b[0], init))
+// whatever the tile shape, lane width, compiler or optimization
+// level: the TU is built with -ffp-contract=off (see the tensor
+// CMakeLists), so no fusion happens that is not written here.
 // ---------------------------------------------------------------- //
 
-/** C tile (RI x RJ) at (c, stride n) += A rows (stride lda) * B. */
-template <std::size_t RI, std::size_t RJ>
-inline void
-gemmTileFull(std::size_t k, std::size_t n,
-             const double *VAESA_RESTRICT a,
-             const double *VAESA_RESTRICT b,
-             double *VAESA_RESTRICT c, bool accumulate)
+/**
+ * W adjacent outputs of one tile row. With AVX2+FMA they are held as
+ * up to two 4-wide vectors, then a 2-wide and a 1-wide piece as the
+ * low bits of W ask; elsewhere as W scalars. Either way column t only
+ * ever sees fma(x, b[t], acc[t]), so the split never changes a bit.
+ */
+template <std::size_t W>
+struct Lanes
 {
-    // a: RI rows of length k, stride k. b: k rows, stride n.
-    double acc[RI][RJ];
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        double x[RI];
-        for (std::size_t r = 0; r < RI; ++r)
-            x[r] = a[r * k + kk];
-        const double *VAESA_RESTRICT b_row = b + kk * n;
-        for (std::size_t t = 0; t < RJ; ++t) {
-            const double bv = b_row[t];
-            for (std::size_t r = 0; r < RI; ++r)
-                acc[r][t] += x[r] * bv;
-        }
-    }
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            c[r * n + t] = acc[r][t];
-}
+#if defined(__AVX2__) && defined(__FMA__)
+    static constexpr std::size_t kTail = W / 4 * 4;
+    __m256d lo{}, hi{};
+    __m128d pair{};
+    double single = 0.0;
 
-/** Edge-tile variant with runtime extents ri <= 4, rj <= 8. */
-inline void
-gemmTileEdge(std::size_t ri, std::size_t rj, std::size_t k,
-             std::size_t n, const double *VAESA_RESTRICT a,
-             const double *VAESA_RESTRICT b,
-             double *VAESA_RESTRICT c, bool accumulate)
+    void
+    load(const double *p)
+    {
+        if constexpr (W >= 4)
+            lo = _mm256_loadu_pd(p);
+        if constexpr (W >= 8)
+            hi = _mm256_loadu_pd(p + 4);
+        if constexpr ((W & 2) != 0)
+            pair = _mm_loadu_pd(p + kTail);
+        if constexpr ((W & 1) != 0)
+            single = p[W - 1];
+    }
+
+    void
+    store(double *p) const
+    {
+        if constexpr (W >= 4)
+            _mm256_storeu_pd(p, lo);
+        if constexpr (W >= 8)
+            _mm256_storeu_pd(p + 4, hi);
+        if constexpr ((W & 2) != 0)
+            _mm_storeu_pd(p + kTail, pair);
+        if constexpr ((W & 1) != 0)
+            p[W - 1] = single;
+    }
+
+    /** this[t] = fma(*x, b[t], this[t]) for every t < W. */
+    void
+    fmaInto(const double *x, const Lanes &b)
+    {
+        const __m256d x4 = _mm256_broadcast_sd(x);
+        if constexpr (W >= 4)
+            lo = _mm256_fmadd_pd(x4, b.lo, lo);
+        if constexpr (W >= 8)
+            hi = _mm256_fmadd_pd(x4, b.hi, hi);
+        if constexpr ((W & 2) != 0)
+            pair = _mm_fmadd_pd(_mm256_castpd256_pd128(x4), b.pair,
+                                pair);
+        if constexpr ((W & 1) != 0)
+            single = std::fma(*x, b.single, single);
+    }
+#else
+    double v[W] = {};
+
+    void load(const double *p) { std::copy(p, p + W, v); }
+    void store(double *p) const { std::copy(v, v + W, p); }
+
+    void
+    fmaInto(const double *x, const Lanes &b)
+    {
+        for (std::size_t t = 0; t < W; ++t)
+            v[t] = std::fma(*x, b.v[t], v[t]);
+    }
+#endif
+};
+
+/**
+ * One GEMM call as C (m x n) = A * B over k: A(i, kk) sits at
+ * a[i * aRow + kk * aK], row kk of B at b + kk * n, row i of C at
+ * c + i * n. Each output starts from init[i * initRow + j], or from
+ * +0.0 when init is null.
+ */
+struct Operands
 {
-    double acc[kTileRows][kTileCols];
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const double *VAESA_RESTRICT b_row = b + kk * n;
-        for (std::size_t r = 0; r < ri; ++r) {
-            const double x = a[r * k + kk];
-            for (std::size_t t = 0; t < rj; ++t)
-                acc[r][t] += x * b_row[t];
-        }
-    }
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            c[r * n + t] = acc[r][t];
-}
+    std::size_t k, n;
+    const double *a;
+    std::size_t aRow, aK;
+    const double *b;
+    const double *init;
+    std::size_t initRow;
+    double *c;
+};
 
+/**
+ * RI tile rows of W lanes each, as a recursive aggregate rather than
+ * an array so the compiler keeps every accumulator in a register.
+ */
+template <std::size_t RI, std::size_t W>
+struct Rows
+{
+    Lanes<W> head;
+    Rows<RI - 1, W> tail;
+
+    void
+    load(const double *p, std::size_t stride)
+    {
+        head.load(p);
+        tail.load(p + stride, stride);
+    }
+
+    void
+    fmaInto(const double *x, std::size_t stride, const Lanes<W> &b)
+    {
+        head.fmaInto(x, b);
+        tail.fmaInto(x + stride, stride, b);
+    }
+
+    void
+    store(double *p, std::size_t stride) const
+    {
+        head.store(p);
+        tail.store(p + stride, stride);
+    }
+};
+
+template <std::size_t W>
+struct Rows<0, W>
+{
+    void load(const double *, std::size_t) {}
+    void fmaInto(const double *, std::size_t, const Lanes<W> &) {}
+    void store(double *, std::size_t) const {}
+};
+
+/** The RI x W output tile at (i, j); RI <= 4, W <= 8. */
+template <std::size_t RI, std::size_t W>
 void
-gemmBlocked(std::size_t m, std::size_t n, std::size_t k,
-            const double *a, const double *b, double *c,
-            bool accumulate)
+tile(const Operands &op, std::size_t i, std::size_t j)
+{
+    const std::size_t k = op.k, n = op.n, aRow = op.aRow, aK = op.aK;
+    Rows<RI, W> acc;
+    if (op.init != nullptr)
+        acc.load(op.init + i * op.initRow + j, op.initRow);
+    const double *a = op.a + i * aRow;
+    const double *b = op.b + j;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        Lanes<W> bk;
+        bk.load(b);
+        acc.fmaInto(a, aRow, bk);
+        a += aK;
+        b += n;
+    }
+    acc.store(op.c + i * n + j, n);
+}
+
+using TileFn = void (*)(const Operands &, std::size_t, std::size_t);
+
+template <std::size_t RI, std::size_t... W>
+constexpr std::array<TileFn, kTileCols>
+tileRow(std::index_sequence<W...>)
+{
+    return {&tile<RI, W + 1>...};
+}
+
+/** kTiles[ri - 1][w - 1] is the ri x w tile. */
+constexpr std::array<std::array<TileFn, kTileCols>, kTileRows> kTiles =
+    {tileRow<1>(std::make_index_sequence<kTileCols>()),
+     tileRow<2>(std::make_index_sequence<kTileCols>()),
+     tileRow<3>(std::make_index_sequence<kTileCols>()),
+     tileRow<4>(std::make_index_sequence<kTileCols>())};
+
+/** Cover all m x n outputs with tiles, ragged edges included. */
+void
+run(const Operands &op, std::size_t m)
 {
     for (std::size_t i = 0; i < m; i += kTileRows) {
         const std::size_t ri = std::min(kTileRows, m - i);
-        for (std::size_t j = 0; j < n; j += kTileCols) {
-            const std::size_t rj = std::min(kTileCols, n - j);
-            const double *a_tile = a + i * k;
-            const double *b_tile = b + j;
-            double *c_tile = c + i * n + j;
-            if (ri == kTileRows && rj == kTileCols)
-                gemmTileFull<kTileRows, kTileCols>(
-                    k, n, a_tile, b_tile, c_tile, accumulate);
-            else
-                gemmTileEdge(ri, rj, k, n, a_tile, b_tile, c_tile,
-                             accumulate);
-        }
-    }
-}
-
-/** Like gemmTileFull, but A is (k x m): x[r] loads are contiguous. */
-template <std::size_t RI, std::size_t RJ>
-inline void
-gemmTransATileFull(std::size_t k, std::size_t m, std::size_t n,
-                   const double *VAESA_RESTRICT a,
-                   const double *VAESA_RESTRICT b,
-                   double *VAESA_RESTRICT c, bool accumulate)
-{
-    double acc[RI][RJ];
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        double x[RI];
-        const double *VAESA_RESTRICT a_row = a + kk * m;
-        for (std::size_t r = 0; r < RI; ++r)
-            x[r] = a_row[r];
-        const double *VAESA_RESTRICT b_row = b + kk * n;
-        for (std::size_t t = 0; t < RJ; ++t) {
-            const double bv = b_row[t];
-            for (std::size_t r = 0; r < RI; ++r)
-                acc[r][t] += x[r] * bv;
-        }
-    }
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            c[r * n + t] = acc[r][t];
-}
-
-inline void
-gemmTransATileEdge(std::size_t ri, std::size_t rj, std::size_t k,
-                   std::size_t m, std::size_t n,
-                   const double *VAESA_RESTRICT a,
-                   const double *VAESA_RESTRICT b,
-                   double *VAESA_RESTRICT c, bool accumulate)
-{
-    double acc[kTileRows][kTileCols];
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const double *VAESA_RESTRICT a_row = a + kk * m;
-        const double *VAESA_RESTRICT b_row = b + kk * n;
-        for (std::size_t r = 0; r < ri; ++r) {
-            const double x = a_row[r];
-            for (std::size_t t = 0; t < rj; ++t)
-                acc[r][t] += x * b_row[t];
-        }
-    }
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            c[r * n + t] = acc[r][t];
-}
-
-void
-gemmTransABlocked(std::size_t m, std::size_t n, std::size_t k,
-                  const double *a, const double *b, double *c,
-                  bool accumulate)
-{
-    for (std::size_t i = 0; i < m; i += kTileRows) {
-        const std::size_t ri = std::min(kTileRows, m - i);
-        for (std::size_t j = 0; j < n; j += kTileCols) {
-            const std::size_t rj = std::min(kTileCols, n - j);
-            const double *a_tile = a + i;
-            const double *b_tile = b + j;
-            double *c_tile = c + i * n + j;
-            if (ri == kTileRows && rj == kTileCols)
-                gemmTransATileFull<kTileRows, kTileCols>(
-                    k, m, n, a_tile, b_tile, c_tile, accumulate);
-            else
-                gemmTransATileEdge(ri, rj, k, m, n, a_tile, b_tile,
-                                   c_tile, accumulate);
-        }
+        for (std::size_t j = 0; j < op.n; j += kTileCols)
+            kTiles[ri - 1][std::min(kTileCols, op.n - j) - 1](op, i,
+                                                              j);
     }
 }
 
 /**
- * Dot-product tile for C = A * B^T: RI rows of A against RJ rows of
- * B. Each dot is split across kLanes strided partial sums so the k
- * loop maps onto packed FMAs (a single-accumulator reduction cannot
- * be vectorized without reassociating it, which the compiler rightly
- * refuses to do on its own). The lane split and the pairwise lane
- * reduction below are a fixed, code-defined order, so results stay
- * bit-identical run to run; they differ from a plain sequential dot
- * in low-order bits, which the documented equivalence tolerance
- * covers.
+ * dst (cols x rows) = src (rows x cols) transposed, in bands of
+ * kTileCols source rows so each write fills part of one cache line.
  */
-template <std::size_t RI, std::size_t RJ>
-inline void
-gemmTransBTileFull(std::size_t k, std::size_t n,
-                   const double *VAESA_RESTRICT a,
-                   const double *VAESA_RESTRICT b,
-                   double *VAESA_RESTRICT c, bool accumulate)
-{
-    constexpr std::size_t kLanes = 4; // one 256-bit vector of doubles
-    double acc[RI][RJ][kLanes] = {};
-    const std::size_t k_whole = k - k % kLanes;
-    for (std::size_t kk = 0; kk < k_whole; kk += kLanes) {
-        for (std::size_t r = 0; r < RI; ++r) {
-            const double *VAESA_RESTRICT a_row = a + r * k + kk;
-            for (std::size_t t = 0; t < RJ; ++t) {
-                const double *VAESA_RESTRICT b_row = b + t * k + kk;
-                for (std::size_t l = 0; l < kLanes; ++l)
-                    acc[r][t][l] += a_row[l] * b_row[l];
-            }
-        }
-    }
-    for (std::size_t r = 0; r < RI; ++r) {
-        for (std::size_t t = 0; t < RJ; ++t) {
-            double sum = (acc[r][t][0] + acc[r][t][1]) +
-                         (acc[r][t][2] + acc[r][t][3]);
-            for (std::size_t kk = k_whole; kk < k; ++kk)
-                sum += a[r * k + kk] * b[t * k + kk];
-            c[r * n + t] = accumulate ? c[r * n + t] + sum : sum;
-        }
-    }
-}
-
-/**
- * Scalar variant of the dot tile for short reductions: below
- * kTransBLaneMinK the lane split costs more in remainder handling
- * than it buys, so the k = 6 input/output layers take this path.
- * Selected purely by shape, so the choice is deterministic.
- */
-template <std::size_t RI, std::size_t RJ>
-inline void
-gemmTransBTileSmallK(std::size_t k, std::size_t n,
-                     const double *VAESA_RESTRICT a,
-                     const double *VAESA_RESTRICT b,
-                     double *VAESA_RESTRICT c, bool accumulate)
-{
-    double acc[RI][RJ];
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        double x[RI];
-        for (std::size_t r = 0; r < RI; ++r)
-            x[r] = a[r * k + kk];
-        for (std::size_t t = 0; t < RJ; ++t) {
-            const double bv = b[t * k + kk];
-            for (std::size_t r = 0; r < RI; ++r)
-                acc[r][t] += x[r] * bv;
-        }
-    }
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            c[r * n + t] = acc[r][t];
-}
-
-/** Reductions at least this long use the lane-split dot tile. */
-constexpr std::size_t kTransBLaneMinK = 16;
-
-inline void
-gemmTransBTileEdge(std::size_t ri, std::size_t rj, std::size_t k,
-                   std::size_t n, const double *VAESA_RESTRICT a,
-                   const double *VAESA_RESTRICT b,
-                   double *VAESA_RESTRICT c, bool accumulate)
-{
-    double acc[kTileRows][kDotTileCols];
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t r = 0; r < ri; ++r) {
-            const double x = a[r * k + kk];
-            for (std::size_t t = 0; t < rj; ++t)
-                acc[r][t] += x * b[t * k + kk];
-        }
-    }
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            c[r * n + t] = acc[r][t];
-}
-
 void
-gemmTransBBlocked(std::size_t m, std::size_t n, std::size_t k,
-                  const double *a, const double *b, double *c,
-                  bool accumulate)
+transpose(const double *src, std::size_t rows, std::size_t cols,
+          double *dst)
 {
-    for (std::size_t i = 0; i < m; i += kTileRows) {
-        const std::size_t ri = std::min(kTileRows, m - i);
-        for (std::size_t j = 0; j < n; j += kDotTileCols) {
-            const std::size_t rj = std::min(kDotTileCols, n - j);
-            const double *a_tile = a + i * k;
-            const double *b_tile = b + j * k;
-            double *c_tile = c + i * n + j;
-            if (ri == kTileRows && rj == kDotTileCols) {
-                if (k >= kTransBLaneMinK)
-                    gemmTransBTileFull<kTileRows, kDotTileCols>(
-                        k, n, a_tile, b_tile, c_tile, accumulate);
-                else
-                    gemmTransBTileSmallK<kTileRows, kDotTileCols>(
-                        k, n, a_tile, b_tile, c_tile, accumulate);
-            } else
-                gemmTransBTileEdge(ri, rj, k, n, a_tile, b_tile,
-                                   c_tile, accumulate);
-        }
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTileCols) {
+        const std::size_t r1 = std::min(rows, r0 + kTileCols);
+        for (std::size_t c = 0; c < cols; ++c)
+            for (std::size_t r = r0; r < r1; ++r)
+                dst[c * rows + r] = src[r * cols + c];
     }
 }
 
@@ -337,7 +256,7 @@ gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    gemmBlocked(m, n, k, a, b, c, accumulate);
+    run({k, n, a, k, 1, b, accumulate ? c : nullptr, n, c}, m);
 }
 
 void
@@ -347,7 +266,7 @@ gemmTransA(std::size_t m, std::size_t n, std::size_t k,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    gemmTransABlocked(m, n, k, a, b, c, accumulate);
+    run({k, n, a, 1, m, b, accumulate ? c : nullptr, n, c}, m);
 }
 
 void
@@ -357,22 +276,20 @@ gemmTransB(std::size_t m, std::size_t n, std::size_t k,
 {
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    gemmTransBBlocked(m, n, k, a, b, c, accumulate);
+    std::vector<double> bt(k * n);
+    transpose(b, n, k, bt.data());
+    run({k, n, a, k, 1, bt.data(), accumulate ? c : nullptr, n, c}, m);
 }
 
 void
 linearForward(std::size_t batch, std::size_t in, std::size_t out,
               const double *x, const double *w, const double *b,
-              double *y)
+              double *wt, double *y)
 {
     noteGemm(batch, out, in);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
-    // The bias row seeds every output row, so the GEMM's accumulate
-    // path folds the broadcast into the one pass over y instead of a
-    // second read-modify-write sweep.
-    for (std::size_t i = 0; i < batch; ++i)
-        std::copy(b, b + out, y + i * out);
-    gemmTransBBlocked(batch, out, in, x, w, y, true);
+    transpose(w, out, in, wt);
+    run({in, out, x, in, 1, wt, b, 0, y}, batch);
 }
 
 void

@@ -4,19 +4,28 @@
  * the three orientations the MLPs need, a fused linear-layer forward,
  * column sums, and in-place activation forward/backward loops.
  *
- * There is one GEMM implementation: register-tiled micro-kernels
- * with restrict-qualified pointers and contiguous inner loops,
- * compiled with tuned per-file flags (-O3, unrolling, AVX2+FMA on
- * x86-64; see src/tensor/CMakeLists.txt). Each output element is
- * accumulated in strictly increasing k order, but fused multiply-adds
- * round once per a*b+c instead of twice, so results may differ in
- * low-order bits from the plain triple loops the tests keep as a
- * reference (tests/common/reference_gemm.hh). The equivalence tests
- * bound that drift with an explicit relative tolerance (see
- * docs/PERFORMANCE.md); NaN/Inf propagation is identical.
+ * There is one GEMM implementation: a register-tiled broadcast
+ * micro-kernel that every orientation runs through (A is read with
+ * (row, k) strides, B as contiguous rows; the transB orientations
+ * first transpose B). Each output element is computed as the
+ * explicit fused multiply-add chain
+ *
+ *     fma(a[k-1], b[k-1], ... fma(a[1], b[1], fma(a[0], b[0], init)))
+ *
+ * in strictly increasing k, where init is +0.0, the old C value
+ * (accumulate) or the bias (linearForward). The chain is written in
+ * the source (AVX2 FMA lanes on x86-64, std::fma elsewhere) and the
+ * file is built with -ffp-contract=off, so the bits do not depend on
+ * the compiler, the optimization level, the tile an element lands
+ * in, or the SIMD width. tests/tensor/test_kernels.cc checks every
+ * element against a scalar std::fma chain bit for bit. The plain
+ * triple loops the tests keep as a reference
+ * (tests/common/reference_gemm.hh) round each product separately, so
+ * they agree only within the tolerance docs/PERFORMANCE.md states;
+ * NaN/Inf propagation is identical.
  *
  * Determinism contract: fixed inputs give bit-identical outputs, run
- * to run. Every GEMM runs on the calling thread.
+ * to run and build to build. Every GEMM runs on the calling thread.
  *
  * This directory is the only place in the tree where raw SIMD
  * intrinsics or OpenMP pragmas may appear (enforced by tools/check);
@@ -50,7 +59,8 @@ void gemmTransA(std::size_t m, std::size_t n, std::size_t k,
 
 /**
  * C (m x n) = A * B^T with B given untransposed as (n x k);
- * A is (m x k). The forward orientation for (out x in) weights.
+ * A is (m x k). Transposes B into a temporary first, so it
+ * allocates; the training forward uses linearForward instead.
  */
 void gemmTransB(std::size_t m, std::size_t n, std::size_t k,
                 const double *a, const double *b, double *c,
@@ -58,12 +68,13 @@ void gemmTransB(std::size_t m, std::size_t n, std::size_t k,
 
 /**
  * Fused affine forward: Y (batch x out) = X (batch x in) * W^T + b,
- * with W (out x in) and b length out. One pass over Y: the bias
- * seeds the accumulators instead of a second broadcast sweep.
+ * with W (out x in) and b length out. W^T is first written to the
+ * caller's scratch @p wt (in x out), then one pass over Y in which
+ * the bias seeds the accumulators.
  */
 void linearForward(std::size_t batch, std::size_t in, std::size_t out,
                    const double *x, const double *w, const double *b,
-                   double *y);
+                   double *wt, double *y);
 
 /** sums[c] += sum over rows of x[r][c]; x is (rows x cols). */
 void addColSums(const double *x, std::size_t rows, std::size_t cols,

@@ -44,6 +44,13 @@ struct TrainMetrics
     metrics::Gauge &gradNorm = metrics::gauge("train.grad_norm");
     metrics::Histogram &epochNs =
         metrics::histogram("train.epoch_ns");
+    // One minibatch step, split into the stages that add up to it.
+    metrics::Histogram &forwardNs =
+        metrics::histogram("train.forward_ns");
+    metrics::Histogram &lossNs = metrics::histogram("train.loss_ns");
+    metrics::Histogram &backwardNs =
+        metrics::histogram("train.backward_ns");
+    metrics::Histogram &adamNs = metrics::histogram("train.adam_ns");
     metrics::Histogram &checkpointNs =
         metrics::histogram("train.checkpoint_ns");
 };
@@ -106,6 +113,7 @@ Trainer::runEpoch(const Matrix &hw, const Matrix &layer,
             orderBuf_[i] = i;
     }
 
+    TrainMetrics &tm = trainMetrics();
     EpochStats stats;
     std::size_t batches = 0;
     for (std::size_t begin = 0; begin < n;
@@ -117,14 +125,21 @@ Trainer::runEpoch(const Matrix &hw, const Matrix &layer,
         gatherRowsInto(lat_labels, orderBuf_, begin, end, yLatBuf_);
         gatherRowsInto(en_labels, orderBuf_, begin, end, yEnBuf_);
 
-        vae_.forwardInto(xBuf_, rng, update, fr_);
-        const Matrix &pred_lat = latency_.forward(fr_.z, featsBuf_);
-        const Matrix &pred_en = energy_.forward(fr_.z, featsBuf_);
-
-        nn::mseLossInto(fr_.recon, xBuf_, reconLoss_);
-        nn::gaussianKldInto(fr_.mu, fr_.logvar, kldLoss_);
-        nn::mseLossInto(pred_lat, yLatBuf_, latLoss_);
-        nn::mseLossInto(pred_en, yEnBuf_, enLoss_);
+        const Matrix *pred_lat = nullptr;
+        const Matrix *pred_en = nullptr;
+        {
+            const metrics::ScopedTimer timer(tm.forwardNs);
+            vae_.forwardInto(xBuf_, rng, update, fr_);
+            pred_lat = &latency_.forward(fr_.z, featsBuf_);
+            pred_en = &energy_.forward(fr_.z, featsBuf_);
+        }
+        {
+            const metrics::ScopedTimer timer(tm.lossNs);
+            nn::mseLossInto(fr_.recon, xBuf_, reconLoss_);
+            nn::gaussianKldInto(fr_.mu, fr_.logvar, kldLoss_);
+            nn::mseLossInto(*pred_lat, yLatBuf_, latLoss_);
+            nn::mseLossInto(*pred_en, yEnBuf_, enLoss_);
+        }
 
         // A NaN born in any loss term poisons the whole epoch mean
         // and, through Adam, every parameter; catch it at the batch
@@ -148,24 +163,28 @@ Trainer::runEpoch(const Matrix &hw, const Matrix &layer,
         ++batches;
 
         if (update) {
-            optimizer_->zeroGrad();
+            {
+                const metrics::ScopedTimer timer(tm.backwardNs);
+                optimizer_->zeroGrad();
 
-            // The loss gradients live in member buffers, so they can
-            // be scaled in place and fed straight to the backward
-            // passes.
-            latLoss_.grad.scale(options_.predictorWeight);
-            enLoss_.grad.scale(options_.predictorWeight);
-            gradZBuf_.copyFrom(latency_.backward(latLoss_.grad));
-            gradZBuf_.add(energy_.backward(enLoss_.grad));
-            VAESA_CHECK_FINITE_ALL(gradZBuf_,
-                                   "predictor gradient into z, batch "
-                                   "at row ", begin);
+                // The loss gradients live in member buffers, so they
+                // can be scaled in place and fed straight to the
+                // backward passes.
+                latLoss_.grad.scale(options_.predictorWeight);
+                enLoss_.grad.scale(options_.predictorWeight);
+                gradZBuf_.copyFrom(latency_.backward(latLoss_.grad));
+                gradZBuf_.add(energy_.backward(enLoss_.grad));
+                VAESA_CHECK_FINITE_ALL(gradZBuf_,
+                                       "predictor gradient into z, "
+                                       "batch at row ", begin);
 
-            kldLoss_.gradMu.scale(options_.kldWeight);
-            kldLoss_.gradLogvar.scale(options_.kldWeight);
+                kldLoss_.gradMu.scale(options_.kldWeight);
+                kldLoss_.gradLogvar.scale(options_.kldWeight);
 
-            vae_.backward(fr_, reconLoss_.grad, kldLoss_.gradMu,
-                          kldLoss_.gradLogvar, gradZBuf_);
+                vae_.backward(fr_, reconLoss_.grad, kldLoss_.gradMu,
+                              kldLoss_.gradLogvar, gradZBuf_);
+            }
+            const metrics::ScopedTimer timer(tm.adamNs);
             optimizer_->step();
         }
     }

@@ -1,13 +1,18 @@
-/** @file Kernel-layer tests: GEMM-vs-reference equivalence within
- *  the documented FMA tolerance (including NaN/Inf operands -- the
- *  old zero-skip sparsity shortcut masked their propagation), exact
- *  agreement of the reference orientations, run-to-run determinism,
- *  and workspace arena growth stability. */
+/** @file Kernel-layer tests: every GEMM output bit for bit against a
+ *  scalar ascending-k std::fma chain (the kernels' contract),
+ *  GEMM-vs-reference equivalence within the documented tolerance
+ *  (including NaN/Inf operands -- the old zero-skip sparsity
+ *  shortcut masked their propagation), exact agreement of the
+ *  reference orientations, run-to-run determinism, and workspace
+ *  arena growth stability. */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "../common/reference_gemm.hh"
 #include "tensor/kernels/kernels.hh"
@@ -94,9 +99,9 @@ expectSameValues(const Matrix &got, const Matrix &want)
 }
 
 /**
- * Tolerance for GEMM-vs-reference drift. The kernel TU is compiled
- * with FMA and fp contraction (and the transB dot is lane-split), so
- * each of the k accumulation steps can shift by one rounding of the
+ * Tolerance for GEMM-vs-reference drift. The kernels fuse each
+ * multiply-add where the reference rounds the product first, so each
+ * of the k accumulation steps can differ by one rounding of the
  * ~|a||b| partial products: |err| <= ~k * eps * sum_k |a||b|. With
  * uniform(-1, 1) entries and k <= 128 that bounds the drift around
  * 128 * 128 * 2^-52 ~ 4e-12; 1e-11 leaves headroom without letting a
@@ -114,6 +119,158 @@ expectWithinTolerance(const Matrix &got, const Matrix &want,
         for (std::size_t c = 0; c < got.cols(); ++c)
             EXPECT_NEAR(got(r, c), want(r, c), tol)
                 << "at (" << r << ", " << c << ")";
+}
+
+/**
+ * The kernels' contract for one output element:
+ * fma(a[k-1], b[k-1], ... fma(a[0], b[0], init)), with a[kk] at
+ * a + kk * aStep and b[kk] at b + kk * bStep.
+ */
+double
+fmaChain(std::size_t k, const double *a, std::size_t aStep,
+         const double *b, std::size_t bStep, double init)
+{
+    double acc = init;
+    for (std::size_t kk = 0; kk < k; ++kk)
+        acc = std::fma(a[kk * aStep], b[kk * bStep], acc);
+    return acc;
+}
+
+/** One kernel run and its element-wise fma-chain oracle. */
+struct OracleRun
+{
+    std::vector<double> got;
+    std::vector<double> want;
+};
+
+/**
+ * Run every kernel entry point on one (m, n, k) and form, for each
+ * output, the scalar chain it must equal. C = A * B with A (m x k),
+ * B (k x n) in the orientation's own storage.
+ */
+std::vector<OracleRun>
+oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng)
+{
+    const Matrix a = randomMatrix(m, k, rng);   // gemm, transB, x
+    const Matrix at = randomMatrix(k, m, rng);  // transA's A
+    const Matrix b = randomMatrix(k, n, rng);   // gemm, transA
+    const Matrix bt = randomMatrix(n, k, rng);  // transB's B, W
+    const Matrix c0 = randomMatrix(m, n, rng);  // accumulate init
+    const Matrix bias = randomMatrix(1, n, rng);
+
+    std::vector<OracleRun> runs;
+    for (const bool accumulate : {false, true}) {
+        for (int orientation = 0; orientation < 3; ++orientation) {
+            Matrix c = c0;
+            OracleRun run;
+            if (orientation == 0)
+                kernels::gemm(m, n, k, a.data(), b.data(), c.data(),
+                              accumulate);
+            else if (orientation == 1)
+                kernels::gemmTransA(m, n, k, at.data(), b.data(),
+                                    c.data(), accumulate);
+            else
+                kernels::gemmTransB(m, n, k, a.data(), bt.data(),
+                                    c.data(), accumulate);
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    const double init = accumulate ? c0(i, j) : 0.0;
+                    double want = 0.0;
+                    if (orientation == 0)
+                        want = fmaChain(k, a.data() + i * k, 1,
+                                        b.data() + j, n, init);
+                    else if (orientation == 1)
+                        want = fmaChain(k, at.data() + i, m,
+                                        b.data() + j, n, init);
+                    else
+                        want = fmaChain(k, a.data() + i * k, 1,
+                                        bt.data() + j * k, 1, init);
+                    run.got.push_back(c(i, j));
+                    run.want.push_back(want);
+                }
+            }
+            runs.push_back(std::move(run));
+        }
+    }
+
+    Matrix y(m, n);
+    Matrix wt(k, n);
+    kernels::linearForward(m, k, n, a.data(), bt.data(), bias.data(),
+                           wt.data(), y.data());
+    OracleRun run;
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            run.got.push_back(y(i, j));
+            run.want.push_back(fmaChain(k, a.data() + i * k, 1,
+                                        bt.data() + j * k, 1,
+                                        bias(0, j)));
+        }
+    }
+    runs.push_back(std::move(run));
+    return runs;
+}
+
+/** Elements of @p runs whose bits differ from the oracle. */
+std::size_t
+bitMismatches(const std::vector<OracleRun> &runs)
+{
+    std::size_t bad = 0;
+    for (const OracleRun &run : runs)
+        for (std::size_t e = 0; e < run.got.size(); ++e)
+            bad += std::bit_cast<std::uint64_t>(run.got[e]) !=
+                   std::bit_cast<std::uint64_t>(run.want[e]);
+    return bad;
+}
+
+TEST(KernelOracle, TrainLayerShapesMatchFmaChainBitForBit)
+{
+    // The 13 Linear layers of the default model at batch 64, as
+    // (in, out): VAE encoder trunk, mu and logvar heads, decoder,
+    // then the latency and energy predictors (latent 4 + 8 layer
+    // features in). Each layer's forward, dX and dW shape runs
+    // through every entry point.
+    const std::size_t batch = 64;
+    const std::size_t layers[][2] = {
+        {6, 128}, {128, 64}, {64, 4},  {64, 4},  {4, 64},
+        {64, 128}, {128, 6}, {12, 64}, {64, 64}, {64, 1},
+        {12, 64}, {64, 64}, {64, 1},
+    };
+    Rng rng(25);
+    for (const auto &layer : layers) {
+        const std::size_t in = layer[0];
+        const std::size_t out = layer[1];
+        const std::size_t shapes[][3] = {
+            {batch, out, in}, // forward
+            {batch, in, out}, // dX = dY * W
+            {out, in, batch}, // dW = dY^T * X
+        };
+        for (const auto &s : shapes)
+            EXPECT_EQ(bitMismatches(oracleRuns(s[0], s[1], s[2], rng)),
+                      0u)
+                << "m " << s[0] << " n " << s[1] << " k " << s[2];
+    }
+}
+
+TEST(KernelOracle, RaggedShapesMatchFmaChainBitForBit)
+{
+    // Every m, n, k in 1..13: all tile heights 1..4, all tail widths
+    // 1..7 past a full 8-wide tile, and the empty and short chains.
+    Rng rng(26);
+    std::size_t bad = 0;
+    for (std::size_t m = 1; m <= 13; ++m)
+        for (std::size_t n = 1; n <= 13; ++n)
+            for (std::size_t k = 1; k <= 13; ++k)
+                bad += bitMismatches(oracleRuns(m, n, k, rng));
+    EXPECT_EQ(bad, 0u);
+}
+
+TEST(KernelOracle, EmptyReductionIsTheInit)
+{
+    Rng rng(27);
+    for (const OracleRun &run : oracleRuns(5, 9, 0, rng))
+        for (std::size_t e = 0; e < run.got.size(); ++e)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(run.got[e]),
+                      std::bit_cast<std::uint64_t>(run.want[e]));
 }
 
 TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
@@ -146,9 +303,8 @@ TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
         const Matrix ca = multiplyTransA(at, b);
 
         // The kernels accumulate in the same increasing-k order but
-        // with fused multiply-adds (and a lane-split transB dot), so
-        // they are only required to sit inside the documented
-        // tolerance.
+        // with fused multiply-adds, so they are only required to sit
+        // inside the documented tolerance.
         expectWithinTolerance(c, c_ref, kBlockedTol);
         expectWithinTolerance(cb, cb_ref, kBlockedTol);
         expectWithinTolerance(ca, ca_ref, kBlockedTol);
@@ -169,11 +325,13 @@ TEST(Kernels, LinearForwardFusesBiasCorrectly)
         const Matrix b = randomMatrix(1, 32, rng);
 
         Matrix y(batch, 32);
+        Matrix wt(6, 32);
         kernels::linearForward(batch, 6, 32, x.data(), w.data(),
-                               b.data(), y.data());
+                               b.data(), wt.data(), y.data());
+        expectSameValues(wt, transposed(w));
 
         // Accumulators seeded with the bias, then the increasing-k
-        // dot products: the fused forward is exactly the accumulating
+        // fma chain: the fused forward is exactly the accumulating
         // transB GEMM over bias rows, and within the documented FMA
         // tolerance of the reference doing the same.
         Matrix seeded(batch, 32);

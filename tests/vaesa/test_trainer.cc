@@ -6,6 +6,7 @@
 
 #include "fixtures.hh"
 #include "util/contracts.hh"
+#include "util/metrics.hh"
 #include "vaesa/trainer.hh"
 
 namespace vaesa {
@@ -130,6 +131,56 @@ TEST(Trainer, InjectedNanTripsFiniteContract)
                                data.layerFeatures(), lat_labels,
                                data.energyLabels(), rng),
                  ContractViolation);
+}
+
+TEST(Trainer, StageHistogramsAddUpToTheStep)
+{
+    // forward + loss + backward + adam cover a training step: what
+    // they leave out (the row gather, the loss bookkeeping) must stay
+    // under 10% of the wall time of the steps they split.
+    const bool was_enabled = metrics::metricsEnabled();
+    metrics::setMetricsEnabled(true);
+    metrics::Histogram *stages[] = {
+        &metrics::histogram("train.forward_ns"),
+        &metrics::histogram("train.loss_ns"),
+        &metrics::histogram("train.backward_ns"),
+        &metrics::histogram("train.adam_ns"),
+    };
+    const auto stageSum = [&] {
+        std::uint64_t sum = 0;
+        for (const metrics::Histogram *h : stages)
+            sum += h->sum();
+        return sum;
+    };
+
+    const Dataset &data = testing::sharedDataset();
+    Rng rng(33);
+    const FrameworkOptions options;
+    Vae vae(options.vae, rng);
+    PredictorOptions pred_opts;
+    pred_opts.designDim = options.vae.latentDim;
+    pred_opts.hiddenDims = options.predictorHidden;
+    Predictor lat(pred_opts, rng, "latency");
+    Predictor en(pred_opts, rng, "energy");
+    Trainer trainer(vae, lat, en, options.train);
+
+    const std::uint64_t steps_before = stages[3]->count();
+    const std::uint64_t stages_before = stageSum();
+    const std::uint64_t t0 = metrics::monotonicNowNs();
+    trainer.runEpoch(data.hwFeatures(), data.layerFeatures(),
+                     data.latencyLabels(), data.energyLabels(), rng,
+                     true);
+    const std::uint64_t wall = metrics::monotonicNowNs() - t0;
+    const std::uint64_t staged = stageSum() - stages_before;
+    metrics::setMetricsEnabled(was_enabled);
+
+    const std::size_t batch = options.train.batchSize;
+    EXPECT_EQ(stages[3]->count() - steps_before,
+              (data.size() + batch - 1) / batch);
+    EXPECT_LE(staged, wall);
+    EXPECT_GE(static_cast<double>(staged),
+              0.9 * static_cast<double>(wall))
+        << "stages " << staged << " ns of " << wall << " ns";
 }
 
 TEST(Trainer, MismatchedPredictorWidthIsFatal)
