@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -183,42 +182,27 @@ std::vector<double>
 MultiWorkloadObjective::evaluateBatch(
     const std::vector<std::vector<double>> &xs, ThreadPool *pool)
 {
-    if (!pool || xs.empty())
-        return Objective::evaluateBatch(xs, pool);
-
-    // Batch phase: one counted config-batch pass per mix entry, the
-    // weighted combination accumulating in entry order on this
-    // thread (the same association as the serial loop). An invalid
-    // workload poisons the point to invalidScore exactly like the
-    // serial early return — adding weight * infinity keeps the sum
-    // infinite for positive weights.
-    std::vector<double> raw;
-    try {
-        std::vector<AcceleratorConfig> configs;
-        configs.reserve(xs.size());
-        for (const std::vector<double> &x : xs)
-            configs.push_back(decode(x));
-        raw.assign(xs.size(), 0.0);
-        for (const TrafficEntry &entry : mix_.entries) {
-            const std::vector<EvalResult> results =
-                evaluateConfigBatch(evaluator_, configs,
-                                    entry.workload, *pool);
-            for (std::size_t i = 0; i < results.size(); ++i)
-                raw[i] += entry.weight *
-                          metricValue(results[i], metric_);
-        }
-    } catch (const std::exception &e) {
-        warn("multi-workload batch evaluation failed: ", e.what(),
-             "; retrying point by point");
-        return Objective::evaluateBatch(xs, pool);
-    }
-
-    // Recovery phase: identical per-point semantics (counters,
-    // timers, fault sites, retry) applied in input order.
-    std::vector<double> values(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        values[i] = recoverRawObjective(raw[i]);
-    return values;
+    // One counted config-batch pass per mix entry, the weighted
+    // combination accumulating in entry order on this thread (the
+    // same association as the serial loop). An invalid workload
+    // poisons the point to invalidScore exactly like the serial early
+    // return: adding weight * infinity keeps the sum infinite for
+    // positive weights.
+    return recoverBatch(
+        xs, pool,
+        [&](const std::vector<AcceleratorConfig> &configs,
+            ThreadPool &batchPool) {
+            std::vector<double> raw(configs.size(), 0.0);
+            for (const TrafficEntry &entry : mix_.entries) {
+                const std::vector<EvalResult> results =
+                    evaluateConfigBatch(evaluator_, configs,
+                                        entry.workload, batchPool);
+                for (std::size_t i = 0; i < results.size(); ++i)
+                    raw[i] += entry.weight *
+                              metricValue(results[i], metric_);
+            }
+            return raw;
+        });
 }
 
 } // namespace vaesa

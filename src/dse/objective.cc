@@ -74,24 +74,25 @@ recoverWithRetry(Compute &&compute)
     return invalidScore;
 }
 
+/**
+ * Re-apply evaluateRecovered()'s exact semantics to a raw objective
+ * value already computed by a deterministic batch pipeline. Valid
+ * because the per-point path's retry would recompute the identical
+ * value, so replaying the recovery protocol over it preserves
+ * bit-identical results and identical fault-site hits.
+ */
+double
+recoverRawObjective(double raw)
+{
+    return recoverWithRetry([raw] { return raw; });
+}
+
 } // namespace
 
 double
 evaluateRecovered(Objective &objective, const std::vector<double> &x)
 {
     return recoverWithRetry([&] { return objective.evaluate(x); });
-}
-
-/**
- * Valid to reuse the raw batch value because batch evaluation is
- * deterministic: the per-point path's retry would recompute the
- * identical value, so replaying the recovery protocol over it
- * preserves bit-identical results and identical fault-site hits.
- */
-double
-recoverRawObjective(double raw)
-{
-    return recoverWithRetry([raw] { return raw; });
 }
 
 std::vector<double>
@@ -107,6 +108,37 @@ Objective::evaluateBatch(const std::vector<std::vector<double>> &xs,
         for (std::size_t i = 0; i < xs.size(); ++i)
             values[i] = evaluateRecovered(*this, xs[i]);
     }
+    return values;
+}
+
+std::vector<double>
+Objective::recoverBatch(const std::vector<std::vector<double>> &xs,
+                        ThreadPool *pool, const RawBatch &raw)
+{
+    if (!pool || xs.empty())
+        return Objective::evaluateBatch(xs, pool);
+
+    // Batch phase: decode + score every point through the batch
+    // engine. Any failure here (bad point, pool fault) degrades to
+    // the per-point path, whose per-point recovery then isolates the
+    // offender instead of losing the whole batch.
+    std::vector<double> values;
+    try {
+        std::vector<AcceleratorConfig> configs;
+        configs.reserve(xs.size());
+        for (const std::vector<double> &x : xs)
+            configs.push_back(decodeBoxPoint(x));
+        values = raw(configs, *pool);
+    } catch (const std::exception &e) {
+        warn("batch evaluation failed: ", e.what(),
+             "; retrying point by point");
+        return Objective::evaluateBatch(xs, pool);
+    }
+
+    // Recovery phase: identical per-point semantics (counters,
+    // timers, fault sites, retry) applied in input order.
+    for (double &value : values)
+        value = recoverRawObjective(value);
     return values;
 }
 
@@ -268,37 +300,17 @@ std::vector<double>
 InputSpaceObjective::evaluateBatch(
     const std::vector<std::vector<double>> &xs, ThreadPool *pool)
 {
-    if (!pool || xs.empty())
-        return Objective::evaluateBatch(xs, pool);
-
-    // Batch phase: decode + score every point through the batch
-    // engine. Any failure here (bad point, pool fault) degrades to
-    // the per-point path, whose per-point recovery then isolates the
-    // offender instead of losing the whole batch.
-    std::vector<double> raw;
-    try {
-        std::vector<AcceleratorConfig> configs;
-        configs.reserve(xs.size());
-        for (const std::vector<double> &x : xs)
-            configs.push_back(decode(x));
-        const std::vector<EvalResult> results =
-            evaluateConfigBatch(evaluator_, configs, workload_,
-                                *pool);
-        raw.reserve(results.size());
-        for (const EvalResult &r : results)
-            raw.push_back(metricValue(r, metric_));
-    } catch (const std::exception &e) {
-        warn("batch evaluation failed: ", e.what(),
-             "; retrying point by point");
-        return Objective::evaluateBatch(xs, pool);
-    }
-
-    // Recovery phase: identical per-point semantics (counters,
-    // timers, fault sites, retry) applied in input order.
-    std::vector<double> values(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        values[i] = recoverRawObjective(raw[i]);
-    return values;
+    return recoverBatch(
+        xs, pool,
+        [&](const std::vector<AcceleratorConfig> &configs,
+            ThreadPool &batchPool) {
+            std::vector<double> raw;
+            raw.reserve(configs.size());
+            for (const EvalResult &r : evaluateConfigBatch(
+                     evaluator_, configs, workload_, batchPool))
+                raw.push_back(metricValue(r, metric_));
+            return raw;
+        });
 }
 
 } // namespace vaesa

@@ -12,6 +12,7 @@
 #ifndef VAESA_DSE_OBJECTIVE_HH
 #define VAESA_DSE_OBJECTIVE_HH
 
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -74,9 +75,10 @@ class Objective
      * makes per-point evaluateRecovered() calls, fanned across the
      * pool when one is given and threadSafeEvaluate() holds, serial
      * otherwise. Objectives backed by the batch evaluation pipeline
-     * (InputSpaceObjective) override this to score the whole batch
-     * through evaluateConfigBatch and then re-apply the
-     * per-point recovery semantics in input order, so values, search
+     * (InputSpaceObjective, MultiWorkloadObjective) override this
+     * with recoverBatch(), which scores the whole batch through
+     * evaluateConfigBatch and then re-applies the per-point recovery
+     * semantics in input order, so values, search
      * metrics, and fault-site hit counts stay identical to the
      * per-point path while the cost-model work runs batched. All
      * overrides must keep results in input order and bit-identical
@@ -84,6 +86,25 @@ class Objective
      */
     virtual std::vector<double> evaluateBatch(
         const std::vector<std::vector<double>> &xs, ThreadPool *pool);
+
+  protected:
+    /** Raw objective values of decoded configs, in input order. */
+    using RawBatch = std::function<std::vector<double>(
+        const std::vector<AcceleratorConfig> &configs,
+        ThreadPool &pool)>;
+
+    /**
+     * The batch-then-recover body of the box objectives'
+     * evaluateBatch(): decode every point with decodeBoxPoint(),
+     * score the configs through @p raw, then re-apply
+     * evaluateRecovered()'s semantics (counters, timers, fault sites,
+     * retry) to each raw value in input order. Falls back to the
+     * base evaluateBatch() when no pool is given or the batch phase
+     * throws, so one bad batch costs a per-point retry, not the run.
+     */
+    std::vector<double> recoverBatch(
+        const std::vector<std::vector<double>> &xs, ThreadPool *pool,
+        const RawBatch &raw);
 };
 
 /**
@@ -96,17 +117,6 @@ class Objective
  */
 double evaluateRecovered(Objective &objective,
                          const std::vector<double> &x);
-
-/**
- * Re-apply evaluateRecovered()'s exact semantics — metric counters,
- * timer, fault sites, NaN/exception retry, invalid fallback — to a
- * raw objective value already computed by a deterministic batch
- * pipeline. Every batch-capable Objective (InputSpaceObjective,
- * MultiWorkloadObjective) runs its batch results through this in
- * input order so values AND fault-site hit counts stay identical to
- * the per-point path.
- */
-double recoverRawObjective(double raw);
 
 /**
  * Map a [0,1]^6 box point to the nearest discrete Table II

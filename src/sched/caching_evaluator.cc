@@ -59,16 +59,16 @@ struct ShardBuckets
     std::vector<std::uint32_t> order;
 };
 
+template <class Key, class Hash>
 ShardBuckets
-bucketByShard(const CachingEvaluator::BatchKey *keys, std::size_t n,
-              std::size_t shardCount)
+bucketByShard(const Key *keys, std::size_t n, std::size_t shardCount,
+              Hash hash)
 {
     std::vector<std::uint32_t> shardOf(n);
     ShardBuckets b{std::vector<std::uint32_t>(shardCount + 1, 0),
                    std::vector<std::uint32_t>(n)};
     for (std::size_t i = 0; i < n; ++i) {
-        shardOf[i] = static_cast<std::uint32_t>(
-            CachingEvaluator::BatchKeyHash{}(keys[i]) % shardCount);
+        shardOf[i] = static_cast<std::uint32_t>(hash(keys[i]) % shardCount);
         ++b.start[shardOf[i] + 1];
     }
     for (std::size_t s = 0; s < shardCount; ++s)
@@ -187,60 +187,76 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
     for (std::size_t i = 0; i < n; ++i)
         keys[i] = BatchKey{config, layerKey(layers[i])};
     std::vector<EvalResult> results(n);
-    std::vector<unsigned char> found(n);
-    probeBatch(keys.data(), n, results.data(), found.data());
+    std::vector<unsigned char> state(n);
+    probeBatch(keys.data(), n, results.data(), state.data());
+    const RowWalk walk = walkRow(snapped, layers, {}, keys.data(),
+                                 results.data(), state.data(), cancel);
+    accountBatch(walk.walked, insertBatch(keys.data(), results.data(),
+                                          state.data(), n));
+    if (walk.stopped)
+        throw DeadlineExceeded("cache_miss");
+    return walk.total;
+}
 
-    // Walk the layers in order: sum the per-layer results, stop at
-    // the first invalid one, and account every layer walked (the
-    // computed ones also in one add to the evaluator's count).
-    EvalResult total;
-    total.valid = true;
+CachingEvaluator::RowWalk
+CachingEvaluator::walkRow(const AcceleratorConfig &snapped,
+                          const std::vector<LayerShape> &layers,
+                          const std::vector<std::int64_t> &counts,
+                          const BatchKey *keys, EvalResult *results,
+                          unsigned char *state,
+                          const CancelToken *cancel) const
+{
+    VAESA_EXPECT(counts.empty() || counts.size() == layers.size(),
+                 "Workload: counts/layers size mismatch");
+    RowWalk walk;
+    walk.total.valid = true;
     std::uint64_t computed = 0;
-    const auto account = [&](std::uint64_t walked) {
-        inner_.countEvaluations(computed);
-        accountBatch(walked, computed);
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!found[i]) {
-            if (cancel != nullptr && cancel->expired()) {
-                account(i);
-                throw DeadlineExceeded("cache_miss");
-            }
-            // Computed outside any shard lock: a concurrent miss of
-            // the same key recomputes the identical deterministic
-            // result, and the second insert is dropped.
-            results[i] = inner_.scoreLayer(snapped, layers[i]);
-            insertBatch(&keys[i], &results[i], 1);
-            ++computed;
-            // Later repeats of this shape hit what was just computed.
-            for (std::size_t j = i + 1; j < n; ++j) {
-                if (keys[j].layer == keys[i].layer) {
-                    results[j] = results[i];
-                    found[j] = 1;
-                }
+    for (; walk.walked < layers.size(); ++walk.walked) {
+        const std::size_t i = walk.walked;
+        if (state[i] == cellMissed) {
+            // A repeat of an earlier shape copies its cell; only a
+            // shape new to the row is computed, outside any lock.
+            const std::size_t first =
+                static_cast<std::size_t>(std::find(keys, keys + i,
+                                                   keys[i]) -
+                                         keys);
+            if (first < i) {
+                results[i] = results[first];
+                state[i] = cellFound;
+            } else if (cancel != nullptr && cancel->expired()) {
+                walk.stopped = true;
+                break;
+            } else {
+                results[i] = inner_.scoreLayer(snapped, layers[i]);
+                state[i] = cellComputed;
+                ++computed;
             }
         }
         const EvalResult &r = results[i];
         if (!r.valid) {
-            account(i + 1);
-            return EvalResult{};
+            ++walk.walked;
+            walk.total = EvalResult{};
+            break;
         }
-        total.latencyCycles += r.latencyCycles;
-        total.energyPj += r.energyPj;
+        const double weight =
+            counts.empty() ? 1.0 : static_cast<double>(counts[i]);
+        walk.total.latencyCycles += weight * r.latencyCycles;
+        walk.total.energyPj += weight * r.energyPj;
     }
-    account(n);
-    total.edp = total.latencyCycles * total.energyPj;
-    return total;
+    inner_.countEvaluations(computed);
+    walk.total.edp = walk.total.latencyCycles * walk.total.energyPj;
+    return walk;
 }
 
 void
 CachingEvaluator::probeBatch(const BatchKey *keys, std::size_t n,
                              EvalResult *results,
-                             unsigned char *found) const
+                             unsigned char *state) const
 {
     if (n == 0)
         return;
-    const auto [start, order] = bucketByShard(keys, n, shardCount_);
+    const auto [start, order] =
+        bucketByShard(keys, n, shardCount_, BatchKeyHash{});
     for (std::size_t s = 0; s < shardCount_; ++s) {
         if (start[s] == start[s + 1])
             continue;
@@ -252,22 +268,32 @@ CachingEvaluator::probeBatch(const BatchKey *keys, std::size_t n,
             const auto it = shard.entries.find(keys[i]);
             if (it != shard.entries.end()) {
                 results[i] = it->second;
-                found[i] = 1;
+                state[i] = cellFound;
             } else {
-                found[i] = 0;
+                state[i] = cellMissed;
             }
         }
     }
 }
 
-void
+std::size_t
 CachingEvaluator::insertBatch(const BatchKey *keys,
                               const EvalResult *results,
+                              const unsigned char *state,
                               std::size_t n) const
 {
-    if (n == 0)
-        return;
-    const auto [start, order] = bucketByShard(keys, n, shardCount_);
+    std::vector<BatchKey> fresh;
+    std::vector<EvalResult> values;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (state[i] == cellComputed) {
+            fresh.push_back(keys[i]);
+            values.push_back(results[i]);
+        }
+    }
+    if (fresh.empty())
+        return 0;
+    const auto [start, order] = bucketByShard(
+        fresh.data(), fresh.size(), shardCount_, BatchKeyHash{});
     for (std::size_t s = 0; s < shardCount_; ++s) {
         if (start[s] == start[s + 1])
             continue;
@@ -276,9 +302,10 @@ CachingEvaluator::insertBatch(const BatchKey *keys,
         const MutexLock lock(shard.shardMutex, adoptLock);
         for (std::uint32_t o = start[s]; o < start[s + 1]; ++o) {
             const std::uint32_t i = order[o];
-            shard.entries.emplace(keys[i], results[i]); // keep first
+            shard.entries.emplace(fresh[i], values[i]); // keep first
         }
     }
+    return fresh.size();
 }
 
 void

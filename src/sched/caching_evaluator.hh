@@ -23,43 +23,99 @@
 
 namespace vaesa {
 
+class ThreadPool;
+
 /**
  * Evaluator with a per-(config, layer) memo table. The cache key
  * combines the six grid indices with the layer's index in an
  * internal registry, so any layer object with the same shape hits
  * the same entry.
  *
- * THREAD SAFETY: evaluateWorkload(), the batch protocol and the
- * counter accessors are safe to call concurrently on one instance.
- * The memo table is split into shardCount() shards, each guarded by
- * its own mutex and keyed by the mixed (config, layer) hash, so
- * concurrent lookups of different keys rarely contend; the layer
- * registry is append-only under a shared_mutex (read-mostly);
- * hit/miss counters are sharded relaxed atomics (util/metrics.hh).
- * Shard locks are only held for the table lookup/insert, never
- * across the inner evaluation — two threads missing the same key
- * concurrently both evaluate (the results are deterministic and
- * identical) and the second insert is dropped, so misses() counts
- * inner evaluations performed, which can exceed the number of
- * distinct keys under contention.
+ * ONE ROW WALK: every cache-missed (config, layer) cell is computed
+ * by the private walkRow(), behind both entry points --
+ * evaluateWorkload() (one config, the serve path) and
+ * evaluateCachedBatch() (many configs, sched/parallel_evaluator.hh).
+ * Each keys its rows, probes them in one locked-once-per-shard pass,
+ * walks each row outside any lock, and then inserts the computed
+ * cells in one pass and folds the hit/miss counters once: hits =
+ * lookups - misses, and misses count inner evaluations performed.
+ *
+ * THREAD SAFETY: both entry points and the counter accessors are
+ * safe to call concurrently on one instance. The memo table is split
+ * into shardCount() shards, each guarded by its own mutex and keyed
+ * by the mixed (config, layer) hash, so concurrent lookups of
+ * different keys rarely contend; the layer registry is append-only
+ * under a shared_mutex (read-mostly); hit/miss counters are sharded
+ * relaxed atomics (util/metrics.hh). Shard locks are only held for
+ * the table lookup/insert, never across the inner evaluation -- two
+ * callers missing the same key concurrently both evaluate (the
+ * results are deterministic and identical) and the second insert is
+ * dropped, so misses() can exceed the number of distinct keys under
+ * contention.
  *
  * SHARD SIZING: the shard count is fixed for the instance's
  * lifetime: 4 shards per default pool thread, at least 16, rounded
  * up to a power of two. Contended acquisitions are still counted
  * (the process-wide `cache.shard_contention` metric) but only
  * observed; they do not size the table.
- *
- * BATCH PROTOCOL: the probeBatch()/insertBatch()/accountBatch()
- * primitives let a caller holding MANY keys amortize locking — each
- * shard is locked once per batch instead of once per key, and the
- * caller merges results computed outside any lock (evaluateWorkload
- * below; evaluateCachedBatch in sched/parallel_evaluator.hh). The
- * counters stay exact: accountBatch(lookups, misses) produces the
- * same hit/miss totals the per-key path would have.
  */
 class CachingEvaluator
 {
   public:
+    /** Wrap a default-constructed Evaluator. */
+    CachingEvaluator();
+
+    /** Wrap an evaluator with explicit cost-model parameters. */
+    explicit CachingEvaluator(const Evaluator &inner);
+
+    /**
+     * Memoized per-layer sum, like Evaluator::evaluateWorkload, with
+     * ONE cache probe: the config is snapped and keyed once, every
+     * layer's key goes into a single probe, and the row walk computes
+     * only the layers the probe missed. A shape repeated within
+     * @p layers is computed once; its later repeats count as hits.
+     * The result is the sum over the layers of
+     * Evaluator::evaluateLayer(), in order, on the snapped config (an
+     * invalid result at the first invalid layer, which ends the
+     * walk), and every layer walked counts as one lookup: a miss when
+     * it was computed here, a hit otherwise. The computed layers are
+     * inserted once, at the end of the walk.
+     *
+     * @p cancel (may be null) is checked before each missed layer is
+     * computed. On expiry the layers computed so far are inserted and
+     * the layers walked accounted, as at the end of a full walk, and
+     * DeadlineExceeded is thrown.
+     */
+    EvalResult evaluateWorkload(const AcceleratorConfig &arch,
+                                const std::vector<LayerShape> &layers,
+                                const CancelToken *cancel =
+                                    nullptr) const;
+
+    /** Snap every hardware parameter to its design-space grid point
+     *  (the cache key is the grid index). */
+    AcceleratorConfig snapConfig(const AcceleratorConfig &arch) const;
+
+    /** Number of cache hits so far. */
+    std::uint64_t hits() const { return hits_.value(); }
+
+    /** Number of cache misses (real inner evaluations) so far. */
+    std::uint64_t misses() const { return misses_.value(); }
+
+    /** Number of independently locked memo-table shards. */
+    std::size_t shardCount() const { return shardCount_; }
+
+    /** The wrapped evaluator. */
+    const Evaluator &inner() const { return inner_; }
+
+  private:
+    /** The batch entry point (sched/parallel_evaluator.hh) keys,
+     *  probes, walks and inserts its rows through the members below. */
+    friend std::vector<EvalResult> evaluateCachedBatch(
+        const CachingEvaluator &cache,
+        const std::vector<AcceleratorConfig> &configs,
+        const Workload &workload, ThreadPool &pool,
+        const CancelToken *cancel);
+
     /** Collision-free (config grid indices, layer id) pair. */
     struct BatchKey
     {
@@ -78,105 +134,80 @@ class CachingEvaluator
         std::size_t operator()(const BatchKey &key) const;
     };
 
-    /** Wrap a default-constructed Evaluator. */
-    CachingEvaluator();
+    /** Per-cell state of a probed row: probeBatch() writes the first
+     *  two, walkRow() marks the cells it computes. */
+    enum CellState : unsigned char { cellMissed, cellFound, cellComputed };
 
-    /** Wrap an evaluator with explicit cost-model parameters. */
-    explicit CachingEvaluator(const Evaluator &inner);
+    /** What walkRow() did with one row. */
+    struct RowWalk
+    {
+        /** The row's total (invalid and zeroed past an invalid
+         *  layer; partial when stopped). */
+        EvalResult total;
+        /** Layers walked, each one lookup: up to and including the
+         *  first invalid one, or before the one a stop skipped. */
+        std::size_t walked = 0;
+        /** The cancel token expired before a missed layer. */
+        bool stopped = false;
+    };
 
     /**
-     * Memoized per-layer sum, like Evaluator::evaluateWorkload, with
-     * ONE cache probe: the config is snapped and keyed once, every
-     * layer's key goes into a single probeBatch(), and only the
-     * layers the probe missed are computed (and inserted as they
-     * are). A shape repeated within @p layers is computed once; its
-     * later repeats count as hits. The result is the sum over the
-     * layers of Evaluator::evaluateLayer(), in order, on the snapped
-     * config (an invalid result at the first invalid layer, which
-     * ends the walk), and every layer walked counts as one lookup:
-     * a miss when it was computed here, a hit otherwise.
-     *
-     * @p cancel (may be null) is checked before each missed layer is
-     * computed. On expiry the layers walked so far are accounted,
-     * the ones already computed stay cached, and DeadlineExceeded is
-     * thrown.
+     * The one row walk: score @p snapped over @p layers from its
+     * probed row (@p keys, @p results, @p state, one cell per layer).
+     * Layer i's latency/energy enter the total weighted by counts[i]
+     * (exactly 1.0 when @p counts is empty, as in
+     * Evaluator::evaluateWorkload), and the first invalid layer ends
+     * the walk with zeroed totals. A missed cell copies an earlier
+     * cell of the same shape (a hit, cellFound) or is computed with
+     * Evaluator::scoreLayer (cellComputed); the computed cells are
+     * counted in one countEvaluations(). @p cancel (may be null) is
+     * checked before each cell that would be computed; on expiry the
+     * walk stops and reports it. Takes no lock.
      */
-    EvalResult evaluateWorkload(const AcceleratorConfig &arch,
-                                const std::vector<LayerShape> &layers,
-                                const CancelToken *cancel =
-                                    nullptr) const;
-
-    /** @name Batch protocol (see class comment)
-     *
-     * The canonical sequence, per key-set batch:
-     *   1. snapConfig() each config, layerKey() each layer, build
-     *      BatchKeys from snappedConfigKey() and the layer ids;
-     *   2. probeBatch() — one locked pass filling cached results;
-     *   3. evaluate the missing keys OUTSIDE any lock (thread-local
-     *      result views, one Evaluator::evaluateLayer per key);
-     *   4. insertBatch() the freshly computed entries;
-     *   5. accountBatch(lookups, misses) once per batch.
-     */
-    /** @{ */
-
-    /** Snap every hardware parameter to its design-space grid point
-     *  (the cache key is the grid index). */
-    AcceleratorConfig snapConfig(const AcceleratorConfig &arch) const;
+    RowWalk walkRow(const AcceleratorConfig &snapped,
+                    const std::vector<LayerShape> &layers,
+                    const std::vector<std::int64_t> &counts,
+                    const BatchKey *keys, EvalResult *results,
+                    unsigned char *state,
+                    const CancelToken *cancel) const;
 
     /** Registry id of @p layer (registering it if new). Stable for
      *  the instance's lifetime. */
     std::uint32_t layerKey(const LayerShape &layer) const
         VAESA_EXCLUDES(registryMutex_);
 
-    /** Config half of a BatchKey for a SNAPPED config — hoist this
-     *  once per config when keying it against many layers (it is
-     *  layer-independent; the BatchKey pairs it with layerKey()). */
+    /** Config half of a BatchKey for a SNAPPED config, shared by all
+     *  the layers of its row. */
     std::uint64_t snappedConfigKey(
         const AcceleratorConfig &snapped) const;
 
     /**
-     * Locked-once-per-shard lookup of keys [0, n): found[i] is
-     * nonzero iff keys[i] was cached, in which case results[i] holds
-     * the cached value. Does NOT touch the hit/miss counters — call
-     * accountBatch() once the batch completes.
+     * Locked-once-per-shard lookup of keys [0, n): a cached key gets
+     * cellFound and its value in results[i], any other cellMissed.
+     * Does NOT touch the hit/miss counters.
      */
     void probeBatch(const BatchKey *keys, std::size_t n,
-                    EvalResult *results,
-                    unsigned char *found) const;
+                    EvalResult *results, unsigned char *state) const;
 
     /**
-     * Locked-once-per-shard insert of n freshly computed entries;
-     * entries whose key raced in via another thread are dropped
-     * (results are deterministic, so both copies are identical).
+     * Locked-once-per-shard insert of the cells of [0, n) that the
+     * walks computed (state cellComputed); a key that raced in from
+     * another caller keeps its first copy (results are deterministic,
+     * so both are identical). Returns how many cells were computed.
      * Does NOT touch the counters.
      */
-    void insertBatch(const BatchKey *keys, const EvalResult *results,
-                     std::size_t n) const;
+    std::size_t insertBatch(const BatchKey *keys,
+                            const EvalResult *results,
+                            const unsigned char *state,
+                            std::size_t n) const;
 
     /**
-     * Fold one batch into the hit/miss counters: @p lookups keys
-     * were probed, @p misses of them were evaluated by the caller.
-     * Identical totals to the per-key path (hits = lookups - misses,
-     * and misses still count inner evaluations performed).
+     * Fold one batch into the hit/miss counters: @p lookups layers
+     * were walked, @p misses of them were computed by the walks.
      */
     void accountBatch(std::uint64_t lookups,
                       std::uint64_t misses) const;
 
-    /** @} */
-
-    /** Number of cache hits so far. */
-    std::uint64_t hits() const { return hits_.value(); }
-
-    /** Number of cache misses (real inner evaluations) so far. */
-    std::uint64_t misses() const { return misses_.value(); }
-
-    /** Number of independently locked memo-table shards. */
-    std::size_t shardCount() const { return shardCount_; }
-
-    /** The wrapped evaluator. */
-    const Evaluator &inner() const { return inner_; }
-
-  private:
     /** One independently locked slice of the memo table, on its own
      *  cache lines so neighbouring shard locks do not false-share. */
     struct alignas(64) Shard

@@ -65,86 +65,6 @@ forEachStolenChunk(std::size_t n, ThreadPool &pool,
     });
 }
 
-/** Probe state of one (distinct config, layer) cell of a cached
- *  batch; probeBatch() writes the first two. */
-enum ProbeState : unsigned char { probeMiss, probeFound, probeComputed };
-
-/** The cache side of a cached batch, one row of layer cells per
- *  distinct config: the probed or computed result, its ProbeState,
- *  and firstOf[l], the first layer with layer l's shape. */
-struct ProbedRows
-{
-    EvalResult *results;
-    unsigned char *state;
-    const std::uint32_t *firstOf;
-};
-
-/**
- * Score config @p c's row of @p rows: walk its layers in order, sum
- * each layer's result weighted by the layer's count, and stop at the
- * first invalid layer with zeroed totals, as
- * Evaluator::evaluateWorkload does. A cell the probe missed is
- * computed and marked probeComputed, unless its shape repeats an
- * earlier layer: then it copies that layer's cell and is marked
- * probeFound (a hit). The computed cells are counted in one add.
- */
-EvalResult
-scoreProbedRow(const Evaluator &evaluator, const AcceleratorConfig &config,
-               std::size_t c, const Workload &workload,
-               const ProbedRows &rows)
-{
-    const std::size_t layers = workload.layers.size();
-    EvalResult total;
-    total.valid = true;
-    std::uint64_t computed = 0;
-    for (std::size_t li = 0; li < layers; ++li) {
-        const std::size_t cell = c * layers + li;
-        if (rows.state[cell] == probeMiss) {
-            if (rows.firstOf[li] != li) {
-                rows.results[cell] =
-                    rows.results[c * layers + rows.firstOf[li]];
-                rows.state[cell] = probeFound;
-            } else {
-                rows.results[cell] =
-                    evaluator.scoreLayer(config, workload.layers[li]);
-                rows.state[cell] = probeComputed;
-                ++computed;
-            }
-        }
-        const EvalResult &r = rows.results[cell];
-        if (!r.valid) {
-            total = EvalResult{};
-            break;
-        }
-        const double weight = static_cast<double>(workload.countOf(li));
-        total.latencyCycles += weight * r.latencyCycles;
-        total.energyPj += weight * r.energyPj;
-    }
-    evaluator.countEvaluations(computed);
-    total.edp = total.latencyCycles * total.energyPj;
-    return total;
-}
-
-/**
- * Score configs [begin, end) over the whole workload into the same
- * slots of totals, one config at a time: uncached (@p rows null)
- * through Evaluator::evaluateWorkload, cached through the config's
- * probed row.
- */
-void
-scoreConfigChunk(const Evaluator &evaluator,
-                 const AcceleratorConfig *configs, std::size_t begin,
-                 std::size_t end, const Workload &workload,
-                 const ProbedRows *rows, EvalResult *totals)
-{
-    for (std::size_t i = begin; i < end; ++i) {
-        totals[i] = rows == nullptr
-                        ? evaluator.evaluateWorkload(configs[i], workload)
-                        : scoreProbedRow(evaluator, configs[i], i,
-                                         workload, *rows);
-    }
-}
-
 /** A batch with its exact duplicates folded:
  *  configs[i] == uniques[slotOf[i]]. */
 struct FoldedBatch
@@ -174,23 +94,21 @@ foldDuplicates(const std::vector<AcceleratorConfig> &configs)
 
 /**
  * The one batch engine: score the distinct configs of @p batch in
- * stolen chunks (one fork/join per batch) and scatter the totals
- * back to input order. @p rows is null when uncached. Throws, with
- * nothing returned, when a chunk claim hits the fault site or an
- * expired @p cancel.
+ * stolen chunks (one fork/join per batch), @p score(c) scoring
+ * batch.uniques[c], and scatter the totals back to input order.
+ * Throws, with nothing returned, when a chunk claim hits the fault
+ * site or an expired @p cancel.
  */
+template <class Score>
 std::vector<EvalResult>
-scoreBatch(const Evaluator &evaluator, const FoldedBatch &batch,
-           const Workload &workload, ThreadPool &pool,
-           const CancelToken *cancel, const ProbedRows *rows)
+scoreBatch(const FoldedBatch &batch, ThreadPool &pool,
+           const CancelToken *cancel, const Score &score)
 {
     std::vector<EvalResult> uniqueTotals(batch.uniques.size());
     forEachStolenChunk(batch.uniques.size(), pool, cancel,
                        [&](std::size_t begin, std::size_t end) {
-                           scoreConfigChunk(evaluator,
-                                            batch.uniques.data(), begin,
-                                            end, workload, rows,
-                                            uniqueTotals.data());
+                           for (std::size_t c = begin; c < end; ++c)
+                               uniqueTotals[c] = score(c);
                        });
     std::vector<EvalResult> totals(batch.slotOf.size());
     for (std::size_t i = 0; i < totals.size(); ++i)
@@ -219,8 +137,10 @@ evaluateConfigBatch(const Evaluator &evaluator,
                     const std::vector<AcceleratorConfig> &configs,
                     const Workload &workload, ThreadPool &pool)
 {
-    return scoreBatch(evaluator, foldDuplicates(configs), workload,
-                      pool, nullptr, nullptr);
+    const FoldedBatch batch = foldDuplicates(configs);
+    return scoreBatch(batch, pool, nullptr, [&](std::size_t c) {
+        return evaluator.evaluateWorkload(batch.uniques[c], workload);
+    });
 }
 
 std::vector<EvalResult>
@@ -237,57 +157,44 @@ evaluateCachedBatch(const CachingEvaluator &cache,
         snapped.push_back(cache.snapConfig(config));
     const FoldedBatch batch = foldDuplicates(snapped);
 
+    // One row of layer cells per distinct config, probed at once;
+    // the first row registers the layers, the others copy its ids.
     const std::size_t layers = workload.layers.size();
-    std::vector<std::uint32_t> layerIds(layers);
-    std::vector<std::uint32_t> firstOf(layers);
-    for (std::size_t li = 0; li < layers; ++li) {
-        layerIds[li] = cache.layerKey(workload.layers[li]);
-        firstOf[li] = static_cast<std::uint32_t>(
-            std::find(layerIds.begin(), layerIds.begin() + li + 1,
-                      layerIds[li]) -
-            layerIds.begin());
-    }
     const std::size_t cells = batch.uniques.size() * layers;
     std::vector<CachingEvaluator::BatchKey> keys(cells);
     for (std::size_t c = 0; c < batch.uniques.size(); ++c) {
         const std::uint64_t config =
             cache.snappedConfigKey(batch.uniques[c]);
         for (std::size_t li = 0; li < layers; ++li)
-            keys[c * layers + li] = {config, layerIds[li]};
+            keys[c * layers + li] = {
+                config, c == 0 ? cache.layerKey(workload.layers[li])
+                               : keys[li].layer};
     }
     std::vector<EvalResult> results(cells);
     std::vector<unsigned char> state(cells);
     cache.probeBatch(keys.data(), cells, results.data(), state.data());
 
-    const ProbedRows rows{results.data(), state.data(), firstOf.data()};
-    std::vector<EvalResult> totals = scoreBatch(
-        cache.inner(), batch, workload, pool, cancel, &rows);
+    std::vector<std::size_t> walked(batch.uniques.size());
+    std::vector<EvalResult> totals =
+        scoreBatch(batch, pool, cancel, [&](std::size_t c) {
+            const std::size_t row = c * layers;
+            const CachingEvaluator::RowWalk walk = cache.walkRow(
+                batch.uniques[c], workload.layers, workload.counts,
+                keys.data() + row, results.data() + row,
+                state.data() + row, nullptr);
+            walked[c] = walk.walked;
+            return walk.total;
+        });
 
-    // Merge on the calling thread, after the join. Each distinct
-    // config walked its layers up to its first invalid one; every
-    // input copy of it counts that walk as lookups, exactly like a
-    // serial evaluateWorkload() loop.
-    std::vector<CachingEvaluator::BatchKey> computedKeys;
-    std::vector<EvalResult> computed;
-    std::vector<std::uint64_t> walked(batch.uniques.size(), 0);
-    for (std::size_t c = 0; c < batch.uniques.size(); ++c) {
-        for (std::size_t cell = c * layers; cell < (c + 1) * layers;
-             ++cell) {
-            ++walked[c];
-            if (state[cell] == probeComputed) {
-                computedKeys.push_back(keys[cell]);
-                computed.push_back(results[cell]);
-            }
-            if (!results[cell].valid)
-                break;
-        }
-    }
-    cache.insertBatch(computedKeys.data(), computed.data(),
-                      computed.size());
+    // Merge on the calling thread, after the join: every input copy
+    // of a distinct config counts its walk as lookups, exactly like
+    // a serial evaluateWorkload() loop.
     std::uint64_t lookups = 0;
     for (const std::uint32_t slot : batch.slotOf)
         lookups += walked[slot];
-    cache.accountBatch(lookups, computed.size());
+    cache.accountBatch(lookups, cache.insertBatch(keys.data(),
+                                                  results.data(),
+                                                  state.data(), cells));
     return totals;
 }
 

@@ -8,15 +8,17 @@
  * ONE ENGINE, CONFIG-MAJOR (the DESIGN.md batch contract), behind
  * an uncached and a cached entry point:
  *   1. fold duplicate configs once per batch;
- *   2. cached: key every (distinct config, layer) pair and make one
- *      locked-per-shard probeBatch();
+ *   2. cached: key every (distinct config, layer) cell and make one
+ *      locked-per-shard probe of the whole batch;
  *   3. the pool steals chunks (chunkSizeFor()) of distinct configs —
  *      one fork/join per batch — and each chunk scores its configs
- *      one at a time through Evaluator::evaluateLayer, computing
- *      only what the probe missed into its own rows, no lock held;
- *   4. cached: after the join, the calling thread inserts the
- *      computed entries (insertBatch) and folds the counters
- *      (accountBatch) to a serial loop's exact hit/miss totals;
+ *      one at a time, no lock held: uncached through
+ *      Evaluator::evaluateWorkload, cached through the cache's one
+ *      row walk (the same walk as CachingEvaluator::evaluateWorkload),
+ *      which computes only what the probe missed into its own row;
+ *   4. cached: after the join, the calling thread inserts every
+ *      computed cell in one pass and folds the counters once, to a
+ *      serial loop's exact hit/miss totals;
  *   5. results scatter back to input order.
  * A fault or expired token at a chunk claim throws after in-flight
  * chunks finish and skips steps 4-5: a killed batch is

@@ -14,6 +14,7 @@
 
 #include "dse/bo.hh"
 #include "dse/genetic.hh"
+#include "dse/multi_workload.hh"
 #include "dse/random_search.hh"
 #include "util/fault.hh"
 #include "util/thread_pool.hh"
@@ -252,25 +253,36 @@ TEST(ParallelEquivalence, BatchPhaseFailureFallsBackPerPoint)
 {
     // A fault killing the batch pipeline mid-flight must degrade to
     // the per-point path, not surface to the driver: the caller sees
-    // the same values, one batch just costs a retry.
+    // the same values, one batch just costs a retry. Both batch-capable
+    // objectives share this fallback.
     FaultInjector::instance().reset();
     Evaluator evaluator;
     ThreadPool pool(4);
-    InputSpaceObjective obj(evaluator, smallWorkload());
-    const auto xs = randomPoints(32, obj.dim(), 29);
-    const std::vector<double> want = obj.evaluateBatch(xs, nullptr);
+    InputSpaceObjective single(evaluator, smallWorkload());
+    const Expected<TrafficMix> mix =
+        makeTrafficMix({{"alexnet", 1.0}, {"dlrm", 3.0}});
+    ASSERT_TRUE(mix.ok());
+    MultiWorkloadObjective multi(evaluator, mix.value());
+    const std::pair<const char *, Objective *> objectives[] = {
+        {"input-space", &single}, {"multi-workload", &multi}};
+    for (const auto &[name, obj] : objectives) {
+        const auto xs = randomPoints(32, obj->dim(), 29);
+        const std::vector<double> want = obj->evaluateBatch(xs, nullptr);
 
-    // batch_chunk fires once per claimed chunk of unique configs (32
-    // points on 4 workers are 4 chunks of 8): kill the first claim,
-    // and later ones while earlier chunks are already scored.
-    for (const std::uint64_t nth : {1u, 2u, 3u}) {
-        FaultInjector::instance().arm("batch_chunk", nth);
-        const std::vector<double> got = obj.evaluateBatch(xs, &pool);
-        EXPECT_GE(FaultInjector::instance().hitCount("batch_chunk"),
-                  nth);
-        EXPECT_EQ(got, want) << "fault at hit " << nth;
+        // batch_chunk fires once per claimed chunk of unique configs
+        // (32 points on 4 workers are 4 chunks of 8, per workload):
+        // kill the first claim, and later ones while earlier chunks
+        // are already scored.
+        for (const std::uint64_t nth : {1u, 2u, 3u}) {
+            FaultInjector::instance().arm("batch_chunk", nth);
+            const std::vector<double> got = obj->evaluateBatch(xs, &pool);
+            EXPECT_GE(FaultInjector::instance().hitCount("batch_chunk"),
+                      nth)
+                << name;
+            EXPECT_EQ(got, want) << name << ", fault at hit " << nth;
+        }
+        FaultInjector::instance().reset();
     }
-    FaultInjector::instance().reset();
 }
 
 } // namespace

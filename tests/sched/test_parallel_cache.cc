@@ -471,5 +471,81 @@ TEST(ParallelCache, CancelledBatchIsAllOrNothing)
     EXPECT_EQ(cache.misses(), serialCache.misses());
 }
 
+TEST(ParallelCache, ScalarAndBatchCallersShareOneCache)
+{
+    // The daemon runs ScoreConfig (evaluateWorkload) and SearchK
+    // (evaluateCachedBatch, on a second pool) over one cache. Four
+    // callers interleave both entry points on overlapping windows of
+    // configs and a workload with a repeated shape: every result must
+    // match a plain Evaluator bit for bit, every layer walked must be
+    // booked once as a hit or a miss, and every miss must be one inner
+    // evaluation.
+    const std::vector<LayerShape> resnet = resNet50Layers();
+    std::vector<LayerShape> layers(resnet.begin(), resnet.begin() + 6);
+    layers.push_back(resnet[2]);
+    const Workload workload{"mixed", layers, {}};
+    const std::vector<AcceleratorConfig> configs =
+        overlappingConfigs(96, 12, 81);
+
+    // Plain reference values and walk lengths (up to and including
+    // the first invalid layer).
+    Evaluator plain;
+    std::vector<EvalResult> expected;
+    std::vector<std::size_t> walkOf;
+    for (const AcceleratorConfig &config : configs) {
+        expected.push_back(plain.evaluateWorkload(config, layers));
+        std::size_t walked = 0;
+        while (walked < layers.size()) {
+            if (!plain.evaluateLayer(config, layers[walked++]).valid)
+                break;
+        }
+        walkOf.push_back(walked);
+    }
+    ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
+                            [](const EvalResult &r) { return r.valid; }));
+
+    constexpr std::size_t callers = 4;
+    constexpr std::size_t rounds = 6;
+    constexpr std::size_t window = 8;
+    CachingEvaluator cache;
+    ThreadPool callerPool(callers);
+    ThreadPool batchPool(2);
+    std::vector<std::vector<std::pair<std::size_t, EvalResult>>> got(
+        callers);
+    callerPool.parallelFor(callers, [&](std::size_t t) {
+        for (std::size_t r = 0; r < rounds; ++r) {
+            const std::size_t begin =
+                (5 * t + window * r) % (configs.size() - window);
+            if ((t + r) % 2 == 0) {
+                for (std::size_t i = begin; i < begin + window; ++i)
+                    got[t].emplace_back(
+                        i, cache.evaluateWorkload(configs[i], layers));
+                continue;
+            }
+            const std::vector<AcceleratorConfig> slice(
+                configs.begin() + begin,
+                configs.begin() + begin + window);
+            const std::vector<EvalResult> results =
+                evaluateCachedBatch(cache, slice, workload, batchPool);
+            for (std::size_t i = 0; i < window; ++i)
+                got[t].emplace_back(begin + i, results[i]);
+        }
+    });
+
+    std::uint64_t walked = 0;
+    for (const auto &calls : got) {
+        ASSERT_EQ(calls.size(), rounds * window);
+        for (const auto &[i, r] : calls) {
+            EXPECT_EQ(r.valid, expected[i].valid) << "config " << i;
+            EXPECT_EQ(r.latencyCycles, expected[i].latencyCycles);
+            EXPECT_EQ(r.energyPj, expected[i].energyPj);
+            EXPECT_EQ(r.edp, expected[i].edp);
+            walked += walkOf[i];
+        }
+    }
+    EXPECT_EQ(cache.hits() + cache.misses(), walked);
+    EXPECT_EQ(cache.misses(), cache.inner().evaluationCount());
+}
+
 } // namespace
 } // namespace vaesa
