@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "nn/serialize.hh"
+#include "tensor/kernels/kernels.hh"
 #include "util/contracts.hh"
 #include "util/logging.hh"
 
@@ -47,26 +48,18 @@ void
 Adam::step()
 {
     ++stepCount_;
-    const double bc1 = 1.0 - std::pow(beta1_, stepCount_);
-    const double bc2 = 1.0 - std::pow(beta2_, stepCount_);
+    const kernels::AdamCoefficients c{
+        beta1_, beta2_, 1.0 - beta1_, 1.0 - beta2_, lr_, eps_,
+        1.0 - std::pow(beta1_, stepCount_),
+        1.0 - std::pow(beta2_, stepCount_)};
     for (std::size_t i = 0; i < params_.size(); ++i) {
         Parameter *p = params_[i];
         VAESA_CHECK_FINITE_ALL(p->grad, "Adam::step gradient for "
                                "parameter ", i);
-        Matrix &m = firstMoment_[i];
-        Matrix &v = secondMoment_[i];
-        const double *g = p->grad.data();
-        double *mp = m.data();
-        double *vp = v.data();
-        double *w = p->value.data();
-        const std::size_t n = p->value.size();
-        for (std::size_t k = 0; k < n; ++k) {
-            mp[k] = beta1_ * mp[k] + (1.0 - beta1_) * g[k];
-            vp[k] = beta2_ * vp[k] + (1.0 - beta2_) * g[k] * g[k];
-            const double m_hat = mp[k] / bc1;
-            const double v_hat = vp[k] / bc2;
-            w[k] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-        }
+        kernels::adamUpdate(p->value.size(), p->grad.data(),
+                            firstMoment_[i].data(),
+                            secondMoment_[i].data(), p->value.data(),
+                            c);
     }
 }
 

@@ -55,29 +55,49 @@ globalCacheMetrics()
  */
 struct ShardBuckets
 {
+    std::vector<std::uint32_t> shardOf;
     std::vector<std::uint32_t> start;
     std::vector<std::uint32_t> order;
+    std::vector<std::uint32_t> cursor;
 };
 
+/** Fill this thread's ShardBuckets for keys [0, n). The buffers are
+ *  reused call to call, so a warm call does not touch the heap; the
+ *  result is valid until the thread's next call. */
 template <class Key, class Hash>
-ShardBuckets
+const ShardBuckets &
 bucketByShard(const Key *keys, std::size_t n, std::size_t shardCount,
               Hash hash)
 {
-    std::vector<std::uint32_t> shardOf(n);
-    ShardBuckets b{std::vector<std::uint32_t>(shardCount + 1, 0),
-                   std::vector<std::uint32_t>(n)};
+    thread_local ShardBuckets b;
+    b.shardOf.resize(n);
+    b.start.assign(shardCount + 1, 0);
+    b.order.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        shardOf[i] = static_cast<std::uint32_t>(hash(keys[i]) % shardCount);
-        ++b.start[shardOf[i] + 1];
+        b.shardOf[i] =
+            static_cast<std::uint32_t>(hash(keys[i]) % shardCount);
+        ++b.start[b.shardOf[i] + 1];
     }
     for (std::size_t s = 0; s < shardCount; ++s)
         b.start[s + 1] += b.start[s];
-    std::vector<std::uint32_t> cursor(b.start.begin(),
-                                      b.start.end() - 1);
+    b.cursor.assign(b.start.begin(), b.start.end() - 1);
     for (std::size_t i = 0; i < n; ++i)
-        b.order[cursor[shardOf[i]]++] = static_cast<std::uint32_t>(i);
+        b.order[b.cursor[b.shardOf[i]]++] = static_cast<std::uint32_t>(i);
     return b;
+}
+
+/** Registry id of a shape not (yet) in the registry. */
+constexpr std::uint32_t unregistered = ~std::uint32_t{0};
+
+/** Index of @p layer's shape in @p registry, or unregistered. */
+std::uint32_t
+findShape(const std::vector<LayerShape> &registry,
+          const LayerShape &layer)
+{
+    for (std::uint32_t i = 0; i < registry.size(); ++i)
+        if (registry[i].sameShape(layer))
+            return i;
+    return unregistered;
 }
 
 std::size_t
@@ -140,23 +160,35 @@ CachingEvaluator::snappedConfigKey(const AcceleratorConfig &snapped) const
     return key;
 }
 
-std::uint32_t
-CachingEvaluator::layerKey(const LayerShape &layer) const
+void
+CachingEvaluator::layerKeys(const std::vector<LayerShape> &layers,
+                            std::uint64_t config, BatchKey *keys) const
 {
+    bool missing = false;
     {
         const ReaderLock lock(registryMutex_);
-        for (std::uint32_t i = 0; i < layerRegistry_.size(); ++i)
-            if (layerRegistry_[i].sameShape(layer))
-                return i;
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+            keys[i] = BatchKey{config,
+                               findShape(layerRegistry_, layers[i])};
+            missing |= keys[i].layer == unregistered;
+        }
     }
+    if (!missing)
+        return;
     const WriterLock lock(registryMutex_);
     // Re-scan under the exclusive lock: another thread may have
-    // registered the same shape between the two lock scopes.
-    for (std::uint32_t i = 0; i < layerRegistry_.size(); ++i)
-        if (layerRegistry_[i].sameShape(layer))
-            return i;
-    layerRegistry_.push_back(layer);
-    return static_cast<std::uint32_t>(layerRegistry_.size() - 1);
+    // registered the same shape between the two lock scopes, and a
+    // shape repeated in the row is registered by its first copy.
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        if (keys[i].layer != unregistered)
+            continue;
+        keys[i].layer = findShape(layerRegistry_, layers[i]);
+        if (keys[i].layer == unregistered) {
+            keys[i].layer =
+                static_cast<std::uint32_t>(layerRegistry_.size());
+            layerRegistry_.push_back(layers[i]);
+        }
+    }
 }
 
 AcceleratorConfig
@@ -181,18 +213,30 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
     // off-grid values would alias the snapped point), and key the
     // config once: the keys differ only by layer.
     const AcceleratorConfig snapped = snapConfig(arch);
-    const std::uint64_t config = snappedConfigKey(snapped);
     const std::size_t n = layers.size();
-    std::vector<BatchKey> keys(n);
-    for (std::size_t i = 0; i < n; ++i)
-        keys[i] = BatchKey{config, layerKey(layers[i])};
-    std::vector<EvalResult> results(n);
-    std::vector<unsigned char> state(n);
-    probeBatch(keys.data(), n, results.data(), state.data());
-    const RowWalk walk = walkRow(snapped, layers, {}, keys.data(),
-                                 results.data(), state.data(), cancel);
-    accountBatch(walk.walked, insertBatch(keys.data(), results.data(),
-                                          state.data(), n));
+    // The row's buffers are this thread's, reused call to call, so a
+    // call that hits every layer does not touch the heap. Nothing
+    // under the walk re-enters the cache, so one set per thread
+    // suffices.
+    struct RowScratch
+    {
+        std::vector<BatchKey> keys;
+        std::vector<EvalResult> results;
+        std::vector<unsigned char> state;
+    };
+    thread_local RowScratch row;
+    row.keys.resize(n);
+    row.results.resize(n);
+    row.state.resize(n);
+    layerKeys(layers, snappedConfigKey(snapped), row.keys.data());
+    probeBatch(row.keys.data(), n, row.results.data(),
+               row.state.data());
+    const RowWalk walk =
+        walkRow(snapped, layers, {}, row.keys.data(),
+                row.results.data(), row.state.data(), cancel);
+    accountBatch(walk.walked,
+                 insertBatch(row.keys.data(), row.results.data(),
+                             row.state.data(), n));
     if (walk.stopped)
         throw DeadlineExceeded("cache_miss");
     return walk.total;
@@ -255,16 +299,16 @@ CachingEvaluator::probeBatch(const BatchKey *keys, std::size_t n,
 {
     if (n == 0)
         return;
-    const auto [start, order] =
+    const ShardBuckets &b =
         bucketByShard(keys, n, shardCount_, BatchKeyHash{});
     for (std::size_t s = 0; s < shardCount_; ++s) {
-        if (start[s] == start[s + 1])
+        if (b.start[s] == b.start[s + 1])
             continue;
         Shard &shard = shards_[s];
         lockShard(shard);
         const MutexLock lock(shard.shardMutex, adoptLock);
-        for (std::uint32_t o = start[s]; o < start[s + 1]; ++o) {
-            const std::uint32_t i = order[o];
+        for (std::uint32_t o = b.start[s]; o < b.start[s + 1]; ++o) {
+            const std::uint32_t i = b.order[o];
             const auto it = shard.entries.find(keys[i]);
             if (it != shard.entries.end()) {
                 results[i] = it->second;
@@ -292,16 +336,16 @@ CachingEvaluator::insertBatch(const BatchKey *keys,
     }
     if (fresh.empty())
         return 0;
-    const auto [start, order] = bucketByShard(
+    const ShardBuckets &b = bucketByShard(
         fresh.data(), fresh.size(), shardCount_, BatchKeyHash{});
     for (std::size_t s = 0; s < shardCount_; ++s) {
-        if (start[s] == start[s + 1])
+        if (b.start[s] == b.start[s + 1])
             continue;
         Shard &shard = shards_[s];
         lockShard(shard);
         const MutexLock lock(shard.shardMutex, adoptLock);
-        for (std::uint32_t o = start[s]; o < start[s + 1]; ++o) {
-            const std::uint32_t i = order[o];
+        for (std::uint32_t o = b.start[s]; o < b.start[s + 1]; ++o) {
+            const std::uint32_t i = b.order[o];
             shard.entries.emplace(fresh[i], values[i]); // keep first
         }
     }

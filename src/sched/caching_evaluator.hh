@@ -79,7 +79,10 @@ class CachingEvaluator
      * invalid result at the first invalid layer, which ends the
      * walk), and every layer walked counts as one lookup: a miss when
      * it was computed here, a hit otherwise. The computed layers are
-     * inserted once, at the end of the walk.
+     * inserted once, at the end of the walk. The row's buffers are
+     * per-thread scratch, reused call to call, so once a thread has
+     * made a call as long, a call that hits every layer does not
+     * touch the heap.
      *
      * @p cancel (may be null) is checked before each missed layer is
      * computed. On expiry the layers computed so far are inserted and
@@ -171,9 +174,15 @@ class CachingEvaluator
                     unsigned char *state,
                     const CancelToken *cancel) const;
 
-    /** Registry id of @p layer (registering it if new). Stable for
-     *  the instance's lifetime. */
-    std::uint32_t layerKey(const LayerShape &layer) const
+    /**
+     * keys[i] = {config, registry id of layers[i]} for every layer,
+     * registering the shapes new to the instance. The whole row is
+     * resolved under one reader lock; the writer lock is taken only
+     * when a shape is new. Ids are stable for the instance's
+     * lifetime.
+     */
+    void layerKeys(const std::vector<LayerShape> &layers,
+                   std::uint64_t config, BatchKey *keys) const
         VAESA_EXCLUDES(registryMutex_);
 
     /** Config half of a BatchKey for a SNAPPED config, shared by all

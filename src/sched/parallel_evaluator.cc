@@ -165,10 +165,12 @@ evaluateCachedBatch(const CachingEvaluator &cache,
     for (std::size_t c = 0; c < batch.uniques.size(); ++c) {
         const std::uint64_t config =
             cache.snappedConfigKey(batch.uniques[c]);
+        if (c == 0) {
+            cache.layerKeys(workload.layers, config, keys.data());
+            continue;
+        }
         for (std::size_t li = 0; li < layers; ++li)
-            keys[c * layers + li] = {
-                config, c == 0 ? cache.layerKey(workload.layers[li])
-                               : keys[li].layer};
+            keys[c * layers + li] = {config, keys[li].layer};
     }
     std::vector<EvalResult> results(cells);
     std::vector<unsigned char> state(cells);

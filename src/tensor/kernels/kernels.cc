@@ -303,6 +303,11 @@ addColSums(const double *x, std::size_t rows, std::size_t cols,
     }
 }
 
+// The elementwise loops below are straight-line: the TU is built
+// without errno or FP-trap semantics, so each ?: (both arms read,
+// neither with a side effect) becomes a blend and std::sqrt the
+// correctly rounded vector square root; no value changes.
+
 void
 leakyReluForward(double *x, std::size_t n, double slope)
 {
@@ -344,6 +349,22 @@ tanhBackward(double *grad, const double *out, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         grad[i] *= 1.0 - out[i] * out[i];
+}
+
+void
+adamUpdate(std::size_t n, const double *g, double *m, double *v,
+           double *w, AdamCoefficients c)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const double gi = g[i];
+        const double mi = c.beta1 * m[i] + c.oneMinusBeta1 * gi;
+        const double vi = c.beta2 * v[i] + c.oneMinusBeta2 * gi * gi;
+        m[i] = mi;
+        v[i] = vi;
+        const double m_hat = mi / c.bc1;
+        const double v_hat = vi / c.bc2;
+        w[i] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
+    }
 }
 
 } // namespace vaesa::kernels

@@ -2,7 +2,8 @@
  * @file
  * Raw-pointer compute kernels behind the Matrix/nn hot path: GEMM in
  * the three orientations the MLPs need, a fused linear-layer forward,
- * column sums, and in-place activation forward/backward loops.
+ * column sums, in-place activation forward/backward loops, and the
+ * Adam optimizer's per-element update.
  *
  * There is one GEMM implementation: a register-tiled broadcast
  * micro-kernel that every orientation runs through (A is read with
@@ -23,6 +24,14 @@
  * (tests/common/reference_gemm.hh) round each product separately, so
  * they agree only within the tolerance docs/PERFORMANCE.md states;
  * NaN/Inf propagation is identical.
+ *
+ * The elementwise loops (activations, column sums, Adam) do the same
+ * IEEE operations in the same order as the plain scalar loop each
+ * one documents, so a vector lane and a scalar iteration agree bit
+ * for bit: every select reads both arms and has no side effects (a
+ * blend, not a branch), a divide stays a divide, and a square root is
+ * the correctly rounded one. tests/tensor/test_kernels.cc checks each
+ * against its scalar loop built at the baseline flags.
  *
  * Determinism contract: fixed inputs give bit-identical outputs, run
  * to run and build to build. Every GEMM runs on the calling thread.
@@ -103,6 +112,37 @@ void tanhForward(double *x, std::size_t n);
 
 /** In place: grad[i] *= 1 - out[i]^2. */
 void tanhBackward(double *grad, const double *out, std::size_t n);
+
+/** The loop invariants of one Adam step, passed by value so no
+ *  reload through the optimizer can block vectorization. */
+struct AdamCoefficients
+{
+    double beta1;
+    double beta2;
+    /** 1 - beta1. */
+    double oneMinusBeta1;
+    /** 1 - beta2. */
+    double oneMinusBeta2;
+    double lr;
+    double eps;
+    /** First-moment bias correction 1 - beta1^t. */
+    double bc1;
+    /** Second-moment bias correction 1 - beta2^t. */
+    double bc2;
+};
+
+/**
+ * One Adam update of n parameters, in place, element by element:
+ *
+ *     m[i] = beta1 * m[i] + oneMinusBeta1 * g[i]
+ *     v[i] = beta2 * v[i] + oneMinusBeta2 * g[i] * g[i]
+ *     w[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + eps)
+ *
+ * with each product and sum rounded separately (left to right) and
+ * no reciprocal taken for a divide.
+ */
+void adamUpdate(std::size_t n, const double *g, double *m, double *v,
+                double *w, AdamCoefficients c);
 
 } // namespace vaesa::kernels
 

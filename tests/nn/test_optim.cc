@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "../common/reference_adam.hh"
 #include "nn/optim.hh"
+#include "util/rng.hh"
 
 namespace vaesa::nn {
 namespace {
@@ -61,6 +66,49 @@ TEST(Adam, HandlesMultipleParameters)
     }
     EXPECT_NEAR(p1.value(0, 0), 0.5, 1e-3);
     EXPECT_NEAR(p2.value(1, 1), -0.5, 1e-3);
+}
+
+TEST(Adam, StepMatchesScalarReferenceBitForBit)
+{
+    // Ragged shapes put elements in every vector lane and tail.
+    const std::size_t shapes[][2] = {{1, 1}, {3, 5}, {7, 9},
+                                     {1, 67}, {13, 1}, {4, 8}};
+    const double lr = 0.01, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+    Rng rng(29);
+    std::vector<Parameter> params;
+    for (const auto &shape : shapes) {
+        params.emplace_back(shape[0], shape[1], "p");
+        params.back().value.randomUniform(rng, -1.0, 1.0);
+    }
+    std::vector<Parameter *> ptrs;
+    std::vector<std::vector<double>> w, m, v;
+    for (Parameter &p : params) {
+        ptrs.push_back(&p);
+        w.emplace_back(p.value.data(), p.value.data() + p.value.size());
+        m.emplace_back(p.value.size(), 0.0);
+        v.emplace_back(p.value.size(), 0.0);
+    }
+    Adam opt(ptrs, lr, beta1, beta2, eps);
+
+    std::size_t bad = 0;
+    for (int t = 1; t <= 50; ++t) {
+        for (Parameter &p : params)
+            p.grad.randomUniform(rng, -2.0, 2.0);
+        opt.step();
+        const double bc1 = 1.0 - std::pow(beta1, t);
+        const double bc2 = 1.0 - std::pow(beta2, t);
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            reference::adamUpdate(w[i].size(), params[i].grad.data(),
+                                  m[i].data(), v[i].data(),
+                                  w[i].data(), lr, beta1, beta2, eps,
+                                  bc1, bc2);
+            for (std::size_t k = 0; k < w[i].size(); ++k)
+                bad += std::bit_cast<std::uint64_t>(
+                           params[i].value.data()[k]) !=
+                       std::bit_cast<std::uint64_t>(w[i][k]);
+        }
+    }
+    EXPECT_EQ(bad, 0u);
 }
 
 TEST(Optimizer, ZeroGradClearsAll)

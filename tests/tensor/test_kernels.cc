@@ -1,5 +1,6 @@
 /** @file Kernel-layer tests: every GEMM output bit for bit against a
- *  scalar ascending-k std::fma chain (the kernels' contract),
+ *  scalar ascending-k std::fma chain (the kernels' contract), every
+ *  elementwise kernel bit for bit against its plain scalar loop,
  *  GEMM-vs-reference equivalence within the documented tolerance
  *  (including NaN/Inf operands -- the old zero-skip sparsity
  *  shortcut masked their propagation), exact agreement of the
@@ -12,8 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "../common/reference_adam.hh"
 #include "../common/reference_gemm.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/kernels/workspace.hh"
@@ -210,15 +214,25 @@ oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng)
     return runs;
 }
 
+/** Elements whose bits differ. */
+std::size_t
+bitMismatches(const std::vector<double> &got,
+              const std::vector<double> &want)
+{
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        bad += std::bit_cast<std::uint64_t>(got[i]) !=
+               std::bit_cast<std::uint64_t>(want[i]);
+    return bad;
+}
+
 /** Elements of @p runs whose bits differ from the oracle. */
 std::size_t
 bitMismatches(const std::vector<OracleRun> &runs)
 {
     std::size_t bad = 0;
     for (const OracleRun &run : runs)
-        for (std::size_t e = 0; e < run.got.size(); ++e)
-            bad += std::bit_cast<std::uint64_t>(run.got[e]) !=
-                   std::bit_cast<std::uint64_t>(run.want[e]);
+        bad += bitMismatches(run.got, run.want);
     return bad;
 }
 
@@ -271,6 +285,121 @@ TEST(KernelOracle, EmptyReductionIsTheInit)
         for (std::size_t e = 0; e < run.got.size(); ++e)
             EXPECT_EQ(std::bit_cast<std::uint64_t>(run.got[e]),
                       std::bit_cast<std::uint64_t>(run.want[e]));
+}
+
+/**
+ * n inputs for the elementwise oracle: uniform(-4, 4), with about a
+ * third of the elements, in random lanes, replaced by ±0, a
+ * subnormal, ±inf, NaN or a finite extreme.
+ */
+std::vector<double>
+elementwiseInputs(std::size_t n, Rng &rng)
+{
+    using limits = std::numeric_limits<double>;
+    const double specials[] = {
+        0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+        -3e-310, limits::infinity(), -limits::infinity(),
+        limits::quiet_NaN(), limits::max(), limits::lowest(),
+        limits::min()};
+    std::vector<double> x(n);
+    for (double &e : x)
+        e = rng.index(3) == 0
+                ? specials[rng.index(std::size(specials))]
+                : rng.uniform(-4.0, 4.0);
+    return x;
+}
+
+TEST(KernelOracle, ElementwiseMatchScalarBitForBit)
+{
+    // Every length 0..67 covers each vector width's tail; this TU
+    // keeps the baseline flags, so its loops are the scalar oracle.
+    Rng rng(28);
+    std::map<std::string, std::size_t> bad;
+    for (std::size_t n = 0; n <= 67; ++n) {
+        const std::vector<double> x = elementwiseInputs(n, rng);
+        const std::vector<double> g = elementwiseInputs(n, rng);
+        for (const double slope : {0.0, 0.01}) {
+            std::vector<double> got = x;
+            std::vector<double> out = x;
+            kernels::leakyReluForward(got.data(), n, slope);
+            for (double &e : out)
+                e = e > 0.0 ? e : slope * e;
+            bad["leakyReluForward"] += bitMismatches(got, out);
+
+            got = g;
+            std::vector<double> want = g;
+            kernels::leakyReluBackward(got.data(), out.data(), n,
+                                       slope);
+            for (std::size_t i = 0; i < n; ++i)
+                want[i] *= out[i] > 0.0 ? 1.0 : slope;
+            bad["leakyReluBackward"] += bitMismatches(got, want);
+        }
+
+        std::vector<double> got = x;
+        std::vector<double> out = x;
+        kernels::sigmoidForward(got.data(), n);
+        for (double &e : out)
+            e = 1.0 / (1.0 + std::exp(-e));
+        bad["sigmoidForward"] += bitMismatches(got, out);
+        got = g;
+        std::vector<double> want = g;
+        kernels::sigmoidBackward(got.data(), out.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            want[i] *= out[i] * (1.0 - out[i]);
+        bad["sigmoidBackward"] += bitMismatches(got, want);
+
+        got = x;
+        out = x;
+        kernels::tanhForward(got.data(), n);
+        for (double &e : out)
+            e = std::tanh(e);
+        bad["tanhForward"] += bitMismatches(got, out);
+        got = g;
+        want = g;
+        kernels::tanhBackward(got.data(), out.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            want[i] *= 1.0 - out[i] * out[i];
+        bad["tanhBackward"] += bitMismatches(got, want);
+
+        const std::size_t rows = 3;
+        const std::vector<double> block =
+            elementwiseInputs(rows * n, rng);
+        got = x;
+        want = x;
+        kernels::addColSums(block.data(), rows, n, got.data());
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                want[c] += block[r * n + c];
+        bad["addColSums"] += bitMismatches(got, want);
+
+        // Adam at step 3 of the default hyperparameters, and with
+        // non-default ones; the moments and weights are special too.
+        for (const kernels::AdamCoefficients c :
+             {kernels::AdamCoefficients{0.9, 0.999, 1.0 - 0.9,
+                                        1.0 - 0.999, 1e-3, 1e-8,
+                                        1.0 - std::pow(0.9, 3),
+                                        1.0 - std::pow(0.999, 3)},
+              kernels::AdamCoefficients{0.5, 0.75, 1.0 - 0.5,
+                                        1.0 - 0.75, 0.3, 1e-4,
+                                        1.0 - std::pow(0.5, 7),
+                                        1.0 - std::pow(0.75, 7)}}) {
+            const std::vector<double> m0 = elementwiseInputs(n, rng);
+            const std::vector<double> v0 = elementwiseInputs(n, rng);
+            std::vector<double> m = m0, v = v0, w = x;
+            std::vector<double> mRef = m0, vRef = v0, wRef = x;
+            kernels::adamUpdate(n, g.data(), m.data(), v.data(),
+                                w.data(), c);
+            reference::adamUpdate(n, g.data(), mRef.data(),
+                                  vRef.data(), wRef.data(), c.lr,
+                                  c.beta1, c.beta2, c.eps, c.bc1,
+                                  c.bc2);
+            bad["adamUpdate.m"] += bitMismatches(m, mRef);
+            bad["adamUpdate.v"] += bitMismatches(v, vRef);
+            bad["adamUpdate.w"] += bitMismatches(w, wRef);
+        }
+    }
+    for (const auto &[kernel, count] : bad)
+        EXPECT_EQ(count, 0u) << kernel;
 }
 
 TEST(Kernels, BlockedMatchesNaiveWithinTolerance)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Zero-allocation contract of the training step loop and the latent
- * search hot path: after a warm-up pass has grown every workspace
- * arena and scratch buffer to its steady-state capacity, further
- * iterations must not touch the heap at all.
+ * Zero-allocation contract of the training step loop, the latent
+ * search hot path and the cached ScoreConfig path: after a warm-up
+ * pass has grown every workspace arena and scratch buffer to its
+ * steady-state capacity, further iterations must not touch the heap
+ * at all.
  *
  * The check counts every global operator new in this binary, which is
  * why the suite lives in its own test executable rather than inside
@@ -19,12 +20,14 @@
 #include <new>
 #include <vector>
 
+#include "sched/caching_evaluator.hh"
 #include "util/rng.hh"
 #include "vaesa/framework.hh"
 #include "vaesa/normalizer.hh"
 #include "vaesa/predictor.hh"
 #include "vaesa/trainer.hh"
 #include "vaesa/vae.hh"
+#include "workload/networks.hh"
 
 namespace {
 
@@ -218,6 +221,36 @@ TEST(AllocFree, PredictScoreAndDecodeAreAllocationFreeAfterWarmup)
     EXPECT_GT(pes, 0);
     EXPECT_EQ(after_scores - before, 0u);
     EXPECT_EQ(after_decodes - after_scores, 0u);
+}
+
+TEST(AllocFree, WarmCachedScoreIsAllocationFree)
+{
+    // The serve path's ScoreConfig: once every (config, layer) of the
+    // rows is cached, a call keys, probes and walks its row in
+    // per-thread buffers and registry lookups alone.
+    CachingEvaluator cache;
+    const std::vector<LayerShape> layers = resNet50Layers();
+    Rng rng(33);
+    std::vector<AcceleratorConfig> configs;
+    for (int i = 0; i < 8; ++i)
+        configs.push_back(designSpace().randomConfig(rng));
+    for (int pass = 0; pass < 2; ++pass)
+        for (const AcceleratorConfig &config : configs)
+            cache.evaluateWorkload(config, layers);
+    const std::uint64_t misses = cache.misses();
+    const std::uint64_t hits = cache.hits();
+
+    double edp = 0.0;
+    const std::uint64_t before = allocCount();
+    for (int pass = 0; pass < 10; ++pass)
+        for (const AcceleratorConfig &config : configs)
+            edp += cache.evaluateWorkload(config, layers).edp;
+    const std::uint64_t after = allocCount();
+
+    EXPECT_TRUE(std::isfinite(edp));
+    EXPECT_EQ(after - before, 0u);
+    EXPECT_EQ(cache.misses(), misses);
+    EXPECT_GT(cache.hits(), hits);
 }
 
 } // namespace
