@@ -95,9 +95,9 @@ main()
     {
       public:
         CachedObjective(CachingEvaluator &ce,
-                        const std::vector<LayerShape> &layers,
+                        const Workload &workload,
                         InputSpaceObjective &codec)
-            : ce_(ce), layers_(layers), codec_(codec)
+            : ce_(ce), workload_(workload), codec_(codec)
         {
         }
         std::size_t dim() const override { return codec_.dim(); }
@@ -112,16 +112,16 @@ main()
         double
         evaluate(const std::vector<double> &x) override
         {
-            const EvalResult r = ce_.evaluateWorkload(
-                codec_.decode(x), layers_);
+            const EvalResult r =
+                ce_.evaluateWorkload(codec_.decode(x), workload_);
             return r.valid ? r.edp : invalidScore;
         }
 
       private:
         CachingEvaluator &ce_;
-        const std::vector<LayerShape> &layers_;
+        const Workload &workload_;
         InputSpaceObjective &codec_;
-    } cached_obj(cached, resnet.layers, cached_obj_probe);
+    } cached_obj(cached, resnet, cached_obj_probe);
 
     Rng rng(4000);
     GeneticSearch().run(cached_obj, scale.searchSamples, rng);

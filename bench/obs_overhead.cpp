@@ -85,13 +85,13 @@ nsPerOp(std::size_t iters, Fn &&op)
 /** Time one full batch on a fresh cache (cold, then reused). */
 double
 batchSeconds(const std::vector<AcceleratorConfig> &batch,
-             const std::vector<LayerShape> &layers)
+             const Workload &workload)
 {
     CachingEvaluator cache;
     const auto t0 = std::chrono::steady_clock::now();
     double sink = 0.0;
     for (const AcceleratorConfig &config : batch)
-        sink += cache.evaluateWorkload(config, layers).edp;
+        sink += cache.evaluateWorkload(config, workload).edp;
     const auto t1 = std::chrono::steady_clock::now();
     // Keep the accumulation observable so the loop cannot be elided.
     if (sink == -1.0)
@@ -155,13 +155,13 @@ main()
     const std::vector<AcceleratorConfig> batch =
         overlappingBatch(batchSize, distinct, 23);
 
-    batchSeconds(batch, resnet.layers); // warm-up (page in code)
+    batchSeconds(batch, resnet); // warm-up (page in code)
     // Min of several runs: the bound divides by this, so timing
     // noise must not fake an over-budget result.
-    double off_sec = batchSeconds(batch, resnet.layers);
+    double off_sec = batchSeconds(batch, resnet);
     for (int run = 0; run < 4; ++run)
         off_sec = std::min(off_sec,
-                           batchSeconds(batch, resnet.layers));
+                           batchSeconds(batch, resnet));
 
     // Count instrumentation events by running once fully enabled.
     metrics::counter("cache.hit").reset();
@@ -169,7 +169,7 @@ main()
     metrics::counter("cache.shard_contention").reset();
     metrics::setMetricsEnabled(true);
     trace::setTraceEnabled(true);
-    const double on_sec = batchSeconds(batch, resnet.layers);
+    const double on_sec = batchSeconds(batch, resnet);
     metrics::setMetricsEnabled(false);
     trace::setTraceEnabled(false);
 

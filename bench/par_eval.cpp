@@ -125,7 +125,7 @@ main()
     cachedSerial.reserve(batch.size());
     for (const AcceleratorConfig &config : batch)
         cachedSerial.push_back(
-            serialCache.evaluateWorkload(config, resnet.layers));
+            serialCache.evaluateWorkload(config, resnet));
     const auto c1 = std::chrono::steady_clock::now();
     const double cachedSec = seconds(c0, c1);
     const double cachedHitRate =

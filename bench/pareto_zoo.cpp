@@ -4,12 +4,12 @@
  * does ONE accelerator configuration give up on each zoo network
  * versus a per-workload specialist tuned for that network alone?
  * Specialists run random search on each workload's occurrence-counted
- * EDP; the co-designed configuration runs the same budget on the
- * equal-weight MultiWorkloadObjective over all five. The gate is the
- * geometric-mean EDP ratio (co-designed / specialist) across the zoo:
- * close to 1 means one design serves transformer GEMMs, depthwise
- * stacks and skinny MLPs at little cost; a large ratio would say the
- * zoo demands per-domain silicon.
+ * EDP; the co-designed configuration runs the same budget on an
+ * InputSpaceObjective over the equal-weight mix of all five. The
+ * gate is the geometric-mean EDP ratio (co-designed / specialist)
+ * across the zoo: close to 1 means one design serves transformer
+ * GEMMs, depthwise stacks and skinny MLPs at little cost; a large
+ * ratio would say the zoo demands per-domain silicon.
  *
  * Knobs: VAESA_ZOO_SAMPLES (search budget per objective),
  * VAESA_ZOO_TARGET (geomean-ratio gate), VAESA_THREADS (pool width).
@@ -22,7 +22,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "dse/multi_workload.hh"
+#include "dse/objective.hh"
 #include "dse/random_search.hh"
 #include "util/thread_pool.hh"
 #include "workload/zoo.hh"
@@ -74,7 +74,7 @@ main()
                      mix.error().describe().c_str());
         return 1;
     }
-    MultiWorkloadObjective coObjective(evaluator, mix.value());
+    InputSpaceObjective coObjective(evaluator, mix.value());
     Rng coRng(91);
     const SearchTrace coTrace =
         search.run(coObjective, samples, coRng, &pool);

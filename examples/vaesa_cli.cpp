@@ -340,8 +340,7 @@ cmdEval(const Args &args)
 
     const Workload workload = resolveWorkload(args);
     Evaluator evaluator;
-    const EvalResult r =
-        evaluator.evaluateWorkload(config, workload.layers);
+    const EvalResult r = evaluator.evaluateWorkload(config, workload);
     std::printf("config (snapped): %s\n", config.describe().c_str());
     std::printf("area: %.2f mm^2\n", AreaModel().totalMm2(config));
     if (!r.valid) {
@@ -473,10 +472,9 @@ cmdSearch(const Args &args, ObservabilityScope &obs)
     // the prior: the KL-regularized encodings live within a few
     // sigma of the origin.
     const double radius = args.flagDouble("radius", 3.0);
-    LatentObjective latent_obj(*framework, evaluator,
-                               workload.layers, radius, metric);
-    InputSpaceObjective input_obj(evaluator, workload.layers,
-                                  metric);
+    LatentObjective latent_obj(*framework, evaluator, workload, radius,
+                               metric);
+    InputSpaceObjective input_obj(evaluator, workload, metric);
 
     Rng rng(seed);
     SearchTrace trace;
@@ -549,8 +547,7 @@ cmdDecode(const Args &args)
 
     Evaluator evaluator;
     const Workload workload = resolveWorkload(args);
-    const EvalResult r =
-        evaluator.evaluateWorkload(config, workload.layers);
+    const EvalResult r = evaluator.evaluateWorkload(config, workload);
     if (r.valid)
         std::printf("%s EDP: %.6g\n", workload.name.c_str(), r.edp);
     else

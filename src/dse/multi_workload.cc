@@ -5,10 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "sched/parallel_evaluator.hh"
 #include "util/atomic_io.hh"
-#include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace vaesa {
 
@@ -121,88 +118,6 @@ mixLayerPool(const TrafficMix &mix, std::vector<double> *weights_out)
     if (weights_out)
         *weights_out = std::move(weights);
     return pool;
-}
-
-MultiWorkloadObjective::MultiWorkloadObjective(
-    const Evaluator &evaluator, TrafficMix mix, Metric metric)
-    : evaluator_(evaluator), mix_(std::move(mix)), metric_(metric)
-{
-    if (mix_.entries.empty())
-        fatal("MultiWorkloadObjective needs a non-empty mix");
-    for (const TrafficEntry &e : mix_.entries) {
-        if (e.workload.layers.empty())
-            fatal("MultiWorkloadObjective: workload '",
-                  e.workload.name, "' has no layers");
-        if (!(e.weight > 0.0) || !std::isfinite(e.weight))
-            fatal("MultiWorkloadObjective: non-positive weight for '",
-                  e.workload.name, "'");
-    }
-}
-
-std::size_t
-MultiWorkloadObjective::dim() const
-{
-    return numHwParams;
-}
-
-std::vector<double>
-MultiWorkloadObjective::lowerBounds() const
-{
-    return std::vector<double>(numHwParams, 0.0);
-}
-
-std::vector<double>
-MultiWorkloadObjective::upperBounds() const
-{
-    return std::vector<double>(numHwParams, 1.0);
-}
-
-AcceleratorConfig
-MultiWorkloadObjective::decode(const std::vector<double> &x) const
-{
-    return decodeBoxPoint(x);
-}
-
-double
-MultiWorkloadObjective::evaluate(const std::vector<double> &x)
-{
-    const AcceleratorConfig config = decode(x);
-    double score = 0.0;
-    for (const TrafficEntry &entry : mix_.entries) {
-        const EvalResult r =
-            evaluator_.evaluateWorkload(config, entry.workload);
-        if (!r.valid)
-            return invalidScore;
-        score += entry.weight * metricValue(r, metric_);
-    }
-    return score;
-}
-
-std::vector<double>
-MultiWorkloadObjective::evaluateBatch(
-    const std::vector<std::vector<double>> &xs, ThreadPool *pool)
-{
-    // One counted config-batch pass per mix entry, the weighted
-    // combination accumulating in entry order on this thread (the
-    // same association as the serial loop). An invalid workload
-    // poisons the point to invalidScore exactly like the serial early
-    // return: adding weight * infinity keeps the sum infinite for
-    // positive weights.
-    return recoverBatch(
-        xs, pool,
-        [&](const std::vector<AcceleratorConfig> &configs,
-            ThreadPool &batchPool) {
-            std::vector<double> raw(configs.size(), 0.0);
-            for (const TrafficEntry &entry : mix_.entries) {
-                const std::vector<EvalResult> results =
-                    evaluateConfigBatch(evaluator_, configs,
-                                        entry.workload, batchPool);
-                for (std::size_t i = 0; i < results.size(); ++i)
-                    raw[i] += entry.weight *
-                              metricValue(results[i], metric_);
-            }
-            return raw;
-        });
 }
 
 } // namespace vaesa

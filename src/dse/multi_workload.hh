@@ -1,12 +1,13 @@
 /**
  * @file
  * Multi-workload co-design: one accelerator configuration scored
- * against a weighted traffic mix of whole networks, instead of a
- * single workload's unique layers. This is the co-design question
- * the zoo exists for — does one design serve BERT-class GEMMs,
- * MobileNet depthwise stacks and DLRM skinny MLPs at once, and what
- * does it give up against per-workload specialists (bench/pareto_zoo
- * measures exactly that)?
+ * (by InputSpaceObjective, dse/objective.hh) against a weighted
+ * traffic mix of whole networks, instead of a single workload's
+ * unique layers. This is the co-design question the zoo exists for
+ * — does one design serve BERT-class GEMMs, MobileNet depthwise
+ * stacks and DLRM skinny MLPs at once, and what does it give up
+ * against per-workload specialists (bench/pareto_zoo measures
+ * exactly that)?
  *
  * The traffic-mix file format is one entry per line:
  *
@@ -25,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "dse/objective.hh"
 #include "util/load_error.hh"
 #include "workload/networks.hh"
 
@@ -74,59 +74,6 @@ Expected<TrafficMix> parseTrafficMixFile(const std::string &path);
  */
 std::vector<LayerShape> mixLayerPool(const TrafficMix &mix,
                                      std::vector<double> *weights_out);
-
-/**
- * Weighted multi-workload objective over the same [0,1]^6 input box
- * as InputSpaceObjective: a point decodes to one discrete
- * configuration whose score is sum_i weight_i * metric_i with every
- * workload rolled up occurrence-counted. Any unmappable workload
- * makes the whole point invalid (a co-designed accelerator must run
- * ALL of its traffic).
- */
-class MultiWorkloadObjective : public Objective
-{
-  public:
-    /**
-     * @param evaluator scoring backend (borrowed; must outlive this).
-     * @param mix non-empty weighted workload set.
-     * @param metric per-workload quantity to combine (default EDP).
-     */
-    MultiWorkloadObjective(const Evaluator &evaluator, TrafficMix mix,
-                           Metric metric = Metric::Edp);
-
-    std::size_t dim() const override;
-    std::vector<double> lowerBounds() const override;
-    std::vector<double> upperBounds() const override;
-    double evaluate(const std::vector<double> &x) override;
-
-    /** Decode + Evaluator are stateless-const and deterministic. */
-    bool threadSafeEvaluate() const override { return true; }
-
-    /**
-     * Batch scoring through the counted evaluateConfigBatch pipeline,
-     * one pass per mix entry, with the weighted combination and the
-     * per-point recovery semantics applied in input order on the
-     * calling thread — bit-identical to the per-point path, falling
-     * back to it if the batch phase throws or no pool is given.
-     */
-    std::vector<double> evaluateBatch(
-        const std::vector<std::vector<double>> &xs,
-        ThreadPool *pool) override;
-
-    /** Decode a box point to the configuration it scores. */
-    AcceleratorConfig decode(const std::vector<double> &x) const;
-
-    /** The mix being optimized. */
-    const TrafficMix &mix() const { return mix_; }
-
-    /** The per-workload metric being combined. */
-    Metric metric() const { return metric_; }
-
-  private:
-    const Evaluator &evaluator_;
-    TrafficMix mix_;
-    Metric metric_;
-};
 
 } // namespace vaesa
 

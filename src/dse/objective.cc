@@ -111,37 +111,6 @@ Objective::evaluateBatch(const std::vector<std::vector<double>> &xs,
     return values;
 }
 
-std::vector<double>
-Objective::recoverBatch(const std::vector<std::vector<double>> &xs,
-                        ThreadPool *pool, const RawBatch &raw)
-{
-    if (!pool || xs.empty())
-        return Objective::evaluateBatch(xs, pool);
-
-    // Batch phase: decode + score every point through the batch
-    // engine. Any failure here (bad point, pool fault) degrades to
-    // the per-point path, whose per-point recovery then isolates the
-    // offender instead of losing the whole batch.
-    std::vector<double> values;
-    try {
-        std::vector<AcceleratorConfig> configs;
-        configs.reserve(xs.size());
-        for (const std::vector<double> &x : xs)
-            configs.push_back(decodeBoxPoint(x));
-        values = raw(configs, *pool);
-    } catch (const std::exception &e) {
-        warn("batch evaluation failed: ", e.what(),
-             "; retrying point by point");
-        return Objective::evaluateBatch(xs, pool);
-    }
-
-    // Recovery phase: identical per-point semantics (counters,
-    // timers, fault sites, retry) applied in input order.
-    for (double &value : values)
-        value = recoverRawObjective(value);
-    return values;
-}
-
 void
 SearchTrace::add(const std::vector<double> &x, double value)
 {
@@ -254,14 +223,28 @@ InputSpaceObjective::InputSpaceObjective(const Evaluator &evaluator,
 InputSpaceObjective::InputSpaceObjective(const Evaluator &evaluator,
                                          Workload workload,
                                          Metric metric)
-    : evaluator_(evaluator), workload_(std::move(workload)),
-      metric_(metric)
+    : InputSpaceObjective(evaluator,
+                          TrafficMix{{{std::move(workload), 1.0}}},
+                          metric)
 {
-    if (workload_.layers.empty())
-        fatal("InputSpaceObjective needs at least one layer");
-    if (!workload_.counts.empty() &&
-        workload_.counts.size() != workload_.layers.size())
-        fatal("InputSpaceObjective: counts/layers size mismatch");
+}
+
+InputSpaceObjective::InputSpaceObjective(const Evaluator &evaluator,
+                                         TrafficMix mix, Metric metric)
+    : evaluator_(evaluator), mix_(std::move(mix)), metric_(metric)
+{
+    if (mix_.entries.empty())
+        fatal("InputSpaceObjective needs a non-empty mix");
+    for (const TrafficEntry &e : mix_.entries) {
+        const Workload &w = e.workload;
+        if (w.layers.empty())
+            fatal("InputSpaceObjective needs at least one layer");
+        if (!w.counts.empty() && w.counts.size() != w.layers.size())
+            fatal("InputSpaceObjective: counts/layers size mismatch");
+        if (!(e.weight > 0.0) || !std::isfinite(e.weight))
+            fatal("InputSpaceObjective: non-positive weight for '",
+                  w.name, "'");
+    }
 }
 
 std::size_t
@@ -292,25 +275,57 @@ double
 InputSpaceObjective::evaluate(const std::vector<double> &x)
 {
     const AcceleratorConfig config = decode(x);
-    return metricValue(evaluator_.evaluateWorkload(config, workload_),
-                       metric_);
+    double score = 0.0;
+    for (const TrafficEntry &entry : mix_.entries) {
+        const EvalResult r =
+            evaluator_.evaluateWorkload(config, entry.workload);
+        if (!r.valid)
+            return invalidScore;
+        score += entry.weight * metricValue(r, metric_);
+    }
+    return score;
 }
 
 std::vector<double>
 InputSpaceObjective::evaluateBatch(
     const std::vector<std::vector<double>> &xs, ThreadPool *pool)
 {
-    return recoverBatch(
-        xs, pool,
-        [&](const std::vector<AcceleratorConfig> &configs,
-            ThreadPool &batchPool) {
-            std::vector<double> raw;
-            raw.reserve(configs.size());
-            for (const EvalResult &r : evaluateConfigBatch(
-                     evaluator_, configs, workload_, batchPool))
-                raw.push_back(metricValue(r, metric_));
-            return raw;
-        });
+    if (!pool || xs.empty())
+        return Objective::evaluateBatch(xs, pool);
+
+    // Batch phase: decode every point, then one counted config-batch
+    // pass per mix entry, the weighted sum accumulating in entry
+    // order on this thread (evaluate()'s association). An invalid
+    // workload adds weight * invalidScore, which keeps the sum at
+    // invalidScore as evaluate()'s early return does. Any failure
+    // here (bad point, pool fault) degrades to the per-point path,
+    // whose per-point recovery then isolates the offender instead of
+    // losing the whole batch.
+    std::vector<double> values;
+    try {
+        std::vector<AcceleratorConfig> configs;
+        configs.reserve(xs.size());
+        for (const std::vector<double> &x : xs)
+            configs.push_back(decode(x));
+        values.assign(configs.size(), 0.0);
+        for (const TrafficEntry &entry : mix_.entries) {
+            const std::vector<EvalResult> results = evaluateConfigBatch(
+                evaluator_, configs, entry.workload, *pool);
+            for (std::size_t i = 0; i < results.size(); ++i)
+                values[i] +=
+                    entry.weight * metricValue(results[i], metric_);
+        }
+    } catch (const std::exception &e) {
+        warn("batch evaluation failed: ", e.what(),
+             "; retrying point by point");
+        return Objective::evaluateBatch(xs, pool);
+    }
+
+    // Recovery phase: identical per-point semantics (counters,
+    // timers, fault sites, retry) applied in input order.
+    for (double &value : values)
+        value = recoverRawObjective(value);
+    return values;
 }
 
 } // namespace vaesa

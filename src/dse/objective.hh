@@ -12,11 +12,11 @@
 #ifndef VAESA_DSE_OBJECTIVE_HH
 #define VAESA_DSE_OBJECTIVE_HH
 
-#include <functional>
 #include <limits>
 #include <vector>
 
 #include "arch/design_space.hh"
+#include "dse/multi_workload.hh"
 #include "sched/evaluator.hh"
 #include "workload/layer.hh"
 #include "workload/networks.hh"
@@ -74,11 +74,9 @@ class Objective
      * Score xs[i] into out[i] as one batch. The base implementation
      * makes per-point evaluateRecovered() calls, fanned across the
      * pool when one is given and threadSafeEvaluate() holds, serial
-     * otherwise. Objectives backed by the batch evaluation pipeline
-     * (InputSpaceObjective, MultiWorkloadObjective) override this
-     * with recoverBatch(), which scores the whole batch through
-     * evaluateConfigBatch and then re-applies the per-point recovery
-     * semantics in input order, so values, search
+     * otherwise. InputSpaceObjective overrides this to score the
+     * whole batch through evaluateConfigBatch and then re-apply the
+     * per-point recovery semantics in input order, so values, search
      * metrics, and fault-site hit counts stay identical to the
      * per-point path while the cost-model work runs batched. All
      * overrides must keep results in input order and bit-identical
@@ -86,25 +84,6 @@ class Objective
      */
     virtual std::vector<double> evaluateBatch(
         const std::vector<std::vector<double>> &xs, ThreadPool *pool);
-
-  protected:
-    /** Raw objective values of decoded configs, in input order. */
-    using RawBatch = std::function<std::vector<double>(
-        const std::vector<AcceleratorConfig> &configs,
-        ThreadPool &pool)>;
-
-    /**
-     * The batch-then-recover body of the box objectives'
-     * evaluateBatch(): decode every point with decodeBoxPoint(),
-     * score the configs through @p raw, then re-apply
-     * evaluateRecovered()'s semantics (counters, timers, fault sites,
-     * retry) to each raw value in input order. Falls back to the
-     * base evaluateBatch() when no pool is given or the batch phase
-     * throws, so one bad batch costs a per-point retry, not the run.
-     */
-    std::vector<double> recoverBatch(
-        const std::vector<std::vector<double>> &xs, ThreadPool *pool,
-        const RawBatch &raw);
 };
 
 /**
@@ -175,8 +154,16 @@ struct SearchTrace
  * with the latent space: VAESA's learned representation is the
  * log-normalized, compressed one -- that difference is the point of
  * the paper.
+ *
+ * The score is sum_i weight_i * metric_i over a traffic mix, each
+ * workload rolled up occurrence-counted
+ * (Evaluator::evaluateWorkload(arch, Workload)). A single workload
+ * is a one-entry mix of weight 1.0, and 0.0 + 1.0 * m == m, so it
+ * scores bit for bit as that workload alone. Any unmappable
+ * workload makes the whole point invalid (a co-designed accelerator
+ * must run ALL of its traffic).
  */
-class InputSpaceObjective : public Objective
+class InputSpaceObjective final : public Objective
 {
   public:
     /**
@@ -189,13 +176,15 @@ class InputSpaceObjective : public Objective
                         std::vector<LayerShape> layers,
                         Metric metric = Metric::Edp);
 
-    /**
-     * Occurrence-counted variant: the workload's counts weight each
-     * layer's latency/energy in the roll-up (see
-     * Evaluator::evaluateWorkload(arch, Workload)). With empty
-     * counts this is exactly the layer-vector constructor.
-     */
+    /** One occurrence-counted workload: a one-entry mix of weight
+     *  1.0. With empty counts this is exactly the layer-vector
+     *  constructor. */
     InputSpaceObjective(const Evaluator &evaluator, Workload workload,
+                        Metric metric = Metric::Edp);
+
+    /** A non-empty weighted workload set; @p metric is the
+     *  per-workload quantity the weights combine. */
+    InputSpaceObjective(const Evaluator &evaluator, TrafficMix mix,
                         Metric metric = Metric::Edp);
 
     std::size_t dim() const override;
@@ -208,13 +197,13 @@ class InputSpaceObjective : public Objective
 
     /**
      * Batch scoring through the config-major batch engine
-     * (evaluateConfigBatch): decode every point, score the distinct
-     * configs in work-stealing chunks, then apply the per-point
-     * recovery/metric semantics in input order. Bit-identical values
-     * and counter totals to the per-point path; falls back to the
-     * base implementation if the batch phase itself fails (so one bad
-     * batch degrades gracefully instead of killing a run), or when no
-     * pool is given.
+     * (evaluateConfigBatch, one counted pass per mix entry): decode
+     * every point, score the distinct configs in work-stealing
+     * chunks, then apply the per-point recovery/metric semantics in
+     * input order. Bit-identical values and counter totals to the
+     * per-point path; falls back to the base implementation if the
+     * batch phase itself fails (so one bad batch degrades gracefully
+     * instead of killing a run), or when no pool is given.
      */
     std::vector<double> evaluateBatch(
         const std::vector<std::vector<double>> &xs,
@@ -228,7 +217,7 @@ class InputSpaceObjective : public Objective
 
   private:
     const Evaluator &evaluator_;
-    Workload workload_;
+    TrafficMix mix_;
     Metric metric_;
 };
 

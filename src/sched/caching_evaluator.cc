@@ -206,9 +206,10 @@ CachingEvaluator::snapConfig(const AcceleratorConfig &arch) const
 
 EvalResult
 CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
-                                   const std::vector<LayerShape> &layers,
+                                   const Workload &workload,
                                    const CancelToken *cancel) const
 {
+    const std::vector<LayerShape> &layers = workload.layers;
     // Snap to the grid first (the cache key is the grid index, and
     // off-grid values would alias the snapped point), and key the
     // config once: the keys differ only by layer.
@@ -232,7 +233,7 @@ CachingEvaluator::evaluateWorkload(const AcceleratorConfig &arch,
     probeBatch(row.keys.data(), n, row.results.data(),
                row.state.data());
     const RowWalk walk =
-        walkRow(snapped, layers, {}, row.keys.data(),
+        walkRow(snapped, layers, workload.counts, row.keys.data(),
                 row.results.data(), row.state.data(), cancel);
     accountBatch(walk.walked,
                  insertBatch(row.keys.data(), row.results.data(),

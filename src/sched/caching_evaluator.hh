@@ -69,20 +69,22 @@ class CachingEvaluator
     explicit CachingEvaluator(const Evaluator &inner);
 
     /**
-     * Memoized per-layer sum, like Evaluator::evaluateWorkload, with
-     * ONE cache probe: the config is snapped and keyed once, every
-     * layer's key goes into a single probe, and the row walk computes
-     * only the layers the probe missed. A shape repeated within
-     * @p layers is computed once; its later repeats count as hits.
-     * The result is the sum over the layers of
-     * Evaluator::evaluateLayer(), in order, on the snapped config (an
-     * invalid result at the first invalid layer, which ends the
-     * walk), and every layer walked counts as one lookup: a miss when
-     * it was computed here, a hit otherwise. The computed layers are
-     * inserted once, at the end of the walk. The row's buffers are
-     * per-thread scratch, reused call to call, so once a thread has
-     * made a call as long, a call that hits every layer does not
-     * touch the heap.
+     * Memoized counted roll-up, like
+     * Evaluator::evaluateWorkload(arch, Workload), with ONE cache
+     * probe: the config is snapped and keyed once, every layer's key
+     * goes into a single probe, and the row walk computes only the
+     * layers the probe missed. A shape repeated within the workload's
+     * layers is computed once; its later repeats count as hits. The
+     * result is the sum over the layers of
+     * Evaluator::evaluateLayer(), in order and weighted by
+     * workload.counts (each weight exactly 1.0 when counts is empty),
+     * on the snapped config (an invalid result at the first invalid
+     * layer, which ends the walk), and every layer walked counts as
+     * one lookup: a miss when it was computed here, a hit otherwise.
+     * The computed layers are inserted once, at the end of the walk.
+     * The row's buffers are per-thread scratch, reused call to call,
+     * so once a thread has made a call as long, a call that hits
+     * every layer does not touch the heap.
      *
      * @p cancel (may be null) is checked before each missed layer is
      * computed. On expiry the layers computed so far are inserted and
@@ -90,7 +92,7 @@ class CachingEvaluator
      * DeadlineExceeded is thrown.
      */
     EvalResult evaluateWorkload(const AcceleratorConfig &arch,
-                                const std::vector<LayerShape> &layers,
+                                const Workload &workload,
                                 const CancelToken *cancel =
                                     nullptr) const;
 

@@ -67,33 +67,31 @@ class ServeObjective : public Objective
 {
   public:
     ServeObjective(const CachingEvaluator &cache, ThreadPool &pool,
-                   const std::vector<LayerShape> &layers,
-                   const CancelToken *cancel)
-        : decoder_(cache.inner(), layers), cache_(cache), pool_(pool),
-          cancel_(cancel), workload_{"", layers, {}}
+                   const Workload &workload, const CancelToken *cancel)
+        : cache_(cache), pool_(pool), workload_(workload),
+          cancel_(cancel)
     {
     }
 
-    std::size_t dim() const override { return decoder_.dim(); }
+    std::size_t dim() const override { return numHwParams; }
 
     std::vector<double>
     lowerBounds() const override
     {
-        return decoder_.lowerBounds();
+        return std::vector<double>(numHwParams, 0.0);
     }
 
     std::vector<double>
     upperBounds() const override
     {
-        return decoder_.upperBounds();
+        return std::vector<double>(numHwParams, 1.0);
     }
 
     double
     evaluate(const std::vector<double> &x) override
     {
         return metricValue(
-            cache_.evaluateWorkload(decoder_.decode(x),
-                                    workload_.layers),
+            cache_.evaluateWorkload(decodeBoxPoint(x), workload_),
             Metric::Edp);
     }
 
@@ -106,7 +104,7 @@ class ServeObjective : public Objective
         std::vector<AcceleratorConfig> configs;
         configs.reserve(xs.size());
         for (const std::vector<double> &x : xs)
-            configs.push_back(decoder_.decode(x));
+            configs.push_back(decodeBoxPoint(x));
         std::vector<double> out(xs.size(), invalidScore);
         try {
             const std::vector<EvalResult> results =
@@ -122,19 +120,11 @@ class ServeObjective : public Objective
         return out;
     }
 
-    /** Decode a box point to its discrete configuration. */
-    AcceleratorConfig
-    decode(const std::vector<double> &x) const
-    {
-        return decoder_.decode(x);
-    }
-
   private:
-    InputSpaceObjective decoder_;
     const CachingEvaluator &cache_;
     ThreadPool &pool_;
+    const Workload &workload_;
     const CancelToken *cancel_;
-    const Workload workload_;
 };
 
 /**
@@ -149,9 +139,8 @@ class LatentServeObjective : public Objective
   public:
     LatentServeObjective(std::shared_ptr<ModelBundle> bundle,
                          const CachingEvaluator &cache,
-                         const std::vector<LayerShape> &layers,
-                         double radius)
-        : bundle_(std::move(bundle)), cache_(cache), layers_(layers),
+                         const Workload &workload, double radius)
+        : bundle_(std::move(bundle)), cache_(cache), workload_(workload),
           dim_(bundle_->framework->latentDim()), radius_(radius)
     {
     }
@@ -178,7 +167,7 @@ class LatentServeObjective : public Objective
             const MutexLock lock(bundle_->modelMutex);
             config = bundle_->framework->decodeLatent(z);
         }
-        return metricValue(cache_.evaluateWorkload(config, layers_),
+        return metricValue(cache_.evaluateWorkload(config, workload_),
                            Metric::Edp);
     }
 
@@ -193,7 +182,7 @@ class LatentServeObjective : public Objective
   private:
     std::shared_ptr<ModelBundle> bundle_;
     const CachingEvaluator &cache_;
-    const std::vector<LayerShape> &layers_;
+    const Workload &workload_;
     std::size_t dim_;
     double radius_;
 };
@@ -223,20 +212,9 @@ Server::Server(const ServeOptions &options)
       servicePool_(std::max<std::size_t>(1, options.serviceThreads))
 {
     for (Workload &w : trainingWorkloads())
-        workloads_[w.name] = std::move(w.layers);
-    // Zoo workloads carry occurrence counts; the per-request score
-    // path sums plain layer vectors, so expand each shape by its
-    // count to keep whole-network totals exact. The shared cache
-    // collapses the repeats to one evaluation per unique shape.
-    for (const Workload &w : zooWorkloads()) {
-        std::vector<LayerShape> seq;
-        seq.reserve(static_cast<std::size_t>(w.totalLayers()));
-        for (std::size_t i = 0; i < w.layers.size(); ++i)
-            seq.insert(seq.end(),
-                       static_cast<std::size_t>(w.countOf(i)),
-                       w.layers[i]);
-        workloads_[w.name] = std::move(seq);
-    }
+        workloads_[w.name] = std::move(w);
+    for (Workload &w : zooWorkloads())
+        workloads_[w.name] = std::move(w);
 }
 
 Server::~Server()
@@ -510,7 +488,7 @@ Server::dispatch(const Request &request, bool *closeAfter)
     return resp;
 }
 
-const std::vector<LayerShape> *
+const Workload *
 Server::findWorkload(const std::string &name, Response *resp)
 {
     const auto it = workloads_.find(name);
@@ -526,16 +504,15 @@ void
 Server::handleScore(const Request &request, CancelToken &token,
                     Response *resp)
 {
-    const std::vector<LayerShape> *layers =
-        findWorkload(request.workload, resp);
-    if (!layers)
+    const Workload *workload = findWorkload(request.workload, resp);
+    if (!workload)
         return;
     token.check("score_admit");
     // Scored on this service thread with one cache probe; only the
     // layers the probe misses are computed (lint-enforced: no serve
     // file calls the uncached batch entry point).
     const EvalResult result =
-        cache_.evaluateWorkload(request.config, *layers, &token);
+        cache_.evaluateWorkload(request.config, *workload, &token);
     resp->valid = result.valid;
     resp->latencyCycles = result.latencyCycles;
     resp->energyPj = result.energyPj;
@@ -569,12 +546,11 @@ Server::handleDecode(const Request &request, CancelToken &token,
         resp->config = bundle->framework->decodeLatent(request.latent);
     }
     if (!request.workload.empty()) {
-        const std::vector<LayerShape> *layers =
-            findWorkload(request.workload, resp);
-        if (!layers)
+        const Workload *workload = findWorkload(request.workload, resp);
+        if (!workload)
             return;
         const EvalResult result =
-            cache_.evaluateWorkload(resp->config, *layers, &token);
+            cache_.evaluateWorkload(resp->config, *workload, &token);
         resp->valid = result.valid;
         resp->latencyCycles = result.latencyCycles;
         resp->energyPj = result.energyPj;
@@ -587,9 +563,8 @@ void
 Server::handleSearch(const Request &request, CancelToken &token,
                      Response *resp)
 {
-    const std::vector<LayerShape> *layers =
-        findWorkload(request.workload, resp);
-    if (!layers)
+    const Workload *workload = findWorkload(request.workload, resp);
+    if (!workload)
         return;
 
     // Max-in-flight semaphore: long searches are the requests that
@@ -614,19 +589,19 @@ Server::handleSearch(const Request &request, CancelToken &token,
 
     switch (request.method) {
     case SearchMethod::Random: {
-        ServeObjective objective(cache_, evalPool_, *layers, &token);
+        ServeObjective objective(cache_, evalPool_, *workload, &token);
         trace = RandomSearch().run(objective, samples, rng,
                                    &evalPool_, nullptr, &token);
         if (!trace.bestPoint().empty())
-            resp->config = objective.decode(trace.bestPoint());
+            resp->config = decodeBoxPoint(trace.bestPoint());
         break;
     }
     case SearchMethod::Bo: {
-        ServeObjective objective(cache_, evalPool_, *layers, &token);
+        ServeObjective objective(cache_, evalPool_, *workload, &token);
         trace = BayesOpt().run(objective, samples, rng, &evalPool_,
                                nullptr, &token);
         if (!trace.bestPoint().empty())
-            resp->config = objective.decode(trace.bestPoint());
+            resp->config = decodeBoxPoint(trace.bestPoint());
         break;
     }
     case SearchMethod::LatentRandom: {
@@ -638,7 +613,7 @@ Server::handleSearch(const Request &request, CancelToken &token,
             resp->message = "no model loaded for latent search";
             return;
         }
-        LatentServeObjective objective(bundle, cache_, *layers,
+        LatentServeObjective objective(bundle, cache_, *workload,
                                        options_.latentRadius);
         trace = RandomSearch().run(objective, samples, rng, nullptr,
                                    nullptr, &token);

@@ -161,15 +161,15 @@ class Server
     void handleReload(const Request &request, Response *resp);
     void handleStats(Response *resp);
 
-    const std::vector<LayerShape> *findWorkload(
-        const std::string &name, Response *resp);
+    const Workload *findWorkload(const std::string &name,
+                                 Response *resp);
 
     ServeOptions options_;
     CachingEvaluator cache_;
     ThreadPool evalPool_;
     ThreadPool servicePool_;
     ModelRegistry models_;
-    std::map<std::string, std::vector<LayerShape>> workloads_;
+    std::map<std::string, Workload> workloads_;
     Socket listener_;
     std::uint16_t port_ = 0;
     CancelToken drainToken_;

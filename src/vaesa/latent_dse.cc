@@ -9,15 +9,25 @@ namespace vaesa {
 
 LatentObjective::LatentObjective(VaesaFramework &framework,
                                  const Evaluator &evaluator,
-                                 std::vector<LayerShape> layers,
-                                 double radius, Metric metric)
+                                 Workload workload, double radius,
+                                 Metric metric)
     : framework_(framework), evaluator_(evaluator),
-      layers_(std::move(layers)), radius_(radius), metric_(metric)
+      workload_(std::move(workload)), radius_(radius), metric_(metric)
 {
-    if (layers_.empty())
+    if (workload_.layers.empty())
         fatal("LatentObjective needs at least one layer");
     if (radius_ <= 0.0)
         fatal("LatentObjective radius must be positive");
+}
+
+LatentObjective::LatentObjective(VaesaFramework &framework,
+                                 const Evaluator &evaluator,
+                                 std::vector<LayerShape> layers,
+                                 double radius, Metric metric)
+    : LatentObjective(framework, evaluator,
+                      Workload{"", std::move(layers), {}}, radius,
+                      metric)
+{
 }
 
 std::size_t
@@ -48,7 +58,7 @@ double
 LatentObjective::evaluate(const std::vector<double> &x)
 {
     const AcceleratorConfig config = framework_.decodeLatent(x);
-    return metricValue(evaluator_.evaluateWorkload(config, layers_),
+    return metricValue(evaluator_.evaluateWorkload(config, workload_),
                        metric_);
 }
 

@@ -27,11 +27,17 @@ class LatentObjective : public Objective
     /**
      * @param framework trained VAESA instance (borrowed).
      * @param evaluator scoring backend (borrowed).
-     * @param layers workload layers.
+     * @param workload the (occurrence-counted) workload to score.
      * @param radius half-width of the latent search box; the KL term
      *        concentrates encodings near the origin, so 3 sigma
      *        covers effectively all of the learned distribution.
      */
+    LatentObjective(VaesaFramework &framework,
+                    const Evaluator &evaluator, Workload workload,
+                    double radius = 3.0,
+                    Metric metric = Metric::Edp);
+
+    /** Paper mode: every layer once (a workload with empty counts). */
     LatentObjective(VaesaFramework &framework,
                     const Evaluator &evaluator,
                     std::vector<LayerShape> layers,
@@ -52,7 +58,7 @@ class LatentObjective : public Objective
   private:
     VaesaFramework &framework_;
     const Evaluator &evaluator_;
-    std::vector<LayerShape> layers_;
+    Workload workload_;
     double radius_;
     Metric metric_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Multi-workload co-design layer: traffic-mix parsing, the weighted
- * objective's correctness against per-workload roll-ups, and the
+ * Multi-workload co-design layer: traffic-mix parsing, the input-space
+ * objective over a mix checked against per-workload roll-ups, and the
  * bit-identity of its batch path — plus the counted workload
  * evaluation overloads it is built on.
  */
@@ -13,7 +13,7 @@
 #include <fstream>
 
 #include "../common/temp_path.hh"
-#include "dse/multi_workload.hh"
+#include "dse/objective.hh"
 #include "dse/random_search.hh"
 #include "sched/parallel_evaluator.hh"
 #include "util/thread_pool.hh"
@@ -217,7 +217,7 @@ TEST(MultiWorkload, EvaluateIsTheWeightedSumOfWorkloadMetrics)
     const auto mix =
         makeTrafficMix({{"alexnet", 2.0}, {"deepbench", 0.5}});
     ASSERT_TRUE(mix.ok());
-    MultiWorkloadObjective objective(ev, mix.value());
+    InputSpaceObjective objective(ev, mix.value());
     EXPECT_EQ(objective.dim(),
               static_cast<std::size_t>(numHwParams));
 
@@ -230,6 +230,28 @@ TEST(MultiWorkload, EvaluateIsTheWeightedSumOfWorkloadMetrics)
         ev.evaluateWorkload(config, workloadByName("deepbench"));
     ASSERT_TRUE(a.valid && b.valid);
     EXPECT_EQ(score, 2.0 * a.edp + 0.5 * b.edp);
+}
+
+TEST(MultiWorkload, OneEntryMixScoresAsItsWorkload)
+{
+    // A single workload is a one-entry mix of weight 1.0, and
+    // 0.0 + 1.0 * m == m: all three forms score bit for bit alike.
+    Evaluator ev;
+    const Workload bert = workloadByName("bert_base");
+    const auto mix = makeTrafficMix({{"bert_base", 1.0}});
+    ASSERT_TRUE(mix.ok());
+    InputSpaceObjective fromMix(ev, mix.value(), Metric::Latency);
+    InputSpaceObjective fromWorkload(ev, bert, Metric::Latency);
+    Rng rng(31);
+    for (int i = 0; i < 8; ++i) {
+        std::vector<double> x(numHwParams);
+        for (double &v : x)
+            v = rng.uniform();
+        const double want = metricValue(
+            ev.evaluateWorkload(fromMix.decode(x), bert), Metric::Latency);
+        EXPECT_EQ(fromMix.evaluate(x), want) << i;
+        EXPECT_EQ(fromWorkload.evaluate(x), want) << i;
+    }
 }
 
 TEST(MultiWorkload, BatchPathIsBitIdenticalToSerial)
@@ -249,12 +271,12 @@ TEST(MultiWorkload, BatchPathIsBitIdenticalToSerial)
         xs.push_back(x);
     }
 
-    MultiWorkloadObjective serialObj(ev, mix.value());
+    InputSpaceObjective serialObj(ev, mix.value());
     std::vector<double> serial;
     for (const auto &x : xs)
         serial.push_back(serialObj.evaluate(x));
 
-    MultiWorkloadObjective batchObj(ev, mix.value());
+    InputSpaceObjective batchObj(ev, mix.value());
     const std::vector<double> batched =
         batchObj.evaluateBatch(xs, &pool);
     ASSERT_EQ(batched.size(), serial.size());
@@ -269,7 +291,7 @@ TEST(MultiWorkload, SearchRunsOnAZooMix)
     const auto mix =
         makeTrafficMix({{"mobilenet_v2", 1.0}, {"dlrm", 1.0}});
     ASSERT_TRUE(mix.ok());
-    MultiWorkloadObjective objective(ev, mix.value());
+    InputSpaceObjective objective(ev, mix.value());
     Rng rng(7);
     const SearchTrace trace =
         RandomSearch().run(objective, 24, rng, &pool);
@@ -281,8 +303,7 @@ TEST(MultiWorkload, SearchRunsOnAZooMix)
 TEST(MultiWorkload, RejectsEmptyMix)
 {
     Evaluator ev;
-    EXPECT_DEATH(MultiWorkloadObjective(ev, TrafficMix{}),
-                 "non-empty mix");
+    EXPECT_DEATH(InputSpaceObjective(ev, TrafficMix{}), "non-empty mix");
 }
 
 } // namespace

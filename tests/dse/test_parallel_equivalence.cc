@@ -253,8 +253,8 @@ TEST(ParallelEquivalence, BatchPhaseFailureFallsBackPerPoint)
 {
     // A fault killing the batch pipeline mid-flight must degrade to
     // the per-point path, not surface to the driver: the caller sees
-    // the same values, one batch just costs a retry. Both batch-capable
-    // objectives share this fallback.
+    // the same values, one batch just costs a retry: for one workload
+    // and for a weighted mix, whose batch runs one pass per entry.
     FaultInjector::instance().reset();
     Evaluator evaluator;
     ThreadPool pool(4);
@@ -262,9 +262,9 @@ TEST(ParallelEquivalence, BatchPhaseFailureFallsBackPerPoint)
     const Expected<TrafficMix> mix =
         makeTrafficMix({{"alexnet", 1.0}, {"dlrm", 3.0}});
     ASSERT_TRUE(mix.ok());
-    MultiWorkloadObjective multi(evaluator, mix.value());
+    InputSpaceObjective multi(evaluator, mix.value());
     const std::pair<const char *, Objective *> objectives[] = {
-        {"input-space", &single}, {"multi-workload", &multi}};
+        {"one workload", &single}, {"mix", &multi}};
     for (const auto &[name, obj] : objectives) {
         const auto xs = randomPoints(32, obj->dim(), 29);
         const std::vector<double> want = obj->evaluateBatch(xs, nullptr);

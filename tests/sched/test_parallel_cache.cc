@@ -106,19 +106,19 @@ TEST(ParallelCache, ServeWalkStopsAtFirstInvalidLayer)
     const std::vector<LayerShape> real = resNet50Layers();
     ASSERT_TRUE(Evaluator().evaluateWorkload(s.config, real).valid);
     CachingEvaluator cached;
-    expectInvalid(cached.evaluateWorkload(s.config, s.layers));
+    expectInvalid(cached.evaluateWorkload(s.config, {"", s.layers, {}}));
     EXPECT_EQ(cached.misses(), s.distinct);
     EXPECT_EQ(cached.hits(), s.walked - s.distinct);
     EXPECT_EQ(cached.inner().evaluationCount(), s.distinct);
 
-    expectInvalid(cached.evaluateWorkload(s.config, s.layers));
+    expectInvalid(cached.evaluateWorkload(s.config, {"", s.layers, {}}));
     EXPECT_EQ(cached.misses(), s.distinct);
     EXPECT_EQ(cached.hits(), 2 * s.walked - s.distinct);
     EXPECT_EQ(cached.inner().evaluationCount(), s.distinct);
 
     // The layers past the dead one were never cached.
     const std::vector<LayerShape> after(real.begin() + 13, real.end());
-    EXPECT_TRUE(cached.evaluateWorkload(s.config, after).valid);
+    EXPECT_TRUE(cached.evaluateWorkload(s.config, {"", after, {}}).valid);
     EXPECT_EQ(cached.misses(),
               s.distinct + distinctShapes(after, after.size()));
 }
@@ -182,7 +182,7 @@ TEST(ParallelCache, StressOverlappingKeysMatchesSerial)
     pool.parallelFor(batch.size(), [&](std::size_t i) {
         for (std::size_t l = 0; l < layersUsed; ++l)
             got[i].push_back(
-                cached.evaluateWorkload(batch[i], {layers[l]}));
+                cached.evaluateWorkload(batch[i], {"", {layers[l]}, {}}));
     });
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -219,13 +219,13 @@ TEST(ParallelCache, ConcurrentLayerRegistrationIsConsistent)
     const AcceleratorConfig config = designSpace().randomConfig(rng);
 
     pool.parallelFor(8 * layers.size(), [&](std::size_t i) {
-        cached.evaluateWorkload(config, {layers[i % layers.size()]});
+        cached.evaluateWorkload(config, {"", {layers[i % layers.size()]}, {}});
     });
     EXPECT_EQ(cached.hits() + cached.misses(), 8 * layers.size());
 
     const std::uint64_t missesAfterWarm = cached.misses();
     pool.parallelFor(8 * layers.size(), [&](std::size_t i) {
-        cached.evaluateWorkload(config, {layers[i % layers.size()]});
+        cached.evaluateWorkload(config, {"", {layers[i % layers.size()]}, {}});
     });
     // Second sweep: zero new misses — every shape resolved to the
     // id registered in the first sweep.
@@ -241,12 +241,12 @@ TEST(ParallelCache, ConcurrentHitsAndMissesInterleave)
         overlappingConfigs(64, 16, 21);
     CachingEvaluator cached;
     for (std::size_t i = 0; i < batch.size(); i += 2)
-        cached.evaluateWorkload(batch[i], {layers[0]});
+        cached.evaluateWorkload(batch[i], {"", {layers[0]}, {}});
     const std::uint64_t warmLookups = cached.hits() + cached.misses();
 
     ThreadPool pool(8);
     pool.parallelFor(batch.size(), [&](std::size_t i) {
-        cached.evaluateWorkload(batch[i], {layers[0]});
+        cached.evaluateWorkload(batch[i], {"", {layers[0]}, {}});
     });
     EXPECT_EQ(cached.hits() + cached.misses(),
               warmLookups + batch.size());
@@ -272,7 +272,8 @@ TEST(ParallelCache, ChunkedBatchStressMatchesSerialCounters)
     std::vector<EvalResult> expected;
     expected.reserve(batch.size());
     for (const AcceleratorConfig &config : batch)
-        expected.push_back(serialCache.evaluateWorkload(config, layers));
+        expected.push_back(
+            serialCache.evaluateWorkload(config, {"", layers, {}}));
 
     // 8 workers, chunked work stealing through a fresh cache.
     CachingEvaluator cache;
@@ -379,7 +380,7 @@ TEST(ParallelCache, KillMidBatchIsAllOrNothing)
     std::uint64_t distinct = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =
-            serialCache.evaluateWorkload(batch[i], {layers[0]});
+            serialCache.evaluateWorkload(batch[i], {"", {layers[0]}, {}});
         EXPECT_EQ(got[i].valid, expected.valid);
         EXPECT_EQ(got[i].latencyCycles, expected.latencyCycles);
         EXPECT_EQ(got[i].energyPj, expected.energyPj);
@@ -421,7 +422,7 @@ TEST(ParallelCache, KillMidChunkedBatchNeverPollutesTheCache)
     CachingEvaluator serialCache;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =
-            serialCache.evaluateWorkload(batch[i], {layers[1]});
+            serialCache.evaluateWorkload(batch[i], {"", {layers[1]}, {}});
         EXPECT_EQ(got[i].valid, expected.valid);
         EXPECT_EQ(got[i].latencyCycles, expected.latencyCycles);
         EXPECT_EQ(got[i].energyPj, expected.energyPj);
@@ -461,7 +462,7 @@ TEST(ParallelCache, CancelledBatchIsAllOrNothing)
     CachingEvaluator serialCache;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const EvalResult expected =
-            serialCache.evaluateWorkload(batch[i], layers);
+            serialCache.evaluateWorkload(batch[i], {"", layers, {}});
         EXPECT_EQ(got[i].valid, expected.valid);
         EXPECT_EQ(got[i].latencyCycles, expected.latencyCycles);
         EXPECT_EQ(got[i].energyPj, expected.energyPj);
@@ -519,7 +520,7 @@ TEST(ParallelCache, ScalarAndBatchCallersShareOneCache)
             if ((t + r) % 2 == 0) {
                 for (std::size_t i = begin; i < begin + window; ++i)
                     got[t].emplace_back(
-                        i, cache.evaluateWorkload(configs[i], layers));
+                        i, cache.evaluateWorkload(configs[i], workload));
                 continue;
             }
             const std::vector<AcceleratorConfig> slice(

@@ -138,10 +138,10 @@ TEST(ParallelEvaluator, WarmedCacheHitRateMatchesSerial)
 
     CachingEvaluator serialCache;
     for (const AcceleratorConfig &config : batch)
-        serialCache.evaluateWorkload(config, alexnet.layers);
+        serialCache.evaluateWorkload(config, alexnet);
     const std::uint64_t serialWarm = serialCache.hits();
     for (const AcceleratorConfig &config : batch)
-        serialCache.evaluateWorkload(config, alexnet.layers);
+        serialCache.evaluateWorkload(config, alexnet);
     const std::uint64_t serialRepeatHits =
         serialCache.hits() - serialWarm;
 
@@ -351,13 +351,13 @@ TEST(ParallelEvaluator, CachedBatchRepeatedShapeMatchesSerialHitMiss)
                 CachingEvaluator serialCache;
                 CachingEvaluator batchCache;
                 for (std::size_t i = 0; i < warmed; ++i) {
-                    serialCache.evaluateWorkload(batch[i], w.layers);
-                    batchCache.evaluateWorkload(batch[i], w.layers);
+                    serialCache.evaluateWorkload(batch[i], w);
+                    batchCache.evaluateWorkload(batch[i], w);
                 }
                 std::vector<EvalResult> want;
                 for (const AcceleratorConfig &config : batch)
                     want.push_back(
-                        serialCache.evaluateWorkload(config, w.layers));
+                        serialCache.evaluateWorkload(config, w));
 
                 ThreadPool pool(width);
                 const std::vector<EvalResult> got =

@@ -36,6 +36,7 @@
 #include "vaesa/framework.hh"
 #include "vaesa/serialize.hh"
 #include "workload/networks.hh"
+#include "workload/zoo.hh"
 
 namespace vaesa {
 namespace serve {
@@ -230,21 +231,38 @@ TEST_F(ServeServer, ZooWorkloadNamesAreServable)
     Expected<Socket> conn = harness.connect();
     ASSERT_TRUE(conn.ok());
 
-    // Zoo entries register count-expanded, so a depthwise-heavy net
-    // and a transformer both score through the same cached path as
-    // the Table III convs.
+    // Zoo entries are served as the library's occurrence-counted
+    // workloads: a depthwise-heavy net and a transformer score through
+    // the same cached path as the Table III convs, and every reply
+    // equals the library's counted roll-up bit for bit.
+    std::vector<AcceleratorConfig> configs = {someConfig()};
+    Rng rng(0x200);
+    for (int i = 0; i < 8; ++i)
+        configs.push_back(designSpace().randomConfig(rng));
+    const Evaluator plain;
     unsigned id = 40;
-    for (const char *name : {"mobilenet_v2", "bert_base", "dlrm"}) {
-        Request score;
-        score.id = id++;
-        score.type = MsgType::ScoreConfig;
-        score.workload = name;
-        score.config = someConfig();
-        Expected<Response> reply = roundTrip(conn.value(), score);
-        ASSERT_TRUE(reply.ok()) << name;
-        EXPECT_EQ(reply.value().status, Status::Ok) << name;
-        EXPECT_TRUE(reply.value().valid) << name;
-        EXPECT_GT(reply.value().edp, 0.0) << name;
+    for (const Workload &zoo : zooWorkloads()) {
+        SCOPED_TRACE(zoo.name);
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            Request score;
+            score.id = id++;
+            score.type = MsgType::ScoreConfig;
+            score.workload = zoo.name;
+            score.config = configs[c];
+            Expected<Response> reply = roundTrip(conn.value(), score);
+            ASSERT_TRUE(reply.ok());
+            EXPECT_EQ(reply.value().status, Status::Ok);
+            const EvalResult want = plain.evaluateWorkload(
+                harness.server().cache().snapConfig(configs[c]),
+                workloadByName(zoo.name));
+            EXPECT_EQ(reply.value().valid, want.valid);
+            if (c == 0) { // someConfig() maps every zoo network.
+                EXPECT_TRUE(want.valid);
+            }
+            EXPECT_EQ(reply.value().latencyCycles, want.latencyCycles);
+            EXPECT_EQ(reply.value().energyPj, want.energyPj);
+            EXPECT_EQ(reply.value().edp, want.edp);
+        }
     }
 }
 

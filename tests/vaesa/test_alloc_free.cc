@@ -229,14 +229,14 @@ TEST(AllocFree, WarmCachedScoreIsAllocationFree)
     // rows is cached, a call keys, probes and walks its row in
     // per-thread buffers and registry lookups alone.
     CachingEvaluator cache;
-    const std::vector<LayerShape> layers = resNet50Layers();
+    const Workload resnet{"", resNet50Layers(), {}};
     Rng rng(33);
     std::vector<AcceleratorConfig> configs;
     for (int i = 0; i < 8; ++i)
         configs.push_back(designSpace().randomConfig(rng));
     for (int pass = 0; pass < 2; ++pass)
         for (const AcceleratorConfig &config : configs)
-            cache.evaluateWorkload(config, layers);
+            cache.evaluateWorkload(config, resnet);
     const std::uint64_t misses = cache.misses();
     const std::uint64_t hits = cache.hits();
 
@@ -244,7 +244,7 @@ TEST(AllocFree, WarmCachedScoreIsAllocationFree)
     const std::uint64_t before = allocCount();
     for (int pass = 0; pass < 10; ++pass)
         for (const AcceleratorConfig &config : configs)
-            edp += cache.evaluateWorkload(config, layers).edp;
+            edp += cache.evaluateWorkload(config, resnet).edp;
     const std::uint64_t after = allocCount();
 
     EXPECT_TRUE(std::isfinite(edp));

@@ -62,7 +62,8 @@ TEST(LatentObjective, RejectsBadArguments)
 {
     VaesaFramework &fw = testing::sharedFramework();
     Evaluator &ev = testing::sharedEvaluator();
-    EXPECT_DEATH(LatentObjective(fw, ev, {}), "at least one layer");
+    EXPECT_DEATH(LatentObjective(fw, ev, std::vector<LayerShape>{}),
+                 "at least one layer");
     EXPECT_DEATH(LatentObjective(fw, ev, alexNetLayers(), -1.0),
                  "radius");
 }
