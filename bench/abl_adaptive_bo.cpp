@@ -77,7 +77,7 @@ main()
                            adaptive_options);
         Rng rng_adaptive(900 + seed);
         const double adaptive =
-            flow.run(resnet.layers, scale.searchSamples,
+            flow.run(resnet, scale.searchSamples,
                      rng_adaptive)
                 .best();
         adaptive_best.push_back(adaptive);

@@ -64,7 +64,7 @@ BM_Cholesky(benchmark::State &state)
         benchmark::DoNotOptimize(lower.data());
     }
 }
-BENCHMARK(BM_Cholesky)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Cholesky)->Arg(64)->Arg(128)->Arg(192)->Arg(256);
 
 /** n random 4-D training points with normal labels. */
 void

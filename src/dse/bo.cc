@@ -24,6 +24,8 @@ struct BoMetrics
         metrics::counter("search.bo.iterations");
     metrics::Histogram &fitNs =
         metrics::histogram("search.bo.fit_ns");
+    metrics::Histogram &hyperNs =
+        metrics::histogram("search.bo.hyper_ns");
     metrics::Histogram &acqNs =
         metrics::histogram("search.bo.acq_ns");
     metrics::Counter &candidates =
@@ -466,6 +468,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             const metrics::ScopedTimer fitTimer(bm.fitNs);
             if (iterations_since_refit >=
                 options_.hyperRefitInterval) {
+                const metrics::ScopedTimer hyperTimer(bm.hyperNs);
                 gp.fitWithHyperSearch(xs, ys);
                 iterations_since_refit = 0;
                 hyper_known = true;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "tensor/kernels/triangular.hh"
 #include "tensor/linalg.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -14,6 +15,9 @@ namespace vaesa {
 namespace {
 
 using Kernel = GaussianProcess::Kernel;
+
+static_assert(GaussianProcess::predictTile == kernels::kSolveTile,
+              "a full predict tile is one solveLowerTile() call");
 
 /**
  * The kernel at squared distance d2, split as poly * exp(arg) so a
@@ -209,7 +213,10 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
             std::copy_n(choleskyLower_.data() + i * old_n, i + 1,
                         lower.data() + i * n);
     }
-    Matrix k(n, n);
+    // Only the rows of K the factorization reads are written, so the
+    // scratch is reshaped, not cleared.
+    Matrix &k = gramScratch_;
+    k.resizeBuffer(n, n);
     const auto noisy_gram = [&](std::size_t from, std::size_t to) {
         gram(k, from, to);
         for (std::size_t i = from; i < to; ++i)
@@ -217,14 +224,16 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
     };
     noisy_gram(p, n);
     factorExact_ = cholesky(k, lower, p);
+    std::size_t fresh_from = p;
     if (!factorExact_) {
         noisy_gram(0, p);
         choleskyJittered(k, lower);
+        fresh_from = 0;
     }
     choleskyLower_ = std::move(lower);
     factorHyper_ = hyper_;
     solvePosterior(y);
-    prepareBounds();
+    prepareBounds(fresh_from);
 }
 
 template <std::size_t W>
@@ -235,10 +244,10 @@ GaussianProcess::predictTileOf(const std::vector<double> *xs,
 {
     // Row i of v holds k(x_j, xs_[i]) for the W candidates side by
     // side and is overwritten in place by row i of L^-1 k*, so the
-    // inner loop of the forward substitution runs across independent
-    // candidates (a constant trip count the compiler vectorizes)
-    // instead of down one serial dependency chain. Per candidate the
-    // operation sequence is exactly the one-query textbook one.
+    // forward substitution of a full tile runs across independent
+    // candidates (kernels::solveLowerTile) instead of down one serial
+    // dependency chain. Per candidate the operation sequence is
+    // exactly the one-query textbook one.
     const std::size_t n = sampleCount();
     for (std::size_t j = 0; j < W; ++j) {
         if (xs[j].size() != dim_)
@@ -258,36 +267,26 @@ GaussianProcess::predictTileOf(const std::vector<double> *xs,
         break;
     }
 
-    const double *lower = choleskyLower_.data();
+    // Per candidate: the mean reduces k* against alpha, the forward
+    // substitution overwrites k* with L^-1 k*, and the variance
+    // subtracts its squares, each over the training points in
+    // ascending order.
     double mean_std[W];
     double var_std[W];
     for (std::size_t j = 0; j < W; ++j) {
         mean_std[j] = 0.0;
         var_std[j] = kernelValue(xs[j].data(), xs[j].data());
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *li = lower + i * n;
-        double *vi = v + i * W;
-        double acc[W];
-        for (std::size_t j = 0; j < W; ++j) {
-            mean_std[j] += vi[j] * alpha_[i];
-            acc[j] = vi[j];
-        }
-        for (std::size_t k = 0; k < i; ++k) {
-            const double lik = li[k];
-            const double *vk = v + k * W;
-            // Fully unrolled, the tile's accumulators live in
-            // registers; the baseline -O2 would keep them in memory.
-#pragma GCC unroll 32
-            for (std::size_t j = 0; j < W; ++j)
-                acc[j] -= lik * vk[j];
-        }
-        const double lii = li[i];
-        for (std::size_t j = 0; j < W; ++j) {
-            vi[j] = acc[j] / lii;
-            var_std[j] -= vi[j] * vi[j];
-        }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < W; ++j)
+            mean_std[j] += v[i * W + j] * alpha_[i];
+    if constexpr (W == 1)
+        kernels::solveLower(choleskyLower_.data(), n, v, v);
+    else
+        kernels::solveLowerTile(choleskyLower_.data(), n, v);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < W; ++j)
+            var_std[j] -= v[i * W + j] * v[i * W + j];
 
     for (std::size_t j = 0; j < W; ++j) {
         // Clamp BEFORE the caller takes sqrt: near-duplicate rows
@@ -391,7 +390,7 @@ GaussianProcess::fitWithHyperSearch(
     choleskyLower_ = std::move(best_lower);
     alpha_ = std::move(best_alpha);
     logLik_ = best_lik;
-    prepareBounds();
+    prepareBounds(0);
 }
 
 double

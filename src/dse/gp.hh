@@ -188,8 +188,10 @@ class GaussianProcess
     void boundTileOf(const std::vector<double> *xs, Bound *out,
                      double *cand) const;
 
-    /** rowNorm2_ and boundable_ from choleskyLower_ and alpha_. */
-    void prepareBounds();
+    /** rowNorm2_ and boundable_ from choleskyLower_ and alpha_;
+     *  the row norms below @p fromRow are those of rows the fit kept
+     *  and are not recomputed. */
+    void prepareBounds(std::size_t fromRow);
 
     Kernel kernel_;
     Hyper hyper_;
@@ -210,6 +212,9 @@ class GaussianProcess
     /** Per training point, the computed squared norm of its row of
      *  the stored factor, (L L^T)_ii. */
     std::vector<double> rowNorm2_;
+    /** fit()'s Gram-matrix scratch, reshaped (never cleared) per
+     *  fit. */
+    Matrix gramScratch_;
     /** Whether alpha_, the factor's row norms and y's scaling are
      *  finite, so boundBatch() can bound the computed predictions. */
     bool boundable_ = false;

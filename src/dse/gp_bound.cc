@@ -198,23 +198,27 @@ varianceUpper(double prior, double reach, double err, double y_std)
 } // namespace
 
 void
-GaussianProcess::prepareBounds()
+GaussianProcess::prepareBounds(std::size_t fromRow)
 {
     // Cauchy-Schwarz in the M^-1 inner product gives
     // k^T M^-1 k >= k_i^2 / M_ii for every i. M's row norms are at
     // most (1 + gamma_n) times L's, and the row norm below is itself
     // rounded; boundSums()' (1 - err) factor absorbs both. The norms
     // come from the stored factor, so a jittered factor stays
-    // covered.
+    // covered. Rows below fromRow are the previous factor's rows bit
+    // for bit, so their norms stand.
     const std::size_t n = sampleCount();
     const double *lower = choleskyLower_.data();
     bool finite = std::isfinite(yMean_) && std::isfinite(yStd_);
     rowNorm2_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = fromRow; i < n; ++i) {
         double norm2 = 0.0;
         for (std::size_t k = 0; k <= i; ++k)
             norm2 += lower[i * n + k] * lower[i * n + k];
         rowNorm2_[i] = norm2;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const double norm2 = rowNorm2_[i];
         finite = finite && std::isfinite(alpha_[i]) && norm2 > 0.0 &&
                  std::isfinite(1.0 / norm2);
     }

@@ -2,64 +2,10 @@
 
 #include <cmath>
 
+#include "tensor/kernels/triangular.hh"
 #include "util/logging.hh"
 
 namespace vaesa {
-
-namespace {
-
-/**
- * Rows [i0, i0 + R) of the Cholesky factor. Columns left of the
- * block read only finished rows, so the R rows' `acc -= l * lj`
- * chains run side by side over the shared row lj; each element still
- * subtracts in ascending k. The triangle inside the block depends on
- * its own rows and is finished row by row, as in the one-row loop.
- */
-template <std::size_t R>
-bool
-choleskyRows(const double *a, double *l, std::size_t n, std::size_t i0)
-{
-    double *lr[R];
-    for (std::size_t r = 0; r < R; ++r)
-        lr[r] = l + (i0 + r) * n;
-    for (std::size_t j = 0; j < i0; ++j) {
-        const double *lj = l + j * n;
-        // Fully unrolled, the R accumulators live in registers.
-        double acc[R];
-#pragma GCC unroll 4
-        for (std::size_t r = 0; r < R; ++r)
-            acc[r] = a[(i0 + r) * n + j];
-        for (std::size_t k = 0; k < j; ++k) {
-            const double ljk = lj[k];
-#pragma GCC unroll 4
-            for (std::size_t r = 0; r < R; ++r)
-                acc[r] -= lr[r][k] * ljk;
-        }
-#pragma GCC unroll 4
-        for (std::size_t r = 0; r < R; ++r)
-            lr[r][j] = acc[r] / lj[j];
-    }
-    for (std::size_t i = i0; i < i0 + R; ++i) {
-        const double *ai = a + i * n;
-        double *li = l + i * n;
-        for (std::size_t j = i0; j <= i; ++j) {
-            const double *lj = l + j * n;
-            double acc = ai[j];
-            for (std::size_t k = 0; k < j; ++k)
-                acc -= li[k] * lj[k];
-            if (i == j) {
-                if (acc <= 0.0 || !std::isfinite(acc))
-                    return false;
-                li[i] = std::sqrt(acc);
-            } else {
-                li[j] = acc / lj[j];
-            }
-        }
-    }
-    return true;
-}
-
-} // namespace
 
 bool
 cholesky(const Matrix &a, Matrix &lower, std::size_t startRow)
@@ -72,16 +18,7 @@ cholesky(const Matrix &a, Matrix &lower, std::size_t startRow)
     else if (lower.rows() != n || lower.cols() != n || startRow > n)
         panic("cholesky: start row ", startRow, " needs an ", n, "x", n,
               " factor");
-    const double *src = a.data();
-    double *out = lower.data();
-    std::size_t i = startRow;
-    for (; i + 4 <= n; i += 4)
-        if (!choleskyRows<4>(src, out, n, i))
-            return false;
-    for (; i < n; ++i)
-        if (!choleskyRows<1>(src, out, n, i))
-            return false;
-    return true;
+    return kernels::cholesky(a.data(), lower.data(), n, startRow);
 }
 
 std::vector<double>
@@ -90,15 +27,8 @@ solveLower(const Matrix &lower, const std::vector<double> &b)
     const std::size_t n = lower.rows();
     if (lower.cols() != n || b.size() != n)
         panic("solveLower dimension mismatch");
-    const double *l = lower.data();
     std::vector<double> y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *li = l + i * n;
-        double acc = b[i];
-        for (std::size_t k = 0; k < i; ++k)
-            acc -= li[k] * y[k];
-        y[i] = acc / li[i];
-    }
+    kernels::solveLower(lower.data(), n, b.data(), y.data());
     return y;
 }
 

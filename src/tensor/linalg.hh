@@ -2,9 +2,10 @@
  * @file
  * Dense linear-algebra kernels for the Gaussian-process layer: Cholesky
  * factorization of SPD matrices (with adaptive jitter) and triangular
- * solves. Loops index the row-major storage directly after one shape
- * check and keep a fixed, serial summation order, so results are
- * reproducible bit for bit.
+ * solves. After one shape check the factorization and the forward
+ * substitution run in the vector kernels of
+ * tensor/kernels/triangular.hh; every element keeps a fixed,
+ * ascending summation order, so results are reproducible bit for bit.
  */
 
 #ifndef VAESA_TENSOR_LINALG_HH

@@ -12,17 +12,21 @@ namespace {
 /**
  * Latent objective that records every decoded design's per-layer
  * results as training samples while scoring the workload metric.
+ * Each unique layer is scored once and recorded once; its latency
+ * and energy enter the totals weighted by its occurrence count, as
+ * in Evaluator::evaluateWorkload(), whose result the score equals
+ * bit for bit.
  */
 class RecordingLatentObjective : public Objective
 {
   public:
     RecordingLatentObjective(VaesaFramework &framework,
                              const Evaluator &evaluator,
-                             const std::vector<LayerShape> &layers,
+                             const Workload &workload,
                              double radius, Metric metric,
                              std::vector<DataSample> &sink)
         : framework_(framework), evaluator_(evaluator),
-          layers_(layers), radius_(radius), metric_(metric),
+          workload_(workload), radius_(radius), metric_(metric),
           sink_(sink)
     {
     }
@@ -47,23 +51,26 @@ class RecordingLatentObjective : public Objective
     {
         const AcceleratorConfig config =
             framework_.decodeLatent(x);
+        const std::vector<LayerShape> &layers = workload_.layers;
         EvalResult total;
         total.valid = true;
-        for (std::size_t li = 0; li < layers_.size(); ++li) {
+        for (std::size_t li = 0; li < layers.size(); ++li) {
             const EvalResult r =
-                evaluator_.evaluateLayer(config, layers_[li]);
+                evaluator_.evaluateLayer(config, layers[li]);
             if (!r.valid) {
                 total.valid = false;
                 break;
             }
-            total.latencyCycles += r.latencyCycles;
-            total.energyPj += r.energyPj;
+            const double n =
+                static_cast<double>(workload_.countOf(li));
+            total.latencyCycles += n * r.latencyCycles;
+            total.energyPj += n * r.energyPj;
 
             DataSample sample;
             sample.config = config;
             sample.layerIndex = li;
             sample.hwFeatures = designSpace().toFeatures(config);
-            sample.layerFeatures = layers_[li].toFeatures();
+            sample.layerFeatures = layers[li].toFeatures();
             sample.logLatency = log2d(r.latencyCycles);
             sample.logEnergy = log2d(r.energyPj);
             sink_.push_back(std::move(sample));
@@ -75,7 +82,7 @@ class RecordingLatentObjective : public Objective
   private:
     VaesaFramework &framework_;
     const Evaluator &evaluator_;
-    const std::vector<LayerShape> &layers_;
+    const Workload &workload_;
     double radius_;
     Metric metric_;
     std::vector<DataSample> &sink_;
@@ -91,16 +98,16 @@ AdaptiveVaeBo::AdaptiveVaeBo(VaesaFramework &framework,
 }
 
 SearchTrace
-AdaptiveVaeBo::run(const std::vector<LayerShape> &layers,
-                   std::size_t samples, Rng &rng)
+AdaptiveVaeBo::run(const Workload &workload, std::size_t samples,
+                   Rng &rng)
 {
-    if (layers.empty())
+    if (workload.layers.empty())
         fatal("AdaptiveVaeBo::run needs at least one layer");
     gathered_.clear();
     fineTunes_ = 0;
 
     RecordingLatentObjective objective(framework_, evaluator_,
-                                       layers, options_.radius,
+                                       workload, options_.radius,
                                        options_.metric, gathered_);
     const BayesOpt bo(options_.bo);
     SearchTrace trace;
@@ -118,7 +125,7 @@ AdaptiveVaeBo::run(const std::vector<LayerShape> &layers,
             // Fine-tune on everything gathered so far (old samples
             // included, so the model does not forget the rest of the
             // space).
-            const Dataset growth(gathered_, layers);
+            const Dataset growth(gathered_, workload.layers);
             framework_.fineTune(growth, options_.fineTuneEpochs,
                                 rng.next());
             tuned_until = gathered_.size();

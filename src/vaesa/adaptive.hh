@@ -62,13 +62,16 @@ class AdaptiveVaeBo
 
     /**
      * Minimize the workload metric with a fixed simulator budget.
-     * @param layers workload layers.
+     * A design's score is the metric of
+     * Evaluator::evaluateWorkload(design, workload), occurrence
+     * counts included; its samples are one per unique layer.
+     * @param workload workload to search for.
      * @param samples total decoded-design evaluations.
      * @param rng seeded generator (search + fine-tune shuffling).
      * @return chronological trace over the latent box.
      */
-    SearchTrace run(const std::vector<LayerShape> &layers,
-                    std::size_t samples, Rng &rng);
+    SearchTrace run(const Workload &workload, std::size_t samples,
+                    Rng &rng);
 
     /** Per-layer samples gathered during the last run(). */
     const std::vector<DataSample> &gathered() const

@@ -215,7 +215,9 @@ bitsOf(double v)
     return std::bit_cast<std::uint64_t>(v);
 }
 
-/** Predictions at `queries` and the likelihood, bit for bit. */
+/** Predictions, bounds and refined bounds at `queries` and the
+ *  likelihood, bit for bit. The bounds read the factor's row norms,
+ *  which an extended fit keeps for the rows it kept. */
 void
 expectSameFit(const GaussianProcess &got, const GaussianProcess &want,
               const Points &queries, const std::string &where)
@@ -234,6 +236,26 @@ expectSameFit(const GaussianProcess &got, const GaussianProcess &want,
             << where << ": mean at query " << j;
         EXPECT_EQ(bitsOf(a[j].var), bitsOf(b[j].var))
             << where << ": var at query " << j;
+    }
+    std::vector<GaussianProcess::Bound> bound_a(queries.size());
+    std::vector<GaussianProcess::Bound> bound_b(queries.size());
+    for (const bool refined : {false, true}) {
+        const std::string what = refined ? "refined " : "";
+        if (refined) {
+            got.refineBatch(queries, bound_a);
+            want.refineBatch(queries, bound_b);
+        } else {
+            got.boundBatch(queries, bound_a);
+            want.boundBatch(queries, bound_b);
+        }
+        for (std::size_t j = 0; j < queries.size(); ++j) {
+            EXPECT_EQ(bitsOf(bound_a[j].meanLower),
+                      bitsOf(bound_b[j].meanLower))
+                << where << ": " << what << "mean bound at query " << j;
+            EXPECT_EQ(bitsOf(bound_a[j].varUpper),
+                      bitsOf(bound_b[j].varUpper))
+                << where << ": " << what << "var bound at query " << j;
+        }
     }
 }
 

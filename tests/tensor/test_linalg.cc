@@ -215,9 +215,11 @@ TEST_P(CholeskyBlockEdges, ExtensionReportsIndefiniteRow)
     }
 }
 
+// Panel edges, then BayesOpt's sizes around maxGpPoints (192).
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyBlockEdges,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 31,
-                                           32, 33));
+                                           32, 33, 63, 64, 65, 191, 192,
+                                           193));
 
 TEST(Linalg, CholeskyStartRowNeedsAFactorOfTheRightShape)
 {
@@ -261,9 +263,43 @@ TEST(Linalg, SolvesRejectShapeMismatch)
     EXPECT_DEATH(solveLowerTransposed(eye, {1.0}), "mismatch");
 }
 
+/** Textbook one-row-at-a-time forward substitution, written
+ *  independently of the row-blocked library loop. */
+std::vector<double>
+referenceSolveLower(const Matrix &lower, const std::vector<double> &b)
+{
+    const std::size_t n = b.size();
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = b[i];
+        for (std::size_t k = 0; k < i; ++k)
+            acc -= lower(i, k) * y[k];
+        y[i] = acc / lower(i, i);
+    }
+    return y;
+}
+
 class SolveSweep : public ::testing::TestWithParam<int>
 {
 };
+
+TEST_P(SolveSweep, BlockedSolveMatchesOneRowLoopBitForBit)
+{
+    const auto n = static_cast<std::size_t>(GetParam());
+    Rng rng(400 + n);
+    Matrix lower;
+    ASSERT_TRUE(cholesky(randomSpd(n, rng), lower));
+    std::vector<double> b(n);
+    for (auto &v : b)
+        v = rng.uniform(-2.0, 2.0);
+    const std::vector<double> got = solveLower(lower, b);
+    const std::vector<double> want = referenceSolveLower(lower, b);
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "n=" << n << ": y[" << i << "] " << got[i] << " vs "
+            << want[i];
+}
 
 TEST_P(SolveSweep, ResidualSmallAcrossSizes)
 {
@@ -289,6 +325,11 @@ TEST_P(SolveSweep, ResidualSmallAcrossSizes)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SolveSweep,
                          ::testing::Values(1, 2, 3, 5, 10, 20, 50));
+// With Sizes, every n in 1..13 (the 4-row blocks and their tails),
+// and BayesOpt's maxGpPoints.
+INSTANTIATE_TEST_SUITE_P(BlockEdges, SolveSweep,
+                         ::testing::Values(4, 6, 7, 8, 9, 11, 12, 13,
+                                           192));
 
 } // namespace
 } // namespace vaesa

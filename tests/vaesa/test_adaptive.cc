@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "fixtures.hh"
 #include "vaesa/adaptive.hh"
@@ -27,8 +29,9 @@ TEST(AdaptiveVaeBo, UsesExactBudgetAndGathersSamples)
                        adaptive);
 
     Rng rng(81);
-    const auto layers = alexNetLayers();
-    const SearchTrace trace = flow.run(layers, 40, rng);
+    const Workload alexnet = workloadByName("alexnet");
+    const std::vector<LayerShape> &layers = alexnet.layers;
+    const SearchTrace trace = flow.run(alexnet, 40, rng);
     EXPECT_EQ(trace.points.size(), 40u);
     // Valid decodes record one sample per layer.
     EXPECT_GE(flow.gathered().size(), layers.size());
@@ -53,8 +56,9 @@ TEST(AdaptiveVaeBo, GatheredSamplesMatchEvaluator)
                        adaptive);
 
     Rng rng(82);
-    const std::vector<LayerShape> layers{alexNetLayers()[2]};
-    flow.run(layers, 10, rng);
+    const Workload one{"alexnet_conv3", {alexNetLayers()[2]}, {}};
+    const std::vector<LayerShape> &layers = one.layers;
+    flow.run(one, 10, rng);
     ASSERT_FALSE(flow.gathered().empty());
     for (std::size_t i = 0; i < std::min<std::size_t>(
                                 5, flow.gathered().size());
@@ -91,7 +95,7 @@ TEST(AdaptiveVaeBo, FineTuningChangesTheModel)
     AdaptiveVaeBo flow(framework, testing::sharedEvaluator(),
                        adaptive);
     Rng rng(83);
-    flow.run(alexNetLayers(), 25, rng);
+    flow.run(workloadByName("alexnet"), 25, rng);
     ASSERT_GE(flow.fineTuneCount(), 1u);
     EXPECT_NE(framework.predictScore(probe, feats), before);
 }
@@ -105,7 +109,51 @@ TEST(AdaptiveVaeBo, EmptyWorkloadIsFatal)
     VaesaFramework framework(testing::sharedDataset(), options, 6);
     AdaptiveVaeBo flow(framework, testing::sharedEvaluator(), {});
     Rng rng(84);
-    EXPECT_DEATH(flow.run({}, 5, rng), "at least one layer");
+    EXPECT_DEATH(flow.run(Workload{}, 5, rng), "at least one layer");
+}
+
+TEST(AdaptiveVaeBo, ScoresCountedWorkloadAsTheLibraryRollUp)
+{
+    // bert_base repeats its unique layers: a trace value must be the
+    // occurrence-weighted roll-up of its decoded design, bit for bit,
+    // while the samples stay one per unique layer.
+    FrameworkOptions options;
+    options.vae.latentDim = 4;
+    options.vae.hiddenDims = {32, 16};
+    options.train.epochs = 4;
+    VaesaFramework framework(testing::sharedDataset(), options, 7);
+
+    AdaptiveBoOptions adaptive;
+    adaptive.retrainInterval = 100; // no fine-tune: decodes are stable
+    AdaptiveVaeBo flow(framework, testing::sharedEvaluator(),
+                       adaptive);
+    const Workload bert = workloadByName("bert_base");
+    ASSERT_TRUE(bert.hasCounts());
+    Rng rng(86);
+    const SearchTrace trace = flow.run(bert, 12, rng);
+    ASSERT_EQ(trace.points.size(), 12u);
+
+    Evaluator fresh;
+    std::size_t valid = 0;
+    std::size_t recorded = 0;
+    for (const auto &point : trace.points) {
+        const AcceleratorConfig config =
+            framework.decodeLatent(point.x);
+        const EvalResult want = fresh.evaluateWorkload(config, bert);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(point.value),
+                  std::bit_cast<std::uint64_t>(
+                      metricValue(want, Metric::Edp)))
+            << point.value << " vs " << want.edp;
+        if (want.valid) {
+            ++valid;
+            recorded += bert.layers.size();
+        }
+    }
+    EXPECT_GT(valid, 0u);
+    // Every valid design records each unique layer once.
+    EXPECT_GE(flow.gathered().size(), recorded);
+    EXPECT_LE(flow.gathered().size(),
+              trace.points.size() * bert.layers.size());
 }
 
 TEST(BayesOptContinueRun, WarmStartSkipsWarmup)
