@@ -1,20 +1,13 @@
 /**
  * @file
- * Library showcase (beyond the paper): all five input-space search
- * drivers -- random, BO, genetic, simulated annealing -- plus
- * latent-space vae_bo on the same workload and budget, with the
- * memoizing evaluator's hit-rate demonstrating how much evaluation
- * work discrete search spaces repeat.
+ * The input-space search drivers -- random and BO -- beside
+ * latent-space vae_bo on the same workload and budget.
  */
 
 #include "common.hh"
 
-#include <cmath>
-
 #include "dse/bo.hh"
-#include "dse/genetic.hh"
 #include "dse/random_search.hh"
-#include "sched/caching_evaluator.hh"
 #include "util/stats.hh"
 #include "vaesa/latent_dse.hh"
 
@@ -25,7 +18,7 @@ main()
     using namespace vaesa::bench;
     const Scale scale = readScale();
     banner("Search-method comparison",
-           "random / bo / ga / sa / vae_bo on ResNet-50, " +
+           "random / bo / vae_bo on ResNet-50, " +
                std::to_string(scale.seeds) + " seeds x " +
                std::to_string(scale.searchSamples) + " samples");
 
@@ -40,7 +33,7 @@ main()
     CsvWriter csv(csvPath("abl_search_methods.csv"));
     csv.header({"method", "seed", "best_edp"});
 
-    const char *methods[] = {"random", "bo", "ga", "sa", "vae_bo"};
+    const char *methods[] = {"random", "bo", "vae_bo"};
     std::printf("%-8s %16s %16s %10s\n", "method", "mean best EDP",
                 "std", "vs random");
     double random_mean = 0.0;
@@ -59,12 +52,6 @@ main()
             } else if (m == "bo") {
                 trace = BayesOpt().run(input_obj,
                                        scale.searchSamples, rng);
-            } else if (m == "ga") {
-                trace = GeneticSearch().run(
-                    input_obj, scale.searchSamples, rng);
-            } else if (m == "sa") {
-                trace = SimulatedAnnealing().run(
-                    input_obj, scale.searchSamples, rng);
             } else {
                 BoOptions bo_options;
                 bo_options.uniformCandidates = 1024;
@@ -86,52 +73,5 @@ main()
                     sigmaText(stddev(bests)).c_str(),
                     random_mean / mu);
     }
-
-    // Demonstrate the memoizing evaluator on a GA run (elitist
-    // populations revisit configurations heavily).
-    CachingEvaluator cached;
-    InputSpaceObjective cached_obj_probe(evaluator, resnet.layers);
-    class CachedObjective : public Objective
-    {
-      public:
-        CachedObjective(CachingEvaluator &ce,
-                        const Workload &workload,
-                        InputSpaceObjective &codec)
-            : ce_(ce), workload_(workload), codec_(codec)
-        {
-        }
-        std::size_t dim() const override { return codec_.dim(); }
-        std::vector<double> lowerBounds() const override
-        {
-            return codec_.lowerBounds();
-        }
-        std::vector<double> upperBounds() const override
-        {
-            return codec_.upperBounds();
-        }
-        double
-        evaluate(const std::vector<double> &x) override
-        {
-            const EvalResult r =
-                ce_.evaluateWorkload(codec_.decode(x), workload_);
-            return r.valid ? r.edp : invalidScore;
-        }
-
-      private:
-        CachingEvaluator &ce_;
-        const Workload &workload_;
-        InputSpaceObjective &codec_;
-    } cached_obj(cached, resnet, cached_obj_probe);
-
-    Rng rng(4000);
-    GeneticSearch().run(cached_obj, scale.searchSamples, rng);
-    const double hit_rate =
-        static_cast<double>(cached.hits()) /
-        static_cast<double>(cached.hits() + cached.misses());
-
-    rule();
-    std::printf("memoizing evaluator on the GA run: %.0f%% of "
-                "per-layer evaluations were cache hits\n",
-                100.0 * hit_rate);
     return 0;
 }

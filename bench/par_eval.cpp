@@ -108,7 +108,7 @@ main()
 
     // GATED baseline: the pre-batch driver loop — one uncached
     // evaluateWorkload() per config, repeats and all. This is what
-    // random/GA/BO warm-up actually cost before batch routing.
+    // random/BO warm-up actually cost before batch routing.
     Evaluator plain;
     const auto u0 = std::chrono::steady_clock::now();
     std::vector<EvalResult> serial;

@@ -15,12 +15,12 @@
  *       --checkpoint, training saves a resumable checkpoint every N
  *       epochs and picks it up on restart.
  *   vaesa_cli search MODEL.BIN [--workload NAME] [--samples N]
- *             [--method vae_bo|bo|random|ga|sa] [--seed N]
+ *             [--method vae_bo|bo|random] [--seed N]
  *             [--checkpoint SNAP] [--checkpoint-every N]
  *       Search with a saved model (vae_bo) or directly in the input
- *       space (bo/random/ga/sa, model still provides the box). With
+ *       space (bo/random, model still provides the box). With
  *       --checkpoint, the search snapshots its state and resumes an
- *       interrupted run (vae_bo/bo/random/ga only).
+ *       interrupted run.
  *   vaesa_cli decode MODEL.BIN Z1 Z2 [...]
  *       Decode a latent point to a configuration and score it.
  *
@@ -29,24 +29,25 @@
  * util/trace span buffer and, on exit, write a versioned JSON run
  * manifest and a Chrome trace (docs/OBSERVABILITY.md).
  *
- * Flag parsing is strict: an unknown or value-less --flag aborts
- * with the usage text and a nonzero exit instead of being silently
- * ignored.
+ * Flag parsing is strict: an unknown or value-less --flag, or an
+ * integer flag that is not a whole number in range, aborts with the
+ * usage text and a nonzero exit instead of being silently ignored.
  */
 
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "arch/area_model.hh"
 #include "dse/bo.hh"
-#include "dse/genetic.hh"
 #include "dse/multi_workload.hh"
 #include "dse/random_search.hh"
 #include "dse/search_state.hh"
@@ -95,7 +96,7 @@ printUsage(std::FILE *out, const char *prog)
         "       [--metrics-out FILE] [--trace-out FILE]\n"
         "  search MODEL.BIN [--workload NAME | --layers FILE]\n"
         "       [--metric edp|latency|energy] [--samples N]\n"
-        "       [--method vae_bo|bo|random|ga|sa] [--seed N]\n"
+        "       [--method vae_bo|bo|random] [--seed N]\n"
         "       [--radius X] [--checkpoint SNAP]\n"
         "       [--checkpoint-every N] [--metrics-out FILE]\n"
         "       [--trace-out FILE]\n"
@@ -125,7 +126,8 @@ class Args
   public:
     Args(int argc, char **argv, int first,
          std::vector<std::string> allowed)
-        : allowed_(std::move(allowed))
+        : prog_(argv[0]), command_(argv[first - 1]),
+          allowed_(std::move(allowed))
     {
         for (int i = first; i < argc; ++i) {
             if (std::strncmp(argv[i], "--", 2) != 0) {
@@ -155,18 +157,42 @@ class Args
     std::string
     flag(const std::string &name, const std::string &fallback) const
     {
-        for (const auto &[key, value] : flags_)
-            if (key == name)
-                return value;
-        return fallback;
+        const std::string *value = find(name);
+        return value ? *value : fallback;
     }
 
+    /**
+     * Integer flag no smaller than @p min. The whole value must be a
+     * base-10 integer that fits a long: "12x", "abc", an overflow or
+     * a value below @p min prints the usage text and exits 1, like
+     * every other command-line error, instead of reading as a prefix,
+     * as 0, or wrapping when cast to an unsigned count.
+     */
     long
-    flagInt(const std::string &name, long fallback) const
+    flagInt(const std::string &name, long fallback,
+            long min = std::numeric_limits<long>::min()) const
     {
-        const std::string v = flag(name, "");
-        return v.empty() ? fallback : std::strtol(v.c_str(),
-                                                  nullptr, 10);
+        const std::string *value = find(name);
+        if (!value)
+            return fallback;
+        errno = 0;
+        char *end = nullptr;
+        const long n = std::strtol(value->c_str(), &end, 10);
+        if (end == value->c_str() || *end != '\0' || errno == ERANGE ||
+            n < min) {
+            const std::string bound =
+                min == std::numeric_limits<long>::min()
+                    ? ""
+                    : " >= " + std::to_string(min);
+            std::fprintf(stderr,
+                         "%s: flag '--%s' needs a whole number%s, "
+                         "got '%s'\n",
+                         command_.c_str(), name.c_str(), bound.c_str(),
+                         value->c_str());
+            printUsage(stderr, prog_.c_str());
+            std::exit(1);
+        }
+        return n;
     }
 
     double
@@ -184,6 +210,17 @@ class Args
     }
 
   private:
+    const std::string *
+    find(const std::string &name) const
+    {
+        for (const auto &[key, value] : flags_)
+            if (key == name)
+                return &value;
+        return nullptr;
+    }
+
+    std::string prog_;
+    std::string command_;
     std::vector<std::string> allowed_;
     std::vector<std::pair<std::string, std::string>> flags_;
     std::vector<std::string> positional_;
@@ -363,14 +400,16 @@ cmdTrain(const Args &args, ObservabilityScope &obs)
     }
     const std::string path = args.positional()[0];
     const auto dataset_size =
-        static_cast<std::size_t>(args.flagInt("dataset", 8000));
+        static_cast<std::size_t>(args.flagInt("dataset", 8000, 1));
     const auto epochs =
-        static_cast<std::size_t>(args.flagInt("epochs", 50));
+        static_cast<std::size_t>(args.flagInt("epochs", 50, 1));
     const auto latent =
-        static_cast<std::size_t>(args.flagInt("latent", 4));
+        static_cast<std::size_t>(args.flagInt("latent", 4, 1));
     const double alpha = args.flagDouble("alpha", 1e-4);
     const auto seed =
         static_cast<std::uint64_t>(args.flagInt("seed", 7));
+    const auto checkpoint_every = static_cast<std::size_t>(
+        args.flagInt("checkpoint-every", 1, 1));
     obs.setSeed(seed);
 
     Evaluator evaluator;
@@ -405,8 +444,7 @@ cmdTrain(const Args &args, ObservabilityScope &obs)
     options.train.epochs = epochs;
     options.train.kldWeight = alpha;
     options.train.checkpointPath = args.flag("checkpoint", "");
-    options.train.checkpointEvery = static_cast<std::size_t>(
-        args.flagInt("checkpoint-every", 1));
+    options.train.checkpointEvery = checkpoint_every;
     options.train.stopFlag = &gTrainStop;
     std::signal(SIGTERM, handleTrainStop);
     std::signal(SIGINT, handleTrainStop);
@@ -441,19 +479,25 @@ cmdSearch(const Args &args, ObservabilityScope &obs)
         std::fprintf(stderr, "search needs: MODEL.BIN\n");
         return 1;
     }
+    const std::string method = args.flag("method", "vae_bo");
+    if (method != "vae_bo" && method != "bo" && method != "random") {
+        std::fprintf(stderr,
+                     "unknown method '%s' (vae_bo|bo|random)\n",
+                     method.c_str());
+        return 1;
+    }
     const std::string path = args.positional()[0];
     const Workload workload = resolveWorkload(args);
     const Metric metric = resolveMetric(args);
     const auto samples =
-        static_cast<std::size_t>(args.flagInt("samples", 200));
-    const std::string method = args.flag("method", "vae_bo");
+        static_cast<std::size_t>(args.flagInt("samples", 200, 1));
     const auto seed =
         static_cast<std::uint64_t>(args.flagInt("seed", 1));
     obs.setSeed(seed);
     SearchCheckpointConfig checkpoint_config;
     checkpoint_config.path = args.flag("checkpoint", "");
     checkpoint_config.every = static_cast<std::size_t>(
-        args.flagInt("checkpoint-every", 1));
+        args.flagInt("checkpoint-every", 1, 1));
     const SearchCheckpointConfig *checkpoint =
         checkpoint_config.path.empty() ? nullptr
                                        : &checkpoint_config;
@@ -486,24 +530,9 @@ cmdSearch(const Args &args, ObservabilityScope &obs)
     } else if (method == "bo") {
         trace = BayesOpt().run(input_obj, samples, rng, nullptr,
                                checkpoint);
-    } else if (method == "random") {
+    } else {
         trace = RandomSearch().run(input_obj, samples, rng, nullptr,
                                    checkpoint);
-    } else if (method == "ga") {
-        trace = GeneticSearch().run(input_obj, samples, rng, nullptr,
-                                    checkpoint);
-    } else if (method == "sa") {
-        if (checkpoint)
-            std::fprintf(stderr,
-                         "note: --checkpoint is not supported for "
-                         "sa; running without snapshots\n");
-        trace = SimulatedAnnealing().run(input_obj, samples, rng);
-    } else {
-        std::fprintf(stderr,
-                     "unknown method '%s' (vae_bo|bo|random|ga|"
-                     "sa)\n",
-                     method.c_str());
-        return 1;
     }
 
     std::printf("%s on %s, %zu samples: best %s %.6g\n",

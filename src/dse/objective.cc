@@ -19,7 +19,7 @@ namespace {
 /**
  * Objective-evaluation instruments. Every search driver funnels
  * candidate scoring through evaluateRecovered(), so counting here
- * covers random/GA/BO/SA uniformly, including pool-parallel batches
+ * covers every driver uniformly, including pool-parallel batches
  * (counters and histograms are safe under concurrent writers).
  */
 struct EvalMetrics

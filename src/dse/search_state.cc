@@ -35,7 +35,12 @@ loadSearchSnapshotFile(const std::string &path)
                     meta_record.value().size());
     SearchSnapshot snapshot;
     const std::uint32_t driver = meta.getU32();
-    if (driver < 1 || driver > 3)
+    if (driver == 2)
+        return in.makeError(LoadError::Kind::Malformed,
+                            "search driver tag 2 (the retired genetic "
+                            "search) cannot be resumed");
+    if (driver != static_cast<std::uint32_t>(SearchDriver::Random) &&
+        driver != static_cast<std::uint32_t>(SearchDriver::BayesOpt))
         return in.makeError(LoadError::Kind::Malformed,
                             "unknown search driver tag");
     snapshot.driver = static_cast<SearchDriver>(driver);

@@ -4,8 +4,8 @@
  * captures everything a driver needs to continue a killed run with
  * the exact trace an uninterrupted run would have produced: the
  * chronological trace so far, the RNG state at the snapshot boundary,
- * and a driver-specific payload (GA population, BO surrogate
- * hyperparameters, ...).
+ * and a driver-specific payload (the BO surrogate's hyperparameters,
+ * ...).
  *
  * Files use the shared record framing, rotate (`path` + `path.prev`),
  * and load with automatic fallback. A snapshot from a different
@@ -33,15 +33,18 @@ struct SearchCheckpointConfig
 
     /**
      * Snapshot every N progress units -- samples for random search,
-     * generations for the GA, iterations for BO. Must be >= 1.
+     * iterations for BO. Must be >= 1.
      */
     std::size_t every = 1;
 };
 
-/** Identifies which driver wrote a snapshot. */
+/**
+ * Identifies which driver wrote a snapshot. Tag 2 belonged to a
+ * retired genetic search and stays reserved: a snapshot carrying it
+ * fails to load as Malformed.
+ */
 enum class SearchDriver : std::uint32_t {
     Random = 1,
-    Genetic = 2,
     BayesOpt = 3,
 };
 

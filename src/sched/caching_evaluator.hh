@@ -2,7 +2,7 @@
  * @file
  * Memoizing wrapper around the Evaluator. Searches over the discrete
  * design space repeatedly decode to the same snapped configuration
- * (BO exploitation, GA elites, dense latent grids), and the
+ * (BO exploitation, dense latent grids), and the
  * scheduler + cost model evaluation is deterministic -- so caching
  * (config, layer) results is lossless and saves a large fraction of
  * evaluation work at scale.

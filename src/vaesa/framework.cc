@@ -97,7 +97,7 @@ VaesaFramework::encodeConfig(const AcceleratorConfig &config)
 AcceleratorConfig
 VaesaFramework::decodeLatent(const std::vector<double> &z)
 {
-    // Every latent-space driver (BO/GA/random/GD) decodes through
+    // Every latent-space driver (BO/random/GD) decodes through
     // here, so this one site covers decode counting + timing for all
     // of them. Runs on the calling thread (latent objectives declare
     // threadSafeEvaluate() == false), which is what lets it reuse

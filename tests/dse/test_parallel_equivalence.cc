@@ -1,7 +1,7 @@
 /**
  * @file
  * Seed-for-seed serial-vs-parallel equivalence of the search
- * drivers: running random search, GA, and BO with a thread pool must
+ * drivers: running random search and BO with a thread pool must
  * reproduce the serial trace bit-for-bit — same points, same values,
  * same best-so-far history. This is the determinism contract that
  * makes the parallel evaluation layer trustworthy: parallelism may
@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "dse/bo.hh"
-#include "dse/genetic.hh"
 #include "dse/multi_workload.hh"
 #include "dse/random_search.hh"
 #include "util/fault.hh"
@@ -65,28 +64,6 @@ TEST(ParallelEquivalence, RandomSearchTraceIsSeedForSeedIdentical)
         expectIdenticalTraces(serial, parallel);
         // Both runs must also have drained the rng identically, so
         // downstream draws stay aligned.
-        EXPECT_EQ(serialRng.next(), poolRng.next());
-    }
-}
-
-TEST(ParallelEquivalence, GeneticTraceIsSeedForSeedIdentical)
-{
-    Evaluator evaluator;
-    ThreadPool pool(4);
-    GaOptions options;
-    options.populationSize = 12;
-    for (std::uint64_t seed : {2u, 19u}) {
-        InputSpaceObjective serialObj(evaluator, smallWorkload());
-        Rng serialRng(seed);
-        const SearchTrace serial =
-            GeneticSearch(options).run(serialObj, 60, serialRng);
-
-        InputSpaceObjective poolObj(evaluator, smallWorkload());
-        Rng poolRng(seed);
-        const SearchTrace parallel = GeneticSearch(options).run(
-            poolObj, 60, poolRng, &pool);
-
-        expectIdenticalTraces(serial, parallel);
         EXPECT_EQ(serialRng.next(), poolRng.next());
     }
 }

@@ -14,7 +14,6 @@
 #include "util/atomic_io.hh"
 
 #include "dse/bo.hh"
-#include "dse/genetic.hh"
 #include "dse/random_search.hh"
 #include "dse/search_state.hh"
 #include "util/fault.hh"
@@ -127,32 +126,6 @@ TEST_F(SearchResumeTest, RandomSearchCheckpointingDoesNotPerturb)
     expectSameTrace(plain, checkpointed);
 }
 
-TEST_F(SearchResumeTest, GeneticSearchKilledRunResumesIdentically)
-{
-    BowlObjective baseline_obj;
-    Rng baseline_rng(9);
-    const SearchTrace baseline =
-        GeneticSearch().run(baseline_obj, 90, baseline_rng);
-
-    const SearchCheckpointConfig cfg = config();
-    BowlObjective killed_obj;
-    Rng killed_rng(9);
-    FaultInjector::instance().arm("ga_generation", 3);
-    EXPECT_THROW(GeneticSearch().run(killed_obj, 90, killed_rng,
-                                     nullptr, &cfg),
-                 InjectedFault);
-    FaultInjector::instance().reset();
-
-    BowlObjective resumed_obj;
-    Rng resumed_rng(9);
-    const SearchTrace resumed = GeneticSearch().run(
-        resumed_obj, 90, resumed_rng, nullptr, &cfg);
-    expectSameTrace(baseline, resumed);
-    // The resume skipped the generations the killed run completed.
-    EXPECT_GT(killed_obj.evals, 0);
-    EXPECT_LT(resumed_obj.evals, 90);
-}
-
 TEST_F(SearchResumeTest, BayesOptKilledRunResumesIdentically)
 {
     BowlObjective baseline_obj;
@@ -221,16 +194,45 @@ TEST_F(SearchResumeTest, SnapshotFromOtherDriverIsRejected)
     Rng rng_a(3);
     RandomSearch().run(obj_a, 10, rng_a, nullptr, &cfg);
 
-    // A GA run pointed at the random-search snapshot must not resume
+    // A BO run pointed at the random-search snapshot must not resume
     // from it: it starts fresh (and overwrites the snapshot).
     BowlObjective obj_b;
     Rng rng_b(3);
-    const SearchTrace ga =
-        GeneticSearch().run(obj_b, 48, rng_b, nullptr, &cfg);
+    const SearchTrace bo =
+        BayesOpt().run(obj_b, 20, rng_b, nullptr, &cfg);
     BowlObjective obj_c;
     Rng rng_c(3);
-    const SearchTrace plain = GeneticSearch().run(obj_c, 48, rng_c);
-    expectSameTrace(plain, ga);
+    const SearchTrace plain = BayesOpt().run(obj_c, 20, rng_c);
+    expectSameTrace(plain, bo);
+}
+
+TEST_F(SearchResumeTest, RetiredDriverTagIsRejected)
+{
+    // Driver tag 2 belonged to the retired genetic search. A snapshot
+    // that names it must load for no live driver and never resume.
+    const SearchCheckpointConfig cfg = config();
+    SearchSnapshot snapshot;
+    snapshot.driver = static_cast<SearchDriver>(2);
+    snapshot.trace.points.push_back({{0.5, -0.5}, 0.5});
+    snapshot.rng = Rng(99).state();
+    ASSERT_FALSE(saveSearchSnapshot(cfg.path, snapshot).has_value());
+
+    for (const SearchDriver driver :
+         {SearchDriver::Random, SearchDriver::BayesOpt}) {
+        const Expected<SearchSnapshot> loaded =
+            loadSearchSnapshot(cfg.path, driver);
+        ASSERT_FALSE(loaded);
+        EXPECT_EQ(loaded.error().kind, LoadError::Kind::Malformed);
+
+        // resumeSearch leaves the trace and the rng untouched: the
+        // run starts fresh.
+        SearchTrace trace;
+        Rng rng(3);
+        EXPECT_FALSE(
+            resumeSearch(cfg, driver, trace, rng).has_value());
+        EXPECT_TRUE(trace.points.empty());
+        EXPECT_EQ(rng.state(), Rng(3).state());
+    }
 }
 
 TEST(EvalRecovery, TransientFaultRetriesToTheSameTrace)

@@ -31,8 +31,10 @@
  *    root as BENCH_<name>.json;
  *  - every string literal passed to metrics::counter()/gauge()/
  *    histogram() in src/ must appear backticked in the
- *    docs/OBSERVABILITY.md taxonomy, so the table lists every
- *    registered metric.
+ *    docs/OBSERVABILITY.md taxonomy, and every trace::Span literal
+ *    must have a row in its span table; on the default scan, every
+ *    row of the metric and span tables must in turn name a literal
+ *    src/ registers, so the tables list exactly what the code emits.
  *
  * Matching runs on comment- and string-stripped text, so prose like
  * "random" or documentation mentioning abort() never trips it.
@@ -684,10 +686,10 @@ checkKernelOnlyConstructs(const std::string &relPath,
 }
 
 // ---------------------------------------------------------------------------
-// Metric taxonomy
+// Metric and span taxonomy
 // ---------------------------------------------------------------------------
 
-/** Trees whose metric registrations must be documented. */
+/** Trees whose metric and span names must be documented. */
 const std::vector<std::string> metricTaxonomyDirs = {
     "src/",
     "tests/lint/",
@@ -697,7 +699,35 @@ const std::vector<std::string> metricTaxonomyDirs = {
 const std::vector<std::string> metricFactoryNames = {
     "counter", "gauge", "histogram"};
 
-/** Every backticked span of @p doc (the documented metric names). */
+/** The trace type whose constructor argument is a span name. */
+const std::vector<std::string> spanTypeNames = {"Span"};
+
+/** The taxonomy, relative to the repo root. */
+const std::string taxonomyDocPath = "docs/OBSERVABILITY.md";
+
+/** What the taxonomy documents. */
+struct Taxonomy
+{
+    /** Every backticked span of the file. */
+    std::set<std::string> backticked;
+
+    /** First-column names of the metric table, with their lines. */
+    std::map<std::string, int> metricRows;
+
+    /** First-column names of the span table, with their lines. */
+    std::map<std::string, int> spanRows;
+};
+
+/** Metric and span names that src/ registers as literals. */
+struct Registered
+{
+    std::set<std::string> metrics;
+    std::set<std::string> spans;
+};
+
+Registered registeredInSrc;
+
+/** Every backticked span of @p doc. */
 std::set<std::string>
 backtickedSpans(const std::string &doc)
 {
@@ -713,6 +743,36 @@ backtickedSpans(const std::string &doc)
     return spans;
 }
 
+/**
+ * The backticked first-column names of the table in the section of
+ * @p doc headed @p heading, each with its 1-based line.
+ */
+std::map<std::string, int>
+tableRows(const std::string &doc, const std::string &heading)
+{
+    std::map<std::string, int> rows;
+    std::istringstream in(doc);
+    std::string line;
+    bool inSection = false;
+    for (int number = 1; std::getline(in, line); ++number) {
+        if (line.rfind("## ", 0) == 0) {
+            inSection = line == heading;
+            continue;
+        }
+        if (!inSection || line.rfind('|', 0) != 0)
+            continue;
+        const std::size_t cellEnd = line.find('|', 1);
+        const std::size_t open = line.find('`');
+        if (open == std::string::npos || open > cellEnd)
+            continue;
+        const std::size_t close = line.find('`', open + 1);
+        if (close == std::string::npos || close > cellEnd)
+            continue;
+        rows.emplace(line.substr(open + 1, close - open - 1), number);
+    }
+    return rows;
+}
+
 std::size_t
 skipSpaces(const std::string &code, std::size_t i)
 {
@@ -722,36 +782,42 @@ skipSpaces(const std::string &code, std::size_t i)
     return i;
 }
 
-/**
- * Flag `counter("name")`-style registrations whose literal name the
- * taxonomy does not list. @p code is the stripped text, whose quotes
- * sit at the same offsets as in @p text, so the literal is read back
- * from the original.
- */
-void
-checkMetricTaxonomy(const std::string &relPath, const std::string &text,
-                    const std::string &code,
-                    const std::set<std::string> &documented)
+std::size_t
+identifierEnd(const std::string &code, std::size_t i)
 {
-    if (!pathInDirs(relPath, metricTaxonomyDirs))
-        return;
+    while (i < code.size() && isIdentChar(code[i]))
+        ++i;
+    return i;
+}
+
+/**
+ * The string literal that opens the argument list after each of
+ * @p words in @p code: `counter("name")`, or with @p declarator also
+ * a declared variable, `Span span("name")`. @p code is the stripped
+ * text, whose quotes sit at the same offsets as in @p text, so each
+ * literal is read back from the original; it comes with its offset.
+ */
+std::vector<std::pair<std::string, std::size_t>>
+literalArguments(const std::string &text, const std::string &code,
+                 const std::vector<std::string> &words, bool declarator)
+{
+    std::vector<std::pair<std::string, std::size_t>> found;
     std::size_t pos = 0;
     while (pos < code.size()) {
         if (!isIdentStart(code[pos])) {
             ++pos;
             continue;
         }
-        std::size_t end = pos;
-        while (end < code.size() && isIdentChar(code[end]))
-            ++end;
+        const std::size_t end = identifierEnd(code, pos);
         const std::string word = code.substr(pos, end - pos);
         pos = end;
-        if (std::find(metricFactoryNames.begin(),
-                      metricFactoryNames.end(),
-                      word) == metricFactoryNames.end())
+        if (std::find(words.begin(), words.end(), word) == words.end())
             continue;
         std::size_t i = skipSpaces(code, end);
-        if (i >= code.size() || code[i] != '(')
+        if (declarator && i < code.size() && isIdentStart(code[i]))
+            i = skipSpaces(code, identifierEnd(code, i));
+        if (i >= code.size() ||
+            (code[i] != '(' && !(declarator && code[i] == '{')))
             continue;
         i = skipSpaces(code, i + 1);
         if (i >= code.size() || code[i] != '"')
@@ -759,14 +825,67 @@ checkMetricTaxonomy(const std::string &relPath, const std::string &text,
         const std::size_t close = code.find('"', i + 1);
         if (close == std::string::npos)
             break;
-        const std::string name = text.substr(i + 1, close - i - 1);
-        if (documented.count(name) == 0)
-            report(relPath, lineOfOffset(code, i),
-                   "metric '" + name + "' is not in the metric "
-                   "taxonomy (add a `" + name + "` row to "
-                   "docs/OBSERVABILITY.md)");
+        found.emplace_back(text.substr(i + 1, close - i - 1), i);
         pos = close + 1;
     }
+    return found;
+}
+
+/**
+ * Flag `counter("name")`-style registrations whose literal name the
+ * taxonomy does not list anywhere, and `Span span("name")` literals
+ * without a span-table row. Names registered under src/ are kept for
+ * checkTaxonomyRowsRegistered().
+ */
+void
+checkMetricTaxonomy(const std::string &relPath, const std::string &text,
+                    const std::string &code, const Taxonomy &taxonomy)
+{
+    if (!pathInDirs(relPath, metricTaxonomyDirs))
+        return;
+    const bool inSrc = pathStartsWith(relPath, "src/");
+    for (const auto &[name, offset] :
+         literalArguments(text, code, metricFactoryNames, false)) {
+        if (inSrc)
+            registeredInSrc.metrics.insert(name);
+        if (taxonomy.backticked.count(name) == 0)
+            report(relPath, lineOfOffset(code, offset),
+                   "metric '" + name + "' is not in the metric "
+                   "taxonomy (add a `" + name + "` row to " +
+                   taxonomyDocPath + ")");
+    }
+    for (const auto &[name, offset] :
+         literalArguments(text, code, spanTypeNames, true)) {
+        if (inSrc)
+            registeredInSrc.spans.insert(name);
+        if (taxonomy.spanRows.count(name) == 0)
+            report(relPath, lineOfOffset(code, offset),
+                   "span '" + name + "' is not in the span "
+                   "taxonomy (add a `" + name + "` row to " +
+                   taxonomyDocPath + ")");
+    }
+}
+
+/**
+ * The doc -> code direction: every metric-table and span-table row
+ * names a literal that src/ still registers, so a retired instrument
+ * cannot leave its row behind. Needs the whole of src/ scanned, so
+ * it runs on the default scan only.
+ */
+void
+checkTaxonomyRowsRegistered(const Taxonomy &taxonomy)
+{
+    for (const auto &[name, line] : taxonomy.metricRows)
+        if (registeredInSrc.metrics.count(name) == 0)
+            report(taxonomyDocPath, line,
+                   "metric `" + name + "` has a taxonomy row, but "
+                   "no counter()/gauge()/histogram() call in src/ "
+                   "registers it (delete the row)");
+    for (const auto &[name, line] : taxonomy.spanRows)
+        if (registeredInSrc.spans.count(name) == 0)
+            report(taxonomyDocPath, line,
+                   "span `" + name + "` has a taxonomy row, but no "
+                   "trace::Span in src/ records it (delete the row)");
 }
 
 // ---------------------------------------------------------------------------
@@ -1171,8 +1290,7 @@ shouldScan(const fs::path &path)
 
 int
 scanTree(const fs::path &root, const fs::path &subdir,
-         const LockTable &table,
-         const std::set<std::string> &documentedMetrics)
+         const LockTable &table, const Taxonomy &taxonomy)
 {
     const fs::path base = root / subdir;
     if (!fs::exists(base)) {
@@ -1212,7 +1330,7 @@ scanTree(const fs::path &root, const fs::path &subdir,
         checkBannedIdentifiers(relPath, tokens, policy);
         checkKernelOnlyConstructs(relPath, code);
         checkLockOrder(relPath, tokens, table);
-        checkMetricTaxonomy(relPath, text, code, documentedMetrics);
+        checkMetricTaxonomy(relPath, text, code, taxonomy);
         if (policy.checkGlobals)
             checkMutableGlobals(relPath, tokens);
         if (file.extension() == ".hh" || file.extension() == ".hpp")
@@ -1239,11 +1357,11 @@ loadLockTable(const fs::path &root)
     return parseLockTable("src/util/sync.hh", tokenize(code));
 }
 
-/** The names docs/OBSERVABILITY.md documents (backticked spans). */
-std::set<std::string>
-loadMetricTaxonomy(const fs::path &root)
+/** Read the names docs/OBSERVABILITY.md documents. */
+Taxonomy
+loadTaxonomy(const fs::path &root)
 {
-    const fs::path docPath = root / "docs" / "OBSERVABILITY.md";
+    const fs::path docPath = root / taxonomyDocPath;
     std::ifstream in(docPath, std::ios::binary);
     if (!in) {
         std::cerr << "vaesa_check: warning: cannot read " << docPath
@@ -1252,7 +1370,9 @@ loadMetricTaxonomy(const fs::path &root)
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    return backtickedSpans(buf.str());
+    const std::string doc = buf.str();
+    return {backtickedSpans(doc), tableRows(doc, "## Metric taxonomy"),
+            tableRows(doc, "## Span taxonomy")};
 }
 
 } // namespace
@@ -1268,21 +1388,23 @@ main(int argc, char **argv)
     std::vector<fs::path> subdirs;
     for (int i = 2; i < argc; ++i)
         subdirs.emplace_back(argv[i]);
-    if (subdirs.empty()) {
+    const bool defaultScan = subdirs.empty();
+    if (defaultScan) {
         subdirs.emplace_back("src");
         subdirs.emplace_back("tools");
         subdirs.emplace_back("bench");
     }
 
     const LockTable table = loadLockTable(root);
-    const std::set<std::string> documentedMetrics =
-        loadMetricTaxonomy(root);
+    const Taxonomy taxonomy = loadTaxonomy(root);
 
     for (const fs::path &subdir : subdirs) {
-        const int rc = scanTree(root, subdir, table, documentedMetrics);
+        const int rc = scanTree(root, subdir, table, taxonomy);
         if (rc == 2)
             return 2;
     }
+    if (defaultScan)
+        checkTaxonomyRowsRegistered(taxonomy);
 
     std::sort(findings.begin(), findings.end(),
               [](const Finding &a, const Finding &b) {

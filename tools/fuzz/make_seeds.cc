@@ -215,6 +215,14 @@ seedSearchState(const fs::path &dir)
                   return saveSearchSnapshot(path, snapshot);
               })));
 
+    // Driver tag 2 belonged to the retired genetic search; a
+    // snapshot naming it must load as Malformed.
+    snapshot.driver = static_cast<SearchDriver>(2);
+    writeSeed(dir, "retired_driver.bin",
+              raw(capture(dir, [&](const std::string &path) {
+                  return saveSearchSnapshot(path, snapshot);
+              })));
+
     // Regression reproducer: declares 2^26 trace points backed by
     // zero payload bytes (used to reserve multiple GB up front).
     RecordWriter out(magic, version);
