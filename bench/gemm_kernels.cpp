@@ -24,7 +24,8 @@
  * below the 3x target so CI catches kernel regressions. Results land
  * in bench_out/gemm_kernels.{csv,json} and the checked-in
  * BENCH_gemm_kernels.json, which also records the host's hardware
- * thread count (hw_threads).
+ * thread count (hw_threads) and the micro-kernel the CPU dispatched
+ * to (isa: avx512, avx2 or generic).
  *
  * Knobs: VAESA_GEMM_REPS (timing repetitions, default 7),
  *        VAESA_GEMM_MS (target milliseconds per measurement, def 40).
@@ -191,7 +192,8 @@ main()
 
     Rng rng(71);
     const std::size_t hw_threads = ThreadPool::hardwareThreadCount();
-    std::printf("host hw_threads %zu\n", hw_threads);
+    const char *isa = kernels::gemmIsaName(kernels::gemmIsa());
+    std::printf("host hw_threads %zu, gemm path %s\n", hw_threads, isa);
     std::printf("%-9s %-6s %-14s %12s %12s %9s\n", "layer", "orient",
                 "m x n x k", "naive ns", "blocked ns", "speedup");
     bench::rule();
@@ -246,7 +248,8 @@ main()
     std::string body = "{\n  \"bench\": \"gemm_kernels\",\n"
                        "  \"hw_threads\": " +
                        std::to_string(hw_threads) +
-                       ",\n  \"shapes\": [\n";
+                       ",\n  \"isa\": \"" + isa +
+                       "\",\n  \"shapes\": [\n";
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         char row[512];
         const Shape &s = shapes[i];

@@ -29,13 +29,16 @@
  * util/trace span buffer and, on exit, write a versioned JSON run
  * manifest and a Chrome trace (docs/OBSERVABILITY.md).
  *
- * Flag parsing is strict: an unknown or value-less --flag, or an
- * integer flag that is not a whole number in range, aborts with the
- * usage text and a nonzero exit instead of being silently ignored.
+ * Argument parsing is strict: an unknown or value-less --flag, an
+ * integer flag or eval positional that is not a whole number in
+ * range, or a real flag or decode coordinate that is not a finite
+ * number, aborts with the usage text and a nonzero exit instead of
+ * being silently ignored or read as a prefix.
  */
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -173,34 +176,74 @@ class Args
             long min = std::numeric_limits<long>::min()) const
     {
         const std::string *value = find(name);
-        if (!value)
-            return fallback;
+        return value ? wholeNumber("flag '--" + name + "'", *value, min,
+                                   std::numeric_limits<long>::max())
+                     : fallback;
+    }
+
+    /**
+     * Floating-point flag. The whole value must parse as a finite
+     * number: "3x", "abc", "inf" or an out-of-range value prints the
+     * usage text and exits 1 instead of reading as a prefix or as 0.
+     */
+    double
+    flagDouble(const std::string &name, double fallback) const
+    {
+        const std::string *value = find(name);
+        return value ? finiteNumber("flag '--" + name + "'", *value)
+                     : fallback;
+    }
+
+    /** Print "COMMAND: message" and the usage text, then exit 1. */
+    [[noreturn]] void
+    usageError(const std::string &message) const
+    {
+        std::fprintf(stderr, "%s: %s\n", command_.c_str(),
+                     message.c_str());
+        printUsage(stderr, prog_.c_str());
+        std::exit(1);
+    }
+
+    /**
+     * @p text, the argument @p what names, as a base-10 whole number
+     * in [min, max]; anything else ("12x", "abc", an overflow, a value
+     * out of range) is a usage error.
+     */
+    long
+    wholeNumber(const std::string &what, const std::string &text,
+                long min, long max) const
+    {
         errno = 0;
         char *end = nullptr;
-        const long n = std::strtol(value->c_str(), &end, 10);
-        if (end == value->c_str() || *end != '\0' || errno == ERANGE ||
-            n < min) {
+        const long n = std::strtol(text.c_str(), &end, 10);
+        if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+            n < min || n > max) {
+            const bool lower = min != std::numeric_limits<long>::min();
+            const bool upper = max != std::numeric_limits<long>::max();
             const std::string bound =
-                min == std::numeric_limits<long>::min()
-                    ? ""
-                    : " >= " + std::to_string(min);
-            std::fprintf(stderr,
-                         "%s: flag '--%s' needs a whole number%s, "
-                         "got '%s'\n",
-                         command_.c_str(), name.c_str(), bound.c_str(),
-                         value->c_str());
-            printUsage(stderr, prog_.c_str());
-            std::exit(1);
+                upper ? " in " + std::to_string(min) + ".." +
+                            std::to_string(max)
+                : lower ? " >= " + std::to_string(min)
+                        : "";
+            usageError(what + " needs a whole number" + bound +
+                       ", got '" + text + "'");
         }
         return n;
     }
 
+    /** @p text as a finite number ("3x", "abc", "inf" and an
+     *  out-of-range value are usage errors). */
     double
-    flagDouble(const std::string &name, double fallback) const
+    finiteNumber(const std::string &what, const std::string &text) const
     {
-        const std::string v = flag(name, "");
-        return v.empty() ? fallback : std::strtod(v.c_str(),
-                                                  nullptr);
+        errno = 0;
+        char *end = nullptr;
+        const double x = std::strtod(text.c_str(), &end);
+        if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(x))
+            usageError(what + " needs a finite number, got '" + text +
+                       "'");
+        return x;
     }
 
     const std::vector<std::string> &
@@ -361,13 +404,18 @@ cmdEval(const Args &args)
                      "INPUT_KB GLOBAL_KB\n");
         return 1;
     }
+    // Out-of-domain values snap to the grid below; the cap keeps the
+    // KB-to-byte scaling and the snap's arithmetic far from overflow.
+    const auto value = [&](std::size_t index, const char *what) {
+        return args.wholeNumber(what, pos[index], 0, 1L << 32);
+    };
     AcceleratorConfig config;
-    config.numPes = std::atoll(pos[0].c_str());
-    config.numMacs = std::atoll(pos[1].c_str());
-    config.accumBufBytes = std::atoll(pos[2].c_str()) * 1024;
-    config.weightBufBytes = std::atoll(pos[3].c_str()) * 1024;
-    config.inputBufBytes = std::atoll(pos[4].c_str()) * 1024;
-    config.globalBufBytes = std::atoll(pos[5].c_str()) * 1024;
+    config.numPes = value(0, "PES");
+    config.numMacs = value(1, "MACS");
+    config.accumBufBytes = value(2, "ACCUM_KB") * 1024;
+    config.weightBufBytes = value(3, "WEIGHT_KB") * 1024;
+    config.inputBufBytes = value(4, "INPUT_KB") * 1024;
+    config.globalBufBytes = value(5, "GLOBAL_KB") * 1024;
     const DesignSpace &ds = designSpace();
     for (int p = 0; p < numHwParams; ++p) {
         const auto param = static_cast<HwParam>(p);
@@ -501,6 +549,13 @@ cmdSearch(const Args &args, ObservabilityScope &obs)
     const SearchCheckpointConfig *checkpoint =
         checkpoint_config.path.empty() ? nullptr
                                        : &checkpoint_config;
+    // The snapshot carries no dataset, so vae_bo sizes the latent box
+    // from the prior: the KL-regularized encodings live within a few
+    // sigma of the origin.
+    const double radius = args.flagDouble("radius", 3.0);
+    if (method == "vae_bo" && radius <= 0.0)
+        args.usageError("flag '--radius' needs a number > 0, got '" +
+                        args.flag("radius", "") + "'");
 
     auto loaded = loadFramework(path);
     if (!loaded) {
@@ -512,36 +567,29 @@ cmdSearch(const Args &args, ObservabilityScope &obs)
         std::move(loaded.value());
 
     Evaluator evaluator;
-    // The snapshot carries no dataset, so size the latent box from
-    // the prior: the KL-regularized encodings live within a few
-    // sigma of the origin.
-    const double radius = args.flagDouble("radius", 3.0);
-    LatentObjective latent_obj(*framework, evaluator, workload, radius,
-                               metric);
-    InputSpaceObjective input_obj(evaluator, workload, metric);
-
     Rng rng(seed);
     SearchTrace trace;
-    Objective *used = &input_obj;
+    AcceleratorConfig best;
     if (method == "vae_bo") {
+        LatentObjective latent_obj(*framework, evaluator, workload,
+                                   radius, metric);
         trace = BayesOpt().run(latent_obj, samples, rng, nullptr,
                                checkpoint);
-        used = &latent_obj;
-    } else if (method == "bo") {
-        trace = BayesOpt().run(input_obj, samples, rng, nullptr,
-                               checkpoint);
+        best = latent_obj.decode(trace.bestPoint());
     } else {
-        trace = RandomSearch().run(input_obj, samples, rng, nullptr,
+        InputSpaceObjective input_obj(evaluator, workload, metric);
+        if (method == "bo")
+            trace = BayesOpt().run(input_obj, samples, rng, nullptr,
                                    checkpoint);
+        else
+            trace = RandomSearch().run(input_obj, samples, rng,
+                                       nullptr, checkpoint);
+        best = input_obj.decode(trace.bestPoint());
     }
 
     std::printf("%s on %s, %zu samples: best %s %.6g\n",
                 method.c_str(), workload.name.c_str(), samples,
                 metricName(metric), trace.best());
-    const AcceleratorConfig best =
-        used == &latent_obj
-            ? latent_obj.decode(trace.bestPoint())
-            : input_obj.decode(trace.bestPoint());
     std::printf("best design: %s\n", best.describe().c_str());
     std::printf("area: %.2f mm^2\n", AreaModel().totalMm2(best));
     return 0;
@@ -555,6 +603,9 @@ cmdDecode(const Args &args)
         std::fprintf(stderr, "decode needs: MODEL.BIN Z1 [Z2 ...]\n");
         return 1;
     }
+    std::vector<double> z;
+    for (std::size_t i = 1; i < pos.size(); ++i)
+        z.push_back(args.finiteNumber("Z" + std::to_string(i), pos[i]));
     auto loaded = loadFramework(pos[0]);
     if (!loaded) {
         std::fprintf(stderr, "%s\n",
@@ -563,9 +614,6 @@ cmdDecode(const Args &args)
     }
     std::unique_ptr<VaesaFramework> framework =
         std::move(loaded.value());
-    std::vector<double> z;
-    for (std::size_t i = 1; i < pos.size(); ++i)
-        z.push_back(std::strtod(pos[i].c_str(), nullptr));
     if (z.size() != framework->latentDim()) {
         std::fprintf(stderr, "model has a %zu-D latent space\n",
                      framework->latentDim());

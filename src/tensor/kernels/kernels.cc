@@ -22,6 +22,15 @@ struct GemmMetrics
     metrics::Counter &calls = metrics::counter("gemm.calls");
     metrics::Counter &flops = metrics::counter("gemm.flops");
     metrics::Histogram &ns = metrics::histogram("gemm.ns");
+    metrics::Gauge &lanes = metrics::gauge("gemm.vector_lanes");
+
+    /** Records the doubles per vector of the dispatched micro-kernel. */
+    GemmMetrics()
+    {
+        const GemmIsa isa = gemmIsa();
+        lanes.set(isa == GemmIsa::Avx512 ? 8 : isa == GemmIsa::Avx2 ? 4
+                                                                     : 1);
+    }
 };
 
 GemmMetrics &
@@ -31,20 +40,26 @@ gemmMetrics()
     return m;
 }
 
-/** Register-tile extents of the micro-kernel. */
+/** Register-tile extents of the AVX2 / std::fma micro-kernel. */
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileCols = 8;
 
 // ---------------------------------------------------------------- //
-// The one GEMM micro-kernel. A tile of up to 4 x 8 outputs lives in
-// registers; for each k in increasing order it broadcasts A(i, k)
-// against the contiguous row B(k, j..j+w) and updates every output
-// with one fused multiply-add. Every element is therefore exactly
+// The one GEMM micro-kernel. A tile of outputs (up to 4 x 8 on AVX2
+// or std::fma lanes, up to 8 x 16 on AVX-512) lives in registers; for
+// each k in increasing order it broadcasts A(i, k) against the
+// contiguous row B(k, j..j+w) and updates every output with one fused
+// multiply-add. Every element is therefore exactly
 //   fma(a[k-1], b[k-1], ... fma(a[0], b[0], init))
 // whatever the tile shape, lane width, compiler or optimization
 // level: the TU is built with -ffp-contract=off (see the tensor
 // CMakeLists), so no fusion happens that is not written here.
 // ---------------------------------------------------------------- //
+
+/** The edge of a tile whose width is a template argument: all live. */
+struct WholeRow
+{
+};
 
 /**
  * W adjacent outputs of one tile row. With AVX2+FMA they are held as
@@ -55,6 +70,8 @@ constexpr std::size_t kTileCols = 8;
 template <std::size_t W>
 struct Lanes
 {
+    using Edge = WholeRow;
+
 #if defined(__AVX2__) && defined(__FMA__)
     static constexpr std::size_t kTail = W / 4 * 4;
     __m256d lo{}, hi{};
@@ -62,7 +79,7 @@ struct Lanes
     double single = 0.0;
 
     void
-    load(const double *p)
+    load(const double *p, WholeRow)
     {
         if constexpr (W >= 4)
             lo = _mm256_loadu_pd(p);
@@ -75,7 +92,7 @@ struct Lanes
     }
 
     void
-    store(double *p) const
+    store(double *p, WholeRow) const
     {
         if constexpr (W >= 4)
             _mm256_storeu_pd(p, lo);
@@ -105,8 +122,8 @@ struct Lanes
 #else
     double v[W] = {};
 
-    void load(const double *p) { std::copy(p, p + W, v); }
-    void store(double *p) const { std::copy(v, v + W, p); }
+    void load(const double *p, WholeRow) { std::copy(p, p + W, v); }
+    void store(double *p, WholeRow) const { std::copy(v, v + W, p); }
 
     void
     fmaInto(const double *x, const Lanes &b)
@@ -135,73 +152,79 @@ struct Operands
 };
 
 /**
- * RI tile rows of W lanes each, as a recursive aggregate rather than
+ * RI tile rows of lanes L each, as a recursive aggregate rather than
  * an array so the compiler keeps every accumulator in a register.
  */
-template <std::size_t RI, std::size_t W>
+template <std::size_t RI, class L>
 struct Rows
 {
-    Lanes<W> head;
-    Rows<RI - 1, W> tail;
+    using Edge = typename L::Edge;
+
+    L head;
+    Rows<RI - 1, L> tail;
 
     void
-    load(const double *p, std::size_t stride)
+    load(const double *p, std::size_t stride, Edge e)
     {
-        head.load(p);
-        tail.load(p + stride, stride);
+        head.load(p, e);
+        tail.load(p + stride, stride, e);
     }
 
     void
-    fmaInto(const double *x, std::size_t stride, const Lanes<W> &b)
+    fmaInto(const double *x, std::size_t stride, const L &b)
     {
         head.fmaInto(x, b);
         tail.fmaInto(x + stride, stride, b);
     }
 
     void
-    store(double *p, std::size_t stride) const
+    store(double *p, std::size_t stride, Edge e) const
     {
-        head.store(p);
-        tail.store(p + stride, stride);
+        head.store(p, e);
+        tail.store(p + stride, stride, e);
     }
 };
 
-template <std::size_t W>
-struct Rows<0, W>
+template <class L>
+struct Rows<0, L>
 {
-    void load(const double *, std::size_t) {}
-    void fmaInto(const double *, std::size_t, const Lanes<W> &) {}
-    void store(double *, std::size_t) const {}
+    using Edge = typename L::Edge;
+
+    void load(const double *, std::size_t, Edge) {}
+    void fmaInto(const double *, std::size_t, const L &) {}
+    void store(double *, std::size_t, Edge) const {}
 };
 
-/** The RI x W output tile at (i, j); RI <= 4, W <= 8. */
-template <std::size_t RI, std::size_t W>
+/** The RI-row output tile of lanes L at (i, j). */
+template <std::size_t RI, class L>
 void
-tile(const Operands &op, std::size_t i, std::size_t j)
+tile(const Operands &op, std::size_t i, std::size_t j,
+     typename L::Edge e)
 {
     const std::size_t k = op.k, n = op.n, aRow = op.aRow, aK = op.aK;
-    Rows<RI, W> acc;
+    Rows<RI, L> acc;
     if (op.init != nullptr)
-        acc.load(op.init + i * op.initRow + j, op.initRow);
+        acc.load(op.init + i * op.initRow + j, op.initRow, e);
     const double *a = op.a + i * aRow;
     const double *b = op.b + j;
     for (std::size_t kk = 0; kk < k; ++kk) {
-        Lanes<W> bk;
-        bk.load(b);
+        L bk;
+        bk.load(b, e);
         acc.fmaInto(a, aRow, bk);
         a += aK;
         b += n;
     }
-    acc.store(op.c + i * n + j, n);
+    acc.store(op.c + i * n + j, n, e);
 }
 
-using TileFn = void (*)(const Operands &, std::size_t, std::size_t);
+using TileFn = void (*)(const Operands &, std::size_t, std::size_t,
+                        WholeRow);
 
 template <std::size_t RI, std::size_t... W>
 constexpr std::array<TileFn, kTileCols>
 tileRow(std::index_sequence<W...>)
 {
-    return {&tile<RI, W + 1>...};
+    return {&tile<RI, Lanes<W + 1>>...};
 }
 
 /** kTiles[ri - 1][w - 1] is the ri x w tile. */
@@ -211,16 +234,135 @@ constexpr std::array<std::array<TileFn, kTileCols>, kTileRows> kTiles =
      tileRow<3>(std::make_index_sequence<kTileCols>()),
      tileRow<4>(std::make_index_sequence<kTileCols>())};
 
-/** Cover all m x n outputs with tiles, ragged edges included. */
+/** Cover all m x n outputs with AVX2 / std::fma tiles. */
 void
-run(const Operands &op, std::size_t m)
+runPortable(const Operands &op, std::size_t m)
 {
     for (std::size_t i = 0; i < m; i += kTileRows) {
         const std::size_t ri = std::min(kTileRows, m - i);
         for (std::size_t j = 0; j < op.n; j += kTileCols)
-            kTiles[ri - 1][std::min(kTileCols, op.n - j) - 1](op, i,
-                                                              j);
+            kTiles[ri - 1][std::min(kTileCols, op.n - j) - 1](op, i, j,
+                                                              {});
     }
+}
+
+#if defined(__AVX2__) && defined(__FMA__)
+// The AVX-512 micro-kernel: tiles of up to 8 rows x 16 columns, each
+// row one or two 8-wide vectors, 16 accumulators in all. Only the
+// functions marked target("avx512f") may touch a 512-bit register,
+// and run() enters them only when the CPU reports avx512f, so the
+// binary still runs on an AVX2-only CPU.
+
+constexpr std::size_t kTile512Rows = 8;
+constexpr std::size_t kTile512Cols = 16;
+
+/**
+ * One tile row of V 8-wide vectors (V = 1 or 2). The mask selects
+ * the live lanes of the last vector: a masked-off lane is never read
+ * (it loads as +0.0, so no fault is possible) and never written, and
+ * column t again only ever sees fma(x, b[t], acc[t]).
+ */
+template <std::size_t V>
+struct Lanes512
+{
+    using Edge = __mmask8;
+
+    __m512d lo{}, hi{};
+
+    [[gnu::target("avx512f")]] void
+    load(const double *p, __mmask8 last)
+    {
+        if constexpr (V == 1) {
+            lo = _mm512_maskz_loadu_pd(last, p);
+        } else {
+            lo = _mm512_loadu_pd(p);
+            hi = _mm512_maskz_loadu_pd(last, p + 8);
+        }
+    }
+
+    [[gnu::target("avx512f")]] void
+    store(double *p, __mmask8 last) const
+    {
+        if constexpr (V == 1) {
+            _mm512_mask_storeu_pd(p, last, lo);
+        } else {
+            _mm512_storeu_pd(p, lo);
+            _mm512_mask_storeu_pd(p + 8, last, hi);
+        }
+    }
+
+    /** this[t] = fma(*x, b[t], this[t]) for every lane t. */
+    [[gnu::target("avx512f")]] void
+    fmaInto(const double *x, const Lanes512 &b)
+    {
+        const __m512d x8 = _mm512_set1_pd(*x);
+        lo = _mm512_fmadd_pd(x8, b.lo, lo);
+        if constexpr (V == 2)
+            hi = _mm512_fmadd_pd(x8, b.hi, hi);
+    }
+};
+
+/**
+ * The RI x (8 V) tile, the last vector masked by @p last. flatten
+ * inlines the generic tile and the Rows recursion into this
+ * avx512f-compiled body, so the accumulators stay in registers.
+ */
+template <std::size_t RI, std::size_t V>
+[[gnu::target("avx512f"), gnu::flatten]] void
+tile512(const Operands &op, std::size_t i, std::size_t j,
+        __mmask8 last)
+{
+    tile<RI, Lanes512<V>>(op, i, j, last);
+}
+
+using Tile512Fn = void (*)(const Operands &, std::size_t, std::size_t,
+                           __mmask8);
+
+template <std::size_t... R>
+constexpr std::array<std::array<Tile512Fn, 2>, kTile512Rows>
+tiles512(std::index_sequence<R...>)
+{
+    return {{{&tile512<R + 1, 1>, &tile512<R + 1, 2>}...}};
+}
+
+/** kTiles512[ri - 1][v - 1] is the ri-row tile of v vectors. */
+constexpr std::array<std::array<Tile512Fn, 2>, kTile512Rows> kTiles512 =
+    tiles512(std::make_index_sequence<kTile512Rows>());
+
+/** Cover all m x n outputs with AVX-512 tiles, masking the last. */
+[[gnu::target("avx512f")]] void
+runAvx512(const Operands &op, std::size_t m)
+{
+    for (std::size_t i = 0; i < m; i += kTile512Rows) {
+        const std::size_t ri = std::min(kTile512Rows, m - i);
+        for (std::size_t j = 0; j < op.n; j += kTile512Cols) {
+            const std::size_t w = std::min(kTile512Cols, op.n - j);
+            const std::size_t v = (w + 7) / 8;
+            const auto last =
+                static_cast<__mmask8>(0xFFu >> (8 * v - w));
+            kTiles512[ri - 1][v - 1](op, i, j, last);
+        }
+    }
+}
+#endif
+
+/** Cover all m x n outputs with @p isa's tiles, ragged edges included. */
+void
+runOn(GemmIsa isa, const Operands &op, std::size_t m)
+{
+#if defined(__AVX2__) && defined(__FMA__)
+    if (isa == GemmIsa::Avx512) {
+        runAvx512(op, m);
+        return;
+    }
+#endif
+    runPortable(op, m);
+}
+
+void
+run(const Operands &op, std::size_t m)
+{
+    runOn(gemmIsa(), op, m);
 }
 
 /**
@@ -249,6 +391,46 @@ noteGemm(std::size_t m, std::size_t n, std::size_t k)
 }
 
 } // namespace
+
+GemmIsa
+gemmIsa()
+{
+#if defined(__AVX2__) && defined(__FMA__)
+    // A function-local static: a namespace-scope initializer could run
+    // before libgcc's constructor fills in the CPU model.
+    static const GemmIsa isa = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") ? GemmIsa::Avx512
+                                                 : GemmIsa::Avx2;
+    }();
+    return isa;
+#else
+    return GemmIsa::Generic;
+#endif
+}
+
+const char *
+gemmIsaName(GemmIsa isa)
+{
+    return isa == GemmIsa::Avx512 ? "avx512"
+           : isa == GemmIsa::Avx2 ? "avx2"
+                                  : "generic";
+}
+
+bool
+gemmOn(GemmIsa isa, std::size_t m, std::size_t n, std::size_t k,
+       const double *a, std::size_t aRow, std::size_t aK,
+       const double *b, const double *init, std::size_t initRow,
+       double *c)
+{
+    // The dispatched table, and AVX2 on a CPU that also has AVX-512.
+    const GemmIsa native = gemmIsa();
+    if (isa != native &&
+        !(isa == GemmIsa::Avx2 && native == GemmIsa::Avx512))
+        return false;
+    runOn(isa, {k, n, a, aRow, aK, b, init, initRow, c}, m);
+    return true;
+}
 
 void
 gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,

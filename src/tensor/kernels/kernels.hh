@@ -15,12 +15,15 @@
  *
  * in strictly increasing k, where init is +0.0, the old C value
  * (accumulate) or the bias (linearForward). The chain is written in
- * the source (AVX2 FMA lanes on x86-64, std::fma elsewhere) and the
- * file is built with -ffp-contract=off, so the bits do not depend on
- * the compiler, the optimization level, the tile an element lands
- * in, or the SIMD width. tests/tensor/test_kernels.cc checks every
- * element against a scalar std::fma chain bit for bit. The plain
- * triple loops the tests keep as a reference
+ * the source and runs on one of three lane widths, picked once per
+ * process from CPUID (gemmIsa()): AVX-512 lanes in 8 x 16 tiles when
+ * the CPU reports avx512f, else AVX2 FMA lanes in 4 x 8 tiles on
+ * x86-64, else std::fma. The file is built with -ffp-contract=off,
+ * so all three give the same bits, whatever the compiler, the
+ * optimization level, the tile an element lands in or the SIMD
+ * width. tests/tensor/test_kernels.cc checks every element of each
+ * micro-kernel the host can run against a scalar std::fma chain bit
+ * for bit. The plain triple loops the tests keep as a reference
  * (tests/common/reference_gemm.hh) round each product separately, so
  * they agree only within the tolerance docs/PERFORMANCE.md states;
  * NaN/Inf propagation is identical.
@@ -50,6 +53,30 @@
 #include <cstddef>
 
 namespace vaesa::kernels {
+
+/** The GEMM micro-kernels: 8 x 16 tiles of AVX-512 lanes, 4 x 8 tiles
+ *  of AVX2 lanes, or 4 x 8 tiles of std::fma scalars. */
+enum class GemmIsa { Avx512, Avx2, Generic };
+
+/** The micro-kernel every GEMM in this process runs, picked once
+ *  from CPUID: Avx512 or Avx2 on x86-64, Generic elsewhere. */
+GemmIsa gemmIsa();
+
+/** "avx512", "avx2" or "generic". */
+const char *gemmIsaName(GemmIsa isa);
+
+/**
+ * Test seam: one GEMM through @p isa's micro-kernel, whichever one
+ * gemmIsa() picked. C (m x n) = A * B over k, with A(i, kk) at
+ * a[i * aRow + kk * aK], B (k x n) and C row-major; each output
+ * starts from init[i * initRow + j], or from +0.0 when init is null.
+ * Returns false, writing nothing, when this build or this CPU cannot
+ * run @p isa (AVX2 exists only on x86-64 and Generic only elsewhere).
+ */
+bool gemmOn(GemmIsa isa, std::size_t m, std::size_t n, std::size_t k,
+            const double *a, std::size_t aRow, std::size_t aK,
+            const double *b, const double *init, std::size_t initRow,
+            double *c);
 
 /**
  * C (m x n) = A (m x k) * B (k x n).

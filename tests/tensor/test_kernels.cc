@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,10 +151,15 @@ struct OracleRun
 /**
  * Run every kernel entry point on one (m, n, k) and form, for each
  * output, the scalar chain it must equal. C = A * B with A (m x k),
- * B (k x n) in the orientation's own storage.
+ * B (k x n) in the orientation's own storage. With @p isa the same
+ * operands go through that micro-kernel by name (kernels::gemmOn),
+ * whatever kernels::gemmIsa() picked: transB and linearForward as
+ * the plain orientation over B^T, which is what those entry points
+ * run after their transpose.
  */
 std::vector<OracleRun>
-oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng)
+oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng,
+           std::optional<kernels::GemmIsa> isa = std::nullopt)
 {
     const Matrix a = randomMatrix(m, k, rng);   // gemm, transB, x
     const Matrix at = randomMatrix(k, m, rng);  // transA's A
@@ -161,13 +167,22 @@ oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng)
     const Matrix bt = randomMatrix(n, k, rng);  // transB's B, W
     const Matrix c0 = randomMatrix(m, n, rng);  // accumulate init
     const Matrix bias = randomMatrix(1, n, rng);
+    const Matrix btt = transposed(bt);
 
     std::vector<OracleRun> runs;
     for (const bool accumulate : {false, true}) {
         for (int orientation = 0; orientation < 3; ++orientation) {
             Matrix c = c0;
             OracleRun run;
-            if (orientation == 0)
+            const double *init = accumulate ? c0.data() : nullptr;
+            if (isa)
+                EXPECT_TRUE(kernels::gemmOn(
+                    *isa, m, n, k,
+                    orientation == 1 ? at.data() : a.data(),
+                    orientation == 1 ? 1 : k, orientation == 1 ? m : 1,
+                    orientation == 2 ? btt.data() : b.data(), init, n,
+                    c.data()));
+            else if (orientation == 0)
                 kernels::gemm(m, n, k, a.data(), b.data(), c.data(),
                               accumulate);
             else if (orientation == 1)
@@ -199,8 +214,13 @@ oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng)
 
     Matrix y(m, n);
     Matrix wt(k, n);
-    kernels::linearForward(m, k, n, a.data(), bt.data(), bias.data(),
-                           wt.data(), y.data());
+    if (isa)
+        EXPECT_TRUE(kernels::gemmOn(*isa, m, n, k, a.data(), k, 1,
+                                    btt.data(), bias.data(), 0,
+                                    y.data()));
+    else
+        kernels::linearForward(m, k, n, a.data(), bt.data(),
+                               bias.data(), wt.data(), y.data());
     OracleRun run;
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
@@ -212,6 +232,37 @@ oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng)
     }
     runs.push_back(std::move(run));
     return runs;
+}
+
+/** Whether this build and CPU run @p isa (an empty GEMM as probe). */
+bool
+runs(kernels::GemmIsa isa)
+{
+    return kernels::gemmOn(isa, 0, 0, 0, nullptr, 0, 0, nullptr,
+                           nullptr, 0, nullptr);
+}
+
+/**
+ * The tables an oracle test checks: the public entry points (the
+ * micro-kernel gemmIsa() picked), and by name the one a CPU without
+ * avx512f runs, AVX2 on x86-64 and std::fma elsewhere. The AVX-512
+ * table has its own tests, which skip on CPUs without it.
+ */
+std::vector<std::optional<kernels::GemmIsa>>
+dispatchedAndPortable()
+{
+    return {std::nullopt, runs(kernels::GemmIsa::Avx2)
+                              ? kernels::GemmIsa::Avx2
+                              : kernels::GemmIsa::Generic};
+}
+
+/** Name of an oracle path, for failure messages. */
+std::string
+pathName(std::optional<kernels::GemmIsa> isa)
+{
+    return isa ? kernels::gemmIsaName(*isa)
+               : std::string("dispatched (") +
+                     kernels::gemmIsaName(kernels::gemmIsa()) + ")";
 }
 
 /** Elements whose bits differ. */
@@ -236,13 +287,16 @@ bitMismatches(const std::vector<OracleRun> &runs)
     return bad;
 }
 
-TEST(KernelOracle, TrainLayerShapesMatchFmaChainBitForBit)
+/**
+ * Bit mismatches over the 13 Linear layers of the default model at
+ * batch 64, as (in, out): VAE encoder trunk, mu and logvar heads,
+ * decoder, then the latency and energy predictors (latent 4 + 8
+ * layer features in). Each layer's forward, dX and dW shape runs
+ * through every orientation on @p isa's path.
+ */
+std::size_t
+trainLayerMismatches(std::optional<kernels::GemmIsa> isa)
 {
-    // The 13 Linear layers of the default model at batch 64, as
-    // (in, out): VAE encoder trunk, mu and logvar heads, decoder,
-    // then the latency and energy predictors (latent 4 + 8 layer
-    // features in). Each layer's forward, dX and dW shape runs
-    // through every entry point.
     const std::size_t batch = 64;
     const std::size_t layers[][2] = {
         {6, 128}, {128, 64}, {64, 4},  {64, 4},  {4, 64},
@@ -250,6 +304,7 @@ TEST(KernelOracle, TrainLayerShapesMatchFmaChainBitForBit)
         {12, 64}, {64, 64}, {64, 1},
     };
     Rng rng(25);
+    std::size_t bad = 0;
     for (const auto &layer : layers) {
         const std::size_t in = layer[0];
         const std::size_t out = layer[1];
@@ -259,32 +314,81 @@ TEST(KernelOracle, TrainLayerShapesMatchFmaChainBitForBit)
             {out, in, batch}, // dW = dY^T * X
         };
         for (const auto &s : shapes)
-            EXPECT_EQ(bitMismatches(oracleRuns(s[0], s[1], s[2], rng)),
-                      0u)
-                << "m " << s[0] << " n " << s[1] << " k " << s[2];
+            bad += bitMismatches(oracleRuns(s[0], s[1], s[2], rng, isa));
     }
+    return bad;
+}
+
+/** Bit mismatches over every m in 1..maxM, n in 1..maxN, k in 1..13. */
+std::size_t
+raggedMismatches(std::optional<kernels::GemmIsa> isa, std::size_t maxM,
+                 std::size_t maxN)
+{
+    Rng rng(26);
+    std::size_t bad = 0;
+    for (std::size_t m = 1; m <= maxM; ++m)
+        for (std::size_t n = 1; n <= maxN; ++n)
+            for (std::size_t k = 1; k <= 13; ++k)
+                bad += bitMismatches(oracleRuns(m, n, k, rng, isa));
+    return bad;
+}
+
+/** Bit mismatches of a k = 0 GEMM, which must return its init. */
+std::size_t
+emptyReductionMismatches(std::optional<kernels::GemmIsa> isa)
+{
+    Rng rng(27);
+    return bitMismatches(oracleRuns(5, 9, 0, rng, isa)) +
+           bitMismatches(oracleRuns(11, 19, 0, rng, isa));
+}
+
+TEST(KernelOracle, TrainLayerShapesMatchFmaChainBitForBit)
+{
+    for (const auto isa : dispatchedAndPortable())
+        EXPECT_EQ(trainLayerMismatches(isa), 0u) << pathName(isa);
 }
 
 TEST(KernelOracle, RaggedShapesMatchFmaChainBitForBit)
 {
-    // Every m, n, k in 1..13: all tile heights 1..4, all tail widths
-    // 1..7 past a full 8-wide tile, and the empty and short chains.
-    Rng rng(26);
-    std::size_t bad = 0;
-    for (std::size_t m = 1; m <= 13; ++m)
-        for (std::size_t n = 1; n <= 13; ++n)
-            for (std::size_t k = 1; k <= 13; ++k)
-                bad += bitMismatches(oracleRuns(m, n, k, rng));
-    EXPECT_EQ(bad, 0u);
+    // m and n in 1..13: every tile height 1..4 and every tail width
+    // 1..7 past a full 8-wide tile of the 4 x 8 table, and the empty
+    // and short chains.
+    for (const auto isa : dispatchedAndPortable())
+        EXPECT_EQ(raggedMismatches(isa, 13, 13), 0u) << pathName(isa);
 }
 
 TEST(KernelOracle, EmptyReductionIsTheInit)
 {
-    Rng rng(27);
-    for (const OracleRun &run : oracleRuns(5, 9, 0, rng))
-        for (std::size_t e = 0; e < run.got.size(); ++e)
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(run.got[e]),
-                      std::bit_cast<std::uint64_t>(run.want[e]));
+    for (const auto isa : dispatchedAndPortable())
+        EXPECT_EQ(emptyReductionMismatches(isa), 0u) << pathName(isa);
+}
+
+constexpr const char *kNoAvx512 =
+    "no AVX-512 GEMM here: the CPU does not report avx512f, or the "
+    "build is not x86-64";
+
+TEST(KernelOracle, Avx512TrainLayerShapesMatchFmaChainBitForBit)
+{
+    if (!runs(kernels::GemmIsa::Avx512))
+        GTEST_SKIP() << kNoAvx512;
+    EXPECT_EQ(trainLayerMismatches(kernels::GemmIsa::Avx512), 0u);
+}
+
+TEST(KernelOracle, Avx512RaggedShapesMatchFmaChainBitForBit)
+{
+    if (!runs(kernels::GemmIsa::Avx512))
+        GTEST_SKIP() << kNoAvx512;
+    // m in 1..17 and n in 1..33: every edge height 1..8 below a full
+    // 8-row tile and every masked edge width 1..16 past a full
+    // 16-wide tile of the 8 x 16 table.
+    EXPECT_EQ(raggedMismatches(kernels::GemmIsa::Avx512, 17, 33), 0u);
+}
+
+TEST(KernelOracle, Avx512EmptyReductionIsTheInit)
+{
+    if (!runs(kernels::GemmIsa::Avx512))
+        GTEST_SKIP() << kNoAvx512;
+    EXPECT_EQ(emptyReductionMismatches(kernels::GemmIsa::Avx512), 0u);
 }
 
 /**
@@ -405,7 +509,7 @@ TEST(KernelOracle, ElementwiseMatchScalarBitForBit)
 TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
 {
     Rng rng(11);
-    // Shapes straddling the 4x8 / 4x4 register tiles: full tiles,
+    // Shapes straddling the 4x8 and 8x16 register tiles: full tiles,
     // ragged edges, single rows/cols, and the paper's layer widths.
     const std::size_t shapes[][3] = {
         {1, 1, 1},   {3, 5, 7},    {4, 8, 16},  {5, 9, 17},
