@@ -28,6 +28,12 @@ struct BoMetrics
         metrics::histogram("search.bo.hyper_ns");
     metrics::Histogram &acqNs =
         metrics::histogram("search.bo.acq_ns");
+    metrics::Histogram &boundNs =
+        metrics::histogram("search.bo.bound_ns");
+    metrics::Histogram &refineNs =
+        metrics::histogram("search.bo.refine_ns");
+    metrics::Histogram &solveNs =
+        metrics::histogram("search.bo.solve_ns");
     metrics::Counter &candidates =
         metrics::counter("search.bo.candidates");
     metrics::Counter &solved = metrics::counter("search.bo.solved");
@@ -155,11 +161,15 @@ selectCandidate(const GaussianProcess &gp,
     if (m == 0)
         return pick;
 
+    BoMetrics &bm = boMetrics();
     std::vector<GaussianProcess::Bound> bounds(m);
-    forEachTileChunk(m, pool, [&](std::size_t from, std::size_t len) {
-        gp.boundBatch(scored.subspan(from, len),
-                      std::span(bounds).subspan(from, len));
-    });
+    {
+        const metrics::ScopedTimer timer(bm.boundNs);
+        forEachTileChunk(m, pool, [&](std::size_t from, std::size_t len) {
+            gp.boundBatch(scored.subspan(from, len),
+                          std::span(bounds).subspan(from, len));
+        });
+    }
     struct Ranked
     {
         double upper;
@@ -209,12 +219,14 @@ selectCandidate(const GaussianProcess &gp,
             }
             const std::span<const std::vector<double>> refining =
                 std::span(batch).first(rest);
-            forEachTileChunk(rest, pool,
-                             [&](std::size_t from, std::size_t len) {
-                                 gp.refineBatch(
-                                     refining.subspan(from, len),
-                                     std::span(refined).subspan(from, len));
-                             });
+            {
+                const metrics::ScopedTimer timer(bm.refineNs);
+                forEachTileChunk(
+                    rest, pool, [&](std::size_t from, std::size_t len) {
+                        gp.refineBatch(refining.subspan(from, len),
+                                       std::span(refined).subspan(from, len));
+                    });
+            }
             for (std::size_t k = 0; k < rest; ++k)
                 order[first + k].upper = eiUpperBound(refined[k], best);
             pick.refined = rest;
@@ -233,12 +245,15 @@ selectCandidate(const GaussianProcess &gp,
             break;
         const std::span<const std::vector<double>> solving =
             std::span(batch).first(count);
-        forEachTileChunk(count, pool,
-                         [&](std::size_t from, std::size_t len) {
-                             gp.predictBatch(
-                                 solving.subspan(from, len),
-                                 std::span(preds).subspan(from, len));
-                         });
+        {
+            const metrics::ScopedTimer timer(bm.solveNs);
+            forEachTileChunk(count, pool,
+                             [&](std::size_t from, std::size_t len) {
+                                 gp.predictBatch(
+                                     solving.subspan(from, len),
+                                     std::span(preds).subspan(from, len));
+                             });
+        }
         for (std::size_t k = 0; k < count; ++k) {
             const std::size_t index = order[next + k].index + 1;
             const double ei = expectedImprovement(preds[k], best);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "tensor/kernels/triangular.hh"
 #include "tensor/linalg.hh"
@@ -203,15 +204,22 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
     const std::vector<double> y = standardize(ys);
     const std::size_t n = xs.size();
 
-    // Rows [0, p) of the factor carry over; only the new rows of K
-    // are evaluated.
-    Matrix lower;
-    if (p > 0) {
-        lower = Matrix(n, n);
-        const std::size_t old_n = choleskyLower_.rows();
-        for (std::size_t i = 0; i < p; ++i)
-            std::copy_n(choleskyLower_.data() + i * old_n, i + 1,
-                        lower.data() + i * n);
+    // Rows [0, p) of the factor carry over, moved in place to the new
+    // row stride (row 0 stays put): last row first when the stride
+    // grows, first row first when it shrinks, so no row is overwritten
+    // before it has moved. Only the new rows of K are evaluated.
+    Matrix &lower = choleskyLower_;
+    const std::size_t old_n = lower.rows();
+    if (n > old_n) {
+        lower.resizeBuffer(n, n);
+        for (std::size_t i = p; i-- > 1;)
+            std::memmove(lower.data() + i * n, lower.data() + i * old_n,
+                         (i + 1) * sizeof(double));
+    } else if (n < old_n) {
+        for (std::size_t i = 1; i < p; ++i)
+            std::memmove(lower.data() + i * n, lower.data() + i * old_n,
+                         (i + 1) * sizeof(double));
+        lower.resizeBuffer(n, n);
     }
     // Only the rows of K the factorization reads are written, so the
     // scratch is reshaped, not cleared.
@@ -230,7 +238,6 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &xs,
         choleskyJittered(k, lower);
         fresh_from = 0;
     }
-    choleskyLower_ = std::move(lower);
     factorHyper_ = hyper_;
     solvePosterior(y);
     prepareBounds(fresh_from);
@@ -343,15 +350,20 @@ GaussianProcess::fitWithHyperSearch(
     const std::vector<double> y = standardize(ys);
     const std::size_t n = xs.size();
 
-    // The best grid fit so far, swapped out of the members; with no
-    // winner the hyperparameters we came in with stay.
+    // The best grid fit so far, its factor swapped into factorSpare_;
+    // with no winner the hyperparameters we came in with stay. Every
+    // grid point factors into whichever of the two buffers is not the
+    // best's, reshaped in place, so past the first search no factor
+    // is allocated.
     Hyper best = hyper_;
     double best_lik = -1e300;
     bool best_exact = false;
-    Matrix best_lower;
+    bool have_best = false;
     std::vector<double> best_alpha;
 
-    Matrix k(n, n);
+    // cholesky() reads only the lower triangle gram() writes.
+    Matrix &k = gramScratch_;
+    k.resizeBuffer(n, n);
     std::vector<double> diag(n);
     for (double ls : lengthscales) {
         hyper_.lengthscale = ls;
@@ -370,13 +382,14 @@ GaussianProcess::fitWithHyperSearch(
                 best_lik = logLik_;
                 best = hyper_;
                 best_exact = factorExact_;
-                std::swap(best_lower, choleskyLower_);
+                have_best = true;
+                std::swap(factorSpare_, choleskyLower_);
                 std::swap(best_alpha, alpha_);
             }
         }
     }
 
-    if (best_lower.rows() == 0) {
+    if (!have_best) {
         // No grid point beat the floor (e.g. a NaN likelihood
         // everywhere): fit with the hyperparameters we came in with.
         factorExact_ = false;
@@ -387,7 +400,7 @@ GaussianProcess::fitWithHyperSearch(
     hyper_ = best;
     factorHyper_ = best;
     factorExact_ = best_exact;
-    choleskyLower_ = std::move(best_lower);
+    std::swap(choleskyLower_, factorSpare_);
     alpha_ = std::move(best_alpha);
     logLik_ = best_lik;
     prepareBounds(0);

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "tensor/kernels/kernels.hh"
 #include "tensor/matrix.hh"
 
 namespace vaesa {
@@ -118,6 +119,18 @@ class GaussianProcess
                     std::span<Bound> out) const;
 
     /**
+     * Test seam: boundBatch() on @p isa's bound pass, whichever one
+     * kernels::gemmIsa() picked: the AVX-512 clone for Avx512 (full
+     * tiles of predictTile candidates; the rest run the default body
+     * either way), else the default body. Returns false, writing
+     * nothing, when this build or this CPU cannot run @p isa (as
+     * kernels::gemmOn()).
+     */
+    bool boundBatchOn(kernels::GemmIsa isa,
+                      std::span<const std::vector<double>> xs,
+                      std::span<Bound> out) const;
+
+    /**
      * Tighten boundBatch()'s variance bounds in place: bounds[j]
      * must be xs[j]'s, and keeps bracketing predictBatch()'s result.
      * The variance bound is redone over the point's four nearest
@@ -182,11 +195,11 @@ class GaussianProcess
     void predictTileOf(const std::vector<double> *xs, Prediction *out,
                        double *v, double *cand) const;
 
-    /** boundBatch() body for W consecutive candidates; cand is a
-     *  dim x W scratch tile. */
+    /** boundBatch() body for W consecutive candidates on @p isa's
+     *  bound pass; cand is a dim x W scratch tile. */
     template <std::size_t W>
-    void boundTileOf(const std::vector<double> *xs, Bound *out,
-                     double *cand) const;
+    void boundTileOf(kernels::GemmIsa isa, const std::vector<double> *xs,
+                     Bound *out, double *cand) const;
 
     /** rowNorm2_ and boundable_ from choleskyLower_ and alpha_;
      *  the row norms below @p fromRow are those of rows the fit kept
@@ -215,6 +228,9 @@ class GaussianProcess
     /** fit()'s Gram-matrix scratch, reshaped (never cleared) per
      *  fit. */
     Matrix gramScratch_;
+    /** fitWithHyperSearch()'s second factor buffer: the best grid
+     *  point's factor during a search, a spare between searches. */
+    Matrix factorSpare_;
     /** Whether alpha_, the factor's row norms and y's scaling are
      *  finite, so boundBatch() can bound the computed predictions. */
     bool boundable_ = false;

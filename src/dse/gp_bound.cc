@@ -24,6 +24,7 @@
 #include <limits>
 
 #include "dse/gp.hh"
+#include "tensor/kernels/kernels.hh"
 #include "util/logging.hh"
 
 namespace vaesa {
@@ -165,6 +166,53 @@ boundSums(const double *xs, std::size_t n, std::size_t dim,
     }
 }
 
+#if defined(__AVX2__) && defined(__FMA__)
+/**
+ * boundSums() on AVX-512 lanes. flatten inlines it and
+ * expNonPositive() into this avx512f body, so its candidate loops run
+ * eight lanes wide. A candidate is still one lane whose sums run over
+ * the training points in ascending i, so the bounds are the default
+ * body's bit for bit (AcquisitionBound.Avx512BoundsMatchAvx2BitForBit).
+ */
+template <std::size_t W, Kernel K>
+[[gnu::target("avx512f,prefer-vector-width=512"), gnu::flatten]] void
+boundSums512(const double *xs, std::size_t n, std::size_t dim,
+             const double *cand, double ls, const double *alpha,
+             const double *norm2, double err, double *sum, double *mag,
+             double *reach)
+{
+    boundSums<W, K>(xs, n, dim, cand, ls, alpha, norm2, err, sum, mag,
+                    reach);
+}
+#endif
+
+/**
+ * boundSums() on @p isa's body: the AVX-512 clone for a full tile on
+ * Avx512, else the default one. A one-candidate tile has no lanes to
+ * fill, and the compiler vectorizes its loop over the dimensions
+ * differently per target, leaving some products unfused that the
+ * other target fuses; the default body keeps it bit for bit.
+ */
+template <std::size_t W, Kernel K>
+void
+boundSumsOn(kernels::GemmIsa isa, const double *xs, std::size_t n,
+            std::size_t dim, const double *cand, double ls,
+            const double *alpha, const double *norm2, double err,
+            double *sum, double *mag, double *reach)
+{
+#if defined(__AVX2__) && defined(__FMA__)
+    if constexpr (W > 1) {
+        if (isa == kernels::GemmIsa::Avx512) {
+            boundSums512<W, K>(xs, n, dim, cand, ls, alpha, norm2, err,
+                               sum, mag, reach);
+            return;
+        }
+    }
+#endif
+    boundSums<W, K>(xs, n, dim, cand, ls, alpha, norm2, err, sum, mag,
+                    reach);
+}
+
 /** sum_k a[k] b[k] over len terms, in four interleaved partial sums
  *  so the additions do not wait on each other. Any summation order
  *  keeps the result within gamma_len sum |a[k] b[k]| of the exact
@@ -227,7 +275,8 @@ GaussianProcess::prepareBounds(std::size_t fromRow)
 
 template <std::size_t W>
 void
-GaussianProcess::boundTileOf(const std::vector<double> *xs, Bound *out,
+GaussianProcess::boundTileOf(kernels::GemmIsa isa,
+                             const std::vector<double> *xs, Bound *out,
                              double *cand) const
 {
     const std::size_t n = sampleCount();
@@ -253,15 +302,16 @@ GaussianProcess::boundTileOf(const std::vector<double> *xs, Bound *out,
     double reach[W] = {};
     switch (kernel_) {
       case Kernel::Rbf:
-        boundSums<W, Kernel::Rbf>(xs_.data(), n, dim_, cand,
-                                  hyper_.lengthscale, alpha_.data(),
-                                  rowNorm2_.data(), err, sum, mag, reach);
+        boundSumsOn<W, Kernel::Rbf>(isa, xs_.data(), n, dim_, cand,
+                                    hyper_.lengthscale, alpha_.data(),
+                                    rowNorm2_.data(), err, sum, mag,
+                                    reach);
         break;
       case Kernel::Matern52:
-        boundSums<W, Kernel::Matern52>(xs_.data(), n, dim_, cand,
-                                       hyper_.lengthscale, alpha_.data(),
-                                       rowNorm2_.data(), err, sum, mag,
-                                       reach);
+        boundSumsOn<W, Kernel::Matern52>(isa, xs_.data(), n, dim_, cand,
+                                         hyper_.lengthscale,
+                                         alpha_.data(), rowNorm2_.data(),
+                                         err, sum, mag, reach);
         break;
     }
     double alpha_abs = 0.0;
@@ -294,6 +344,21 @@ void
 GaussianProcess::boundBatch(std::span<const std::vector<double>> xs,
                             std::span<Bound> out) const
 {
+    boundBatchOn(kernels::gemmIsa(), xs, out);
+}
+
+bool
+GaussianProcess::boundBatchOn(kernels::GemmIsa isa,
+                              std::span<const std::vector<double>> xs,
+                              std::span<Bound> out) const
+{
+    // The dispatched body, and the default one on a CPU that also has
+    // AVX-512.
+    const kernels::GemmIsa native = kernels::gemmIsa();
+    if (isa != native &&
+        !(isa == kernels::GemmIsa::Avx2 &&
+          native == kernels::GemmIsa::Avx512))
+        return false;
     if (sampleCount() == 0)
         panic("GaussianProcess::boundBatch before fit");
     if (out.size() != xs.size())
@@ -302,9 +367,10 @@ GaussianProcess::boundBatch(std::span<const std::vector<double>> xs,
     const std::size_t full = xs.size() - xs.size() % predictTile;
     std::vector<double> cand(dim_ * (full ? predictTile : 1));
     for (std::size_t j = 0; j < full; j += predictTile)
-        boundTileOf<predictTile>(&xs[j], &out[j], cand.data());
+        boundTileOf<predictTile>(isa, &xs[j], &out[j], cand.data());
     for (std::size_t j = full; j < xs.size(); ++j)
-        boundTileOf<1>(&xs[j], &out[j], cand.data());
+        boundTileOf<1>(isa, &xs[j], &out[j], cand.data());
+    return true;
 }
 
 void

@@ -59,7 +59,9 @@ namespace vaesa::kernels {
 enum class GemmIsa { Avx512, Avx2, Generic };
 
 /** The micro-kernel every GEMM in this process runs, picked once
- *  from CPUID: Avx512 or Avx2 on x86-64, Generic elsewhere. */
+ *  from CPUID: Avx512 or Avx2 on x86-64, Generic elsewhere. The GP's
+ *  bound pass (GaussianProcess::boundBatch) follows the same pick:
+ *  its AVX-512 clone runs only where this is Avx512. */
 GemmIsa gemmIsa();
 
 /** "avx512", "avx2" or "generic". */

@@ -14,7 +14,7 @@ cholesky(const Matrix &a, Matrix &lower, std::size_t startRow)
         panic("cholesky requires a square matrix");
     const std::size_t n = a.rows();
     if (startRow == 0)
-        lower = Matrix(n, n);
+        lower.resizeBuffer(n, n);
     else if (lower.rows() != n || lower.cols() != n || startRow > n)
         panic("cholesky: start row ", startRow, " needs an ", n, "x", n,
               " factor");

@@ -27,9 +27,13 @@ namespace vaesa {
  * bit-identical to a full one.
  *
  * @param a square SPD matrix; only the lower triangle is read.
- * @param lower output: lower-triangular L with a = L L^T. With
- *        startRow > 0 it must already be n x n and hold the factor
- *        of a's leading p x p block in its first p rows.
+ * @param lower output: L with a = L L^T in its lower triangle.
+ *        With startRow = 0 it is reshaped to n x n in place, its
+ *        storage reused; nothing above the diagonal is written, so
+ *        that part is zero only in a matrix that held zeros there
+ *        (a fresh one). With startRow > 0 it must already be n x n
+ *        and hold the factor of a's leading p x p block in its first
+ *        p rows.
  * @param startRow first row to compute.
  * @return true on success, false if a is not (numerically) SPD.
  */

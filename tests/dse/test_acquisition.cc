@@ -2,7 +2,10 @@
  * @file
  * Exactness tests for the pruned acquisition. AcquisitionBound checks
  * GaussianProcess::boundBatch() against the doubles predictBatch()
- * computes, on ordinary and adversarial fits. PrunedAcquisition checks
+ * computes, on ordinary and adversarial fits, on every bound-pass body
+ * the host runs (the AVX-512 clone and the AVX2 body on a CPU with
+ * avx512f), and the two bodies against each other bit for bit.
+ * PrunedAcquisition checks
  * selectCandidate() against a test-local full scan (predictBatch on
  * every candidate, then the first strict EI maximum by index): the
  * pick and its EI must match bit for bit, serially and on a pool.
@@ -22,6 +25,7 @@
 
 #include "dse/bo.hh"
 #include "dse/gp.hh"
+#include "tensor/kernels/kernels.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -53,7 +57,9 @@ smoothLabels(const Points &xs)
 {
     std::vector<double> ys;
     for (const auto &x : xs)
-        ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[x.size() - 1]);
+        ys.push_back(std::sin(3.0 * x[0]) +
+                     x[std::min<std::size_t>(1, x.size() - 1)] *
+                         x[x.size() - 1]);
     return ys;
 }
 
@@ -73,18 +79,15 @@ probePoints(const Points &train, std::size_t uniform, Rng &rng)
     return out;
 }
 
-/** Every bound is finite and holds on the computed prediction, both
- *  boundBatch()'s and, refined, refineBatch()'s, which is never looser. */
+/** Every bound and refined bound is finite and brackets preds[j];
+ *  refining keeps the mean bound and never loosens the variance's. */
 void
-expectBoundsHold(const GaussianProcess &gp, const Points &xs,
-                 const std::string &where)
+expectBracketed(const Points &xs,
+                const std::vector<GaussianProcess::Prediction> &preds,
+                const std::vector<GaussianProcess::Bound> &bounds,
+                const std::vector<GaussianProcess::Bound> &refined,
+                const std::string &where)
 {
-    std::vector<GaussianProcess::Prediction> preds(xs.size());
-    std::vector<GaussianProcess::Bound> bounds(xs.size());
-    gp.predictBatch(xs, preds);
-    gp.boundBatch(xs, bounds);
-    std::vector<GaussianProcess::Bound> refined = bounds;
-    gp.refineBatch(xs, refined);
     for (const bool subset : {false, true}) {
         const std::vector<GaussianProcess::Bound> &b =
             subset ? refined : bounds;
@@ -109,6 +112,39 @@ expectBoundsHold(const GaussianProcess &gp, const Points &xs,
     for (std::size_t j = 0; j < xs.size(); ++j) {
         EXPECT_EQ(bitsOf(refined[j].meanLower), bitsOf(bounds[j].meanLower));
         EXPECT_LE(refined[j].varUpper, bounds[j].varUpper) << where;
+    }
+}
+
+/** The bound-pass bodies @p gp runs on this host: the one
+ *  boundBatch() dispatches to and, on a CPU with avx512f, the AVX2
+ *  body as well. */
+std::vector<kernels::GemmIsa>
+boundPaths(const GaussianProcess &gp)
+{
+    std::vector<kernels::GemmIsa> paths;
+    for (const auto isa : {kernels::GemmIsa::Avx512, kernels::GemmIsa::Avx2,
+                           kernels::GemmIsa::Generic})
+        if (gp.boundBatchOn(isa, {}, {}))
+            paths.push_back(isa);
+    return paths;
+}
+
+/** Every bound is finite and holds on the computed prediction, both
+ *  boundBatch()'s, on each body the host runs, and, refined,
+ *  refineBatch()'s, which is never looser. */
+void
+expectBoundsHold(const GaussianProcess &gp, const Points &xs,
+                 const std::string &where)
+{
+    std::vector<GaussianProcess::Prediction> preds(xs.size());
+    gp.predictBatch(xs, preds);
+    for (const auto isa : boundPaths(gp)) {
+        const std::string on = where + " on " + kernels::gemmIsaName(isa);
+        std::vector<GaussianProcess::Bound> bounds(xs.size());
+        ASSERT_TRUE(gp.boundBatchOn(isa, xs, bounds)) << on;
+        std::vector<GaussianProcess::Bound> refined = bounds;
+        gp.refineBatch(xs, refined);
+        expectBracketed(xs, preds, bounds, refined, on);
     }
 }
 
@@ -300,6 +336,92 @@ TEST_P(AcquisitionBound, SubsetBoundKeepsNanAndSkipsTinyFits)
     const GaussianProcess::Bound before = b[0];
     single.refineBatch(near, b);
     EXPECT_EQ(bitsOf(b[0].varUpper), bitsOf(before.varUpper));
+}
+
+constexpr const char *kNoAvx512 =
+    "no AVX-512 bound pass here: the CPU does not report avx512f, or "
+    "the build is not x86-64";
+
+/** The AVX-512 clone's bounds of every point of @p xs equal the AVX2
+ *  body's bit for bit, NaN bounds included. */
+void
+expectSameBounds(const GaussianProcess &gp, const Points &xs,
+                 const std::string &where)
+{
+    std::vector<GaussianProcess::Bound> wide(xs.size());
+    std::vector<GaussianProcess::Bound> narrow(xs.size());
+    ASSERT_TRUE(gp.boundBatchOn(kernels::GemmIsa::Avx512, xs, wide));
+    ASSERT_TRUE(gp.boundBatchOn(kernels::GemmIsa::Avx2, xs, narrow));
+    std::size_t differ = 0;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+        if (bitsOf(wide[j].meanLower) == bitsOf(narrow[j].meanLower) &&
+            bitsOf(wide[j].varUpper) == bitsOf(narrow[j].varUpper))
+            continue;
+        if (++differ <= 3)
+            ADD_FAILURE() << where << " j=" << j << ": avx512 ("
+                          << wide[j].meanLower << ", " << wide[j].varUpper
+                          << ") avx2 (" << narrow[j].meanLower << ", "
+                          << narrow[j].varUpper << ")";
+    }
+    EXPECT_EQ(differ, 0u) << where;
+}
+
+TEST_P(AcquisitionBound, Avx512BoundsMatchAvx2BitForBit)
+{
+    Rng rng(79);
+    {
+        GaussianProcess probe(GetParam());
+        probe.fit({{0.0}}, {0.0});
+        if (!probe.boundBatchOn(kernels::GemmIsa::Avx512, {}, {}))
+            GTEST_SKIP() << kNoAvx512;
+    }
+    // Training sets around the tile and block edges up to the subset
+    // cap; candidate counts that run only the one-candidate tail, one
+    // full tile, a full tile and a tail, and an acquisition's 640.
+    for (std::size_t n : {1, 2, 31, 32, 33, 191, 192}) {
+        const Points xs = uniformPoints(n, 4, rng);
+        GaussianProcess gp(GetParam(), {0.3, 1e-4});
+        gp.fit(xs, smoothLabels(xs));
+        for (std::size_t count : {1, 31, 32, 33, 640}) {
+            const std::string where =
+                "n=" + std::to_string(n) + " count=" + std::to_string(count);
+            // The training points and their perturbations come last.
+            const Points all = probePoints(xs, count, rng);
+            expectSameBounds(gp, Points(all.end() - count, all.end()),
+                             where);
+        }
+        expectBoundsHold(gp, probePoints(xs, 640, rng),
+                         "n=" + std::to_string(n));
+    }
+
+    // Full tiles and a tail over one to eight dimensions.
+    for (std::size_t dim = 1; dim <= 8; ++dim) {
+        const Points xs = uniformPoints(50, dim, rng);
+        GaussianProcess gp(GetParam(), {0.5, 1e-4});
+        gp.fit(xs, smoothLabels(xs));
+        expectSameBounds(gp, probePoints(xs, 65, rng),
+                         "dim=" + std::to_string(dim));
+    }
+
+    // A NaN candidate inside a full tile and in the tail.
+    Rng nan_rng(83);
+    const Points xs = uniformPoints(40, 3, nan_rng);
+    GaussianProcess gp(GetParam());
+    gp.fit(xs, smoothLabels(xs));
+    Points probes = uniformPoints(33, 3, nan_rng);
+    probes[5][1] = std::nan("");
+    probes[32][0] = std::nan("");
+    expectSameBounds(gp, probes, "nan candidates");
+
+    // A jittered fit, whose factor's diagonal is well above 1.
+    Points dup = xs;
+    dup.push_back(dup[7]);
+    dup.push_back(dup[19]);
+    GaussianProcess jittered(GetParam(), {0.3, -1e-4});
+    jittered.fit(dup, smoothLabels(dup));
+    const Points near = probePoints(dup, 320, nan_rng);
+    expectSameBounds(jittered, near, "jittered");
+    expectBoundsHold(jittered, near, "jittered");
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, AcquisitionBound,
