@@ -9,13 +9,13 @@
  * compares plain vs adaptive vae_bo on ResNet-50 across seeds.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <algorithm>
 #include <cmath>
 
 #include "util/stats.hh"
-#include "vaesa/adaptive.hh"
+#include "studies/adaptive.hh"
 
 int
 main()

@@ -17,7 +17,7 @@
  * the Table IV layers, relative to random search.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 

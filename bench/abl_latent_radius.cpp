@@ -10,7 +10,7 @@
  * what BO actually achieves with the study budget.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 

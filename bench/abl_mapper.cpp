@@ -8,11 +8,11 @@
  * training layer at three architectures.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <chrono>
 
-#include "sched/random_mapper.hh"
+#include "studies/random_mapper.hh"
 #include "sched/scheduler.hh"
 #include "util/stats.hh"
 

@@ -4,7 +4,7 @@
  * latent-space vae_bo on the same workload and budget.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include "dse/bo.hh"
 #include "dse/random_search.hh"

@@ -8,7 +8,7 @@
  * stair-stepped curves with multiple local minima.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 

@@ -12,12 +12,13 @@
  * scatter is dumped to CSV for plotting.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 #include <algorithm>
 #include <map>
 
+#include "studies/latent.hh"
 #include "util/stats.hh"
 
 namespace {
@@ -97,7 +98,7 @@ main()
                        static_cast<double>(s.config.numMacs),
                        static_cast<double>(
                            s.config.globalBufBytes),
-                       data.sampleEdp(i)});
+                       sampleEdp(data, i)});
     }
 
     std::printf("%zu encoded points (final recon MSE %.5f)\n\n", n,

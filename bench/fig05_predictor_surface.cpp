@@ -10,10 +10,11 @@
  * error inside and outside the dense region.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 
+#include "studies/latent.hh"
 #include "util/stats.hh"
 
 int
@@ -54,9 +55,9 @@ main()
                 -radius + 2.0 * radius * j / (grid - 1);
             const std::vector<double> z{z1, z2};
             const double pred_lat =
-                framework.predictedLatency(z, feats);
+                predictedLatency(framework, z, feats);
             const double pred_en =
-                framework.predictedEnergy(z, feats);
+                predictedEnergy(framework, z, feats);
             const AcceleratorConfig config =
                 framework.decodeLatent(z);
             const EvalResult real =

@@ -10,11 +10,11 @@
  * stop near the best known point.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 
-#include "vaesa/latent_dse.hh"
+#include "studies/latent.hh"
 
 namespace {
 

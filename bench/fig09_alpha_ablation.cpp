@@ -13,10 +13,11 @@
  * reconstruction MSE.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 
+#include "studies/latent.hh"
 #include "util/stats.hh"
 
 int
@@ -75,7 +76,7 @@ main()
                  std::fabs(correlation(z2, feat))});
         }
 
-        const double recon = framework.reconstructionError(data);
+        const double recon = reconstructionError(framework, data);
         const double kld = framework.history().back().kldLoss;
         std::printf("%-10g %12.3f %12.5f %12.3f %16.3f\n", alpha,
                     rms, recon, kld, best_corr);

@@ -7,7 +7,8 @@
  * choosing a 4-D latent space.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
+#include "studies/latent.hh"
 
 int
 main()
@@ -40,7 +41,7 @@ main()
                            stats.reconLoss});
         }
         curves.push_back(curve);
-        final_loss.push_back(framework.reconstructionError(data));
+        final_loss.push_back(reconstructionError(framework, data));
     }
 
     std::printf("%-12s", "epoch");

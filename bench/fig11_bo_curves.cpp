@@ -7,7 +7,7 @@
  * every workload.
  */
 
-#include "bo_study.hh"
+#include "studies/bo_study.hh"
 
 #include <cmath>
 

@@ -7,7 +7,7 @@
  * EDP than random at 10 samples).
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 

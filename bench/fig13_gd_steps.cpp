@@ -9,12 +9,12 @@
  * any simulation is run.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 
 #include "util/stats.hh"
-#include "vaesa/latent_dse.hh"
+#include "studies/latent.hh"
 
 int
 main()
@@ -51,7 +51,7 @@ main()
     std::vector<double> impr_100, impr_200;
     Rng rng(99);
     for (const LayerShape &layer : gdTestLayers()) {
-        const auto means = vaeGdStepStudy(
+        const auto means = gdStepStudy(
             framework, evaluator, layer, scale.gdStarts,
             step_marks, options, rng);
         if (!std::isfinite(means[0]) || !std::isfinite(means[1]) ||

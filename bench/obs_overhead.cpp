@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hh"
+#include "studies/common.hh"
 #include "sched/caching_evaluator.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"

@@ -30,7 +30,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common.hh"
+#include "studies/common.hh"
 #include "sched/parallel_evaluator.hh"
 #include "util/env.hh"
 #include "util/rng.hh"

@@ -9,11 +9,11 @@
  * design and per-metric optima sit on it.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 
-#include "dse/pareto.hh"
+#include "studies/pareto.hh"
 #include "util/stats.hh"
 
 int

@@ -16,7 +16,7 @@
  * Exits nonzero when the gate fails, like the other gated benches.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include <cmath>
 #include <fstream>

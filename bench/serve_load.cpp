@@ -38,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hh"
+#include "studies/common.hh"
 #include "serve/net.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"

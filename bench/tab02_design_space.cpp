@@ -4,7 +4,7 @@
  * number of possible discrete values per parameter, and total size.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 #include "arch/design_space.hh"
 

@@ -4,7 +4,7 @@
  * and prints Table IV (the 12 unseen GD test layers) for reference.
  */
 
-#include "common.hh"
+#include "studies/common.hh"
 
 int
 main()

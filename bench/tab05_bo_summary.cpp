@@ -13,7 +13,7 @@
  * Reuses the raw runs cached by fig11_bo_curves when available.
  */
 
-#include "bo_study.hh"
+#include "studies/bo_study.hh"
 
 #include <cmath>
 

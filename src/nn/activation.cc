@@ -91,36 +91,4 @@ Sigmoid::backward(const Matrix &grad_output)
     return grad;
 }
 
-Tanh::Tanh(std::size_t width)
-    : width_(width)
-{
-}
-
-const Matrix &
-Tanh::forward(const Matrix &input)
-{
-    if (input.cols() != width_)
-        panic("Tanh width mismatch: ", input.cols(), " != ", width_);
-    cachedRows_ = input.rows();
-    Matrix &out =
-        copyToScratch(scratch(0, input.rows(), width_), input);
-    kernels::tanhForward(out.data(), out.size());
-    return out;
-}
-
-const Matrix &
-Tanh::backward(const Matrix &grad_output)
-{
-    if (!training())
-        panic("Tanh backward in eval mode");
-    if (grad_output.rows() != cachedRows_ ||
-        grad_output.cols() != width_)
-        panic("Tanh backward shape mismatch");
-    const Matrix &out = scratch(0, cachedRows_, width_);
-    Matrix &grad =
-        copyToScratch(scratch(1, cachedRows_, width_), grad_output);
-    kernels::tanhBackward(grad.data(), out.data(), grad.size());
-    return grad;
-}
-
 } // namespace vaesa::nn

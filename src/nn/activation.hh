@@ -1,12 +1,12 @@
 /**
  * @file
  * Element-wise activation modules: LeakyReLU (the paper's choice for
- * the VAE and predictor MLPs), Sigmoid (output head for [0,1) features)
- * and Tanh.
+ * the VAE and predictor MLPs) and Sigmoid (output head for [0,1)
+ * features).
  *
- * All three cache only their own output buffer: LeakyReLU with slope
+ * Both cache only their own output buffer: LeakyReLU with slope
  * in (0, 1] is sign-preserving, so its backward branches on the
- * output's sign, and Sigmoid/Tanh derivatives are functions of the
+ * output's sign, and Sigmoid's derivative is a function of the
  * output. backward() scales the incoming gradient in a second
  * arena buffer.
  */
@@ -61,26 +61,6 @@ class Sigmoid : public Module
 {
   public:
     explicit Sigmoid(std::size_t width);
-
-    const Matrix &forward(const Matrix &input) override;
-    const Matrix &backward(const Matrix &grad_output) override;
-
-    std::size_t inputSize() const override { return width_; }
-    std::size_t outputSize() const override { return width_; }
-
-  protected:
-    std::size_t workspaceSlots() const override { return 2; }
-
-  private:
-    std::size_t width_;
-    std::size_t cachedRows_ = 0;
-};
-
-/** Hyperbolic tangent. */
-class Tanh : public Module
-{
-  public:
-    explicit Tanh(std::size_t width);
 
     const Matrix &forward(const Matrix &input) override;
     const Matrix &backward(const Matrix &grad_output) override;

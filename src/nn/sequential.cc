@@ -104,9 +104,6 @@ makeMlp(std::size_t in, const std::vector<std::size_t> &hidden,
       case OutputActivation::Sigmoid:
         net->add(std::make_unique<Sigmoid>(out));
         break;
-      case OutputActivation::Tanh:
-        net->add(std::make_unique<Tanh>(out));
-        break;
     }
     return net;
 }

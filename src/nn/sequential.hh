@@ -64,7 +64,7 @@ class Sequential : public Module
 };
 
 /** Output nonlinearity choice for makeMlp. */
-enum class OutputActivation { None, Sigmoid, Tanh };
+enum class OutputActivation { None, Sigmoid };
 
 /**
  * Build the paper's MLP shape: Linear / LeakyReLU stacks with an

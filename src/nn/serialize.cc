@@ -84,33 +84,4 @@ readParameterRecords(RecordReader &in,
     return std::nullopt;
 }
 
-std::optional<LoadError>
-saveParameters(const std::string &path,
-               const std::vector<Parameter *> &params)
-{
-    RecordWriter out(parametersMagic, parametersVersion);
-    writeParameterRecords(out, params);
-    return atomicWriteFile(path, out.bytes());
-}
-
-std::optional<LoadError>
-loadParameters(const std::string &path,
-               const std::vector<Parameter *> &params)
-{
-    Expected<std::string> bytes = readFileBytes(path);
-    if (!bytes)
-        return bytes.error();
-    RecordReader in(bytes.value(), path);
-    std::uint32_t version = 0;
-    if (auto err = in.readHeader(parametersMagic, parametersVersion,
-                                 parametersVersion, &version))
-        return err;
-    if (auto err = readParameterRecords(in, params))
-        return err;
-    if (!in.atEnd())
-        return in.makeError(LoadError::Kind::Malformed,
-                            "trailing bytes after last parameter");
-    return std::nullopt;
-}
-
 } // namespace vaesa::nn

@@ -1,32 +1,23 @@
 /**
  * @file
- * Binary save/load of parameter sets so trained VAESA models can be
- * reused across processes (train once, search many times).
- *
- * Files use the shared checksummed record framing (util/atomic_io.hh):
- * a magic/version header followed by one record for the parameter
- * count and one record per parameter (name, shape, row-major payload).
- * Corruption is reported as a LoadError, never a process abort, and
- * writes are atomic (temp + rename).
+ * Parameter records: the part of a framed file (util/atomic_io.hh)
+ * that holds a model's weights -- one record for the parameter count
+ * and one record per parameter (name, shape, row-major payload).
+ * Framework snapshots and training checkpoints embed them among their
+ * own records; corruption is reported as a LoadError, never a process
+ * abort.
  */
 
 #ifndef VAESA_NN_SERIALIZE_HH
 #define VAESA_NN_SERIALIZE_HH
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "nn/module.hh"
 #include "util/atomic_io.hh"
 
 namespace vaesa::nn {
-
-/** Magic word of parameter files ("VAES"). */
-constexpr std::uint32_t parametersMagic = 0x56414553;
-
-/** Current parameter-file version (2 = framed records). */
-constexpr std::uint32_t parametersVersion = 2;
 
 /** Append a matrix (rows, cols, row-major doubles) to a payload. */
 void putMatrix(ByteBuffer &out, const Matrix &matrix);
@@ -40,9 +31,7 @@ bool readMatrixInto(ByteReader &in, Matrix &matrix);
 
 /**
  * Append the parameter records (count record, then one record per
- * parameter) to a framed file being built. Used directly by formats
- * that embed parameters among other records (framework snapshots,
- * training checkpoints).
+ * parameter) to a framed file being built.
  */
 void writeParameterRecords(RecordWriter &out,
                            const std::vector<Parameter *> &params);
@@ -57,24 +46,6 @@ void writeParameterRecords(RecordWriter &out,
 std::optional<LoadError>
 readParameterRecords(RecordReader &in,
                      const std::vector<Parameter *> &params);
-
-/**
- * Save parameter values to a binary file, atomically.
- * @return nullopt on success, the write error otherwise.
- */
-std::optional<LoadError>
-saveParameters(const std::string &path,
-               const std::vector<Parameter *> &params);
-
-/**
- * Load parameter values saved by saveParameters(). Names and shapes
- * must match the current parameter list exactly.
- * @return nullopt on success, a structured error otherwise (the
- *         parameters may be partially overwritten on failure).
- */
-std::optional<LoadError>
-loadParameters(const std::string &path,
-               const std::vector<Parameter *> &params);
 
 } // namespace vaesa::nn
 

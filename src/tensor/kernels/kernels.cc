@@ -520,20 +520,6 @@ sigmoidBackward(double *grad, const double *out, std::size_t n)
 }
 
 void
-tanhForward(double *x, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        x[i] = std::tanh(x[i]);
-}
-
-void
-tanhBackward(double *grad, const double *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        grad[i] *= 1.0 - out[i] * out[i];
-}
-
-void
 adamUpdate(std::size_t n, const double *g, double *m, double *v,
            double *w, AdamCoefficients c)
 {

@@ -136,12 +136,6 @@ void sigmoidForward(double *x, std::size_t n);
 /** In place: grad[i] *= out[i] * (1 - out[i]). */
 void sigmoidBackward(double *grad, const double *out, std::size_t n);
 
-/** In place: x[i] = tanh(x[i]). */
-void tanhForward(double *x, std::size_t n);
-
-/** In place: grad[i] *= 1 - out[i]^2. */
-void tanhBackward(double *grad, const double *out, std::size_t n);
-
 /** The loop invariants of one Adam step, passed by value so no
  *  reload through the optimizer can block vectorization. */
 struct AdamCoefficients

@@ -64,28 +64,4 @@ percentile(std::vector<double> xs, double q)
     return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
-double
-correlation(const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    if (xs.size() != ys.size())
-        panic("correlation requires equal-length samples");
-    if (xs.size() < 2)
-        return 0.0;
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0;
-    double sxx = 0.0;
-    double syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if (sxx <= 0.0 || syy <= 0.0)
-        return 0.0;
-    return sxy / std::sqrt(sxx * syy);
-}
-
 } // namespace vaesa

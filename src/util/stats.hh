@@ -4,7 +4,7 @@
  *
  * The paper reports every experiment as mean +/- standard deviation over
  * several random seeds; these helpers compute that, plus geometric
- * means, percentiles for convergence-curve bands, and correlations.
+ * means, percentiles for convergence-curve bands.
  */
 
 #ifndef VAESA_UTIL_STATS_HH
@@ -29,13 +29,6 @@ double geomean(const std::vector<double> &xs);
  * @param q quantile in [0, 1].
  */
 double percentile(std::vector<double> xs, double q);
-
-/**
- * Pearson correlation coefficient of two equal-length samples.
- * Returns 0 when either sample is constant.
- */
-double correlation(const std::vector<double> &xs,
-                   const std::vector<double> &ys);
 
 } // namespace vaesa
 

@@ -40,46 +40,6 @@ Dataset::Dataset(std::vector<DataSample> samples,
     energy_ = enNorm_.transform(en_raw);
 }
 
-double
-Dataset::sampleEdp(std::size_t i) const
-{
-    if (i >= samples_.size())
-        panic("Dataset::sampleEdp: index out of range");
-    return std::exp2(samples_[i].logLatency + samples_[i].logEnergy);
-}
-
-std::size_t
-Dataset::worstSampleIndex() const
-{
-    std::size_t worst = 0;
-    double worst_log = -1e300;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const double l =
-            samples_[i].logLatency + samples_[i].logEnergy;
-        if (l > worst_log) {
-            worst_log = l;
-            worst = i;
-        }
-    }
-    return worst;
-}
-
-std::size_t
-Dataset::bestSampleIndex() const
-{
-    std::size_t best = 0;
-    double best_log = 1e300;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const double l =
-            samples_[i].logLatency + samples_[i].logEnergy;
-        if (l < best_log) {
-            best_log = l;
-            best = i;
-        }
-    }
-    return best;
-}
-
 DatasetBuilder::DatasetBuilder(const Evaluator &evaluator,
                                std::vector<LayerShape> layer_pool)
     : evaluator_(evaluator), pool_(std::move(layer_pool))

@@ -90,15 +90,6 @@ class Dataset
     /** Energy-label normalizer. */
     const Normalizer &energyNormalizer() const { return enNorm_; }
 
-    /** EDP (cycles * pJ) of sample i, from its log labels. */
-    double sampleEdp(std::size_t i) const;
-
-    /** Index of the sample with the largest EDP. */
-    std::size_t worstSampleIndex() const;
-
-    /** Index of the sample with the smallest EDP. */
-    std::size_t bestSampleIndex() const;
-
   private:
     std::vector<DataSample> samples_;
     std::vector<LayerShape> pool_;

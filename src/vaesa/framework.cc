@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nn/loss.hh"
 #include "util/stats.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -146,47 +145,6 @@ VaesaFramework::predictScore(const std::vector<double> &z,
         gradBuf_.copyRowInto(0, *grad_z);
     }
     return score;
-}
-
-double
-VaesaFramework::predictedLatency(const std::vector<double> &z,
-                                 const std::vector<double> &layer_feats)
-{
-    zBuf_.resizeBuffer(1, z.size());
-    zBuf_.setRow(0, z);
-    featsBuf_.resizeBuffer(1, layer_feats.size());
-    featsBuf_.setRow(0, layer_feats);
-    const double unit = latencyPred_->forward(zBuf_, featsBuf_)(0, 0);
-    return std::exp2(latNorm_.inverse({unit})[0]);
-}
-
-double
-VaesaFramework::predictedEnergy(const std::vector<double> &z,
-                                const std::vector<double> &layer_feats)
-{
-    zBuf_.resizeBuffer(1, z.size());
-    zBuf_.setRow(0, z);
-    featsBuf_.resizeBuffer(1, layer_feats.size());
-    featsBuf_.setRow(0, layer_feats);
-    const double unit = energyPred_->forward(zBuf_, featsBuf_)(0, 0);
-    return std::exp2(enNorm_.inverse({unit})[0]);
-}
-
-double
-VaesaFramework::predictedEdp(const std::vector<double> &z,
-                             const std::vector<double> &layer_feats)
-{
-    return predictedLatency(z, layer_feats) *
-           predictedEnergy(z, layer_feats);
-}
-
-double
-VaesaFramework::reconstructionError(const Dataset &data)
-{
-    Rng noiseless(0);
-    const Vae::ForwardResult fr =
-        vae_->forward(data.hwFeatures(), noiseless, false);
-    return nn::mseLoss(fr.recon, data.hwFeatures()).value;
 }
 
 double

@@ -48,8 +48,8 @@ class VaesaFramework
 
     /**
      * Construct an UNTRAINED instance with explicit normalizers --
-     * weights are randomly initialized until loadFramework() (or
-     * nn::loadParameters) overwrites them. Used to restore saved
+     * weights are randomly initialized until loadFramework()
+     * overwrites them. Used to restore saved
      * snapshots without a dataset.
      */
     VaesaFramework(const FrameworkOptions &options, std::uint64_t seed,
@@ -100,21 +100,6 @@ class VaesaFramework
     double predictScore(const std::vector<double> &z,
                         const std::vector<double> &layer_feats,
                         std::vector<double> *grad_z = nullptr);
-
-    /** Predicted EDP (cycles x pJ) at z, denormalized. */
-    double predictedEdp(const std::vector<double> &z,
-                        const std::vector<double> &layer_feats);
-
-    /** Predicted latency (cycles) at z, denormalized. */
-    double predictedLatency(const std::vector<double> &z,
-                            const std::vector<double> &layer_feats);
-
-    /** Predicted energy (pJ) at z, denormalized. */
-    double predictedEnergy(const std::vector<double> &z,
-                           const std::vector<double> &layer_feats);
-
-    /** Mean reconstruction MSE over a dataset (deterministic pass). */
-    double reconstructionError(const Dataset &data);
 
     /**
      * Half-width of a latent search box covering the training data's

@@ -144,53 +144,6 @@ vaeGdSearch(VaesaFramework &framework, const Evaluator &evaluator,
     return trace;
 }
 
-std::vector<double>
-vaeGdStepStudy(VaesaFramework &framework, const Evaluator &evaluator,
-               const LayerShape &layer, std::size_t starts,
-               const std::vector<std::size_t> &step_marks,
-               const VaeGdOptions &options, Rng &rng)
-{
-    const std::size_t dim = framework.latentDim();
-    const std::vector<double> feats =
-        framework.normalizedLayerFeatures(layer);
-    const DifferentiableFn surrogate =
-        latentSurrogate(framework, feats, options.priorWeight);
-
-    // Geometric mean over starts: the paper's 306x/390x improvement
-    // factors are ratios of decoded EDPs, which are log-scale data.
-    std::vector<double> log_sums(step_marks.size(), 0.0);
-    std::vector<std::size_t> counts(step_marks.size(), 0);
-
-    for (std::size_t i = 0; i < starts; ++i) {
-        std::vector<double> z0(dim);
-        for (double &v : z0)
-            v = rng.normal(0.0, options.startSigma);
-
-        for (std::size_t m = 0; m < step_marks.size(); ++m) {
-            VaeGdOptions mark_opts = options;
-            mark_opts.steps = step_marks[m];
-            const GradientDescent gd(makeGdOptions(
-                mark_opts, dim, -options.radius, options.radius));
-            const GdResult result = gd.run(surrogate, z0);
-            const AcceleratorConfig config =
-                framework.decodeLatent(result.x);
-            const EvalResult real =
-                evaluator.evaluateLayer(config, layer);
-            if (real.valid && real.edp > 0.0) {
-                log_sums[m] += std::log(real.edp);
-                ++counts[m];
-            }
-        }
-    }
-
-    std::vector<double> means(step_marks.size(), invalidScore);
-    for (std::size_t m = 0; m < step_marks.size(); ++m)
-        if (counts[m] > 0)
-            means[m] = std::exp(log_sums[m] /
-                                static_cast<double>(counts[m]));
-    return means;
-}
-
 InputGdBaseline::InputGdBaseline(const Dataset &data,
                                  const std::vector<std::size_t> &hidden,
                                  const TrainOptions &train,
@@ -267,44 +220,6 @@ InputGdBaseline::search(const Evaluator &evaluator,
         trace.add(result.x, real.valid ? real.edp : invalidScore);
     }
     return trace;
-}
-
-std::vector<InterpolationPoint>
-interpolationStudy(VaesaFramework &framework, const Evaluator &evaluator,
-                   const Dataset &data, const LayerShape &layer,
-                   std::size_t segments, std::size_t overshoot)
-{
-    if (segments == 0)
-        fatal("interpolationStudy needs at least one segment");
-
-    const std::size_t worst = data.worstSampleIndex();
-    const std::size_t best = data.bestSampleIndex();
-    const std::vector<double> z0 =
-        framework.encodeConfig(data.samples()[worst].config);
-    const std::vector<double> z1 =
-        framework.encodeConfig(data.samples()[best].config);
-    const std::vector<double> feats =
-        framework.normalizedLayerFeatures(layer);
-
-    std::vector<InterpolationPoint> points;
-    const std::size_t total = segments + overshoot;
-    points.reserve(total + 1);
-    for (std::size_t j = 0; j <= total; ++j) {
-        InterpolationPoint pt;
-        pt.t = static_cast<double>(j) /
-               static_cast<double>(segments);
-        pt.z.resize(z0.size());
-        for (std::size_t d = 0; d < z0.size(); ++d)
-            pt.z[d] = z0[d] + pt.t * (z1[d] - z0[d]);
-        pt.predictedEdp = framework.predictedEdp(pt.z, feats);
-        const AcceleratorConfig config =
-            framework.decodeLatent(pt.z);
-        const EvalResult real =
-            evaluator.evaluateLayer(config, layer);
-        pt.realEdp = real.valid ? real.edp : invalidScore;
-        points.push_back(std::move(pt));
-    }
-    return points;
 }
 
 } // namespace vaesa

@@ -1,9 +1,8 @@
 /**
  * @file
  * Latent-space design space exploration (Figure 6): the latent-box
- * Objective for vae_bo, the predictor-driven vae_gd flow, the
- * input-space gd baseline, and the worst->best interpolation study
- * (Figures 7/8).
+ * Objective for vae_bo, the predictor-driven vae_gd flow and the
+ * input-space gd baseline.
  */
 
 #ifndef VAESA_VAESA_LATENT_DSE_HH
@@ -122,22 +121,6 @@ SearchTrace vaeGdSearch(VaesaFramework &framework,
                         const VaeGdOptions &options, Rng &rng);
 
 /**
- * Real EDP of the decoded design after each requested number of GD
- * steps, averaged over random starts (Figure 13).
- *
- * @param step_marks step counts to sample (e.g.\ {0, 100, 200}).
- * @return mean real EDP at each mark, in mark order.
- */
-std::vector<double> vaeGdStepStudy(VaesaFramework &framework,
-                                   const Evaluator &evaluator,
-                                   const LayerShape &layer,
-                                   std::size_t starts,
-                                   const std::vector<std::size_t>
-                                       &step_marks,
-                                   const VaeGdOptions &options,
-                                   Rng &rng);
-
-/**
  * The paper's input-space gd baseline: a separately trained predictor
  * pair over the normalized 6-D input box; GD optimizes the continuous
  * input, which is then rounded to the grid and evaluated.
@@ -178,37 +161,6 @@ class InputGdBaseline
     Normalizer hwNorm_;
     Normalizer layerNorm_;
 };
-
-/** One point of the interpolation study (Figures 7/8). */
-struct InterpolationPoint
-{
-    /** Position t along the worst->best axis (t = i/N; t > 1 is the
-     *  overshoot region). */
-    double t = 0.0;
-
-    /** The interpolated latent point. */
-    std::vector<double> z;
-
-    /** Predicted EDP at z. */
-    double predictedEdp = 0.0;
-
-    /** Real EDP of the decoded configuration (invalidScore when the
-     *  decoded design cannot be mapped). */
-    double realEdp = 0.0;
-};
-
-/**
- * Interpolate between the encodings of the dataset's worst and best
- * samples and report predicted vs real EDP along the axis.
- *
- * @param layer layer whose features condition the predictors.
- * @param segments number N of interpolation steps between z0 and z1.
- * @param overshoot additional steps past the best point (j > N).
- */
-std::vector<InterpolationPoint> interpolationStudy(
-    VaesaFramework &framework, const Evaluator &evaluator,
-    const Dataset &data, const LayerShape &layer,
-    std::size_t segments, std::size_t overshoot);
 
 } // namespace vaesa
 

@@ -85,8 +85,8 @@ struct LayerShape
     /**
      * Structured rejection for shapes whose derived totals (MACs or
      * any word count) exceed 2^53, the largest range over which the
-     * double-domain counts above stay exact integers. Loaders (layer
-     * files, dataset CSVs) refuse such shapes with this reason
+     * double-domain counts above stay exact integers. The layer-file
+     * loader refuses such shapes with this reason
      * instead of silently feeding saturated math downstream.
      * @return nullopt when the shape is within bounds.
      */

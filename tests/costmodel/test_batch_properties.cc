@@ -14,7 +14,7 @@
 
 #include "../common/batching.hh"
 #include "costmodel/batch_cost_model.hh"
-#include "sched/random_mapper.hh"
+#include "studies/random_mapper.hh"
 #include "workload/networks.hh"
 #include "workload/zoo.hh"
 

@@ -10,7 +10,7 @@
 
 #include <cmath>
 
-#include "sched/random_mapper.hh"
+#include "studies/random_mapper.hh"
 #include "workload/networks.hh"
 
 namespace vaesa {

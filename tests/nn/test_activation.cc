@@ -118,24 +118,6 @@ TEST(Sigmoid, GradientsMatchFiniteDifferences)
     EXPECT_LT(testing::checkModuleGradients(act, x), 1e-5);
 }
 
-TEST(Tanh, ForwardValues)
-{
-    Tanh act(2);
-    Matrix x(1, 2, {0.0, 1.0});
-    const Matrix y = act.forward(x);
-    EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
-    EXPECT_NEAR(y(0, 1), std::tanh(1.0), 1e-14);
-}
-
-TEST(Tanh, GradientsMatchFiniteDifferences)
-{
-    Rng rng(4);
-    Tanh act(3);
-    Matrix x(5, 3);
-    x.randomNormal(rng, 0.0, 1.5);
-    EXPECT_LT(testing::checkModuleGradients(act, x), 1e-5);
-}
-
 TEST(Activation, WidthMismatchPanics)
 {
     LeakyReLU act(3);
@@ -148,10 +130,8 @@ TEST(Activation, HasNoParameters)
 {
     LeakyReLU relu(3);
     Sigmoid sig(3);
-    Tanh tanh_act(3);
     EXPECT_TRUE(relu.parameters().empty());
     EXPECT_TRUE(sig.parameters().empty());
-    EXPECT_TRUE(tanh_act.parameters().empty());
 }
 
 } // namespace

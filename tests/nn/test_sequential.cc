@@ -71,15 +71,6 @@ TEST(Sequential, GradientsWithSigmoidHead)
     EXPECT_LT(testing::checkModuleGradients(*net, x), 1e-4);
 }
 
-TEST(Sequential, GradientsWithTanhHead)
-{
-    Rng rng(5);
-    auto net = makeMlp(3, {6}, 2, rng, OutputActivation::Tanh);
-    Matrix x(4, 3);
-    x.randomNormal(rng, 0.0, 1.0);
-    EXPECT_LT(testing::checkModuleGradients(*net, x), 1e-4);
-}
-
 TEST(MakeMlp, StageCountsAndShapes)
 {
     Rng rng(6);

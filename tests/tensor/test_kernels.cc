@@ -452,19 +452,6 @@ TEST(KernelOracle, ElementwiseMatchScalarBitForBit)
             want[i] *= out[i] * (1.0 - out[i]);
         bad["sigmoidBackward"] += bitMismatches(got, want);
 
-        got = x;
-        out = x;
-        kernels::tanhForward(got.data(), n);
-        for (double &e : out)
-            e = std::tanh(e);
-        bad["tanhForward"] += bitMismatches(got, out);
-        got = g;
-        want = g;
-        kernels::tanhBackward(got.data(), out.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            want[i] *= 1.0 - out[i] * out[i];
-        bad["tanhBackward"] += bitMismatches(got, want);
-
         const std::size_t rows = 3;
         const std::vector<double> block =
             elementwiseInputs(rows * n, rng);

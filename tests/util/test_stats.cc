@@ -52,30 +52,6 @@ TEST(Stats, PercentileInterpolates)
     EXPECT_DOUBLE_EQ(percentile(xs, 0.25), 2.5);
 }
 
-TEST(Stats, CorrelationOfLinearData)
-{
-    const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-    std::vector<double> ys;
-    for (double x : xs)
-        ys.push_back(3.0 * x - 1.0);
-    EXPECT_NEAR(correlation(xs, ys), 1.0, 1e-12);
-    for (double &y : ys)
-        y = -y;
-    EXPECT_NEAR(correlation(xs, ys), -1.0, 1e-12);
-}
-
-TEST(Stats, CorrelationOfConstantIsZero)
-{
-    EXPECT_DOUBLE_EQ(correlation({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0}),
-                     0.0);
-    EXPECT_DOUBLE_EQ(correlation({1.0}, {2.0}), 0.0);
-}
-
-TEST(Stats, CorrelationLengthMismatchPanics)
-{
-    EXPECT_DEATH(correlation({1.0, 2.0}, {1.0}), "equal-length");
-}
-
 class PercentileSweep : public ::testing::TestWithParam<double>
 {
 };

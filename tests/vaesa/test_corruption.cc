@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "../common/temp_path.hh"
-#include "nn/serialize.hh"
 #include "util/atomic_io.hh"
 #include "vaesa/checkpoint.hh"
 #include "vaesa/serialize.hh"
@@ -77,43 +76,6 @@ class CorruptionTest : public ::testing::Test
     }
 };
 
-TEST_F(CorruptionTest, EveryByteFlipInParametersIsDetected)
-{
-    auto fw = tinyFramework();
-    ASSERT_FALSE(nn::saveParameters(tempPath(), fw->parameters()));
-    const std::string good = savedBytes();
-
-    auto probe = tinyFramework();
-    int undetected = 0;
-    for (std::size_t i = 0; i < good.size(); ++i) {
-        std::string bad = good;
-        bad[i] = static_cast<char>(bad[i] ^ 0xFF);
-        writeRaw(bad);
-        const auto err =
-            nn::loadParameters(tempPath(), probe->parameters());
-        if (!err.has_value())
-            ++undetected;
-    }
-    // CRC-32 detects every single-byte flip in payloads; flips in the
-    // length/magic/version/CRC fields are caught structurally.
-    EXPECT_EQ(undetected, 0) << "of " << good.size() << " offsets";
-}
-
-TEST_F(CorruptionTest, EveryTruncationOfParametersIsDetected)
-{
-    auto fw = tinyFramework();
-    ASSERT_FALSE(nn::saveParameters(tempPath(), fw->parameters()));
-    const std::string good = savedBytes();
-
-    auto probe = tinyFramework();
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        writeRaw(good.substr(0, len));
-        const auto err =
-            nn::loadParameters(tempPath(), probe->parameters());
-        ASSERT_TRUE(err.has_value()) << "truncated to " << len;
-    }
-}
-
 TEST_F(CorruptionTest, EveryByteFlipInFrameworkSnapshotIsDetected)
 {
     auto fw = tinyFramework();
@@ -150,12 +112,11 @@ TEST_F(CorruptionTest, EveryTruncationOfFrameworkSnapshotIsDetected)
 TEST_F(CorruptionTest, TrailingGarbageIsDetected)
 {
     auto fw = tinyFramework();
-    ASSERT_FALSE(nn::saveParameters(tempPath(), fw->parameters()));
+    ASSERT_FALSE(saveFramework(tempPath(), *fw));
     writeRaw(savedBytes() + "extra");
-    auto probe = tinyFramework();
-    const auto err =
-        nn::loadParameters(tempPath(), probe->parameters());
-    ASSERT_TRUE(err.has_value());
+    auto loaded = loadFramework(tempPath());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().kind, LoadError::Kind::Malformed);
 }
 
 TEST_F(CorruptionTest, CorruptCheckpointNeverPoisonsTheModel)

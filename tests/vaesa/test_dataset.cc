@@ -85,22 +85,6 @@ TEST(Dataset, SamplesAreReproducibleAndValid)
     }
 }
 
-TEST(Dataset, EdpHelpersAreConsistent)
-{
-    const Dataset &data = testing::sharedDataset();
-    const std::size_t best = data.bestSampleIndex();
-    const std::size_t worst = data.worstSampleIndex();
-    EXPECT_LE(data.sampleEdp(best), data.sampleEdp(worst));
-    for (std::size_t i = 0; i < data.size(); i += 97) {
-        EXPECT_GE(data.sampleEdp(i), data.sampleEdp(best));
-        EXPECT_LE(data.sampleEdp(i), data.sampleEdp(worst));
-    }
-    const DataSample &s = data.samples()[0];
-    EXPECT_NEAR(data.sampleEdp(0),
-                std::exp2(s.logLatency) * std::exp2(s.logEnergy),
-                1e-6 * data.sampleEdp(0));
-}
-
 TEST(Dataset, HwNormalizerUsesGridBounds)
 {
     const Dataset &data = testing::sharedDataset();
@@ -178,12 +162,6 @@ TEST(Dataset, EmptyPoolIsFatal)
 {
     Evaluator ev;
     EXPECT_DEATH(DatasetBuilder(ev, {}), "non-empty layer pool");
-}
-
-TEST(Dataset, SampleEdpOutOfRangePanics)
-{
-    const Dataset &data = testing::sharedDataset();
-    EXPECT_DEATH(data.sampleEdp(data.size()), "out of range");
 }
 
 } // namespace

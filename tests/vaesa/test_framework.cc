@@ -66,20 +66,6 @@ TEST(Framework, RoundTripStaysInGrid)
     EXPECT_LT(worst, 8.0);
 }
 
-TEST(Framework, PredictorsProducePositivePredictions)
-{
-    VaesaFramework &fw = testing::sharedFramework();
-    const auto feats =
-        fw.normalizedLayerFeatures(resNet50Layers()[2]);
-    std::vector<double> z(fw.latentDim(), 0.0);
-    EXPECT_GT(fw.predictedLatency(z, feats), 0.0);
-    EXPECT_GT(fw.predictedEnergy(z, feats), 0.0);
-    EXPECT_NEAR(fw.predictedEdp(z, feats),
-                fw.predictedLatency(z, feats) *
-                    fw.predictedEnergy(z, feats),
-                1e-6 * fw.predictedEdp(z, feats));
-}
-
 TEST(Framework, PredictScoreGradientMatchesFiniteDifferences)
 {
     VaesaFramework &fw = testing::sharedFramework();
@@ -160,9 +146,8 @@ TEST(Framework, LatentRadiusCoversEncodings)
 TEST(Framework, ParametersRoundTripThroughSerialization)
 {
     VaesaFramework &fw = testing::sharedFramework();
-    const std::string path =
-        ::testing::TempDir() + "/framework_params.bin";
-    ASSERT_FALSE(nn::saveParameters(path, fw.parameters()));
+    RecordWriter out(0x54455354, 1);
+    nn::writeParameterRecords(out, fw.parameters());
 
     FrameworkOptions options;
     options.vae.latentDim = 4;
@@ -170,7 +155,10 @@ TEST(Framework, ParametersRoundTripThroughSerialization)
     options.predictorHidden = {48, 48};
     options.train.epochs = 1;
     VaesaFramework other(testing::sharedDataset(), options, 1);
-    ASSERT_FALSE(nn::loadParameters(path, other.parameters()));
+    RecordReader in(out.bytes(), "memory");
+    std::uint32_t version = 0;
+    ASSERT_FALSE(in.readHeader(0x54455354, 1, 1, &version));
+    ASSERT_FALSE(nn::readParameterRecords(in, other.parameters()));
 
     std::vector<double> z(fw.latentDim(), 0.3);
     const auto feats =
@@ -179,13 +167,37 @@ TEST(Framework, ParametersRoundTripThroughSerialization)
                      other.predictScore(z, feats));
     EXPECT_EQ(fw.decodeLatent(z).describe(),
               other.decodeLatent(z).describe());
-    std::remove(path.c_str());
 }
 
 TEST(Framework, DecodeWrongWidthPanics)
 {
     VaesaFramework &fw = testing::sharedFramework();
     EXPECT_DEATH(fw.decodeLatent({0.0}), "latent width");
+}
+
+TEST(FineTune, ImprovesOnNewData)
+{
+    // Fine-tuning on fresh samples must not blow up and should keep
+    // or improve the predictor losses on that data.
+    Evaluator &ev = testing::sharedEvaluator();
+    Rng rng(4);
+    std::vector<LayerShape> pool;
+    for (const Workload &w : trainingWorkloads())
+        pool.insert(pool.end(), w.layers.begin(), w.layers.end());
+    const Dataset fresh =
+        DatasetBuilder(ev, pool).build(400, rng);
+
+    FrameworkOptions options;
+    options.vae.latentDim = 4;
+    options.vae.hiddenDims = {32, 16};
+    options.train.epochs = 6;
+    VaesaFramework framework(testing::sharedDataset(), options, 5);
+    const std::size_t history_before = framework.history().size();
+
+    const auto tuned = framework.fineTune(fresh, 6, 9);
+    ASSERT_EQ(tuned.size(), 6u);
+    EXPECT_EQ(framework.history().size(), history_before + 6);
+    EXPECT_LE(tuned.back().totalLoss, tuned.front().totalLoss);
 }
 
 } // namespace

@@ -81,39 +81,6 @@ TEST(VaeGd, ProducesRequestedSamples)
     EXPECT_TRUE(std::isfinite(trace.best()));
 }
 
-TEST(VaeGd, DescentImprovesOverStartDecodes)
-{
-    // Decoding after GD should on average beat decoding the raw
-    // random starts (the Figure 13 effect, in miniature).
-    VaesaFramework &fw = testing::sharedFramework();
-    Evaluator &ev = testing::sharedEvaluator();
-    const LayerShape layer = gdTestLayers()[4];
-
-    Rng rng_a(53);
-    VaeGdOptions no_steps;
-    no_steps.steps = 0;
-    const auto start_means = vaeGdStepStudy(
-        fw, ev, layer, 20, {0, 60}, no_steps, rng_a);
-    ASSERT_EQ(start_means.size(), 2u);
-    ASSERT_TRUE(std::isfinite(start_means[0]));
-    ASSERT_TRUE(std::isfinite(start_means[1]));
-    EXPECT_LT(start_means[1], start_means[0]);
-}
-
-TEST(VaeGd, StepStudyMarksAreOrderedByConstruction)
-{
-    VaesaFramework &fw = testing::sharedFramework();
-    Rng rng(54);
-    VaeGdOptions options;
-    const auto means =
-        vaeGdStepStudy(fw, testing::sharedEvaluator(),
-                       gdTestLayers()[0], 10, {0, 30, 90}, options,
-                       rng);
-    ASSERT_EQ(means.size(), 3u);
-    for (double m : means)
-        EXPECT_TRUE(std::isfinite(m));
-}
-
 TEST(InputGdBaseline, TrainsAndSearches)
 {
     const Dataset &data = testing::sharedDataset();
@@ -162,46 +129,6 @@ TEST(InputGdBaseline, ScoreGradientMatchesFiniteDifferences)
             (2.0 * eps);
         EXPECT_NEAR(grad[d], numeric, 1e-5);
     }
-}
-
-TEST(Interpolation, WalksWorstToBestWithOvershoot)
-{
-    VaesaFramework &fw = testing::sharedFramework();
-    const Dataset &data = testing::sharedDataset();
-    const auto points = interpolationStudy(
-        fw, testing::sharedEvaluator(), data, resNet50Layers()[2],
-        10, 4);
-    ASSERT_EQ(points.size(), 15u);
-    EXPECT_DOUBLE_EQ(points.front().t, 0.0);
-    EXPECT_NEAR(points[10].t, 1.0, 1e-12);
-    EXPECT_GT(points.back().t, 1.0);
-    for (const InterpolationPoint &pt : points) {
-        EXPECT_EQ(pt.z.size(), fw.latentDim());
-        EXPECT_GT(pt.predictedEdp, 0.0);
-    }
-}
-
-TEST(Interpolation, EndpointsFollowEncodedExtremes)
-{
-    VaesaFramework &fw = testing::sharedFramework();
-    const Dataset &data = testing::sharedDataset();
-    const auto points = interpolationStudy(
-        fw, testing::sharedEvaluator(), data, resNet50Layers()[2],
-        5, 0);
-    const auto z0 = fw.encodeConfig(
-        data.samples()[data.worstSampleIndex()].config);
-    for (std::size_t d = 0; d < z0.size(); ++d)
-        EXPECT_NEAR(points.front().z[d], z0[d], 1e-9);
-}
-
-TEST(Interpolation, ZeroSegmentsIsFatal)
-{
-    VaesaFramework &fw = testing::sharedFramework();
-    EXPECT_DEATH(
-        interpolationStudy(fw, testing::sharedEvaluator(),
-                           testing::sharedDataset(),
-                           resNet50Layers()[0], 0, 0),
-        "at least one segment");
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <cmath>
 
 #include "fixtures.hh"
+#include "studies/latent.hh"
 #include "util/stats.hh"
 
 namespace vaesa {
@@ -106,10 +107,10 @@ TEST(LatentStructure, PredictorsRankUnseenLayersSensibly)
     const auto feats_big = fw.normalizedLayerFeatures(big);
     const auto feats_small = fw.normalizedLayerFeatures(small);
     std::vector<double> z(fw.latentDim(), 0.0);
-    EXPECT_GT(fw.predictedLatency(z, feats_big),
-              fw.predictedLatency(z, feats_small));
-    EXPECT_GT(fw.predictedEnergy(z, feats_big),
-              fw.predictedEnergy(z, feats_small));
+    EXPECT_GT(predictedLatency(fw, z, feats_big),
+              predictedLatency(fw, z, feats_small));
+    EXPECT_GT(predictedEnergy(fw, z, feats_big),
+              predictedEnergy(fw, z, feats_small));
 }
 
 TEST(LatentStructure, KldKeepsLatentSpaceContinuous)

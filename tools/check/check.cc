@@ -41,9 +41,10 @@
  *
  * Per-tree policy: src/ (and tests/lint, where the negative fixtures
  * live) gets every check; tools/ may use iostream directly (the
- * documented exemption for standalone executables); bench/ may
- * additionally use raw clocks and ofstream (benchmark timing and
- * result dumps are not library code).
+ * documented exemption for standalone executables); bench/studies/
+ * (the studies library) gets every check but the stream ban; the
+ * rest of bench/ may additionally use raw clocks and ofstream
+ * (benchmark timing and result dumps are not library code).
  *
  * Usage: vaesa_check <repo-root> [subdir ...]
  * (default subdirs: src tools bench)
@@ -301,6 +302,10 @@ policyFor(const std::string &relPath)
     // Standalone executables: iostream is the documented exemption.
     if (pathStartsWith(relPath, "tools/"))
         return {true, false, false, false, false};
+    // The studies library under the benches is library code: it gets
+    // src/'s bans, and prints its tables as the bench mains do.
+    if (pathStartsWith(relPath, "bench/studies/"))
+        return {true, false, false, true, true};
     // Benchmarks additionally time with raw clocks and dump result
     // files directly; they are not library code.
     if (pathStartsWith(relPath, "bench/"))
@@ -451,12 +456,15 @@ const std::vector<BannedStdName> bannedStdSync = {
 
 const std::vector<BannedStdName> bannedStdIo = {
     {"ofstream",
-     "atomicWriteFile() (util/atomic_io.hh) or CsvWriter",
+     "atomicWriteFile() (util/atomic_io.hh) or CsvWriter "
+     "(bench/studies/csv.hh)",
      {}},
 };
 
-/** Directory prefixes where std::ofstream stays legal. */
-const std::vector<std::string> ofstreamDirPrefixes = {"src/util/"};
+/** Path prefixes where std::ofstream stays legal: the crash-safe
+ *  writers and the CsvWriter. */
+const std::vector<std::string> ofstreamPrefixes = {
+    "src/util/", "bench/studies/csv."};
 
 /**
  * Files allowed to own mutable namespace-scope state: the
@@ -589,7 +597,7 @@ checkBannedIdentifiers(const std::string &relPath,
                        "use of 'std::" + ban.name + "' (use " +
                            ban.instead + " instead)");
         if (!policy.allowOfstream &&
-            !pathInDirs(relPath, ofstreamDirPrefixes))
+            !pathInDirs(relPath, ofstreamPrefixes))
             for (const BannedStdName &ban : bannedStdIo)
                 if (qualified == ban.name)
                     report(relPath, line,

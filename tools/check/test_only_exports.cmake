@@ -5,8 +5,9 @@
 #         -P test_only_exports.cmake
 #
 # OBJECTS is a generated file that sets three lists of object files:
-# SRC_OBJECTS (the library, src/), TEST_OBJECTS (tests/) and
-# SHIPPED_OBJECTS (bench/, tools/, examples/). A function exported
+# SRC_OBJECTS (the library, src/), TEST_OBJECTS (tests/ and the
+# tools/fuzz harnesses) and SHIPPED_OBJECTS (bench/, examples/,
+# tools/check, tools/serve). A function exported
 # (nm type T) by a SRC object is a finding when a TEST object
 # references it (U), no SRC or SHIPPED object does, and its name is
 # not on the allowlist: a library entry point only the tests reach

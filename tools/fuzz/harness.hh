@@ -13,7 +13,7 @@
  *         target's real magic, version, and per-record CRCs, so the
  *         mutator spends its budget on record *content* instead of
  *         being stopped at the checksum gate.
- * Text targets (CSV/layer files) pass no FramedSpec and take the
+ * Text targets (layer files) pass no FramedSpec and take the
  * whole input verbatim.
  */
 

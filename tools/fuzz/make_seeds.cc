@@ -27,7 +27,6 @@
 #include "dse/search_state.hh"
 #include "nn/linear.hh"
 #include "nn/optim.hh"
-#include "nn/serialize.hh"
 #include "util/atomic_io.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -154,22 +153,6 @@ seedFramework(const fs::path &dir)
 }
 
 void
-seedNnParams(const fs::path &dir)
-{
-    // Mirror the fuzz target's model exactly (names and shapes must
-    // match for the loader to get past its identity checks).
-    Rng rng(7);
-    nn::Linear layer(4, 3, rng, "fuzz");
-    const std::string valid =
-        capture(dir, [&](const std::string &path) {
-            return nn::saveParameters(path, layer.parameters());
-        });
-    writeSeed(dir, "valid.bin", raw(valid));
-    writeSeed(dir, "truncated.bin",
-              raw(valid.substr(0, valid.size() / 2)));
-}
-
-void
 seedTrainCheckpoint(const fs::path &dir)
 {
     constexpr std::uint32_t magic = 0x56434B50; // "VCKP"
@@ -234,21 +217,6 @@ seedSearchState(const fs::path &dir)
     trace.putU64(std::uint64_t{1} << 26);
     out.writeRecord(trace);
     writeSeed(dir, "hostile_trace.bin", raw(out.bytes()));
-}
-
-void
-seedDatasetCsv(const fs::path &dir)
-{
-    writeSeed(dir, "valid.csv",
-              "kind,name_or_index,f0,f1,f2,f3,f4,f5,f6,f7\n"
-              "layer,conv1,3,3,16,16,3,64,1,1\n"
-              "sample,0,64,32,4096,8192,8192,131072,10.5,12.25\n");
-    writeSeed(dir, "bad_cells.csv",
-              "kind,name_or_index,f0,f1,f2,f3,f4,f5,f6,f7\n"
-              "layer,conv1,3,3,16,16,3,64,1,1\n"
-              "sample,0,64,1e999,nan,-0,0x10,,inf,banana\n");
-    writeSeed(dir, "garbage.csv",
-              std::string("\x01\x02\xff,not,a,csv\n\0\n", 14));
 }
 
 void
@@ -355,10 +323,8 @@ main(int argc, char **argv)
         void (*fill)(const fs::path &);
     } targets[] = {
         {"framework", seedFramework},
-        {"nn_params", seedNnParams},
         {"train_checkpoint", seedTrainCheckpoint},
         {"search_state", seedSearchState},
-        {"dataset_csv", seedDatasetCsv},
         {"workload", seedWorkload},
         {"serve", seedServe},
     };
