@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the framework's kernels:
  * dense GEMM, Cholesky/GP fits and acquisition, the one-shot
  * scheduler, the
- * analytical cost model, and VAE forward/backward training steps.
+ * analytical cost model, the memoized (all-hit) workload score the
+ * serve daemon answers from, and VAE forward/backward training steps.
  * These quantify the substrate costs behind every experiment (e.g.
  * how many design points per second the evaluator can score).
  */
@@ -18,6 +19,7 @@
 #include "nn/loss.hh"
 #include "nn/optim.hh"
 #include "nn/sequential.hh"
+#include "sched/caching_evaluator.hh"
 #include "sched/evaluator.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/linalg.hh"
@@ -284,6 +286,30 @@ BM_EvaluateWorkload(benchmark::State &state)
                             resnet.layers.size());
 }
 BENCHMARK(BM_EvaluateWorkload);
+
+void
+BM_CachedEvaluateWorkloadHit(benchmark::State &state)
+{
+    // A serve ScoreConfig hit: every (config, layer) of the resnet50
+    // rows is already memoized, so a call only keys, probes and walks.
+    CachingEvaluator cache;
+    Rng rng(5);
+    const Workload resnet = workloadByName("resnet50");
+    std::vector<AcceleratorConfig> configs(64);
+    for (AcceleratorConfig &config : configs) {
+        config = designSpace().randomConfig(rng);
+        cache.evaluateWorkload(config, resnet);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const EvalResult r = cache.evaluateWorkload(
+            configs[next++ % configs.size()], resnet);
+        benchmark::DoNotOptimize(r.edp);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            resnet.layers.size());
+}
+BENCHMARK(BM_CachedEvaluateWorkloadHit);
 
 void
 BM_VaeTrainingStep(benchmark::State &state)

@@ -61,9 +61,10 @@ struct ShardBuckets
     std::vector<std::uint32_t> cursor;
 };
 
-/** Fill this thread's ShardBuckets for keys [0, n). The buffers are
- *  reused call to call, so a warm call does not touch the heap; the
- *  result is valid until the thread's next call. */
+/** Fill this thread's ShardBuckets for keys [0, n); @p shardCount
+ *  is a power of two. The buffers are reused call to call, so a warm
+ *  call does not touch the heap; the result is valid until the
+ *  thread's next call. */
 template <class Key, class Hash>
 const ShardBuckets &
 bucketByShard(const Key *keys, std::size_t n, std::size_t shardCount,
@@ -75,7 +76,7 @@ bucketByShard(const Key *keys, std::size_t n, std::size_t shardCount,
     b.order.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         b.shardOf[i] =
-            static_cast<std::uint32_t>(hash(keys[i]) % shardCount);
+            static_cast<std::uint32_t>(hash(keys[i]) & (shardCount - 1));
         ++b.start[b.shardOf[i] + 1];
     }
     for (std::size_t s = 0; s < shardCount; ++s)
@@ -88,17 +89,6 @@ bucketByShard(const Key *keys, std::size_t n, std::size_t shardCount,
 
 /** Registry id of a shape not (yet) in the registry. */
 constexpr std::uint32_t unregistered = ~std::uint32_t{0};
-
-/** Index of @p layer's shape in @p registry, or unregistered. */
-std::uint32_t
-findShape(const std::vector<LayerShape> &registry,
-          const LayerShape &layer)
-{
-    for (std::uint32_t i = 0; i < registry.size(); ++i)
-        if (registry[i].sameShape(layer))
-            return i;
-    return unregistered;
-}
 
 std::size_t
 roundUpPow2(std::size_t x)
@@ -131,6 +121,16 @@ CachingEvaluator::BatchKeyHash::operator()(const BatchKey &key) const
               (static_cast<std::uint64_t>(key.layer) << 59)));
 }
 
+std::size_t
+CachingEvaluator::ShapeDimsHash::operator()(const ShapeDims &dims) const
+{
+    // A multiply per dimension, one avalanche at the end.
+    std::uint64_t h = 0;
+    for (const std::int64_t d : dims)
+        h = (h ^ static_cast<std::uint64_t>(d)) * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(mix64(h));
+}
+
 CachingEvaluator::CachingEvaluator()
     : CachingEvaluator(Evaluator())
 {
@@ -140,6 +140,9 @@ CachingEvaluator::CachingEvaluator(const Evaluator &inner)
     : inner_(inner), shardCount_(fixedShardCount()),
       shards_(new Shard[shardCount_])
 {
+    VAESA_EXPECT((shardCount_ & (shardCount_ - 1)) == 0,
+                 "shard count ", shardCount_,
+                 " is not a power of two; bucketByShard masks hashes");
 }
 
 std::uint64_t
@@ -164,30 +167,35 @@ void
 CachingEvaluator::layerKeys(const std::vector<LayerShape> &layers,
                             std::uint64_t config, BatchKey *keys) const
 {
+    auto dimsOf = [](const LayerShape &l) {
+        // The fields LayerShape::sameShape() compares.
+        return ShapeDims{l.r, l.s, l.p, l.q, l.c, l.k, l.strideW,
+                         l.strideH};
+    };
     bool missing = false;
     {
         const ReaderLock lock(registryMutex_);
         for (std::size_t i = 0; i < layers.size(); ++i) {
-            keys[i] = BatchKey{config,
-                               findShape(layerRegistry_, layers[i])};
+            const auto it = layerIds_.find(dimsOf(layers[i]));
+            keys[i] = BatchKey{config, it == layerIds_.end()
+                                           ? unregistered
+                                           : it->second};
             missing |= keys[i].layer == unregistered;
         }
     }
     if (!missing)
         return;
     const WriterLock lock(registryMutex_);
-    // Re-scan under the exclusive lock: another thread may have
+    // Look again under the exclusive lock: another thread may have
     // registered the same shape between the two lock scopes, and a
     // shape repeated in the row is registered by its first copy.
     for (std::size_t i = 0; i < layers.size(); ++i) {
         if (keys[i].layer != unregistered)
             continue;
-        keys[i].layer = findShape(layerRegistry_, layers[i]);
-        if (keys[i].layer == unregistered) {
-            keys[i].layer =
-                static_cast<std::uint32_t>(layerRegistry_.size());
-            layerRegistry_.push_back(layers[i]);
-        }
+        const std::uint32_t next =
+            static_cast<std::uint32_t>(layerIds_.size());
+        keys[i].layer =
+            layerIds_.try_emplace(dimsOf(layers[i]), next).first->second;
     }
 }
 

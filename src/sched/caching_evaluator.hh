@@ -11,6 +11,7 @@
 #ifndef VAESA_SCHED_CACHING_EVALUATOR_HH
 #define VAESA_SCHED_CACHING_EVALUATOR_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -139,6 +140,16 @@ class CachingEvaluator
         std::size_t operator()(const BatchKey &key) const;
     };
 
+    /** The eight dimensions LayerShape::sameShape() compares: equal
+     *  ShapeDims means the same shape. */
+    using ShapeDims = std::array<std::int64_t, 8>;
+
+    /** Multiplicative fold of the eight dimensions, then mix64. */
+    struct ShapeDimsHash
+    {
+        std::size_t operator()(const ShapeDims &dims) const;
+    };
+
     /** Per-cell state of a probed row: probeBatch() writes the first
      *  two, walkRow() marks the cells it computes. */
     enum CellState : unsigned char { cellMissed, cellFound, cellComputed };
@@ -234,13 +245,15 @@ class CachingEvaluator
         VAESA_ACQUIRE(shard.shardMutex);
 
     Evaluator inner_;
-    /** Append-only shape registry; shared lock to scan, unique to
+    /** Append-only shape registry: each shape's id, assigned 0, 1,
+     *  2, ... in first-seen order; shared lock to look up, unique to
      *  append. Registered ids are stable. */
     mutable SharedMutex registryMutex_;
-    mutable std::vector<LayerShape> layerRegistry_
-        VAESA_GUARDED_BY(registryMutex_);
+    mutable std::unordered_map<ShapeDims, std::uint32_t, ShapeDimsHash>
+        layerIds_ VAESA_GUARDED_BY(registryMutex_);
     /** Fixed-size shard array (Shard holds a Mutex, so the array is
-     *  heap-built in place). */
+     *  heap-built in place); shardCount_ is a power of two, so a
+     *  hash picks its shard with a mask. */
     const std::size_t shardCount_;
     const std::unique_ptr<Shard[]> shards_;
     // Sharded metrics counters (util/metrics.hh) instead of ad-hoc

@@ -6,6 +6,7 @@
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -33,7 +34,75 @@ netFailure(LoadError::Kind kind, std::string message)
 }
 
 /**
- * Read exactly n bytes, polling in slices so cancellation and the
+ * How long a read tries non-blocking recv()s before it sleeps in
+ * poll(). Long enough to cover a loopback request/reply turnaround
+ * (a warm ScoreConfig round trip is 20-30 us with spinning on both
+ * ends; a 20 us window misses most replies), short enough that a
+ * reader waiting on a slow or idle peer gives up its CPU quickly;
+ * docs/PERFORMANCE.md has the 20/50/100 us sweep.
+ */
+constexpr std::uint64_t recvSpinWindowNs = 50000;
+
+/** Receive-spin outcomes, one per frame read. */
+struct RecvSpinMetrics
+{
+    /** The whole frame arrived without a read sleeping in poll(). */
+    metrics::Counter &hits = metrics::counter("serve.recv_spin_hits");
+    /** A read of the frame fell through to poll(). */
+    metrics::Counter &misses =
+        metrics::counter("serve.recv_spin_misses");
+};
+
+RecvSpinMetrics &
+recvSpinMetrics()
+{
+    static RecvSpinMetrics m;
+    return m;
+}
+
+/**
+ * True when this process may run on more than one CPU. On one CPU
+ * the peer a reader waits for cannot run while it spins. The check
+ * sees the affinity mask only: a container held to about one CPU by
+ * a cgroup quota, with many CPUs in its mask, still spins. The call
+ * fails only when the kernel has more CPUs than a cpu_set_t holds,
+ * so a failure counts as many CPUs.
+ */
+bool
+spinCanPay()
+{
+    static const bool multiCpu = [] {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        return ::sched_getaffinity(0, sizeof(set), &set) != 0 ||
+               CPU_COUNT(&set) > 1;
+    }();
+    return multiCpu;
+}
+
+/** What the reads of one frame have seen so far. */
+struct FrameProgress
+{
+    /** A read of this frame has fallen through to poll(). */
+    bool polled = false;
+    bool sawAnyByte = false;
+};
+
+/** The error for a peer close after @p got bytes of this read. */
+LoadError
+closedError(std::size_t got, const FrameProgress &progress)
+{
+    const bool clean = got == 0 && !progress.sawAnyByte;
+    return netFailure(clean ? LoadError::Kind::OpenFailed
+                            : LoadError::Kind::Truncated,
+                      clean ? "closed" : "connection closed mid-frame");
+}
+
+/**
+ * Read exactly n bytes. On a host with more than one CPU, first try
+ * non-blocking recv()s, yielding between tries, until the bytes are
+ * in or recvSpinWindowNs has passed since the call began; then (or
+ * straight away on one CPU) poll in slices so cancellation and the
  * overall timeout are both observed between reads. The idle budget
  * is recomputed from the monotonic clock on every wakeup: poll/recv
  * interruptions (EINTR / EAGAIN / spurious readiness) consume real
@@ -42,16 +111,48 @@ netFailure(LoadError::Kind kind, std::string message)
  * (an interrupted recv used to restart the slice and could overstay
  * the deadline indefinitely). Progress still resets the idle clock —
  * timeoutMs bounds the wait since the LAST byte, not the whole read.
+ * The spin window counts against the idle budget like any wait.
  */
 std::optional<LoadError>
 readExactly(const Socket &socket, char *dst, std::size_t n,
             int timeoutMs, const CancelToken *cancel, int sliceMs,
-            bool *sawAnyByte)
+            FrameProgress *progress)
 {
     std::size_t got = 0;
     const std::uint64_t budgetNs =
         static_cast<std::uint64_t>(timeoutMs) * 1000000ull;
     std::uint64_t idleSinceNs = metrics::monotonicNowNs();
+    auto advance = [&](ssize_t r) {
+        got += static_cast<std::size_t>(r);
+        progress->sawAnyByte = true;
+        idleSinceNs = metrics::monotonicNowNs(); // progress resets
+    };
+    if (spinCanPay() && n > 0) {
+        if (cancel && cancel->expired())
+            return netFailure(LoadError::Kind::OpenFailed,
+                              "cancelled");
+        const std::uint64_t spinEndNs = idleSinceNs + recvSpinWindowNs;
+        while (got < n) {
+            const ssize_t r = ::recv(socket.fd(), dst + got, n - got,
+                                     MSG_DONTWAIT);
+            if (r > 0) {
+                advance(r);
+                continue;
+            }
+            if (r == 0)
+                return closedError(got, *progress);
+            if (errno != EINTR && errno != EAGAIN &&
+                errno != EWOULDBLOCK)
+                return netError(LoadError::Kind::OpenFailed, "recv");
+            if (metrics::monotonicNowNs() >= spinEndNs)
+                break;
+            ::sched_yield();
+        }
+    }
+    if (got < n && !progress->polled) {
+        progress->polled = true;
+        recvSpinMetrics().misses.inc();
+    }
     while (got < n) {
         if (cancel && cancel->expired())
             return netFailure(LoadError::Kind::OpenFailed,
@@ -75,23 +176,15 @@ readExactly(const Socket &socket, char *dst, std::size_t n,
         if (ready == 0)
             continue; // timeout or EINTR: the clock above decides
         const ssize_t r = ::recv(socket.fd(), dst + got, n - got, 0);
-        if (r == 0) {
-            return netFailure(got == 0 && !*sawAnyByte
-                                  ? LoadError::Kind::OpenFailed
-                                  : LoadError::Kind::Truncated,
-                              got == 0 && !*sawAnyByte
-                                  ? "closed"
-                                  : "connection closed mid-frame");
-        }
+        if (r == 0)
+            return closedError(got, *progress);
         if (r < 0) {
             if (errno == EINTR || errno == EAGAIN ||
                 errno == EWOULDBLOCK)
                 continue; // elapsed time stays charged
             return netError(LoadError::Kind::OpenFailed, "recv");
         }
-        got += static_cast<std::size_t>(r);
-        *sawAnyByte = true;
-        idleSinceNs = metrics::monotonicNowNs(); // progress resets
+        advance(r);
     }
     return std::nullopt;
 }
@@ -253,10 +346,9 @@ recvFrame(const Socket &socket, int timeoutMs,
     // Frame prefix: magic, version, payloadSize, crc (4 x u32).
     constexpr std::size_t prefixBytes = 16;
     std::string frame(prefixBytes, '\0');
-    bool sawAnyByte = false;
+    FrameProgress progress;
     if (auto err = readExactly(socket, frame.data(), prefixBytes,
-                               timeoutMs, cancel, sliceMs,
-                               &sawAnyByte))
+                               timeoutMs, cancel, sliceMs, &progress))
         return *err;
 
     if (loadU32(frame.data()) != wireMagic)
@@ -271,8 +363,10 @@ recvFrame(const Socket &socket, int timeoutMs,
     frame.resize(prefixBytes + payloadSize);
     if (auto err = readExactly(socket, frame.data() + prefixBytes,
                                payloadSize, timeoutMs, cancel,
-                               sliceMs, &sawAnyByte))
+                               sliceMs, &progress))
         return *err;
+    if (!progress.polled)
+        recvSpinMetrics().hits.inc();
     return frame;
 }
 

@@ -106,9 +106,15 @@ std::optional<LoadError> sendFrame(const Socket &socket,
 
 /**
  * Receive one complete frame image (16-byte frame prefix, then the
- * payload). Blocks in poll() slices of at most @p sliceMs so the
- * @p cancel token (when given) is observed between slices -- a
- * draining server stops waiting on idle connections promptly.
+ * payload). Each of the two reads first tries non-blocking recv()s,
+ * yielding the CPU between tries, for a short fixed window (spin then
+ * block): a reply that lands within it is read without the reader
+ * sleeping and being woken. A process whose CPU affinity holds one
+ * CPU does not spin. After the window the read blocks in poll()
+ * slices of at most @p sliceMs so the @p cancel token (when given)
+ * is observed between slices -- a draining server stops waiting on
+ * idle connections promptly. The token is also checked before the
+ * spin, so an expired token consumes no byte.
  *
  * The idle timeout is accounted against the MONOTONIC CLOCK, not by
  * counting slices: poll/recv interruptions (EINTR, EAGAIN) are

@@ -1,6 +1,13 @@
 /**
  * @file
- * Deadline-accounting regression tests for the serve socket layer.
+ * Tests of the serve socket layer's frame reads: the spin-then-block
+ * receive path (ServeNetSpin*) and deadline accounting
+ * (ServeNetDeadline*).
+ *
+ * A read first tries non-blocking recv()s for a short window, then
+ * sleeps in poll(). The spin tests watch the serve.recv_spin_*
+ * counters to tell which path a read took; the counters are
+ * process-wide, so each test compares deltas.
  *
  * The recvFrame idle timeout must be charged against the MONOTONIC
  * CLOCK, not by counting poll slices: the old accounting charged a
@@ -20,8 +27,10 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <pthread.h>
+#include <sched.h>
 #include <sys/socket.h>
 
 #include "serve/net.hh"
@@ -86,6 +95,149 @@ class SignalStormGuard
   private:
     struct sigaction previous_;
 };
+
+/** The receive-spin counters at one point in time. */
+struct SpinCounts
+{
+    std::uint64_t hits = metrics::counter("serve.recv_spin_hits").value();
+    std::uint64_t misses =
+        metrics::counter("serve.recv_spin_misses").value();
+};
+
+/** Counter deltas as (hits, misses). */
+using SpinDelta = std::pair<std::uint64_t, std::uint64_t>;
+
+/** The counter deltas since @p before. */
+SpinDelta
+spinDelta(const SpinCounts &before)
+{
+    const SpinCounts now;
+    return {now.hits - before.hits, now.misses - before.misses};
+}
+
+/** True when this process may run on more than one CPU; reads never
+ *  spin otherwise. */
+bool
+multiCpu()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    return sched_getaffinity(0, sizeof(set), &set) != 0 ||
+           CPU_COUNT(&set) > 1;
+}
+
+/** Send @p frame from @p from and wait until @p to can read it, so
+ *  the next recvFrame finds it queued. */
+void
+queueFrame(const Socket &from, const Socket &to, const std::string &frame)
+{
+    ASSERT_FALSE(sendFrame(from, frame).has_value());
+    ASSERT_EQ(1, waitReadable(to, 5000));
+}
+
+/** recvFrame on @p pair.server while @p pair.client sends @p frame
+ *  @p delayMs later. */
+Expected<std::string>
+recvDelayed(const SocketPair &pair, const std::string &frame,
+            int delayMs)
+{
+    ThreadPool pool(1);
+    auto sent = pool.submit([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
+        EXPECT_FALSE(sendFrame(pair.client, frame).has_value());
+    });
+    Expected<std::string> got = recvFrame(pair.server, 5000);
+    sent.wait();
+    pool.shutdown();
+    return got;
+}
+
+TEST(ServeNetSpin, QueuedFrameIsASpinHitWithoutPoll)
+{
+    if (!multiCpu())
+        GTEST_SKIP() << "reads do not spin on a one-CPU host";
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string frame = frameMessage("queued");
+    queueFrame(pair.client, pair.server, frame);
+
+    const SpinCounts before;
+    Expected<std::string> got = recvFrame(pair.server, 5000);
+    ASSERT_TRUE(got.ok()) << got.error().describe();
+    EXPECT_EQ(got.value(), frame);
+    EXPECT_EQ(spinDelta(before), SpinDelta(1, 0));
+}
+
+TEST(ServeNetSpin, LateFrameArrivesThroughThePollFallback)
+{
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string frame = frameMessage("late");
+
+    const SpinCounts before;
+    Expected<std::string> got = recvDelayed(pair, frame, 20);
+    ASSERT_TRUE(got.ok()) << got.error().describe();
+    EXPECT_EQ(got.value(), frame);
+    // 20 ms is far past the spin window: the read sleeps in poll().
+    EXPECT_EQ(spinDelta(before), SpinDelta(0, 1));
+}
+
+TEST(ServeNetSpin, ExpiredCancelTokenConsumesNoByte)
+{
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string frame = frameMessage("kept");
+    queueFrame(pair.client, pair.server, frame);
+
+    CancelToken token;
+    token.cancel();
+    Expected<std::string> cancelled =
+        recvFrame(pair.server, 5000, &token);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.error().kind, LoadError::Kind::OpenFailed);
+    EXPECT_EQ(cancelled.error().message, "cancelled");
+
+    Expected<std::string> got = recvFrame(pair.server, 5000);
+    ASSERT_TRUE(got.ok()) << got.error().describe();
+    EXPECT_EQ(got.value(), frame);
+}
+
+TEST(ServeNetSpin, PeerCloseInsideTheWindowKeepsTheCloseErrors)
+{
+    // Zero bytes, then a close: the clean "closed" of an idle peer.
+    {
+        SocketPair pair = loopbackPair();
+        ASSERT_TRUE(pair.server.valid());
+        pair.client.close();
+        const SpinCounts before;
+        Expected<std::string> got = recvFrame(pair.server, 5000);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.error().kind, LoadError::Kind::OpenFailed);
+        EXPECT_EQ(got.error().message, "closed");
+        if (multiCpu()) {
+            EXPECT_EQ(spinDelta(before).second, 0u)
+                << "the close was queued; the read should not poll";
+        }
+    }
+    // Ten prefix bytes, then a close: a truncated frame.
+    {
+        SocketPair pair = loopbackPair();
+        ASSERT_TRUE(pair.server.valid());
+        const std::string frame = frameMessage("cut");
+        ASSERT_EQ(10, ::send(pair.client.fd(), frame.data(), 10,
+                             MSG_NOSIGNAL));
+        pair.client.close();
+        ASSERT_EQ(1, waitReadable(pair.server, 5000));
+        const SpinCounts before;
+        Expected<std::string> got = recvFrame(pair.server, 5000);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.error().kind, LoadError::Kind::Truncated);
+        EXPECT_EQ(got.error().message, "connection closed mid-frame");
+        if (multiCpu()) {
+            EXPECT_EQ(spinDelta(before).second, 0u);
+        }
+    }
+}
 
 TEST(ServeNetDeadline, SignalStormNeitherShortensNorExtendsTimeout)
 {
