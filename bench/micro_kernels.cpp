@@ -56,8 +56,9 @@ BM_Cholesky(benchmark::State &state)
     Rng rng(2);
     Matrix b(n, n);
     b.randomNormal(rng, 0.0, 1.0);
+    // a = b^T b + n I is symmetric positive definite.
     Matrix a(n, n);
-    kernels::gemmTransB(n, n, n, b.data(), b.data(), a.data());
+    kernels::gemmTransA(n, n, n, b.data(), b.data(), a.data());
     for (std::size_t i = 0; i < n; ++i)
         a(i, i) += static_cast<double>(n);
     for (auto _ : state) {
@@ -323,18 +324,19 @@ BM_VaeTrainingStep(benchmark::State &state)
     Matrix x(batch, options.inputDim);
     x.randomUniform(rng, 0.0, 1.0);
 
+    Vae::ForwardResult fr;
+    nn::LossResult recon{0.0, Matrix()};
+    nn::KldResult kld{0.0, Matrix(), Matrix()};
+    const Matrix no_extra;
     for (auto _ : state) {
-        auto fr = vae.forward(x, rng);
-        const nn::LossResult recon = nn::mseLoss(fr.recon, x);
-        const nn::KldResult kld =
-            nn::gaussianKld(fr.mu, fr.logvar);
-        Matrix grad_mu = kld.gradMu;
-        grad_mu.scale(1e-4);
-        Matrix grad_logvar = kld.gradLogvar;
-        grad_logvar.scale(1e-4);
+        vae.forwardInto(x, rng, true, fr);
+        nn::mseLossInto(fr.recon, x, recon);
+        nn::gaussianKldInto(fr.mu, fr.logvar, kld);
+        kld.gradMu.scale(1e-4);
+        kld.gradLogvar.scale(1e-4);
         opt.zeroGrad();
-        vae.backward(fr, recon.grad, grad_mu, grad_logvar,
-                     Matrix());
+        vae.backward(fr, recon.grad, kld.gradMu, kld.gradLogvar,
+                     no_extra);
         opt.step();
         benchmark::DoNotOptimize(recon.value);
     }

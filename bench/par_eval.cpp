@@ -21,8 +21,9 @@
  *        VAESA_PAR_DISTINCT (distinct configs, default 1024),
  *        VAESA_PAR_TARGET (gated 8-thread speedup, default 6.0).
  *
- * Outputs: bench_out/par_eval.csv, bench_out/par_eval.json, and the
- * checked-in snapshot BENCH_par_eval.json at the repo root.
+ * Outputs: bench_out/par_eval.csv, bench_out/par_eval.json, and
+ * BENCH_par_eval.json, all under the working directory (run from the
+ * repo root to refresh the checked-in snapshot).
  */
 
 #include <chrono>
@@ -233,8 +234,7 @@ main()
          << "  \"runs\": [\n"
          << rowsJson << "\n  ]\n}\n";
     std::ofstream(bench::csvPath("par_eval.json")) << json.str();
-    std::ofstream(bench::repoRootPath("BENCH_par_eval.json"))
-        << json.str();
+    std::ofstream("BENCH_par_eval.json") << json.str();
 
     bench::rule();
     std::printf("batch path at 8 workers vs serial loop %.2fx (not "

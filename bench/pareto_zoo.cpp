@@ -140,8 +140,7 @@ main()
          << "  \"per_workload\": [\n"
          << rowsJson << "\n  ]\n}\n";
     std::ofstream(csvPath("pareto_zoo.json")) << json.str();
-    std::ofstream(repoRootPath("BENCH_pareto_zoo.json"))
-        << json.str();
+    std::ofstream("BENCH_pareto_zoo.json") << json.str();
 
     rule();
     std::printf("geomean co-design/specialist EDP ratio %.3f vs "

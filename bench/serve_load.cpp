@@ -18,8 +18,9 @@
  * hold a request back.
  *
  * Gates sustained QPS and exact p99 latency, prints the table, and
- * writes bench_out/serve_load.{csv,json} and the checked-in
- * BENCH_serve_load.json. Exits nonzero when a gate fails.
+ * writes bench_out/serve_load.{csv,json} and BENCH_serve_load.json in
+ * the working directory (run from the repo root to refresh the
+ * checked-in copy). Exits nonzero when a gate fails.
  *
  * Env knobs:
  *   VAESA_SERVE_QUERIES          mixed-phase queries (default 100000)
@@ -469,8 +470,7 @@ main()
          << "  \"meets_target\": "
          << (meetsTarget ? "true" : "false") << "\n}\n";
     std::ofstream(bench::csvPath("serve_load.json")) << json.str();
-    std::ofstream(bench::repoRootPath("BENCH_serve_load.json"))
-        << json.str();
+    std::ofstream("BENCH_serve_load.json") << json.str();
 
     std::printf("%s (baseline written to BENCH_serve_load.json)\n",
                 meetsTarget ? "meets qps/p99/working-set targets"

@@ -58,16 +58,6 @@ csvPath(const std::string &name)
 }
 
 std::string
-repoRootPath(const std::string &name)
-{
-#ifdef VAESA_SOURCE_ROOT
-    return std::string(VAESA_SOURCE_ROOT) + "/" + name;
-#else
-    return name;
-#endif
-}
-
-std::string
 sigmaText(double sigma)
 {
     if (std::isnan(sigma))

@@ -63,13 +63,6 @@ VaesaFramework trainFramework(const Dataset &data,
 std::string csvPath(const std::string &name);
 
 /**
- * Path of a checked-in benchmark summary at the repo root (e.g.
- * BENCH_par_eval.json). Resolved via the compile-time source root so
- * the file lands in the tree regardless of the working directory.
- */
-std::string repoRootPath(const std::string &name);
-
-/**
  * Format a spread statistic (stddev/variance) for tables and CSVs:
  * "n/a" when the value is NaN (undefined for n < 2 — see
  * util/stats.hh), otherwise "%.3g".

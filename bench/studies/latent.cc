@@ -87,9 +87,11 @@ double
 reconstructionError(VaesaFramework &framework, const Dataset &data)
 {
     Rng noiseless(0);
-    const Vae::ForwardResult fr =
-        framework.vae().forward(data.hwFeatures(), noiseless, false);
-    return nn::mseLoss(fr.recon, data.hwFeatures()).value;
+    Vae::ForwardResult fr;
+    framework.vae().forwardInto(data.hwFeatures(), noiseless, false, fr);
+    nn::LossResult loss{0.0, Matrix()};
+    nn::mseLossInto(fr.recon, data.hwFeatures(), loss);
+    return loss.value;
 }
 
 double

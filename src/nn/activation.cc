@@ -7,18 +7,6 @@
 
 namespace vaesa::nn {
 
-namespace {
-
-/** Copy input into slot 0 shaped like it (the activation output). */
-Matrix &
-copyToScratch(Matrix &dst, const Matrix &src)
-{
-    std::copy(src.data(), src.data() + src.size(), dst.data());
-    return dst;
-}
-
-} // namespace
-
 LeakyReLU::LeakyReLU(std::size_t width, double slope)
     : width_(width), slope_(slope)
 {
@@ -31,11 +19,9 @@ LeakyReLU::forward(const Matrix &input)
 {
     if (input.cols() != width_)
         panic("LeakyReLU width mismatch: ", input.cols(), " != ", width_);
-    cachedRows_ = input.rows();
-    Matrix &out =
-        copyToScratch(scratch(0, input.rows(), width_), input);
-    kernels::leakyReluForward(out.data(), out.size(), slope_);
-    return out;
+    output_.copyFrom(input);
+    kernels::leakyReluForward(output_.data(), output_.size(), slope_);
+    return output_;
 }
 
 const Matrix &
@@ -43,7 +29,7 @@ LeakyReLU::backward(const Matrix &grad_output)
 {
     if (!training())
         panic("LeakyReLU backward in eval mode");
-    if (grad_output.rows() != cachedRows_ ||
+    if (grad_output.rows() != output_.rows() ||
         grad_output.cols() != width_)
         panic("LeakyReLU backward shape mismatch");
     // slope >= 0 keeps the activation sign-preserving, so the cached
@@ -51,12 +37,10 @@ LeakyReLU::backward(const Matrix &grad_output)
     // (slope-scaled to NaN in forward) fail the > test in both
     // passes. One predicate, one derivative convention: f'(0) =
     // slope.
-    const Matrix &out = scratch(0, cachedRows_, width_);
-    Matrix &grad =
-        copyToScratch(scratch(1, cachedRows_, width_), grad_output);
-    kernels::leakyReluBackward(grad.data(), out.data(), grad.size(),
-                               slope_);
-    return grad;
+    gradInput_.copyFrom(grad_output);
+    kernels::leakyReluBackward(gradInput_.data(), output_.data(),
+                               gradInput_.size(), slope_);
+    return gradInput_;
 }
 
 Sigmoid::Sigmoid(std::size_t width)
@@ -69,11 +53,9 @@ Sigmoid::forward(const Matrix &input)
 {
     if (input.cols() != width_)
         panic("Sigmoid width mismatch: ", input.cols(), " != ", width_);
-    cachedRows_ = input.rows();
-    Matrix &out =
-        copyToScratch(scratch(0, input.rows(), width_), input);
-    kernels::sigmoidForward(out.data(), out.size());
-    return out;
+    output_.copyFrom(input);
+    kernels::sigmoidForward(output_.data(), output_.size());
+    return output_;
 }
 
 const Matrix &
@@ -81,14 +63,13 @@ Sigmoid::backward(const Matrix &grad_output)
 {
     if (!training())
         panic("Sigmoid backward in eval mode");
-    if (grad_output.rows() != cachedRows_ ||
+    if (grad_output.rows() != output_.rows() ||
         grad_output.cols() != width_)
         panic("Sigmoid backward shape mismatch");
-    const Matrix &out = scratch(0, cachedRows_, width_);
-    Matrix &grad =
-        copyToScratch(scratch(1, cachedRows_, width_), grad_output);
-    kernels::sigmoidBackward(grad.data(), out.data(), grad.size());
-    return grad;
+    gradInput_.copyFrom(grad_output);
+    kernels::sigmoidBackward(gradInput_.data(), output_.data(),
+                             gradInput_.size());
+    return gradInput_;
 }
 
 } // namespace vaesa::nn

@@ -7,8 +7,8 @@
  * Both cache only their own output buffer: LeakyReLU with slope
  * in (0, 1] is sign-preserving, so its backward branches on the
  * output's sign, and Sigmoid's derivative is a function of the
- * output. backward() scales the incoming gradient in a second
- * arena buffer.
+ * output. backward() scales a copy of the incoming gradient in a
+ * second member buffer.
  */
 
 #ifndef VAESA_NN_ACTIVATION_HH
@@ -47,13 +47,11 @@ class LeakyReLU : public Module
     /** Negative-side slope. */
     double slope() const { return slope_; }
 
-  protected:
-    std::size_t workspaceSlots() const override { return 2; }
-
   private:
     std::size_t width_;
     double slope_;
-    std::size_t cachedRows_ = 0;
+    Matrix output_;
+    Matrix gradInput_;
 };
 
 /** Logistic sigmoid, 1 / (1 + e^-x). */
@@ -68,12 +66,10 @@ class Sigmoid : public Module
     std::size_t inputSize() const override { return width_; }
     std::size_t outputSize() const override { return width_; }
 
-  protected:
-    std::size_t workspaceSlots() const override { return 2; }
-
   private:
     std::size_t width_;
-    std::size_t cachedRows_ = 0;
+    Matrix output_;
+    Matrix gradInput_;
 };
 
 } // namespace vaesa::nn

@@ -38,12 +38,12 @@ Linear::forward(const Matrix &input)
         panic("Linear forward: input width ", input.cols(),
               " != ", in_);
     cachedInput_ = training() ? &input : nullptr;
-    Matrix &out = scratch(0, input.rows(), out_);
-    Matrix &wt = scratch(2, in_, out_);
+    output_.resizeBuffer(input.rows(), out_);
+    weightT_.resizeBuffer(in_, out_);
     kernels::linearForward(input.rows(), in_, out_, input.data(),
                            weight_.value.data(), bias_.value.data(),
-                           wt.data(), out.data());
-    return out;
+                           weightT_.data(), output_.data());
+    return output_;
 }
 
 const Matrix &
@@ -65,10 +65,10 @@ Linear::backward(const Matrix &grad_output)
                         true);
     kernels::addColSums(grad_output.data(), batch, out_,
                         bias_.grad.data());
-    Matrix &grad_in = scratch(1, batch, in_);
+    gradInput_.resizeBuffer(batch, in_);
     kernels::gemm(batch, in_, out_, grad_output.data(),
-                  weight_.value.data(), grad_in.data());
-    return grad_in;
+                  weight_.value.data(), gradInput_.data());
+    return gradInput_;
 }
 
 std::vector<Parameter *>

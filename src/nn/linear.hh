@@ -1,6 +1,8 @@
 /**
  * @file
- * Fully-connected (affine) layer.
+ * Fully-connected (affine) layer. It owns its scratch as members:
+ * the forward output, the input gradient and the transposed weights
+ * the fused forward reads.
  */
 
 #ifndef VAESA_NN_LINEAR_HH
@@ -66,20 +68,26 @@ class Linear : public Module
     /** Bias parameter, (1 x out). */
     Parameter &bias() { return bias_; }
 
-  protected:
-    /** Forward output, input gradient, and W^T for the forward. */
-    std::size_t workspaceSlots() const override { return 3; }
-
   private:
     std::size_t in_;
     std::size_t out_;
     Parameter weight_;
     Parameter bias_;
 
+    /** Forward output, (batch x out). */
+    Matrix output_;
+
+    /** Backward's dL/d(input), (batch x in). */
+    Matrix gradInput_;
+
+    /** W^T, (in x out): the fused forward's transposed weights. */
+    Matrix weightT_;
+
     /**
-     * View of the last training-mode forward input (caller- or
-     * arena-owned; the producer's buffer outlives our backward by
-     * the reverse-order backward contract). Null in eval mode.
+     * View of the last training-mode forward input (owned by the
+     * caller or by the previous stage; the producer's buffer outlives
+     * our backward by the reverse-order backward contract). Null in
+     * eval mode.
      */
     const Matrix *cachedInput_ = nullptr;
 };

@@ -32,14 +32,6 @@ mseLossInto(const Matrix &pred, const Matrix &target,
                        "x", pred.cols());
 }
 
-LossResult
-mseLoss(const Matrix &pred, const Matrix &target)
-{
-    LossResult result{0.0, Matrix()};
-    mseLossInto(pred, target, result);
-    return result;
-}
-
 void
 gaussianKldInto(const Matrix &mu, const Matrix &logvar,
                 KldResult &result)
@@ -66,14 +58,6 @@ gaussianKldInto(const Matrix &mu, const Matrix &logvar,
     result.value = acc / batch;
     VAESA_CHECK_FINITE(result.value, "Gaussian KLD over batch of ",
                        mu.rows());
-}
-
-KldResult
-gaussianKld(const Matrix &mu, const Matrix &logvar)
-{
-    KldResult result{0.0, Matrix(), Matrix()};
-    gaussianKldInto(mu, logvar, result);
-    return result;
 }
 
 } // namespace vaesa::nn

@@ -24,14 +24,9 @@ struct LossResult
 
 /**
  * Mean squared error, averaged over all elements:
- * L = mean((pred - target)^2).
- */
-LossResult mseLoss(const Matrix &pred, const Matrix &target);
-
-/**
- * mseLoss writing into a caller-owned result; the gradient buffer is
- * reshaped with capacity retention so repeated calls at a steady
- * batch size allocate nothing.
+ * L = mean((pred - target)^2), written into a caller-owned result.
+ * The gradient buffer is reshaped with capacity retention, so
+ * repeated calls at a steady batch size allocate nothing.
  */
 void mseLossInto(const Matrix &pred, const Matrix &target,
                  LossResult &result);
@@ -52,12 +47,10 @@ struct KldResult
 /**
  * KL divergence of N(mu, diag(exp(logvar))) from N(0, I), closed form,
  * summed over latent dimensions and averaged over the batch:
- * KLD = -0.5 * mean_batch sum_dims(1 + logvar - mu^2 - exp(logvar)).
+ * KLD = -0.5 * mean_batch sum_dims(1 + logvar - mu^2 - exp(logvar)),
+ * written into a caller-owned result (allocation-free at a steady
+ * batch size, like mseLossInto).
  */
-KldResult gaussianKld(const Matrix &mu, const Matrix &logvar);
-
-/** gaussianKld writing into a caller-owned result (allocation-free
- * at a steady batch size, like mseLossInto). */
 void gaussianKldInto(const Matrix &mu, const Matrix &logvar,
                      KldResult &result);
 

@@ -8,22 +8,22 @@
  * caches whatever its gradient needs) is simpler and faster than a
  * general autodiff tape, and gradients are exact by construction.
  *
- * forward()/backward() return references to module-owned scratch
- * buffers drawn from a kernels::Workspace arena, so a steady-state
- * training step performs no heap allocation. A returned reference is
- * valid until the SAME module runs the same pass again; callers that
- * need the values across another pass must copy them out
- * (Matrix::copyFrom reuses capacity).
+ * forward()/backward() return references to scratch matrices each
+ * module owns as plain members. They are reshaped per batch
+ * (Matrix::resizeBuffer, Matrix::copyFrom) in storage that only
+ * grows, so a steady-state training step performs no heap
+ * allocation. A returned reference is valid until the SAME module
+ * runs the same pass again (another module's passes leave it alone);
+ * callers that need the values across another pass of this module
+ * must copy them out (Matrix::copyFrom reuses capacity).
  */
 
 #ifndef VAESA_NN_MODULE_HH
 #define VAESA_NN_MODULE_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "tensor/kernels/workspace.hh"
 #include "tensor/matrix.hh"
 
 namespace vaesa::nn {
@@ -69,7 +69,13 @@ struct Parameter
 class Module
 {
   public:
+    Module() = default;
     virtual ~Module() = default;
+
+    // Not copyable: a Linear's cached input points into the previous
+    // stage's output buffer, which a copy would share.
+    Module(const Module &) = delete;
+    Module &operator=(const Module &) = delete;
 
     /**
      * Run the stage on a batch; in training mode, caches
@@ -105,14 +111,6 @@ class Module
     /** Whether gradient intermediates are being cached. */
     bool training() const { return training_; }
 
-    /**
-     * Bind this module's scratch buffers to a shared arena (a
-     * Sequential attaches its stages to one workspace on add()).
-     * Must be called before the first forward(); unattached modules
-     * fall back to a lazily created private arena.
-     */
-    virtual void attachWorkspace(kernels::Workspace &arena);
-
     /** Zero all parameter gradients. */
     void
     zeroGrad()
@@ -121,19 +119,8 @@ class Module
             p->zeroGrad();
     }
 
-  protected:
-    /** Arena slots this module type needs (see scratch()). */
-    virtual std::size_t workspaceSlots() const { return 0; }
-
-    /** This module's scratch buffer `index`, shaped rows x cols. */
-    Matrix &scratch(std::size_t index, std::size_t rows,
-                    std::size_t cols);
-
   private:
     bool training_ = true;
-    kernels::Workspace *arena_ = nullptr;
-    std::size_t arenaBase_ = 0;
-    std::unique_ptr<kernels::Workspace> privateArena_;
 };
 
 } // namespace vaesa::nn

@@ -16,7 +16,6 @@ Sequential::add(std::unique_ptr<Module> module)
               stages_.back()->outputSize(), " -> ", module->inputSize());
     }
     module->setTraining(training());
-    module->attachWorkspace(*arena_);
     stages_.push_back(std::move(module));
 }
 
@@ -70,14 +69,6 @@ Sequential::setTraining(bool training)
     Module::setTraining(training);
     for (auto &stage : stages_)
         stage->setTraining(training);
-}
-
-void
-Sequential::attachWorkspace(kernels::Workspace &arena)
-{
-    if (!stages_.empty())
-        panic("Sequential::attachWorkspace after stages were added");
-    arena_ = &arena;
 }
 
 std::unique_ptr<Sequential>

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "nn/module.hh"
-#include "tensor/kernels/workspace.hh"
 
 namespace vaesa {
 class Rng;
@@ -22,9 +21,8 @@ namespace vaesa::nn {
  * A chain of modules applied in order; backward runs in reverse.
  * Adjacent widths are validated when modules are appended.
  *
- * The container owns one kernels::Workspace arena; every appended
- * stage binds its scratch buffers to it, so a whole-chain
- * forward/backward is allocation-free once each slot has grown to
+ * Each stage owns its scratch buffers, so a whole-chain
+ * forward/backward is allocation-free once every buffer has grown to
  * the largest batch seen. The chain passes buffer references between
  * stages (no copies); a Linear stage's cached input is a view of the
  * previous stage's output buffer, which the reverse-order backward
@@ -48,19 +46,11 @@ class Sequential : public Module
     /** Propagated to every stage. */
     void setTraining(bool training) override;
 
-    /** Re-bind every stage to a caller-provided arena. */
-    void attachWorkspace(kernels::Workspace &arena) override;
-
     /** Number of stages. */
     std::size_t stageCount() const { return stages_.size(); }
 
-    /** The arena currently backing the stages' scratch buffers. */
-    const kernels::Workspace &workspace() const { return *arena_; }
-
   private:
     std::vector<std::unique_ptr<Module>> stages_;
-    kernels::Workspace ownArena_;
-    kernels::Workspace *arena_ = &ownArena_;
 };
 
 /** Output nonlinearity choice for makeMlp. */

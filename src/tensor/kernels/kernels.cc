@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -449,18 +448,6 @@ gemmTransA(std::size_t m, std::size_t n, std::size_t k,
     noteGemm(m, n, k);
     const metrics::ScopedTimer timer(gemmMetrics().ns);
     run({k, n, a, 1, m, b, accumulate ? c : nullptr, n, c}, m);
-}
-
-void
-gemmTransB(std::size_t m, std::size_t n, std::size_t k,
-           const double *a, const double *b, double *c,
-           bool accumulate)
-{
-    noteGemm(m, n, k);
-    const metrics::ScopedTimer timer(gemmMetrics().ns);
-    std::vector<double> bt(k * n);
-    transpose(b, n, k, bt.data());
-    run({k, n, a, k, 1, bt.data(), accumulate ? c : nullptr, n, c}, m);
 }
 
 void

@@ -1,15 +1,15 @@
 /**
  * @file
  * Raw-pointer compute kernels behind the Matrix/nn hot path: GEMM in
- * the three orientations the MLPs need, a fused linear-layer forward,
- * column sums, in-place activation forward/backward loops, and the
- * Adam optimizer's per-element update.
+ * the two orientations the MLPs' backward needs, a fused linear-layer
+ * forward, column sums, in-place activation forward/backward loops,
+ * and the Adam optimizer's per-element update.
  *
  * There is one GEMM implementation: a register-tiled broadcast
  * micro-kernel that every orientation runs through (A is read with
- * (row, k) strides, B as contiguous rows; the transB orientations
- * first transpose B). Each output element is computed as the
- * explicit fused multiply-add chain
+ * (row, k) strides, B as contiguous rows; linearForward first
+ * transposes W into the caller's buffer). Each output element is
+ * computed as the explicit fused multiply-add chain
  *
  *     fma(a[k-1], b[k-1], ... fma(a[1], b[1], fma(a[0], b[0], init)))
  *
@@ -92,15 +92,6 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,
  * B is (k x n). The weight-gradient orientation.
  */
 void gemmTransA(std::size_t m, std::size_t n, std::size_t k,
-                const double *a, const double *b, double *c,
-                bool accumulate = false);
-
-/**
- * C (m x n) = A * B^T with B given untransposed as (n x k);
- * A is (m x k). Transposes B into a temporary first, so it
- * allocates; the training forward uses linearForward instead.
- */
-void gemmTransB(std::size_t m, std::size_t n, std::size_t k,
                 const double *a, const double *b, double *c,
                 bool accumulate = false);
 

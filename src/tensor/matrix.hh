@@ -67,16 +67,13 @@ class Matrix
      * Reshape in place to rows x cols. Element values are
      * unspecified afterwards; the backing store is retained (and
      * never shrunk), so reshaping within the high-water mark is
-     * allocation-free. The scratch-buffer primitive behind the
-     * kernels::Workspace arena.
+     * allocation-free. The nn modules reshape their member scratch
+     * buffers (outputs, input gradients) with it once per pass.
      */
     void resizeBuffer(std::size_t rows, std::size_t cols);
 
     /** Become a deep copy of other, reusing existing capacity. */
     void copyFrom(const Matrix &other);
-
-    /** Allocated element capacity of the backing store. */
-    std::size_t capacityElements() const { return data_.capacity(); }
 
     /** One row as a copied vector. */
     std::vector<double> row(std::size_t r) const;

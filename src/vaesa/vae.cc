@@ -48,14 +48,6 @@ Vae::Vae(const VaeOptions &options, Rng &rng)
                            options_.leakySlope);
 }
 
-Vae::ForwardResult
-Vae::forward(const Matrix &x, Rng &rng, bool sample_latent)
-{
-    ForwardResult fr;
-    forwardInto(x, rng, sample_latent, fr);
-    return fr;
-}
-
 void
 Vae::forwardInto(const Matrix &x, Rng &rng, bool sample_latent,
                  ForwardResult &fr)

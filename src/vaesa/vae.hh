@@ -63,26 +63,22 @@ class Vae
     };
 
     /**
-     * Full training-mode pass: encode, sample, decode.
+     * Full training-mode pass: encode, sample, decode, into a
+     * caller-owned result. The result matrices are reshaped with
+     * capacity retention, so repeated passes at a steady batch size
+     * allocate nothing. The modules cache a view of x (and of fr.z),
+     * so both must stay alive and unmodified until the matching
+     * backward() returns.
      * @param x normalized input batch, (batch x input).
      * @param rng noise source for reparameterization.
      * @param sample_latent when false, z = mu (deterministic pass).
-     */
-    ForwardResult forward(const Matrix &x, Rng &rng,
-                          bool sample_latent = true);
-
-    /**
-     * forward() into a caller-owned result. The result matrices are
-     * reshaped with capacity retention, so repeated passes at a
-     * steady batch size allocate nothing. The modules cache a view
-     * of x (and of fr.z), so both must stay alive and unmodified
-     * until the matching backward() returns.
+     * @param fr receives the pass's activations.
      */
     void forwardInto(const Matrix &x, Rng &rng, bool sample_latent,
                      ForwardResult &fr);
 
     /**
-     * Back-propagate one training step. Must follow the forward()
+     * Back-propagate one training step. Must follow the forwardInto()
      * that produced fr; accumulates parameter gradients.
      *
      * @param fr cached forward activations.

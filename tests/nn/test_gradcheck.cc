@@ -40,9 +40,9 @@ TEST(Training, MlpFitsQuadraticFunction)
     }
 
     double final_loss = 1e9;
+    LossResult loss{0.0, Matrix()};
     for (int epoch = 0; epoch < 800; ++epoch) {
-        const Matrix pred = net->forward(x);
-        const LossResult loss = mseLoss(pred, y);
+        mseLossInto(net->forward(x), y, loss);
         final_loss = loss.value;
         opt.zeroGrad();
         net->backward(loss.grad);
@@ -65,8 +65,9 @@ TEST(Training, LossDecreasesMonotonicallyOnAverage)
 
     double first = 0.0;
     double last = 0.0;
+    LossResult loss{0.0, Matrix()};
     for (int epoch = 0; epoch < 300; ++epoch) {
-        const LossResult loss = mseLoss(net->forward(x), y);
+        mseLossInto(net->forward(x), y, loss);
         if (epoch == 0)
             first = loss.value;
         last = loss.value;
@@ -181,15 +182,21 @@ TEST_P(KernelGradcheck, MseLossGradMatchesFiniteDifferences)
     for (std::size_t b = 0; b < pred_probes.size(); ++b) {
         Matrix &pred = pred_probes[b];
         const Matrix &target = target_probes[b];
-        const LossResult loss = mseLoss(pred, target);
+        LossResult loss{0.0, Matrix()};
+        mseLossInto(pred, target, loss);
+        LossResult probe{0.0, Matrix()};
+        const auto value = [&] {
+            mseLossInto(pred, target, probe);
+            return probe.value;
+        };
         const double eps = 1e-6;
         for (std::size_t r = 0; r < pred.rows(); ++r) {
             for (std::size_t c = 0; c < pred.cols(); ++c) {
                 const double saved = pred(r, c);
                 pred(r, c) = saved + eps;
-                const double plus = mseLoss(pred, target).value;
+                const double plus = value();
                 pred(r, c) = saved - eps;
-                const double minus = mseLoss(pred, target).value;
+                const double minus = value();
                 pred(r, c) = saved;
                 EXPECT_NEAR(loss.grad(r, c),
                             (plus - minus) / (2 * eps), 1e-5);
@@ -211,24 +218,30 @@ TEST_P(KernelGradcheck, GaussianKldGradsMatchFiniteDifferences)
     for (std::size_t b = 0; b < mu_probes.size(); ++b) {
         Matrix &mu = mu_probes[b];
         Matrix &logvar = logvar_probes[b];
-        const KldResult kld = gaussianKld(mu, logvar);
+        KldResult kld{0.0, Matrix(), Matrix()};
+        gaussianKldInto(mu, logvar, kld);
+        KldResult probe{0.0, Matrix(), Matrix()};
+        const auto value = [&] {
+            gaussianKldInto(mu, logvar, probe);
+            return probe.value;
+        };
         const double eps = 1e-6;
         for (std::size_t r = 0; r < mu.rows(); ++r) {
             for (std::size_t c = 0; c < mu.cols(); ++c) {
                 double saved = mu(r, c);
                 mu(r, c) = saved + eps;
-                const double mu_plus = gaussianKld(mu, logvar).value;
+                const double mu_plus = value();
                 mu(r, c) = saved - eps;
-                const double mu_minus = gaussianKld(mu, logvar).value;
+                const double mu_minus = value();
                 mu(r, c) = saved;
                 EXPECT_NEAR(kld.gradMu(r, c),
                             (mu_plus - mu_minus) / (2 * eps), 1e-5);
 
                 saved = logvar(r, c);
                 logvar(r, c) = saved + eps;
-                const double lv_plus = gaussianKld(mu, logvar).value;
+                const double lv_plus = value();
                 logvar(r, c) = saved - eps;
-                const double lv_minus = gaussianKld(mu, logvar).value;
+                const double lv_minus = value();
                 logvar(r, c) = saved;
                 EXPECT_NEAR(kld.gradLogvar(r, c),
                             (lv_plus - lv_minus) / (2 * eps), 1e-5);

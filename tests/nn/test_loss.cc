@@ -11,11 +11,21 @@
 namespace vaesa::nn {
 namespace {
 
+/** The KLD of (mu, logvar), through a scratch result. */
+double
+kldValue(const Matrix &mu, const Matrix &logvar)
+{
+    KldResult r{0.0, Matrix(), Matrix()};
+    gaussianKldInto(mu, logvar, r);
+    return r.value;
+}
+
 TEST(MseLoss, KnownValue)
 {
     Matrix pred(1, 2, {1.0, 3.0});
     Matrix target(1, 2, {0.0, 1.0});
-    const LossResult r = mseLoss(pred, target);
+    LossResult r{0.0, Matrix()};
+    mseLossInto(pred, target, r);
     EXPECT_DOUBLE_EQ(r.value, (1.0 + 4.0) / 2.0);
     EXPECT_DOUBLE_EQ(r.grad(0, 0), 2.0 * 1.0 / 2.0);
     EXPECT_DOUBLE_EQ(r.grad(0, 1), 2.0 * 2.0 / 2.0);
@@ -24,14 +34,16 @@ TEST(MseLoss, KnownValue)
 TEST(MseLoss, ZeroWhenEqual)
 {
     Matrix m(2, 2, {1, 2, 3, 4});
-    const LossResult r = mseLoss(m, m);
+    LossResult r{0.0, Matrix()};
+    mseLossInto(m, m, r);
     EXPECT_DOUBLE_EQ(r.value, 0.0);
     EXPECT_DOUBLE_EQ(testing::maxAbs(r.grad), 0.0);
 }
 
 TEST(MseLoss, ShapeMismatchPanics)
 {
-    EXPECT_DEATH(mseLoss(Matrix(1, 2), Matrix(2, 1)), "mismatch");
+    LossResult r{0.0, Matrix()};
+    EXPECT_DEATH(mseLossInto(Matrix(1, 2), Matrix(2, 1), r), "mismatch");
 }
 
 TEST(MseLoss, GradientMatchesFiniteDifference)
@@ -41,7 +53,13 @@ TEST(MseLoss, GradientMatchesFiniteDifference)
     Matrix target(3, 4);
     pred.randomNormal(rng, 0.0, 1.0);
     target.randomNormal(rng, 0.0, 1.0);
-    const LossResult r = mseLoss(pred, target);
+    LossResult r{0.0, Matrix()};
+    mseLossInto(pred, target, r);
+    LossResult probe{0.0, Matrix()};
+    const auto loss = [&](const Matrix &p) {
+        mseLossInto(p, target, probe);
+        return probe.value;
+    };
     const double eps = 1e-6;
     for (std::size_t i = 0; i < 3; ++i) {
         for (std::size_t j = 0; j < 4; ++j) {
@@ -50,9 +68,7 @@ TEST(MseLoss, GradientMatchesFiniteDifference)
             Matrix minus = pred;
             minus(i, j) -= eps;
             const double numeric =
-                (mseLoss(plus, target).value -
-                 mseLoss(minus, target).value) /
-                (2.0 * eps);
+                (loss(plus) - loss(minus)) / (2.0 * eps);
             EXPECT_NEAR(r.grad(i, j), numeric, 1e-8);
         }
     }
@@ -62,7 +78,8 @@ TEST(GaussianKld, ZeroAtStandardNormal)
 {
     Matrix mu(2, 3);
     Matrix logvar(2, 3);
-    const KldResult r = gaussianKld(mu, logvar);
+    KldResult r{0.0, Matrix(), Matrix()};
+    gaussianKldInto(mu, logvar, r);
     EXPECT_NEAR(r.value, 0.0, 1e-14);
     EXPECT_NEAR(testing::maxAbs(r.gradMu), 0.0, 1e-14);
     EXPECT_NEAR(testing::maxAbs(r.gradLogvar), 0.0, 1e-14);
@@ -74,8 +91,7 @@ TEST(GaussianKld, KnownValue)
     // KLD = -0.5 (1 + 0 - 1 - 1) = 0.5.
     Matrix mu(1, 1, {1.0});
     Matrix logvar(1, 1, {0.0});
-    const KldResult r = gaussianKld(mu, logvar);
-    EXPECT_DOUBLE_EQ(r.value, 0.5);
+    EXPECT_DOUBLE_EQ(kldValue(mu, logvar), 0.5);
 }
 
 TEST(GaussianKld, AlwaysNonNegative)
@@ -86,7 +102,7 @@ TEST(GaussianKld, AlwaysNonNegative)
         Matrix logvar(4, 3);
         mu.randomNormal(rng, 0.0, 2.0);
         logvar.randomNormal(rng, 0.0, 1.0);
-        EXPECT_GE(gaussianKld(mu, logvar).value, -1e-12);
+        EXPECT_GE(kldValue(mu, logvar), -1e-12);
     }
 }
 
@@ -97,7 +113,8 @@ TEST(GaussianKld, GradientsMatchFiniteDifferences)
     Matrix logvar(2, 3);
     mu.randomNormal(rng, 0.0, 1.0);
     logvar.randomNormal(rng, 0.0, 0.5);
-    const KldResult r = gaussianKld(mu, logvar);
+    KldResult r{0.0, Matrix(), Matrix()};
+    gaussianKldInto(mu, logvar, r);
     const double eps = 1e-6;
     for (std::size_t i = 0; i < 2; ++i) {
         for (std::size_t j = 0; j < 3; ++j) {
@@ -106,8 +123,7 @@ TEST(GaussianKld, GradientsMatchFiniteDifferences)
             Matrix mm = mu;
             mm(i, j) -= eps;
             const double num_mu =
-                (gaussianKld(mp, logvar).value -
-                 gaussianKld(mm, logvar).value) /
+                (kldValue(mp, logvar) - kldValue(mm, logvar)) /
                 (2.0 * eps);
             EXPECT_NEAR(r.gradMu(i, j), num_mu, 1e-7);
 
@@ -116,9 +132,7 @@ TEST(GaussianKld, GradientsMatchFiniteDifferences)
             Matrix lm = logvar;
             lm(i, j) -= eps;
             const double num_lv =
-                (gaussianKld(mu, lp).value -
-                 gaussianKld(mu, lm).value) /
-                (2.0 * eps);
+                (kldValue(mu, lp) - kldValue(mu, lm)) / (2.0 * eps);
             EXPECT_NEAR(r.gradLogvar(i, j), num_lv, 1e-7);
         }
     }
@@ -130,8 +144,7 @@ TEST(GaussianKld, ScalesInverselyWithBatch)
     Matrix lv1(1, 2, {0.2, -0.2});
     Matrix mu2(2, 2, {1.0, -1.0, 1.0, -1.0});
     Matrix lv2(2, 2, {0.2, -0.2, 0.2, -0.2});
-    EXPECT_NEAR(gaussianKld(mu1, lv1).value,
-                gaussianKld(mu2, lv2).value, 1e-12);
+    EXPECT_NEAR(kldValue(mu1, lv1), kldValue(mu2, lv2), 1e-12);
 }
 
 } // namespace

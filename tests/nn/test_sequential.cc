@@ -94,5 +94,72 @@ TEST(MakeMlp, DeterministicForSeed)
     EXPECT_TRUE(a->forward(x) == b->forward(x));
 }
 
+// The module.hh buffer contract: a forward() result is a buffer the
+// module owns. Its address holds across forwards at the same or a
+// smaller batch, and another module's forward leaves its values alone.
+
+TEST(ModuleOutputBuffer, LinearOutputKeepsItsAddress)
+{
+    Rng rng(8);
+    Linear layer(5, 3, rng);
+    Matrix x(8, 5);
+    x.randomNormal(rng, 0.0, 1.0);
+    const Matrix &first = layer.forward(x);
+    const double *storage = first.data();
+    EXPECT_EQ(&layer.forward(x), &first);
+    EXPECT_EQ(first.data(), storage);
+
+    Matrix smaller(3, 5);
+    smaller.randomNormal(rng, 0.0, 1.0);
+    EXPECT_EQ(&layer.forward(smaller), &first);
+    EXPECT_EQ(first.data(), storage);
+    EXPECT_EQ(first.rows(), 3u);
+}
+
+TEST(ModuleOutputBuffer, SequentialOutputKeepsItsAddress)
+{
+    Rng rng(9);
+    auto net = makeMlp(4, {16, 8}, 2, rng, OutputActivation::Sigmoid);
+    Matrix x(8, 4);
+    x.randomNormal(rng, 0.0, 1.0);
+    const Matrix &first = net->forward(x);
+    const double *storage = first.data();
+    EXPECT_EQ(&net->forward(x), &first);
+    EXPECT_EQ(first.data(), storage);
+
+    Matrix smaller(1, 4);
+    smaller.randomNormal(rng, 0.0, 1.0);
+    EXPECT_EQ(&net->forward(smaller), &first);
+    EXPECT_EQ(first.data(), storage);
+    EXPECT_EQ(first.rows(), 1u);
+}
+
+TEST(ModuleOutputBuffer, OutputSurvivesOtherModulesForward)
+{
+    // The VAE's shape: one trunk output read by two standalone heads,
+    // then another chain runs before the trunk output is read again.
+    Rng rng(10);
+    auto trunk = makeMlp(6, {16}, 8, rng);
+    Linear mu_head(8, 3, rng, "mu");
+    Linear logvar_head(8, 3, rng, "logvar");
+    auto decoder = makeMlp(3, {16}, 6, rng, OutputActivation::Sigmoid);
+    Matrix x(5, 6);
+    x.randomNormal(rng, 0.0, 1.0);
+
+    const Matrix &hidden = trunk->forward(x);
+    const Matrix hidden_copy = hidden;
+    const Matrix &mu = mu_head.forward(hidden);
+    const Matrix mu_copy = mu;
+    const Matrix &logvar = logvar_head.forward(hidden);
+    EXPECT_TRUE(hidden == hidden_copy);
+    EXPECT_TRUE(mu == mu_copy);
+
+    const Matrix logvar_copy = logvar;
+    decoder->forward(mu);
+    EXPECT_TRUE(hidden == hidden_copy);
+    EXPECT_TRUE(mu == mu_copy);
+    EXPECT_TRUE(logvar == logvar_copy);
+}
+
 } // namespace
 } // namespace vaesa::nn

@@ -4,8 +4,7 @@
  *  GEMM-vs-reference equivalence within the documented tolerance
  *  (including NaN/Inf operands -- the old zero-skip sparsity
  *  shortcut masked their propagation), exact agreement of the
- *  reference orientations, run-to-run determinism, and workspace
- *  arena growth stability. */
+ *  reference orientations, and run-to-run determinism. */
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "../common/reference_adam.hh"
 #include "../common/reference_gemm.hh"
 #include "tensor/kernels/kernels.hh"
-#include "tensor/kernels/workspace.hh"
 #include "tensor/matrix.hh"
 #include "util/rng.hh"
 
@@ -62,14 +60,13 @@ multiplyTransA(const Matrix &a, const Matrix &b, bool ref = false)
     return c;
 }
 
-/** C = A * B^T. */
+/** C = A * B^T by the reference (the tuned forward is linearForward). */
 Matrix
-multiplyTransB(const Matrix &a, const Matrix &b, bool ref = false)
+referenceTransB(const Matrix &a, const Matrix &b)
 {
     Matrix c(a.rows(), b.rows());
-    const Gemm gemm = ref ? reference::gemmTransB : kernels::gemmTransB;
-    gemm(a.rows(), b.rows(), a.cols(), a.data(), b.data(), c.data(),
-         false);
+    reference::gemmTransB(a.rows(), b.rows(), a.cols(), a.data(),
+                          b.data(), c.data(), false);
     return c;
 }
 
@@ -153,57 +150,46 @@ struct OracleRun
  * output, the scalar chain it must equal. C = A * B with A (m x k),
  * B (k x n) in the orientation's own storage. With @p isa the same
  * operands go through that micro-kernel by name (kernels::gemmOn),
- * whatever kernels::gemmIsa() picked: transB and linearForward as
- * the plain orientation over B^T, which is what those entry points
- * run after their transpose.
+ * whatever kernels::gemmIsa() picked: linearForward as the plain
+ * orientation over W^T, which is what it runs after its transpose.
  */
 std::vector<OracleRun>
 oracleRuns(std::size_t m, std::size_t n, std::size_t k, Rng &rng,
            std::optional<kernels::GemmIsa> isa = std::nullopt)
 {
-    const Matrix a = randomMatrix(m, k, rng);   // gemm, transB, x
+    const Matrix a = randomMatrix(m, k, rng);   // gemm's A, x
     const Matrix at = randomMatrix(k, m, rng);  // transA's A
     const Matrix b = randomMatrix(k, n, rng);   // gemm, transA
-    const Matrix bt = randomMatrix(n, k, rng);  // transB's B, W
+    const Matrix bt = randomMatrix(n, k, rng);  // W
     const Matrix c0 = randomMatrix(m, n, rng);  // accumulate init
     const Matrix bias = randomMatrix(1, n, rng);
     const Matrix btt = transposed(bt);
 
     std::vector<OracleRun> runs;
     for (const bool accumulate : {false, true}) {
-        for (int orientation = 0; orientation < 3; ++orientation) {
+        for (const bool trans_a : {false, true}) {
             Matrix c = c0;
             OracleRun run;
             const double *init = accumulate ? c0.data() : nullptr;
             if (isa)
                 EXPECT_TRUE(kernels::gemmOn(
-                    *isa, m, n, k,
-                    orientation == 1 ? at.data() : a.data(),
-                    orientation == 1 ? 1 : k, orientation == 1 ? m : 1,
-                    orientation == 2 ? btt.data() : b.data(), init, n,
-                    c.data()));
-            else if (orientation == 0)
-                kernels::gemm(m, n, k, a.data(), b.data(), c.data(),
-                              accumulate);
-            else if (orientation == 1)
+                    *isa, m, n, k, trans_a ? at.data() : a.data(),
+                    trans_a ? 1 : k, trans_a ? m : 1, b.data(), init,
+                    n, c.data()));
+            else if (trans_a)
                 kernels::gemmTransA(m, n, k, at.data(), b.data(),
                                     c.data(), accumulate);
             else
-                kernels::gemmTransB(m, n, k, a.data(), bt.data(),
-                                    c.data(), accumulate);
+                kernels::gemm(m, n, k, a.data(), b.data(), c.data(),
+                              accumulate);
             for (std::size_t i = 0; i < m; ++i) {
                 for (std::size_t j = 0; j < n; ++j) {
                     const double init = accumulate ? c0(i, j) : 0.0;
-                    double want = 0.0;
-                    if (orientation == 0)
-                        want = fmaChain(k, a.data() + i * k, 1,
-                                        b.data() + j, n, init);
-                    else if (orientation == 1)
-                        want = fmaChain(k, at.data() + i, m,
-                                        b.data() + j, n, init);
-                    else
-                        want = fmaChain(k, a.data() + i * k, 1,
-                                        bt.data() + j * k, 1, init);
+                    const double want =
+                        trans_a ? fmaChain(k, at.data() + i, m,
+                                           b.data() + j, n, init)
+                                : fmaChain(k, a.data() + i * k, 1,
+                                           b.data() + j, n, init);
                     run.got.push_back(c(i, j));
                     run.want.push_back(want);
                 }
@@ -505,33 +491,28 @@ TEST(Kernels, BlockedMatchesNaiveWithinTolerance)
     for (const auto &s : shapes) {
         const Matrix a = randomMatrix(s[0], s[2], rng);
         const Matrix b = randomMatrix(s[2], s[1], rng);
-        const Matrix bt = randomMatrix(s[1], s[2], rng);
         const Matrix at = randomMatrix(s[2], s[0], rng);
 
         const Matrix c_ref = multiply(a, b, true);
-        const Matrix cb_ref = multiplyTransB(a, bt, true);
         const Matrix ca_ref = multiplyTransA(at, b, true);
 
         // The reference keeps the baseline flags and one summation
         // order, so its three orientations agree bit for bit -- that
         // is what makes it the ground truth.
         expectSameValues(multiplyTransA(transposed(a), b, true), c_ref);
-        expectSameValues(multiplyTransB(a, transposed(b), true), c_ref);
+        expectSameValues(referenceTransB(a, transposed(b)), c_ref);
 
         const Matrix c = multiply(a, b);
-        const Matrix cb = multiplyTransB(a, bt);
         const Matrix ca = multiplyTransA(at, b);
 
         // The kernels accumulate in the same increasing-k order but
         // with fused multiply-adds, so they are only required to sit
         // inside the documented tolerance.
         expectWithinTolerance(c, c_ref, kBlockedTol);
-        expectWithinTolerance(cb, cb_ref, kBlockedTol);
         expectWithinTolerance(ca, ca_ref, kBlockedTol);
 
         // The results are bit-identical run to run.
         EXPECT_TRUE(c == multiply(a, b));
-        EXPECT_TRUE(cb == multiplyTransB(a, bt));
         EXPECT_TRUE(ca == multiplyTransA(at, b));
     }
 }
@@ -552,15 +533,15 @@ TEST(Kernels, LinearForwardFusesBiasCorrectly)
 
         // Accumulators seeded with the bias, then the increasing-k
         // fma chain: the fused forward is exactly the accumulating
-        // transB GEMM over bias rows, and within the documented FMA
+        // GEMM over W^T and bias rows, and within the documented FMA
         // tolerance of the reference doing the same.
         Matrix seeded(batch, 32);
         for (std::size_t r = 0; r < batch; ++r)
             for (std::size_t j = 0; j < 32; ++j)
                 seeded(r, j) = b(0, j);
         Matrix y_gemm = seeded;
-        kernels::gemmTransB(batch, 32, 6, x.data(), w.data(),
-                            y_gemm.data(), true);
+        kernels::gemm(batch, 32, 6, x.data(), transposed(w).data(),
+                      y_gemm.data(), true);
         Matrix y_ref = seeded;
         reference::gemmTransB(batch, 32, 6, x.data(), w.data(),
                               y_ref.data(), true);
@@ -605,59 +586,6 @@ TEST(Kernels, NanAndInfPropagateAcrossZeros)
     for (std::size_t r = 0; r < ct.rows(); ++r)
         for (std::size_t col = 0; col < ct.cols(); ++col)
             EXPECT_TRUE(std::isnan(ct(r, col)));
-
-    // And A * B^T.
-    const Matrix cbt = multiplyTransB(a, transposed(b));
-    expectSameValues(cbt, multiplyTransB(a, transposed(b), true));
-}
-
-TEST(Workspace, GrowthStopsAfterWarmup)
-{
-    kernels::Workspace ws;
-    const std::size_t base = ws.reserveSlots(2);
-    EXPECT_EQ(base, 0u);
-    EXPECT_EQ(ws.slotCount(), 2u);
-
-    ws.buffer(0, 8, 8);
-    ws.buffer(1, 4, 4);
-    const std::uint64_t after_first = ws.growthEvents();
-    EXPECT_GE(after_first, 2u);
-
-    // Re-requesting the same or smaller shapes must not grow.
-    ws.buffer(0, 8, 8);
-    ws.buffer(0, 2, 8);
-    ws.buffer(1, 1, 16); // same element count, reshaped
-    EXPECT_EQ(ws.growthEvents(), after_first);
-
-    // A larger request grows once, then is stable again.
-    ws.buffer(0, 16, 16);
-    const std::uint64_t after_growth = ws.growthEvents();
-    EXPECT_GT(after_growth, after_first);
-    ws.buffer(0, 16, 16);
-    ws.buffer(0, 8, 8);
-    EXPECT_EQ(ws.growthEvents(), after_growth);
-}
-
-TEST(Workspace, SlotsAreStableAcrossLaterReservations)
-{
-    kernels::Workspace ws;
-    const std::size_t first = ws.reserveSlots(1);
-    Matrix &a = ws.buffer(first, 4, 4);
-    a.fill(7.0);
-    // A second reservation (another module attaching) must not move
-    // the first module's buffers.
-    const std::size_t second = ws.reserveSlots(3);
-    EXPECT_EQ(second, 1u);
-    ws.buffer(second + 2, 32, 32);
-    EXPECT_EQ(&ws.buffer(first, 4, 4), &a);
-    EXPECT_EQ(a(0, 0), 7.0);
-}
-
-TEST(WorkspaceDeathTest, OutOfRangeSlotPanics)
-{
-    kernels::Workspace ws;
-    ws.reserveSlots(1);
-    EXPECT_DEATH(ws.buffer(5, 1, 1), "slot");
 }
 
 } // namespace

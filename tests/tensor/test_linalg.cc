@@ -8,7 +8,7 @@
 #include <limits>
 #include <string>
 
-#include "tensor/kernels/kernels.hh"
+#include "../common/reference_gemm.hh"
 #include "tensor/linalg.hh"
 #include "util/rng.hh"
 
@@ -20,8 +20,8 @@ Matrix
 timesOwnTranspose(const Matrix &b)
 {
     Matrix c(b.rows(), b.rows());
-    kernels::gemmTransB(b.rows(), b.rows(), b.cols(), b.data(), b.data(),
-                        c.data());
+    reference::gemmTransB(b.rows(), b.rows(), b.cols(), b.data(),
+                          b.data(), c.data());
     return c;
 }
 

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "../common/reference_gemm.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/matrix.hh"
 #include "util/rng.hh"
@@ -112,7 +113,7 @@ TEST(Matrix, TransposedVariantsAgreeWithExplicitTranspose)
     Matrix via_t(4, 3);
     kernels::gemm(4, 3, 5, a.data(), bt.data(), via_t.data());
     Matrix direct(4, 3);
-    kernels::gemmTransB(4, 3, 5, a.data(), b.data(), direct.data());
+    reference::gemmTransB(4, 3, 5, a.data(), b.data(), direct.data());
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 3; ++c)
             EXPECT_NEAR(via_t(r, c), direct(r, c), 1e-12);

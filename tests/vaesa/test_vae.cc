@@ -27,7 +27,8 @@ TEST(Vae, ForwardShapes)
     Vae vae(smallOptions(), rng);
     Matrix x(5, 6);
     x.randomUniform(rng, 0.0, 1.0);
-    const auto fr = vae.forward(x, rng);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, rng, true, fr);
     EXPECT_EQ(fr.mu.rows(), 5u);
     EXPECT_EQ(fr.mu.cols(), 3u);
     EXPECT_EQ(fr.logvar.cols(), 3u);
@@ -42,7 +43,8 @@ TEST(Vae, ReconstructionIsInUnitInterval)
     Vae vae(smallOptions(), rng);
     Matrix x(8, 6);
     x.randomUniform(rng, 0.0, 1.0);
-    const auto fr = vae.forward(x, rng);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, rng, true, fr);
     for (std::size_t r = 0; r < fr.recon.rows(); ++r) {
         for (std::size_t c = 0; c < fr.recon.cols(); ++c) {
             EXPECT_GT(fr.recon(r, c), 0.0);
@@ -57,7 +59,8 @@ TEST(Vae, DeterministicPassUsesMu)
     Vae vae(smallOptions(), rng);
     Matrix x(2, 6);
     x.randomUniform(rng, 0.0, 1.0);
-    const auto fr = vae.forward(x, rng, false);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, rng, false, fr);
     EXPECT_TRUE(fr.z == fr.mu);
     EXPECT_TRUE(fr.eps == Matrix(fr.mu.rows(), fr.mu.cols()));
 }
@@ -68,7 +71,8 @@ TEST(Vae, SampledPassDiffersFromMu)
     Vae vae(smallOptions(), rng);
     Matrix x(2, 6);
     x.randomUniform(rng, 0.0, 1.0);
-    const auto fr = vae.forward(x, rng, true);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, rng, true, fr);
     EXPECT_FALSE(fr.z == fr.mu);
 }
 
@@ -78,7 +82,8 @@ TEST(Vae, EncodeMeanMatchesForwardMu)
     Vae vae(smallOptions(), rng);
     Matrix x(3, 6);
     x.randomUniform(rng, 0.0, 1.0);
-    const auto fr = vae.forward(x, rng, false);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, rng, false, fr);
     EXPECT_TRUE(vae.encodeMean(x) == fr.mu);
 }
 
@@ -88,7 +93,8 @@ TEST(Vae, DecodeMatchesForwardReconInDeterministicMode)
     Vae vae(smallOptions(), rng);
     Matrix x(3, 6);
     x.randomUniform(rng, 0.0, 1.0);
-    const auto fr = vae.forward(x, rng, false);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, rng, false, fr);
     EXPECT_TRUE(vae.decode(fr.mu) == fr.recon);
 }
 
@@ -121,7 +127,8 @@ TEST(Vae, BackwardMatchesFiniteDifferences)
     const double alpha = 0.1;
 
     // Fix eps by running one sampled pass and reusing its noise.
-    auto fr0 = vae.forward(x, rng, true);
+    Vae::ForwardResult fr0;
+    vae.forwardInto(x, rng, true, fr0);
     const Matrix eps = fr0.eps;
 
     // Deterministic loss for a given parameter setting, reusing eps.
@@ -131,26 +138,28 @@ TEST(Vae, BackwardMatchesFiniteDifferences)
         // only gives mu, so run a full forward with zeroed noise and
         // rebuild z = mu + exp(logvar/2)*eps manually.
         Rng quiet(0);
-        const auto det = vae.forward(x, quiet, false);
+        Vae::ForwardResult det;
+        vae.forwardInto(x, quiet, false, det);
         Matrix z = det.mu;
         for (std::size_t r = 0; r < z.rows(); ++r)
             for (std::size_t c = 0; c < z.cols(); ++c)
                 z(r, c) += std::exp(0.5 * det.logvar(r, c)) *
                            eps(r, c);
-        const Matrix recon = vae.decode(z);
-        const double recon_loss = nn::mseLoss(recon, x).value;
-        const double kld =
-            nn::gaussianKld(det.mu, det.logvar).value;
+        nn::LossResult recon{0.0, Matrix()};
+        nn::mseLossInto(vae.decode(z), x, recon);
+        nn::KldResult kld{0.0, Matrix(), Matrix()};
+        nn::gaussianKldInto(det.mu, det.logvar, kld);
         double zsq = 0.0;
         for (std::size_t r = 0; r < z.rows(); ++r)
             for (std::size_t c = 0; c < z.cols(); ++c)
                 zsq += z(r, c) * z(r, c);
-        return recon_loss + alpha * kld + zsq;
+        return recon.value + alpha * kld.value + zsq;
     };
 
     // Analytic gradients via one forward/backward with the same eps.
     Rng quiet(0);
-    auto fr = vae.forward(x, quiet, false);
+    Vae::ForwardResult fr;
+    vae.forwardInto(x, quiet, false, fr);
     fr.eps = eps;
     fr.z = fr.mu;
     for (std::size_t r = 0; r < fr.z.rows(); ++r)
@@ -159,18 +168,18 @@ TEST(Vae, BackwardMatchesFiniteDifferences)
                           eps(r, c);
     fr.recon = vae.decode(fr.z);
 
-    const nn::LossResult recon = nn::mseLoss(fr.recon, x);
-    const nn::KldResult kld = nn::gaussianKld(fr.mu, fr.logvar);
-    Matrix grad_mu = kld.gradMu;
-    grad_mu.scale(alpha);
-    Matrix grad_logvar = kld.gradLogvar;
-    grad_logvar.scale(alpha);
+    nn::LossResult recon{0.0, Matrix()};
+    nn::mseLossInto(fr.recon, x, recon);
+    nn::KldResult kld{0.0, Matrix(), Matrix()};
+    nn::gaussianKldInto(fr.mu, fr.logvar, kld);
+    kld.gradMu.scale(alpha);
+    kld.gradLogvar.scale(alpha);
     Matrix grad_z = fr.z;
     grad_z.scale(2.0);
 
     for (nn::Parameter *p : vae.parameters())
         p->zeroGrad();
-    vae.backward(fr, recon.grad, grad_mu, grad_logvar, grad_z);
+    vae.backward(fr, recon.grad, kld.gradMu, kld.gradLogvar, grad_z);
 
     const double eps_fd = 1e-6;
     double worst = 0.0;
