@@ -43,6 +43,15 @@ netFailure(LoadError::Kind kind, std::string message)
  */
 constexpr std::uint64_t recvSpinWindowNs = 50000;
 
+/**
+ * How many bytes a frame read asks one recv() for. A ScoreConfig
+ * request or reply is ~100-200 bytes, so one call takes a whole frame
+ * and any that follow it on the connection; the largest valid frame
+ * (a 4 KiB message or reload path) takes two. The buffer is
+ * allocated by the first read of the socket.
+ */
+constexpr std::size_t readBufferBytes = 4096;
+
 /** Receive-spin outcomes, one per frame read. */
 struct RecvSpinMetrics
 {
@@ -80,67 +89,109 @@ spinCanPay()
     return multiCpu;
 }
 
-/** What the reads of one frame have seen so far. */
-struct FrameProgress
+std::uint32_t
+loadU32(const char *bytes)
 {
-    /** A read of this frame has fallen through to poll(). */
-    bool polled = false;
-    bool sawAnyByte = false;
-};
-
-/** The error for a peer close after @p got bytes of this read. */
-LoadError
-closedError(std::size_t got, const FrameProgress &progress)
-{
-    const bool clean = got == 0 && !progress.sawAnyByte;
-    return netFailure(clean ? LoadError::Kind::OpenFailed
-                            : LoadError::Kind::Truncated,
-                      clean ? "closed" : "connection closed mid-frame");
+    std::uint32_t value = 0;
+    std::memcpy(&value, bytes, sizeof(value));
+    return value;
 }
 
+} // namespace
+
 /**
- * Read exactly n bytes. On a host with more than one CPU, first try
- * non-blocking recv()s, yielding between tries, until the bytes are
- * in or recvSpinWindowNs has passed since the call began; then (or
- * straight away on one CPU) poll in slices so cancellation and the
- * overall timeout are both observed between reads. The idle budget
- * is recomputed from the monotonic clock on every wakeup: poll/recv
- * interruptions (EINTR / EAGAIN / spurious readiness) consume real
- * elapsed time rather than being charged a whole slice (a signal
- * storm used to burn the budget in microseconds) or no time at all
- * (an interrupted recv used to restart the slice and could overstay
- * the deadline indefinitely). Progress still resets the idle clock —
- * timeoutMs bounds the wait since the LAST byte, not the whole read.
- * The spin window counts against the idle budget like any wait.
+ * The reads of one frame. Each takes the socket's buffered bytes
+ * first. When it needs more, it waits as described below, and each
+ * recv() asks for up to readBufferBytes into the socket's buffer:
+ * the bytes this read needs are copied out, and any past them stay
+ * buffered for the next read.
  */
-std::optional<LoadError>
-readExactly(const Socket &socket, char *dst, std::size_t n,
-            int timeoutMs, const CancelToken *cancel, int sliceMs,
-            FrameProgress *progress)
+class FrameReader
 {
-    std::size_t got = 0;
+  public:
+    FrameReader(const Socket &socket, int timeoutMs,
+                const CancelToken *cancel, int sliceMs)
+        : socket_(socket), timeoutMs_(timeoutMs), sliceMs_(sliceMs),
+          cancel_(cancel)
+    {
+    }
+
+    /**
+     * Read exactly n bytes into @p dst. An expired token fails the
+     * read before it takes any byte. On a host with more than one
+     * CPU, first try non-blocking recv()s, yielding between tries,
+     * until the bytes are in or recvSpinWindowNs has passed since
+     * the call began; then (or straight away on one CPU) poll in
+     * slices so cancellation and the overall timeout are both
+     * observed between reads. The idle budget is recomputed from the
+     * monotonic clock on every wakeup: poll/recv interruptions
+     * (EINTR / EAGAIN / spurious readiness) consume real elapsed
+     * time rather than being charged a whole slice (a signal storm
+     * used to burn the budget in microseconds) or no time at all (an
+     * interrupted recv used to restart the slice and could overstay
+     * the deadline indefinitely). Progress still resets the idle
+     * clock -- timeoutMs bounds the wait since the LAST byte, not the
+     * whole read. The spin window counts against the idle budget
+     * like any wait.
+     */
+    std::optional<LoadError> readExactly(char *dst, std::size_t n);
+
+    /** True once a read of this frame has fallen through to poll(). */
+    bool polled() const { return polled_; }
+
+  private:
+    /** Copy up to @p n buffered bytes into @p dst; the count. */
+    std::size_t takeBuffered(char *dst, std::size_t n);
+
+    /**
+     * One recv() toward @p n more bytes (the buffer is empty: the
+     * read took it first). @return the bytes delivered into @p dst,
+     * at most @p n; 0 on peer close; -1 with errno set.
+     */
+    ssize_t receive(char *dst, std::size_t n, int flags);
+
+    /** The error for a peer close: clean before the frame's first
+     *  byte, a truncated frame after it. */
+    LoadError closedError() const;
+
+    const Socket &socket_;
+    int timeoutMs_;
+    int sliceMs_;
+    const CancelToken *cancel_;
+    /** A read of this frame has fallen through to poll(). */
+    bool polled_ = false;
+    /** A read of this frame has taken a byte (buffered or not). */
+    bool sawAnyByte_ = false;
+};
+
+std::optional<LoadError>
+FrameReader::readExactly(char *dst, std::size_t n)
+{
+    if (n == 0)
+        return std::nullopt;
+    if (cancel_ && cancel_->expired())
+        return netFailure(LoadError::Kind::OpenFailed, "cancelled");
+    std::size_t got = takeBuffered(dst, n);
+    if (got == n)
+        return std::nullopt;
     const std::uint64_t budgetNs =
-        static_cast<std::uint64_t>(timeoutMs) * 1000000ull;
+        static_cast<std::uint64_t>(timeoutMs_) * 1000000ull;
     std::uint64_t idleSinceNs = metrics::monotonicNowNs();
     auto advance = [&](ssize_t r) {
         got += static_cast<std::size_t>(r);
-        progress->sawAnyByte = true;
+        sawAnyByte_ = true;
         idleSinceNs = metrics::monotonicNowNs(); // progress resets
     };
-    if (spinCanPay() && n > 0) {
-        if (cancel && cancel->expired())
-            return netFailure(LoadError::Kind::OpenFailed,
-                              "cancelled");
+    if (spinCanPay()) {
         const std::uint64_t spinEndNs = idleSinceNs + recvSpinWindowNs;
         while (got < n) {
-            const ssize_t r = ::recv(socket.fd(), dst + got, n - got,
-                                     MSG_DONTWAIT);
+            const ssize_t r = receive(dst + got, n - got, MSG_DONTWAIT);
             if (r > 0) {
                 advance(r);
                 continue;
             }
             if (r == 0)
-                return closedError(got, *progress);
+                return closedError();
             if (errno != EINTR && errno != EAGAIN &&
                 errno != EWOULDBLOCK)
                 return netError(LoadError::Kind::OpenFailed, "recv");
@@ -149,12 +200,12 @@ readExactly(const Socket &socket, char *dst, std::size_t n,
             ::sched_yield();
         }
     }
-    if (got < n && !progress->polled) {
-        progress->polled = true;
+    if (got < n && !polled_) {
+        polled_ = true;
         recvSpinMetrics().misses.inc();
     }
     while (got < n) {
-        if (cancel && cancel->expired())
+        if (cancel_ && cancel_->expired())
             return netFailure(LoadError::Kind::OpenFailed,
                               "cancelled");
         const std::uint64_t idleNs =
@@ -168,16 +219,15 @@ readExactly(const Socket &socket, char *dst, std::size_t n,
         const int remainMs =
             static_cast<int>((budgetNs - idleNs) / 1000000ull);
         const int ready = waitReadable(
-            socket,
-            std::clamp(remainMs, 1, std::max(1, sliceMs)));
+            socket_, std::clamp(remainMs, 1, std::max(1, sliceMs_)));
         if (ready < 0)
             return netFailure(LoadError::Kind::OpenFailed,
                               "poll failed on connection");
         if (ready == 0)
             continue; // timeout or EINTR: the clock above decides
-        const ssize_t r = ::recv(socket.fd(), dst + got, n - got, 0);
+        const ssize_t r = receive(dst + got, n - got, 0);
         if (r == 0)
-            return closedError(got, *progress);
+            return closedError();
         if (r < 0) {
             if (errno == EINTR || errno == EAGAIN ||
                 errno == EWOULDBLOCK)
@@ -189,15 +239,49 @@ readExactly(const Socket &socket, char *dst, std::size_t n,
     return std::nullopt;
 }
 
-std::uint32_t
-loadU32(const char *bytes)
+std::size_t
+FrameReader::takeBuffered(char *dst, std::size_t n)
 {
-    std::uint32_t value = 0;
-    std::memcpy(&value, bytes, sizeof(value));
-    return value;
+    Socket::Received &rx = socket_.received_;
+    const std::size_t take = std::min(n, rx.end - rx.begin);
+    if (take == 0)
+        return 0;
+    std::memcpy(dst, rx.bytes.get() + rx.begin, take);
+    rx.begin += take;
+    if (rx.begin == rx.end)
+        rx.begin = rx.end = 0;
+    sawAnyByte_ = true;
+    return take;
 }
 
-} // namespace
+ssize_t
+FrameReader::receive(char *dst, std::size_t n, int flags)
+{
+    Socket::Received &rx = socket_.received_;
+    if (!rx.bytes)
+        rx.bytes = std::make_unique<char[]>(readBufferBytes);
+    const ssize_t r =
+        ::recv(socket_.fd(), rx.bytes.get(), readBufferBytes, flags);
+    if (r <= 0)
+        return r;
+    const std::size_t got = static_cast<std::size_t>(r);
+    const std::size_t take = std::min(got, n);
+    std::memcpy(dst, rx.bytes.get(), take);
+    if (take < got) { // the start of the next frame: keep it
+        rx.begin = take;
+        rx.end = got;
+    }
+    return static_cast<ssize_t>(take);
+}
+
+LoadError
+FrameReader::closedError() const
+{
+    const bool clean = !sawAnyByte_;
+    return netFailure(clean ? LoadError::Kind::OpenFailed
+                            : LoadError::Kind::Truncated,
+                      clean ? "closed" : "connection closed mid-frame");
+}
 
 void
 Socket::close()
@@ -206,6 +290,7 @@ Socket::close()
         ::close(fd_);
         fd_ = -1;
     }
+    received_ = {};
 }
 
 Expected<Socket>
@@ -345,27 +430,26 @@ recvFrame(const Socket &socket, int timeoutMs,
 
     // Frame prefix: magic, version, payloadSize, crc (4 x u32).
     constexpr std::size_t prefixBytes = 16;
-    std::string frame(prefixBytes, '\0');
-    FrameProgress progress;
-    if (auto err = readExactly(socket, frame.data(), prefixBytes,
-                               timeoutMs, cancel, sliceMs, &progress))
+    char prefix[prefixBytes];
+    FrameReader reader(socket, timeoutMs, cancel, sliceMs);
+    if (auto err = reader.readExactly(prefix, prefixBytes))
         return *err;
 
-    if (loadU32(frame.data()) != wireMagic)
+    if (loadU32(prefix) != wireMagic)
         return netFailure(LoadError::Kind::BadMagic,
                           "bad frame magic");
-    const std::uint32_t payloadSize = loadU32(frame.data() + 8);
+    const std::uint32_t payloadSize = loadU32(prefix + 8);
     if (prefixBytes + static_cast<std::size_t>(payloadSize) >
         maxFrameBytes)
         return netFailure(LoadError::Kind::Malformed,
                           "frame exceeds size cap");
 
-    frame.resize(prefixBytes + payloadSize);
-    if (auto err = readExactly(socket, frame.data() + prefixBytes,
-                               payloadSize, timeoutMs, cancel,
-                               sliceMs, &progress))
+    std::string frame(prefixBytes + payloadSize, '\0');
+    std::memcpy(frame.data(), prefix, prefixBytes);
+    if (auto err = reader.readExactly(frame.data() + prefixBytes,
+                                      payloadSize))
         return *err;
-    if (!progress.polled)
+    if (!reader.polled())
         recvSpinMetrics().hits.inc();
     return frame;
 }

@@ -18,9 +18,12 @@
 #ifndef VAESA_SERVE_NET_HH
 #define VAESA_SERVE_NET_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "util/deadline.hh"
 #include "util/load_error.hh"
@@ -28,7 +31,15 @@
 namespace vaesa {
 namespace serve {
 
-/** Move-only RAII owner of one socket descriptor. */
+class FrameReader;
+
+/**
+ * Move-only RAII owner of one socket descriptor and of its read
+ * buffer: the bytes a frame read received past the end of its frame
+ * (the start of the next frames), which the next recvFrame() takes
+ * before it calls recv() again. Moving carries the buffer; close()
+ * drops it.
+ */
 class Socket
 {
   public:
@@ -40,9 +51,10 @@ class Socket
 
     ~Socket() { close(); }
 
-    Socket(Socket &&other) noexcept : fd_(other.fd_)
+    Socket(Socket &&other) noexcept
+        : fd_(std::exchange(other.fd_, -1)),
+          received_(std::exchange(other.received_, {}))
     {
-        other.fd_ = -1;
     }
 
     Socket &
@@ -50,8 +62,8 @@ class Socket
     {
         if (this != &other) {
             close();
-            fd_ = other.fd_;
-            other.fd_ = -1;
+            fd_ = std::exchange(other.fd_, -1);
+            received_ = std::exchange(other.received_, {});
         }
         return *this;
     }
@@ -65,11 +77,26 @@ class Socket
     /** True when a descriptor is owned. */
     bool valid() const { return fd_ >= 0; }
 
-    /** Close the descriptor now (idempotent). */
+    /** Close the descriptor now and drop any buffered bytes
+     *  (idempotent). */
     void close();
 
   private:
+    friend class FrameReader;
+
+    /** Received bytes not yet handed out: [begin, end) of bytes. */
+    struct Received
+    {
+        /** Allocated by the first frame read that buffers. */
+        std::unique_ptr<char[]> bytes;
+        std::size_t begin = 0;
+        std::size_t end = 0;
+    };
+
     int fd_ = -1;
+    /** Mutable like the kernel receive queue, which a read through a
+     *  const Socket drains too. */
+    mutable Received received_;
 };
 
 /** Bind + listen on a Unix-domain socket path (unlinking any stale
@@ -87,7 +114,8 @@ Expected<std::uint16_t> boundPort(const Socket &listener);
 Expected<Socket> connectTcp(std::uint16_t port);
 
 /**
- * Wait until @p socket is readable.
+ * Wait until @p socket's descriptor is readable. Bytes a frame read
+ * left in the socket's read buffer do not count.
  * @return 1 ready, 0 timeout, -1 error/hangup-with-nothing-to-read.
  */
 int waitReadable(const Socket &socket, int timeoutMs);
@@ -106,22 +134,28 @@ std::optional<LoadError> sendFrame(const Socket &socket,
 
 /**
  * Receive one complete frame image (16-byte frame prefix, then the
- * payload). Each of the two reads first tries non-blocking recv()s,
- * yielding the CPU between tries, for a short fixed window (spin then
- * block): a reply that lands within it is read without the reader
- * sleeping and being woken. A process whose CPU affinity holds one
- * CPU does not spin. After the window the read blocks in poll()
- * slices of at most @p sliceMs so the @p cancel token (when given)
- * is observed between slices -- a draining server stops waiting on
- * idle connections promptly. The token is also checked before the
- * spin, so an expired token consumes no byte.
+ * payload). Bytes left in the socket's read buffer by the previous
+ * read come first. When they do not hold the frame, one recv() asks
+ * for up to a few KiB, so a whole request or reply normally arrives
+ * in one call, and whatever lands past this frame stays buffered for
+ * the next read.
+ *
+ * Each wait for bytes first tries non-blocking recv()s, yielding the
+ * CPU between tries, for a short fixed window (spin then block): a
+ * reply that lands within it is read without the reader sleeping and
+ * being woken. A process whose CPU affinity holds one CPU does not
+ * spin. After the window the read blocks in poll() slices of at most
+ * @p sliceMs so the @p cancel token (when given) is observed between
+ * slices -- a draining server stops waiting on idle connections
+ * promptly. The token is also checked before anything is read, so an
+ * expired token consumes no byte, buffered ones included.
  *
  * The idle timeout is accounted against the MONOTONIC CLOCK, not by
  * counting slices: poll/recv interruptions (EINTR, EAGAIN) are
  * charged the real time they consumed, so a signal-stormed
  * connection neither times out early nor overstays -- each of the
- * two reads (prefix, payload) ends within [timeoutMs, timeoutMs +
- * one slice) of its last byte of progress.
+ * two reads (prefix, payload) that has to wait ends within
+ * [timeoutMs, timeoutMs + one slice) of its last byte of progress.
  *
  * @return the frame bytes; OpenFailed with message "closed" on a
  *         clean peer close before any byte, Truncated on a mid-frame

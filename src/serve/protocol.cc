@@ -49,6 +49,9 @@ std::string
 serializeRequest(const Request &request)
 {
     ByteBuffer out;
+    // An upper bound on every type's payload: one allocation.
+    out.reserve(16 + numHwParams * 8 + 8 * (request.latent.size() + 4) +
+                request.workload.size() + request.reloadPath.size());
     out.putU64(request.id);
     out.putU32(static_cast<std::uint32_t>(request.type));
     out.putU32(request.deadlineMs);
@@ -77,7 +80,7 @@ serializeRequest(const Request &request)
         out.putString(request.reloadPath);
         break;
     }
-    return out.data();
+    return out.release();
 }
 
 Expected<Request>
@@ -161,6 +164,9 @@ std::string
 serializeResponse(const Response &response)
 {
     ByteBuffer out;
+    out.reserve(16 + 8 + response.message.size() + 4 + 3 * 8 +
+                numHwParams * 8 + 8 + 8 * response.bestPoint.size() +
+                8 + 4 * 8);
     out.putU64(response.id);
     out.putU32(static_cast<std::uint32_t>(response.type));
     out.putU32(static_cast<std::uint32_t>(response.status));
@@ -178,7 +184,7 @@ serializeResponse(const Response &response)
     out.putU64(response.generation);
     out.putU64(response.cacheHits);
     out.putU64(response.cacheMisses);
-    return out.data();
+    return out.release();
 }
 
 Expected<Response>
@@ -230,10 +236,8 @@ std::string
 frameMessage(const std::string &payload)
 {
     RecordWriter writer(wireMagic, wireVersion);
-    ByteBuffer body;
-    body.putBytes(payload.data(), payload.size());
-    writer.writeRecord(body);
-    return writer.bytes();
+    writer.writeRecord(payload);
+    return writer.release();
 }
 
 Expected<std::string>

@@ -1,5 +1,7 @@
 #include "util/atomic_io.hh"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -18,30 +20,47 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Lazily-built CRC-32 lookup table (IEEE polynomial, reflected). */
-const std::uint32_t *
-crcTable()
+/**
+ * Slice-by-8 CRC-32 tables (IEEE polynomial, reflected): row 0 is the
+ * classic one-byte table, and row k advances a byte's contribution
+ * past k more zero bytes, so eight table lookups fold in eight bytes.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables &
+crcTables()
 {
-    static const auto table = [] {
-        std::vector<std::uint32_t> t(256);
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int bit = 0; bit < 8; ++bit)
                 c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::size_t k = 1; k < t.size(); ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
         return t;
     }();
-    return table.data();
+    return tables;
+}
+
+/** Store @p value little-endian into 4 raw bytes. */
+void
+encodeU32(char *p, std::uint32_t value)
+{
+    for (int i = 0; i < 4; ++i)
+        p[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
 }
 
 /** Append a little-endian u32 to a byte string. */
 void
 appendU32(std::string &out, std::uint32_t value)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(
-            static_cast<char>((value >> (8 * i)) & 0xFFu));
+    char bytes[4];
+    encodeU32(bytes, value);
+    out.append(bytes, sizeof(bytes));
 }
 
 /** Decode a little-endian u32 from 4 raw bytes. */
@@ -60,10 +79,18 @@ std::uint32_t
 crc32(const void *data, std::size_t size)
 {
     const auto *bytes = static_cast<const unsigned char *>(data);
-    const std::uint32_t *table = crcTable();
+    const CrcTables &t = crcTables();
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+    for (; size >= 8; size -= 8, bytes += 8) {
+        const std::uint32_t lo = crc ^ decodeU32(bytes);
+        const std::uint32_t hi = decodeU32(bytes + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; --size, ++bytes)
+        crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -76,8 +103,10 @@ ByteBuffer::putU32(std::uint32_t value)
 void
 ByteBuffer::putU64(std::uint64_t value)
 {
-    appendU32(bytes_, static_cast<std::uint32_t>(value));
-    appendU32(bytes_, static_cast<std::uint32_t>(value >> 32));
+    char bytes[8];
+    encodeU32(bytes, static_cast<std::uint32_t>(value));
+    encodeU32(bytes + 4, static_cast<std::uint32_t>(value >> 32));
+    bytes_.append(bytes, sizeof(bytes));
 }
 
 void
@@ -171,12 +200,23 @@ RecordWriter::RecordWriter(std::uint32_t magic, std::uint32_t version)
 void
 RecordWriter::writeRecord(const ByteBuffer &payload)
 {
+    writeRecord(payload.data());
+}
+
+void
+RecordWriter::writeRecord(std::string_view payload)
+{
     if (payload.size() > maxRecordPayload)
         panic("RecordWriter: record payload of ", payload.size(),
               " bytes exceeds the ", maxRecordPayload, " cap");
-    appendU32(out_, static_cast<std::uint32_t>(payload.size()));
-    appendU32(out_, crc32(payload.data().data(), payload.size()));
-    out_.append(payload.data());
+    char head[8];
+    encodeU32(head, static_cast<std::uint32_t>(payload.size()));
+    encodeU32(head + 4, crc32(payload.data(), payload.size()));
+    const std::size_t need = out_.size() + sizeof(head) + payload.size();
+    if (need > out_.capacity())
+        out_.reserve(std::max(need, 2 * out_.capacity()));
+    out_.append(head, sizeof(head));
+    out_.append(payload);
 }
 
 RecordReader::RecordReader(const std::string &bytes, std::string file)

@@ -28,6 +28,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/load_error.hh"
@@ -59,8 +61,15 @@ class ByteBuffer
     /** Append raw bytes. */
     void putBytes(const void *data, std::size_t size);
 
+    /** Make room for @p bytes in total, so appends up to that size
+     *  do not reallocate. */
+    void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+
     /** The accumulated payload. */
     const std::string &data() const { return bytes_; }
+
+    /** Move the accumulated payload out, leaving the buffer empty. */
+    std::string release() { return std::exchange(bytes_, {}); }
 
     /** Payload size in bytes. */
     std::size_t size() const { return bytes_.size(); }
@@ -134,8 +143,14 @@ class RecordWriter
     /** Append one framed record. */
     void writeRecord(const ByteBuffer &payload);
 
+    /** Append one framed record holding @p payload's bytes. */
+    void writeRecord(std::string_view payload);
+
     /** The complete serialized file image. */
     const std::string &bytes() const { return out_; }
+
+    /** Move the serialized image out, leaving the writer empty. */
+    std::string release() { return std::exchange(out_, {}); }
 
   private:
     std::string out_;

@@ -1,8 +1,13 @@
 /**
  * @file
- * Tests of the serve socket layer's frame reads: the spin-then-block
- * receive path (ServeNetSpin*) and deadline accounting
- * (ServeNetDeadline*).
+ * Tests of the serve socket layer's frame reads: the socket's read
+ * buffer (ServeNetBuffer*), the spin-then-block receive path
+ * (ServeNetSpin*) and deadline accounting (ServeNetDeadline*).
+ *
+ * A frame read asks recv() for up to a few KiB and keeps the bytes
+ * past its frame for the next read. The buffer tests put several
+ * frames on the wire at once, so a read that dropped or misplaced
+ * those bytes would lose or garble the next frame.
  *
  * A read first tries non-blocking recv()s for a short window, then
  * sleeps in poll(). The spin tests watch the serve.recv_spin_*
@@ -150,6 +155,166 @@ recvDelayed(const SocketPair &pair, const std::string &frame,
     sent.wait();
     pool.shutdown();
     return got;
+}
+
+/** A read of a frame that is never sent: fails fast when the frame
+ *  was lost instead of blocking for the default budget. */
+constexpr int lostFrameTimeoutMs = 2000;
+
+/** recvFrame on @p socket, expected to return @p want. */
+void
+expectFrame(const Socket &socket, const std::string &want)
+{
+    Expected<std::string> got = recvFrame(socket, lostFrameTimeoutMs);
+    ASSERT_TRUE(got.ok()) << got.error().describe();
+    EXPECT_EQ(got.value(), want);
+}
+
+TEST(ServeNetBuffer, TwoFramesInOneSendComeBackInOrder)
+{
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string first = frameMessage("first");
+    const std::string second = frameMessage("second, a longer frame");
+    queueFrame(pair.client, pair.server, first + second);
+
+    expectFrame(pair.server, first);
+    // The second frame came in with the first: it is taken whole from
+    // the buffer, without a wait, which counts as a spin hit.
+    const SpinCounts before;
+    expectFrame(pair.server, second);
+    EXPECT_EQ(spinDelta(before), SpinDelta(1, 0));
+}
+
+TEST(ServeNetBuffer, FrameLongerThanTheBufferComesBackWhole)
+{
+    // A 10 000-byte payload takes several buffer-sized receives; the
+    // short frame behind it must survive the last of them.
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    std::string payload(10000, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<char>(i * 7 + i / 256);
+    const std::string longFrame = frameMessage(payload);
+    const std::string shortFrame = frameMessage("behind the long one");
+    queueFrame(pair.client, pair.server, longFrame + shortFrame);
+
+    expectFrame(pair.server, longFrame);
+    expectFrame(pair.server, shortFrame);
+}
+
+TEST(ServeNetBuffer, FrameSentOneBytePerSendReassembles)
+{
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string slow = frameMessage("trickled while the reader waits");
+    const std::string second = frameMessage("queued a byte at a time");
+    const std::string third = frameMessage("and one more");
+    std::atomic<bool> slowRead{false};
+
+    ThreadPool pool(1);
+    auto sent = pool.submit([&] {
+        auto sendBytes = [&](const std::string &bytes, int pauseUs) {
+            for (char byte : bytes) {
+                EXPECT_EQ(1, ::send(pair.client.fd(), &byte, 1,
+                                    MSG_NOSIGNAL));
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(pauseUs));
+            }
+        };
+        // The reader waits for each byte: many short receives.
+        sendBytes(slow, 50);
+        while (!slowRead.load())
+            std::this_thread::yield();
+        // Queued before the reader looks: one receive takes both
+        // frames, and the third is the second's surplus.
+        sendBytes(second + third, 0);
+    });
+    expectFrame(pair.server, slow);
+    slowRead.store(true);
+    sent.wait();
+    pool.shutdown();
+    expectFrame(pair.server, second);
+    expectFrame(pair.server, third);
+}
+
+TEST(ServeNetBuffer, ExpiredTokenLeavesBufferedBytesForTheNextRead)
+{
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string first = frameMessage("read");
+    const std::string second = frameMessage("buffered");
+    queueFrame(pair.client, pair.server, first + second);
+    expectFrame(pair.server, first);
+
+    CancelToken token;
+    token.cancel();
+    Expected<std::string> cancelled =
+        recvFrame(pair.server, lostFrameTimeoutMs, &token);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.error().message, "cancelled");
+
+    expectFrame(pair.server, second);
+}
+
+TEST(ServeNetBuffer, PeerCloseAfterABufferedFrameReturnsItThenClosed)
+{
+    // A whole frame in the buffer, then the close: the frame, then
+    // the clean "closed".
+    {
+        SocketPair pair = loopbackPair();
+        ASSERT_TRUE(pair.server.valid());
+        const std::string first = frameMessage("one");
+        const std::string second = frameMessage("two");
+        queueFrame(pair.client, pair.server, first + second);
+        pair.client.close();
+
+        expectFrame(pair.server, first);
+        expectFrame(pair.server, second);
+        Expected<std::string> got =
+            recvFrame(pair.server, lostFrameTimeoutMs);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.error().kind, LoadError::Kind::OpenFailed);
+        EXPECT_EQ(got.error().message, "closed");
+    }
+    // A second frame's 16-byte prefix in the buffer, then the close:
+    // the buffered prefix is part of the frame, so the payload read
+    // that meets the close reports a truncated frame.
+    {
+        SocketPair pair = loopbackPair();
+        ASSERT_TRUE(pair.server.valid());
+        const std::string first = frameMessage("whole");
+        const std::string second = frameMessage("cut");
+        queueFrame(pair.client, pair.server,
+                   first + second.substr(0, 16));
+        pair.client.close();
+
+        expectFrame(pair.server, first);
+        Expected<std::string> got =
+            recvFrame(pair.server, lostFrameTimeoutMs);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.error().kind, LoadError::Kind::Truncated);
+    }
+}
+
+TEST(ServeNetBuffer, MovedSocketKeepsItsBufferedBytes)
+{
+    SocketPair pair = loopbackPair();
+    ASSERT_TRUE(pair.server.valid());
+    const std::string first = frameMessage("before the move");
+    const std::string second = frameMessage("after the move");
+    const std::string third = frameMessage("after the assignment");
+    queueFrame(pair.client, pair.server, first + second + third);
+    expectFrame(pair.server, first);
+
+    Socket moved(std::move(pair.server));
+    EXPECT_FALSE(pair.server.valid());
+    expectFrame(moved, second);
+
+    Socket assigned;
+    assigned = std::move(moved);
+    EXPECT_FALSE(moved.valid());
+    expectFrame(assigned, third);
 }
 
 TEST(ServeNetSpin, QueuedFrameIsASpinHitWithoutPoll)

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/hex.hh"
 #include "serve/protocol.hh"
 #include "util/atomic_io.hh"
 
@@ -121,6 +122,53 @@ TEST(ServeProtocol, ResponseRoundTrips)
     EXPECT_EQ(out.value().bestPoint, in.bestPoint);
     EXPECT_EQ(out.value().evals, 100u);
     EXPECT_EQ(out.value().cacheMisses, 11u);
+}
+
+TEST(ServeProtocol, WireImageIsUnchanged)
+{
+    // Clients and daemons of different builds share the wire: a
+    // fixed request and response must frame to these exact bytes.
+    Request score;
+    score.id = 0x0102030405060708ull;
+    score.type = MsgType::ScoreConfig;
+    score.deadlineMs = 250;
+    score.workload = "resnet50";
+    score.config.numPes = 64;
+    score.config.numMacs = 32;
+    score.config.accumBufBytes = 4096;
+    score.config.weightBufBytes = 8192;
+    score.config.inputBufBytes = 16384;
+    score.config.globalBufBytes = 131072;
+    EXPECT_EQ(testing::hex(frameMessage(serializeRequest(score))),
+              "565253560100000050000000b0e6be3e080706050403020102000000"
+              "fa000000400000000000000020000000000000000010000000000000"
+              "00200000000000000040000000000000000002000000000008000000"
+              "000000007265736e65743530");
+
+    Response reply;
+    reply.id = 0x0102030405060708ull;
+    reply.type = MsgType::ScoreConfig;
+    reply.status = Status::Ok;
+    reply.message = "ok";
+    reply.valid = true;
+    reply.latencyCycles = 1.5e6;
+    reply.energyPj = 2.5e9;
+    reply.edp = 3.75e15;
+    reply.config = score.config;
+    reply.bestPoint = {0.1, -0.9};
+    reply.bestValue = 42.5;
+    reply.evals = 100;
+    reply.generation = 3;
+    reply.cacheHits = 7;
+    reply.cacheMisses = 11;
+    EXPECT_EQ(testing::hex(frameMessage(serializeResponse(reply))),
+              "5652535601000000a60000004aa20abb080706050403020102000000"
+              "0000000002000000000000006f6b010000000000000060e336410000"
+              "00205fa0e24100c0d0d335a52a434000000000000000200000000000"
+              "00000010000000000000002000000000000000400000000000000000"
+              "02000000000002000000000000009a9999999999b93fcdcccccccccc"
+              "ecbf0000000000404540640000000000000003000000000000000700"
+              "0000000000000b00000000000000");
 }
 
 // ---------------------------------------------------------------- framing

@@ -266,6 +266,49 @@ TEST_F(ServeServer, ZooWorkloadNamesAreServable)
     }
 }
 
+TEST_F(ServeServer, PipelinedRequestsAreAnsweredInOrder)
+{
+    ServerHarness harness(baseOptions());
+    Expected<Socket> conn = harness.connect();
+    ASSERT_TRUE(conn.ok());
+
+    // Two requests back to back in one write: the daemon reads both
+    // in one recv() and must still answer each, in order.
+    Rng rng(0x301);
+    const AcceleratorConfig configs[2] = {
+        someConfig(), designSpace().randomConfig(rng)};
+    std::string wire;
+    for (int i = 0; i < 2; ++i) {
+        Request score;
+        score.id = 70 + i;
+        score.type = MsgType::ScoreConfig;
+        score.workload = "alexnet";
+        score.config = configs[i];
+        wire += frameMessage(serializeRequest(score));
+    }
+    ASSERT_FALSE(sendFrame(conn.value(), wire).has_value());
+
+    const Evaluator plain;
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
+        Expected<std::string> frame = recvFrame(conn.value(), 5000);
+        ASSERT_TRUE(frame.ok()) << frame.error().describe();
+        Expected<std::string> payload = unwrapFrame(frame.value());
+        ASSERT_TRUE(payload.ok());
+        Expected<Response> reply = parseResponse(payload.value());
+        ASSERT_TRUE(reply.ok());
+        EXPECT_EQ(reply.value().id, 70u + i);
+        EXPECT_EQ(reply.value().status, Status::Ok);
+        const EvalResult want = plain.evaluateWorkload(
+            harness.server().cache().snapConfig(configs[i]),
+            workloadByName("alexnet"));
+        EXPECT_EQ(reply.value().valid, want.valid);
+        EXPECT_EQ(reply.value().latencyCycles, want.latencyCycles);
+        EXPECT_EQ(reply.value().energyPj, want.energyPj);
+        EXPECT_EQ(reply.value().edp, want.edp);
+    }
+}
+
 TEST_F(ServeServer, DecodeWithoutModelIsInvalid)
 {
     ServerHarness harness(baseOptions());

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "../common/hex.hh"
 #include "../common/temp_path.hh"
 #include "util/atomic_io.hh"
 #include "util/fault.hh"
+#include "util/rng.hh"
 
 namespace vaesa {
 namespace {
@@ -37,6 +41,64 @@ TEST(Crc32, KnownAnswer)
     EXPECT_EQ(crc32("", 0), 0u);
     // Sensitivity: one flipped bit changes the sum.
     EXPECT_NE(crc32("123456788", 9), crc32("123456789", 9));
+}
+
+/** The one-table, one-byte-per-step CRC-32 the sliced one replaces. */
+std::uint32_t
+bytewiseCrc32(const unsigned char *bytes, std::size_t size)
+{
+    static const std::vector<std::uint32_t> table = [] {
+        std::vector<std::uint32_t> t(256);
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int bit = 0; bit < 8; ++bit)
+                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i)
+        crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewise)
+{
+    // Every length across several 8-byte blocks, from every start
+    // alignment, so each head/body/tail split of the sliced loop runs.
+    Rng rng(20261020);
+    std::vector<unsigned char> bytes(300 + 8);
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 300; ++len)
+            ASSERT_EQ(crc32(bytes.data() + offset, len),
+                      bytewiseCrc32(bytes.data() + offset, len))
+                << "offset " << offset << " length " << len;
+}
+
+TEST(RecordFraming, FileImageIsUnchanged)
+{
+    // Every checkpoint, dataset and model file is built from these
+    // records: the image must not move by a byte.
+    RecordWriter writer(0x56414553u, 2);
+    ByteBuffer fields;
+    fields.putU32(0xDEADBEEFu);
+    fields.putU64(0x0123456789ABCDEFull);
+    fields.putF64(-2.5e300);
+    fields.putString("vaesa");
+    const unsigned char raw[3] = {1, 2, 3};
+    fields.putBytes(raw, sizeof(raw));
+    writer.writeRecord(fields);
+    writer.writeRecord(ByteBuffer());
+    ByteBuffer tail;
+    tail.putF64(0.1);
+    writer.writeRecord(tail);
+    EXPECT_EQ(testing::hex(writer.bytes()),
+              "53454156020000002400000056d0b50aefbeaddeefcdab8967452301"
+              "039300aa4bdd4dfe0500000000000000766165736101020300000000"
+              "0000000008000000c853a6f69a9999999999b93f");
 }
 
 TEST(ByteBufferReader, RoundTripsAllFieldTypes)
