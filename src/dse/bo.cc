@@ -316,19 +316,17 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
     // Resume only when the caller starts from scratch (run()); the
     // restored points then count toward the budget, so a killed run
     // finishes with exactly the trace an uninterrupted one produces.
+    // The surrogate payload is decoded before the trace and the rng
+    // are taken, so a corrupt one starts the run fresh.
     BoResumeState resume_state;
     bool resumed = false;
-    if (checkpoint && !checkpoint->path.empty() &&
-        trace.points.empty()) {
-        Expected<SearchSnapshot> snapshot =
-            loadSearchSnapshot(checkpoint->path,
-                               SearchDriver::BayesOpt);
-        if (snapshot) {
-            BoResumeState state;
-            if (decodeBoState(snapshot.value().payload, state)) {
-                trace = std::move(snapshot.value().trace);
-                rng.setState(snapshot.value().rng);
-                resume_state = state;
+    if (checkpoint) {
+        std::optional<SearchSnapshot> saved =
+            resumeSearch(*checkpoint, SearchDriver::BayesOpt);
+        if (saved && trace.points.empty()) {
+            if (decodeBoState(saved->payload, resume_state)) {
+                trace = std::move(saved->trace);
+                rng.setState(saved->rng);
                 resumed = true;
                 inform("resuming BO from '", checkpoint->path,
                        "' at sample ", trace.points.size());
@@ -336,10 +334,6 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
                 warn("ignoring BO snapshot with corrupt surrogate "
                      "payload");
             }
-        } else if (snapshot.error().kind !=
-                   LoadError::Kind::OpenFailed) {
-            warn("ignoring unusable search snapshot: ",
-                 snapshot.error().describe());
         }
     }
     const std::size_t samples =
@@ -361,7 +355,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
     // and without a pool.
     if (trace.points.empty()) {
         const std::size_t warmup =
-            std::min(options_.initSamples, samples);
+            std::min(initSamples, samples);
         std::vector<std::vector<double>> xs(warmup);
         for (std::size_t i = 0; i < warmup; ++i)
             xs[i] = sample_uniform();
@@ -371,8 +365,8 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             trace.add(xs[i], values[i]);
     }
 
-    GaussianProcess gp(options_.kernel);
-    std::size_t iterations_since_refit = options_.hyperRefitInterval;
+    GaussianProcess gp;
+    std::size_t iterations_since_refit = hyperRefitInterval;
     bool hyper_known = false;
     if (resumed) {
         iterations_since_refit = static_cast<std::size_t>(
@@ -383,12 +377,10 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
         }
     }
 
-    const std::size_t snapshot_every =
-        checkpoint ? std::max<std::size_t>(1, checkpoint->every) : 0;
     std::size_t iterations = 0;
     auto maybeSnapshot = [&]() {
         if (!checkpoint || checkpoint->path.empty() ||
-            (iterations % snapshot_every != 0 &&
+            (iterations % checkpoint->every != 0 &&
              trace.points.size() < samples))
             return;
         SearchSnapshot snapshot;
@@ -425,7 +417,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
         const bool any_finite = worst_finite > -1e300;
         const double penalty = any_finite
             ? invalidPenalty(worst_finite, best_finite,
-                             options_.invalidPenaltyFactor)
+                             invalidPenaltyFactor)
             : 1.0;
 
         if (!any_finite) {
@@ -440,7 +432,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
         // Subset-of-data selection: best half + most recent half.
         std::vector<std::size_t> chosen;
         const std::size_t n = trace.points.size();
-        if (n <= options_.maxGpPoints) {
+        if (n <= maxGpPoints) {
             chosen.resize(n);
             for (std::size_t i = 0; i < n; ++i)
                 chosen[i] = i;
@@ -454,13 +446,13 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
                                  trace.points[b].value;
                       });
             std::vector<bool> taken(n, false);
-            const std::size_t half = options_.maxGpPoints / 2;
+            const std::size_t half = maxGpPoints / 2;
             for (std::size_t i = 0; i < half; ++i) {
                 chosen.push_back(order[i]);
                 taken[order[i]] = true;
             }
             for (std::size_t i = n;
-                 i > 0 && chosen.size() < options_.maxGpPoints; --i) {
+                 i > 0 && chosen.size() < maxGpPoints; --i) {
                 if (!taken[i - 1]) {
                     chosen.push_back(i - 1);
                     taken[i - 1] = true;
@@ -481,8 +473,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
 
         {
             const metrics::ScopedTimer fitTimer(bm.fitNs);
-            if (iterations_since_refit >=
-                options_.hyperRefitInterval) {
+            if (iterations_since_refit >= hyperRefitInterval) {
                 const metrics::ScopedTimer hyperTimer(bm.hyperNs);
                 gp.fitWithHyperSearch(xs, ys);
                 iterations_since_refit = 0;
@@ -514,8 +505,7 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
                 for (std::size_t d = 0; d < dim; ++d) {
                     const double span = hi[d] - lo[d];
                     x[d] = clampd(
-                        x[d] + rng.normal(0.0, options_.perturbSigma *
-                                                   span),
+                        x[d] + rng.normal(0.0, perturbSigma * span),
                         lo[d], hi[d]);
                 }
                 candidates.push_back(std::move(x));

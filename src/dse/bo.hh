@@ -21,43 +21,41 @@
 
 namespace vaesa {
 
-/** Tunables of the BO driver. */
+/** The acquisition's candidate counts, the BO driver's only
+ *  tunables. */
 struct BoOptions
 {
-    /** Random warm-up evaluations before the first GP fit. */
-    std::size_t initSamples = 10;
-
-    /** Subset-of-data cap on GP training points (O(n^3) control):
-     *  the best half and the most recent half of the history. */
-    std::size_t maxGpPoints = 192;
-
     /** Uniform random acquisition candidates per iteration. */
     std::size_t uniformCandidates = 512;
 
     /** Gaussian perturbations of the incumbent per iteration. */
     std::size_t localCandidates = 128;
-
-    /** Stddev of local perturbations, in box units. */
-    double perturbSigma = 0.08;
-
-    /** Refit GP hyperparameters every this many iterations. */
-    std::size_t hyperRefitInterval = 16;
-
-    /** Kernel family of the surrogate. */
-    GaussianProcess::Kernel kernel = GaussianProcess::Kernel::Matern52;
-
-    /** Penalty factor mapping invalid points to a finite value
-     *  strictly worse than every finite observation; must exceed 1.
-     *  A positive worst finite value w maps to w times this factor;
-     *  w <= 0 maps to w + (factor - 1) * max(|w|, w - best), or
-     *  w + factor - 1 when that scale is 0. */
-    double invalidPenaltyFactor = 2.0;
 };
 
 /** GP-EI Bayesian-optimization driver. */
 class BayesOpt
 {
   public:
+    /** Random warm-up evaluations before the first GP fit. */
+    static constexpr std::size_t initSamples = 10;
+
+    /** Subset-of-data cap on GP training points (O(n^3) control):
+     *  the best half and the most recent half of the history. */
+    static constexpr std::size_t maxGpPoints = 192;
+
+    /** Stddev of local perturbations, in box units. */
+    static constexpr double perturbSigma = 0.08;
+
+    /** Refit GP hyperparameters every this many iterations. */
+    static constexpr std::size_t hyperRefitInterval = 16;
+
+    /** Penalty factor mapping invalid points to a finite value
+     *  strictly worse than every finite observation; exceeds 1.
+     *  A positive worst finite value w maps to w times this factor;
+     *  w <= 0 maps to w + (factor - 1) * max(|w|, w - best), or
+     *  w + factor - 1 when that scale is 0. */
+    static constexpr double invalidPenaltyFactor = 2.0;
+
     /** Driver with default options. */
     BayesOpt() = default;
 
@@ -78,7 +76,8 @@ class BayesOpt
      *        predictions are const and always safe to fan out).
      * @param checkpoint optional snapshot config: resume from an
      *        existing snapshot (trace, rng, GP hyperparameters,
-     *        refit counter) and write one every `every` iterations.
+     *        refit counter) and write one every `every` iterations
+     *        (resumeSearch() panics on `every` == 0).
      *        A resumed run returns the trace an uninterrupted run
      *        would have produced.
      * @param cancel optional cancellation token, observed at
@@ -106,9 +105,6 @@ class BayesOpt
                 ThreadPool *pool = nullptr,
                 const SearchCheckpointConfig *checkpoint = nullptr,
                 const CancelToken *cancel = nullptr) const;
-
-    /** Options in use. */
-    const BoOptions &options() const { return options_; }
 
   private:
     BoOptions options_;

@@ -15,38 +15,22 @@ namespace vaesa {
 
 namespace {
 
-using Kernel = GaussianProcess::Kernel;
-
 static_assert(GaussianProcess::predictTile == kernels::kSolveTile,
               "a full predict tile is one solveLowerTile() call");
 
 /**
- * The kernel at squared distance d2, split as poly * exp(arg) so a
- * tile can compute everything but the exp across its candidates.
- * Both kernelValue() and the k* fill go through this one formula.
+ * The Matern-5/2 kernel at squared distance d2, split as
+ * poly * exp(arg) so a tile can compute everything but the exp across
+ * its candidates. Both kernelValue() and the k* fill go through this
+ * one formula.
  */
-template <Kernel K>
 inline void
 kernelTerms(double d2, double ls, double &poly, double &arg)
 {
-    if constexpr (K == Kernel::Rbf) {
-        poly = 1.0;
-        arg = -0.5 * d2 / (ls * ls);
-    } else {
-        const double r = std::sqrt(d2) / ls;
-        const double sq5r = std::sqrt(5.0) * r;
-        poly = 1.0 + sq5r + 5.0 * r * r / 3.0;
-        arg = -sq5r;
-    }
-}
-
-template <Kernel K>
-double
-kernelAt(double d2, double ls)
-{
-    double poly, arg;
-    kernelTerms<K>(d2, ls, poly, arg);
-    return poly * std::exp(arg);
+    const double r = std::sqrt(d2) / ls;
+    const double sq5r = std::sqrt(5.0) * r;
+    poly = 1.0 + sq5r + 5.0 * r * r / 3.0;
+    arg = -sq5r;
 }
 
 /**
@@ -55,9 +39,9 @@ kernelAt(double d2, double ls)
  * distances and the kernel terms are computed across the tile, then
  * one scalar std::exp per element (a vector exp would not be
  * bit-identical). Per element the operations are those of
- * kernelAt(squaredDistance(cand_j, x_i)).
+ * kernelValue(cand_j, x_i).
  */
-template <std::size_t W, Kernel K>
+template <std::size_t W>
 void
 fillKStar(const double *xs, std::size_t n, std::size_t dim,
           const double *cand, double ls, double *v)
@@ -78,7 +62,7 @@ fillKStar(const double *xs, std::size_t n, std::size_t dim,
         double *vi = v + i * W;
         double arg[W];
         for (std::size_t j = 0; j < W; ++j)
-            kernelTerms<K>(d2[j], ls, vi[j], arg[j]);
+            kernelTerms(d2[j], ls, vi[j], arg[j]);
         for (std::size_t j = 0; j < W; ++j)
             vi[j] *= std::exp(arg[j]);
     }
@@ -94,27 +78,18 @@ sameBits(double a, double b)
 
 } // namespace
 
-GaussianProcess::GaussianProcess(Kernel kernel)
-    : kernel_(kernel)
-{
-}
-
-GaussianProcess::GaussianProcess(Kernel kernel, const Hyper &hyper)
-    : kernel_(kernel), hyper_(hyper)
+GaussianProcess::GaussianProcess(const Hyper &hyper)
+    : hyper_(hyper)
 {
 }
 
 double
 GaussianProcess::kernelValue(const double *a, const double *b) const
 {
-    const double d2 = squaredDistance(a, b, dim_);
-    switch (kernel_) {
-      case Kernel::Rbf:
-        return kernelAt<Kernel::Rbf>(d2, hyper_.lengthscale);
-      case Kernel::Matern52:
-        return kernelAt<Kernel::Matern52>(d2, hyper_.lengthscale);
-    }
-    panic("GaussianProcess: bad kernel");
+    double poly, arg;
+    kernelTerms(squaredDistance(a, b, dim_), hyper_.lengthscale, poly,
+                arg);
+    return poly * std::exp(arg);
 }
 
 std::size_t
@@ -131,8 +106,8 @@ GaussianProcess::storeInputs(const std::vector<std::vector<double>> &xs,
             panic("GaussianProcess::fit: inputs of dimension ", dim,
                   " and ", x.size());
 
-    // The kernel is fixed for the object's life; the hyperparameters
-    // and the inputs must match bit for bit for a row to be reused.
+    // The hyperparameters and the inputs must match bit for bit for a
+    // row to be reused.
     std::size_t p = 0;
     if (factorExact_ && dim == dim_ &&
         sameBits(hyper_.lengthscale, factorHyper_.lengthscale) &&
@@ -263,16 +238,7 @@ GaussianProcess::predictTileOf(const std::vector<double> *xs,
         for (std::size_t d = 0; d < dim_; ++d)
             cand[d * W + j] = xs[j][d];
     }
-    switch (kernel_) {
-      case Kernel::Rbf:
-        fillKStar<W, Kernel::Rbf>(xs_.data(), n, dim_, cand,
-                                  hyper_.lengthscale, v);
-        break;
-      case Kernel::Matern52:
-        fillKStar<W, Kernel::Matern52>(xs_.data(), n, dim_, cand,
-                                       hyper_.lengthscale, v);
-        break;
-    }
+    fillKStar<W>(xs_.data(), n, dim_, cand, hyper_.lengthscale, v);
 
     // Per candidate: the mean reduces k* against alpha, the forward
     // substitution overwrites k* with L^-1 k*, and the variance

@@ -2,8 +2,8 @@
  * @file
  * Gaussian-process regression for Bayesian optimization.
  *
- * Supports RBF and Matern-5/2 kernels with isotropic lengthscale,
- * observation noise, and internal y-standardization. Hyperparameters
+ * One kernel, Matern-5/2 with an isotropic lengthscale, plus
+ * observation noise and internal y-standardization. Hyperparameters
  * are selected by maximizing the log marginal likelihood over a small
  * grid, which is robust and deterministic.
  */
@@ -19,13 +19,10 @@
 
 namespace vaesa {
 
-/** Gaussian-process regressor with a fixed kernel family. */
+/** Gaussian-process regressor with a Matern-5/2 kernel. */
 class GaussianProcess
 {
   public:
-    /** Kernel family. */
-    enum class Kernel { Rbf, Matern52 };
-
     /** Kernel hyperparameters (y is standardized internally, so the
      *  signal variance is fixed at 1). */
     struct Hyper
@@ -37,11 +34,11 @@ class GaussianProcess
         double noiseVar = 1e-4;
     };
 
-    /** Construct with a kernel family and default hyperparameters. */
-    explicit GaussianProcess(Kernel kernel = Kernel::Matern52);
+    /** Construct with default hyperparameters. */
+    GaussianProcess() = default;
 
-    /** Construct with a kernel family and hyperparameters. */
-    GaussianProcess(Kernel kernel, const Hyper &hyper);
+    /** Construct with hyperparameters. */
+    explicit GaussianProcess(const Hyper &hyper);
 
     /**
      * Fit to observations. Inputs are copied; y is standardized
@@ -206,7 +203,6 @@ class GaussianProcess
      *  and are not recomputed. */
     void prepareBounds(std::size_t fromRow);
 
-    Kernel kernel_;
     Hyper hyper_;
     /** Input dimension of the fitted observations. */
     std::size_t dim_ = 0;

@@ -3,7 +3,7 @@
  * the per-fit state behind them. This translation unit has its own
  * flags (src/dse/CMakeLists.txt) so the bound pass, a constant-width
  * loop across candidates, vectorizes. Nothing here feeds a
- * prediction: gp.cc, whose rounding the BO goldens pin, keeps the
+ * prediction: gp.cc, whose rounding the BO golden pins, keeps the
  * baseline flags, and every margin below holds whatever the compiler
  * contracts or reorders within one bound.
  *
@@ -31,8 +31,6 @@ namespace vaesa {
 
 namespace {
 
-using Kernel = GaussianProcess::Kernel;
-
 /** Relative slack on each kernel value of the bound pass. Against
  *  predictTileOf()'s value it covers expNonPositive()'s error
  *  (< 2e-14), std::exp's ulp, an arg a few ulps away from the
@@ -55,9 +53,9 @@ constexpr double kUnderflowSlack = 1e-300;
 /** Below this argument std::exp leaves the normal range
  *  (e^-708.4 = DBL_MIN) and its error is absolute. The bound pass
  *  takes such a kernel value as 0; the value predictTileOf() computes
- *  there is at most kFarKernel, the larger of both kernels at
- *  arg = kExpFloor (Matern-5/2: (1 + 708 + 708^2 / 3) e^-708 =
- *  5.6e-303, and it only falls past it), plus an ulp. */
+ *  there is at most kFarKernel, the Matern-5/2 kernel at
+ *  arg = kExpFloor ((1 + 708 + 708^2 / 3) e^-708 = 5.6e-303, and it
+ *  only falls past it), plus an ulp. */
 constexpr double kExpFloor = -708.0;
 constexpr double kFarKernel = 1e-302;
 
@@ -117,7 +115,7 @@ expNonPositive(double x)
  * the lower bracket end's Cauchy-Schwarz term. The squared distance
  * is fillKStar()'s.
  */
-template <std::size_t W, Kernel K>
+template <std::size_t W>
 void
 boundSums(const double *xs, std::size_t n, std::size_t dim,
           const double *cand, double ls, const double *alpha,
@@ -125,7 +123,6 @@ boundSums(const double *xs, std::size_t n, std::size_t dim,
           double *reach)
 {
     // arg and poly as kernelTerms() has them, up to a few ulps.
-    const double rbf_scale = -0.5 / (ls * ls);
     const double matern_scale = std::sqrt(5.0) / ls;
     const double low_end = (1.0 - kKernelSlack) * (1.0 - kKernelSlack);
     for (std::size_t i = 0; i < n; ++i) {
@@ -145,15 +142,9 @@ boundSums(const double *xs, std::size_t n, std::size_t dim,
         const double a_abs = std::abs(a);
         const double w = low_end * (1.0 - err) / norm2[i];
         for (std::size_t j = 0; j < W; ++j) {
-            double poly, arg;
-            if constexpr (K == Kernel::Rbf) {
-                poly = 1.0;
-                arg = d2[j] * rbf_scale;
-            } else {
-                const double s = std::sqrt(d2[j]) * matern_scale;
-                poly = 1.0 + s + s * s * (1.0 / 3.0);
-                arg = -s;
-            }
+            const double s = std::sqrt(d2[j]) * matern_scale;
+            const double poly = 1.0 + s + s * s * (1.0 / 3.0);
+            const double arg = -s;
             // Selects, not std::max's reference: these if-convert.
             const bool far = arg < kExpFloor;
             const double e = expNonPositive(far ? kExpFloor : arg);
@@ -174,15 +165,15 @@ boundSums(const double *xs, std::size_t n, std::size_t dim,
  * the training points in ascending i, so the bounds are the default
  * body's bit for bit (AcquisitionBound.Avx512BoundsMatchAvx2BitForBit).
  */
-template <std::size_t W, Kernel K>
+template <std::size_t W>
 [[gnu::target("avx512f,prefer-vector-width=512"), gnu::flatten]] void
 boundSums512(const double *xs, std::size_t n, std::size_t dim,
              const double *cand, double ls, const double *alpha,
              const double *norm2, double err, double *sum, double *mag,
              double *reach)
 {
-    boundSums<W, K>(xs, n, dim, cand, ls, alpha, norm2, err, sum, mag,
-                    reach);
+    boundSums<W>(xs, n, dim, cand, ls, alpha, norm2, err, sum, mag,
+                 reach);
 }
 #endif
 
@@ -193,7 +184,7 @@ boundSums512(const double *xs, std::size_t n, std::size_t dim,
  * differently per target, leaving some products unfused that the
  * other target fuses; the default body keeps it bit for bit.
  */
-template <std::size_t W, Kernel K>
+template <std::size_t W>
 void
 boundSumsOn(kernels::GemmIsa isa, const double *xs, std::size_t n,
             std::size_t dim, const double *cand, double ls,
@@ -203,14 +194,14 @@ boundSumsOn(kernels::GemmIsa isa, const double *xs, std::size_t n,
 #if defined(__AVX2__) && defined(__FMA__)
     if constexpr (W > 1) {
         if (isa == kernels::GemmIsa::Avx512) {
-            boundSums512<W, K>(xs, n, dim, cand, ls, alpha, norm2, err,
-                               sum, mag, reach);
+            boundSums512<W>(xs, n, dim, cand, ls, alpha, norm2, err,
+                            sum, mag, reach);
             return;
         }
     }
 #endif
-    boundSums<W, K>(xs, n, dim, cand, ls, alpha, norm2, err, sum, mag,
-                    reach);
+    boundSums<W>(xs, n, dim, cand, ls, alpha, norm2, err, sum, mag,
+                 reach);
 }
 
 /** sum_k a[k] b[k] over len terms, in four interleaved partial sums
@@ -300,20 +291,8 @@ GaussianProcess::boundTileOf(kernels::GemmIsa isa,
     double sum[W] = {};
     double mag[W] = {};
     double reach[W] = {};
-    switch (kernel_) {
-      case Kernel::Rbf:
-        boundSumsOn<W, Kernel::Rbf>(isa, xs_.data(), n, dim_, cand,
-                                    hyper_.lengthscale, alpha_.data(),
-                                    rowNorm2_.data(), err, sum, mag,
-                                    reach);
-        break;
-      case Kernel::Matern52:
-        boundSumsOn<W, Kernel::Matern52>(isa, xs_.data(), n, dim_, cand,
-                                         hyper_.lengthscale,
-                                         alpha_.data(), rowNorm2_.data(),
-                                         err, sum, mag, reach);
-        break;
-    }
+    boundSumsOn<W>(isa, xs_.data(), n, dim_, cand, hyper_.lengthscale,
+                   alpha_.data(), rowNorm2_.data(), err, sum, mag, reach);
     double alpha_abs = 0.0;
     for (std::size_t i = 0; i < n; ++i)
         alpha_abs += std::abs(alpha_[i]);

@@ -40,18 +40,16 @@ evalMetrics()
 
 /**
  * The recovery protocol shared by evaluateRecovered() and
- * recoverRawObjective(): count and time one evaluation, then make two
- * attempts at compute(). Injected faults fire once, so the retry
- * separates transient failures (which succeed on attempt two) from
- * persistent ones (which score invalid).
+ * recoverRawObjective(): two attempts at compute(). Injected faults
+ * fire once, so the retry separates transient failures (which succeed
+ * on attempt two) from persistent ones (which score invalid). The
+ * callers count and time the evaluation.
  */
 template <typename Compute>
 double
 recoverWithRetry(Compute &&compute)
 {
     EvalMetrics &em = evalMetrics();
-    em.evals.inc();
-    const metrics::ScopedTimer timer(em.evalNs);
     constexpr int maxAttempts = 2;
     for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
         try {
@@ -79,11 +77,17 @@ recoverWithRetry(Compute &&compute)
  * value already computed by a deterministic batch pipeline. Valid
  * because the per-point path's retry would recompute the identical
  * value, so replaying the recovery protocol over it preserves
- * bit-identical results and identical fault-site hits.
+ * bit-identical results and identical fault-site hits. The
+ * evaluation's time is @p workNs, the point's share of the batch
+ * phase that computed it, not the replay's.
  */
 double
-recoverRawObjective(double raw)
+recoverRawObjective(double raw, std::uint64_t workNs)
 {
+    EvalMetrics &em = evalMetrics();
+    em.evals.inc();
+    if (metrics::metricsEnabled())
+        em.evalNs.observe(workNs);
     return recoverWithRetry([raw] { return raw; });
 }
 
@@ -92,6 +96,9 @@ recoverRawObjective(double raw)
 double
 evaluateRecovered(Objective &objective, const std::vector<double> &x)
 {
+    EvalMetrics &em = evalMetrics();
+    em.evals.inc();
+    const metrics::ScopedTimer timer(em.evalNs);
     return recoverWithRetry([&] { return objective.evaluate(x); });
 }
 
@@ -301,6 +308,9 @@ InputSpaceObjective::evaluateBatch(
     // here (bad point, pool fault) degrades to the per-point path,
     // whose per-point recovery then isolates the offender instead of
     // losing the whole batch.
+    const bool instrument = metrics::metricsEnabled();
+    const std::uint64_t batch_t0 =
+        instrument ? metrics::monotonicNowNs() : 0;
     std::vector<double> values;
     try {
         std::vector<AcceleratorConfig> configs;
@@ -321,10 +331,14 @@ InputSpaceObjective::evaluateBatch(
         return Objective::evaluateBatch(xs, pool);
     }
 
-    // Recovery phase: identical per-point semantics (counters,
-    // timers, fault sites, retry) applied in input order.
+    // Recovery phase: identical per-point semantics (counters, fault
+    // sites, retry) applied in input order; each point's evaluation
+    // time is an equal share of the batch phase.
+    const std::uint64_t share_ns =
+        instrument ? (metrics::monotonicNowNs() - batch_t0) / values.size()
+                   : 0;
     for (double &value : values)
-        value = recoverRawObjective(value);
+        value = recoverRawObjective(value, share_ns);
     return values;
 }
 

@@ -77,8 +77,9 @@ class Objective
      * otherwise. InputSpaceObjective overrides this to score the
      * whole batch through evaluateConfigBatch and then re-apply the
      * per-point recovery semantics in input order, so values, search
-     * metrics, and fault-site hit counts stay identical to the
-     * per-point path while the cost-model work runs batched. All
+     * counters, and fault-site hit counts stay identical to the
+     * per-point path while the cost-model work runs batched; each
+     * point's `search.eval_ns` is an equal share of the batch. All
      * overrides must keep results in input order and bit-identical
      * to the base implementation for deterministic objectives.
      */

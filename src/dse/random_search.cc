@@ -19,8 +19,15 @@ RandomSearch::run(Objective &objective, std::size_t samples, Rng &rng,
     const std::vector<double> hi = objective.upperBounds();
 
     SearchTrace trace;
-    if (checkpoint)
-        resumeSearch(*checkpoint, SearchDriver::Random, trace, rng);
+    if (checkpoint) {
+        if (std::optional<SearchSnapshot> snapshot =
+                resumeSearch(*checkpoint, SearchDriver::Random)) {
+            trace = std::move(snapshot->trace);
+            rng.setState(snapshot->rng);
+            inform("resuming search from '", checkpoint->path,
+                   "' at sample ", trace.points.size());
+        }
+    }
 
     // Without checkpointing the whole budget is one chunk (draw every
     // point, then score as one batch); with it, the run snapshots at

@@ -137,9 +137,8 @@ loadSearchSnapshot(const std::string &path, SearchDriver driver)
     return result;
 }
 
-std::optional<std::string>
-resumeSearch(const SearchCheckpointConfig &config, SearchDriver driver,
-             SearchTrace &trace, Rng &rng)
+std::optional<SearchSnapshot>
+resumeSearch(const SearchCheckpointConfig &config, SearchDriver driver)
 {
     if (config.path.empty())
         return std::nullopt;
@@ -153,11 +152,7 @@ resumeSearch(const SearchCheckpointConfig &config, SearchDriver driver,
                  snapshot.error().describe());
         return std::nullopt;
     }
-    trace = std::move(snapshot.value().trace);
-    rng.setState(snapshot.value().rng);
-    inform("resuming search from '", config.path, "' at sample ",
-           trace.points.size());
-    return std::move(snapshot.value().payload);
+    return std::move(snapshot.value());
 }
 
 } // namespace vaesa

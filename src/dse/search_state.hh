@@ -81,16 +81,16 @@ Expected<SearchSnapshot>
 loadSearchSnapshot(const std::string &path, SearchDriver driver);
 
 /**
- * Shared resume preamble for the drivers: when config names an
- * existing, loadable snapshot of the right driver, restore the trace
- * and rng from it and return its payload; otherwise leave them
- * untouched (warning when the file exists but is unusable for any
- * reason other than not existing).
- * @return the driver payload, or std::nullopt for a fresh start.
+ * Shared resume preamble for the drivers: the snapshot config names,
+ * when the file exists, loads and is of the right driver. Nothing is
+ * restored here, so a driver can check its payload before it takes
+ * the trace and the rng state. Warns when the file exists but is
+ * unusable for any reason other than not existing; panics on
+ * config.every == 0.
+ * @return the snapshot, or std::nullopt for a fresh start.
  */
-std::optional<std::string>
-resumeSearch(const SearchCheckpointConfig &config, SearchDriver driver,
-             SearchTrace &trace, Rng &rng);
+std::optional<SearchSnapshot>
+resumeSearch(const SearchCheckpointConfig &config, SearchDriver driver);
 
 } // namespace vaesa
 

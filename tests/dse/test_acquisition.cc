@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/kernel_cases.hh"
 #include "dse/bo.hh"
 #include "dse/gp.hh"
 #include "tensor/kernels/kernels.hh"
@@ -33,7 +34,6 @@
 namespace vaesa {
 namespace {
 
-using Kernel = GaussianProcess::Kernel;
 using Points = std::vector<std::vector<double>>;
 
 std::uint64_t
@@ -148,8 +148,15 @@ expectBoundsHold(const GaussianProcess &gp, const Points &xs,
     }
 }
 
-class AcquisitionBound : public ::testing::TestWithParam<Kernel>
+class AcquisitionBound
+    : public ::testing::TestWithParam<testing::KernelCase>
 {
+  protected:
+    GaussianProcess::Hyper
+    hyper(const GaussianProcess::Hyper &h = {}) const
+    {
+        return testing::caseHyper(GetParam(), h);
+    }
 };
 
 TEST_P(AcquisitionBound, HoldsOnRandomFits)
@@ -161,7 +168,7 @@ TEST_P(AcquisitionBound, HoldsOnRandomFits)
         const Points probes = probePoints(xs, 640, rng);
         for (const double noise : {1e-6, 1e-4, 1e-2}) {
             for (const double ls : {0.05, 0.3, 1.6}) {
-                GaussianProcess gp(GetParam(), {ls, noise});
+                GaussianProcess gp(hyper({ls, noise}));
                 gp.fit(xs, ys);
                 expectBoundsHold(gp, probes,
                                  "n=" + std::to_string(n) + " noise=" +
@@ -169,7 +176,7 @@ TEST_P(AcquisitionBound, HoldsOnRandomFits)
                                      " ls=" + std::to_string(ls));
             }
         }
-        GaussianProcess searched(GetParam());
+        GaussianProcess searched(hyper());
         searched.fitWithHyperSearch(xs, ys);
         expectBoundsHold(searched, probes,
                          "hyper search n=" + std::to_string(n));
@@ -191,7 +198,7 @@ TEST_P(AcquisitionBound, HoldsOnNearDuplicates)
     Rng rng(43);
     const Points probes = probePoints(xs, 320, rng);
     for (const double noise : {1e-6, 1e-10}) {
-        GaussianProcess gp(GetParam(), {0.4, noise});
+        GaussianProcess gp(hyper({0.4, noise}));
         gp.fit(xs, ys);
         expectBoundsHold(gp, probes, "noise=" + std::to_string(noise));
     }
@@ -210,7 +217,7 @@ TEST_P(AcquisitionBound, HoldsOnJitteredFactor)
     const std::vector<double> ys = smoothLabels(xs);
     const Points probes = probePoints(xs, 320, rng);
     for (const double ls : {0.3, 1.0}) {
-        GaussianProcess gp(GetParam(), {ls, -1e-4});
+        GaussianProcess gp(hyper({ls, -1e-4}));
         gp.fit(xs, ys);
         expectBoundsHold(gp, probes, "ls=" + std::to_string(ls));
     }
@@ -225,7 +232,7 @@ TEST_P(AcquisitionBound, NonFiniteInputsPromiseNothing)
                         {std::numeric_limits<double>::infinity(), 0.0}};
     std::vector<GaussianProcess::Bound> bounds(probes.size());
 
-    GaussianProcess gp(GetParam());
+    GaussianProcess gp(hyper());
     gp.fit(xs, ys);
     gp.boundBatch(probes, bounds);
     for (const auto &b : bounds) {
@@ -264,8 +271,8 @@ TEST_P(AcquisitionBound, SubsetBoundHoldsWhereItIsExact)
             probes.push_back(near);
         }
         static constexpr double noises[] = {1e-10, 1e-8, 1e-6, 1e-3};
-        GaussianProcess gp(GetParam(),
-                           {trial % 2 ? 0.3 : 1.0, noises[trial / 3 % 4]});
+        GaussianProcess gp(
+            hyper({trial % 2 ? 0.3 : 1.0, noises[trial / 3 % 4]}));
         gp.fit(xs, ys);
         expectBoundsHold(gp, probes, "trial " + std::to_string(trial));
     }
@@ -296,7 +303,7 @@ TEST_P(AcquisitionBound, SubsetBoundIsTighterNearClusters)
         probes.push_back(near);
     }
     for (const double noise : {1e-6, 1e-4}) {
-        GaussianProcess gp(GetParam(), {0.5, noise});
+        GaussianProcess gp(hyper({0.5, noise}));
         gp.fit(xs, ys);
         const std::string where = "noise=" + std::to_string(noise);
         expectBoundsHold(gp, probes, where);
@@ -317,7 +324,7 @@ TEST_P(AcquisitionBound, SubsetBoundKeepsNanAndSkipsTinyFits)
     Rng rng(71);
     const Points xs = uniformPoints(12, 2, rng);
     const Points probes{{0.1, std::nan("")}, {0.2, 0.3}};
-    GaussianProcess gp(GetParam());
+    GaussianProcess gp(hyper());
     gp.fit(xs, smoothLabels(xs));
     std::vector<GaussianProcess::Bound> bounds(probes.size());
     gp.boundBatch(probes, bounds);
@@ -328,7 +335,7 @@ TEST_P(AcquisitionBound, SubsetBoundKeepsNanAndSkipsTinyFits)
 
     // One training point: the subset is the one-point bound already
     // taken, so nothing changes.
-    GaussianProcess single(GetParam());
+    GaussianProcess single(hyper());
     single.fit({{0.4, 0.4}}, {1.0});
     const Points near{{0.45, 0.4}};
     std::vector<GaussianProcess::Bound> b(1);
@@ -370,7 +377,7 @@ TEST_P(AcquisitionBound, Avx512BoundsMatchAvx2BitForBit)
 {
     Rng rng(79);
     {
-        GaussianProcess probe(GetParam());
+        GaussianProcess probe(hyper());
         probe.fit({{0.0}}, {0.0});
         if (!probe.boundBatchOn(kernels::GemmIsa::Avx512, {}, {}))
             GTEST_SKIP() << kNoAvx512;
@@ -380,7 +387,7 @@ TEST_P(AcquisitionBound, Avx512BoundsMatchAvx2BitForBit)
     // full tile, a full tile and a tail, and an acquisition's 640.
     for (std::size_t n : {1, 2, 31, 32, 33, 191, 192}) {
         const Points xs = uniformPoints(n, 4, rng);
-        GaussianProcess gp(GetParam(), {0.3, 1e-4});
+        GaussianProcess gp(hyper({0.3, 1e-4}));
         gp.fit(xs, smoothLabels(xs));
         for (std::size_t count : {1, 31, 32, 33, 640}) {
             const std::string where =
@@ -397,7 +404,7 @@ TEST_P(AcquisitionBound, Avx512BoundsMatchAvx2BitForBit)
     // Full tiles and a tail over one to eight dimensions.
     for (std::size_t dim = 1; dim <= 8; ++dim) {
         const Points xs = uniformPoints(50, dim, rng);
-        GaussianProcess gp(GetParam(), {0.5, 1e-4});
+        GaussianProcess gp(hyper({0.5, 1e-4}));
         gp.fit(xs, smoothLabels(xs));
         expectSameBounds(gp, probePoints(xs, 65, rng),
                          "dim=" + std::to_string(dim));
@@ -406,7 +413,7 @@ TEST_P(AcquisitionBound, Avx512BoundsMatchAvx2BitForBit)
     // A NaN candidate inside a full tile and in the tail.
     Rng nan_rng(83);
     const Points xs = uniformPoints(40, 3, nan_rng);
-    GaussianProcess gp(GetParam());
+    GaussianProcess gp(hyper());
     gp.fit(xs, smoothLabels(xs));
     Points probes = uniformPoints(33, 3, nan_rng);
     probes[5][1] = std::nan("");
@@ -417,20 +424,15 @@ TEST_P(AcquisitionBound, Avx512BoundsMatchAvx2BitForBit)
     Points dup = xs;
     dup.push_back(dup[7]);
     dup.push_back(dup[19]);
-    GaussianProcess jittered(GetParam(), {0.3, -1e-4});
+    GaussianProcess jittered(hyper({0.3, -1e-4}));
     jittered.fit(dup, smoothLabels(dup));
     const Points near = probePoints(dup, 320, nan_rng);
     expectSameBounds(jittered, near, "jittered");
     expectBoundsHold(jittered, near, "jittered");
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, AcquisitionBound,
-                         ::testing::Values(Kernel::Rbf, Kernel::Matern52),
-                         [](const ::testing::TestParamInfo<Kernel> &info) {
-                             return info.param == Kernel::Rbf
-                                        ? std::string("Rbf")
-                                        : std::string("Matern52");
-                         });
+INSTANTIATE_TEST_SUITE_P(Kernels, AcquisitionBound, testing::kernelCases(),
+                         testing::kernelCaseName);
 
 /** The full scan selectCandidate() replaces: every scored candidate
  *  through predictBatch, then the first strict EI maximum. */
@@ -492,9 +494,9 @@ scenarioName(Scenario s)
 }
 
 /**
- * Iteration `it` of the equivalence sweep: a random fit of either
- * kernel (sometimes by hyperparameter search) and a candidate set of
- * 0, 1, 33 or 640 scored points, a fifth of them near training
+ * Iteration `it` of the equivalence sweep: a random fit in either
+ * kernel case (sometimes by hyperparameter search) and a candidate set
+ * of 0, 1, 33 or 640 scored points, a fifth of them near training
  * points and a tenth exact duplicates of earlier candidates (exact EI
  * ties). Each scenario meets each candidate count.
  */
@@ -507,8 +509,6 @@ makeProblem(std::size_t it, Rng &rng)
     const std::size_t count = counts[it % 4];
     const auto scenario = static_cast<Scenario>(
         it / 4 % static_cast<std::size_t>(Scenario::Count));
-    const Kernel kernel =
-        it / 20 % 2 ? Kernel::Rbf : Kernel::Matern52;
     const std::size_t dim = 2 + it / 7 % 3;
     const std::size_t n = 1 + rng.index(48);
     const Points xs = uniformPoints(n, dim, rng);
@@ -516,8 +516,10 @@ makeProblem(std::size_t it, Rng &rng)
     if (scenario == Scenario::NanLabels)
         ys[rng.index(n)] = std::nan("");
 
-    Problem p{GaussianProcess(kernel, {lengthscales[it % 3],
-                                       noises[it / 3 % 3]}),
+    const auto kernel_case = it / 20 % 2 ? testing::KernelCase::Rbf
+                                         : testing::KernelCase::Matern52;
+    Problem p{GaussianProcess(testing::caseHyper(
+                  kernel_case, {lengthscales[it % 3], noises[it / 3 % 3]})),
               {},
               0.0,
               {}};
@@ -661,9 +663,7 @@ TEST(PrunedAcquisitionCounters, CountScoredAndSolvedCandidates)
 
     BowlObjective obj;
     Rng rng(61);
-    BoOptions options;
-    options.initSamples = 5;
-    BayesOpt(options).run(obj, 25, rng);
+    BayesOpt().run(obj, BayesOpt::initSamples + 20, rng);
 
     // Every iteration after the warm-up fits the GP and scores
     // 512 uniform + 128 local candidates; each solves its first tile

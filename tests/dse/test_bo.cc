@@ -152,15 +152,14 @@ TEST(BayesOpt, InvalidPenaltyIsWorstForNegativeObjectives)
     // and every post-warm-up sample landed there. The offset only
     // moves the objective; the search should avoid the half-plane
     // alike for either sign, and when the worst value is near 0.
-    const BoOptions options;
     for (const double offset : {-10.0, -1.25, 10.0}) {
         std::size_t infeasible = 0;
         std::size_t searched = 0;
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
             OffsetHalfPlaneObjective obj(offset);
             Rng rng(seed);
-            const SearchTrace trace = BayesOpt(options).run(obj, 80, rng);
-            for (std::size_t i = options.initSamples;
+            const SearchTrace trace = BayesOpt().run(obj, 80, rng);
+            for (std::size_t i = BayesOpt::initSamples;
                  i < trace.points.size(); ++i) {
                 ++searched;
                 if (!std::isfinite(trace.points[i].value))
@@ -201,14 +200,16 @@ TEST(BayesOpt, DeterministicForSeed)
 
 TEST(BayesOpt, SubsetOfDataCapKeepsRunning)
 {
+    // Past the cap, every iteration fits the GP to a subset.
+    constexpr std::size_t samples = 200;
+    static_assert(samples > BayesOpt::maxGpPoints);
     BoOptions options;
-    options.maxGpPoints = 16; // force the subset path early
     options.uniformCandidates = 64;
     options.localCandidates = 16;
     BowlObjective obj;
     Rng rng(5);
-    const SearchTrace trace = BayesOpt(options).run(obj, 50, rng);
-    EXPECT_EQ(trace.points.size(), 50u);
+    const SearchTrace trace = BayesOpt(options).run(obj, samples, rng);
+    EXPECT_EQ(trace.points.size(), samples);
     EXPECT_LT(trace.best(), 0.05);
 }
 

@@ -2,9 +2,8 @@
  * @file
  * Golden regression test for the BayesOpt driver: complete 220-sample
  * traces (every sampled point and its value, as raw IEEE-754 bits)
- * on an analytic objective are frozen into checked-in files, one per
- * GP kernel, and replayed bit for bit both serially and on a
- * 2-worker pool. The runs are long enough to cross every code path
+ * on an analytic objective are frozen into a checked-in file and
+ * replayed bit for bit both serially and on a 2-worker pool. The runs are long enough to cross every code path
  * a short test misses: penalized invalid observations, the
  * subset-of-data cap (more than maxGpPoints samples), and over a
  * dozen hyperparameter refits. Any change to the GP, the Cholesky
@@ -14,7 +13,7 @@
  * To regenerate after an INTENDED change to the BO numerics:
  *   VAESA_UPDATE_GOLDEN=1 ./build/tests/test_dse \
  *       --gtest_filter='*BoGoldenTrace*Serial*'
- * then commit the rewritten tests/dse/golden_bo_trace_*.txt.
+ * then commit the rewritten tests/dse/golden_bo_trace_matern52.txt.
  */
 
 #include <gtest/gtest.h>
@@ -71,14 +70,6 @@ class AnalyticObjective : public Objective
     bool threadSafeEvaluate() const override { return true; }
 };
 
-BoOptions
-goldenOptions(GaussianProcess::Kernel kernel)
-{
-    BoOptions options; // production defaults: 640 scored candidates
-    options.kernel = kernel;
-    return options;
-}
-
 std::string
 hexBits(std::uint64_t bits)
 {
@@ -97,14 +88,15 @@ hexBits(double v)
 /** Run every golden seed and render the traces, one line per sample
  *  plus each run's next rng draw (pins how far the stream moved). */
 std::vector<std::string>
-renderRuns(GaussianProcess::Kernel kernel, ThreadPool *pool)
+renderRuns(ThreadPool *pool)
 {
     std::vector<std::string> lines;
     for (std::uint64_t seed : goldenSeeds) {
         AnalyticObjective objective;
         Rng rng(seed);
-        const SearchTrace trace = BayesOpt(goldenOptions(kernel))
-            .run(objective, goldenSamples, rng, pool);
+        // Production defaults: 640 scored candidates.
+        const SearchTrace trace =
+            BayesOpt().run(objective, goldenSamples, rng, pool);
         lines.push_back("seed " + std::to_string(seed));
         for (std::size_t i = 0; i < trace.points.size(); ++i) {
             std::string line = std::to_string(i) + " " +
@@ -121,8 +113,6 @@ renderRuns(GaussianProcess::Kernel kernel, ThreadPool *pool)
 struct GoldenCase
 {
     const char *name;
-    GaussianProcess::Kernel kernel;
-    const char *fileStem; // golden_bo_trace_<fileStem>.txt
     bool pooled;
 };
 
@@ -134,10 +124,10 @@ PrintTo(const GoldenCase &c, std::ostream *os)
 }
 
 std::string
-goldenPath(const GoldenCase &c)
+goldenPath()
 {
-    return std::string(VAESA_TEST_DATA_DIR) + "/dse/golden_bo_trace_" +
-           c.fileStem + ".txt";
+    return std::string(VAESA_TEST_DATA_DIR) +
+           "/dse/golden_bo_trace_matern52.txt";
 }
 
 class BoGoldenTrace : public ::testing::TestWithParam<GoldenCase>
@@ -149,17 +139,15 @@ TEST_P(BoGoldenTrace, ReplaysBitForBit)
     const GoldenCase &c = GetParam();
 
     // The golden runs must actually reach the paths they pin.
-    const BoOptions options = goldenOptions(c.kernel);
-    ASSERT_GT(goldenSamples, options.maxGpPoints);
-    ASSERT_GE((goldenSamples - options.initSamples) /
-                  options.hyperRefitInterval,
-              13u);
+    static_assert(goldenSamples > BayesOpt::maxGpPoints);
+    static_assert((goldenSamples - BayesOpt::initSamples) /
+                      BayesOpt::hyperRefitInterval >=
+                  13);
 
     std::unique_ptr<ThreadPool> pool;
     if (c.pooled)
         pool = std::make_unique<ThreadPool>(2);
-    const std::vector<std::string> lines =
-        renderRuns(c.kernel, pool.get());
+    const std::vector<std::string> lines = renderRuns(pool.get());
 
     std::size_t invalid = 0;
     for (const std::string &line : lines)
@@ -169,15 +157,15 @@ TEST_P(BoGoldenTrace, ReplaysBitForBit)
 
     if (const char *update = std::getenv("VAESA_UPDATE_GOLDEN");
         !c.pooled && update && *update && std::string(update) != "0") {
-        std::ofstream out(goldenPath(c));
-        ASSERT_TRUE(out) << "cannot write " << goldenPath(c);
+        std::ofstream out(goldenPath());
+        ASSERT_TRUE(out) << "cannot write " << goldenPath();
         for (const std::string &line : lines)
             out << line << '\n';
-        GTEST_SKIP() << "rewrote " << goldenPath(c);
+        GTEST_SKIP() << "rewrote " << goldenPath();
     }
 
-    std::ifstream in(goldenPath(c));
-    ASSERT_TRUE(in) << "missing golden file " << goldenPath(c);
+    std::ifstream in(goldenPath());
+    ASSERT_TRUE(in) << "missing golden file " << goldenPath();
     std::vector<std::string> want;
     for (std::string line; std::getline(in, line);)
         want.push_back(line);
@@ -188,14 +176,8 @@ TEST_P(BoGoldenTrace, ReplaysBitForBit)
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, BoGoldenTrace,
-    ::testing::Values(
-        GoldenCase{"Matern52Serial", GaussianProcess::Kernel::Matern52,
-                   "matern52", false},
-        GoldenCase{"Matern52Pool", GaussianProcess::Kernel::Matern52,
-                   "matern52", true},
-        GoldenCase{"RbfSerial", GaussianProcess::Kernel::Rbf, "rbf",
-                   false},
-        GoldenCase{"RbfPool", GaussianProcess::Kernel::Rbf, "rbf", true}),
+    ::testing::Values(GoldenCase{"Matern52Serial", false},
+                      GoldenCase{"Matern52Pool", true}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return std::string(info.param.name);
     });

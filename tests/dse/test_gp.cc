@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/kernel_cases.hh"
 #include "dse/bo.hh"
 #include "dse/gp.hh"
 #include "util/rng.hh"
@@ -35,8 +36,7 @@ TEST(NormalDistribution, PdfAndCdfKnownValues)
 
 TEST(GaussianProcess, InterpolatesTrainingPointsWithLowNoise)
 {
-    GaussianProcess gp(GaussianProcess::Kernel::Rbf,
-                       {0.5, 1e-8});
+    GaussianProcess gp({0.5, 1e-8});
     const std::vector<std::vector<double>> xs{
         {0.0}, {0.5}, {1.0}};
     const std::vector<double> ys{1.0, -1.0, 2.0};
@@ -50,8 +50,7 @@ TEST(GaussianProcess, InterpolatesTrainingPointsWithLowNoise)
 
 TEST(GaussianProcess, UncertaintyGrowsAwayFromData)
 {
-    GaussianProcess gp(GaussianProcess::Kernel::Matern52,
-                       {0.3, 1e-6});
+    GaussianProcess gp({0.3, 1e-6});
     gp.fit({{0.0}, {0.1}, {0.2}}, {0.0, 0.1, 0.2});
     const double var_near = predictOne(gp, {0.1}).var;
     const double var_far = predictOne(gp, {3.0}).var;
@@ -60,7 +59,7 @@ TEST(GaussianProcess, UncertaintyGrowsAwayFromData)
 
 TEST(GaussianProcess, PredictionRevertsToMeanFarAway)
 {
-    GaussianProcess gp(GaussianProcess::Kernel::Rbf, {0.2, 1e-6});
+    GaussianProcess gp({0.2, 1e-6});
     gp.fit({{0.0}, {1.0}}, {5.0, 9.0});
     // Far from data the posterior mean reverts to the y mean (7).
     EXPECT_NEAR(predictOne(gp, {100.0}).mean, 7.0, 1e-6);
@@ -68,8 +67,7 @@ TEST(GaussianProcess, PredictionRevertsToMeanFarAway)
 
 TEST(GaussianProcess, Matern52SmoothFitOnSine)
 {
-    GaussianProcess gp(GaussianProcess::Kernel::Matern52,
-                       {0.4, 1e-6});
+    GaussianProcess gp({0.4, 1e-6});
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     for (int i = 0; i <= 20; ++i) {
@@ -110,12 +108,11 @@ TEST(GaussianProcess, HyperSearchImprovesLikelihood)
         xs.push_back({x});
         ys.push_back(std::sin(8.0 * x));
     }
-    GaussianProcess fixed(GaussianProcess::Kernel::Matern52,
-                          {1.6, 1e-2});
+    GaussianProcess fixed({1.6, 1e-2});
     fixed.fit(xs, ys);
     const double lik_fixed = fixed.logMarginalLikelihood();
 
-    GaussianProcess tuned(GaussianProcess::Kernel::Matern52);
+    GaussianProcess tuned;
     tuned.fitWithHyperSearch(xs, ys);
     EXPECT_GE(tuned.logMarginalLikelihood(), lik_fixed);
 }
@@ -135,7 +132,7 @@ TEST(GaussianProcess, DuplicateObservationsKeepSigmaFinite)
     // old (var < 0) clamp passed NaN straight through, so
     // sqrt(var) -> NaN sigma poisoned every EI comparison and the
     // acquisition loop went blind. The clamp must be NaN-safe.
-    GaussianProcess gp(GaussianProcess::Kernel::Rbf, {0.5, 1e-10});
+    GaussianProcess gp({0.5, 1e-10});
     gp.fit({{0.25, 0.75}, {0.25, 0.75}}, {2.0, 2.0});
     const auto pred = predictOne(gp, {0.25, 0.75});
     ASSERT_TRUE(std::isfinite(pred.mean));
@@ -262,20 +259,26 @@ expectSameFit(const GaussianProcess &got, const GaussianProcess &want,
 /** Fit `gp` and a fresh GP with gp's hyperparameters to the same
  *  data, and require the two to agree bit for bit. */
 void
-fitAndCompare(GaussianProcess &gp, GaussianProcess::Kernel kernel,
-              const Points &xs, const std::vector<double> &ys,
-              const Points &queries, const std::string &where)
+fitAndCompare(GaussianProcess &gp, const Points &xs,
+              const std::vector<double> &ys, const Points &queries,
+              const std::string &where)
 {
     gp.fit(xs, ys);
-    GaussianProcess fresh(kernel, gp.hyper());
+    GaussianProcess fresh(gp.hyper());
     fresh.fit(xs, ys);
     expectSameFit(gp, fresh, queries, where);
 }
 
 class IncrementalFit
-    : public ::testing::TestWithParam<GaussianProcess::Kernel>
+    : public ::testing::TestWithParam<testing::KernelCase>
 {
   protected:
+    GaussianProcess::Hyper
+    hyper(const GaussianProcess::Hyper &h = {}) const
+    {
+        return testing::caseHyper(GetParam(), h);
+    }
+
     Rng rng{31};
     Points pool = randomInputs(40, rng);
     Points queries = randomInputs(70, rng); // two tiles + a tail
@@ -283,13 +286,12 @@ class IncrementalFit
 
 TEST_P(IncrementalFit, AppendsMatchFreshFit)
 {
-    const auto kernel = GetParam();
-    GaussianProcess gp(kernel, {0.3, 1e-4});
+    GaussianProcess gp(hyper({0.3, 1e-4}));
     // One point at a time across the 4-row block edges, then several.
     std::size_t step = 0;
     for (const std::size_t n : {1, 2, 3, 4, 5, 8, 9, 10, 17, 29, 40}) {
         const Points xs = firstN(pool, n);
-        fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.1 * step++),
+        fitAndCompare(gp, xs, labelsFor(xs, 0.1 * step++),
                       queries, "n=" + std::to_string(n));
     }
 }
@@ -299,54 +301,52 @@ TEST_P(IncrementalFit, SetHyperBetweenFitsRefactors)
     // Each change follows an unjittered fit, so reusing the old rows
     // would be possible (and wrong) were the hyperparameters not
     // compared: a larger noise keeps the stale factor extensible.
-    const auto kernel = GetParam();
-    GaussianProcess gp(kernel, {0.3, 1e-4});
+    GaussianProcess gp(hyper({0.3, 1e-4}));
     const auto step = [&](std::size_t n, const std::string &where) {
         const Points xs = firstN(pool, n);
-        fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+        fitAndCompare(gp, xs, labelsFor(xs, 0.0), queries,
                       where);
     };
     step(20, "base");
-    gp.setHyper({0.3, 1e-2});
+    gp.setHyper(hyper({0.3, 1e-2}));
     step(21, "new noise");
-    gp.setHyper({0.31, 1e-2});
+    gp.setHyper(hyper({0.31, 1e-2}));
     step(22, "new lengthscale");
-    gp.setHyper({0.31, 1e-2}); // same bits: the factor may be kept
+    gp.setHyper(hyper({0.31, 1e-2})); // same bits: the factor may be kept
     step(23, "same hyper");
 }
 
 TEST_P(IncrementalFit, ReorderedAndSubsetInputsMatchFreshFit)
 {
-    const auto kernel = GetParam();
-    GaussianProcess gp(kernel, {0.4, 1e-4});
+    GaussianProcess gp(hyper({0.4, 1e-4}));
     const Points base = firstN(pool, 30);
-    fitAndCompare(gp, kernel, base, labelsFor(base, 0.0), queries,
+    fitAndCompare(gp, base, labelsFor(base, 0.0), queries,
                   "base");
 
     Points reversed(base.rbegin(), base.rend());
-    fitAndCompare(gp, kernel, reversed, labelsFor(reversed, 0.0),
+    fitAndCompare(gp, reversed, labelsFor(reversed, 0.0),
                   queries, "reversed");
 
     Points swapped = base;
     std::swap(swapped[12], swapped[13]);
-    fitAndCompare(gp, kernel, base, labelsFor(base, 0.0), queries,
+    fitAndCompare(gp, base, labelsFor(base, 0.0), queries,
                   "back to base");
-    fitAndCompare(gp, kernel, swapped, labelsFor(swapped, 0.0),
+    fitAndCompare(gp, swapped, labelsFor(swapped, 0.0),
                   queries, "two swapped");
 
     Points dropped = base;
     dropped.erase(dropped.begin() + 7);
-    fitAndCompare(gp, kernel, dropped, labelsFor(dropped, 0.0),
+    fitAndCompare(gp, dropped, labelsFor(dropped, 0.0),
                   queries, "one dropped");
 
     const Points head = firstN(base, 11);
-    fitAndCompare(gp, kernel, head, labelsFor(head, 0.0), queries,
+    fitAndCompare(gp, head, labelsFor(head, 0.0), queries,
                   "shorter prefix");
 
     // A changed coordinate in the middle of the prefix.
     Points nudged = base;
     nudged[5][1] = std::nextafter(nudged[5][1], 2.0);
-    fitAndCompare(gp, kernel, nudged, labelsFor(nudged, 0.0), queries,
+    fitAndCompare(gp, nudged, labelsFor(nudged, 0.0), queries,
                   "nudged point");
 }
 
@@ -357,67 +357,55 @@ TEST_P(IncrementalFit, JitteredFactorIsNeverExtended)
     // so the extension fails and the fit falls back to a jittered
     // full factorization. The next append must not build on that
     // jittered factor.
-    const auto kernel = GetParam();
-    GaussianProcess gp(kernel, {0.3, 0.0});
+    GaussianProcess gp(hyper({0.3, 0.0}));
     Points xs = firstN(pool, 9);
-    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries, "clean");
+    fitAndCompare(gp, xs, labelsFor(xs, 0.0), queries, "clean");
     xs.push_back(xs.front());
-    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+    fitAndCompare(gp, xs, labelsFor(xs, 0.0), queries,
                   "duplicate appended");
     xs.push_back(pool[20]);
-    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+    fitAndCompare(gp, xs, labelsFor(xs, 0.0), queries,
                   "append after jitter");
     xs.push_back(pool[21]);
-    fitAndCompare(gp, kernel, xs, labelsFor(xs, 0.0), queries,
+    fitAndCompare(gp, xs, labelsFor(xs, 0.0), queries,
                   "second append after jitter");
 }
 
 TEST_P(IncrementalFit, HyperSearchMatchesFreshFitWithWinner)
 {
-    const auto kernel = GetParam();
     for (const std::size_t n : {1, 6, 25, 40}) {
         const Points xs = firstN(pool, n);
         const std::vector<double> ys = labelsFor(xs, 0.0);
-        GaussianProcess gp(kernel);
+        GaussianProcess gp(hyper());
         gp.fitWithHyperSearch(xs, ys);
-        GaussianProcess fresh(kernel, gp.hyper());
+        GaussianProcess fresh(gp.hyper());
         fresh.fit(xs, ys);
         expectSameFit(gp, fresh, queries, "n=" + std::to_string(n));
         if (n < pool.size()) {
             // The kept winner's factor is extended by the next fit.
             const Points more = firstN(pool, n + 1);
-            fitAndCompare(gp, kernel, more, labelsFor(more, 0.5),
+            fitAndCompare(gp, more, labelsFor(more, 0.5),
                           queries, "append after search");
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, IncrementalFit,
-    ::testing::Values(GaussianProcess::Kernel::Rbf,
-                      GaussianProcess::Kernel::Matern52),
-    [](const auto &info) {
-        return info.param == GaussianProcess::Kernel::Rbf ? "Rbf"
-                                                           : "Matern52";
-    });
+INSTANTIATE_TEST_SUITE_P(Kernels, IncrementalFit, testing::kernelCases(),
+                         testing::kernelCaseName);
 
-class KernelSweep
-    : public ::testing::TestWithParam<GaussianProcess::Kernel>
+class KernelSweep : public ::testing::TestWithParam<testing::KernelCase>
 {
 };
 
 TEST_P(KernelSweep, KernelIsUnitAtZeroDistance)
 {
-    GaussianProcess gp(GetParam(), {0.3, 1e-6});
+    GaussianProcess gp(testing::caseHyper(GetParam(), {0.3, 1e-6}));
     gp.fit({{0.25, 0.75}}, {1.0});
     // Posterior variance at the training point is ~noise only.
     EXPECT_LT(predictOne(gp, {0.25, 0.75}).var, 1e-4);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, KernelSweep,
-    ::testing::Values(GaussianProcess::Kernel::Rbf,
-                      GaussianProcess::Kernel::Matern52));
+INSTANTIATE_TEST_SUITE_P(Kernels, KernelSweep, testing::kernelCases());
 
 } // namespace
 } // namespace vaesa

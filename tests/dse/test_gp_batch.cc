@@ -5,8 +5,8 @@
  * a time: kernel vector, forward substitution with solveLower(), then
  * the mean and variance reductions in ascending training-point order.
  * The tiled batch path must reproduce it bit for bit for every
- * training-set size and range length around the tile width, for both
- * kernels, and from a non-zero range start.
+ * training-set size and range length around the tile width, in both
+ * kernel cases, and from a non-zero range start.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../common/kernel_cases.hh"
 #include "dse/gp.hh"
 #include "tensor/linalg.hh"
 #include "util/rng.hh"
@@ -24,7 +25,6 @@
 namespace vaesa {
 namespace {
 
-using Kernel = GaussianProcess::Kernel;
 using Prediction = GaussianProcess::Prediction;
 
 constexpr std::size_t tile = GaussianProcess::predictTile;
@@ -34,8 +34,8 @@ constexpr std::size_t tile = GaussianProcess::predictTile;
 class ReferenceGp
 {
   public:
-    ReferenceGp(Kernel kernel, const GaussianProcess::Hyper &hyper)
-        : kernel_(kernel), hyper_(hyper)
+    explicit ReferenceGp(const GaussianProcess::Hyper &hyper)
+        : hyper_(hyper)
     {
     }
 
@@ -87,15 +87,11 @@ class ReferenceGp
                 const std::vector<double> &b) const
     {
         const double d2 = squaredDistance(a.data(), b.data(), a.size());
-        const double ls = hyper_.lengthscale;
-        if (kernel_ == Kernel::Rbf)
-            return std::exp(-0.5 * d2 / (ls * ls));
-        const double r = std::sqrt(d2) / ls;
+        const double r = std::sqrt(d2) / hyper_.lengthscale;
         const double sq5r = std::sqrt(5.0) * r;
         return (1.0 + sq5r + 5.0 * r * r / 3.0) * std::exp(-sq5r);
     }
 
-    Kernel kernel_;
     GaussianProcess::Hyper hyper_;
     std::vector<std::vector<double>> xs_;
     std::vector<double> alpha_;
@@ -126,7 +122,8 @@ expectSameBits(const Prediction &got, const Prediction &want,
         << where << ": var " << got.var << " vs " << want.var;
 }
 
-class PredictBatchSweep : public ::testing::TestWithParam<Kernel>
+class PredictBatchSweep
+    : public ::testing::TestWithParam<testing::KernelCase>
 {
 };
 
@@ -134,7 +131,8 @@ TEST_P(PredictBatchSweep, MatchesScalarReferenceBitForBit)
 {
     constexpr std::size_t dim = 4;
     constexpr std::size_t start = 3; // ranges never begin at 0
-    const GaussianProcess::Hyper hyper{0.4, 1e-4};
+    const GaussianProcess::Hyper hyper =
+        testing::caseHyper(GetParam(), {0.4, 1e-4});
     Rng rng(17);
     const std::vector<std::vector<double>> queries =
         randomPoints(start + 640, dim, rng);
@@ -146,9 +144,9 @@ TEST_P(PredictBatchSweep, MatchesScalarReferenceBitForBit)
         for (std::size_t i = 0; i < n; ++i)
             ys[i] = std::sin(3.0 * xs[i][0]) + xs[i][1] * xs[i][2];
 
-        GaussianProcess gp(GetParam(), hyper);
+        GaussianProcess gp(hyper);
         gp.fit(xs, ys);
-        ReferenceGp ref(GetParam(), hyper);
+        ReferenceGp ref(hyper);
         ref.fit(xs, ys);
 
         for (std::size_t len : {std::size_t{0}, std::size_t{1}, tile - 1,
@@ -170,7 +168,8 @@ TEST_P(PredictBatchSweep, NearDuplicatesKeepVarianceNonNegative)
     // noise: the variance subtraction cancels catastrophically at
     // and around them, and the clamp must still hold in every lane
     // of a tile, bit-identical to the one-query reference.
-    const GaussianProcess::Hyper hyper{0.5, 1e-10};
+    const GaussianProcess::Hyper hyper =
+        testing::caseHyper(GetParam(), {0.5, 1e-10});
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     for (int c = 0; c < 12; ++c) {
@@ -180,9 +179,9 @@ TEST_P(PredictBatchSweep, NearDuplicatesKeepVarianceNonNegative)
             ys.push_back(2.0 + 0.1 * c);
         }
     }
-    GaussianProcess gp(GetParam(), hyper);
+    GaussianProcess gp(hyper);
     gp.fit(xs, ys);
-    ReferenceGp ref(GetParam(), hyper);
+    ReferenceGp ref(hyper);
     ref.fit(xs, ys);
 
     std::vector<std::vector<double>> queries = xs;
@@ -200,13 +199,8 @@ TEST_P(PredictBatchSweep, NearDuplicatesKeepVarianceNonNegative)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, PredictBatchSweep,
-                         ::testing::Values(Kernel::Rbf, Kernel::Matern52),
-                         [](const ::testing::TestParamInfo<Kernel> &info) {
-                             return info.param == Kernel::Rbf
-                                        ? std::string("Rbf")
-                                        : std::string("Matern52");
-                         });
+INSTANTIATE_TEST_SUITE_P(Kernels, PredictBatchSweep, testing::kernelCases(),
+                         testing::kernelCaseName);
 
 TEST(PredictBatch, RejectsUseBeforeFitAndShapeMismatch)
 {

@@ -16,6 +16,7 @@
 #include "dse/multi_workload.hh"
 #include "dse/random_search.hh"
 #include "util/fault.hh"
+#include "util/metrics.hh"
 #include "util/thread_pool.hh"
 #include "workload/networks.hh"
 
@@ -73,10 +74,8 @@ TEST(ParallelEquivalence, BoTraceIsSeedForSeedIdentical)
     Evaluator evaluator;
     ThreadPool pool(4);
     BoOptions options;
-    options.initSamples = 8;
     options.uniformCandidates = 48;
     options.localCandidates = 16;
-    options.maxGpPoints = 32;
 
     InputSpaceObjective serialObj(evaluator, smallWorkload());
     Rng serialRng(5);
@@ -260,6 +259,36 @@ TEST(ParallelEquivalence, BatchPhaseFailureFallsBackPerPoint)
         }
         FaultInjector::instance().reset();
     }
+}
+
+TEST(EvalMetrics, BatchPathTimesTheBatchPhase)
+{
+    // On the pool batch path each point's search.eval_ns observation
+    // is its share of the batch phase that scored it, not the replay
+    // of an already computed value: one observation per evaluation,
+    // summing to at least the call's wall time per worker.
+    const bool was_enabled = metrics::metricsEnabled();
+    metrics::setMetricsEnabled(true);
+    metrics::Histogram &eval_ns = metrics::histogram("search.eval_ns");
+    metrics::Counter &evals = metrics::counter("search.evals");
+    constexpr std::size_t workers = 2;
+    Evaluator evaluator;
+    ThreadPool pool(workers);
+    InputSpaceObjective obj(evaluator, smallWorkload());
+    const auto xs = randomPoints(64, obj.dim(), 31);
+
+    const std::uint64_t sum0 = eval_ns.sum();
+    const std::uint64_t count0 = eval_ns.count();
+    const std::uint64_t evals0 = evals.value();
+    const std::uint64_t t0 = metrics::monotonicNowNs();
+    obj.evaluateBatch(xs, &pool);
+    const std::uint64_t wall = metrics::monotonicNowNs() - t0;
+    metrics::setMetricsEnabled(was_enabled);
+
+    EXPECT_EQ(evals.value() - evals0, xs.size());
+    EXPECT_EQ(eval_ns.count() - count0, xs.size());
+    EXPECT_GE(eval_ns.sum() - sum0, wall / workers)
+        << "wall " << wall << " ns on " << workers << " workers";
 }
 
 } // namespace

@@ -17,6 +17,8 @@
 #include "dse/random_search.hh"
 #include "dse/search_state.hh"
 #include "util/fault.hh"
+#include "util/metrics.hh"
+#include "workload/networks.hh"
 
 namespace vaesa {
 namespace {
@@ -224,15 +226,42 @@ TEST_F(SearchResumeTest, RetiredDriverTagIsRejected)
         ASSERT_FALSE(loaded);
         EXPECT_EQ(loaded.error().kind, LoadError::Kind::Malformed);
 
-        // resumeSearch leaves the trace and the rng untouched: the
-        // run starts fresh.
-        SearchTrace trace;
-        Rng rng(3);
-        EXPECT_FALSE(
-            resumeSearch(cfg, driver, trace, rng).has_value());
-        EXPECT_TRUE(trace.points.empty());
-        EXPECT_EQ(rng.state(), Rng(3).state());
+        // resumeSearch finds nothing to resume: the run starts fresh.
+        EXPECT_FALSE(resumeSearch(cfg, driver).has_value());
     }
+}
+
+TEST_F(SearchResumeTest, BayesOptCorruptPayloadStartsFresh)
+{
+    // A loadable BO snapshot whose surrogate payload does not decode:
+    // neither its trace nor its rng state may be taken.
+    const SearchCheckpointConfig cfg = config();
+    SearchSnapshot snapshot;
+    snapshot.driver = SearchDriver::BayesOpt;
+    snapshot.trace.points.push_back({{0.5, -0.5}, 0.5});
+    snapshot.rng = Rng(99).state();
+    snapshot.payload = "not a surrogate state";
+    ASSERT_FALSE(saveSearchSnapshot(cfg.path, snapshot).has_value());
+
+    BowlObjective resumed_obj;
+    Rng resumed_rng(3);
+    const SearchTrace resumed =
+        BayesOpt().run(resumed_obj, 15, resumed_rng, nullptr, &cfg);
+    BowlObjective plain_obj;
+    Rng plain_rng(3);
+    expectSameTrace(BayesOpt().run(plain_obj, 15, plain_rng), resumed);
+    EXPECT_EQ(resumed_obj.evals, 15);
+}
+
+TEST_F(SearchResumeTest, ZeroIntervalPanicsInBothDrivers)
+{
+    const SearchCheckpointConfig cfg = config(/*every=*/0);
+    BowlObjective obj;
+    Rng rng(3);
+    EXPECT_DEATH(RandomSearch().run(obj, 10, rng, nullptr, &cfg),
+                 "every must be >= 1");
+    EXPECT_DEATH(BayesOpt().run(obj, 15, rng, nullptr, &cfg),
+                 "every must be >= 1");
 }
 
 TEST(EvalRecovery, TransientFaultRetriesToTheSameTrace)
@@ -291,6 +320,30 @@ TEST(EvalRecovery, PersistentFaultMarksCandidateInvalid)
             EXPECT_TRUE(std::isfinite(trace.points[i].value));
         }
     }
+}
+
+TEST(EvalRecovery, InvalidCounterCountsFailedEvaluationsOnly)
+{
+    // search.eval_invalid counts evaluations that failed both
+    // attempts. An unmappable design (more PEs than MACs) scores
+    // invalidScore without failing and is not one of them.
+    metrics::Counter &invalid = metrics::counter("search.eval_invalid");
+    Evaluator evaluator;
+    InputSpaceObjective obj(evaluator, {alexNetLayers()[0]});
+    const std::vector<double> unmappable{1.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    FaultInjector::instance().reset();
+
+    const std::uint64_t before = invalid.value();
+    EXPECT_EQ(evaluateRecovered(obj, unmappable), invalidScore);
+    EXPECT_EQ(invalid.value(), before);
+
+    // A throw on the first attempt and a NaN on the retry.
+    FaultInjector::instance().arm("eval_throw", 1);
+    FaultInjector::instance().arm("eval_nan", 1);
+    EXPECT_EQ(evaluateRecovered(obj, {0.5, 0.5, 0.5, 0.5, 0.5, 0.5}),
+              invalidScore);
+    FaultInjector::instance().reset();
+    EXPECT_EQ(invalid.value(), before + 1);
 }
 
 } // namespace
