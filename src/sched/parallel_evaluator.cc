@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <future>
 #include <unordered_map>
 #include <vector>
 
@@ -30,11 +32,14 @@ struct ConfigHash
 };
 
 /**
- * Run body(begin, end) over [0, n) across the pool in work-stealing
- * chunks claimed off a shared atomic cursor; each chunk writes only
- * its own outputs. The "batch_chunk" fault site and @p cancel fire
- * at the claim, before the chunk computes, and throw from here after
- * in-flight chunks finish.
+ * Run body(begin, end) over [0, n) in work-stealing chunks claimed
+ * off a shared atomic cursor by the calling thread and up to one
+ * pool task per worker; each chunk writes only its own outputs. A
+ * one-chunk batch submits no task. The "batch_chunk" fault site and
+ * @p cancel fire at each claim, before the chunk computes. Nothing
+ * is rethrown until every submitted task has returned, so no loop
+ * still reads the caller's stack when it unwinds; a pool that is
+ * stopping throws from the first submit, before any chunk runs.
  */
 template <class Body>
 void
@@ -46,23 +51,48 @@ forEachStolenChunk(std::size_t n, ThreadPool &pool,
     const std::size_t workers =
         std::max<std::size_t>(1, pool.threadCount());
     const std::size_t chunk = chunkSizeFor(n, workers);
-    const auto claim = [&](std::size_t begin) {
-        faultCheck("batch_chunk");
-        if (cancel)
-            cancel->check("batch_chunk");
-        body(begin, std::min(n, begin + chunk));
-    };
-    if (n <= chunk) {
-        // Too small to be worth a fan-out; the calling thread scores
-        // it directly (still one checkpoint per batch).
-        claim(0);
-        return;
-    }
     std::atomic<std::size_t> cursor{0};
-    pool.parallelFor(workers, [&](std::size_t) {
-        for (std::size_t begin; (begin = cursor.fetch_add(chunk)) < n;)
-            claim(begin);
-    });
+    const auto claimLoop = [&] {
+        for (std::size_t begin; (begin = cursor.fetch_add(chunk)) < n;) {
+            faultCheck("batch_chunk");
+            if (cancel)
+                cancel->check("batch_chunk");
+            body(begin, std::min(n, begin + chunk));
+        }
+    };
+    const std::size_t helpers =
+        std::min(workers, (n + chunk - 1) / chunk - 1);
+    std::vector<std::future<void>> pending;
+    pending.reserve(helpers);
+    std::exception_ptr failure;
+    try {
+        for (std::size_t t = 0; t < helpers; ++t)
+            pending.push_back(pool.submit(claimLoop));
+    } catch (...) {
+        if (pending.empty())
+            throw;
+        // The queued tasks must still return before this frame
+        // unwinds; with the cursor spent they claim no further chunk.
+        cursor.store(n);
+        failure = std::current_exception();
+    }
+    if (!failure) {
+        try {
+            claimLoop();
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    }
+    for (std::future<void> &task : pending) {
+        try {
+            task.get();
+        } catch (...) {
+            if (!failure)
+                failure = std::current_exception();
+        }
+    }
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 /** A batch with its exact duplicates folded:

@@ -10,9 +10,12 @@
  *   1. fold duplicate configs once per batch;
  *   2. cached: key every (distinct config, layer) cell and make one
  *      locked-per-shard probe of the whole batch;
- *   3. the pool steals chunks (chunkSizeFor()) of distinct configs —
- *      one fork/join per batch — and each chunk scores its configs
- *      one at a time, no lock held: uncached through
+ *   3. the calling thread and the pool's workers steal chunks
+ *      (chunkSizeFor()) of distinct configs off one cursor — one
+ *      fork/join per batch, at most one task per worker and none
+ *      for a one-chunk batch, so the caller scores chunks instead
+ *      of waiting — and each chunk scores its configs one at a
+ *      time, no lock held: uncached through
  *      Evaluator::evaluateWorkload, cached through the cache's one
  *      row walk (the same walk as CachingEvaluator::evaluateWorkload),
  *      which computes only what the probe missed into its own row;
@@ -20,9 +23,11 @@
  *      computed cell in one pass and folds the counters once, to a
  *      serial loop's exact hit/miss totals;
  *   5. results scatter back to input order.
- * A fault or expired token at a chunk claim throws after in-flight
- * chunks finish and skips steps 4-5: a killed batch is
- * all-or-nothing, with no partial merge and no counter drift.
+ * A fault or expired token at a chunk claim, the caller's own
+ * included, throws after every submitted task has returned and skips
+ * steps 4-5: a killed batch is all-or-nothing, with no partial merge
+ * and no counter drift. A stopping pool throws before any config of
+ * a multi-chunk batch is scored.
  */
 
 #ifndef VAESA_SCHED_PARALLEL_EVALUATOR_HH
@@ -77,10 +82,12 @@ std::vector<EvalResult> evaluateConfigBatch(
  * cache.evaluateWorkload() loop over the inputs, duplicates included.
  *
  * @p cancel (borrowed, may be null) is checked at every chunk claim,
- * like the "batch_chunk" fault site. Either one firing throws after
- * in-flight chunks finish and leaves the cache exactly as it was: no
- * entry inserted, no hit or miss counted. Do not call from inside a
- * task of @p pool (see ThreadPool::parallelFor).
+ * like the "batch_chunk" fault site, on whichever thread claims the
+ * chunk (the calling thread claims chunks too). Either one firing
+ * throws after every submitted task has returned and leaves the cache
+ * exactly as it was: no entry inserted, no hit or miss counted. Do not
+ * call from inside a task of @p pool: that task would wait on tasks
+ * queued behind itself (see ThreadPool::parallelFor).
  */
 std::vector<EvalResult> evaluateCachedBatch(
     const CachingEvaluator &cache,

@@ -10,10 +10,11 @@
  * on the handler's own thread with one cache probe per request
  * (CachingEvaluator::evaluateWorkload); SearchK fans its bulk
  * cost-model work onto a separate EVAL pool through
- * evaluateCachedBatch. Two pools because a batch must not run inside
- * its own pool's tasks (ThreadPool::parallelFor is non-reentrant):
- * service workers block on eval-pool batches, never on their own
- * queue.
+ * evaluateCachedBatch, and its service thread scores chunks of its
+ * own batch beside the eval workers before it joins them. Two pools
+ * because a batch must not run inside its own pool's tasks (its
+ * caller waits on tasks queued behind it): service workers join
+ * eval-pool tasks, never ones on their own queue.
  *
  * ADMISSION CONTROL. Connections beyond maxConnections receive an
  * unsolicited REJECTED_OVERLOAD response and are closed before any

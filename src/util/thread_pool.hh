@@ -37,6 +37,13 @@ namespace vaesa {
  * parallelFor() must not be called from inside a pool task: a worker
  * waiting on its own queue would deadlock the pool. Keep nesting in
  * the caller — parallelize the outermost loop only.
+ *
+ * The batch engine (sched/parallel_evaluator.hh) is built on
+ * submit(), not parallelFor(): it queues at most one stealing loop
+ * per worker and runs one more on its calling thread, so that caller
+ * scores chunks instead of idling until the join. The pool itself
+ * still runs nothing on a caller's thread, and the pool.* metrics
+ * count its tasks and workers only.
  */
 class ThreadPool
 {

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
+#include "../common/held_worker.hh"
 #include "sched/caching_evaluator.hh"
 #include "sched/parallel_evaluator.hh"
 #include "util/fault.hh"
@@ -546,6 +549,105 @@ TEST(ParallelCache, ScalarAndBatchCallersShareOneCache)
     }
     EXPECT_EQ(cache.hits() + cache.misses(), walked);
     EXPECT_EQ(cache.misses(), cache.inner().evaluationCount());
+}
+
+/** A multi-chunk cached batch: resnet50's first six layers. */
+struct HeldBatch
+{
+    Workload workload;
+    std::vector<AcceleratorConfig> configs;
+};
+
+HeldBatch
+heldBatch()
+{
+    const std::vector<LayerShape> resnet = resNet50Layers();
+    return {{"", {resnet.begin(), resnet.begin() + 6}, {}},
+            overlappingConfigs(128, 64, 113)};
+}
+
+/**
+ * Run heldBatch() through @p cache on a one-worker pool whose worker
+ * is held, so the calling thread makes the first claim. The
+ * "batch_chunk" site is armed at @p nth; once it has counted
+ * @p claims hits the worker is freed. The batch's exception is
+ * rethrown from here.
+ */
+void
+runWithHeldWorker(const CachingEvaluator &cache, std::uint64_t nth,
+                  std::uint64_t claims, const CancelToken *cancel)
+{
+    const HeldBatch batch = heldBatch();
+    FaultInjector &faults = FaultInjector::instance();
+    faults.reset();
+    faults.arm("batch_chunk", nth);
+    ThreadPool pool(1);
+    ThreadPool callerPool(1);
+    testing::HeldWorker held(pool);
+    std::future<void> done = callerPool.submit([&] {
+        evaluateCachedBatch(cache, batch.configs, batch.workload, pool,
+                            cancel);
+    });
+    EXPECT_TRUE(testing::eventually(
+        [&] { return faults.hitCount("batch_chunk") >= claims; }));
+    held.release();
+    done.get();
+}
+
+TEST(ParallelCache, FaultOnTheCallersClaimLeavesTheCacheUntouched)
+{
+    // The fault fires at the first claim, which is the caller's (the
+    // worker is held). The caller's loop stops there; once freed, the
+    // queued task claims every other chunk, so the killed batch makes
+    // as many claims as a clean one. The caller's fault is rethrown
+    // only after that task returned, and nothing is merged.
+    FaultInjector &faults = FaultInjector::instance();
+    CachingEvaluator cache;
+    EXPECT_THROW(runWithHeldWorker(cache, 1, 1, nullptr), InjectedFault);
+    const std::uint64_t killedClaims = faults.hitCount("batch_chunk");
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+
+    faults.arm("batch_chunk", 1u << 30);
+    const HeldBatch batch = heldBatch();
+    ThreadPool pool(1);
+    CachingEvaluator clean;
+    evaluateCachedBatch(clean, batch.configs, batch.workload, pool);
+    EXPECT_GT(faults.hitCount("batch_chunk"), 1u);
+    EXPECT_EQ(killedClaims, faults.hitCount("batch_chunk"));
+    faults.reset();
+}
+
+TEST(ParallelCache, ExpiredTokenOnTheCallersClaimLeavesTheCacheUntouched)
+{
+    // With an expired token every claim throws: the caller's first
+    // claim (the worker is held; the site, armed out of reach, only
+    // counts claims), then the queued task's first once freed.
+    // Exactly one claim per loop, nothing scored, nothing merged.
+    CachingEvaluator cache;
+    CancelToken expired;
+    expired.cancel();
+    EXPECT_THROW(runWithHeldWorker(cache, 1u << 30, 1, &expired),
+                 DeadlineExceeded);
+    EXPECT_EQ(FaultInjector::instance().hitCount("batch_chunk"), 2u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.inner().evaluationCount(), 0u);
+    FaultInjector::instance().reset();
+}
+
+TEST(ParallelCache, StoppingPoolThrowsBeforeAnyConfigIsScored)
+{
+    const auto layers = alexNetLayers();
+    CachingEvaluator cache;
+    ThreadPool pool(4);
+    pool.shutdown();
+    EXPECT_THROW(evaluateCachedBatch(cache, overlappingConfigs(256, 64, 127),
+                                     {"", layers, {}}, pool),
+                 std::runtime_error);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.inner().evaluationCount(), 0u);
 }
 
 } // namespace

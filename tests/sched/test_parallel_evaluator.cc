@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <future>
+#include <stdexcept>
 #include <vector>
 
+#include "../common/held_worker.hh"
 #include "sched/parallel_evaluator.hh"
 #include "util/fault.hh"
+#include "util/metrics.hh"
 #include "util/rng.hh"
 #include "workload/networks.hh"
 #include "workload/zoo.hh"
@@ -391,6 +396,80 @@ TEST(ConfigMajorBatch, BatchChunkFiresOncePerConfigChunk)
     evaluateConfigBatch(evaluator, batch, alexnet, pool);
     EXPECT_EQ(FaultInjector::instance().hitCount("batch_chunk"), 8u);
     FaultInjector::instance().reset();
+}
+
+TEST(ParallelEvaluator, CallerScoresTheBatchWhileTheOnlyWorkerIsHeld)
+{
+    // The calling thread claims chunks off the same cursor as the
+    // pool. With the pool's one worker held, the caller alone scores
+    // all 8 chunks; it then still waits for its queued task, which
+    // claims nothing once the worker is free.
+    const Workload alexnet = workloadByName("alexnet");
+    const std::vector<AcceleratorConfig> batch = randomBatch(64, 83);
+    ASSERT_EQ(chunkSizeFor(batch.size(), 1), 8u);
+    const Evaluator reference;
+    ThreadPool referencePool(2);
+    const std::vector<EvalResult> want =
+        evaluateConfigBatch(reference, batch, alexnet, referencePool);
+
+    const Evaluator evaluator;
+    std::vector<EvalResult> got;
+    ThreadPool pool(1);
+    ThreadPool callerPool(1);
+    testing::HeldWorker held(pool);
+    std::future<void> done = callerPool.submit([&] {
+        got = evaluateConfigBatch(evaluator, batch, alexnet, pool);
+    });
+    ASSERT_TRUE(testing::eventually([&] {
+        return evaluator.evaluationCount() ==
+               reference.evaluationCount();
+    }));
+    EXPECT_EQ(done.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout)
+        << "the batch returned before its queued task did";
+    held.release();
+    done.get();
+    EXPECT_EQ(evaluator.evaluationCount(), reference.evaluationCount());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "item " << i);
+        expectBitIdentical(got[i], want[i]);
+    }
+}
+
+TEST(ParallelEvaluator, OneChunkBatchSubmitsNoPoolTask)
+{
+    // Up to 8 distinct configs are one chunk at any width: the
+    // calling thread scores them and the pool sees no task. Nine are
+    // two chunks, so one task is queued for the second.
+    const Workload alexnet = workloadByName("alexnet");
+    const Evaluator evaluator;
+    ThreadPool pool(4);
+    metrics::Counter &tasks = metrics::counter("pool.tasks");
+    for (const std::size_t n : {1, 3, 8}) {
+        ASSERT_EQ(chunkSizeFor(n, pool.threadCount()), n);
+        const std::uint64_t before = tasks.value();
+        evaluateConfigBatch(evaluator, randomBatch(n, 89 + n), alexnet,
+                            pool);
+        EXPECT_EQ(tasks.value(), before) << n << " configs";
+    }
+    const std::uint64_t before = tasks.value();
+    evaluateConfigBatch(evaluator, randomBatch(9, 97), alexnet, pool);
+    EXPECT_EQ(tasks.value(), before + 1);
+}
+
+TEST(ParallelEvaluator, StoppingPoolThrowsBeforeAnyConfigIsScored)
+{
+    // A multi-chunk batch on a pool that is shutting down throws
+    // from its first submit, before the caller claims a chunk.
+    const Workload alexnet = workloadByName("alexnet");
+    const std::vector<AcceleratorConfig> batch = randomBatch(64, 101);
+    const Evaluator evaluator;
+    ThreadPool pool(2);
+    pool.shutdown();
+    EXPECT_THROW(evaluateConfigBatch(evaluator, batch, alexnet, pool),
+                 std::runtime_error);
+    EXPECT_EQ(evaluator.evaluationCount(), 0u);
 }
 
 } // namespace
