@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "dse/bo.hh"
 #include "dse/gp.hh"
@@ -24,6 +25,7 @@
 #include "tensor/kernels/kernels.hh"
 #include "tensor/linalg.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 #include "vaesa/vae.hh"
 #include "workload/networks.hh"
 
@@ -144,6 +146,7 @@ BM_GpAcquisition(benchmark::State &state)
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto queries = static_cast<std::size_t>(state.range(1));
     const bool smooth = state.range(2) != 0;
+    const auto width = static_cast<std::size_t>(state.range(3));
     Rng rng(3);
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
@@ -173,11 +176,14 @@ BM_GpAcquisition(benchmark::State &state)
             v = q < queries * 4 / 5 ? rng.uniform()
                                     : v + rng.normal(0.0, 0.08);
     }
+    std::unique_ptr<ThreadPool> pool;
+    if (width > 0)
+        pool = std::make_unique<ThreadPool>(width);
     std::size_t solved = 0;
     std::size_t refined = 0;
     for (auto _ : state) {
         const Acquisition pick =
-            selectCandidate(gp, candidates, ys[incumbent]);
+            selectCandidate(gp, candidates, ys[incumbent], pool.get());
         solved += pick.solved;
         refined += pick.refined;
         benchmark::DoNotOptimize(pick.index);
@@ -187,20 +193,28 @@ BM_GpAcquisition(benchmark::State &state)
     state.counters["solved_share"] = static_cast<double>(solved) / scored;
     state.counters["refined_share"] =
         static_cast<double>(refined) / scored;
+    state.counters["hw_threads"] =
+        static_cast<double>(ThreadPool::hardwareThreadCount());
 }
-// {training points, candidates, smooth}: the selector alone on a
-// fitted GP; BM_GpFitPredict {192, 640} is the full-scan predictBatch
-// it avoids. On random labels (smooth 0) only the first tile is
-// solved, so the bound pass dominates. With smooth 1 the GP is fitted
-// to a BayesOpt run's points on a smooth landscape, where many
-// candidates survive the one-point variance bound, so the subset
-// bound (refined_share) and the solves it spares show.
+// {training points, candidates, smooth, pool width}: the selector
+// alone on a fitted GP; BM_GpFitPredict {192, 640} is the full-scan
+// predictBatch it avoids. On random labels (smooth 0) only the first
+// tile is solved, so the bound pass dominates. With smooth 1 the GP
+// is fitted to a BayesOpt run's points on a smooth landscape, where
+// many candidates survive the one-point variance bound, so the subset
+// bound (refined_share) and the solves it spares show. Width 0 runs
+// without a pool; widths 1 and 4 price the tile chunks on the pool's
+// fork/join (a 1-worker pool is the caller plus one helper).
 BENCHMARK(BM_GpAcquisition)
-    ->Args({64, 640, 0})
-    ->Args({128, 640, 0})
-    ->Args({192, 640, 0})
-    ->Args({64, 640, 1})
-    ->Args({192, 640, 1});
+    ->Args({64, 640, 0, 0})
+    ->Args({128, 640, 0, 0})
+    ->Args({192, 640, 0, 0})
+    ->Args({192, 640, 0, 1})
+    ->Args({192, 640, 0, 4})
+    ->Args({64, 640, 1, 0})
+    ->Args({192, 640, 1, 0})
+    ->Args({192, 640, 1, 1})
+    ->Args({192, 640, 1, 4});
 
 void
 BM_GpHyperSearch(benchmark::State &state)

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -104,6 +105,31 @@ percentile(std::vector<double> &values, double p)
     return values[k];
 }
 
+/** Run client(c) for every c in [0, clients) as one task each on
+ *  @p pool, whose workers are this bench's alone (one per client, so
+ *  every client's connection is open at once), and wait for all. */
+template <class Client>
+void
+runClients(ThreadPool &pool, std::size_t clients, const Client &client)
+{
+    std::vector<std::future<void>> running;
+    running.reserve(clients);
+    const auto waitAll = [&running] {
+        for (std::future<void> &done : running)
+            done.wait();
+    };
+    try {
+        for (std::size_t c = 0; c < clients; ++c)
+            running.push_back(pool.submit([&client, c] { client(c); }));
+    } catch (...) {
+        waitAll(); // the queued clients still read @p client
+        throw;
+    }
+    waitAll();
+    for (std::future<void> &done : running)
+        done.get();
+}
+
 /** One working-set stream's outcome. */
 struct StreamResult
 {
@@ -155,7 +181,7 @@ runScoreStream(std::size_t clients, std::size_t totalQueries,
 
     ThreadPool clientPool(clients);
     const std::uint64_t t0 = metrics::monotonicNowNs();
-    clientPool.parallelFor(clients, [&](std::size_t c) {
+    runClients(clientPool, clients, [&](std::size_t c) {
         Rng rng(seedBase + 1000 + c);
         Expected<serve::Socket> conn = serve::connectTcp(port);
         if (!conn) {
@@ -248,7 +274,7 @@ main()
     const std::uint16_t port = server.port();
 
     const std::uint64_t benchT0 = metrics::monotonicNowNs();
-    clientPool.parallelFor(clients, [&](std::size_t c) {
+    runClients(clientPool, clients, [&](std::size_t c) {
         Rng rng(0x5E24E5ull + c);
         std::vector<AcceleratorConfig> configs;
         for (int i = 0; i < 64; ++i)

@@ -129,20 +129,20 @@ eiUpperBound(const GaussianProcess::Bound &bound, double best)
                              : upper;
 }
 
-/** body(from, len) over [0, n) in predictTile-aligned chunks,
- *  across the pool when there is one. */
+/** body(from, len) over [0, n): one call without a pool, else one
+ *  call per predictTile-aligned chunk on the pool's fork/join. */
 template <typename Body>
 void
 forEachTileChunk(std::size_t n, ThreadPool *pool, const Body &body)
 {
-    constexpr std::size_t tile = GaussianProcess::predictTile;
     if (!pool) {
         body(std::size_t{0}, n);
         return;
     }
-    pool->parallelFor((n + tile - 1) / tile, [&](std::size_t c) {
-        body(c * tile, std::min(tile, n - c * tile));
-    });
+    pool->forEachChunk(n, GaussianProcess::predictTile,
+                       [&](std::size_t begin, std::size_t end) {
+                           body(begin, end - begin);
+                       });
 }
 
 } // namespace

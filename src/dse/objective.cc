@@ -108,9 +108,10 @@ Objective::evaluateBatch(const std::vector<std::vector<double>> &xs,
 {
     std::vector<double> values(xs.size());
     if (pool && threadSafeEvaluate()) {
-        pool->parallelFor(xs.size(), [&](std::size_t i) {
-            values[i] = evaluateRecovered(*this, xs[i]);
-        });
+        pool->forEachChunk(xs.size(), 1,
+                           [&](std::size_t i, std::size_t) {
+                               values[i] = evaluateRecovered(*this, xs[i]);
+                           });
     } else {
         for (std::size_t i = 0; i < xs.size(); ++i)
             values[i] = evaluateRecovered(*this, xs[i]);

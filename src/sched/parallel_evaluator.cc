@@ -1,9 +1,6 @@
 #include "sched/parallel_evaluator.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <future>
 #include <unordered_map>
 #include <vector>
 
@@ -30,70 +27,6 @@ struct ConfigHash
         return static_cast<std::size_t>(h);
     }
 };
-
-/**
- * Run body(begin, end) over [0, n) in work-stealing chunks claimed
- * off a shared atomic cursor by the calling thread and up to one
- * pool task per worker; each chunk writes only its own outputs. A
- * one-chunk batch submits no task. The "batch_chunk" fault site and
- * @p cancel fire at each claim, before the chunk computes. Nothing
- * is rethrown until every submitted task has returned, so no loop
- * still reads the caller's stack when it unwinds; a pool that is
- * stopping throws from the first submit, before any chunk runs.
- */
-template <class Body>
-void
-forEachStolenChunk(std::size_t n, ThreadPool &pool,
-                   const CancelToken *cancel, const Body &body)
-{
-    if (n == 0)
-        return;
-    const std::size_t workers =
-        std::max<std::size_t>(1, pool.threadCount());
-    const std::size_t chunk = chunkSizeFor(n, workers);
-    std::atomic<std::size_t> cursor{0};
-    const auto claimLoop = [&] {
-        for (std::size_t begin; (begin = cursor.fetch_add(chunk)) < n;) {
-            faultCheck("batch_chunk");
-            if (cancel)
-                cancel->check("batch_chunk");
-            body(begin, std::min(n, begin + chunk));
-        }
-    };
-    const std::size_t helpers =
-        std::min(workers, (n + chunk - 1) / chunk - 1);
-    std::vector<std::future<void>> pending;
-    pending.reserve(helpers);
-    std::exception_ptr failure;
-    try {
-        for (std::size_t t = 0; t < helpers; ++t)
-            pending.push_back(pool.submit(claimLoop));
-    } catch (...) {
-        if (pending.empty())
-            throw;
-        // The queued tasks must still return before this frame
-        // unwinds; with the cursor spent they claim no further chunk.
-        cursor.store(n);
-        failure = std::current_exception();
-    }
-    if (!failure) {
-        try {
-            claimLoop();
-        } catch (...) {
-            failure = std::current_exception();
-        }
-    }
-    for (std::future<void> &task : pending) {
-        try {
-            task.get();
-        } catch (...) {
-            if (!failure)
-                failure = std::current_exception();
-        }
-    }
-    if (failure)
-        std::rethrow_exception(failure);
-}
 
 /** A batch with its exact duplicates folded:
  *  configs[i] == uniques[slotOf[i]]. */
@@ -124,22 +57,27 @@ foldDuplicates(const std::vector<AcceleratorConfig> &configs)
 
 /**
  * The one batch engine: score the distinct configs of @p batch in
- * stolen chunks (one fork/join per batch), @p score(c) scoring
- * batch.uniques[c], and scatter the totals back to input order.
- * Throws, with nothing returned, when a chunk claim hits the fault
- * site or an expired @p cancel.
+ * chunkSizeFor() chunks on ThreadPool::forEachChunk (one fork/join
+ * per batch), @p score(c) scoring batch.uniques[c], and scatter the
+ * totals back to input order. The "batch_chunk" fault site and
+ * @p cancel fire at each claim, before the chunk computes; either
+ * one throws, with nothing returned, once every helper has joined.
  */
 template <class Score>
 std::vector<EvalResult>
 scoreBatch(const FoldedBatch &batch, ThreadPool &pool,
            const CancelToken *cancel, const Score &score)
 {
-    std::vector<EvalResult> uniqueTotals(batch.uniques.size());
-    forEachStolenChunk(batch.uniques.size(), pool, cancel,
-                       [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t c = begin; c < end; ++c)
-                               uniqueTotals[c] = score(c);
-                       });
+    const std::size_t n = batch.uniques.size();
+    std::vector<EvalResult> uniqueTotals(n);
+    pool.forEachChunk(n, chunkSizeFor(n, pool.threadCount()),
+                      [&](std::size_t begin, std::size_t end) {
+                          faultCheck("batch_chunk");
+                          if (cancel)
+                              cancel->check("batch_chunk");
+                          for (std::size_t c = begin; c < end; ++c)
+                              uniqueTotals[c] = score(c);
+                      });
     std::vector<EvalResult> totals(batch.slotOf.size());
     for (std::size_t i = 0; i < totals.size(); ++i)
         totals[i] = uniqueTotals[batch.slotOf[i]];

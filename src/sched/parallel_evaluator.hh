@@ -10,12 +10,11 @@
  *   1. fold duplicate configs once per batch;
  *   2. cached: key every (distinct config, layer) cell and make one
  *      locked-per-shard probe of the whole batch;
- *   3. the calling thread and the pool's workers steal chunks
- *      (chunkSizeFor()) of distinct configs off one cursor — one
- *      fork/join per batch, at most one task per worker and none
- *      for a one-chunk batch, so the caller scores chunks instead
- *      of waiting — and each chunk scores its configs one at a
- *      time, no lock held: uncached through
+ *   3. ThreadPool::forEachChunk hands chunks (chunkSizeFor()) of
+ *      distinct configs to the calling thread and the pool's
+ *      workers — one fork/join per batch, so the caller scores
+ *      chunks instead of waiting — and each chunk scores its configs
+ *      one at a time, no lock held: uncached through
  *      Evaluator::evaluateWorkload, cached through the cache's one
  *      row walk (the same walk as CachingEvaluator::evaluateWorkload),
  *      which computes only what the probe missed into its own row;
@@ -24,10 +23,10 @@
  *      serial loop's exact hit/miss totals;
  *   5. results scatter back to input order.
  * A fault or expired token at a chunk claim, the caller's own
- * included, throws after every submitted task has returned and skips
+ * included, throws after every helper task has returned and skips
  * steps 4-5: a killed batch is all-or-nothing, with no partial merge
- * and no counter drift. A stopping pool throws before any config of
- * a multi-chunk batch is scored.
+ * and no counter drift. A stopping pool throws before any config is
+ * scored.
  */
 
 #ifndef VAESA_SCHED_PARALLEL_EVALUATOR_HH
@@ -84,10 +83,10 @@ std::vector<EvalResult> evaluateConfigBatch(
  * @p cancel (borrowed, may be null) is checked at every chunk claim,
  * like the "batch_chunk" fault site, on whichever thread claims the
  * chunk (the calling thread claims chunks too). Either one firing
- * throws after every submitted task has returned and leaves the cache
+ * throws after every helper task has returned and leaves the cache
  * exactly as it was: no entry inserted, no hit or miss counted. Do not
  * call from inside a task of @p pool: that task would wait on tasks
- * queued behind itself (see ThreadPool::parallelFor).
+ * queued behind itself (see ThreadPool::forEachChunk).
  */
 std::vector<EvalResult> evaluateCachedBatch(
     const CachingEvaluator &cache,

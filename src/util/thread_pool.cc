@@ -1,6 +1,7 @@
 #include "util/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -120,44 +121,67 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
+ThreadPool::forEachChunk(
+    std::size_t n, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t)> &body)
 {
     if (n == 0)
         return;
-    // max(1, ...): a joined pool has threadCount() == 0, and zero
-    // chunks would silently run nothing -- one chunk makes submit()
-    // throw its stopping-pool error instead of dropping the work.
-    const std::size_t chunks = std::min<std::size_t>(
-        n, std::max<std::size_t>(1, threadCount()));
-    std::vector<std::future<void>> pending;
-    pending.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        // Contiguous chunks; the first (n % chunks) get one extra.
-        const std::size_t begin =
-            c * (n / chunks) + std::min(c, n % chunks);
-        const std::size_t end =
-            begin + n / chunks + (c < n % chunks ? 1 : 0);
-        pending.push_back(submit([&body, begin, end] {
-            for (std::size_t i = begin; i < end; ++i)
-                body(i);
-        }));
-    }
-    // Wait for every chunk before rethrowing so no iteration is
-    // still touching caller state when the exception unwinds; the
-    // lowest-chunk exception is the one a serial loop would have hit
-    // first.
-    std::exception_ptr first;
-    for (std::future<void> &future : pending) {
+    if (chunk == 0)
+        panic("ThreadPool::forEachChunk: chunk size 0");
+    std::atomic<std::size_t> cursor{0};
+    const auto claimLoop = [&] {
+        for (std::size_t begin; (begin = cursor.fetch_add(chunk)) < n;)
+            body(begin, std::min(n, begin + chunk));
+    };
+    const std::size_t chunks = (n - 1) / chunk + 1;
+    std::vector<std::future<void>> helpers;
+    {
+        // All helpers or none: a stopping pool throws before anything
+        // is queued, so no helper can outlive this frame.
+        const MutexLock lock(queueMutex_);
+        if (stopping_)
+            throw std::runtime_error(
+                "ThreadPool::forEachChunk on a stopping pool");
+        const std::size_t count = std::min(threads_, chunks - 1);
+        helpers.reserve(count);
+        const std::size_t queued = queue_.size();
         try {
-            future.get();
+            for (std::size_t t = 0; t < count; ++t) {
+                queue_.emplace_back(claimLoop);
+                helpers.push_back(queue_.back().get_future());
+            }
         } catch (...) {
-            if (!first)
-                first = std::current_exception();
+            while (queue_.size() > queued)
+                queue_.pop_back();
+            throw;
         }
     }
-    if (first)
-        std::rethrow_exception(first);
+    if (!helpers.empty()) {
+        PoolMetrics &m = poolMetrics();
+        m.tasks.inc(helpers.size());
+        m.queueDepth.add(static_cast<double>(helpers.size()));
+        for (std::size_t t = 0; t < helpers.size(); ++t)
+            wake_.notify_one();
+    }
+    // Join every helper before rethrowing, so none still reads this
+    // frame (cursor, body) when the exception unwinds it.
+    std::exception_ptr failure;
+    try {
+        claimLoop();
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    for (std::future<void> &helper : helpers) {
+        try {
+            helper.get();
+        } catch (...) {
+            if (!failure)
+                failure = std::current_exception();
+        }
+    }
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 std::size_t

@@ -25,25 +25,24 @@
 namespace vaesa {
 
 /**
- * A fixed set of worker threads consuming a FIFO task queue.
+ * A fixed set of worker threads consuming a FIFO task queue, with
+ * two ways in:
+ *   - submit() enqueues one task and returns its future;
+ *   - forEachChunk() is the one fork/join: the calling thread and up
+ *     to one queued helper per worker claim [begin, end) chunks off
+ *     a shared atomic cursor, so the caller computes instead of
+ *     idling until the join.
+ * Exceptions thrown by task bodies are captured and rethrown on the
+ * waiting thread.
  *
- * Tasks never run on the caller's thread: submit() enqueues and
- * returns a future, parallelFor() enqueues one contiguous chunk per
- * worker and blocks until all chunks finish. Exceptions thrown by
- * task bodies are captured and rethrown on the waiting thread (for
- * parallelFor, the pending exception of the lowest-index chunk wins,
- * matching what a serial loop would have thrown first).
+ * forEachChunk() must not be called from inside a task of the same
+ * pool: once its caller has claimed every chunk it waits for helpers
+ * that may be queued behind its own task, which deadlocks a pool
+ * whose workers all do the same. Keep nesting in the caller:
+ * parallelize the outermost loop only, or fan out onto another pool.
  *
- * parallelFor() must not be called from inside a pool task: a worker
- * waiting on its own queue would deadlock the pool. Keep nesting in
- * the caller — parallelize the outermost loop only.
- *
- * The batch engine (sched/parallel_evaluator.hh) is built on
- * submit(), not parallelFor(): it queues at most one stealing loop
- * per worker and runs one more on its calling thread, so that caller
- * scores chunks instead of idling until the join. The pool itself
- * still runs nothing on a caller's thread, and the pool.* metrics
- * count its tasks and workers only.
+ * The pool.* metrics count queued tasks and worker time only; the
+ * chunks a caller claims itself are not pool tasks.
  */
 class ThreadPool
 {
@@ -67,9 +66,9 @@ class ThreadPool
      * Stop accepting work, drain the already-queued tasks, and join
      * every worker. Idempotent; safe to call from multiple threads
      * (exactly one joins). After shutdown() begins, submit() and
-     * parallelFor() throw instead of enqueueing — a draining daemon
-     * must be able to race a late submit against its own shutdown
-     * without aborting the process.
+     * forEachChunk() throw instead of enqueueing or running anything
+     * -- a draining daemon must be able to race a late call against
+     * its own shutdown without aborting the process.
      */
     void shutdown() VAESA_EXCLUDES(queueMutex_);
 
@@ -82,13 +81,21 @@ class ThreadPool
         VAESA_EXCLUDES(queueMutex_);
 
     /**
-     * Run body(i) for every i in [0, n) across the workers in
-     * contiguous chunks; blocks until every index ran. Rethrows the
-     * first (lowest-chunk) exception after all chunks finished, so
-     * no index is silently skipped mid-flight.
+     * Run body(begin, end) over [0, n) in chunks of @p chunk indices
+     * (the last one may be shorter), claimed in order off one atomic
+     * cursor by the calling thread and by min(threadCount(),
+     * chunks - 1) helpers, all queued in one critical section: a
+     * one-chunk call queues none. Each chunk starts at a multiple of
+     * @p chunk, whichever thread claims it. Blocks until every
+     * helper returned, then rethrows the first failure seen; a loop
+     * that throws claims no further chunk, the others run on. Throws
+     * std::runtime_error, with no chunk run, if the pool is stopping
+     * and n > 0. @p chunk must be at least 1.
      */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
+    void forEachChunk(
+        std::size_t n, std::size_t chunk,
+        const std::function<void(std::size_t, std::size_t)> &body)
+        VAESA_EXCLUDES(queueMutex_);
 
     /**
      * Worker count used when a pool is built with threads == 0: the

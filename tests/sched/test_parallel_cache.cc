@@ -182,7 +182,7 @@ TEST(ParallelCache, StressOverlappingKeysMatchesSerial)
     CachingEvaluator cached;
     ThreadPool pool(8);
     std::vector<std::vector<EvalResult>> got(batch.size());
-    pool.parallelFor(batch.size(), [&](std::size_t i) {
+    pool.forEachChunk(batch.size(), 1, [&](std::size_t i, std::size_t) {
         for (std::size_t l = 0; l < layersUsed; ++l)
             got[i].push_back(
                 cached.evaluateWorkload(batch[i], {"", {layers[l]}, {}}));
@@ -221,13 +221,13 @@ TEST(ParallelCache, ConcurrentLayerRegistrationIsConsistent)
     Rng rng(3);
     const AcceleratorConfig config = designSpace().randomConfig(rng);
 
-    pool.parallelFor(8 * layers.size(), [&](std::size_t i) {
+    pool.forEachChunk(8 * layers.size(), 1, [&](std::size_t i, std::size_t) {
         cached.evaluateWorkload(config, {"", {layers[i % layers.size()]}, {}});
     });
     EXPECT_EQ(cached.hits() + cached.misses(), 8 * layers.size());
 
     const std::uint64_t missesAfterWarm = cached.misses();
-    pool.parallelFor(8 * layers.size(), [&](std::size_t i) {
+    pool.forEachChunk(8 * layers.size(), 1, [&](std::size_t i, std::size_t) {
         cached.evaluateWorkload(config, {"", {layers[i % layers.size()]}, {}});
     });
     // Second sweep: zero new misses — every shape resolved to the
@@ -248,7 +248,7 @@ TEST(ParallelCache, ConcurrentHitsAndMissesInterleave)
     const std::uint64_t warmLookups = cached.hits() + cached.misses();
 
     ThreadPool pool(8);
-    pool.parallelFor(batch.size(), [&](std::size_t i) {
+    pool.forEachChunk(batch.size(), 1, [&](std::size_t i, std::size_t) {
         cached.evaluateWorkload(batch[i], {"", {layers[0]}, {}});
     });
     EXPECT_EQ(cached.hits() + cached.misses(),
@@ -516,7 +516,7 @@ TEST(ParallelCache, ScalarAndBatchCallersShareOneCache)
     ThreadPool batchPool(2);
     std::vector<std::vector<std::pair<std::size_t, EvalResult>>> got(
         callers);
-    callerPool.parallelFor(callers, [&](std::size_t t) {
+    callerPool.forEachChunk(callers, 1, [&](std::size_t t, std::size_t) {
         for (std::size_t r = 0; r < rounds; ++r) {
             const std::size_t begin =
                 (5 * t + window * r) % (configs.size() - window);

@@ -460,16 +460,19 @@ TEST(ParallelEvaluator, OneChunkBatchSubmitsNoPoolTask)
 
 TEST(ParallelEvaluator, StoppingPoolThrowsBeforeAnyConfigIsScored)
 {
-    // A multi-chunk batch on a pool that is shutting down throws
-    // from its first submit, before the caller claims a chunk.
+    // A batch on a pool that is shutting down throws before the
+    // caller claims a chunk, even one small enough to need no helper.
     const Workload alexnet = workloadByName("alexnet");
-    const std::vector<AcceleratorConfig> batch = randomBatch(64, 101);
-    const Evaluator evaluator;
     ThreadPool pool(2);
     pool.shutdown();
-    EXPECT_THROW(evaluateConfigBatch(evaluator, batch, alexnet, pool),
-                 std::runtime_error);
-    EXPECT_EQ(evaluator.evaluationCount(), 0u);
+    for (const std::size_t n : {1, 8, 64}) {
+        const std::vector<AcceleratorConfig> batch = randomBatch(n, 101);
+        const Evaluator evaluator;
+        EXPECT_THROW(evaluateConfigBatch(evaluator, batch, alexnet, pool),
+                     std::runtime_error)
+            << n << " configs";
+        EXPECT_EQ(evaluator.evaluationCount(), 0u) << n << " configs";
+    }
 }
 
 } // namespace

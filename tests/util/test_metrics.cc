@@ -44,7 +44,7 @@ TEST(MetricsCounter, EightThreadsLoseNoIncrements)
     constexpr std::size_t threads = 8;
     constexpr std::uint64_t perThread = 50000;
     ThreadPool pool(threads);
-    pool.parallelFor(threads, [&](std::size_t) {
+    pool.forEachChunk(threads, 1, [&](std::size_t, std::size_t) {
         for (std::uint64_t i = 0; i < perThread; ++i)
             c.inc();
     });
@@ -69,7 +69,7 @@ TEST(MetricsGauge, ConcurrentAddsAreExact)
     metrics::Gauge g;
     constexpr std::size_t threads = 8;
     ThreadPool pool(threads);
-    pool.parallelFor(threads, [&](std::size_t i) {
+    pool.forEachChunk(threads, 1, [&](std::size_t i, std::size_t) {
         // Half the threads add, half subtract the same amount.
         const double delta = i % 2 == 0 ? 1.0 : -1.0;
         for (int n = 0; n < 10000; ++n)
@@ -127,7 +127,7 @@ TEST(MetricsHistogram, EightThreadObserversLoseNothing)
     constexpr std::size_t threads = 8;
     constexpr std::uint64_t perThread = 20000;
     ThreadPool pool(threads);
-    pool.parallelFor(threads, [&](std::size_t t) {
+    pool.forEachChunk(threads, 1, [&](std::size_t t, std::size_t) {
         for (std::uint64_t i = 0; i < perThread; ++i)
             h.observe(t * 1000 + i % 7);
     });
@@ -155,7 +155,7 @@ TEST(MetricsRegistry, ConcurrentRegistrationIsSafe)
     // hand out stable references without racing the hot path.
     constexpr std::size_t threads = 8;
     ThreadPool pool(threads);
-    pool.parallelFor(threads, [&](std::size_t t) {
+    pool.forEachChunk(threads, 1, [&](std::size_t t, std::size_t) {
         metrics::counter("test.metrics.reg_shared").inc();
         metrics::counter("test.metrics.reg_" + std::to_string(t))
             .inc(t + 1);

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <numeric>
+#include <future>
 #include <stdexcept>
 #include <vector>
 
+#include "../common/held_worker.hh"
+#include "util/metrics.hh"
 #include "util/thread_pool.hh"
 
 namespace vaesa {
@@ -75,18 +79,27 @@ TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
         std::runtime_error);
 }
 
+// The ParallelFor* names below are the pool's parallel-for contract;
+// forEachChunk is its one implementation.
+
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
     ThreadPool pool(4);
-    for (std::size_t n : {std::size_t{0}, std::size_t{1},
-                          std::size_t{3}, std::size_t{4},
-                          std::size_t{1000}}) {
-        std::vector<std::atomic<int>> seen(n);
-        pool.parallelFor(n, [&](std::size_t i) {
-            seen[i].fetch_add(1);
-        });
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(seen[i].load(), 1) << "index " << i;
+    for (const std::size_t chunk : {1, 7, 256}) {
+        for (const std::size_t n : {0, 1, 3, 4, 1000}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n " << n << ", chunk " << chunk);
+            std::vector<std::atomic<int>> seen(n);
+            pool.forEachChunk(n, chunk,
+                              [&](std::size_t begin, std::size_t end) {
+                                  EXPECT_EQ(begin % chunk, 0u);
+                                  EXPECT_EQ(end, std::min(n, begin + chunk));
+                                  for (std::size_t i = begin; i < end; ++i)
+                                      seen[i].fetch_add(1);
+                              });
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(seen[i].load(), 1) << "index " << i;
+        }
     }
 }
 
@@ -94,7 +107,7 @@ TEST(ThreadPool, ParallelForWorksWithOneWorker)
 {
     ThreadPool pool(1);
     std::vector<int> out(37, 0);
-    pool.parallelFor(out.size(), [&](std::size_t i) {
+    pool.forEachChunk(out.size(), 1, [&](std::size_t i, std::size_t) {
         out[i] = static_cast<int>(i) * 2;
     });
     for (std::size_t i = 0; i < out.size(); ++i)
@@ -107,7 +120,7 @@ TEST(ThreadPool, ParallelForRethrowsBodyException)
     EXPECT_THROW(
         {
             try {
-                pool.parallelFor(64, [](std::size_t i) {
+                pool.forEachChunk(64, 1, [](std::size_t i, std::size_t) {
                     if (i == 20)
                         throw std::runtime_error("body boom");
                 });
@@ -119,41 +132,68 @@ TEST(ThreadPool, ParallelForRethrowsBodyException)
         std::runtime_error);
 }
 
-TEST(ThreadPool, LowestChunkExceptionWinsAndAllChunksFinish)
-{
-    ThreadPool pool(4);
-    std::atomic<int> completed{0};
-    try {
-        pool.parallelFor(400, [&](std::size_t i) {
-            // Every chunk throws on its own indices; the exception
-            // from the chunk holding the lowest index must be the
-            // one rethrown, and no chunk may be abandoned.
-            completed.fetch_add(1);
-            if (i % 100 == 99)
-                throw std::runtime_error("chunk " +
-                                         std::to_string(i / 100));
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "chunk 0");
-    }
-    // All four chunks ran up to (and including) their throwing index.
-    EXPECT_EQ(completed.load(), 400);
-}
-
 TEST(ThreadPool, UsableAfterException)
 {
     ThreadPool pool(2);
-    EXPECT_THROW(pool.parallelFor(8,
-                                  [](std::size_t) {
-                                      throw std::logic_error("x");
-                                  }),
+    EXPECT_THROW(pool.forEachChunk(8, 1,
+                                   [](std::size_t, std::size_t) {
+                                       throw std::logic_error("x");
+                                   }),
                  std::logic_error);
     std::atomic<long> sum{0};
-    pool.parallelFor(100, [&](std::size_t i) {
+    pool.forEachChunk(100, 1, [&](std::size_t i, std::size_t) {
         sum.fetch_add(static_cast<long>(i));
     });
     EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, CallerClaimsEveryChunkWhileTheOnlyWorkerIsHeld)
+{
+    // The calling thread claims chunks off the same cursor as its
+    // helper. With the pool's one worker held, the caller alone runs
+    // all 10 chunks; it then still waits for its queued helper, which
+    // claims nothing once the worker is free.
+    ThreadPool pool(1);
+    ThreadPool callerPool(1);
+    std::vector<std::atomic<int>> seen(40);
+    std::atomic<int> chunks{0};
+    testing::HeldWorker held(pool);
+    std::future<void> done = callerPool.submit([&] {
+        pool.forEachChunk(seen.size(), 4,
+                          [&](std::size_t begin, std::size_t end) {
+                              for (std::size_t i = begin; i < end; ++i)
+                                  seen[i].fetch_add(1);
+                              chunks.fetch_add(1);
+                          });
+    });
+    ASSERT_TRUE(testing::eventually([&] { return chunks.load() == 10; }));
+    EXPECT_EQ(done.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout)
+        << "forEachChunk returned before its queued helper did";
+    held.release();
+    done.get();
+    EXPECT_EQ(chunks.load(), 10);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPool, OneChunkQueuesNoHelper)
+{
+    // Up to one chunk runs on the caller alone; each further chunk
+    // adds one helper, up to one per worker.
+    ThreadPool pool(3);
+    metrics::Counter &tasks = metrics::counter("pool.tasks");
+    const auto helpersFor = [&](std::size_t n, std::size_t chunk) {
+        const std::uint64_t before = tasks.value();
+        pool.forEachChunk(n, chunk, [](std::size_t, std::size_t) {});
+        return tasks.value() - before;
+    };
+    EXPECT_EQ(helpersFor(0, 4), 0u);
+    EXPECT_EQ(helpersFor(1, 4), 0u);
+    EXPECT_EQ(helpersFor(4, 4), 0u);
+    EXPECT_EQ(helpersFor(5, 4), 1u);
+    EXPECT_EQ(helpersFor(12, 4), 2u);
+    EXPECT_EQ(helpersFor(1000, 4), 3u);
 }
 
 } // namespace

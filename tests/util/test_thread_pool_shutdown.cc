@@ -30,10 +30,20 @@ TEST(ThreadPoolShutdown, SubmitAfterShutdownThrows)
 
 TEST(ThreadPoolShutdown, ParallelForAfterShutdownThrows)
 {
+    // forEachChunk throws before running a chunk, even for a call
+    // small enough to need no helper.
     ThreadPool pool(2);
     pool.shutdown();
-    EXPECT_THROW(pool.parallelFor(4, [](std::size_t) {}),
-                 std::runtime_error);
+    for (const std::size_t n : {1, 4}) {
+        std::atomic<int> ran{0};
+        EXPECT_THROW(pool.forEachChunk(n, 1,
+                                       [&ran](std::size_t, std::size_t) {
+                                           ++ran;
+                                       }),
+                     std::runtime_error)
+            << n << " indices";
+        EXPECT_EQ(ran.load(), 0) << n << " indices";
+    }
 }
 
 TEST(ThreadPoolShutdown, QueuedTasksDrainBeforeJoin)
@@ -61,8 +71,9 @@ TEST(ThreadPoolShutdown, ConcurrentShutdownsRaceSafely)
 {
     ThreadPool pool(2);
     ThreadPool closers(4);
-    closers.parallelFor(4,
-                        [&pool](std::size_t) { pool.shutdown(); });
+    closers.forEachChunk(4, 1, [&pool](std::size_t, std::size_t) {
+        pool.shutdown();
+    });
     EXPECT_EQ(pool.threadCount(), 0u);
     EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
 }
@@ -77,7 +88,7 @@ TEST(ThreadPoolShutdown, SubmitDuringDrainThrowsOrRuns)
     std::atomic<int> accepted{0};
     std::atomic<int> refused{0};
     submitters.submit([&pool] { pool.shutdown(); }).wait();
-    submitters.parallelFor(64, [&](std::size_t) {
+    submitters.forEachChunk(64, 1, [&](std::size_t, std::size_t) {
         try {
             pool.submit([] {}).wait();
             ++accepted;
@@ -109,24 +120,26 @@ TEST(ThreadPoolShutdown, CancellationObservedInsideQueuedTask)
 
 TEST(ThreadPoolShutdown, CancelledParallelForRethrowsDeadline)
 {
-    // parallelFor propagates a DeadlineExceeded thrown by a chunk
-    // after every chunk finished, and the pool stays usable for the
-    // next batch. Each of the two chunks aborts at its first index's
-    // check, so exactly chunk-count indices run.
+    // forEachChunk propagates a DeadlineExceeded thrown by a chunk
+    // after every helper returned, and the pool stays usable for the
+    // next batch. Each claim loop (the caller's and its two helpers')
+    // aborts at its first chunk's check, so exactly three of the
+    // eight chunks run.
     ThreadPool pool(2);
     CancelToken cancel;
     cancel.cancel();
     std::atomic<int> visited{0};
-    EXPECT_THROW(pool.parallelFor(8,
-                                  [&](std::size_t) {
-                                      ++visited;
-                                      cancel.check("chunk");
-                                  }),
+    EXPECT_THROW(pool.forEachChunk(8, 1,
+                                   [&](std::size_t, std::size_t) {
+                                       ++visited;
+                                       cancel.check("chunk");
+                                   }),
                  DeadlineExceeded);
-    EXPECT_EQ(visited.load(), 2);
+    EXPECT_EQ(visited.load(), 3);
 
     std::atomic<int> clean{0};
-    pool.parallelFor(8, [&clean](std::size_t) { ++clean; });
+    pool.forEachChunk(8, 1,
+                      [&clean](std::size_t, std::size_t) { ++clean; });
     EXPECT_EQ(clean.load(), 8);
     pool.shutdown();
 }

@@ -99,7 +99,7 @@ TEST(TraceSpan, EightThreadsLoseNoSpans)
     constexpr std::size_t perThread = 500;
     trace::setTraceEnabled(true);
     ThreadPool pool(threads);
-    pool.parallelFor(threads, [&](std::size_t) {
+    pool.forEachChunk(threads, 1, [&](std::size_t, std::size_t) {
         for (std::size_t i = 0; i < perThread; ++i) {
             const trace::Span span("test.trace.mt");
         }

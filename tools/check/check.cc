@@ -433,7 +433,7 @@ const std::vector<BannedStdName> bannedStdConcurrency = {
      threadPoolFiles},
     {"jthread", "vaesa::ThreadPool (util/thread_pool.hh)",
      threadPoolFiles},
-    {"async", "ThreadPool::submit()/parallelFor()",
+    {"async", "ThreadPool::submit()/forEachChunk()",
      threadPoolFiles},
 };
 
