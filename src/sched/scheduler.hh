@@ -9,6 +9,15 @@
  * reduces an analytical DRAM-traffic proxy. This mirrors CoSA's role
  * in VAESA: a fast, deterministic, optimization-guided mapping oracle
  * so the DSE loop only searches over *hardware* parameters.
+ *
+ * Both levels grow through one greedy loop. Each live dimension keeps
+ * its doubled extent and that extent's tile count, recomputed only
+ * when the dimension is taken, and a candidate's fit check and proxy
+ * are instantiated per dimension, so scoring one divides nothing and
+ * writes nothing into the tile. Every scored expression keeps the
+ * floating-point order of the brute-force greedy the tests hold it to
+ * (tests/common/reference_scheduler.hh), so the mappings match it bit
+ * for bit.
  */
 
 #ifndef VAESA_SCHED_SCHEDULER_HH
